@@ -23,6 +23,7 @@ import (
 	"hpfdsm/internal/bench"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
+	"hpfdsm/internal/runtime"
 	"hpfdsm/internal/sim"
 )
 
@@ -67,5 +68,44 @@ func TestGoldenStatsOptRTElim(t *testing.T) {
 				t.Errorf("bytes %d, golden %d", b, g.bytes)
 			}
 		})
+	}
+}
+
+// goldenIrregular pins the paper's future-work class (affine stencil +
+// indirect gathers, apps.Irregular) at scaled size on the default
+// 8-node machine, with the inspector off and on: the indirect loops are
+// the only ones whose loads the compiler cannot schedule, so their
+// fault sequence is gated here and nowhere else.
+var goldenIrregular = []struct {
+	inspect bool
+	opt     compiler.Level
+	elapsed sim.Time
+	misses  int64
+	msgs    int64
+	bytes   int64
+}{
+	{false, compiler.OptNone, 119111170, 3024, 12446, 660184},
+	{false, compiler.OptRTElim, 97298520, 2856, 7846, 631964},
+	{true, compiler.OptNone, 135973370, 906, 12914, 699496},
+	{true, compiler.OptRTElim, 114109720, 738, 8314, 671276},
+}
+
+func TestGoldenStatsIrregular(t *testing.T) {
+	a := apps.Irregular()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldenIrregular {
+		r, err := runtime.Run(prog, runtime.Options{
+			Machine: config.Default(), Opt: g.opt, InspectIndirect: g.inspect})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int64{int64(r.Elapsed), r.Stats.TotalMisses(), r.Stats.TotalMessages(), r.Stats.TotalBytes()}
+		want := [4]int64{int64(g.elapsed), g.misses, g.msgs, g.bytes}
+		if got != want {
+			t.Errorf("inspect=%v %v: elapsed/misses/msgs/bytes %v, golden %v", g.inspect, g.opt, got, want)
+		}
 	}
 }
