@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-go artifact-guard check bench fmt cover clean
+.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check bench fmt cover clean
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
@@ -55,8 +55,14 @@ artifact-guard:
 		echo "run 'git rm --cached <file>' and commit"; exit 1; \
 	fi
 
+# benchmark/ is its own module (it imports hpfdsm/internal/... through a
+# replace directive), so the root ./... patterns never build it: this
+# is the only gate that notices when a refactor breaks the benchmark.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Everything the CI gate runs.
-check: build vet test race lint lint-go artifact-guard
+check: build vet test race lint lint-go artifact-guard bench-smoke
 
 # Perf trajectory: run the short regression suite and write the next
 # BENCH_<n>.json in sequence. Compare any two files entry-by-entry;

@@ -1,8 +1,10 @@
 // Golden-stats determinism tests: the simulated quantities below must
 // reproduce exactly for all six applications at level 3 (OptRTElim),
-// 8 nodes, dual CPU, scaled sizes. A simulator *optimization* that
-// shifts any of them is a bug (the fast-path core was captured against
-// the seed's interface-boxed event heap and tree-walk interpreter); a
+// 8 nodes, dual CPU, scaled sizes, and for the irregular extension
+// with the inspector off and on. A simulator *optimization* that
+// shifts any of them is a bug: the order in which the loop executor
+// (internal/runtime/fastloop.go) touches memory decides the miss
+// sequence, and these rows are the bit-exact gate on it. A
 // deliberate *model* change — such as the barrier-epoch message
 // aggregation layer, which re-captured every row — must update them
 // together with the differential tests, which remain the semantic

@@ -14,7 +14,8 @@ import (
 // randProgram generates a random but well-formed multi-array stencil
 // program: 2-4 arrays, 2-4 loops per time step with random offsets,
 // occasionally a reduction, random distributions. One in four programs
-// is three-dimensional (plane stencils, as in pde).
+// is three-dimensional (plane stencils, as in pde); one in three of the
+// others gathers columns through an index array.
 func randProgram(rng *rand.Rand) *ir.Program {
 	if rng.Intn(4) == 0 {
 		return randProgram3D(rng)
@@ -97,7 +98,7 @@ func randProgram2D(rng *rand.Rand) *ir.Program {
 			RHS: ir.Plus(ir.Times(ir.N(float64(a+1)), ir.Iv("i")), ir.Iv("j")),
 		})
 	}
-	init := &ir.ParLoop{
+	var init ir.Stmt = &ir.ParLoop{
 		Label:   "init",
 		Indexes: []ir.Index{ir.Idx("i", ir.Aff(1), ir.Aff(n)), ir.Idx("j", ir.Aff(1), ir.Aff(n))},
 		Body:    initBody,
@@ -154,6 +155,30 @@ func randProgram2D(rng *rand.Rand) *ir.Program {
 			Body:    body,
 		})
 	}
+	// One program in three also gathers: dst(i,j) = src(i, idx(j)) with
+	// idx an in-range permutation of the columns (the multiplier is
+	// coprime to every n this generator draws), so the loop reads
+	// columns no affine analysis can name.
+	if rng.Intn(3) == 0 {
+		idx := &ir.Array{Name: "idx", Extents: []int{n}, Dist: distribute.Spec{Kind: kinds[rng.Intn(len(kinds))]}}
+		mul, add := []float64{11, 13, 17}[rng.Intn(3)], float64(rng.Intn(n))
+		fill := &ir.ParLoop{
+			Label:   "fillidx",
+			Indexes: []ir.Index{ir.Idx("j", ir.Aff(1), ir.Aff(n))},
+			Body: []*ir.Assign{{LHS: ir.Ref(idx, j), RHS: ir.Plus(ir.N(1),
+				ir.Call{Fn: "MOD", Args: []ir.Expr{ir.Plus(ir.Times(ir.N(mul), ir.Iv("j")), ir.N(add)), ir.N(float64(n))}})}},
+		}
+		d := rng.Intn(nArr)
+		src := arrays[(d+1+rng.Intn(nArr-1))%nArr] // never the destination
+		step = append(step, &ir.ParLoop{
+			Label:   "gather",
+			Indexes: []ir.Index{ir.Idx("i", ir.Aff(1), ir.Aff(n)), ir.Idx("j", ir.Aff(1), ir.Aff(n))},
+			Body: []*ir.Assign{{LHS: ir.Ref(arrays[d], i, j),
+				RHS: ir.Indirect{Array: src, Subs: []ir.Expr{ir.Iv("i"), ir.Ref(idx, j)}}}},
+		})
+		arrays = append(arrays, idx)
+		init = &ir.Block{Body: []ir.Stmt{init, fill}}
+	}
 	scalars := []string{}
 	if rng.Intn(2) == 0 {
 		scalars = append(scalars, "s")
@@ -201,8 +226,12 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		trials = 6
 	}
+	gathers := 0
 	for trial := 0; trial < trials; trial++ {
 		prog := randProgram(rng)
+		if ir.HasIndirect(prog) {
+			gathers++
+		}
 		ref, err := Run(prog, Options{Machine: config.Default().WithNodes(1), Opt: compiler.OptNone})
 		if err != nil {
 			t.Fatalf("trial %d reference: %v", trial, err)
@@ -217,6 +246,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			// Re-generate the identical program for an independent run
 			// (a Program instance binds to one run's layouts).
 			progV := regen(t, trial)
+			if variant.Backend == MessagePassing && ir.HasIndirect(progV) {
+				continue // Run refuses: not amenable to message passing
+			}
 			res, err := Run(progV, variant)
 			if err != nil {
 				t.Fatalf("trial %d variant %+v: %v", trial, variant, err)
@@ -232,6 +264,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				}
 			}
 		}
+	}
+	if gathers == 0 {
+		t.Fatal("no generated program gathers through an index array")
 	}
 }
 

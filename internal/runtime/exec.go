@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"hpfdsm/internal/analysis"
 	"hpfdsm/internal/compiler"
@@ -50,10 +52,11 @@ type exec struct {
 	// blocks" test.
 	lastSched map[any]*compiler.Schedule
 
-	// fast caches each loop's compiled form (see fastloop.go), keyed by
-	// the *ir.ParLoop / *ir.Reduce pointer; an entry with ok=false marks
-	// a loop that stays on the interpreter.
-	fast map[any]*fastLoop
+	// loops is the program's compiled form (see fastloop.go), built once
+	// per attempt and shared read-only by every node's executor.
+	loops map[ir.Stmt]*fastLoop
+	// cur is the statement being executed, for fault diagnostics.
+	cur ir.Stmt
 
 	// Role-classification scratch reused across preLoopComm calls, so
 	// the per-loop grouping allocates nothing in steady state.
@@ -67,7 +70,7 @@ type exec struct {
 	// checkpoint's epoch) the executor flips live, possibly in the
 	// middle of a pre/post-loop communication sequence, and continues
 	// exactly where the restored protocol state says the machine stands.
-	// Replicated interpreter state (scalars, delivered, lastSched) is
+	// Replicated executor state (scalars, delivered, lastSched) is
 	// reconstructed by the walk itself; reduction results are replayed
 	// from the checkpoint's journal instead of being recomputed.
 	ghost       bool
@@ -116,15 +119,14 @@ func (e *exec) ghostReduce() float64 {
 	return v
 }
 
-func newExec(prog *ir.Program, an *compiler.Analysis, layouts map[*ir.Array]sections.Layout,
+func newExec(prog *ir.Program, an *compiler.Analysis, layouts map[*ir.Array]sections.Layout, loops map[ir.Stmt]*fastLoop,
 	cluster *tempest.Cluster, n *tempest.Node, x *protocol.Ext, opt compiler.Level) *exec {
 	e := &exec{
-		prog: prog, an: an, layouts: layouts, cluster: cluster, n: n, x: x, opt: opt,
+		prog: prog, an: an, layouts: layouts, loops: loops, cluster: cluster, n: n, x: x, opt: opt,
 		env:       map[string]int{},
 		scalars:   map[string]float64{},
 		delivered: map[string]bool{},
 		lastSched: map[any]*compiler.Schedule{},
-		fast:      map[any]*fastLoop{},
 	}
 	// Map-to-map copy with distinct keys: the destination is identical
 	// under any visit order.
@@ -139,6 +141,19 @@ func newExec(prog *ir.Program, an *compiler.Analysis, layouts map[*ir.Array]sect
 }
 
 func (e *exec) run(p *sim.Proc) {
+	// A fault is an error in the simulated program: stop the run with a
+	// diagnostic. Anything else (a simulator bug, the kernel's unwind
+	// sentinel) keeps propagating.
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(*fault)
+			if !ok {
+				panic(r)
+			}
+			f.node, f.stmt = e.n.ID, e.loops[e.cur].name
+			p.Env().Abort(f)
+		}
+	}()
 	e.n.SetProc(p)
 	e.stmts(p, e.prog.Body)
 	// Final synchronization so timing includes all nodes' completion.
@@ -150,6 +165,7 @@ func (e *exec) stmts(p *sim.Proc, body []ir.Stmt) {
 		if e.exit {
 			return
 		}
+		e.cur = s
 		switch st := s.(type) {
 		case *ir.ParLoop:
 			e.profiled(p, st.Label, func() { e.parLoop(p, st) })
@@ -158,11 +174,9 @@ func (e *exec) stmts(p *sim.Proc, body []ir.Stmt) {
 		case *ir.Reduce:
 			e.profiled(p, st.Label, func() { e.reduce(p, st) })
 		case *ir.ScalarAssign:
-			e.scalars[st.Name] = e.evalScalar(st.RHS)
+			e.scalars[st.Name] = e.evalScalar(p, st)
 		case *ir.ExitIf:
-			if cmp(st.Op, e.evalScalar(st.L), e.evalScalar(st.R)) {
-				e.exit = true
-			}
+			e.exit = e.evalScalar(p, st) != 0
 		case *ir.StartTimer:
 			e.startTimer(p)
 		case *ir.Block:
@@ -230,6 +244,13 @@ func (e *exec) profiled(p *sim.Proc, label string, body func()) {
 	})
 }
 
+// evalScalar evaluates a replicated-scalar statement's expression (no
+// arrays, no loop variables): every node computes the same value.
+func (e *exec) evalScalar(p *sim.Proc, s ir.Stmt) float64 {
+	fl := e.loops[s]
+	return fl.expr(fl.newMach(e, p))
+}
+
 func cmp(op ir.CmpOp, l, r float64) bool {
 	switch op {
 	case ir.Lt:
@@ -269,7 +290,7 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 	if e.mp != nil {
 		sched := e.an.Schedule(pl, rule, e.env)
 		e.mpPreLoop(p, sched)
-		e.runIterations(p, pl, rule, pt)
+		e.runIterations(p, pl, pt)
 		e.mpPostLoop(p, sched)
 		return
 	}
@@ -282,11 +303,11 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 		e.preLoopComm(p, pl, sched)
 	}
 	if e.inspect && len(rule.IndirectArrays) > 0 && !e.ghost {
-		e.inspectIndirect(p, pl, rule, pt)
+		e.inspectIndirect(p, pl, pt)
 	}
 
 	if !e.ghost {
-		e.runIterations(p, pl, rule, pt)
+		e.runIterations(p, pl, pt)
 	}
 
 	if e.opt >= compiler.OptBase {
@@ -301,96 +322,36 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 // subscripts, collects the target coherence blocks it does not hold,
 // and issues advisory prefetches so the executor phase finds them
 // resident. Charged as (cheap) inspector computation per iteration.
-func (e *exec) inspectIndirect(p *sim.Proc, pl *ir.ParLoop, rule *compiler.LoopRule, pt *compiler.Partition) {
-	var inds []ir.Indirect
-	for _, as := range pl.Body {
-		inds = append(inds, ir.Indirects(as.RHS)...)
-	}
-	if len(inds) == 0 {
-		return
-	}
-	ev := &evalCtx{e: e, p: p}
-	want := map[int]bool{}
-	bs := e.n.MC.BlockSize
-	var nest func(d int)
-	nest = func(d int) {
-		if d < 0 {
-			e.n.Compute(e.n.MC.LoopOver) // inspector cost per iteration
-			for _, ind := range inds {
-				lay := e.layouts[ind.Array]
-				idx := make([]int, len(ind.Subs))
-				ok := true
-				for k, sub := range ind.Subs {
-					v := int(ev.eval(sub))
-					if v < 1 || v > ind.Array.Extents[k] {
-						ok = false
-						break
-					}
-					idx[k] = v
-				}
-				if !ok {
-					continue
-				}
-				b := lay.Addr(idx...) / bs
-				if e.n.Mem.Tag(b) == memory.Invalid {
-					want[b] = true
-				}
-			}
-			return
+func (e *exec) inspectIndirect(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition) {
+	fl := e.loops[pl]
+	m := fl.newMach(e, p)
+	m.want = map[int]bool{}
+	fl.iterate(m, pt, func() {
+		e.n.Compute(e.n.MC.LoopOver) // inspector cost per iteration
+		for _, insp := range fl.insp {
+			insp(m)
 		}
-		ix := pl.Indexes[d]
-		step := ix.StepOr1()
-		if ix.Var == pt.DistVar && !pt.Single {
-			lo := ix.Lo.Eval(e.env)
-			for _, r := range pt.Ranges[e.n.ID] {
-				start := r[0]
-				if off := (start - lo) % step; off != 0 {
-					start += step - off
-				}
-				for v := start; v <= r[1]; v += step {
-					e.env[ix.Var] = v
-					nest(d - 1)
-				}
-			}
-			delete(e.env, ix.Var)
-			return
-		}
-		lo, hi := ix.Lo.Eval(e.env), ix.Hi.Eval(e.env)
-		for v := lo; v <= hi; v += step {
-			e.env[ix.Var] = v
-			nest(d - 1)
-		}
-		delete(e.env, ix.Var)
-	}
-	if !pt.Single || pt.Exec == e.n.ID {
-		nest(len(pl.Indexes) - 1)
-	}
-	if len(want) == 0 {
+	})
+	if len(m.want) == 0 {
 		return
 	}
 	// Coalesce into runs, deterministically.
-	blocks := make([]int, 0, len(want))
-	for b := range want {
-		blocks = append(blocks, b)
-	}
-	sortInts(blocks)
 	var runs []protocol.BlockRun
-	for _, b := range blocks {
-		if k := len(runs) - 1; k >= 0 && runs[k].Start+runs[k].N == b {
-			runs[k].N++
-		} else {
-			runs = append(runs, protocol.BlockRun{Start: b, N: 1})
-		}
+	for _, b := range slices.Sorted(maps.Keys(m.want)) {
+		runs = appendBlock(runs, b)
 	}
 	e.x.Prefetch(p, runs)
 }
 
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// appendBlock adds block b to a list of runs built in ascending block
+// order: it extends the last run when b follows it directly, and
+// starts a new run otherwise.
+func appendBlock(runs []protocol.BlockRun, b int) []protocol.BlockRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].Start+runs[k].N == b {
+		runs[k].N++
+		return runs
 	}
+	return append(runs, protocol.BlockRun{Start: b, N: 1})
 }
 
 // invalidateIndirectFrames destroys this node's stale compiler-
@@ -411,11 +372,7 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 			if !e.x.IsFrame(b) || e.n.Mem.Tag(b) != memory.ReadWrite || e.n.Mem.Dirty(b) != 0 {
 				continue
 			}
-			if k := len(stale) - 1; k >= 0 && stale[k].Start+stale[k].N == b {
-				stale[k].N++
-			} else {
-				stale = append(stale, protocol.BlockRun{Start: b, N: 1})
-			}
+			stale = appendBlock(stale, b)
 		}
 	}
 	if len(stale) > 0 {
@@ -472,11 +429,7 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 					if !e.x.IsFrame(b) || e.n.Mem.Tag(b) != memory.ReadWrite || e.n.Mem.Dirty(b) != 0 {
 						continue
 					}
-					if k := len(stale) - 1; k >= 0 && stale[k].Start+stale[k].N == b {
-						stale[k].N++
-					} else {
-						stale = append(stale, protocol.BlockRun{Start: b, N: 1})
-					}
+					stale = appendBlock(stale, b)
 				}
 			}
 		}
@@ -515,11 +468,7 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 					if cc[b] {
 						continue
 					}
-					if k := len(edges) - 1; k >= 0 && edges[k].Start+edges[k].N == b {
-						edges[k].N++
-					} else {
-						edges = append(edges, protocol.BlockRun{Start: b, N: 1})
-					}
+					edges = appendBlock(edges, b)
 				}
 			}
 		}
@@ -684,7 +633,7 @@ func (e *exec) postLoopComm(p *sim.Proc, sched *compiler.Schedule, closingBarrie
 
 // --- Iteration execution ----------------------------------------------
 
-func (e *exec) runIterations(p *sim.Proc, pl *ir.ParLoop, rule *compiler.LoopRule, pt *compiler.Partition) {
+func (e *exec) runIterations(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition) {
 	// Per-element cost, with inner-reduction trip counts resolved
 	// against the current symbol environment.
 	flops := 0
@@ -693,55 +642,8 @@ func (e *exec) runIterations(p *sim.Proc, pl *ir.ParLoop, rule *compiler.LoopRul
 	}
 	elemCost := e.n.MC.LoopOver + sim.Time(flops)*e.n.MC.NsPerFlop
 
-	if fl := e.fastOf(pl, pl.Indexes, pl.Body, nil); fl != nil {
-		fl.runBody(fl.newMach(e, p), pt, elemCost)
-		return
-	}
-
-	ev := &evalCtx{e: e, p: p}
-
-	// Execute the nest: index 0 fastest. The distributed variable's
-	// ranges come from the partition; other indexes run in full.
-	var nest func(d int)
-	nest = func(d int) {
-		if d < 0 {
-			e.n.Compute(elemCost)
-			for _, as := range pl.Body {
-				v := ev.eval(as.RHS)
-				ev.store(as.LHS, v)
-			}
-			return
-		}
-		ix := pl.Indexes[d]
-		step := ix.StepOr1()
-		if ix.Var == pt.DistVar && !pt.Single {
-			lo := ix.Lo.Eval(e.env)
-			for _, r := range pt.Ranges[e.n.ID] {
-				// Align the range start to the loop's step lattice.
-				start := r[0]
-				if off := (start - lo) % step; off != 0 {
-					start += step - off
-				}
-				for v := start; v <= r[1]; v += step {
-					e.env[ix.Var] = v
-					nest(d - 1)
-				}
-			}
-			delete(e.env, ix.Var)
-			return
-		}
-		lo, hi := ix.Lo.Eval(e.env), ix.Hi.Eval(e.env)
-		for v := lo; v <= hi; v += step {
-			e.env[ix.Var] = v
-			nest(d - 1)
-		}
-		delete(e.env, ix.Var)
-	}
-
-	if pt.Single && pt.Exec != e.n.ID {
-		return // another processor runs this entire loop
-	}
-	nest(len(pl.Indexes) - 1)
+	fl := e.loops[pl]
+	fl.runBody(fl.newMach(e, p), pt, elemCost)
 }
 
 // dynOps is ir.Expr.Ops with inner-reduction trip counts evaluated
@@ -792,11 +694,9 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 		// Replay the committed result; the generation is also an epoch.
 		e.scalars[rd.Target] = e.ghostReduce()
 	} else {
-		partial := e.reducePartial(p, rd, pt, elemCost)
-		op := map[ir.RedOp]tempest.ReduceOp{
-			ir.RedSum: tempest.OpSum, ir.RedMax: tempest.OpMax, ir.RedMin: tempest.OpMin,
-		}[rd.Op]
-		e.scalars[rd.Target] = e.cluster.AllReduce(p, e.n, op, partial)
+		fl := e.loops[rd]
+		partial := fl.runReduce(fl.newMach(e, p), pt, elemCost, rd.Op)
+		e.scalars[rd.Target] = e.cluster.AllReduce(p, e.n, allReduceOp(rd.Op), partial)
 	}
 
 	if e.mp == nil && e.opt >= compiler.OptBase {
@@ -804,65 +704,17 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 	}
 }
 
-// reducePartial computes this node's partial value of a reduction:
-// compiled nest when possible, interpreter otherwise.
-func (e *exec) reducePartial(p *sim.Proc, rd *ir.Reduce, pt *compiler.Partition, elemCost sim.Time) float64 {
-	if fl := e.fastOf(rd, rd.Indexes, nil, rd.Expr); fl != nil {
-		partial, _ := fl.runReduce(fl.newMach(e, p), pt, elemCost, rd.Op)
-		return partial
-	}
-
-	ev := &evalCtx{e: e, p: p}
-	partial := redIdentity(rd.Op)
-	seen := false
-	var nest func(d int)
-	nest = func(d int) {
-		if d < 0 {
-			e.n.Compute(elemCost)
-			v := ev.eval(rd.Expr)
-			if !seen {
-				partial, seen = v, true
-			} else {
-				partial = redCombine(rd.Op, partial, v)
-			}
-			return
-		}
-		ix := rd.Indexes[d]
-		step := ix.StepOr1()
-		if ix.Var == pt.DistVar && !pt.Single {
-			lo := ix.Lo.Eval(e.env)
-			for _, r := range pt.Ranges[e.n.ID] {
-				start := r[0]
-				if off := (start - lo) % step; off != 0 {
-					start += step - off
-				}
-				for v := start; v <= r[1]; v += step {
-					e.env[ix.Var] = v
-					nest(d - 1)
-				}
-			}
-			delete(e.env, ix.Var)
-			return
-		}
-		lo, hi := ix.Lo.Eval(e.env), ix.Hi.Eval(e.env)
-		for v := lo; v <= hi; v += step {
-			e.env[ix.Var] = v
-			nest(d - 1)
-		}
-		delete(e.env, ix.Var)
-	}
-	if !pt.Single || pt.Exec == e.n.ID {
-		nest(len(rd.Indexes) - 1)
-	}
-	return partial
-}
-
-func redIdentity(op ir.RedOp) float64 {
+// allReduceOp maps an IR reduction operator to the cluster's.
+func allReduceOp(op ir.RedOp) tempest.ReduceOp {
 	switch op {
 	case ir.RedSum:
-		return 0
+		return tempest.OpSum
+	case ir.RedMax:
+		return tempest.OpMax
+	case ir.RedMin:
+		return tempest.OpMin
 	default:
-		return 0 // replaced by the first value via `seen`
+		panic("runtime: bad reduction op")
 	}
 }
 

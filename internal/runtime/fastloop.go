@@ -6,33 +6,41 @@ import (
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/memory"
+	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
 )
 
-// This file is the executor's compiled fast path. The tree-walking
-// interpreter in eval.go resolves every loop variable through a
-// map[string]int environment and every subscript through Layout.Addr —
-// per shared-memory access, in the innermost loop of the simulation.
-// Here each parallel loop (or reduction) is compiled once per run into
-// slot-indexed form: loop variables, inner-reduction variables, and
-// outer symbols live in a flat []int frame; affine subscripts fold into
-// a single linearized byte-address expression over those slots; scalar
-// reads resolve to float slots refreshed once per loop instance (the
-// body cannot assign scalars, so they are loop-invariant). Loops the
-// compiler cannot handle (indirect references) fall back to the
-// interpreter unchanged.
+// This file is the loop executor: the only code that evaluates a
+// statement's expressions or walks an iteration space. Every parallel loop,
+// reduction and replicated-scalar statement is compiled once per run
+// (compileProgram, before any node process exists) into slot-indexed
+// form: loop variables, inner-reduction variables, and outer symbols
+// live in a flat []int frame; affine subscripts fold into a single
+// linearized byte-address expression over those slots; scalar reads
+// resolve to float slots refreshed once per statement instance (a loop
+// body cannot assign scalars, so they are loop-invariant). The compiled
+// form holds no node state — closures reach the node through the fmach
+// they are handed — so one table serves every executor of the run, on
+// every partition thread.
 //
-// The compiled path preserves the interpreter's evaluation order
-// exactly — RHS before LHS address, left operand before right, inner
-// reductions low to high — so the simulated fault sequence, and with it
-// every statistic, is bit-identical.
+// Evaluation order is part of the simulated model, because every array
+// access may fault: RHS before LHS address, left operand before right,
+// indirect subscripts left to right and before the load they address,
+// inner reductions low to high. Changing it changes the miss sequence
+// and with it every statistic the golden tests pin.
+//
+// What can only be known while running — a subscript out of range, a
+// scalar read before any assignment, a symbol no enclosing loop binds —
+// is raised as a *fault, which exec.run turns into the run's error.
 
 // fmach is the per-instance machine state of a compiled loop.
 type fmach struct {
 	e    *exec
 	p    *sim.Proc
-	vals []int     // slot-indexed integer variables
-	fv   []float64 // slot-indexed loop-invariant scalars
+	vals []int        // slot-indexed integer variables
+	fv   []float64    // slot-indexed loop-invariant scalars
+	want map[int]bool // inspector phase: indirect target blocks not held
 }
 
 // fexpr is a compiled floating-point expression.
@@ -66,9 +74,10 @@ func (a *affC) addTerm(slot, coef int) {
 }
 
 // faddr is a compiled array-element address: the linearized affine
-// byte address plus the array's segment bounds as a safety net (the
-// interpreter's per-dimension range check collapses to one interval
-// test; a subscript error still faults the run, with the array named).
+// byte address plus the array's segment bounds as a safety net (a
+// per-dimension range check collapses to one interval test; a
+// subscript that leaves the array still faults the run, with the array
+// named).
 type faddr struct {
 	a         affC
 	base, end int
@@ -78,10 +87,38 @@ type faddr struct {
 func (f faddr) addr(vals []int) int {
 	ad := f.a.eval(vals)
 	if ad < f.base || ad >= f.end {
-		panic(fmt.Sprintf("runtime: compiled subscript for %s out of bounds: addr %#x not in [%#x,%#x)",
-			f.name, ad, f.base, f.end))
+		panic(faultf("affine subscript out of range for %s: element offset %d not in 0..%d",
+			f.name, (ad-f.base)/8, (f.end-f.base)/8-1))
 	}
 	return ad
+}
+
+// findirect is a compiled irregular reference: one compiled expression
+// per subscript, and the array's layout to range-check and linearize
+// their values (column-major, 1-based indices).
+type findirect struct {
+	subs []fexpr
+	lay  sections.Layout
+	name string
+}
+
+// locate evaluates the subscripts left to right (each may itself load)
+// and returns the element's byte address. At the first subscript
+// outside its dimension it stops — later subscripts are not evaluated —
+// and returns that dimension and the offending value; dim is -1 when
+// every subscript is in range.
+func (f *findirect) locate(m *fmach) (ad, dim, v int) {
+	ad = f.lay.Base
+	stride := f.lay.ElemSize
+	for d, sub := range f.subs {
+		v = int(sub(m))
+		if v < 1 || v > f.lay.Extents[d] {
+			return 0, d, v
+		}
+		ad += (v - 1) * stride
+		stride *= f.lay.Extents[d]
+	}
+	return ad, -1, 0
 }
 
 // fidx is one compiled nest index.
@@ -105,38 +142,54 @@ type fvarBind struct {
 	name string
 }
 
-// fastLoop is one compiled loop nest. ok=false marks a nest the
-// compiler declined (it stays on the interpreter).
+// fastLoop is one compiled statement: a loop nest with its body, or
+// (no indexes) a replicated-scalar expression.
 type fastLoop struct {
-	ok      bool
+	name    string // for diagnostics
 	nvals   int
 	nfv     int
 	outerI  []fvarBind // env-sourced integer slots, refreshed per instance
 	outerF  []fvarBind // scalar-sourced float slots, refreshed per instance
 	idx     []fidx     // nest indexes, same order as the IR (0 fastest)
 	assigns []fassign  // parallel-loop body
-	expr    fexpr      // reduction body
+	insp    []fexpr    // the body's indirect right-hand sides, as the inspector runs them (see fcomp.inspect)
+	expr    fexpr      // reduction body, scalar RHS, or exit test (0/1)
 	mp      bool       // message-passing backend: unchecked private memory
 }
 
-// fcomp is the compile-time context: variable-name → slot bindings.
+// fcomp is the compile-time context of one statement: variable-name →
+// slot bindings, allocated in the fastLoop being built.
 type fcomp struct {
-	e      *exec
-	slots  map[string]int
-	n      int
-	fslots map[string]int
-	nf     int
-	outerI []fvarBind
-	outerF []fvarBind
-	ok     bool
+	fl      *fastLoop
+	layouts map[*ir.Array]sections.Layout
+	scalar  bool // replicated-scalar statement: arrays are out of reach
+	// inspect compiles an expression as the inspector runs it: only the
+	// loads that feed an indirect subscript (depth > 0) touch memory;
+	// an indirect reference records its target block instead of loading
+	// it, and every other array read is skipped.
+	inspect bool
+	depth   int
+	slots   map[string]int
+	fslots  map[string]int
+	err     error // first construct the executor has no code for
+}
+
+// fail records why the statement cannot be compiled (the first reason
+// wins) and returns a nil expression; a statement with an error is
+// never run, so the nil is never called.
+func (fc *fcomp) fail(format string, args ...any) fexpr {
+	if fc.err == nil {
+		fc.err = fmt.Errorf(format, args...)
+	}
+	return nil
 }
 
 // bind registers a loop-bound variable (nest or inner-reduction),
 // shadowing any outer binding; pop restores it.
 func (fc *fcomp) bind(name string) (slot, prev int, had bool) {
 	prev, had = fc.slots[name]
-	slot = fc.n
-	fc.n++
+	slot = fc.fl.nvals
+	fc.fl.nvals++
 	fc.slots[name] = slot
 	return
 }
@@ -155,10 +208,10 @@ func (fc *fcomp) slotOf(name string) int {
 	if s, ok := fc.slots[name]; ok {
 		return s
 	}
-	s := fc.n
-	fc.n++
+	s := fc.fl.nvals
+	fc.fl.nvals++
 	fc.slots[name] = s
-	fc.outerI = append(fc.outerI, fvarBind{slot: s, name: name})
+	fc.fl.outerI = append(fc.fl.outerI, fvarBind{slot: s, name: name})
 	return s
 }
 
@@ -167,10 +220,10 @@ func (fc *fcomp) fslotOf(name string) int {
 	if s, ok := fc.fslots[name]; ok {
 		return s
 	}
-	s := fc.nf
-	fc.nf++
+	s := fc.fl.nfv
+	fc.fl.nfv++
 	fc.fslots[name] = s
-	fc.outerF = append(fc.outerF, fvarBind{slot: s, name: name})
+	fc.fl.outerF = append(fc.fl.outerF, fvarBind{slot: s, name: name})
 	return s
 }
 
@@ -185,7 +238,7 @@ func (fc *fcomp) aff(a ir.AffExpr) affC {
 // addr linearizes an affine array reference into one byte-address
 // affine expression (column-major, 1-based indices).
 func (fc *fcomp) addr(r ir.ArrayRef) faddr {
-	lay := fc.e.layouts[r.Array]
+	lay := fc.layouts[r.Array]
 	acc := affC{c: lay.Base}
 	stride := lay.ElemSize
 	for d, s := range r.Subs {
@@ -196,6 +249,17 @@ func (fc *fcomp) addr(r ir.ArrayRef) faddr {
 		stride *= lay.Extents[d]
 	}
 	return faddr{a: acc, base: lay.Base, end: lay.Base + lay.SizeBytes(), name: r.Array.Name}
+}
+
+// indirect compiles an irregular reference.
+func (fc *fcomp) indirect(t ir.Indirect) *findirect {
+	f := &findirect{lay: fc.layouts[t.Array], name: t.Array.Name}
+	fc.depth++
+	for _, sub := range t.Subs {
+		f.subs = append(f.subs, fc.expr(sub))
+	}
+	fc.depth--
+	return f
 }
 
 func (fc *fcomp) expr(x ir.Expr) fexpr {
@@ -210,11 +274,43 @@ func (fc *fcomp) expr(x ir.Expr) fexpr {
 		s := fc.slotOf(t.Name)
 		return func(m *fmach) float64 { return float64(m.vals[s]) }
 	case ir.ArrayRef:
+		if fc.scalar {
+			return fc.fail("array reference %v in scalar context", t)
+		}
+		if fc.inspect && fc.depth == 0 {
+			return func(*fmach) float64 { return 0 }
+		}
 		ad := fc.addr(t)
-		if fc.e.mp != nil {
-			return func(m *fmach) float64 { return m.e.n.Mem.ReadF64(ad.addr(m.vals)) }
+		if fc.fl.mp {
+			return func(m *fmach) float64 { return m.e.n.Mem.ReadF64(ad.addr(m.vals)) } // private memory, no tags
 		}
 		return func(m *fmach) float64 { return m.e.n.LoadF64(m.p, ad.addr(m.vals)) }
+	case ir.Indirect:
+		// Shared-memory only: Run refuses indirect programs on the
+		// message-passing backend.
+		if fc.scalar {
+			return fc.fail("array reference %s(...) in scalar context", t.Array.Name)
+		}
+		ia := fc.indirect(t)
+		if fc.inspect && fc.depth == 0 {
+			return func(m *fmach) float64 {
+				// A subscript out of range is skipped here; the
+				// executor phase reports it.
+				if ad, dim, _ := ia.locate(m); dim < 0 {
+					if b := ad / m.e.n.MC.BlockSize; m.e.n.Mem.Tag(b) == memory.Invalid {
+						m.want[b] = true
+					}
+				}
+				return 0
+			}
+		}
+		return func(m *fmach) float64 {
+			ad, dim, v := ia.locate(m)
+			if dim >= 0 {
+				panic(faultf("indirect subscript %d out of range 1..%d for %s", v, ia.lay.Extents[dim], ia.name))
+			}
+			return m.e.n.LoadF64(m.p, ad)
+		}
 	case ir.Bin:
 		l, r := fc.expr(t.L), fc.expr(t.R)
 		switch t.Op {
@@ -227,8 +323,7 @@ func (fc *fcomp) expr(x ir.Expr) fexpr {
 		case ir.Div:
 			return func(m *fmach) float64 { return l(m) / r(m) }
 		}
-		fc.ok = false
-		return nil
+		return fc.fail("bad operator %d", t.Op)
 	case ir.Call:
 		return fc.call(t)
 	case ir.InnerRed:
@@ -236,9 +331,6 @@ func (fc *fcomp) expr(x ir.Expr) fexpr {
 		lo, hi := fc.aff(t.Lo), fc.aff(t.Hi)
 		body := fc.expr(t.Body)
 		fc.pop(t.Var, prev, had)
-		if body == nil {
-			return nil
-		}
 		op := t.Op
 		return func(m *fmach) float64 {
 			l, h := lo.eval(m.vals), hi.eval(m.vals)
@@ -255,9 +347,8 @@ func (fc *fcomp) expr(x ir.Expr) fexpr {
 			}
 			return acc
 		}
-	default: // ir.Indirect and anything new: interpreter handles it
-		fc.ok = false
-		return nil
+	default:
+		return fc.fail("unknown expression %T", x)
 	}
 }
 
@@ -265,45 +356,40 @@ func (fc *fcomp) call(t ir.Call) fexpr {
 	args := make([]fexpr, len(t.Args))
 	for i, a := range t.Args {
 		args[i] = fc.expr(a)
-		if args[i] == nil {
-			return nil
+	}
+	if len(args) == 1 {
+		a0 := args[0]
+		switch t.Fn {
+		case "SQRT":
+			return func(m *fmach) float64 { return math.Sqrt(a0(m)) }
+		case "ABS":
+			return func(m *fmach) float64 { return math.Abs(a0(m)) }
+		case "EXP":
+			return func(m *fmach) float64 { return math.Exp(a0(m)) }
+		case "SIN":
+			return func(m *fmach) float64 { return math.Sin(a0(m)) }
+		case "COS":
+			return func(m *fmach) float64 { return math.Cos(a0(m)) }
 		}
 	}
-	a0 := args[0]
-	switch t.Fn {
-	case "SQRT":
-		return func(m *fmach) float64 { return math.Sqrt(a0(m)) }
-	case "ABS":
-		return func(m *fmach) float64 { return math.Abs(a0(m)) }
-	case "EXP":
-		return func(m *fmach) float64 { return math.Exp(a0(m)) }
-	case "SIN":
-		return func(m *fmach) float64 { return math.Sin(a0(m)) }
-	case "COS":
-		return func(m *fmach) float64 { return math.Cos(a0(m)) }
+	if len(args) == 2 {
+		a0, a1 := args[0], args[1]
+		switch t.Fn {
+		case "MIN":
+			return func(m *fmach) float64 { return math.Min(a0(m), a1(m)) }
+		case "MAX":
+			return func(m *fmach) float64 { return math.Max(a0(m), a1(m)) }
+		case "MOD":
+			return func(m *fmach) float64 { return math.Mod(a0(m), a1(m)) }
+		}
 	}
-	if len(args) < 2 {
-		fc.ok = false
-		return nil
-	}
-	a1 := args[1]
-	switch t.Fn {
-	case "MIN":
-		return func(m *fmach) float64 { return math.Min(a0(m), a1(m)) }
-	case "MAX":
-		return func(m *fmach) float64 { return math.Max(a0(m), a1(m)) }
-	case "MOD":
-		return func(m *fmach) float64 { return math.Mod(a0(m), a1(m)) }
-	}
-	fc.ok = false
-	return nil
+	return fc.fail("unknown intrinsic %q with %d argument(s)", t.Fn, len(args))
 }
 
-// compileNest compiles a loop nest: body for parallel loops, expr for
-// reductions (exactly one is non-nil).
-func compileNest(e *exec, indexes []ir.Index, body []*ir.Assign, expr ir.Expr) *fastLoop {
-	fc := &fcomp{e: e, slots: map[string]int{}, fslots: map[string]int{}, ok: true}
-	fl := &fastLoop{mp: e.mp != nil}
+// nest binds a loop nest's indexes, then compiles their bounds (which
+// may mention outer indexes of the same nest).
+func (fc *fcomp) nest(indexes []ir.Index) {
+	fl := fc.fl
 	for _, ix := range indexes {
 		slot, _, _ := fc.bind(ix.Var)
 		fl.idx = append(fl.idx, fidx{name: ix.Var, slot: slot, step: ix.StepOr1()})
@@ -312,56 +398,75 @@ func compileNest(e *exec, indexes []ir.Index, body []*ir.Assign, expr ir.Expr) *
 		fl.idx[i].lo = fc.aff(ix.Lo)
 		fl.idx[i].hi = fc.aff(ix.Hi)
 	}
-	for _, as := range body {
-		rhs := fc.expr(as.RHS)
-		if rhs == nil {
-			return &fastLoop{}
-		}
-		fl.assigns = append(fl.assigns, fassign{lhs: fc.addr(as.LHS), rhs: rhs})
-	}
-	if expr != nil {
-		fl.expr = fc.expr(expr)
-	}
-	if !fc.ok {
-		return &fastLoop{}
-	}
-	fl.ok = true
-	fl.nvals = fc.n
-	fl.nfv = fc.nf
-	fl.outerI = fc.outerI
-	fl.outerF = fc.outerF
-	return fl
 }
 
-// fastOf returns (compiling and caching on first use) the compiled form
-// of a loop, or nil when the loop must stay on the interpreter.
-func (e *exec) fastOf(key any, indexes []ir.Index, body []*ir.Assign, expr ir.Expr) *fastLoop {
-	fl, ok := e.fast[key]
-	if !ok {
-		fl = compileNest(e, indexes, body, expr)
-		e.fast[key] = fl
-	}
-	if !fl.ok {
-		return nil
-	}
-	return fl
+// compileProgram compiles every statement of prog that evaluates
+// anything. It runs once per attempt, before the node processes are
+// spawned: the table is read-only from then on and shared by all
+// executors, and a construct the executor has no code for is an error
+// here instead of a panic in the middle of the simulation.
+func compileProgram(prog *ir.Program, layouts map[*ir.Array]sections.Layout, mp bool) (map[ir.Stmt]*fastLoop, error) {
+	tab := map[ir.Stmt]*fastLoop{}
+	var first error
+	ir.WalkStmts(prog.Body, func(s ir.Stmt) {
+		fl := &fastLoop{mp: mp}
+		fc := &fcomp{fl: fl, layouts: layouts, slots: map[string]int{}, fslots: map[string]int{}}
+		switch st := s.(type) {
+		case *ir.ParLoop:
+			fl.name = "loop " + st.Label
+			fc.nest(st.Indexes)
+			for _, as := range st.Body {
+				fl.assigns = append(fl.assigns, fassign{rhs: fc.expr(as.RHS), lhs: fc.addr(as.LHS)})
+				if len(ir.Indirects(as.RHS)) > 0 {
+					fc.inspect = true
+					fl.insp = append(fl.insp, fc.expr(as.RHS))
+					fc.inspect = false
+				}
+			}
+		case *ir.Reduce:
+			fl.name = "loop " + st.Label
+			fc.nest(st.Indexes)
+			fl.expr = fc.expr(st.Expr)
+		case *ir.ScalarAssign:
+			fl.name = "scalar assignment to " + st.Name
+			fc.scalar = true
+			fl.expr = fc.expr(st.RHS)
+		case *ir.ExitIf:
+			fl.name = "exit test"
+			fc.scalar = true
+			l, r, op := fc.expr(st.L), fc.expr(st.R), st.Op
+			fl.expr = func(m *fmach) float64 {
+				if cmp(op, l(m), r(m)) {
+					return 1
+				}
+				return 0
+			}
+		default:
+			return // nothing to evaluate
+		}
+		tab[s] = fl
+		if fc.err != nil && first == nil {
+			first = fmt.Errorf("%s: %w", fl.name, fc.err)
+		}
+	})
+	return tab, first
 }
 
 // newMach builds the per-instance frame and resolves the outer symbols
-// and scalars, with the interpreter's unbound-variable semantics.
+// and scalars; one that has no value yet is a fault.
 func (fl *fastLoop) newMach(e *exec, p *sim.Proc) *fmach {
 	m := &fmach{e: e, p: p, vals: make([]int, fl.nvals), fv: make([]float64, fl.nfv)}
 	for _, ov := range fl.outerI {
 		v, ok := e.env[ov.name]
 		if !ok {
-			panic(fmt.Sprintf("ir: unbound variable %q in affine expression", ov.name))
+			panic(faultf("unbound symbol %q", ov.name))
 		}
 		m.vals[ov.slot] = v
 	}
 	for _, ov := range fl.outerF {
 		v, ok := e.scalars[ov.name]
 		if !ok {
-			panic(fmt.Sprintf("runtime: undefined scalar %q", ov.name))
+			panic(faultf("undefined scalar %q", ov.name))
 		}
 		m.fv[ov.slot] = v
 	}
@@ -369,7 +474,8 @@ func (fl *fastLoop) newMach(e *exec, p *sim.Proc) *fmach {
 }
 
 // iterate walks the compiled nest (index 0 fastest) calling elem per
-// element — the slot-indexed mirror of the interpreter's nest.
+// element. The distributed variable's ranges come from the partition;
+// other indexes run in full.
 //
 //simlint:hotpath
 func (fl *fastLoop) iterate(m *fmach, pt *compiler.Partition, elem func()) {
@@ -386,6 +492,7 @@ func (fl *fastLoop) iterate(m *fmach, pt *compiler.Partition, elem func()) {
 		if ix.name == pt.DistVar && !pt.Single {
 			lo := ix.lo.eval(m.vals)
 			for _, r := range pt.Ranges[e.n.ID] {
+				// Align the range start to the loop's step lattice.
 				start := r[0]
 				if off := (start - lo) % step; off != 0 {
 					start += step - off
@@ -404,7 +511,7 @@ func (fl *fastLoop) iterate(m *fmach, pt *compiler.Partition, elem func()) {
 		}
 	}
 	if pt.Single && pt.Exec != e.n.ID {
-		return
+		return // another processor runs this entire loop
 	}
 	nest(len(fl.idx) - 1)
 }
@@ -431,13 +538,13 @@ func (fl *fastLoop) runBody(m *fmach, pt *compiler.Partition, elemCost sim.Time)
 }
 
 // runReduce executes a compiled reduction instance, returning this
-// node's partial value (seeded by the first element, like the
-// interpreter).
+// node's partial value (seeded by the first element, so MAX and MIN
+// need no identity; 0 when the node has no element).
 //
 //simlint:hotpath
-func (fl *fastLoop) runReduce(m *fmach, pt *compiler.Partition, elemCost sim.Time, op ir.RedOp) (float64, bool) {
+func (fl *fastLoop) runReduce(m *fmach, pt *compiler.Partition, elemCost sim.Time, op ir.RedOp) float64 {
 	e := m.e
-	partial := redIdentity(op)
+	partial := 0.0
 	seen := false
 	//simlint:ignore hotalloc -- one reduction-body closure per loop instance (not per element)
 	fl.iterate(m, pt, func() {
@@ -449,5 +556,5 @@ func (fl *fastLoop) runReduce(m *fmach, pt *compiler.Partition, elemCost sim.Tim
 			partial = redCombine(op, partial, v)
 		}
 	})
-	return partial, seen
+	return partial
 }

@@ -170,6 +170,25 @@ func (e *crashError) Error() string {
 	return fmt.Sprintf("node %d declared dead at t=%v: %s", e.node, e.at, e.reason)
 }
 
+// fault is an error in the program being run rather than in the
+// simulator: a subscript out of range, a scalar read before any
+// assignment, a symbol no enclosing loop binds. The executor raises it
+// as a panic value from wherever it is detected; exec.run recovers it,
+// adds the statement and the node, and aborts the attempt with it.
+type fault struct {
+	msg  string
+	node int
+	stmt string
+}
+
+func (f *fault) Error() string {
+	return fmt.Sprintf("node %d, %s: %s", f.node, f.stmt, f.msg)
+}
+
+func faultf(format string, args ...any) *fault {
+	return &fault{msg: fmt.Sprintf(format, args...)}
+}
+
 // recovery carries the crash/checkpoint state that survives across
 // simulation attempts: the injection plan (fired flags persist so a
 // crash is injected exactly once per run), the latest encoded
@@ -296,6 +315,12 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		base := sp.Alloc(arr.Name, arr.Elems()*8)
 		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
 	}
+	// Compiled before there is a machine: a program the executor cannot
+	// run is refused without simulating anything.
+	loops, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)
+	if err != nil {
+		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
+	}
 	var (
 		env     *sim.Env
 		shards  *sim.Shards
@@ -382,7 +407,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		cluster.SetTracer(tr)
 	}
 	for i := 0; i < mc.Nodes; i++ {
-		execs[i] = newExec(prog, an, layouts, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
+		execs[i] = newExec(prog, an, layouts, loops, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
 		execs[i].prof = prof
 		execs[i].edgePf = opt.EdgePrefetch
 		execs[i].inspect = opt.InspectIndirect
@@ -491,6 +516,12 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 	if shards != nil {
 		err := shards.Run()
 		shards.Shutdown()
+		var fe *fault
+		if errors.As(err, &fe) {
+			// The engine's partition dump explains a stuck machine; this
+			// is a wrong program.
+			err = fe
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 		}
@@ -505,6 +536,10 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 				return nil, nil, fmt.Errorf("runtime: %w (program %s)", cerr, prog.Name)
 			}
 			return nil, ce, nil
+		}
+		var fe *fault
+		if errors.As(err, &fe) {
+			env.Shutdown() // the other nodes' parked goroutines unwind
 		}
 		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 	}

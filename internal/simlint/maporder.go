@@ -166,7 +166,7 @@ func isBuiltinNamed(call *ast.CallExpr, name string) bool {
 }
 
 // isSortCall recognizes sort.X / slices.X / any function whose name
-// mentions sort (the runtime package's local sortInts, for one).
+// mentions sort (a package-local helper such as sortInts, for one).
 func isSortCall(call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
