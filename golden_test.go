@@ -111,3 +111,44 @@ func TestGoldenStatsIrregular(t *testing.T) {
 		}
 	}
 }
+
+// goldenCGTree64 pins cg (scaled) on 64 nodes, combining tree of radix
+// 4 — the shape of the repository benchmark's tree_scale workload. At
+// this size every transfer of every schedule is edge-only (two or three
+// vector elements per node, no whole coherence block), so OptPRE and
+// OptRTElim coincide and what the rows gate is the part of the pre-loop
+// sequence that still runs then: the reader's stale-frame scan over its
+// own edge blocks, and the barriers the global live counts decide.
+var goldenCGTree64 = []struct {
+	opt     compiler.Level
+	elapsed sim.Time
+	misses  int64
+	msgs    int64
+	bytes   int64
+}{
+	{compiler.OptRTElim, 408039580, 6421, 37000, 2204296},
+	{compiler.OptPRE, 408039580, 6421, 37000, 2204296},
+}
+
+func TestGoldenStatsCGTree64(t *testing.T) {
+	a, err := apps.ByName("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := config.Default().WithNodes(64).WithTopology(config.TreeTopo).WithRadix(4)
+	for _, g := range goldenCGTree64 {
+		r, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: g.opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int64{int64(r.Elapsed), r.Stats.TotalMisses(), r.Stats.TotalMessages(), r.Stats.TotalBytes()}
+		want := [4]int64{int64(g.elapsed), g.misses, g.msgs, g.bytes}
+		if got != want {
+			t.Errorf("%v: elapsed/misses/msgs/bytes %v, golden %v", g.opt, got, want)
+		}
+	}
+}
