@@ -32,8 +32,12 @@ type ProvIndex struct {
 	// compiler, so after the first instantiation a repeat record is just
 	// slice stores — no formatting, no allocation.
 	stamps map[provKey][]provStamp
+	// latest is the pair recorded last. Every executor records each
+	// loop instance, so all but the first record of an instance repeat
+	// the one before: stamping is idempotent, and the repeat is skipped.
+	latest provKey
 
-	// mu guards stamps and last. Under the PDES window scheduler,
+	// mu guards stamps, latest and last. Under the PDES window scheduler,
 	// compute processes on different partitions instantiate schedules
 	// concurrently; provenance is diagnostic metadata outside the
 	// simulated machine, so a lock (not an Env) is the right tool. The
@@ -92,10 +96,15 @@ func (px *ProvIndex) RecordSchedule(label string, sched *compiler.Schedule) {
 	px.mu.Lock()
 	defer px.mu.Unlock()
 	k := provKey{label: label, sched: sched}
+	if k == px.latest {
+		return
+	}
+	px.latest = k
 	stamps, ok := px.stamps[k]
 	if !ok {
 		note := func(ts []compiler.Transfer, kind string) {
-			for _, t := range ts {
+			for i := range ts {
+				t := &ts[i]
 				stamps = append(stamps, provStamp{
 					e: &provEntry{
 						loop: label,

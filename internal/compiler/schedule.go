@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/protocol"
@@ -26,9 +27,9 @@ type Transfer struct {
 	EdgeBlocks []protocol.BlockRun
 	Redundant  bool
 	// Key identifies the transfer's data content (array section ->
-	// receiver) for PRE's replicated delivered-set; precomputed here so
-	// the runtime's per-instance filter allocates nothing. Schedules are
-	// memoized, so the formatting cost is paid once per valuation.
+	// receiver) for PRE's delivered set (plan.go); precomputed here so
+	// planning an instance formats nothing. Schedules are memoized, so
+	// the formatting cost is paid once per valuation.
 	Key string
 }
 
@@ -57,6 +58,10 @@ type Schedule struct {
 	WriteBytes [][]int64
 	ReadMsgs   [][]int64
 	WriteMsgs  [][]int64
+
+	// The per-node indexes (view.go), each built on first use: a
+	// schedule the front end only inspects pays two nil words for them.
+	live, all atomic.Pointer[nodeIndex]
 }
 
 // Mode picks the transport for one transfer of this schedule, given
@@ -92,28 +97,6 @@ func (s *Schedule) Mode(level Level, sender, receiver int, write bool, blockSize
 	default:
 		return protocol.SendBulk
 	}
-}
-
-// ReadsBySender returns the read transfers originating at node p.
-func (s *Schedule) ReadsBySender(p int) []Transfer { return filterBy(s.Reads, p, true) }
-
-// ReadsByReceiver returns the read transfers destined for node p.
-func (s *Schedule) ReadsByReceiver(p int) []Transfer { return filterBy(s.Reads, p, false) }
-
-// WritesBySender returns the flush transfers originating at node p.
-func (s *Schedule) WritesBySender(p int) []Transfer { return filterBy(s.Writes, p, true) }
-
-// WritesByReceiver returns the flush transfers destined for node p.
-func (s *Schedule) WritesByReceiver(p int) []Transfer { return filterBy(s.Writes, p, false) }
-
-func filterBy(ts []Transfer, p int, sender bool) []Transfer {
-	var out []Transfer
-	for _, t := range ts {
-		if sender && t.Sender == p || !sender && t.Receiver == p {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Schedule instantiates (and memoizes) the communication schedule of a
@@ -164,7 +147,8 @@ func (a *Analysis) trafficMatrices(ts []Transfer) (bytes, msgs [][]int64) {
 		bytes[i] = cells[i*a.NP : (i+1)*a.NP]
 		msgs[i] = cells[(a.NP+i)*a.NP : (a.NP+i+1)*a.NP]
 	}
-	for _, t := range ts {
+	for i := range ts {
+		t := &ts[i]
 		bytes[t.Sender][t.Receiver] += int64(t.NumBlocks) * int64(a.BlockSize)
 		msgs[t.Sender][t.Receiver] += int64(len(t.Blocks))
 	}

@@ -22,13 +22,16 @@
 // earlier.
 //
 // Determinism: per-destination buffers are dense slices indexed by
-// node id, FlushAll drains in ascending destination order, and no map
-// is touched anywhere on the wire path.
+// node id, FlushAll and the end of a handler burst drain in ascending
+// destination order (a burst sorts the short list of destinations it
+// touched instead of scanning every buffer), and no map is touched
+// anywhere on the wire path.
 package network
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/stats"
@@ -73,6 +76,10 @@ type Coalescer struct {
 	timers  []timerArg
 	st      *stats.Node
 	inBurst bool // inside a protocol-handler run (see Burst)
+	// touched lists the destinations appended to during the current
+	// burst, in append order; a destination drained at the choke point
+	// and appended to again is listed twice.
+	touched []int32
 	dead    bool // torn down after a crash; appends and drains are inert
 }
 
@@ -139,8 +146,9 @@ func (c *Coalescer) Append(dst int, kind Kind, addr int, arg, arg2 int64, payloa
 	copy(seg[SegHeader:], payload)
 	b.segs++
 	c.st.SegsCoalesced++
-	if c.inBurst {
+	if c.inBurst && !b.burst {
 		b.burst = true
+		c.touched = append(c.touched, int32(dst))
 	}
 	if timer && b.segs == 1 {
 		// Batch window: the first append opens a window of c.delay and
@@ -167,11 +175,13 @@ func (c *Coalescer) Burst(begin bool) {
 		return
 	}
 	c.inBurst = false
-	for d := range c.bufs {
+	slices.Sort(c.touched)
+	for _, d := range c.touched {
 		if c.bufs[d].burst {
-			c.FlushDst(d)
+			c.FlushDst(int(d))
 		}
 	}
+	c.touched = c.touched[:0]
 }
 
 // PendingAny reports whether any destination has buffered segments.
@@ -208,6 +218,7 @@ func (c *Coalescer) Teardown() {
 		}
 		b.data, b.segs, b.burst, b.deadline = nil, 0, false, 0
 	}
+	c.touched = c.touched[:0]
 	c.dead = true
 }
 

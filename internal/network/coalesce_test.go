@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"hpfdsm/internal/sim"
@@ -334,5 +335,110 @@ func TestCoalesceTeardownThenFlushAll(t *testing.T) {
 	c.FlushDst(1)
 	if len(*got) != 0 {
 		t.Fatalf("flush on a dead coalescer emitted %d message(s)", len(*got))
+	}
+}
+
+// TestCoalesceBurstTouchedList: the end of a burst drains the short
+// list of destinations the burst appended to — in ascending order
+// whatever the append order, each buffer at most once even when the
+// choke point emptied it mid-burst and the handler refilled it, and
+// nothing at all after a crash.
+func TestCoalesceBurstTouchedList(t *testing.T) {
+	dsts := func(ms []*Message) []int {
+		var out []int
+		for _, m := range ms {
+			out = append(out, m.Dst)
+		}
+		return out
+	}
+	pair := func(c *Coalescer, dst int) {
+		c.Append(dst, Kind(7), dst, 0, 0, nil, true)
+		c.Append(dst, Kind(7), dst+10, 0, 0, nil, true)
+	}
+
+	t.Run("ascending", func(t *testing.T) {
+		_, net, _, _ := testNet(8)
+		c, got := capture(net, 0, sim.Time(1_000_000))
+		c.Burst(true)
+		pair(c, 5)
+		pair(c, 2)
+		c.Burst(false)
+		if d := dsts(*got); len(d) != 2 || d[0] != 2 || d[1] != 5 {
+			t.Fatalf("burst appended to 5 then 2 and drained %v, want [2 5]", d)
+		}
+		// The list is spent: an empty burst right after drains nothing.
+		c.Burst(true)
+		c.Burst(false)
+		if len(*got) != 2 {
+			t.Fatalf("empty burst drained %d more message(s)", len(*got)-2)
+		}
+	})
+
+	t.Run("choke point mid-burst", func(t *testing.T) {
+		_, net, _, _ := testNet(8)
+		c, got := capture(net, 0, sim.Time(1_000_000))
+		c.Burst(true)
+		pair(c, 3)
+		c.FlushDst(3) // a plain send to 3 pushed the buffer out first
+		pair(c, 3)
+		pair(c, 1)
+		c.Burst(false)
+		if d := dsts(*got); len(d) != 3 || d[0] != 3 || d[1] != 1 || d[2] != 3 {
+			t.Fatalf("drains %v, want [3 1 3]: the choke-point drain, then the burst's 1 and 3 once each", d)
+		}
+		for _, m := range *got {
+			if m.Kind != Kind(99) || m.Arg != 2 {
+				t.Fatalf("carrier to %d holds %d segment(s), want 2", m.Dst, m.Arg)
+			}
+		}
+		if c.PendingAny() {
+			t.Fatal("segments left buffered after the burst")
+		}
+	})
+
+	t.Run("teardown mid-burst", func(t *testing.T) {
+		_, net, _, _ := testNet(8)
+		c, got := capture(net, 0, sim.Time(1_000_000))
+		c.Burst(true)
+		pair(c, 4)
+		pair(c, 6)
+		c.Teardown()
+		c.Burst(false)
+		if len(*got) != 0 || c.PendingAny() {
+			t.Fatalf("a burst cut short by a crash emitted %d message(s), pending=%v", len(*got), c.PendingAny())
+		}
+		if len(c.touched) != 0 {
+			t.Fatalf("teardown left %d destination(s) on the burst list", len(c.touched))
+		}
+	})
+}
+
+var sinkMsgs int
+
+// BenchmarkCoalescerBurst is the NIC bookkeeping of one protocol-handler
+// run that composes one reply: begin, one append, end. The end drains
+// the one destination touched, so the cost does not depend on the
+// cluster size (it used to scan every destination's buffer).
+func BenchmarkCoalescerBurst(b *testing.B) {
+	for _, nodes := range []int{8, 256} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			_, net, _, _ := testNet(nodes)
+			c := net.AttachCoalescer(0, Kind(99), 8, 0, func(m *Message) {
+				sinkMsgs++
+				net.Recycle(m)
+			})
+			dst := nodes - 1
+			burst := func() {
+				c.Burst(true)
+				c.Append(dst, Kind(7), 128, 1, 0, nil, false)
+				c.Burst(false)
+			}
+			burst() // the pools fill on the first round
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				burst()
+			}
+		})
 	}
 }

@@ -44,8 +44,11 @@ type exec struct {
 	// diagnostics (shared across execs; recording is idempotent).
 	prov *analysis.ProvIndex
 
-	// Replicated PRE state: sections already delivered to CC frames.
-	delivered map[string]bool
+	// plans hands out each loop instance's cluster-wide plan (PRE skips,
+	// global live counts), shared by the attempt's executors; inst
+	// numbers the instances this executor has been through.
+	plans *compiler.Planner
+	inst  int
 	// Replicated run-time-elimination state: the schedule last executed
 	// for each loop. Barriers and tag work can be skipped only when the
 	// instantiated schedule is unchanged — the paper's "same range of
@@ -70,9 +73,10 @@ type exec struct {
 	// checkpoint's epoch) the executor flips live, possibly in the
 	// middle of a pre/post-loop communication sequence, and continues
 	// exactly where the restored protocol state says the machine stands.
-	// Replicated executor state (scalars, delivered, lastSched) is
-	// reconstructed by the walk itself; reduction results are replayed
-	// from the checkpoint's journal instead of being recomputed.
+	// Replicated executor state (scalars, lastSched) and the attempt's
+	// shared plans are reconstructed by the walk itself; reduction
+	// results are replayed from the checkpoint's journal instead of
+	// being recomputed.
 	ghost       bool
 	ghostEpoch  int64
 	resumeEpoch int64
@@ -125,7 +129,6 @@ func newExec(prog *ir.Program, an *compiler.Analysis, layouts map[*ir.Array]sect
 		prog: prog, an: an, layouts: layouts, loops: loops, cluster: cluster, n: n, x: x, opt: opt,
 		env:       map[string]int{},
 		scalars:   map[string]float64{},
-		delivered: map[string]bool{},
 		lastSched: map[any]*compiler.Schedule{},
 	}
 	// Map-to-map copy with distinct keys: the destination is identical
@@ -380,32 +383,15 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 	}
 }
 
-// active filters a schedule's transfers under PRE: a redundant transfer
-// is skipped once its section has actually been delivered (keyed by the
-// transfer's precomputed content key). All nodes run this identically,
-// keeping the replicated `delivered` maps equal.
-func (e *exec) active(ts []compiler.Transfer) []compiler.Transfer {
-	var out []compiler.Transfer
-	for _, t := range ts {
-		if t.NumBlocks == 0 {
-			continue // nothing block-aligned: all edges, default protocol
-		}
-		if e.opt >= compiler.OptPRE {
-			if t.Redundant && e.delivered[t.Key] {
-				continue
-			}
-			e.delivered[t.Key] = true
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// preLoopComm runs the Figure 2 sequence before the loop body.
+// preLoopComm runs the Figure 2 sequence before the loop body. The node
+// walks its own view of the schedule; what the whole cluster must agree
+// on — which reads PRE skips, whether any live transfer is left — comes
+// from the instance's shared plan.
 func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	me := e.n.ID
-	reads := e.active(sched.Reads)
-	writes := e.active(sched.Writes)
+	v := sched.View(me)
+	plan := e.plans.At(e.inst, sched)
+	e.inst++
 	rtElim := e.opt >= compiler.OptRTElim
 	sameSched := e.lastSched[key] == sched
 	e.lastSched[key] = sched
@@ -420,11 +406,8 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	// future state, and the invalidation's effect is already in it.)
 	if rtElim && !e.ghost {
 		var stale []protocol.BlockRun
-		for _, t := range sched.Reads {
-			if t.Receiver != me {
-				continue
-			}
-			for _, br := range t.EdgeBlocks {
+		for _, i := range v.ReadEdges {
+			for _, br := range sched.Reads[i].EdgeBlocks {
 				for b := br.Start; b < br.Start+br.N; b++ {
 					if !e.x.IsFrame(b) || e.n.Mem.Tag(b) != memory.ReadWrite || e.n.Mem.Dirty(b) != 0 {
 						continue
@@ -438,7 +421,7 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 		}
 	}
 
-	if len(reads)+len(writes) == 0 {
+	if plan.LiveReads+plan.LiveWrites == 0 {
 		// No compiler-controlled communication this loop (possibly all
 		// skipped by PRE): nothing to set up.
 		return
@@ -447,23 +430,27 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	// Advisory prefetch of the edge blocks we will demand-read through
 	// the default protocol during the loop: issued first, so responses
 	// overlap the whole setup-and-transfer phase. Blocks under compiler
-	// control in this loop are excluded — prefetching them would
-	// downgrade their senders.
+	// control in this loop — on any node, hence the one walk beyond the
+	// node's own view — are excluded: prefetching them would downgrade
+	// their senders.
 	if e.edgePf && !e.ghost {
 		cc := map[int]bool{}
-		for _, t := range reads {
-			for _, br := range t.Blocks {
+		for _, i := range plan.LiveReadIndexes() {
+			if plan.Skips(i) {
+				continue
+			}
+			for _, br := range sched.Reads[i].Blocks {
 				for b := br.Start; b < br.Start+br.N; b++ {
 					cc[b] = true
 				}
 			}
 		}
 		var edges []protocol.BlockRun
-		for _, t := range reads {
-			if t.Receiver != me {
+		for _, i := range v.ReadRecv {
+			if plan.Skips(i) {
 				continue
 			}
-			for _, br := range t.EdgeBlocks {
+			for _, br := range sched.Reads[i].EdgeBlocks {
 				for b := br.Start; b < br.Start+br.N; b++ {
 					if cc[b] {
 						continue
@@ -480,30 +467,28 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	sendOut, takeOut := e.sendOut[:0], e.takeOut[:0]
 	recvIn, flushIn := e.recvIn[:0], e.flushIn[:0]
 	recvBlocks := 0
-	for _, t := range reads {
-		if t.Sender == me {
-			sendOut = append(sendOut, t.Blocks...)
+	for _, i := range v.ReadSend {
+		if !plan.Skips(i) {
+			sendOut = append(sendOut, sched.Reads[i].Blocks...)
 		}
-		if t.Receiver == me {
+	}
+	for _, i := range v.ReadRecv {
+		if t := &sched.Reads[i]; !plan.Skips(i) {
 			recvIn = append(recvIn, t.Blocks...)
 			recvBlocks += t.NumBlocks
 		}
 	}
-	for _, t := range writes {
-		if t.Sender == me {
-			// Non-owner writes go through mk_writable: "the owner has
-			// to send the block to the writer, just as in the
-			// non-owner read case" — the writer takes write ownership
-			// through the directory (invalidating the home's copy) and
-			// receives the current contents it will partially
-			// overwrite.
-			takeOut = append(takeOut, t.Blocks...)
-		}
-		if t.Receiver == me {
-			// The owner opens frames for the data flushed back after
-			// the loop.
-			flushIn = append(flushIn, t.Blocks...)
-		}
+	// Non-owner writes go through mk_writable: "the owner has to send
+	// the block to the writer, just as in the non-owner read case" — the
+	// writer takes write ownership through the directory (invalidating
+	// the home's copy) and receives the current contents it will
+	// partially overwrite.
+	for _, i := range v.WriteSend {
+		takeOut = append(takeOut, sched.Writes[i].Blocks...)
+	}
+	// The owner opens frames for the data flushed back after the loop.
+	for _, i := range v.WriteRecv {
+		flushIn = append(flushIn, sched.Writes[i].Blocks...)
 	}
 	e.sendOut, e.takeOut, e.recvIn, e.flushIn = sendOut, takeOut, recvIn, flushIn
 
@@ -520,7 +505,7 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	if len(takeOut) > 0 && !e.ghost {
 		e.x.MkWritable(p, takeOut)
 	}
-	if !rtElim || len(writes) > 0 {
+	if !rtElim || plan.LiveWrites > 0 {
 		e.barrier(p)
 	}
 
@@ -555,11 +540,13 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 	bs, thr := e.n.MC.BlockSize, e.n.MC.EffectiveAggThreshold()
 	if !e.ghost {
 		sent := false
-		for _, t := range reads {
-			if t.Sender == me {
-				e.x.SendBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, t.Sender, t.Receiver, false, bs, thr))
-				sent = true
+		for _, i := range v.ReadSend {
+			if plan.Skips(i) {
+				continue
 			}
+			t := &sched.Reads[i]
+			e.x.SendBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, me, t.Receiver, false, bs, thr))
+			sent = true
 		}
 		if sent {
 			e.x.DrainAggregated(p)
@@ -573,29 +560,23 @@ func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
 // postLoopComm restores consistency after the loop body.
 func (e *exec) postLoopComm(p *sim.Proc, sched *compiler.Schedule, closingBarrier bool) {
 	me := e.n.ID
+	v := sched.View(me)
 	rtElim := e.opt >= compiler.OptRTElim
 
 	// Non-owner writes flush back to the owner, who waits for them.
 	flushIn := 0
-	for _, t := range sched.Writes {
-		if t.Receiver == me {
-			flushIn += t.NumBlocks
-		}
+	for _, i := range v.WriteRecv {
+		flushIn += sched.Writes[i].NumBlocks
 	}
 	bs, thr := e.n.MC.BlockSize, e.n.MC.EffectiveAggThreshold()
-	if !e.ghost {
-		flushed := false
-		for _, t := range sched.Writes {
-			if t.Sender == me && t.NumBlocks > 0 {
-				e.x.FlushBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, t.Sender, t.Receiver, true, bs, thr))
-				flushed = true
-			}
+	if !e.ghost && len(v.WriteSend) > 0 {
+		for _, i := range v.WriteSend {
+			t := &sched.Writes[i]
+			e.x.FlushBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, me, t.Receiver, true, bs, thr))
 		}
-		if flushed {
-			// Close the flush epoch: aggregated data and piggybacked
-			// directory updates depart before the closing barrier.
-			e.x.DrainAggregated(p)
-		}
+		// Close the flush epoch: aggregated data and piggybacked
+		// directory updates depart before the closing barrier.
+		e.x.DrainAggregated(p)
 	}
 
 	// The loop's closing barrier (a reduction's AllReduce already
@@ -617,10 +598,8 @@ func (e *exec) postLoopComm(p *sim.Proc, sched *compiler.Schedule, closingBarrie
 	if !rtElim && len(sched.Reads) > 0 {
 		if !e.ghost {
 			var recvIn []protocol.BlockRun
-			for _, t := range sched.Reads {
-				if t.Receiver == me {
-					recvIn = append(recvIn, t.Blocks...)
-				}
+			for _, i := range v.ReadRecv {
+				recvIn = append(recvIn, sched.Reads[i].Blocks...)
 			}
 			if len(recvIn) > 0 {
 				e.x.ImplicitInvalidate(p, recvIn)
@@ -628,7 +607,6 @@ func (e *exec) postLoopComm(p *sim.Proc, sched *compiler.Schedule, closingBarrie
 		}
 		e.barrier(p)
 	}
-
 }
 
 // --- Iteration execution ----------------------------------------------

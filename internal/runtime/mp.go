@@ -74,9 +74,9 @@ func (e *exec) mpInstall(m *network.Message) {
 	e.mp.recv.Add(int64(len(m.Data)))
 }
 
-// mpTransfer ships one transfer's exact section (no block alignment),
-// one message per contiguous run, split at MaxPayload.
-func (e *exec) mpSend(p *sim.Proc, t compiler.Transfer) {
+// mpSend ships one transfer's exact section (no block alignment) to
+// node to, one message per contiguous run, split at MaxPayload.
+func (e *exec) mpSend(p *sim.Proc, t *compiler.Transfer, to int) {
 	mc := e.n.MC
 	lay := e.layouts[t.Array]
 	for _, run := range sections.CoalesceRuns(lay.Runs(t.Sec)) {
@@ -91,31 +91,26 @@ func (e *exec) mpSend(p *sim.Proc, t compiler.Transfer) {
 			e.n.Compute(mc.MPSendOver + sim.Time(nb)*mc.MPPackPerByte)
 			e.n.Sync(p)
 			m := e.n.Net.NewMessage(e.n.ID)
-			m.Src, m.Dst, m.Kind = e.n.ID, t.Receiver, KMPData
+			m.Src, m.Dst, m.Kind = e.n.ID, to, KMPData
 			m.Addr, m.Arg2, m.Data = addr, e.mp.phase, data
 			e.n.Net.Send(m)
 		}
 	}
 }
 
-func (e *exec) mpBytesOf(t compiler.Transfer) int64 {
-	return int64(t.Sec.Count() * 8)
+// mpBytes sums the exact section bytes of the transfers ts[i], i in idx.
+func mpBytes(ts []compiler.Transfer, idx []int32) int64 {
+	var n int64
+	for _, i := range idx {
+		n += int64(ts[i].Sec.Count() * 8)
+	}
+	return n
 }
 
-// mpPhase runs one communication phase: send this node's outgoing
-// transfers, wait for the expected incoming bytes, then advance to the
-// next phase and drain any early arrivals for it.
-func (e *exec) mpPhase(p *sim.Proc, transfers []compiler.Transfer) {
-	me := e.n.ID
-	var expected int64
-	for _, t := range transfers {
-		if t.Sender == me {
-			e.mpSend(p, t)
-		}
-		if t.Receiver == me {
-			expected += e.mpBytesOf(t)
-		}
-	}
+// mpPhase closes one communication phase, after this node's sends:
+// wait for the expected incoming bytes, then advance to the next phase
+// and drain any early arrivals for it.
+func (e *exec) mpPhase(p *sim.Proc, expected int64) {
 	e.n.Sync(p)
 	start := p.Now()
 	e.mp.recv.WaitFor(p, expected)
@@ -137,16 +132,24 @@ func (e *exec) mpPhase(p *sim.Proc, transfers []compiler.Transfer) {
 // shared-memory contract's "the owner has to send the block to the
 // writer, just as in the non-owner read case".
 func (e *exec) mpPreLoop(p *sim.Proc, sched *compiler.Schedule) {
-	transfers := append([]compiler.Transfer{}, sched.Reads...)
-	for _, t := range sched.Writes {
-		rev := t
-		rev.Sender, rev.Receiver = t.Receiver, t.Sender
-		transfers = append(transfers, rev)
+	v := sched.SectionView(e.n.ID)
+	for _, i := range v.ReadSend {
+		t := &sched.Reads[i]
+		e.mpSend(p, t, t.Receiver)
 	}
-	e.mpPhase(p, transfers)
+	for _, i := range v.WriteRecv {
+		t := &sched.Writes[i]
+		e.mpSend(p, t, t.Sender)
+	}
+	e.mpPhase(p, mpBytes(sched.Reads, v.ReadRecv)+mpBytes(sched.Writes, v.WriteSend))
 }
 
 // mpPostLoop flushes non-owner writes to the owners, who wait for them.
 func (e *exec) mpPostLoop(p *sim.Proc, sched *compiler.Schedule) {
-	e.mpPhase(p, sched.Writes)
+	v := sched.SectionView(e.n.ID)
+	for _, i := range v.WriteSend {
+		t := &sched.Writes[i]
+		e.mpSend(p, t, t.Receiver)
+	}
+	e.mpPhase(p, mpBytes(sched.Writes, v.WriteRecv))
 }

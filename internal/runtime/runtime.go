@@ -111,6 +111,7 @@ type Result struct {
 
 	cluster  *tempest.Cluster
 	analysis *compiler.Analysis
+	plans    *compiler.Planner // the final attempt's per-instance plans
 	layouts  map[*ir.Array]sections.Layout
 	proto    *protocol.Proto
 	mp       bool
@@ -375,6 +376,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		Scalars:  map[string]float64{},
 		cluster:  cluster,
 		analysis: an,
+		plans:    compiler.NewPlanner(opt.Opt),
 		layouts:  layouts,
 		proto:    proto,
 		mp:       opt.Backend == MessagePassing,
@@ -412,6 +414,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		execs[i].edgePf = opt.EdgePrefetch
 		execs[i].inspect = opt.InspectIndirect
 		execs[i].prov = prov
+		execs[i].plans = res.plans
 	}
 	if opt.Backend == MessagePassing {
 		installMP(execs)
