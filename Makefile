@@ -4,7 +4,7 @@ GO ?= go
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
-APPS = jacobi pde shallow grav lu cg
+APPS = jacobi pde shallow grav lu cg irregular
 
 all: build test
 
@@ -28,11 +28,13 @@ race:
 
 # Static verification: the schedule contract checker and IR race
 # analysis over every shipped application, all optimization levels.
-# Fails on any contract or race error.
+# Fails on any contract or race error. The -calls dump rides along so
+# the printing sink of the call sequence cannot rot.
 lint:
 	@for a in $(APPS); do \
 		echo "hpfc -lint -app $$a"; \
 		$(GO) run ./cmd/hpfc -app $$a -lint || exit 1; \
+		$(GO) run ./cmd/hpfc -app $$a -calls >/dev/null || exit 1; \
 	done
 
 # Determinism/hot-path lint over the simulator's own Go source: no
@@ -97,7 +99,8 @@ cover:
 		hpfdsm/internal/network=85 \
 		hpfdsm/internal/profiling=75 \
 		hpfdsm/internal/simlint=80 \
-		hpfdsm/internal/analysis=80
+		hpfdsm/internal/analysis=80 \
+		hpfdsm/internal/compiler=86.8
 
 # Remove generated artifacts: coverage profiles, CPU/heap profiles,
 # runtime traces, and the CI benchmark scratch json. Committed

@@ -29,6 +29,7 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
+	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sections"
 )
 
@@ -43,6 +44,9 @@ func main() {
 	printSrc := flag.Bool("print", false, "pretty-print the program as canonical mini-HPF source and exit")
 	node := flag.Int("node", 0, "node whose calls to print with -calls")
 	flag.Parse()
+	if *node < 0 || *node >= *nodes {
+		fail(fmt.Errorf("-node %d is not one of the %d processors (0..%d)", *node, *nodes, *nodes-1))
+	}
 
 	var prog *ir.Program
 	var err error
@@ -108,117 +112,79 @@ func main() {
 	}
 	if *calls {
 		fmt.Printf("run-time calls executed by node %d (optimization level: bulk):\n\n", *node)
-		dumpCalls(an, prog.Body, env, *node, 0)
+		// The executor's emitter, walked into a printing sink over the
+		// plans a run's planner would hand out, at the bulk level: the full
+		// sequence, before run-time elimination prunes it.
+		plans, inst := compiler.NewPlanner(compiler.OptBulk), 0
+		var em compiler.Emitter
+		eachLoop(an, prog.Body, env, "calls", 0, func(key any, label string, rule *compiler.LoopRule, reduce bool, ind string) {
+			plan := plans.At(inst, key, an.Schedule(key, rule, env))
+			inst++
+			out := printCalls(ind + "  ")
+			fmt.Printf("%s%s:\n", ind, label)
+			em.Pre(plan, *node, compiler.OptBulk, out)
+			if reduce {
+				out.say("<local part, then all-reduce>")
+			} else {
+				out.say("<loop body>")
+			}
+			em.Post(plan, *node, compiler.OptBulk, reduce, out)
+		})
 		return
 	}
-	dumpStmts(an, prog.Body, env, *sched, 0)
+	eachLoop(an, prog.Body, env, "schedules", 0, func(key any, label string, rule *compiler.LoopRule, _ bool, ind string) {
+		dumpRule(an, key, rule, env, *sched, ind, label)
+	})
 }
 
-// dumpCalls prints the Section 4.2 call sequence a node would execute
-// around each loop at the bulk optimization level (the full sequence,
-// before run-time elimination prunes it).
-func dumpCalls(an *compiler.Analysis, body []ir.Stmt, env map[string]int, node, depth int) {
-	ind := strings.Repeat("  ", depth)
-	for _, s := range body {
-		switch st := s.(type) {
-		case *ir.Block:
-			dumpCalls(an, st.Body, env, node, depth)
-		case *ir.SeqLoop:
-			lo := st.Lo.Eval(env)
-			fmt.Printf("%sDO %s = %v, %v  (calls shown for %s=%d)\n", ind, st.Var, st.Lo, st.Hi, st.Var, lo)
-			env[st.Var] = lo
-			dumpCalls(an, st.Body, env, node, depth+1)
-			delete(env, st.Var)
-		case *ir.ParLoop:
-			rule := an.LoopRuleOf(st)
-			sched := an.Schedule(st, rule, env)
-			fmt.Printf("%s%s:\n", ind, st.Label)
-			emitted := false
-			say := func(format string, args ...any) {
-				fmt.Printf(ind+"  "+format+"\n", args...)
-				emitted = true
-			}
-			var out, in, take, flushIn int
-			for _, t := range sched.Reads {
-				if t.Sender == node {
-					out += t.NumBlocks
-				}
-				if t.Receiver == node {
-					in += t.NumBlocks
-				}
-			}
-			for _, t := range sched.Writes {
-				if t.Sender == node {
-					take += t.NumBlocks
-				}
-				if t.Receiver == node {
-					flushIn += t.NumBlocks
-				}
-			}
-			if out > 0 {
-				say("shmem_limits + mk_writable     (%d outgoing blocks)", out)
-			}
-			if take > 0 {
-				say("mk_writable                    (%d non-owner-write blocks)", take)
-			}
-			if len(sched.Reads)+len(sched.Writes) > 0 {
-				say("barrier                        (order step 1 before step 2)")
-			}
-			if in > 0 {
-				say("implicit_writable + expect     (%d incoming blocks)", in)
-			}
-			if flushIn > 0 {
-				say("implicit_writable              (%d flush-target blocks)", flushIn)
-			}
-			if len(sched.Reads)+len(sched.Writes) > 0 {
-				say("barrier                        (both sides ready)")
-			}
-			for _, t := range sched.Reads {
-				if t.Sender == node {
-					say("send -> node %-2d                (%s%v, %d blocks)", t.Receiver, t.Array.Name, t.Sec, t.NumBlocks)
-				}
-			}
-			if in > 0 {
-				say("ready_to_recv                  (until %d blocks arrive)", in)
-			}
-			say("<loop body>")
-			for _, t := range sched.Writes {
-				if t.Sender == node {
-					say("flush -> node %-2d               (%s%v, %d blocks)", t.Receiver, t.Array.Name, t.Sec, t.NumBlocks)
-				}
-			}
-			say("barrier                        (loop complete)")
-			if flushIn > 0 {
-				say("ready_to_recv                  (flushed data)")
-			}
-			if in > 0 {
-				say("implicit_invalidate            (%d reader frames)", in)
-				say("barrier                        (directory consistent)")
-			}
-			if !emitted {
-				fmt.Printf("%s  (no communication)\n", ind)
-			}
-		case *ir.Reduce:
-			fmt.Printf("%s%s: <reduce via low-level messages>\n", ind, st.Label)
-		}
+// printCalls is the sink that prints each call, behind its indentation.
+type printCalls string
+
+func (p printCalls) say(format string, args ...any) {
+	fmt.Printf(string(p)+format+"\n", args...)
+}
+
+func (p printCalls) blocks(call string, b []protocol.BlockRun) {
+	n := 0
+	for _, r := range b {
+		n += r.N
 	}
+	p.say("%-30s (%d blocks)", call, n)
 }
 
-func dumpStmts(an *compiler.Analysis, body []ir.Stmt, env map[string]int, sched bool, depth int) {
+func (p printCalls) transfer(call string, t *compiler.Transfer) {
+	p.say("%-30s (%s%v, %d blocks)", fmt.Sprintf("%s -> node %d", call, t.Receiver), t.Array.Name, t.Sec, t.NumBlocks)
+}
+
+func (p printCalls) MkWritable(b []protocol.BlockRun)         { p.blocks("shmem_limits + mk_writable", b) }
+func (p printCalls) ImplicitWritable(b []protocol.BlockRun)   { p.blocks("implicit_writable", b) }
+func (p printCalls) ImplicitInvalidate(b []protocol.BlockRun) { p.blocks("implicit_invalidate", b) }
+func (p printCalls) Expect(n int)                             { p.say("%-30s (%d blocks)", "expect", n) }
+func (p printCalls) Send(t *compiler.Transfer)                { p.transfer("send", t) }
+func (p printCalls) Flush(t *compiler.Transfer)               { p.transfer("flush", t) }
+func (p printCalls) ReadyToRecv()                             { p.say("ready_to_recv") }
+func (p printCalls) Barrier()                                 { p.say("barrier") }
+func (p printCalls) Drain()                                   { p.say("drain_aggregated") }
+
+// eachLoop visits the program's loops and reductions in order,
+// sequential loops at their first iteration, which it announces as the
+// one what is shown for.
+func eachLoop(an *compiler.Analysis, body []ir.Stmt, env map[string]int, what string, depth int,
+	visit func(key any, label string, rule *compiler.LoopRule, reduce bool, ind string)) {
 	ind := strings.Repeat("  ", depth)
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.ParLoop:
-			dumpRule(an, st, an.LoopRuleOf(st), env, sched, ind, st.Label)
+			visit(st, st.Label, an.LoopRuleOf(st), false, ind)
 		case *ir.Reduce:
-			dumpRule(an, st, an.ReduceRuleOf(st), env, sched, ind, st.Label)
+			visit(st, st.Label, an.ReduceRuleOf(st), true, ind)
 		case *ir.Block:
-			dumpStmts(an, st.Body, env, sched, depth)
+			eachLoop(an, st.Body, env, what, depth, visit)
 		case *ir.SeqLoop:
 			lo := st.Lo.Eval(env)
-			fmt.Printf("%sDO %s = %v, %v (schedules shown for %s=%d)\n", ind, st.Var, st.Lo, st.Hi, st.Var, lo)
+			fmt.Printf("%sDO %s = %v, %v (%s shown for %s=%d)\n", ind, st.Var, st.Lo, st.Hi, what, st.Var, lo)
 			env[st.Var] = lo
-			dumpStmts(an, st.Body, env, sched, depth+1)
+			eachLoop(an, st.Body, env, what, depth+1, visit)
 			delete(env, st.Var)
 		}
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hpfdsm/internal/compiler"
@@ -12,7 +13,7 @@ import (
 // OpBody marker separating a loop's pre- and post-communication).
 type Op int
 
-// Call kinds, in the order the executor emits them around a loop.
+// Call kinds.
 const (
 	OpMkWritable Op = iota
 	OpImplicitWritable
@@ -30,7 +31,7 @@ func (o Op) String() string {
 		"ready_to_recv", "<body>", "flush", "implicit_invalidate", "barrier"}[o]
 }
 
-// Call is one modeled run-time call on one node.
+// Call is one recorded run-time call on one node.
 type Call struct {
 	Op     Op
 	Node   int
@@ -61,7 +62,7 @@ type SkippedTransfer struct {
 	Live bool
 }
 
-// LoopCalls is the modeled call sequence of one loop instance: per
+// LoopCalls is the recorded call sequence of one loop instance: per
 // node, the run-time calls in program order, plus the (PRE-filtered)
 // transfers the sequence implements and the transfers that were elided.
 type LoopCalls struct {
@@ -73,12 +74,6 @@ type LoopCalls struct {
 	Skipped  []SkippedTransfer   // transfers elided by OptPRE
 	IsReduce bool
 	Nodes    [][]Call
-}
-
-// transferKey identifies a transfer's delivered content, mirroring the
-// executor's PRE key: array, section, receiver.
-func transferKey(t compiler.Transfer) string {
-	return fmt.Sprintf("%s|%v|>%d", t.Array.Name, t.Sec, t.Receiver)
 }
 
 // sigOf renders a rule's symbol valuation for provenance ("" when the
@@ -94,176 +89,90 @@ func sigOf(rule *compiler.LoopRule, env map[string]int) string {
 	return strings.Join(parts, ",")
 }
 
-// BuildLoopCalls models the executor's communication emission for one
-// loop (or reduction) instance at the model's optimization level: the
-// exact mk_writable / implicit_writable / expect / send / ready_to_recv
-// / flush / implicit_invalidate / barrier sequence each node would run,
-// including run-time elimination's call and barrier elisions and PRE's
-// transfer skips. The model state (persistent frames, delivered
-// sections, last schedule per loop) advances exactly as the replicated
-// executor state would.
+// recorder is the verifier's sink of the emitter: it keeps one node's
+// calls as the emitter makes them.
+type recorder struct {
+	lc   *LoopCalls
+	node int
+}
+
+func (r *recorder) add(c Call) {
+	c.Node = r.node
+	r.lc.Nodes[r.node] = append(r.lc.Nodes[r.node], c)
+}
+
+// blocks adds a call with a block operand, copied: the emitter's list
+// is scratch.
+func (r *recorder) blocks(op Op, b []protocol.BlockRun) {
+	r.add(Call{Op: op, Blocks: slices.Clone(b)})
+}
+
+func (r *recorder) MkWritable(b []protocol.BlockRun)         { r.blocks(OpMkWritable, b) }
+func (r *recorder) ImplicitWritable(b []protocol.BlockRun)   { r.blocks(OpImplicitWritable, b) }
+func (r *recorder) ImplicitInvalidate(b []protocol.BlockRun) { r.blocks(OpImplicitInvalidate, b) }
+func (r *recorder) Expect(n int)                             { r.add(Call{Op: OpExpect, N: n}) }
+func (r *recorder) ReadyToRecv()                             { r.add(Call{Op: OpReadyToRecv}) }
+func (r *recorder) Barrier()                                 { r.add(Call{Op: OpBarrier}) }
+func (r *recorder) Drain()                                   {} // transport, not contract
+func (r *recorder) Send(t *compiler.Transfer) {
+	r.add(Call{Op: OpSend, Dst: t.Receiver, Blocks: t.Blocks})
+}
+func (r *recorder) Flush(t *compiler.Transfer) {
+	r.add(Call{Op: OpFlush, Dst: t.Receiver, Blocks: t.Blocks})
+}
+
+// BuildLoopCalls records the call sequence of one loop (or reduction)
+// instance at the model's optimization level, instantiating its
+// schedule under env.
 func (m *Model) BuildLoopCalls(key any, label string, rule *compiler.LoopRule, env map[string]int, isReduce bool) *LoopCalls {
-	np := m.an.NP
+	site := Site{App: m.an.Prog.Name, Loop: label, Env: sigOf(rule, env), Level: m.level}
+	var sched *compiler.Schedule // none at OptNone: default protocol only
+	if m.level >= compiler.OptBase {
+		sched = m.an.Schedule(key, rule, env)
+	}
+	return m.RecordLoopCalls(key, site, sched, isReduce)
+}
+
+// RecordLoopCalls is BuildLoopCalls for an instance whose schedule the
+// caller has: what the emitter the executor runs emits for each node —
+// run-time elimination's call and barrier elisions and PRE's transfer
+// skips included — from the same inputs the executor hands it, the
+// level and the instance's plan off a planner of the model's own. The
+// transfers the sequence implements and the ones PRE elided are listed
+// beside it for the contract checks.
+func (m *Model) RecordLoopCalls(key any, site Site, sched *compiler.Schedule, isReduce bool) *LoopCalls {
 	lc := &LoopCalls{
 		Key:      key,
+		Site:     site,
+		Sched:    sched,
 		IsReduce: isReduce,
-		Nodes:    make([][]Call, np),
-		Site: Site{
-			App:   m.an.Prog.Name,
-			Loop:  label,
-			Env:   sigOf(rule, env),
-			Level: m.level,
-		},
+		Nodes:    make([][]Call, m.an.NP),
 	}
-	add := func(n int, c Call) {
-		c.Node = n
-		lc.Nodes[n] = append(lc.Nodes[n], c)
-	}
-
-	if m.level == compiler.OptNone {
-		// Default protocol only: the loop body bracketed by its closing
-		// barrier (a reduction's AllReduce plays the same role).
-		for n := 0; n < np; n++ {
-			add(n, Call{Op: OpBody})
-			add(n, Call{Op: OpBarrier})
+	var plan *compiler.Plan
+	if sched != nil {
+		plan = m.plans.At(m.inst, key, sched)
+		m.inst++
+		for _, i := range plan.LiveReadIndexes() {
+			if t := sched.Reads[i]; plan.Skips(i) {
+				lc.Skipped = append(lc.Skipped, SkippedTransfer{T: t, Live: m.live[t.Key]})
+			} else {
+				lc.Reads = append(lc.Reads, t)
+			}
 		}
-		return lc
-	}
-
-	sched := m.an.Schedule(key, rule, env)
-	lc.Sched = sched
-	sameSched := m.lastSched[key] == sched
-	m.lastSched[key] = sched
-	rtElim := m.level >= compiler.OptRTElim
-
-	// PRE filtering, replicated (node-independent), mirroring the
-	// executor's active(): a redundant transfer is skipped once its
-	// section has been delivered; all-edge transfers (no block-aligned
-	// interior) emit no calls at all.
-	filter := func(ts []compiler.Transfer) []compiler.Transfer {
-		var out []compiler.Transfer
-		for _, t := range ts {
-			if t.NumBlocks == 0 {
-				continue
-			}
-			tk := transferKey(t)
-			if m.level >= compiler.OptPRE && t.Redundant && m.delivered[tk] {
-				lc.Skipped = append(lc.Skipped, SkippedTransfer{T: t, Live: m.live[tk]})
-				continue
-			}
-			if !m.delivered[tk] {
-				m.delivered[tk] = true
-				m.bump()
-			}
-			out = append(out, t)
-		}
-		return out
-	}
-	reads := filter(sched.Reads)
-	writes := filter(sched.Writes)
-	lc.Reads, lc.Writes = reads, writes
-
-	if len(reads)+len(writes) > 0 {
-		for n := 0; n < np; n++ {
-			var sendOut, takeOut, recvIn, flushIn []protocol.BlockRun
-			recvBlocks := 0
-			for _, t := range reads {
-				if t.Sender == n {
-					sendOut = append(sendOut, t.Blocks...)
-				}
-				if t.Receiver == n {
-					recvIn = append(recvIn, t.Blocks...)
-					recvBlocks += t.NumBlocks
-				}
-			}
-			for _, t := range writes {
-				if t.Sender == n {
-					takeOut = append(takeOut, t.Blocks...)
-				}
-				if t.Receiver == n {
-					flushIn = append(flushIn, t.Blocks...)
-				}
-			}
-			// Step 1: senders and non-owner writers take blocks writable;
-			// run-time elimination drops the read-side call (the owner
-			// already holds its blocks) but never the write-side one.
-			if !rtElim && len(sendOut) > 0 {
-				add(n, Call{Op: OpMkWritable, Blocks: sendOut})
-			}
-			if len(takeOut) > 0 {
-				add(n, Call{Op: OpMkWritable, Blocks: takeOut})
-			}
-			if !rtElim || len(writes) > 0 {
-				add(n, Call{Op: OpBarrier})
-			}
-			// Step 2: receivers open frames; flush targets likewise.
-			if len(recvIn) > 0 {
-				add(n, Call{Op: OpImplicitWritable, Blocks: recvIn})
-			}
-			if len(flushIn) > 0 {
-				add(n, Call{Op: OpImplicitWritable, Blocks: flushIn})
-			}
-			if recvBlocks > 0 {
-				add(n, Call{Op: OpExpect, N: recvBlocks})
-			}
-			// Both sides ready before the transfer; a repeat of the
-			// identical schedule under run-time elimination skips this
-			// barrier (the frames persist).
-			if !rtElim || !sameSched {
-				add(n, Call{Op: OpBarrier})
-			}
-			for _, t := range reads {
-				if t.Sender == n {
-					add(n, Call{Op: OpSend, Dst: t.Receiver, Blocks: t.Blocks})
-				}
-			}
-			if recvBlocks > 0 {
-				add(n, Call{Op: OpReadyToRecv})
+		for _, t := range sched.Writes {
+			if t.NumBlocks > 0 {
+				lc.Writes = append(lc.Writes, t)
 			}
 		}
 	}
-
-	for n := 0; n < np; n++ {
-		add(n, Call{Op: OpBody})
-	}
-
-	for n := 0; n < np; n++ {
-		flushInCount := 0
-		for _, t := range writes {
-			if t.Receiver == n {
-				flushInCount += t.NumBlocks
-			}
-		}
+	rec := &recorder{lc: lc}
+	for rec.node = range lc.Nodes {
+		m.em.Pre(plan, rec.node, m.level, rec)
+		rec.add(Call{Op: OpBody})
 		if isReduce {
-			// The AllReduce synchronizes before the post-loop sequence.
-			add(n, Call{Op: OpBarrier})
+			rec.Barrier() // the AllReduce synchronizes
 		}
-		for _, t := range writes {
-			if t.Sender == n && t.NumBlocks > 0 {
-				add(n, Call{Op: OpFlush, Dst: t.Receiver, Blocks: t.Blocks})
-			}
-		}
-		if !isReduce {
-			add(n, Call{Op: OpBarrier}) // the loop's closing barrier
-		}
-		if flushInCount > 0 {
-			add(n, Call{Op: OpExpect, N: flushInCount})
-			add(n, Call{Op: OpReadyToRecv})
-		}
-		// Readers re-invalidate their frames so the directory's belief
-		// holds again; eliminated under the whole-program assumptions.
-		if !rtElim && len(sched.Reads) > 0 {
-			var recvIn []protocol.BlockRun
-			for _, t := range sched.Reads {
-				if t.Receiver == n {
-					recvIn = append(recvIn, t.Blocks...)
-				}
-			}
-			if len(recvIn) > 0 {
-				add(n, Call{Op: OpImplicitInvalidate, Blocks: recvIn})
-			}
-			add(n, Call{Op: OpBarrier})
-		}
+		m.em.Post(plan, rec.node, m.level, isReduce, rec)
 	}
 	return lc
 }

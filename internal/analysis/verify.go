@@ -13,23 +13,26 @@ import (
 
 // Model is the per-level verification state: it replays the program's
 // control flow symbolically (SPMD control flow is replicated, so one
-// walk stands for all nodes), rebuilding the executor's call emission
-// per loop instance and checking each against the contract. The state
-// that the checks depend on persists across loop instances exactly as
-// it does at run time: open implicit_writable frames per node, the
-// global barrier phase, the delivered-section memo PRE consults, and
-// each loop's last instantiated schedule.
+// walk stands for all nodes), recording per loop instance the calls the
+// executor's emitter makes and checking them against the contract. The
+// state that the checks depend on persists across loop instances
+// exactly as it does at run time: open implicit_writable frames per
+// node, the global barrier phase, and — in the planner, the same one an
+// attempt's executors share — the delivered-section memo PRE consults
+// and each loop's last instantiated schedule.
 type Model struct {
 	an     *compiler.Analysis
 	level  compiler.Level
 	report *Report
 	races  bool // run the (level-independent) race analysis on this pass
 
-	phase     int             // global barrier phase counter
-	frames    []map[int]int   // per node: open frame block -> opening phase
-	delivered map[string]bool // transfer keys ever delivered (mirrors exec's PRE memo)
-	live      map[string]bool // transfer keys delivered and not since invalidated by a write
-	lastSched map[any]*compiler.Schedule
+	phase  int             // global barrier phase counter
+	frames []map[int]int   // per node: open frame block -> opening phase
+	live   map[string]bool // transfer keys delivered and not since invalidated by a write
+
+	plans *compiler.Planner // each instance's plan, as the runtime gets it
+	inst  int               // instances planned so far
+	em    compiler.Emitter
 
 	env     map[string]int
 	checked map[string]bool // loop|sig instances already diagnosed
@@ -41,16 +44,15 @@ type Model struct {
 // level, accumulating into rep.
 func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 	m := &Model{
-		an:        an,
-		level:     level,
-		report:    rep,
-		frames:    make([]map[int]int, an.NP),
-		delivered: map[string]bool{},
-		live:      map[string]bool{},
-		lastSched: map[any]*compiler.Schedule{},
-		env:       map[string]int{},
-		checked:   map[string]bool{},
-		seen:      map[string]bool{},
+		an:      an,
+		level:   level,
+		report:  rep,
+		frames:  make([]map[int]int, an.NP),
+		live:    map[string]bool{},
+		plans:   compiler.NewPlanner(level),
+		env:     map[string]int{},
+		checked: map[string]bool{},
+		seen:    map[string]bool{},
 	}
 	for n := range m.frames {
 		m.frames[n] = map[int]int{}
@@ -141,9 +143,8 @@ func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []
 	}
 	// PRE liveness: executed read transfers deliver their sections ...
 	for _, t := range lc.Reads {
-		tk := transferKey(t)
-		if !m.live[tk] {
-			m.live[tk] = true
+		if !m.live[t.Key] {
+			m.live[t.Key] = true
 			m.bump()
 		}
 	}

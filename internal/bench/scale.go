@@ -70,21 +70,8 @@ func newScaleCluster(n int, topo config.Topology, parts int) *scaleCluster {
 		parts = n
 	}
 	if parts > 1 {
-		penvs := make([]*sim.Env, parts)
-		for i := range penvs {
-			penvs[i] = sim.NewEnv()
-		}
-		part := make([]int, n)
-		nodeEnvs := make([]*sim.Env, n)
-		for i := range part {
-			part[i] = i * parts / n
-			nodeEnvs[i] = penvs[part[i]]
-		}
-		shards := sim.NewShards(penvs, mc.MsgTime(0))
-		post := func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
-			shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
-		}
-		s.c = tempest.NewPartitionedCluster(nodeEnvs, sp, post)
+		var shards *sim.Shards
+		s.c, shards = tempest.NewShardedCluster(sp, parts, 0)
 		s.run = func() error {
 			err := shards.Run()
 			shards.Shutdown()

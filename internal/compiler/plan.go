@@ -8,13 +8,15 @@ import (
 
 // Plan is the cluster-wide part of one loop instance's communication:
 // which live read transfers partial-redundancy elimination skips this
-// time, and how many live transfers are left over all nodes. The counts
-// decide which barriers the instance takes, so every node must see the
+// time, how many live transfers are left over all nodes, and whether the
+// loop's previous instance had this same schedule. These decide which
+// barriers the instance takes (see Emitter), so every node must see the
 // same ones; a node's own part of the instance is its View.
 type Plan struct {
 	Sched      *Schedule
 	LiveReads  int      // live reads left after PRE, over all nodes
 	LiveWrites int      // live writes, over all nodes (PRE never skips one)
+	Repeat     bool     // the loop's last instance was planned on Sched too
 	skip       []uint64 // bit i set: Reads[i] is skipped; nil when none is
 }
 
@@ -29,13 +31,13 @@ func (pl *Plan) LiveReadIndexes() []int32 { return pl.Sched.liveIndex().liveRead
 
 // Planner hands all executors of one attempt the same Plan for the same
 // loop instance. Every node executes the same sequence of loop
-// instances, so instance k's plan is a function of the schedules of
-// instances 0..k alone: the first node to reach k computes it and the
-// others read it. That holds wherever the nodes are relative to each
-// other — executors of different PDES partitions arrive concurrently
-// (hence the lock), and after a crash each executor ghost-walks the
-// whole sequence from instance 0 on its own (hence every instance's
-// plan is kept for the length of the attempt).
+// instances, so instance k's plan is a function of the loops and
+// schedules of instances 0..k alone: the first node to reach k computes
+// it and the others read it. That holds wherever the nodes are relative
+// to each other — executors of different PDES partitions arrive
+// concurrently (hence the lock), and after a crash each executor
+// ghost-walks the whole sequence from instance 0 on its own (hence
+// every instance's plan is kept for the length of the attempt).
 //
 // A redundant read (see markRedundant) is skipped once its section has
 // been delivered, by this or an earlier loop: delivered holds the keys
@@ -45,7 +47,9 @@ type Planner struct {
 	mu        sync.Mutex
 	pre       bool
 	delivered map[string]bool
-	plans     []*Plan
+	planned   []Instance
+	// lastSched is the schedule each loop was last planned on.
+	lastSched map[any]*Schedule
 	// last is the most recent plan with a skip set of each schedule. A
 	// loop in steady state skips the same transfers every time, so its
 	// instances share one.
@@ -58,38 +62,49 @@ func NewPlanner(level Level) *Planner {
 	return &Planner{
 		pre:       level >= OptPRE,
 		delivered: map[string]bool{},
+		lastSched: map[any]*Schedule{},
 		last:      map[*Schedule]*Plan{},
 	}
 }
 
-// Plans returns the plans of the loop instances planned so far, in
-// instance order.
-func (pn *Planner) Plans() []*Plan {
-	pn.mu.Lock()
-	defer pn.mu.Unlock()
-	return slices.Clone(pn.plans)
+// Instance is one planned loop instance: the loop's key and the plan.
+type Instance struct {
+	Key  any
+	Plan *Plan
 }
 
-// At returns the plan of loop instance k, whose schedule the caller
-// instantiated as s. A node asks for instance k only after asking for
-// every earlier one.
-func (pn *Planner) At(k int, s *Schedule) *Plan {
+// Instances returns the loop instances planned so far, in order.
+func (pn *Planner) Instances() []Instance {
+	pn.mu.Lock()
+	defer pn.mu.Unlock()
+	return slices.Clone(pn.planned)
+}
+
+// At returns the plan of loop instance k, an instance of the loop
+// identified by key whose schedule the caller instantiated as s. A node
+// asks for instance k only after asking for every earlier one.
+func (pn *Planner) At(k int, key any, s *Schedule) *Plan {
 	pn.mu.Lock()
 	defer pn.mu.Unlock()
 	switch {
-	case k > len(pn.plans):
-		panic(fmt.Sprintf("compiler: plan of loop instance %d requested when only %d are planned", k, len(pn.plans)))
-	case k == len(pn.plans):
-		pn.plans = append(pn.plans, pn.plan(s))
-	case pn.plans[k].Sched != s:
+	case k > len(pn.planned):
+		panic(fmt.Sprintf("compiler: plan of loop instance %d requested when only %d are planned", k, len(pn.planned)))
+	case k == len(pn.planned):
+		pn.planned = append(pn.planned, Instance{key, pn.plan(key, s)})
+	case pn.planned[k].Plan.Sched != s:
 		panic(fmt.Sprintf("compiler: two nodes instantiated different schedules for loop instance %d", k))
 	}
-	return pn.plans[k]
+	return pn.planned[k].Plan
 }
 
-func (pn *Planner) plan(s *Schedule) *Plan {
+func (pn *Planner) plan(key any, s *Schedule) *Plan {
+	repeat := pn.lastSched[key] == s
+	pn.lastSched[key] = s
 	x := s.liveIndex()
-	base := &x.base
+	base := &x.first
+	if repeat {
+		base = &x.again
+	}
 	if !pn.pre || len(x.liveReads) == 0 {
 		return base
 	}
@@ -107,10 +122,10 @@ func (pn *Planner) plan(s *Schedule) *Plan {
 	if left == base.LiveReads {
 		return base
 	}
-	if pl := pn.last[s]; pl != nil && slices.Equal(pl.skip, skip) {
+	if pl := pn.last[s]; pl != nil && pl.Repeat == repeat && slices.Equal(pl.skip, skip) {
 		return pl
 	}
-	pl := &Plan{Sched: s, LiveReads: left, LiveWrites: base.LiveWrites, skip: slices.Clone(skip)}
+	pl := &Plan{Sched: s, LiveReads: left, LiveWrites: base.LiveWrites, Repeat: repeat, skip: slices.Clone(skip)}
 	pn.last[s] = pl
 	return pl
 }

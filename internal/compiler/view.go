@@ -34,9 +34,10 @@ type nodeIndex struct {
 	off []int32
 	idx []int32
 	// In the live index only: every live read of the schedule, ascending,
-	// and the plan of an instance in which PRE skips none of them.
-	liveReads []int32
-	base      Plan
+	// and the plans of an instance in which PRE skips none of them — the
+	// loop's first on this schedule, and a repeat.
+	liveReads    []int32
+	first, again Plan
 }
 
 // View returns node p's live transfers, those with a block-aligned
@@ -127,6 +128,8 @@ func buildIndex(s *Schedule, liveOnly bool) *nodeIndex {
 			liveWrites++
 		}
 	}
-	x.base = Plan{Sched: s, LiveReads: len(x.liveReads), LiveWrites: liveWrites}
+	x.first = Plan{Sched: s, LiveReads: len(x.liveReads), LiveWrites: liveWrites}
+	x.again = x.first
+	x.again.Repeat = true
 	return x
 }

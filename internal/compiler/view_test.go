@@ -140,7 +140,7 @@ func TestNodeViewsMatchBruteForce(t *testing.T) {
 				live := func(x *Transfer) bool { return x.NumBlocks > 0 }
 				checkViews(t, s, c.np, s.View, live, true)
 				checkViews(t, s, c.np, s.SectionView, func(*Transfer) bool { return true }, false)
-				pl := NewPlanner(OptRTElim).At(0, s)
+				pl := NewPlanner(OptRTElim).At(0, label, s)
 				if want := filter(s.Reads, live); !slices.Equal(pl.LiveReadIndexes(), want) || pl.LiveReads != len(want) {
 					t.Fatalf("%s: plan has %d live reads %v, brute force %v", label, pl.LiveReads, pl.LiveReadIndexes(), want)
 				}
@@ -198,10 +198,23 @@ func TestPlannerSkipsDeliveredRedundantReads(t *testing.T) {
 	}
 
 	// Below OptPRE nothing is ever skipped.
+	// A loop's instance repeats when its last one had the same schedule.
+	loops := []any{l1, l2}
 	rt := NewPlanner(OptRTElim)
 	for k, s := range []*Schedule{s1, s2, s1, s2} {
-		if pl := rt.At(k, s); pl.LiveReads != live || pl.Skips(0) {
+		pl := rt.At(k, loops[k%2], s)
+		if pl.LiveReads != live || pl.Skips(0) {
 			t.Fatalf("rtelim instance %d: %d live reads, skips(0)=%v", k, pl.LiveReads, pl.Skips(0))
+		}
+		if pl.Repeat != (k >= 2) {
+			t.Fatalf("rtelim instance %d: repeat = %v", k, pl.Repeat)
+		}
+	}
+	// The same loop on another schedule does not repeat, and neither
+	// does its return to the first.
+	for k, s := range []*Schedule{s2, s1} {
+		if rt.At(4+k, l1, s).Repeat {
+			t.Fatalf("rtelim instance %d: a changed schedule counted as a repeat", 4+k)
 		}
 	}
 
@@ -209,13 +222,13 @@ func TestPlannerSkipsDeliveredRedundantReads(t *testing.T) {
 	// second loop's reads of the same sections, and every later
 	// instance's, are skipped.
 	pre := NewPlanner(OptPRE)
-	first := pre.At(0, s1)
+	first := pre.At(0, l1, s1)
 	if first.LiveReads != live {
 		t.Fatalf("first instance: %d of %d reads live", first.LiveReads, live)
 	}
 	var steady [2]*Plan
-	for k, s := range []*Schedule{s2, s1, s2, s1} {
-		pl := pre.At(k+1, s)
+	for k, s := range []*Schedule{s2, s1, s2, s1, s2, s1} {
+		pl := pre.At(k+1, loops[(k+1)%2], s)
 		if pl.LiveReads != 0 {
 			t.Fatalf("instance %d: %d reads still live", k+1, pl.LiveReads)
 		}
@@ -224,18 +237,20 @@ func TestPlannerSkipsDeliveredRedundantReads(t *testing.T) {
 				t.Fatalf("instance %d: read %d not skipped", k+1, i)
 			}
 		}
-		// A loop in steady state gets the same plan every time.
-		if k >= 2 && steady[k%2] != pl {
+		// A loop in steady state (from its second repeat on: the first
+		// instance and the first repeat differ in the flag) gets the
+		// same plan every time.
+		if k >= 4 && steady[k%2] != pl {
 			t.Fatalf("instance %d: steady-state plan not shared", k+1)
 		}
 		steady[k%2] = pl
 	}
 	// A second node asking for the same instances reads the same plans.
-	if pre.At(0, s1) != first || pre.At(3, s2) != steady[0] {
+	if pre.At(0, l1, s1) != first || pre.At(5, l2, s2) != steady[0] {
 		t.Fatal("second reader got a different plan")
 	}
-	if n := len(pre.Plans()); n != 5 {
-		t.Fatalf("planned %d instances, want 5", n)
+	if n := len(pre.Instances()); n != 7 {
+		t.Fatalf("planned %d instances, want 7", n)
 	}
 }
 
@@ -254,9 +269,9 @@ func TestPlannerPanicsOnDivergingNodes(t *testing.T) {
 		f()
 	}
 	pn := NewPlanner(OptPRE)
-	pn.At(0, s1)
-	mustPanic("different schedules for loop instance 0", func() { pn.At(0, s2) })
-	mustPanic("instance 2 requested when only 1", func() { pn.At(2, s1) })
+	pn.At(0, l1, s1)
+	mustPanic("different schedules for loop instance 0", func() { pn.At(0, l2, s2) })
+	mustPanic("instance 2 requested when only 1", func() { pn.At(2, l1, s1) })
 }
 
 // TestPlannerAndIndexFromConcurrentNodes: executors of different PDES
@@ -282,7 +297,7 @@ func TestPlannerAndIndexFromConcurrentNodes(t *testing.T) {
 				if !slices.Equal(v.ReadRecv, want) {
 					t.Errorf("node %d instance %d: ReadRecv %v, brute force %v", p, k, v.ReadRecv, want)
 				}
-				got[p] = append(got[p], pn.At(k, s))
+				got[p] = append(got[p], pn.At(k, k%2, s))
 			}
 		}(p)
 	}

@@ -45,15 +45,20 @@ type exec struct {
 	prov *analysis.ProvIndex
 
 	// plans hands out each loop instance's cluster-wide plan (PRE skips,
-	// global live counts), shared by the attempt's executors; inst
-	// numbers the instances this executor has been through.
+	// global live counts, the repeat flag), shared by the attempt's
+	// executors; inst numbers the instances this executor has been
+	// through, and plan is the current one's (nil between loops and
+	// below OptBase).
 	plans *compiler.Planner
 	inst  int
-	// Replicated run-time-elimination state: the schedule last executed
-	// for each loop. Barriers and tag work can be skipped only when the
-	// instantiated schedule is unchanged — the paper's "same range of
-	// blocks" test.
-	lastSched map[any]*compiler.Schedule
+	plan  *compiler.Plan
+
+	// em walks the Section 4.2 sequence into live — the protocol — or,
+	// while replaying after a crash, into a ghostCalls around it; p is
+	// the node's compute process, which the sinks' calls run on.
+	em   compiler.Emitter
+	live compiler.Calls
+	p    *sim.Proc
 
 	// loops is the program's compiled form (see fastloop.go), built once
 	// per attempt and shared read-only by every node's executor.
@@ -61,75 +66,51 @@ type exec struct {
 	// cur is the statement being executed, for fault diagnostics.
 	cur ir.Stmt
 
-	// Role-classification scratch reused across preLoopComm calls, so
-	// the per-loop grouping allocates nothing in steady state.
-	sendOut, takeOut, recvIn, flushIn []protocol.BlockRun
-
-	// Ghost fast-forward (crash recovery). A restored run replays the
-	// program's control flow from the beginning with every side effect
-	// suppressed — no protocol calls, no compute cost, no cluster
-	// barriers — while counting the synchronization epochs the original
-	// run completed. When the local count reaches resumeEpoch (the
-	// checkpoint's epoch) the executor flips live, possibly in the
-	// middle of a pre/post-loop communication sequence, and continues
-	// exactly where the restored protocol state says the machine stands.
-	// Replicated executor state (scalars, lastSched) and the attempt's
-	// shared plans are reconstructed by the walk itself; reduction
-	// results are replayed from the checkpoint's journal instead of
-	// being recomputed.
-	ghost       bool
-	ghostEpoch  int64
-	resumeEpoch int64
-	journal     []float64 // completed reductions, generation order
-	ghostGen    int       // next journal entry to replay
+	ghostState
 }
 
-// setResume arms ghost fast-forward up to the checkpoint epoch.
-func (e *exec) setResume(epoch int64, journal []float64) {
-	if epoch <= 0 {
-		return // initial-state checkpoint: run live from the start
-	}
-	e.ghost = true
-	e.resumeEpoch = epoch
-	e.journal = journal
+// liveCalls is the executor's sink of the Section 4.2 sequence: every
+// call goes to the node's protocol extensions.
+type liveCalls struct{ *exec }
+
+func (l liveCalls) MkWritable(b []protocol.BlockRun) { l.x.MkWritable(l.p, b) }
+func (l liveCalls) ImplicitWritable(b []protocol.BlockRun) {
+	l.x.ImplicitWritable(l.p, b, l.opt >= compiler.OptRTElim)
+}
+func (l liveCalls) Expect(n int)                             { l.x.ExpectBlocks(n) }
+func (l liveCalls) ReadyToRecv()                             { l.x.ReadyToRecv(l.p) }
+func (l liveCalls) ImplicitInvalidate(b []protocol.BlockRun) { l.x.ImplicitInvalidate(l.p, b) }
+func (l liveCalls) Barrier()                                 { l.cluster.Barrier(l.p, l.n) }
+func (l liveCalls) Drain()                                   { l.x.DrainAggregated(l.p) }
+
+func (l liveCalls) Send(t *compiler.Transfer) {
+	l.x.SendBlocks(l.p, t.Receiver, t.Blocks, l.mode(t, false))
 }
 
-// barrier enters a cluster-wide barrier — or, while ghosting, merely
-// counts the epoch the original run completed here.
-func (e *exec) barrier(p *sim.Proc) {
-	if e.ghost {
-		e.ghostTick()
-		return
-	}
-	e.cluster.Barrier(p, e.n)
+func (l liveCalls) Flush(t *compiler.Transfer) {
+	l.x.FlushBlocks(l.p, t.Receiver, t.Blocks, l.mode(t, true))
 }
 
-func (e *exec) ghostTick() {
-	e.ghostEpoch++
-	if e.ghostEpoch >= e.resumeEpoch {
-		e.ghost = false
-	}
+// mode is a transfer's transport, from the current schedule's
+// expected-byte matrices and the machine's aggregation threshold.
+func (l liveCalls) mode(t *compiler.Transfer, write bool) protocol.SendMode {
+	mc := l.n.MC
+	return l.plan.Sched.Mode(l.opt, t.Sender, t.Receiver, write, mc.BlockSize, mc.EffectiveAggThreshold())
 }
 
-// ghostReduce replays a completed reduction from the checkpoint
-// journal and counts its epoch.
-func (e *exec) ghostReduce() float64 {
-	if e.ghostGen >= len(e.journal) {
-		panic(fmt.Sprintf("runtime: ghost replay needs reduction %d but the checkpoint journal holds %d", e.ghostGen, len(e.journal)))
-	}
-	v := e.journal[e.ghostGen]
-	e.ghostGen++
-	e.ghostTick()
-	return v
-}
+// teeCalls, when a test sets it, wraps each node's live sink.
+var teeCalls func(node int, live compiler.Calls) compiler.Calls
 
 func newExec(prog *ir.Program, an *compiler.Analysis, layouts map[*ir.Array]sections.Layout, loops map[ir.Stmt]*fastLoop,
 	cluster *tempest.Cluster, n *tempest.Node, x *protocol.Ext, opt compiler.Level) *exec {
 	e := &exec{
 		prog: prog, an: an, layouts: layouts, loops: loops, cluster: cluster, n: n, x: x, opt: opt,
-		env:       map[string]int{},
-		scalars:   map[string]float64{},
-		lastSched: map[any]*compiler.Schedule{},
+		env:     map[string]int{},
+		scalars: map[string]float64{},
+	}
+	e.live = liveCalls{e}
+	if teeCalls != nil {
+		e.live = teeCalls(n.ID, e.live)
 	}
 	// Map-to-map copy with distinct keys: the destination is identical
 	// under any visit order.
@@ -158,6 +139,7 @@ func (e *exec) run(p *sim.Proc) {
 		}
 	}()
 	e.n.SetProc(p)
+	e.p = p
 	e.stmts(p, e.prog.Body)
 	// Final synchronization so timing includes all nodes' completion.
 	e.barrier(p)
@@ -298,26 +280,19 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 		return
 	}
 
-	var sched *compiler.Schedule
 	if e.opt >= compiler.OptBase {
-		sched = e.an.Schedule(pl, rule, e.env)
+		sched := e.an.Schedule(pl, rule, e.env)
 		e.prov.RecordSchedule(pl.Label, sched)
 		e.invalidateIndirectFrames(p, rule)
 		e.preLoopComm(p, pl, sched)
 	}
-	if e.inspect && len(rule.IndirectArrays) > 0 && !e.ghost {
-		e.inspectIndirect(p, pl, pt)
-	}
-
 	if !e.ghost {
+		if e.inspect && len(rule.IndirectArrays) > 0 {
+			e.inspectIndirect(p, pl, pt)
+		}
 		e.runIterations(p, pl, pt)
 	}
-
-	if e.opt >= compiler.OptBase {
-		e.postLoopComm(p, sched, true)
-	} else {
-		e.barrier(p)
-	}
+	e.postLoopComm(false)
 }
 
 // inspectIndirect is the inspector phase for an irregular loop: it
@@ -371,11 +346,66 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 		lay := e.layouts[arr]
 		b0 := lay.Base / bs
 		b1 := (lay.Base + arr.Elems()*8 + bs - 1) / bs
-		for b := b0; b < b1; b++ {
-			if !e.x.IsFrame(b) || e.n.Mem.Tag(b) != memory.ReadWrite || e.n.Mem.Dirty(b) != 0 {
-				continue
-			}
+		stale = e.staleFrames(stale, protocol.BlockRun{Start: b0, N: b1 - b0})
+	}
+	if len(stale) > 0 {
+		e.x.ImplicitInvalidate(p, stale)
+	}
+}
+
+// staleFrames appends the blocks of br on which this node holds a frame
+// left behind by run-time elimination: compiler-controlled, readwrite,
+// with no unflushed word.
+func (e *exec) staleFrames(stale []protocol.BlockRun, br protocol.BlockRun) []protocol.BlockRun {
+	for b := br.Start; b < br.Start+br.N; b++ {
+		if e.x.IsFrame(b) && e.n.Mem.Tag(b) == memory.ReadWrite && e.n.Mem.Dirty(b) == 0 {
 			stale = appendBlock(stale, b)
+		}
+	}
+	return stale
+}
+
+// preLoopComm makes the loop instance's plan current, does the hygiene
+// that depends on run-time state and is no part of the contract, and
+// walks the Figure 2 sequence up to the loop body. The node's own share
+// of the schedule is its view; what the whole cluster must agree on —
+// which reads PRE skips, whether any live transfer is left, whether the
+// schedule repeats — comes from the instance's shared plan.
+func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
+	e.plan = e.plans.At(e.inst, key, sched)
+	e.inst++
+	// Skipped while ghosting: memory tags are the restored future state,
+	// and the hygiene's effect is already in it.
+	if !e.ghost {
+		if e.opt >= compiler.OptRTElim {
+			e.invalidateStaleEdges(p, sched)
+		}
+		if e.edgePf {
+			e.prefetchEdges(p, e.plan)
+		}
+	}
+	e.em.Pre(e.plan, e.n.ID, e.opt, e.calls())
+}
+
+// postLoopComm walks the rest of the sequence, restoring consistency
+// after the loop body (below OptBase: the closing barrier alone).
+func (e *exec) postLoopComm(reduce bool) {
+	e.em.Post(e.plan, e.n.ID, e.opt, reduce, e.calls())
+	e.plan = nil
+}
+
+// invalidateStaleEdges: under run-time elimination, frames persist with
+// stale contents between transfers. Before this loop reads any block
+// through the default protocol (a transfer's edge), the reader destroys
+// its own stale frames covering that block — otherwise the readwrite
+// tag would satisfy the edge read silently. This is the "extra work
+// required for dealing with overlapping ranges" the paper mentions and
+// omits.
+func (e *exec) invalidateStaleEdges(p *sim.Proc, sched *compiler.Schedule) {
+	var stale []protocol.BlockRun
+	for _, i := range sched.View(e.n.ID).ReadEdges {
+		for _, br := range sched.Reads[i].EdgeBlocks {
+			stale = e.staleFrames(stale, br)
 		}
 	}
 	if len(stale) > 0 {
@@ -383,229 +413,41 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 	}
 }
 
-// preLoopComm runs the Figure 2 sequence before the loop body. The node
-// walks its own view of the schedule; what the whole cluster must agree
-// on — which reads PRE skips, whether any live transfer is left — comes
-// from the instance's shared plan.
-func (e *exec) preLoopComm(p *sim.Proc, key any, sched *compiler.Schedule) {
-	me := e.n.ID
-	v := sched.View(me)
-	plan := e.plans.At(e.inst, sched)
-	e.inst++
-	rtElim := e.opt >= compiler.OptRTElim
-	sameSched := e.lastSched[key] == sched
-	e.lastSched[key] = sched
-
-	// Under run-time elimination, frames persist with stale contents
-	// between transfers. Before this loop reads any block through the
-	// default protocol (a transfer's edge), the reader destroys its own
-	// stale frames covering that block — otherwise the readwrite tag
-	// would satisfy the edge read silently. This is the "extra work
-	// required for dealing with overlapping ranges" the paper mentions
-	// and omits. (Skipped while ghosting: memory tags are the restored
-	// future state, and the invalidation's effect is already in it.)
-	if rtElim && !e.ghost {
-		var stale []protocol.BlockRun
-		for _, i := range v.ReadEdges {
-			for _, br := range sched.Reads[i].EdgeBlocks {
-				for b := br.Start; b < br.Start+br.N; b++ {
-					if !e.x.IsFrame(b) || e.n.Mem.Tag(b) != memory.ReadWrite || e.n.Mem.Dirty(b) != 0 {
-						continue
-					}
-					stale = appendBlock(stale, b)
+// prefetchEdges issues advisory prefetches for the edge blocks this node
+// will demand-read through the default protocol during the loop, ahead
+// of the sequence so responses overlap the whole setup-and-transfer
+// phase. Blocks under compiler control in this loop — on any node, hence
+// the one walk beyond the node's own view — are excluded: prefetching
+// them would downgrade their senders.
+func (e *exec) prefetchEdges(p *sim.Proc, plan *compiler.Plan) {
+	sched := plan.Sched
+	cc := map[int]bool{}
+	for _, i := range plan.LiveReadIndexes() {
+		if plan.Skips(i) {
+			continue
+		}
+		for _, br := range sched.Reads[i].Blocks {
+			for b := br.Start; b < br.Start+br.N; b++ {
+				cc[b] = true
+			}
+		}
+	}
+	var edges []protocol.BlockRun
+	for _, i := range sched.View(e.n.ID).ReadRecv {
+		if plan.Skips(i) {
+			continue
+		}
+		for _, br := range sched.Reads[i].EdgeBlocks {
+			for b := br.Start; b < br.Start+br.N; b++ {
+				if cc[b] {
+					continue
 				}
+				edges = appendBlock(edges, b)
 			}
 		}
-		if len(stale) > 0 {
-			e.x.ImplicitInvalidate(p, stale)
-		}
 	}
-
-	if plan.LiveReads+plan.LiveWrites == 0 {
-		// No compiler-controlled communication this loop (possibly all
-		// skipped by PRE): nothing to set up.
-		return
-	}
-
-	// Advisory prefetch of the edge blocks we will demand-read through
-	// the default protocol during the loop: issued first, so responses
-	// overlap the whole setup-and-transfer phase. Blocks under compiler
-	// control in this loop — on any node, hence the one walk beyond the
-	// node's own view — are excluded: prefetching them would downgrade
-	// their senders.
-	if e.edgePf && !e.ghost {
-		cc := map[int]bool{}
-		for _, i := range plan.LiveReadIndexes() {
-			if plan.Skips(i) {
-				continue
-			}
-			for _, br := range sched.Reads[i].Blocks {
-				for b := br.Start; b < br.Start+br.N; b++ {
-					cc[b] = true
-				}
-			}
-		}
-		var edges []protocol.BlockRun
-		for _, i := range v.ReadRecv {
-			if plan.Skips(i) {
-				continue
-			}
-			for _, br := range sched.Reads[i].EdgeBlocks {
-				for b := br.Start; b < br.Start+br.N; b++ {
-					if cc[b] {
-						continue
-					}
-					edges = appendBlock(edges, b)
-				}
-			}
-		}
-		if len(edges) > 0 {
-			e.x.Prefetch(p, edges)
-		}
-	}
-
-	sendOut, takeOut := e.sendOut[:0], e.takeOut[:0]
-	recvIn, flushIn := e.recvIn[:0], e.flushIn[:0]
-	recvBlocks := 0
-	for _, i := range v.ReadSend {
-		if !plan.Skips(i) {
-			sendOut = append(sendOut, sched.Reads[i].Blocks...)
-		}
-	}
-	for _, i := range v.ReadRecv {
-		if t := &sched.Reads[i]; !plan.Skips(i) {
-			recvIn = append(recvIn, t.Blocks...)
-			recvBlocks += t.NumBlocks
-		}
-	}
-	// Non-owner writes go through mk_writable: "the owner has to send
-	// the block to the writer, just as in the non-owner read case" — the
-	// writer takes write ownership through the directory (invalidating
-	// the home's copy) and receives the current contents it will
-	// partially overwrite.
-	for _, i := range v.WriteSend {
-		takeOut = append(takeOut, sched.Writes[i].Blocks...)
-	}
-	// The owner opens frames for the data flushed back after the loop.
-	for _, i := range v.WriteRecv {
-		flushIn = append(flushIn, sched.Writes[i].Blocks...)
-	}
-	e.sendOut, e.takeOut, e.recvIn, e.flushIn = sendOut, takeOut, recvIn, flushIn
-
-	// Step 1: senders and non-owner writers take their blocks writable.
-	// Read-side mk_writable is skippable under run-time elimination
-	// (the owner already holds them from the default protocol's
-	// effect); write-side is not — the paper's whole-program
-	// assumptions exclude non-owner writes, so where they exist the
-	// calls stay. The barrier orders step 1 before step 2 (a reader
-	// may be a block's home).
-	if !rtElim && len(sendOut) > 0 && !e.ghost {
-		e.x.MkWritable(p, sendOut)
-	}
-	if len(takeOut) > 0 && !e.ghost {
-		e.x.MkWritable(p, takeOut)
-	}
-	if !rtElim || plan.LiveWrites > 0 {
-		e.barrier(p)
-	}
-
-	// Step 2: receivers open readwrite frames for the incoming data;
-	// flush targets likewise for the post-loop writeback. (The walk can
-	// go live at the step-1 barrier, in which case the checkpoint holds
-	// the pre-step-2 state and everything below runs for real.)
-	if len(recvIn) > 0 && !e.ghost {
-		e.x.ImplicitWritable(p, recvIn, rtElim)
-	}
-	if len(flushIn) > 0 && !e.ghost {
-		e.x.ImplicitWritable(p, flushIn, rtElim)
-	}
-	if recvBlocks > 0 && !e.ghost {
-		e.x.ExpectBlocks(recvBlocks)
-	}
-
-	// Both sides ready before the transfer. Under run-time elimination
-	// the frames persist, so a repeat of the identical schedule can
-	// skip this barrier; a changed schedule (e.g. lu's per-step pivot
-	// column) cannot — receivers must open the new frames first.
-	if !rtElim || !sameSched {
-		e.barrier(p)
-	}
-
-	// The transfer: owners push, readers hold a counting semaphore.
-	// Each transfer's transport comes from the schedule's expected-byte
-	// matrices and the machine's aggregation threshold; the explicit
-	// drain closes the emission phase so aggregated carriers depart
-	// even when this node receives nothing (its readers are blocked in
-	// ReadyToRecv right now).
-	bs, thr := e.n.MC.BlockSize, e.n.MC.EffectiveAggThreshold()
-	if !e.ghost {
-		sent := false
-		for _, i := range v.ReadSend {
-			if plan.Skips(i) {
-				continue
-			}
-			t := &sched.Reads[i]
-			e.x.SendBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, me, t.Receiver, false, bs, thr))
-			sent = true
-		}
-		if sent {
-			e.x.DrainAggregated(p)
-		}
-		if recvBlocks > 0 {
-			e.x.ReadyToRecv(p)
-		}
-	}
-}
-
-// postLoopComm restores consistency after the loop body.
-func (e *exec) postLoopComm(p *sim.Proc, sched *compiler.Schedule, closingBarrier bool) {
-	me := e.n.ID
-	v := sched.View(me)
-	rtElim := e.opt >= compiler.OptRTElim
-
-	// Non-owner writes flush back to the owner, who waits for them.
-	flushIn := 0
-	for _, i := range v.WriteRecv {
-		flushIn += sched.Writes[i].NumBlocks
-	}
-	bs, thr := e.n.MC.BlockSize, e.n.MC.EffectiveAggThreshold()
-	if !e.ghost && len(v.WriteSend) > 0 {
-		for _, i := range v.WriteSend {
-			t := &sched.Writes[i]
-			e.x.FlushBlocks(p, t.Receiver, t.Blocks, sched.Mode(e.opt, me, t.Receiver, true, bs, thr))
-		}
-		// Close the flush epoch: aggregated data and piggybacked
-		// directory updates depart before the closing barrier.
-		e.x.DrainAggregated(p)
-	}
-
-	// The loop's closing barrier (a reduction's AllReduce already
-	// synchronized).
-	if closingBarrier {
-		e.barrier(p)
-	}
-
-	if flushIn > 0 && !e.ghost {
-		e.x.ExpectBlocks(flushIn)
-		e.x.ReadyToRecv(p)
-	}
-
-	// Readers re-invalidate their frames so the directory's belief
-	// (sender holds the only copy) is true again. Eliminated under the
-	// whole-program assumptions (the frames are refilled next time).
-	// The condition is on the global schedule, so every node agrees on
-	// whether the extra barrier happens.
-	if !rtElim && len(sched.Reads) > 0 {
-		if !e.ghost {
-			var recvIn []protocol.BlockRun
-			for _, i := range v.ReadRecv {
-				recvIn = append(recvIn, sched.Reads[i].Blocks...)
-			}
-			if len(recvIn) > 0 {
-				e.x.ImplicitInvalidate(p, recvIn)
-			}
-		}
-		e.barrier(p)
+	if len(edges) > 0 {
+		e.x.Prefetch(p, edges)
 	}
 }
 
@@ -656,11 +498,10 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 	rule := e.an.ReduceRuleOf(rd)
 	pt := e.an.Partition(rd, rule, e.env)
 
-	var sched *compiler.Schedule
 	if e.mp != nil {
 		e.mpPreLoop(p, e.an.Schedule(rd, rule, e.env))
 	} else if e.opt >= compiler.OptBase {
-		sched = e.an.Schedule(rd, rule, e.env)
+		sched := e.an.Schedule(rd, rule, e.env)
 		e.prov.RecordSchedule(rd.Label, sched)
 		e.preLoopComm(p, rd, sched)
 	}
@@ -677,8 +518,8 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 		e.scalars[rd.Target] = e.cluster.AllReduce(p, e.n, allReduceOp(rd.Op), partial)
 	}
 
-	if e.mp == nil && e.opt >= compiler.OptBase {
-		e.postLoopComm(p, sched, false)
+	if e.mp == nil {
+		e.postLoopComm(true)
 	}
 }
 

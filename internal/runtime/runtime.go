@@ -328,29 +328,9 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		cluster *tempest.Cluster
 	)
 	if opt.Partitions > 1 {
-		// Conservative PDES: one Env per partition, nodes split in
-		// contiguous runs (node i -> partition i*P/N), cross-partition
-		// sends routed through the window scheduler's mailbox. The
-		// lookahead is the machine's minimum message latency: header
-		// serialization plus the wire latency, the floor of any
-		// cross-node delivery delay.
-		parts := opt.Partitions
-		penvs := make([]*sim.Env, parts)
-		for i := range penvs {
-			penvs[i] = sim.NewEnvAt(startAt)
-		}
-		part := make([]int, mc.Nodes)
-		nodeEnvs := make([]*sim.Env, mc.Nodes)
-		for i := range part {
-			part[i] = i * parts / mc.Nodes
-			nodeEnvs[i] = penvs[part[i]]
-		}
-		shards = sim.NewShards(penvs, mc.MsgTime(0))
-		post := func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
-			shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
-		}
-		cluster = tempest.NewPartitionedCluster(nodeEnvs, sp, post)
-		env = penvs[0]
+		// Conservative PDES: one Env per partition.
+		cluster, shards = tempest.NewShardedCluster(sp, opt.Partitions, startAt)
+		env = cluster.Env
 	} else {
 		env = sim.NewEnvAt(startAt)
 		cluster = tempest.NewCluster(env, sp)

@@ -569,6 +569,32 @@ func NewPartitionedCluster(envs []*sim.Env, sp *memory.Space, post network.PostF
 	return c
 }
 
+// NewShardedCluster builds a partitioned cluster together with the
+// window scheduler that runs it: parts partition environments with
+// their clocks at startAt, the nodes split among them in contiguous
+// runs (node i in partition i*parts/N), cross-partition sends routed
+// through the scheduler's mailbox. The lookahead is the machine's
+// minimum message latency: header serialization plus the wire latency,
+// the floor of any cross-node delivery delay.
+func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster, *sim.Shards) {
+	mc := sp.Machine()
+	penvs := make([]*sim.Env, parts)
+	for i := range penvs {
+		penvs[i] = sim.NewEnvAt(startAt)
+	}
+	part := make([]int, mc.Nodes)
+	nodeEnvs := make([]*sim.Env, mc.Nodes)
+	for i := range part {
+		part[i] = i * parts / mc.Nodes
+		nodeEnvs[i] = penvs[part[i]]
+	}
+	shards := sim.NewShards(penvs, mc.MsgTime(0))
+	post := func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
+		shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
+	}
+	return NewPartitionedCluster(nodeEnvs, sp, post), shards
+}
+
 // assemble builds and binds the per-node state; envOf maps a node id
 // to the Env its events run on.
 func (c *Cluster) assemble(envOf func(int) *sim.Env) {
