@@ -17,14 +17,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The sim kernel hands control between goroutines through unbuffered
-# channels; the race detector is the proof that the one-runnable-
-# goroutine discipline holds everywhere, including the fault-injection
-# and reliable-delivery layer. Instrumentation slows the differential
-# suites ~10x, so the gate sets its own deadline instead of relying on
-# go test's 10-minute default.
+# The sim kernel switches between process coroutines (iter.Pull) on one
+# thread of control; the race detector is the proof that no two ever
+# run at once, including under the fault-injection and
+# reliable-delivery layer and when PDES workers drive them.
+# Instrumentation slows the differential suites ~10x, so the gate sets
+# its own deadline instead of relying on go test's 10-minute default.
+# The kernel's own tests run again on one and on four Ps.
 race:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -cpu 1,4 ./internal/sim
 
 # Static verification: the schedule contract checker and IR race
 # analysis over every shipped application, all optimization levels.

@@ -512,7 +512,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		var ce *crashError
 		if errors.As(err, &ce) {
 			// Tear down the aborted attempt completely (every parked
-			// goroutine unwinds) before the caller rebuilds.
+			// coroutine unwinds) before the caller rebuilds.
 			env.Shutdown()
 			rec.checksBefore += cluster.BarrierChecks()
 			if cerr := cluster.CheckErr(); cerr != nil {
@@ -522,7 +522,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		}
 		var fe *fault
 		if errors.As(err, &fe) {
-			env.Shutdown() // the other nodes' parked goroutines unwind
+			env.Shutdown() // the other nodes' parked coroutines unwind
 		}
 		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 	}

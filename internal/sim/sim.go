@@ -1,24 +1,26 @@
-//simlint:concurrent -- the coroutine scheduler hands control between process goroutines through unbuffered channels with exactly one runnable at any instant; the race detector proves the discipline dynamically
+//simlint:concurrent -- processes are iter.Pull coroutines: the scheduler and every process body share one thread of control that next/yield pass back and forth, never two at once; the race detector checks it dynamically
 
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel drives two kinds of activity:
 //
-//   - Events: plain functions scheduled at a virtual time, executed in the
-//     scheduler's goroutine. Protocol message handlers are events.
-//   - Processes: goroutine-backed coroutines that can block on virtual time
+//   - Events: plain functions scheduled at a virtual time, executed in
+//     scheduler context. Protocol message handlers are events.
+//   - Processes: coroutines (iter.Pull) that can block on virtual time
 //     (Sleep) or on conditions (Signal, Counter). Compute threads of the
 //     simulated cluster nodes are processes.
 //
-// Exactly one goroutine is runnable at any instant: the scheduler hands
-// control to a process and waits for it to yield before touching the event
-// queue again. Simultaneous events are ordered by issue sequence number.
-// Together these rules make every simulation bit-reproducible, which the
-// test suite exploits by asserting exact message and miss counts.
+// A dispatch is one coroutine switch into the process and one back when
+// it blocks or finishes, so the scheduler and the processes are a single
+// thread of control. Simultaneous events are ordered by a total key
+// (locals by issue sequence, deliveries by their message key). Together
+// these rules make every simulation bit-reproducible, which the test
+// suite exploits by asserting exact message and miss counts.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -33,92 +35,114 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
-// event is one pending occurrence. Three mutually exclusive payloads
-// avoid per-event closure allocation on the hot paths: proc dispatches
-// (Sleep, wake, Spawn) carry the process directly, argument-style
-// events (network delivery) carry a shared function plus its argument,
-// and everything else uses a plain closure. Exactly one of proc, afn,
-// fn is set.
-type event struct {
-	t    Time
-	seq  uint64
-	proc *Proc     // dispatch this process
-	afn  func(any) // shared function applied to arg
-	arg  any
-	fn   func()
-
-	// Delivery ordering key (ScheduleDelivery). Message deliveries
-	// carry a schedule-independent tie-break — (send time, source id,
-	// per-source sequence) — instead of relying on heap insertion
-	// order, so two executions that schedule the same deliveries in
-	// different orders (the sequential loop vs the partitioned window
-	// scheduler) still pop them identically. del marks the event as a
-	// delivery; locals sort before deliveries at the same instant.
-	del   bool
-	dsent Time
-	dsrc  int32
-	dseq  uint32
+// node is the part of a pending event the heap sifts: its time, its
+// tie-break packed into two integers, and the slab slot of its payload.
+// Pointer-free and 32 bytes, so a sift level moves half a cache line
+// and the collector never scans the heap array.
+//
+// The packed key reproduces the order (t, locals before deliveries,
+// then (sent, src, dseq) among deliveries, then issue seq):
+//
+//	local:    k1 = 0             k2 = seq
+//	delivery: k1 = 1<<63 | sent  k2 = src<<32 | dseq
+//
+// Issue sequence numbers are unique, so local keys never tie; two
+// deliveries that agree on the whole message key fall back to the seq
+// kept in their payloads.
+type node struct {
+	t      Time
+	k1, k2 uint64
+	slot   uint32
 }
 
-// eventHeap is an index-free 4-ary min-heap ordered by (t, delivery
-// key, seq). The keys are unique, so the heap order is a total order
-// and the pop sequence does not depend on heap shape. 4-ary halves the
-// tree depth, and the flat value slice avoids container/heap's
-// interface boxing (one allocation per Push/Pop in the seed).
-type eventHeap []event
+// payload is what an event does. Three mutually exclusive forms avoid
+// per-event closure allocation on the hot paths: argument-style events
+// (network delivery) carry a shared function plus its argument, plain
+// events a closure, and a process dispatch (Sleep, wake, Spawn) neither
+// function, with the *Proc in arg. A free slot holds only the next free
+// slot's index (plus one) in seq.
+type payload struct {
+	afn func(any) // shared function applied to arg
+	arg any
+	fn  func()
+	seq uint64
+}
 
-func eventLess(a, b *event) bool {
+// deliveryKey marks k1 as a delivery's: locals (k1 = 0) sort first.
+const deliveryKey = 1 << 63
+
+// eventHeap is an index-free 4-ary min-heap of nodes over a slab of
+// payloads. The keys are unique, so the heap order is a total order and
+// the pop sequence does not depend on heap shape. Message deliveries
+// carry a schedule-independent tie-break — (send time, source id,
+// per-source sequence) — instead of relying on insertion order, so two
+// executions that schedule the same deliveries in different orders (the
+// sequential loop vs the partitioned window scheduler) still pop them
+// identically.
+type eventHeap struct {
+	nodes []node
+	slab  []payload
+	free  uint32 // head of the free-slot list, as slot+1; 0 when empty
+}
+
+func (h *eventHeap) less(a, b *node) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.del != b.del {
-		return !a.del // locals before deliveries at the same instant
+	if a.k1 != b.k1 {
+		return a.k1 < b.k1
 	}
-	if a.del {
-		if a.dsent != b.dsent {
-			return a.dsent < b.dsent
-		}
-		if a.dsrc != b.dsrc {
-			return a.dsrc < b.dsrc
-		}
-		if a.dseq != b.dseq {
-			return a.dseq < b.dseq
-		}
+	if a.k2 != b.k2 {
+		return a.k2 < b.k2
 	}
-	return a.seq < b.seq
+	return h.slab[a.slot].seq < h.slab[b.slot].seq
 }
 
-func (h eventHeap) peekTime() Time { return h[0].t }
-func (h eventHeap) empty() bool    { return len(h) == 0 }
+func (h *eventHeap) peekTime() Time { return h.nodes[0].t }
+func (h *eventHeap) empty() bool    { return len(h.nodes) == 0 }
 
-// push inserts one event, sifting up through the 4-ary order.
+// push stores pl in a free slab slot and inserts its node, moving the
+// hole up through the 4-ary order.
 //
 //simlint:hotpath
-func (hp *eventHeap) push(e event) {
+func (h *eventHeap) push(t Time, k1, k2 uint64, pl payload) {
+	slot := h.free
+	if slot != 0 {
+		slot--
+		h.free = uint32(h.slab[slot].seq)
+		h.slab[slot] = pl
+	} else {
+		slot = uint32(len(h.slab))
+		//simlint:ignore hotalloc -- the slab grows to the queue's high-water mark once per run; steady state recycles slots through the free list
+		h.slab = append(h.slab, pl)
+	}
+	nd := node{t: t, k1: k1, k2: k2, slot: slot}
 	//simlint:ignore hotalloc -- the heap grows to its high-water mark once per run; steady state reuses the slice capacity (bench gate holds allocs/op at the PR 3 floor)
-	h := append(*hp, e)
-	i := len(h) - 1
+	ns := append(h.nodes, nd)
+	i := len(ns) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(&h[i], &h[p]) {
+		if !h.less(&nd, &ns[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		ns[i] = ns[p]
 		i = p
 	}
-	*hp = h
+	ns[i] = nd
+	h.nodes = ns
 }
 
-// pop removes the minimum event, sifting the tail down.
+// pop removes the minimum event, moving the hole down to where the tail
+// node fits, and frees its slab slot (zeroed, so the slab pins neither
+// the function nor its argument).
 //
 //simlint:hotpath
-func (hp *eventHeap) pop() event {
-	h := *hp
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop references so the backing array doesn't pin them
-	h = h[:n]
+func (h *eventHeap) pop() (Time, payload) {
+	ns := h.nodes
+	top := ns[0]
+	n := len(ns) - 1
+	last := ns[n]
+	ns = ns[:n]
 	i := 0
 	for {
 		c := 4*i + 1
@@ -131,18 +155,24 @@ func (hp *eventHeap) pop() event {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if eventLess(&h[j], &h[m]) {
+			if h.less(&ns[j], &ns[m]) {
 				m = j
 			}
 		}
-		if !eventLess(&h[m], &h[i]) {
+		if !h.less(&ns[m], &last) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		ns[i] = ns[m]
 		i = m
 	}
-	*hp = h
-	return top
+	if n > 0 {
+		ns[i] = last
+	}
+	h.nodes = ns
+	pl := h.slab[top.slot]
+	h.slab[top.slot] = payload{seq: uint64(h.free)}
+	h.free = top.slot + 1
+	return top.t, pl
 }
 
 // Env is a simulation environment: an event queue plus a virtual clock.
@@ -153,10 +183,9 @@ type Env struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	yield   chan struct{} // process -> scheduler handoff
-	blocked int           // processes alive but not schedulable
-	alive   int           // processes spawned and not yet finished
-	procs   []*Proc       // all spawned processes (diagnostics)
+	blocked int     // processes alive but not schedulable
+	alive   int     // processes spawned and not yet finished
+	procs   []*Proc // all spawned processes (diagnostics, Shutdown)
 
 	// Stall watchdog (SetWatchdog): if every live process stays blocked
 	// with no dispatch for wdHorizon of virtual time while events keep
@@ -174,7 +203,7 @@ type Env struct {
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // NewEnvAt returns an empty environment with the clock preset to t.
@@ -199,7 +228,7 @@ func (e *Env) Schedule(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, fn: fn})
+	e.events.push(t, 0, e.seq, payload{fn: fn})
 }
 
 // ScheduleArg runs fn(arg) at absolute virtual time t. It is the
@@ -213,7 +242,7 @@ func (e *Env) ScheduleArg(t Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, afn: fn, arg: arg})
+	e.events.push(t, 0, e.seq, payload{afn: fn, arg: arg})
 }
 
 // ScheduleDelivery runs fn(arg) at absolute virtual time t, ordered
@@ -224,16 +253,20 @@ func (e *Env) ScheduleArg(t Time, fn func(any), arg any) {
 // node id, and dseq a per-source sequence number — all three are
 // properties of the message itself, so the sequential event loop and
 // the partitioned window scheduler compute the identical pop order no
-// matter when the event was inserted.
+// matter when the event was inserted. The packed heap key needs
+// 0 <= sent <= t and 0 <= src < 2^31.
 //
 //simlint:hotpath
 func (e *Env) ScheduleDelivery(t, sent Time, src int, dseq uint32, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
 	}
+	if sent < 0 || sent > t || uint64(src) >= 1<<31 {
+		panic(fmt.Sprintf("sim: delivery key out of range: sent=%d t=%d src=%d", sent, t, src))
+	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, afn: fn, arg: arg,
-		del: true, dsent: sent, dsrc: int32(src), dseq: dseq})
+	e.events.push(t, deliveryKey|uint64(sent), uint64(src)<<32|uint64(dseq),
+		payload{afn: fn, arg: arg, seq: e.seq})
 }
 
 // scheduleProc enqueues a dispatch of p at time t without allocating.
@@ -241,24 +274,24 @@ func (e *Env) ScheduleDelivery(t, sent Time, src int, dseq uint32, fn func(any),
 //simlint:hotpath
 func (e *Env) scheduleProc(t Time, p *Proc) {
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, proc: p})
+	e.events.push(t, 0, e.seq, payload{arg: p})
 }
 
 // exec executes one popped event. This is the event-dispatch loop's
 // body: every simulated action in the model funnels through here.
 //
 //simlint:hotpath
-func (e *Env) exec(ev *event) {
+func (e *Env) exec(pl *payload) {
 	switch {
-	case ev.proc != nil:
-		e.stats.Dispatches++
-		e.dispatch(ev.proc)
-	case ev.afn != nil:
+	case pl.afn != nil:
 		e.stats.ArgEvents++
-		ev.afn(ev.arg)
-	default:
+		pl.afn(pl.arg)
+	case pl.fn != nil:
 		e.stats.FnEvents++
-		ev.fn()
+		pl.fn()
+	default:
+		e.stats.Dispatches++
+		e.dispatch(pl.arg.(*Proc))
 	}
 }
 
@@ -329,9 +362,9 @@ func (e *Env) stallError() error {
 //simlint:hotpath
 func (e *Env) Run() error {
 	for !e.events.empty() {
-		ev := e.events.pop()
-		e.now = ev.t
-		e.exec(&ev)
+		at, pl := e.events.pop()
+		e.now = at
+		e.exec(&pl)
 		if e.abortErr != nil {
 			return e.abortErr
 		}
@@ -366,25 +399,22 @@ func (e *Env) Abort(err error) {
 func (e *Env) Aborted() error { return e.abortErr }
 
 // Shutdown force-terminates every unfinished process so the environment
-// can be abandoned without leaking goroutines. Each parked goroutine is
-// poisoned: its next resume panics with a private sentinel that the
-// spawn wrapper recovers. Must be called after Run has returned; the
-// environment is unusable afterwards.
+// can be abandoned without leaking coroutines. A suspended process's
+// pending yield reports the stop and unwinds with a private sentinel
+// that the spawn wrapper recovers; one never dispatched never starts.
+// Must be called after Run has returned; the environment is unusable
+// afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
+		p.stop() // a no-op once the body has returned or panicked
+		p.done = true
 	}
 }
 
 // CrashProc removes p from the simulation: it is never dispatched or
 // woken again, and pending dispatch events for it become no-ops. If p
 // is the currently running process it unwinds at its next kernel call
-// instead. The goroutine itself stays parked until Shutdown reaps it.
+// instead. The coroutine itself stays suspended until Shutdown reaps it.
 func (e *Env) CrashProc(p *Proc) {
 	if p == nil || p.done || p.crashed {
 		return
@@ -403,9 +433,9 @@ func (e *Env) CrashProc(p *Proc) {
 // RunUntil executes events with time <= t, then sets the clock to t.
 func (e *Env) RunUntil(t Time) {
 	for !e.events.empty() && e.events.peekTime() <= t {
-		ev := e.events.pop()
-		e.now = ev.t
-		e.exec(&ev)
+		at, pl := e.events.pop()
+		e.now = at
+		e.exec(&pl)
 	}
 	if t > e.now {
 		e.now = t
@@ -427,9 +457,9 @@ func (e *Env) RunUntil(t Time) {
 //simlint:hotpath
 func (e *Env) RunWindow(limit Time) error {
 	for !e.events.empty() && e.events.peekTime() < limit {
-		ev := e.events.pop()
-		e.now = ev.t
-		e.exec(&ev)
+		at, pl := e.events.pop()
+		e.now = at
+		e.exec(&pl)
 		if e.abortErr != nil {
 			return e.abortErr
 		}
@@ -472,21 +502,22 @@ func (e *Env) blockedNames() string {
 	return s
 }
 
-// Proc is a simulated process: a goroutine that runs only when the
+// Proc is a simulated process: a coroutine that runs only when the
 // scheduler resumes it, and always returns control by blocking on a
 // kernel operation or by finishing.
 type Proc struct {
 	env     *Env
 	name    string
-	resume  chan struct{}
+	next    func() (struct{}, bool) // scheduler side: run the body to its next yield; false once it has returned
+	yield   func(struct{}) bool     // process side: suspend until the next dispatch; false after Shutdown
+	stop    func()                  // Shutdown: make the pending (or first) yield return false
 	done    bool
 	waiting bool // blocked on a condition (not a timer)
 	crashed bool // removed by CrashProc; never runs again
-	killed  bool // poisoned by Shutdown; next resume unwinds
 }
 
-// procKilled is the panic sentinel Shutdown's poison uses to unwind a
-// parked process goroutine; the spawn wrapper recovers it.
+// procKilled is the panic sentinel that unwinds a process body after
+// Shutdown or CrashProc; the spawn wrapper recovers it.
 var procKilled = new(struct{})
 
 // Name returns the process name given at Spawn.
@@ -510,25 +541,25 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // Spawn creates a process that will begin executing body at the current
-// virtual time. body runs in its own goroutine but only while scheduled.
+// virtual time. body runs on its own coroutine, only while dispatched.
 func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	e.procs = append(e.procs, p)
 	e.alive++
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != procKilled {
+				// The panic leaves Run through next() in dispatch, whose
+				// epilogue never runs: settle p here, so the caller can
+				// recover and still shut the environment down.
+				p.done, e.running = true, nil
+				e.alive--
 				panic(r)
 			}
-			p.done = true
-			e.yield <- struct{}{}
 		}()
-		<-p.resume
-		if p.killed {
-			panic(procKilled)
-		}
 		body(p)
-	}()
+	})
 	e.scheduleProc(e.now, p)
 	return p
 }
@@ -546,20 +577,18 @@ func (e *Env) dispatch(p *Proc) {
 	}
 	e.lastProgress = e.now
 	e.running = p
-	p.resume <- struct{}{}
-	<-e.yield
+	_, suspended := p.next()
 	e.running = nil
-	if p.done {
+	if !suspended {
+		p.done = true
 		e.alive--
 	}
 }
 
 // yieldToScheduler suspends the calling process until re-dispatched.
-// Must be called from p's own goroutine while it is the running process.
+// Must be called from p's own body while it is the running process.
 func (p *Proc) yieldToScheduler() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKilled)
 	}
 }

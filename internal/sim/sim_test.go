@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -290,11 +294,71 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEventHeap holds the queue at a fixed depth: every executed
+// event schedules one successor until b.N have run. Half the successors
+// are deliveries that land on shared instants, so their order is decided
+// by the packed (sent, src, dseq) key.
+func BenchmarkEventHeap(b *testing.B) {
+	for _, depth := range []int{64, 4096, 65536} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEnv()
+			left, rng, dseq := b.N, uint32(1), uint32(0)
+			var fn func(any)
+			fn = func(any) {
+				if left == 0 {
+					return
+				}
+				left--
+				rng = rng*1664525 + 1013904223
+				if rng&(1<<20) != 0 {
+					dseq++
+					e.ScheduleDelivery(e.Now()/1000*1000+1000, e.Now(), int(rng>>28), dseq, fn, nil)
+				} else {
+					e.ScheduleArg(e.Now()+1+Time(rng>>16)%Time(2*depth), fn, nil)
+				}
+			}
+			for i := 0; i < depth; i++ {
+				e.ScheduleArg(Time(i), fn, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEnv()
 	e.Spawn("switcher", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSignalWake is a Signal ping-pong between two processes: one
+// op is a round trip, in which each blocks, is fired and is dispatched.
+func BenchmarkSignalWake(b *testing.B) {
+	e := NewEnv()
+	var ping, pong Signal
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Fire()
+			ping.Wait(p)
+			ping.Reset()
+		}
+	})
+	e.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Wait(p)
+			pong.Reset()
+			ping.Fire()
 		}
 	})
 	b.ResetTimer()
@@ -410,4 +474,385 @@ func TestWatchdogDisarmed(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want plain deadlock error, got: %v", err)
 	}
+}
+
+// refEvent and eventLess are the six-field event order the kernel used
+// before the heap packed it into integers, kept as the oracle for the
+// packed key: time; locals before deliveries; (sent, src, dseq) among
+// deliveries; issue sequence last.
+type refEvent struct {
+	t     Time
+	seq   uint64
+	del   bool
+	dsent Time
+	dsrc  int32
+	dseq  uint32
+}
+
+func eventLess(a, b *refEvent) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.del != b.del {
+		return !a.del
+	}
+	if a.del {
+		if a.dsent != b.dsent {
+			return a.dsent < b.dsent
+		}
+		if a.dsrc != b.dsrc {
+			return a.dsrc < b.dsrc
+		}
+		if a.dseq != b.dseq {
+			return a.dseq < b.dseq
+		}
+	}
+	return a.seq < b.seq
+}
+
+// TestEventOrderOracle drives every way an event enters the heap —
+// Schedule, ScheduleArg, ScheduleDelivery, Sleep and Signal wake-ups —
+// from inside executing events, with times and delivery keys drawn from
+// tiny ranges so that ties at every level of the key are the rule, and
+// demands that the executed order is the sort of everything scheduled
+// by the reference order. An executing event only schedules what sorts
+// after itself (a delivery schedules strictly later), which is what
+// makes the whole run one sorted sequence.
+func TestEventOrderOracle(t *testing.T) {
+	for _, seed := range []uint64{1, 0xdeadbeef, 0x9e3779b97f4a7c15} {
+		t.Run(fmt.Sprintf("seed%x", seed), func(t *testing.T) {
+			e := NewEnv()
+			defer e.Shutdown()
+			rng := seed
+			pick := func(n int) int { return int(fuzzRand(&rng) >> 33 % uint64(n)) }
+
+			var want []refEvent // index = id, in issue order
+			var got []int
+			budget := 12000
+			// issue records the event the next kernel call will enqueue
+			// (its seq is the next one the Env hands out).
+			issue := func(ev refEvent) int {
+				ev.seq = e.seq + 1
+				want = append(want, ev)
+				return len(want) - 1
+			}
+
+			var sig Signal
+			parked, quit, wakeID := false, false, 0
+			fire := func() { // wakes the waiter with a dispatch at now
+				parked = false
+				wakeID = issue(refEvent{t: e.now})
+				sig.Fire()
+			}
+			var fanout func(inDelivery bool)
+			run := func(id int, inDelivery bool) {
+				got = append(got, id)
+				fanout(inDelivery)
+			}
+			fanout = func(inDelivery bool) {
+				if budget == 0 {
+					// The first local context to see the budget spent (a
+					// sleeper at the latest) releases the waiter.
+					if !quit && !inDelivery {
+						quit = true
+						if parked {
+							fire()
+						}
+					}
+					return
+				}
+				for k := pick(3); k > 0 && budget > 0; k-- {
+					budget--
+					at := e.now + Time(pick(3))*10
+					if inDelivery {
+						at = e.now + Time(1+pick(2))*10
+					}
+					switch pick(4) {
+					case 0:
+						id := issue(refEvent{t: at})
+						e.Schedule(at, func() { run(id, false) })
+					case 1:
+						id := issue(refEvent{t: at})
+						e.ScheduleArg(at, func(a any) { run(a.(int), false) }, id)
+					case 2:
+						if parked && !inDelivery {
+							fire()
+							break
+						}
+						fallthrough
+					default:
+						ev := refEvent{t: at, del: true, dsent: Time(pick(2)) * e.now, dsrc: int32(pick(3)), dseq: uint32(pick(2))}
+						if pick(8) == 0 {
+							ev.dsrc = 1<<31 - 1
+						}
+						id := issue(ev)
+						e.ScheduleDelivery(at, ev.dsent, int(ev.dsrc), ev.dseq, func(a any) { run(a.(int), true) }, id)
+					}
+				}
+			}
+
+			for i := 0; i < 4; i++ {
+				id := issue(refEvent{t: 0})
+				e.Spawn("sleeper", func(p *Proc) {
+					for {
+						got = append(got, id)
+						fanout(false)
+						if budget == 0 {
+							return
+						}
+						d := Time(pick(3)) * 10
+						id = issue(refEvent{t: e.now + d})
+						p.Sleep(d)
+					}
+				})
+			}
+			id := issue(refEvent{t: 0})
+			e.Spawn("waiter", func(p *Proc) {
+				for {
+					got = append(got, id)
+					if quit {
+						return
+					}
+					parked = true
+					sig.Wait(p)
+					sig.Reset()
+					id = wakeID
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(want) < 10000 || len(got) != len(want) {
+				t.Fatalf("scheduled %d events, executed %d, want both equal and >= 10000", len(want), len(got))
+			}
+			order := make([]int, len(want))
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(i, j int) bool { return eventLess(&want[order[i]], &want[order[j]]) })
+			ties := 0
+			for i := range order {
+				if got[i] != order[i] {
+					t.Fatalf("executed event %d is id %d (%+v), reference order has id %d (%+v)",
+						i, got[i], want[got[i]], order[i], want[order[i]])
+				}
+				if i > 0 {
+					a, b := want[order[i-1]], want[order[i]]
+					if a.seq, b.seq = 0, 0; a == b && a.del {
+						ties++
+					}
+				}
+			}
+			if ties < 100 {
+				t.Fatalf("only %d adjacent deliveries differed in seq alone; the generator no longer exercises the payload tie-break", ties)
+			}
+		})
+	}
+}
+
+// TestHeapLayout pins the sizes the heap's cost rests on: a sift level
+// moves one pointer-free 32-byte node, and a queued event costs no more
+// than the 80-byte event struct the heap used to hold whole.
+func TestHeapLayout(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n > 32 {
+		t.Errorf("heap node is %d bytes, want <= 32", n)
+	}
+	if n := unsafe.Sizeof(node{}) + unsafe.Sizeof(payload{}); n > 80 {
+		t.Errorf("node + payload is %d bytes per queued event, want <= 80", n)
+	}
+}
+
+// TestHeapSteadyState: once the queue has been at a depth, scheduling
+// and popping at or below it allocates nothing, the slab stays at that
+// high-water mark, and every popped slot is zeroed and back on the free
+// list.
+func TestHeapSteadyState(t *testing.T) {
+	const depth = 1000
+	e := NewEnv()
+	nop := func(any) {}
+	round := func() {
+		for i := 0; i < depth; i++ {
+			at := e.now + Time(i%7)
+			switch i % 3 {
+			case 0:
+				e.ScheduleArg(at, nop, e)
+			case 1:
+				e.ScheduleDelivery(at, e.now, i%4, uint32(i%2), nop, e)
+			default:
+				e.scheduleProc(at, nil) // a dispatch payload; never executed here
+			}
+		}
+		for !e.events.empty() {
+			e.events.pop()
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("steady-state schedule+pop allocates %.1f times per %d events, want 0", allocs, depth)
+	}
+	h := &e.events
+	if len(h.slab) != depth {
+		t.Errorf("slab holds %d slots after rounds of depth %d", len(h.slab), depth)
+	}
+	free := 0
+	for s := h.free; s != 0; s = uint32(h.slab[s-1].seq) {
+		free++
+	}
+	if free != depth {
+		t.Errorf("free list threads %d of %d slots", free, depth)
+	}
+	for i, pl := range h.slab {
+		if pl.afn != nil || pl.arg != nil || pl.fn != nil {
+			t.Fatalf("popped slot %d still pins its payload: %+v", i, pl)
+		}
+	}
+}
+
+func TestDeliveryKeyRange(t *testing.T) {
+	nop := func(any) {}
+	for _, c := range []struct {
+		name    string
+		t, sent Time
+		src     int
+	}{
+		{"negative sent", 10, -1, 0},
+		{"sent after arrival", 10, 11, 0},
+		{"negative src", 10, 5, -1},
+		{"src past 31 bits", 10, 5, 1 << 31},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "sim: delivery key out of range") {
+					t.Errorf("ScheduleDelivery(t=%d, sent=%d, src=%d) recovered %v, want a key-range panic", c.t, c.sent, c.src, r)
+				}
+			}()
+			NewEnv().ScheduleDelivery(c.t, c.sent, c.src, 0, nop, nil)
+		})
+	}
+	e := NewEnv()
+	e.ScheduleDelivery(10, 10, 1<<31-1, 1<<32-1, nop, nil) // the corners are legal
+	e.ScheduleDelivery(10, 0, 0, 0, nop, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// leakedGoroutines reports how many goroutines exist beyond before,
+// polling while any do: a finished coroutine's goroutine is torn down
+// by the runtime just after the switch that ends it. (Fewer than before
+// is fine: an earlier test's PDES workers may still have been exiting.)
+func leakedGoroutines(before int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return max(n-before, 0)
+}
+
+// TestProcPanicPropagates: a panic in a process body leaves Run on the
+// caller's goroutine with its original value, the process is done and
+// no longer counted alive, and Shutdown still reaps everyone else.
+func TestProcPanicPropagates(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	var sig Signal
+	bystander := e.Spawn("bystander", func(p *Proc) {
+		sig.Wait(p)
+		t.Error("bystander ran past a signal nobody fired")
+	})
+	boom := errors.New("boom")
+	bad := e.Spawn("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic(boom)
+	})
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		err := e.Run()
+		t.Errorf("Run returned %v instead of panicking", err)
+	}()
+	if recovered != boom {
+		t.Fatalf("recovered %v, want the process's own panic value", recovered)
+	}
+	if !bad.Done() || bystander.Done() {
+		t.Errorf("after the panic Done() = %v (bad), %v (bystander), want true, false", bad.Done(), bystander.Done())
+	}
+	if e.alive != 1 || e.running != nil {
+		t.Errorf("after the panic alive = %d, running = %v, want 1, nil", e.alive, e.running)
+	}
+	e.Shutdown()
+	if !bystander.Done() {
+		t.Error("Shutdown left the bystander alive")
+	}
+	if n := leakedGoroutines(before); n != 0 {
+		t.Errorf("Shutdown left %d goroutine(s) behind", n)
+	}
+}
+
+// TestShutdownLifecycle: after Run returns, Shutdown leaves no coroutine
+// behind whatever state a process was in — never dispatched, asleep,
+// parked on a Signal or a Counter, crashed while parked, crashed while
+// running, or finished — and a process that was killed or crashed never
+// executes another statement of its body.
+func TestShutdownLifecycle(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	ranOn := map[string]bool{}
+	var sig, crashSig Signal
+	var ctr Counter
+
+	e.Spawn("finished", func(p *Proc) { p.Sleep(1) })
+	e.Spawn("asleep", func(p *Proc) {
+		p.Sleep(Second)
+		ranOn["asleep"] = true
+	})
+	e.Spawn("on-signal", func(p *Proc) {
+		sig.Wait(p)
+		ranOn["on-signal"] = true
+	})
+	e.Spawn("on-counter", func(p *Proc) {
+		ctr.WaitFor(p, 3)
+		ranOn["on-counter"] = true
+	})
+	crashedParked := e.Spawn("crashed-parked", func(p *Proc) {
+		crashSig.Wait(p)
+		ranOn["crashed-parked"] = true
+	})
+	e.Spawn("crashed-running", func(p *Proc) {
+		p.Sleep(2)
+		e.CrashProc(p)
+		p.Sleep(1) // unwinds here
+		ranOn["crashed-running"] = true
+	})
+	stop := errors.New("stop")
+	e.Schedule(10, func() {
+		e.CrashProc(crashedParked)
+		crashSig.Fire() // a wake aimed at a crashed process is dropped
+		ctr.Add(1)
+	})
+	e.Schedule(20, func() {
+		e.Spawn("never-dispatched", func(p *Proc) { ranOn["never-dispatched"] = true })
+		e.Abort(stop)
+	})
+	if err := e.Run(); err != stop {
+		t.Fatalf("Run = %v, want the abort error", err)
+	}
+	if e.alive != 4 || e.blocked != 2 {
+		t.Errorf("after Run alive = %d, blocked = %d, want 4 (asleep, two parked, never-dispatched), 2", e.alive, e.blocked)
+	}
+	e.Shutdown()
+	for _, p := range e.procs {
+		if !p.Done() {
+			t.Errorf("%s not done after Shutdown", p.Name())
+		}
+	}
+	for name := range ranOn {
+		t.Errorf("%s executed a statement after it was killed", name)
+	}
+	if n := leakedGoroutines(before); n != 0 {
+		t.Errorf("Shutdown left %d goroutine(s) behind", n)
+	}
+	e.Shutdown() // idempotent
 }

@@ -93,7 +93,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) *Result {
 					res.Diags = append(res.Diags, Diagnostic{
 						Pos:      positionOf(d),
 						Analyzer: "simlint",
-						Message: fmt.Sprintf("unused concurrent carve-out (reason: %s); the annotated scope no longer uses goroutines, channels, or sync primitives — delete it",
+						Message: fmt.Sprintf("unused concurrent carve-out (reason: %s); the annotated scope no longer uses goroutines, channels, coroutines, or sync primitives — delete it",
 							d.Reason),
 					})
 				}

@@ -13,8 +13,8 @@
 //   - freelist:  no use-after-Recycle / double-Recycle / Retain
 //     misuse of pooled messages and payload buffers
 //   - hotalloc:  no heap allocation inside //simlint:hotpath functions
-//   - goroutine: no new goroutines, channels, or sync primitives
-//     outside the sim kernel (one-runnable-goroutine discipline)
+//   - goroutine: no new goroutines, channels, coroutines (iter.Pull),
+//     or sync primitives outside the sim kernel (one thread of control)
 //
 // The framework is stdlib-only (go/parser, go/ast, go/types, go/token);
 // go.mod stays dependency-free. Packages are loaded with full type
@@ -34,11 +34,11 @@
 // //simlint:concurrent (mandatory reason) admits a scope into the
 // goroutine analyzer's concurrency carve-out: placed before the
 // package clause it admits the whole file (the sim kernel's scheduler
-// files), placed on a single top-level declaration's doc comment it
+// file), placed on a single top-level declaration's doc comment it
 // admits just that function or type — the narrow form the PDES barrier
-// uses, so the rest of its file stays under the one-runnable-goroutine
-// discipline. Anything else using goroutines, channels, or sync
-// primitives in the deterministic set still fails.
+// uses, so the rest of its file stays under the single-threaded
+// discipline. Anything else using goroutines, channels, coroutines, or
+// sync primitives in the deterministic set still fails.
 package simlint
 
 import (

@@ -5,7 +5,10 @@
 // and the in-use annotation is counted in the result summary.
 package goroutine
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 func admittedSpawn(f func()) {
 	go f()
@@ -19,4 +22,9 @@ func admittedLocked(mu *sync.Mutex) {
 
 func admittedWait() {
 	select {}
+}
+
+func admittedCoroutine(seq iter.Seq[int]) {
+	_, stop := iter.Pull(seq)
+	stop()
 }

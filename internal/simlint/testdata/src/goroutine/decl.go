@@ -1,6 +1,6 @@
 // decl.go exercises the declaration-scoped //simlint:concurrent
 // carve-out: an annotated function or type admits its own primitives
-// while the rest of the file stays under the one-runnable-goroutine
+// while the rest of the file stays under the single-threaded
 // rule, and an annotated declaration guarding no primitive surfaces as
 // an unused annotation.
 package goroutine

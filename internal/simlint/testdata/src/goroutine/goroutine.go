@@ -1,8 +1,9 @@
 // Package goroutine is a simlint fixture: concurrency-primitive cases
-// for the one-runnable-goroutine analyzer.
+// for the one-thread-of-control analyzer.
 package goroutine
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +28,16 @@ func count(c *int64) int64 {
 
 func wait() {
 	select {} // want `select statement outside the sim kernel`
+}
+
+func coroutine(seq iter.Seq[int]) {
+	_, stop := iter.Pull(seq) // want `iter.Pull creates a coroutine outside the sim kernel`
+	stop()
+}
+
+func coroutine2(seq iter.Seq2[int, int]) { // iter.Seq2 itself is only a function type
+	_, stop := iter.Pull2(seq) // want `iter.Pull2 creates a coroutine outside the sim kernel`
+	stop()
 }
 
 // arithmetic uses no concurrency; nothing to flag.
