@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check bench fmt cover clean
+.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check fmt cover clean
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
@@ -48,12 +48,12 @@ lint-go:
 	$(GO) run ./cmd/simlint ./...
 
 # Generated outputs (coverage profiles, CPU/heap profiles, runtime
-# traces, CI benchmark scratch) must never be committed: the
-# .gitignore patterns keep them out of `git add .`, and this guard
-# fails the gate if one slips into the index anyway.
+# traces, paperbench scratch) must never be committed: the .gitignore
+# patterns keep them out of `git add .`, and this guard fails the gate
+# if one slips into the index anyway.
 artifact-guard:
 	@bad=$$(git ls-files -- 'cover.out' '*.out' '*.pprof' '*.cpuprofile' '*.memprofile' \
-		'BENCH_ci.json' 'paperbench_output.txt' | grep -v '_test\.go$$' || true); \
+		'paperbench_output.txt' | grep -v '_test\.go$$' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "build artifacts are tracked by git:"; echo "$$bad"; \
 		echo "run 'git rm --cached <file>' and commit"; exit 1; \
@@ -62,28 +62,16 @@ artifact-guard:
 # benchmark/ is its own module (it imports hpfdsm/internal/... through a
 # replace directive), so the root ./... patterns never build it: this
 # is the only gate that notices when a refactor breaks the benchmark.
+# The layer benches (per-node views, coalescer burst, sim kernel) run
+# once each so they cannot rot either; `bash benchmark/run.sh` is what
+# measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench 'PreLoopComm|CoalescerBurst|EventHeap|ProcessContextSwitch|SignalWake' \
+		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim
 
 # Everything the CI gate runs.
 check: build vet test race lint lint-go artifact-guard bench-smoke
-
-# Perf trajectory: run the short regression suite and write the next
-# BENCH_<n>.json in sequence. Compare any two files entry-by-entry;
-# the sim-ms fields must not drift between them (same model, faster
-# simulator).
-bench:
-	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	echo "writing BENCH_$$n.json"; \
-	$(GO) run ./cmd/paperbench -bench BENCH_$$n.json
-
-# CI gate: rerun the suite and fail on >2x ns/op regression (or any
-# sim-ms drift) against the newest committed BENCH_<n>.json.
-bench-check:
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -z "$$base" ]; then echo "no committed BENCH_*.json baseline"; exit 1; fi; \
-	echo "baseline $$base"; \
-	$(GO) run ./cmd/paperbench -bench BENCH_ci.json -bench-baseline $$base
 
 fmt:
 	gofmt -w .
@@ -105,8 +93,7 @@ cover:
 		hpfdsm/internal/compiler=86.8
 
 # Remove generated artifacts: coverage profiles, CPU/heap profiles,
-# runtime traces, and the CI benchmark scratch json. Committed
-# BENCH_<n>.json baselines are never touched.
+# runtime traces and paperbench scratch output.
 clean:
-	rm -f cover.out BENCH_ci.json trace.out paperbench_output.txt
+	rm -f cover.out trace.out paperbench_output.txt
 	rm -f *.pprof *.cpuprofile *.memprofile

@@ -64,7 +64,7 @@ func (p paramFlags) Set(s string) error {
 func main() {
 	app := flag.String("app", "", "application: pde, shallow, grav, lu, cg, jacobi")
 	file := flag.String("file", "", "mini-HPF source file (alternative to -app)")
-	size := flag.String("size", "bench", "problem sizes for -app: bench, paper, scaled")
+	size := flag.String("size", "bench", "problem sizes for -app: "+bench.SizingNames)
 	nodes := flag.Int("nodes", 8, "cluster size")
 	topoName := flag.String("topo", "flat", "synchronization/invalidation topology: flat (master unicast) or tree (combining tree + multicast fan-out)")
 	radix := flag.Int("radix", 0, "combining-tree radix for -topo tree (0 = default of 4)")
@@ -120,16 +120,9 @@ func main() {
 		if err2 != nil {
 			fail(err2)
 		}
-		var sizing bench.Sizing
-		switch *size {
-		case "bench":
-			sizing = bench.Bench
-		case "paper":
-			sizing = bench.Paper
-		case "scaled":
-			sizing = bench.Scaled
-		default:
-			fail(fmt.Errorf("unknown -size %q", *size))
+		sizing, err2 := bench.ParseSizing(*size)
+		if err2 != nil {
+			fail(err2)
 		}
 		base := bench.ParamsFor(a, sizing)
 		merged := map[string]int{}

@@ -3,54 +3,119 @@
 //
 // Usage:
 //
-//	paperbench [-exp all|fig1|table1|table2|fig3|table3|fig4|pre|blocksize|scale]
-//	           [-size bench|paper|scaled] [-nodes 8] [-v]
+//	paperbench [-exp all|<experiment>] [-size bench|paper|scaled] [-nodes 8] [-v]
 //
-// Absolute times come from the simulation's 1996-class machine model;
-// the paper's *shapes* (who wins, by what factor, where the weak cases
-// are) are the reproduction target. See EXPERIMENTS.md.
+// `paperbench -h` lists the experiments. Absolute times come from the
+// simulation's 1996-class machine model; the paper's *shapes* (who wins,
+// by what factor, where the weak cases are) are the reproduction
+// target. See EXPERIMENTS.md.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	goruntime "runtime"
+	"strings"
 
 	"hpfdsm/internal/bench"
 	"hpfdsm/internal/profiling"
 )
 
+// ctx is what an experiment reads: the flags that select its inputs
+// and, for the suite experiments, the finished sweep.
+type ctx struct {
+	sizing   bench.Sizing
+	suite    *bench.SuiteResults
+	pdes     int
+	traceOut string
+}
+
+// experiments is every -exp name, in the order `-exp all` runs them.
+var experiments = []struct {
+	name      string
+	needSuite bool // reads the (app, variant) sweep of bench.RunSuite
+	extra     bool // runs only when named, not under -exp all
+	run       func(ctx) (string, error)
+}{
+	{name: "table1", run: func(ctx) (string, error) { return bench.Table1(), nil }},
+	{name: "fig1", run: fig1},
+	{name: "table2", run: func(c ctx) (string, error) { return bench.Table2(c.sizing), nil }},
+	{name: "fig3", needSuite: true, run: onSuite(bench.Fig3)},
+	{name: "table3", needSuite: true, run: onSuite(bench.Table3)},
+	{name: "fig4", needSuite: true, run: onSuite(bench.Fig4)},
+	{name: "pre", needSuite: true, run: onSuite(bench.PRE)},
+	{name: "blocksize", run: sized(bench.BlockSize)},
+	{name: "prefetch", run: sized(bench.Prefetch)},
+	{name: "consistency", run: sized(bench.Consistency)},
+	{name: "distribution", run: sized(bench.Distribution)},
+	{name: "irregular", run: sized(bench.Irregular)},
+	{name: "network", run: sized(bench.Network)},
+	{name: "faults", run: sized(bench.Faults)},
+	{name: "agg", run: sized(bench.Agg)},
+	{name: "scale", extra: true, run: func(c ctx) (string, error) { return bench.Scale(c.sizing, c.pdes) }},
+	{name: "pdes", extra: true, run: sized(bench.PDES)},
+}
+
+func onSuite(f func(*bench.SuiteResults) string) func(ctx) (string, error) {
+	return func(c ctx) (string, error) { return f(c.suite), nil }
+}
+
+func sized(f func(bench.Sizing) (string, error)) func(ctx) (string, error) {
+	return func(c ctx) (string, error) { return f(c.sizing) }
+}
+
+// fig1 prints the microbenchmark and, under -trace-out, also writes
+// its causal protocol trace.
+func fig1(c ctx) (string, error) {
+	out := bench.Fig1()
+	if c.traceOut == "" {
+		return out, nil
+	}
+	var trace bytes.Buffer
+	if err := bench.Fig1Trace(10).WriteChrome(&trace); err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(c.traceOut, trace.Bytes(), 0o666); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s\nwrote %s (open in https://ui.perfetto.dev)", out, c.traceOut), nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig1, table1, table2, fig3, table3, fig4, pre, blocksize, prefetch, consistency, distribution, irregular, network, faults, agg, scale, pdes")
-	size := flag.String("size", "bench", "problem sizes: bench, paper, scaled")
+	os.Exit(run())
+}
+
+// run returns the exit code. Nothing below profiling.Start may call
+// os.Exit: the deferred stop is what flushes and closes the
+// -cpuprofile/-trace files.
+func run() (exitCode int) {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
+	size := flag.String("size", "bench", "problem sizes: "+bench.SizingNames)
 	nodes := flag.Int("nodes", 8, "cluster size for suite experiments")
 	verbose := flag.Bool("v", false, "log each run")
 	workers := flag.Int("j", goruntime.GOMAXPROCS(0), "max concurrent simulations in sweeps")
 	pdes := flag.Int("pdes", 1, "partition each simulation across this many OS threads (conservative PDES; 1 = sequential, statistics bit-identical either way)")
-	benchOut := flag.String("bench", "", "run the short regression suite and write BENCH json to this file (skips -exp)")
-	benchBase := flag.String("bench-baseline", "", "with -bench: compare against this BENCH json; exit 1 on >2x ns/op regression or sim-ms drift")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	traceOut := flag.String("trace-out", "", "with -exp fig1: write the microbenchmark's causal protocol trace (Chrome trace-event JSON) to this file")
 	flag.Parse()
 
-	if *workers < 1 {
-		*workers = 1
-	}
 	bench.SuiteWorkers = *workers
-	if *pdes > 1 {
-		bench.Partitions = *pdes
-	}
+	bench.Partitions = *pdes
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return 1
 	}
-	exitCode := 0
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "profiling:", err)
@@ -58,210 +123,46 @@ func main() {
 				exitCode = 1
 			}
 		}
-		os.Exit(exitCode)
 	}()
 
-	if *benchOut != "" {
-		exitCode = runRegression(*benchOut, *benchBase)
-		return
+	c := ctx{pdes: *pdes, traceOut: *traceOut}
+	if c.sizing, err = bench.ParseSizing(*size); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-
-	var sizing bench.Sizing
-	switch *size {
-	case "bench":
-		sizing = bench.Bench
-	case "paper":
-		sizing = bench.Paper
+	if c.sizing == bench.Paper {
 		fmt.Fprintln(os.Stderr, "note: paper sizes simulate the full Table 2 problems; expect long runs")
-	case "scaled":
-		sizing = bench.Scaled
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -size %q\n", *size)
-		os.Exit(2)
 	}
 
-	var log io.Writer
-	if *verbose {
-		log = os.Stderr
+	selected, needSuite := experiments[:0:0], false
+	for _, e := range experiments {
+		if e.name == *exp || *exp == "all" && !e.extra {
+			selected = append(selected, e)
+			needSuite = needSuite || e.needSuite
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		return 2
+	}
+	if needSuite {
+		var log io.Writer
+		if *verbose {
+			log = os.Stderr
+		}
+		if c.suite, err = bench.RunSuite(c.sizing, *nodes, log); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			return 1
+		}
 	}
 
-	needSuite := map[string]bool{"all": true, "fig3": true, "table3": true, "fig4": true, "pre": true}
-	var suite *bench.SuiteResults
-	if needSuite[*exp] {
-		var err error
-		suite, err = bench.RunSuite(sizing, *nodes, log)
+	for _, e := range selected {
+		out, err := e.run(c)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			return 1
 		}
-	}
-
-	show := func(name, out string) {
 		fmt.Println(out)
 	}
-	run := func(name string) {
-		switch name {
-		case "fig1":
-			show(name, bench.Fig1())
-			if *traceOut != "" {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					os.Exit(1)
-				}
-				tr := bench.Fig1Trace(10)
-				if err := tr.WriteChrome(f); err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					os.Exit(1)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s (open in https://ui.perfetto.dev)\n", *traceOut)
-			}
-		case "table1":
-			show(name, bench.Table1())
-		case "table2":
-			show(name, bench.Table2(sizing))
-		case "fig3":
-			show(name, bench.Fig3(suite))
-		case "table3":
-			show(name, bench.Table3(suite))
-		case "fig4":
-			show(name, bench.Fig4(suite))
-		case "pre":
-			show(name, bench.PRE(suite))
-		case "blocksize":
-			out, err := bench.BlockSize(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "prefetch":
-			out, err := bench.Prefetch(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "consistency":
-			out, err := bench.Consistency(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "distribution":
-			out, err := bench.Distribution(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "network":
-			out, err := bench.Network(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "irregular":
-			out, err := bench.Irregular(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "faults":
-			out, err := bench.Faults(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "agg":
-			out, err := bench.Agg(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "scale":
-			out, err := bench.Scale(sizing, *pdes)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		case "pdes":
-			out, err := bench.PDES(sizing)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			show(name, out)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-	}
-
-	if *exp == "all" {
-		for _, e := range []string{"table1", "fig1", "table2", "fig3", "table3", "fig4", "pre", "blocksize", "prefetch", "consistency", "distribution", "irregular", "network", "faults", "agg"} {
-			run(e)
-		}
-		return
-	}
-	run(*exp)
-}
-
-// runRegression runs the short benchmark suite, writes the BENCH json,
-// and (optionally) gates against a committed baseline. Returns the
-// process exit code.
-func runRegression(outFile, baseFile string) int {
-	rep := bench.RunRegression(os.Stderr)
-	f, err := os.Create(outFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", outFile, len(rep.Entries))
-	if baseFile == "" {
-		return 0
-	}
-	bf, err := os.Open(baseFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-	base, err := bench.ReadReport(bf)
-	bf.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return 1
-	}
-	bad, notes := bench.CompareWithNotes(base, rep, 2.0)
-	for _, n := range notes {
-		fmt.Fprintln(os.Stderr, "note: "+n)
-	}
-	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "benchmark regression vs %s:\n", baseFile)
-		for _, v := range bad {
-			fmt.Fprintln(os.Stderr, "  "+v)
-		}
-		return 1
-	}
-	fmt.Printf("no regression vs %s\n", baseFile)
 	return 0
 }

@@ -2,13 +2,12 @@
 // evaluation — Figure 1, Tables 1-3, Figure 4, plus the PRE and
 // block-size ablations — on the simulated cluster and formats the same
 // rows and series the paper reports. cmd/paperbench drives it from the
-// command line; the repository's benchmarks reuse it.
+// command line.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"hpfdsm/internal/apps"
@@ -30,6 +29,18 @@ const (
 	// Scaled sizes are the small test configurations.
 	Scaled
 )
+
+// SizingNames lists the values ParseSizing accepts, for flag help.
+const SizingNames = "bench, paper, scaled"
+
+// ParseSizing resolves the value of a CLI's -size flag.
+func ParseSizing(name string) (Sizing, error) {
+	s, ok := map[string]Sizing{"bench": Bench, "paper": Paper, "scaled": Scaled}[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown -size %q (valid: %s)", name, SizingNames)
+	}
+	return s, nil
+}
 
 // ParamsFor returns an app's parameters under a sizing.
 func ParamsFor(a *apps.App, s Sizing) map[string]int {
@@ -73,7 +84,7 @@ func Variants(nodes int) []Variant {
 // SuiteWorkers bounds how many independent simulations RunSuite and
 // the grid experiments may run concurrently. Each sim.Env is fully
 // self-contained, so runs only share the (read-only, internally
-// locked) compiled-program caches. 1 = serial.
+// locked) compiled-program caches. Values <= 1 run serially.
 var SuiteWorkers = 1
 
 // forEachLimit runs f(0)..f(n-1) on at most `workers` goroutines and
@@ -142,7 +153,6 @@ func RunApp(a *apps.App, params map[string]int, v Variant) (*runtime.Result, err
 
 // SuiteResults holds one result per (app, variant key).
 type SuiteResults struct {
-	Sizing  Sizing
 	Results map[string]map[string]*runtime.Result
 }
 
@@ -161,7 +171,7 @@ func RunSuite(sizing Sizing, nodes int, w io.Writer) (*SuiteResults, error) {
 		v Variant
 	}
 	var jobs []job
-	out := &SuiteResults{Sizing: sizing, Results: map[string]map[string]*runtime.Result{}}
+	out := &SuiteResults{Results: map[string]map[string]*runtime.Result{}}
 	for _, a := range apps.All() {
 		out.Results[a.Name] = map[string]*runtime.Result{}
 		for _, v := range Variants(nodes) {
@@ -212,12 +222,3 @@ func AppNames() []string {
 }
 
 func ms(t sim.Time) float64 { return float64(t) / 1e6 }
-
-func sortedKeys[V any](m map[string]V) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}

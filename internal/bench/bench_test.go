@@ -21,6 +21,29 @@ func TestParamsFor(t *testing.T) {
 	}
 }
 
+func TestParseSizing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Sizing
+		ok   bool
+	}{
+		{"bench", Bench, true},
+		{"paper", Paper, true},
+		{"scaled", Scaled, true},
+		{"", 0, false},
+		{"Scaled", 0, false},
+		{"huge", 0, false},
+	} {
+		got, err := ParseSizing(c.name)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseSizing(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), SizingNames) {
+			t.Errorf("ParseSizing(%q) error %q does not list the valid names", c.name, err)
+		}
+	}
+}
+
 func TestVariantsCoverPaperConfigs(t *testing.T) {
 	vs := Variants(8)
 	keys := map[string]bool{}
@@ -179,44 +202,5 @@ func TestAblationExperimentsRender(t *testing.T) {
 		if len(out) < 50 {
 			t.Fatalf("%s: suspiciously short output %q", name, out)
 		}
-	}
-}
-
-// The wall-clock speedup gate compares hosts, not simulations, so it
-// only fires when the baseline and current reports come from the same
-// CPU-count class — and a mismatch must leave an audit note, never a
-// silent pass.
-func TestCompareSpeedupGate(t *testing.T) {
-	entry := func(speedup float64) []Entry {
-		return []Entry{{
-			Name:    "pdes-lu",
-			NsPerOp: 100,
-			Metrics: map[string]float64{"speedup-p4": speedup, "sim-ms": 5},
-		}}
-	}
-	base := &Report{NumCPU: 4, Entries: entry(2.0)}
-
-	// Same host class, speedup collapsed past the factor: regression.
-	bad, notes := CompareWithNotes(base, &Report{NumCPU: 4, Entries: entry(0.5)}, 2.0)
-	if len(bad) != 1 || !strings.Contains(bad[0], "speedup-p4") {
-		t.Fatalf("collapsed speedup on matching host not flagged: bad=%v", bad)
-	}
-	if len(notes) != 0 {
-		t.Fatalf("unexpected notes on matching host: %v", notes)
-	}
-
-	// Same host class, speedup within the factor: clean pass.
-	bad, notes = CompareWithNotes(base, &Report{NumCPU: 4, Entries: entry(1.5)}, 2.0)
-	if len(bad) != 0 || len(notes) != 0 {
-		t.Fatalf("healthy speedup flagged: bad=%v notes=%v", bad, notes)
-	}
-
-	// Mismatched CPU count: the gate must skip WITH a note.
-	bad, notes = CompareWithNotes(base, &Report{NumCPU: 1, Entries: entry(0.5)}, 2.0)
-	if len(bad) != 0 {
-		t.Fatalf("speedup gated across host classes: %v", bad)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "skipped") {
-		t.Fatalf("cross-host skip left no audit note: %v", notes)
 	}
 }
