@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check fmt cover clean
+.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check fmt fmt-check cover clean
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
@@ -71,10 +71,17 @@ bench-smoke:
 		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim
 
 # Everything the CI gate runs.
-check: build vet test race lint lint-go artifact-guard bench-smoke
+check: build fmt-check vet test race lint lint-go artifact-guard bench-smoke
 
 fmt:
 	gofmt -w .
+
+# Fails, listing the files, when anything is not gofmt-clean.
+fmt-check:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "not gofmt-clean (run 'make fmt'):"; echo "$$bad"; exit 1; \
+	fi
 
 # Statement coverage with per-package floors on the protocol-critical
 # packages (the profile is merged across all test packages, so a

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -62,6 +63,13 @@ func (p paramFlags) Set(s string) error {
 }
 
 func main() {
+	os.Exit(run())
+}
+
+// run returns the exit code. Nothing below profiling.Start may call
+// os.Exit: the deferred stop is what flushes and closes the
+// -cpuprofile/-trace files.
+func run() (exitCode int) {
 	app := flag.String("app", "", "application: pde, shallow, grav, lu, cg, jacobi")
 	file := flag.String("file", "", "mini-HPF source file (alternative to -app)")
 	size := flag.String("size", "bench", "problem sizes for -app: "+bench.SizingNames)
@@ -104,11 +112,14 @@ func main() {
 
 	stopProf, err0 := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err0 != nil {
-		fail(err0)
+		return fail(err0)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "hpfrun: profiling:", err)
+			if exitCode == 0 {
+				exitCode = 1
+			}
 		}
 	}()
 
@@ -118,11 +129,11 @@ func main() {
 	case *app != "":
 		a, err2 := apps.ByName(*app)
 		if err2 != nil {
-			fail(err2)
+			return fail(err2)
 		}
 		sizing, err2 := bench.ParseSizing(*size)
 		if err2 != nil {
-			fail(err2)
+			return fail(err2)
 		}
 		base := bench.ParamsFor(a, sizing)
 		merged := map[string]int{}
@@ -136,36 +147,36 @@ func main() {
 	case *file != "":
 		src, err2 := os.ReadFile(*file)
 		if err2 != nil {
-			fail(err2)
+			return fail(err2)
 		}
 		prog, err = lang.ParseWithOverrides(string(src), params)
 	default:
-		fail(fmt.Errorf("one of -app or -file is required"))
+		return fail(fmt.Errorf("one of -app or -file is required"))
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	opt, err := compiler.ParseLevel(*optName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	mc := config.Default()
 	if *machineFile != "" {
 		f, err := os.Open(*machineFile)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		mc, err = config.FromJSON(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 	mc = mc.WithNodes(*nodes).WithBlockSize(*blockSize)
 	tp, err := config.ParseTopology(*topoName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	mc = mc.WithTopology(tp).WithRadix(*radix)
 	switch *cpus {
@@ -174,7 +185,7 @@ func main() {
 	case 2:
 		mc = mc.WithCPUMode(config.DualCPU)
 	default:
-		fail(fmt.Errorf("-cpus must be 1 or 2"))
+		return fail(fmt.Errorf("-cpus must be 1 or 2"))
 	}
 	if *noAgg {
 		mc = mc.WithoutCoalesce()
@@ -207,11 +218,11 @@ func main() {
 	if *verify {
 		rep, err := analysis.Verify(prog, mc, opt)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if rep.HasErrors() {
 			fmt.Fprint(os.Stderr, rep)
-			fail(fmt.Errorf("static verification failed with %d error(s); refusing to simulate", rep.Errors()))
+			return fail(fmt.Errorf("static verification failed with %d error(s); refusing to simulate", rep.Errors()))
 		}
 		fmt.Printf("verified  %d loop(s), %d schedule instance(s) at level %v: clean\n",
 			rep.Loops, rep.Instances, opt)
@@ -220,12 +231,12 @@ func main() {
 	if *backend == "mp" {
 		opts.Backend = runtime.MessagePassing
 	} else if *backend != "sm" {
-		fail(fmt.Errorf("unknown -backend %q", *backend))
+		return fail(fmt.Errorf("unknown -backend %q", *backend))
 	}
 
 	res, err := runtime.Run(prog, opts)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	fmt.Printf("program   %s\n", prog.Name)
@@ -277,27 +288,13 @@ func main() {
 		fmt.Print(res.Profile.Timeline.Gantt(*gantt))
 	}
 	if *profileJSON != "" {
-		f, err := os.Create(*profileJSON)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.Profile.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
+		if err := writeFile(*profileJSON, res.Profile.WriteJSON); err != nil {
+			return fail(err)
 		}
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := tracer.WriteChrome(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
+		if err := writeFile(*traceOut, tracer.WriteChrome); err != nil {
+			return fail(err)
 		}
 		fmt.Printf("trace     %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}
@@ -308,20 +305,28 @@ func main() {
 		tracer.Heat.WriteMissTable(os.Stdout, tracer.BlockInfo)
 	}
 	if *heatmapJSON != "" {
-		f, err := os.Create(*heatmapJSON)
-		if err != nil {
-			fail(err)
-		}
-		if err := tracer.Heat.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
+		if err := writeFile(*heatmapJSON, tracer.Heat.WriteJSON); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-func fail(err error) {
+// fail reports err and returns the failing exit code.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "hpfrun:", err)
-	os.Exit(1)
+	return 1
+}
+
+// writeFile creates path, fills it with write and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

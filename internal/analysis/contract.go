@@ -83,8 +83,8 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	readyPre := make([]bool, np)
 	readyPost := make([]bool, np)
 	mkw := make([]blockSet, np)
-	sentPre := make([]int, np)  // blocks sent to node (pre-body)
-	flushIn := make([]int, np)  // blocks flushed to node
+	sentPre := make([]int, np) // blocks sent to node (pre-body)
+	flushIn := make([]int, np) // blocks flushed to node
 	sentSet := make([]blockSet, np)
 	flushSet := make([]map[int]blockSet, np) // sender -> dst -> blocks
 	for n := 0; n < np; n++ {

@@ -120,12 +120,6 @@ type Faults struct {
 	AckDelay          sim.Time // ACK coalescing window (default 20 µs)
 	MaxRetries        int      // retransmissions before giving up (0 = retry forever)
 
-	// WatchdogHorizon is the virtual-time span without compute-process
-	// progress after which the runtime's stall watchdog aborts the run
-	// with a diagnostic dump (default 50 ms; it must comfortably exceed
-	// the worst plausible backoff chain so it never fires spuriously).
-	WatchdogHorizon sim.Time
-
 	// Crashes lists the crash-stop node failures to inject. Each crash
 	// silently kills one node — its compute process stops, its handlers
 	// go quiet, and every message in flight to or from it vanishes.
@@ -134,13 +128,6 @@ type Faults struct {
 	// checkpoint. Configuring any crash activates the reliable-delivery
 	// layer even with all wire-fault rates zero.
 	Crashes []CrashSpec
-
-	// Failure-detection and recovery tuning; zero values select the
-	// defaults noted.
-	ProbeTimeout   sim.Time // initial probe timeout after retransmit exhaustion (default 1 ms)
-	MaxProbes      int      // unanswered probes before a peer is declared dead (default 3)
-	BarrierTimeout sim.Time // incomplete-barrier age that triggers membership probing (default 20 ms)
-	RecoveryDelay  sim.Time // simulated cost of rollback + checkpoint restore (default 5 ms)
 }
 
 // CrashSpec schedules one crash-stop failure: node Node dies at virtual
@@ -168,11 +155,6 @@ const (
 	DefaultRetransmitTimeout = 500 * sim.Microsecond
 	DefaultMaxBackoff        = 4 * sim.Millisecond
 	DefaultAckDelay          = 20 * sim.Microsecond
-	DefaultWatchdogHorizon   = 50 * sim.Millisecond
-	DefaultProbeTimeout      = 1 * sim.Millisecond
-	DefaultMaxProbes         = 3
-	DefaultBarrierTimeout    = 20 * sim.Millisecond
-	DefaultRecoveryDelay     = 5 * sim.Millisecond
 	// DefaultCrashMaxRetries caps the retransmit chain when crash
 	// injection is configured but MaxRetries was left zero (retry
 	// forever): with a peer permanently gone, retransmission must
@@ -180,6 +162,20 @@ const (
 	// of backoff, then three probes) must finish inside the watchdog
 	// horizon.
 	DefaultCrashMaxRetries = 6
+)
+
+// Failure-detection and recovery timings. Constants, not fields of
+// Faults: no caller or experiment varies them.
+const (
+	// DefaultWatchdogHorizon is the virtual-time span without
+	// compute-process progress after which the runtime's stall watchdog
+	// aborts the run with a diagnostic dump; it comfortably exceeds the
+	// worst plausible backoff chain so it never fires spuriously.
+	DefaultWatchdogHorizon = 50 * sim.Millisecond
+	DefaultProbeTimeout    = 1 * sim.Millisecond  // initial probe timeout after retransmit exhaustion
+	DefaultMaxProbes       = 3                    // unanswered probes before a peer is declared dead
+	DefaultBarrierTimeout  = 20 * sim.Millisecond // incomplete-barrier age that triggers membership probing
+	DefaultRecoveryDelay   = 5 * sim.Millisecond  // simulated cost of rollback + checkpoint restore
 )
 
 // EffectiveRetransmitTimeout returns RetransmitTimeout or its default.
@@ -206,14 +202,6 @@ func (f Faults) EffectiveAckDelay() sim.Time {
 	return DefaultAckDelay
 }
 
-// EffectiveWatchdogHorizon returns WatchdogHorizon or its default.
-func (f Faults) EffectiveWatchdogHorizon() sim.Time {
-	if f.WatchdogHorizon > 0 {
-		return f.WatchdogHorizon
-	}
-	return DefaultWatchdogHorizon
-}
-
 // EffectiveMaxRetries returns MaxRetries, defaulting to
 // DefaultCrashMaxRetries when crash injection is configured (an
 // unbounded retransmit chain would never escalate to probing).
@@ -222,38 +210,6 @@ func (f Faults) EffectiveMaxRetries() int {
 		return DefaultCrashMaxRetries
 	}
 	return f.MaxRetries
-}
-
-// EffectiveProbeTimeout returns ProbeTimeout or its default.
-func (f Faults) EffectiveProbeTimeout() sim.Time {
-	if f.ProbeTimeout > 0 {
-		return f.ProbeTimeout
-	}
-	return DefaultProbeTimeout
-}
-
-// EffectiveMaxProbes returns MaxProbes or its default.
-func (f Faults) EffectiveMaxProbes() int {
-	if f.MaxProbes > 0 {
-		return f.MaxProbes
-	}
-	return DefaultMaxProbes
-}
-
-// EffectiveBarrierTimeout returns BarrierTimeout or its default.
-func (f Faults) EffectiveBarrierTimeout() sim.Time {
-	if f.BarrierTimeout > 0 {
-		return f.BarrierTimeout
-	}
-	return DefaultBarrierTimeout
-}
-
-// EffectiveRecoveryDelay returns RecoveryDelay or its default.
-func (f Faults) EffectiveRecoveryDelay() sim.Time {
-	if f.RecoveryDelay > 0 {
-		return f.RecoveryDelay
-	}
-	return DefaultRecoveryDelay
 }
 
 // Validate reports fault-configuration errors.
@@ -269,17 +225,11 @@ func (f Faults) Validate() error {
 	if f.Jitter < 0 {
 		return fmt.Errorf("config: negative fault jitter %d", f.Jitter)
 	}
-	if f.RetransmitTimeout < 0 || f.MaxBackoff < 0 || f.AckDelay < 0 || f.WatchdogHorizon < 0 {
+	if f.RetransmitTimeout < 0 || f.MaxBackoff < 0 || f.AckDelay < 0 {
 		return fmt.Errorf("config: negative reliable-delivery timing parameter")
 	}
 	if f.MaxRetries < 0 {
 		return fmt.Errorf("config: negative MaxRetries %d", f.MaxRetries)
-	}
-	if f.ProbeTimeout < 0 || f.BarrierTimeout < 0 || f.RecoveryDelay < 0 {
-		return fmt.Errorf("config: negative failure-detection timing parameter")
-	}
-	if f.MaxProbes < 0 {
-		return fmt.Errorf("config: negative MaxProbes %d", f.MaxProbes)
 	}
 	for i, c := range f.Crashes {
 		if c.Node < 0 {
@@ -498,18 +448,36 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: %d nodes exceeds the %d-node cap", m.Nodes, MaxNodes)
 	case m.Radix < 0 || m.Radix == 1 || m.Radix > 64:
 		return fmt.Errorf("config: combining-tree radix %d outside [2, 64] (0 selects the default of %d)", m.Radix, DefaultRadix)
-	case m.BlockSize <= 0 || m.BlockSize%8 != 0:
-		return fmt.Errorf("config: block size %d must be a positive multiple of 8", m.BlockSize)
+	case m.BlockSize <= 0 || m.BlockSize%8 != 0 || m.BlockSize > 128:
+		// 128 bytes is the top of Tempest's range and all the 16-bit
+		// dirty-word mask of internal/memory can cover.
+		return fmt.Errorf("config: block size %d must be a positive multiple of 8, at most 128", m.BlockSize)
 	case m.PageSize <= 0 || m.PageSize%m.BlockSize != 0:
 		return fmt.Errorf("config: page size %d must be a multiple of block size %d", m.PageSize, m.BlockSize)
 	case m.MaxPayload < m.BlockSize:
 		return fmt.Errorf("config: max payload %d smaller than block size %d", m.MaxPayload, m.BlockSize)
 	case m.WireLatency < 0 || m.NsPerByte < 0:
 		return fmt.Errorf("config: negative network parameters")
+	case m.MsgHeader < 0:
+		return fmt.Errorf("config: negative MsgHeader %d", m.MsgHeader)
 	case m.AggThreshold < 0:
 		return fmt.Errorf("config: negative aggregation threshold %d (use NoCoalesce to disable aggregation)", m.AggThreshold)
 	case m.AggDelay < 0:
 		return fmt.Errorf("config: negative aggregation drain delay %d", m.AggDelay)
+	}
+	for _, p := range []struct {
+		name string
+		v    sim.Time
+	}{
+		{"NsPerFlop", m.NsPerFlop}, {"LoopOver", m.LoopOver},
+		{"SendOver", m.SendOver}, {"RecvOver", m.RecvOver}, {"HandlerCost", m.HandlerCost},
+		{"FaultCost", m.FaultCost}, {"TagChange", m.TagChange}, {"BlockCopy", m.BlockCopy},
+		{"BulkPerBlock", m.BulkPerBlock}, {"PageMapCost", m.PageMapCost}, {"BarrierEntry", m.BarrierEntry},
+		{"MPSendOver", m.MPSendOver}, {"MPRecvOver", m.MPRecvOver}, {"MPPackPerByte", m.MPPackPerByte},
+	} {
+		if p.v < 0 {
+			return fmt.Errorf("config: negative %s %d", p.name, p.v)
+		}
 	}
 	for i, c := range m.Faults.Crashes {
 		if c.Node >= m.Nodes {

@@ -54,6 +54,44 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsUnmodellableMachines(t *testing.T) {
+	// Machines the simulator cannot model: a block wider than the 16-bit
+	// dirty-word mask silently corrupts data, a negative header schedules
+	// a delivery in the past, a negative cost runs time backwards. Each
+	// is refused by field name, from Validate and from FromJSON alike.
+	fields := []string{
+		"MsgHeader", "NsPerFlop", "LoopOver", "SendOver", "RecvOver", "HandlerCost",
+		"FaultCost", "TagChange", "BlockCopy", "BulkPerBlock", "PageMapCost", "BarrierEntry",
+		"MPSendOver", "MPRecvOver", "MPPackPerByte",
+	}
+	cases := map[string]string{ // JSON override -> what the error must name
+		`{"BlockSize": 256}`:                     "block size 256",
+		`{"BlockSize": 136, "MaxPayload": 4080}`: "block size 136",
+	}
+	for _, f := range fields {
+		cases[`{"`+f+`": -1}`] = "negative " + f
+	}
+	for in, want := range cases {
+		_, err := FromJSON(strings.NewReader(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "config: ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("FromJSON(%s) = %v, want a config: error naming %q", in, err, want)
+		}
+	}
+	if err := Default().WithBlockSize(256).Validate(); err == nil {
+		t.Error("Validate accepted a 256-byte block")
+	}
+	for _, bs := range []int{32, 64, 128} {
+		if err := Default().WithBlockSize(bs).Validate(); err != nil {
+			t.Errorf("Validate refused the %d-byte block of the paper's range: %v", bs, err)
+		}
+	}
+	zero := Default()
+	zero.MsgHeader, zero.BarrierEntry, zero.LoopOver = 0, 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("Validate refused zero costs: %v", err)
+	}
+}
+
 func TestShortMessageRoundTrip(t *testing.T) {
 	// Table 1: minimum round trip for a 4-byte message is 40 µs.
 	// Round trip = 2 * (SendOver + MsgTime(4) + RecvOver).
@@ -101,5 +139,15 @@ func TestFromJSON(t *testing.T) {
 	}
 	if _, err := FromJSON(strings.NewReader(`{`)); err == nil {
 		t.Fatal("bad json accepted")
+	}
+	// The failure-detection constants were never set by anything and are
+	// no longer fields; the reliable-delivery knobs tests do set remain.
+	for _, k := range []string{"WatchdogHorizon", "ProbeTimeout", "MaxProbes", "BarrierTimeout", "RecoveryDelay"} {
+		if _, err := FromJSON(strings.NewReader(`{"Faults": {"` + k + `": 1}}`)); err == nil {
+			t.Errorf("machine JSON naming Faults.%s accepted", k)
+		}
+	}
+	if _, err := FromJSON(strings.NewReader(`{"Faults": {"MaxRetries": 2, "AckDelay": 5}}`)); err != nil {
+		t.Errorf("kept reliable-delivery knobs refused: %v", err)
 	}
 }

@@ -107,7 +107,7 @@ type relChan struct {
 	// Failure-detector state (sender side): after a message exhausts its
 	// retransmit budget the channel stops retransmitting and sends
 	// exponential-backoff probes instead; a probe acknowledgement
-	// resumes the suspended retransmit chains, while MaxProbes
+	// resumes the suspended retransmit chains, while DefaultMaxProbes
 	// unanswered probes declare dst dead.
 	probing  bool
 	probes   int      // probes sent in the current round
@@ -362,19 +362,19 @@ func (r *reliable) escalate(c *relChan) {
 	}
 	c.probing = true
 	c.probes = 0
-	c.probeRTO = r.f.EffectiveProbeTimeout()
+	c.probeRTO = config.DefaultProbeTimeout
 	c.probeGen++
 	r.probe(c, c.probeGen)
 }
 
 // probe sends one liveness probe and arms its timeout; the round ends
 // when a probe ack clears the probing flag (handleProbeAck) or when
-// MaxProbes probes go unanswered and dst is declared dead.
+// DefaultMaxProbes probes go unanswered and dst is declared dead.
 func (r *reliable) probe(c *relChan, gen int64) {
 	if !c.probing || c.probeGen != gen {
 		return // answered (or superseded) while the timer was in flight
 	}
-	if c.probes >= r.f.EffectiveMaxProbes() {
+	if c.probes >= config.DefaultMaxProbes {
 		c.probing = false
 		c.probeGen++
 		r.n.declareDead(c.dst, fmt.Sprintf("%d liveness probes from node %d unanswered after retransmit exhaustion", c.probes, c.src))

@@ -298,7 +298,7 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("runtime: recovery attempt %d aborted but only %d crash(es) were configured (program %s): %v",
 				attempt, len(rec.specs), prog.Name, crash)
 		}
-		delay := mc.Faults.EffectiveRecoveryDelay()
+		delay := config.DefaultRecoveryDelay
 		rec.detected++
 		rec.lostTime += delay
 		startAt = crash.at + delay
@@ -403,7 +403,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		cluster.BarrierCheck = proto.CheckAtBarrier
 	}
 	if mc.Faults.Active() {
-		env.SetWatchdog(mc.Faults.EffectiveWatchdogHorizon(), func() string {
+		env.SetWatchdog(config.DefaultWatchdogHorizon, func() string {
 			return watchdogDump(cluster, proto)
 		})
 	}

@@ -41,15 +41,6 @@ func (l Layout) Addr(idx ...int) int {
 	return l.Base + off*l.ElemSize
 }
 
-// Whole returns the section covering the entire array.
-func (l Layout) Whole() Section {
-	s := Section{Dims: make([]Dim, len(l.Extents))}
-	for d, e := range l.Extents {
-		s.Dims[d] = Dim{1, e}
-	}
-	return s
-}
-
 // Run is a contiguous byte range [Addr, Addr+Bytes).
 type Run struct {
 	Addr  int
@@ -117,15 +108,6 @@ func (l Layout) Runs(s Section) []Run {
 	// Coalesce adjacent runs (outer iteration produces ascending,
 	// possibly abutting runs).
 	return CoalesceRuns(runs)
-}
-
-// RunsOfSet linearizes a set and coalesces the result.
-func (l Layout) RunsOfSet(ss Set) []Run {
-	var all []Run
-	for _, s := range ss {
-		all = append(all, l.Runs(s)...)
-	}
-	return CoalesceRuns(all)
 }
 
 // CoalesceRuns sorts runs by address and merges abutting or overlapping

@@ -1,7 +1,7 @@
 // Package sections implements the array-section algebra the compiler
 // uses to compute access sets: rectangular sections with inclusive
-// per-dimension bounds, set union/intersection/difference, linearization
-// of sections to contiguous address runs under a column-major layout,
+// per-dimension bounds, intersection, linearization of sections to
+// contiguous address runs under a column-major layout,
 // and the block-alignment shrink at the heart of the paper's
 // shmem_limits call (Section 4.2: given a candidate section, select the
 // largest sub-section falling on whole coherence blocks and leave the
@@ -14,7 +14,6 @@ package sections
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -136,131 +135,4 @@ func Intersect(a, b Section) Section {
 		out.Dims[i] = Dim{lo, hi}
 	}
 	return out
-}
-
-// Subtract returns a \ b as a set of disjoint sections (at most 2 per
-// dimension), using axis splitting.
-func Subtract(a, b Section) Set {
-	if len(a.Dims) != len(b.Dims) {
-		panic("sections: Subtract rank mismatch")
-	}
-	if a.Empty() {
-		return nil
-	}
-	inter := Intersect(a, b)
-	if inter.Empty() {
-		return Set{a}
-	}
-	var out Set
-	rem := a
-	for i := range a.Dims {
-		// Piece below b in dimension i.
-		if rem.Dims[i].Lo < inter.Dims[i].Lo {
-			p := cloneSection(rem)
-			p.Dims[i] = Dim{rem.Dims[i].Lo, inter.Dims[i].Lo - 1}
-			out = append(out, p)
-		}
-		// Piece above b in dimension i.
-		if rem.Dims[i].Hi > inter.Dims[i].Hi {
-			p := cloneSection(rem)
-			p.Dims[i] = Dim{inter.Dims[i].Hi + 1, rem.Dims[i].Hi}
-			out = append(out, p)
-		}
-		// Narrow the remainder to b's extent in this dimension and
-		// continue splitting the next dimension.
-		rem = cloneSection(rem)
-		rem.Dims[i] = inter.Dims[i]
-	}
-	return out
-}
-
-func cloneSection(s Section) Section {
-	d := make([]Dim, len(s.Dims))
-	copy(d, s.Dims)
-	return Section{Dims: d}
-}
-
-// Set is a union of disjoint same-rank sections.
-type Set []Section
-
-// Count returns the total number of elements.
-func (ss Set) Count() int {
-	n := 0
-	for _, s := range ss {
-		n += s.Count()
-	}
-	return n
-}
-
-// Empty reports whether the set contains no elements.
-func (ss Set) Empty() bool { return ss.Count() == 0 }
-
-// Contains reports whether any member contains the point.
-func (ss Set) Contains(idx ...int) bool {
-	for _, s := range ss {
-		if s.Contains(idx...) {
-			return true
-		}
-	}
-	return false
-}
-
-// Compact drops empty members and orders the set deterministically.
-func (ss Set) Compact() Set {
-	var out Set
-	for _, s := range ss {
-		if !s.Empty() {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a.Dims {
-			if a.Dims[k].Lo != b.Dims[k].Lo {
-				return a.Dims[k].Lo < b.Dims[k].Lo
-			}
-			if a.Dims[k].Hi != b.Dims[k].Hi {
-				return a.Dims[k].Hi < b.Dims[k].Hi
-			}
-		}
-		return false
-	})
-	return out
-}
-
-// SubtractSet returns ss \ b.
-func (ss Set) SubtractSet(b Set) Set {
-	cur := ss
-	for _, s := range b {
-		var next Set
-		for _, a := range cur {
-			next = append(next, Subtract(a, s)...)
-		}
-		cur = next
-	}
-	return cur.Compact()
-}
-
-// IntersectSet returns the elementwise intersection of two sets.
-func (ss Set) IntersectSet(b Set) Set {
-	var out Set
-	for _, x := range ss {
-		for _, y := range b {
-			if i := Intersect(x, y); !i.Empty() {
-				out = append(out, i)
-			}
-		}
-	}
-	return out.Compact()
-}
-
-func (ss Set) String() string {
-	if len(ss) == 0 {
-		return "{}"
-	}
-	parts := make([]string, len(ss))
-	for i, s := range ss {
-		parts[i] = s.String()
-	}
-	return "{" + strings.Join(parts, " ∪ ") + "}"
 }

@@ -37,46 +37,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestSubtractFullyCovered(t *testing.T) {
-	if got := Subtract(Rect(2, 5), Rect(1, 10)); len(got) != 0 {
-		t.Fatalf("covered subtract = %v", got)
-	}
-}
-
-func TestSubtractDisjoint(t *testing.T) {
-	got := Subtract(Rect(1, 3, 1, 3), Rect(10, 20, 10, 20))
-	if len(got) != 1 || !got[0].Equal(Rect(1, 3, 1, 3)) {
-		t.Fatalf("disjoint subtract = %v", got)
-	}
-}
-
-func TestSubtractMiddle1D(t *testing.T) {
-	got := Subtract(Rect(1, 10), Rect(4, 6)).Compact()
-	if len(got) != 2 || !got[0].Equal(Rect(1, 3)) || !got[1].Equal(Rect(7, 10)) {
-		t.Fatalf("middle subtract = %v", got)
-	}
-}
-
-func TestSubtractCorner2D(t *testing.T) {
-	// A 4x4 square minus its 2x2 corner leaves 12 cells in 2 pieces.
-	got := Subtract(Rect(1, 4, 1, 4), Rect(1, 2, 1, 2))
-	if got.Count() != 12 {
-		t.Fatalf("corner subtract count = %d (%v)", got.Count(), got)
-	}
-	// Pieces must be disjoint and exactly cover.
-	seen := map[[2]int]bool{}
-	for _, s := range got {
-		for i := s.Dims[0].Lo; i <= s.Dims[0].Hi; i++ {
-			for j := s.Dims[1].Lo; j <= s.Dims[1].Hi; j++ {
-				if seen[[2]int{i, j}] {
-					t.Fatalf("overlap at (%d,%d)", i, j)
-				}
-				seen[[2]int{i, j}] = true
-			}
-		}
-	}
-}
-
 func randSection(r *rand.Rand, rank, max int) Section {
 	s := Section{Dims: make([]Dim, rank)}
 	for d := range s.Dims {
@@ -85,86 +45,6 @@ func randSection(r *rand.Rand, rank, max int) Section {
 		s.Dims[d] = Dim{lo, hi}
 	}
 	return s
-}
-
-// TestPropertySubtract checks, by exhaustive membership comparison on
-// random small sections, that Subtract implements set difference and
-// its pieces are disjoint.
-func TestPropertySubtract(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	const max = 9
-	for trial := 0; trial < 300; trial++ {
-		rank := 1 + r.Intn(3)
-		a := randSection(r, rank, max)
-		b := randSection(r, rank, max)
-		diff := Subtract(a, b)
-
-		count := 0
-		idx := make([]int, rank)
-		var walk func(d int)
-		walk = func(d int) {
-			if d == rank {
-				inA := a.Contains(idx...)
-				inB := b.Contains(idx...)
-				inDiff := diff.Contains(idx...)
-				if inDiff != (inA && !inB) {
-					t.Fatalf("membership wrong at %v: a=%v b=%v diff=%v (A=%v B=%v D=%v)",
-						idx, inA, inB, inDiff, a, b, diff)
-				}
-				if inDiff {
-					count++
-				}
-				return
-			}
-			for i := 1; i <= max; i++ {
-				idx[d] = i
-				walk(d + 1)
-			}
-		}
-		walk(0)
-		if diff.Count() != count {
-			t.Fatalf("Count=%d but %d members (disjointness violated): %v \\ %v = %v",
-				diff.Count(), count, a, b, diff)
-		}
-	}
-}
-
-func TestPropertyCountIdentity(t *testing.T) {
-	// |A \ B| = |A| - |A ∩ B|
-	f := func(a0, a1, b0, b1 uint8) bool {
-		a := Rect(int(a0%20)+1, int(a0%20)+1+int(a1%10), 1, 5)
-		b := Rect(int(b0%20)+1, int(b0%20)+1+int(b1%10), 2, 4)
-		return Subtract(a, b).Count() == a.Count()-Intersect(a, b).Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetOps(t *testing.T) {
-	a := Set{Rect(1, 10, 1, 10)}
-	b := Set{Rect(1, 10, 3, 4), Rect(1, 10, 7, 8)}
-	diff := a.SubtractSet(b)
-	if diff.Count() != 60 {
-		t.Fatalf("set subtract count = %d", diff.Count())
-	}
-	inter := a.IntersectSet(b)
-	if inter.Count() != 40 {
-		t.Fatalf("set intersect count = %d", inter.Count())
-	}
-}
-
-func TestCompactDeterministic(t *testing.T) {
-	s1 := Set{Rect(5, 9), Rect(1, 3), Rect(4, 4)}.Compact()
-	s2 := Set{Rect(4, 4), Rect(1, 3), Rect(5, 9)}.Compact()
-	if len(s1) != len(s2) {
-		t.Fatal("compact lengths differ")
-	}
-	for i := range s1 {
-		if !s1[i].Equal(s2[i]) {
-			t.Fatalf("compact order differs: %v vs %v", s1, s2)
-		}
-	}
 }
 
 // --- Layout / linearization ------------------------------------------
@@ -314,27 +194,4 @@ func TestRunsToBlocks(t *testing.T) {
 		}
 	}()
 	RunsToBlocks([]Run{{100, 128}}, 128)
-}
-
-func TestSetString(t *testing.T) {
-	if (Set{}).String() != "{}" {
-		t.Fatal("empty set string")
-	}
-	if s := (Set{Rect(1, 3, 2, 4)}).String(); s != "{(1:3,2:4)}" {
-		t.Fatalf("set string = %q", s)
-	}
-}
-
-func TestLayoutWholeAndRunsOfSet(t *testing.T) {
-	l := Layout{Base: 0, Extents: []int{8, 4}, ElemSize: 8}
-	w := l.Whole()
-	if w.Count() != 32 || l.SizeBytes() != 256 {
-		t.Fatalf("whole = %v size %d", w, l.SizeBytes())
-	}
-	// Two abutting column pairs coalesce into one run.
-	set := Set{Rect(1, 8, 1, 2), Rect(1, 8, 3, 4)}
-	runs := l.RunsOfSet(set)
-	if len(runs) != 1 || runs[0] != (Run{0, 256}) {
-		t.Fatalf("runs of set = %v", runs)
-	}
 }

@@ -5,108 +5,8 @@ import (
 )
 
 // Edge cases the static verifier leans on: the contract checker
-// recomputes shmem_limits shrinks and the race detector intersects
-// strided ownership lattices, so the corner behavior of IntersectS /
+// recomputes shmem_limits shrinks, so the corner behavior of
 // BlockAlign / RunsToBlocks must be exact.
-
-// TestIntersectSEmptyAndDisjoint: empty inputs and disjoint windows
-// both produce the canonical empty range.
-func TestIntersectSEmptyAndDisjoint(t *testing.T) {
-	empty := SDim{Lo: 1, Hi: 0, Step: 1}
-	cases := []struct{ a, b SDim }{
-		{empty, NewSDim(1, 10, 1)},
-		{NewSDim(1, 10, 1), empty},
-		{empty, empty},
-		{NewSDim(1, 5, 1), NewSDim(6, 10, 1)},   // disjoint windows
-		{NewSDim(1, 9, 4), NewSDim(10, 20, 4)},  // windows touch, members don't
-		{NewSDim(0, 100, 2), NewSDim(1, 99, 2)}, // even vs odd lattice
-	}
-	for _, c := range cases {
-		got := IntersectS(c.a, c.b)
-		if !got.Empty() {
-			t.Errorf("IntersectS(%v, %v) = %v, want empty", c.a, c.b, got)
-		}
-	}
-}
-
-// TestIntersectSNonCoprime: CRT over non-coprime strides. With
-// gcd(4,6)=2 the congruences are solvable only when the origins agree
-// mod 2; when they do, the result steps by lcm=12.
-func TestIntersectSNonCoprime(t *testing.T) {
-	a := NewSDim(2, 100, 4)  // 2, 6, 10, ...   ≡ 2 (mod 4)
-	b := NewSDim(6, 100, 6)  // 6, 12, 18, ...  ≡ 0 (mod 6)
-	got := IntersectS(a, b)  // solutions: 6, 18, 30, ... step 12
-	want := NewSDim(6, 90, 12)
-	if got != want {
-		t.Fatalf("IntersectS(%v, %v) = %v, want %v", a, b, got, want)
-	}
-	// Exhaustive cross-check.
-	for i := 0; i <= 100; i++ {
-		if got.Contains(i) != (a.Contains(i) && b.Contains(i)) {
-			t.Fatalf("membership of %d disagrees with brute force", i)
-		}
-	}
-
-	// Origins differing mod gcd: unsolvable, must be empty.
-	c := NewSDim(3, 100, 4) // ≡ 3 (mod 4), odd
-	if got := IntersectS(c, b); !got.Empty() {
-		t.Fatalf("IntersectS(%v, %v) = %v, want empty (parity mismatch)", c, b, got)
-	}
-}
-
-// TestIntersectSSingleton: one-member ranges intersect to that member
-// or to nothing.
-func TestIntersectSSingleton(t *testing.T) {
-	p := NewSDim(7, 7, 1)
-	lat := NewSDim(1, 100, 3) // 1, 4, 7, ...
-	if got := IntersectS(p, lat); got.Count() != 1 || !got.Contains(7) {
-		t.Fatalf("point-on-lattice intersection = %v, want {7}", got)
-	}
-	off := NewSDim(8, 8, 1)
-	if got := IntersectS(off, lat); !got.Empty() {
-		t.Fatalf("point-off-lattice intersection = %v, want empty", got)
-	}
-}
-
-// TestNewSDimRejectsNonPositiveStep: negative-step (reversed) index
-// triplets are normalized by the frontend before reaching sections;
-// the algebra itself refuses them loudly rather than computing with a
-// descending lattice.
-func TestNewSDimRejectsNonPositiveStep(t *testing.T) {
-	for _, step := range []int{0, -1, -5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewSDim(1, 10, %d) did not panic", step)
-				}
-			}()
-			NewSDim(1, 10, step)
-		}()
-	}
-}
-
-// TestSubtractSCoverAndSplit: subtracting a superset yields nothing;
-// subtracting an interior window splits into head and tail.
-func TestSubtractSCoverAndSplit(t *testing.T) {
-	a := NewSDim(10, 50, 5)
-	if got := SubtractS(a, NewSDim(0, 100, 5)); len(got) != 0 {
-		t.Fatalf("a \\ superset = %v, want empty", got)
-	}
-	parts := SubtractS(a, NewSDim(25, 35, 5))
-	want := map[int]bool{10: true, 15: true, 20: true, 40: true, 45: true, 50: true}
-	got := map[int]bool{}
-	for _, d := range parts {
-		d.Each(func(i int) { got[i] = true })
-	}
-	if len(got) != len(want) {
-		t.Fatalf("a \\ interior = %v members, want %v", got, want)
-	}
-	for i := range want {
-		if !got[i] {
-			t.Fatalf("member %d missing from %v", i, parts)
-		}
-	}
-}
 
 // TestBlockAlignMidBlock: runs ending mid-block are truncated to the
 // last boundary; runs contained within one block vanish entirely (the

@@ -395,9 +395,6 @@ func (e *Env) Abort(err error) {
 	}
 }
 
-// Aborted returns the error passed to Abort, or nil.
-func (e *Env) Aborted() error { return e.abortErr }
-
 // Shutdown force-terminates every unfinished process so the environment
 // can be abandoned without leaking coroutines. A suspended process's
 // pending yield reports the stop and unwinds with a private sentinel
@@ -480,10 +477,6 @@ func (e *Env) NextEventTime() (Time, bool) {
 	return e.events.peekTime(), true
 }
 
-// Blocked returns the number of live processes blocked on conditions.
-// Scheduler-context diagnostics only.
-func (e *Env) Blocked() int { return e.blocked }
-
 func (e *Env) blockedNames() string {
 	var names []string
 	for _, p := range e.procs {
@@ -530,9 +523,6 @@ func (p *Proc) Waiting() bool { return p.waiting }
 // Done reports whether the process has finished. Scheduler-context
 // diagnostics only.
 func (p *Proc) Done() bool { return p.done }
-
-// Crashed reports whether the process was removed by CrashProc.
-func (p *Proc) Crashed() bool { return p.crashed }
 
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }

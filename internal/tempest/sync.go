@@ -22,6 +22,17 @@ const (
 	OpMin
 )
 
+// opBarrier is the collective with no contribution: nothing is gathered,
+// folded or journaled, and the messages carry no payload.
+const opBarrier ReduceOp = -1
+
+// Wire sizes: a barrier message is one 4-byte word; a flat contribution
+// and every reduction result add the 8-byte value.
+const (
+	barrierMsgSize = 4
+	reduceMsgSize  = 12
+)
+
 func (o ReduceOp) String() string {
 	switch o {
 	case OpSum:
@@ -49,17 +60,44 @@ func (o ReduceOp) Combine(a, b float64) float64 {
 	}
 }
 
-type barrierState struct {
-	arrived int
-	seen    []bool // nodes whose arrival the master has seen
-	gen     int64  // completed-barrier count (stale-timeout invalidation)
+// round is one collective in progress at a node that gathers arrivals:
+// the flat master gathers every node, a tree node gathers itself and its
+// children. Slot 0 is the node's own compute process and slot 1+i its
+// i'th child; the flat master's children are all the other nodes, so its
+// slots are node ids. Collectives run one at a time (every compute
+// process calls them in the same order), so barriers and reductions
+// share the one round. The flat master files pairs by node id; a tree
+// node appends them and sorts when its round completes.
+type round struct {
+	got   int       // arrivals recorded so far
+	seen  []bool    // by slot
+	gen   int64     // rounds completed here; retires stale membership timeouts
+	pairs []redPair // a reduction's contributions gathered so far
 }
 
-type reduceState struct {
-	arrived int
-	seen    []bool
-	vals    []float64 // per-node contributions, folded in id order
-	gen     int64
+// redPair is one node's reduction contribution: the raw float64 bits
+// tagged with the contributing node, so the fold can run in id order
+// whatever order (and, under the tree, whatever route) they arrived by.
+type redPair struct {
+	id   int32
+	bits uint64
+}
+
+// mark records the arrival of slot and reports whether it completed the
+// round, which is then already reset for the next one.
+func (r *round) mark(slot int) bool {
+	if r.seen[slot] {
+		panic(fmt.Sprintf("tempest: slot %d arrived twice in sync round %d", slot, r.gen))
+	}
+	r.seen[slot] = true
+	r.got++
+	if r.got < len(r.seen) {
+		return false
+	}
+	r.got = 0
+	clear(r.seen)
+	r.gen++
+	return true
 }
 
 // installSync wires the synchronization layer matching the configured
@@ -70,26 +108,40 @@ func (c *Cluster) installSync() {
 		return
 	}
 	master := c.Nodes[0]
+	master.children = make([]int, len(c.Nodes)-1)
+	for i := range master.children {
+		master.children[i] = 1 + i
+	}
+	master.round.seen = make([]bool, len(c.Nodes))
 	master.On(KindBarrierArrive, func(hc *HContext, m *network.Message) {
 		hc.AddCost(c.MC.BarrierEntry)
-		c.barrierArrived(m.Src)
+		c.flatArrive(m.Src, opBarrier, 0, 0)
 	})
 	master.On(KindReduceContrib, func(hc *HContext, m *network.Message) {
 		hc.AddCost(c.MC.BarrierEntry)
-		c.reduceArrived(m.Src, m.Arg2, ReduceOp(m.Addr), math.Float64frombits(uint64(m.Arg)))
+		c.flatArrive(m.Src, ReduceOp(m.Addr), m.Arg2, uint64(m.Arg))
 	})
 	for _, n := range c.Nodes {
-		n := n
-		n.On(KindBarrierRelease, func(hc *HContext, m *network.Message) {
-			hc.AddCost(c.MC.BarrierEntry)
-			c.releaseParked(n)
-		})
-		n.On(KindReduceResult, func(hc *HContext, m *network.Message) {
-			hc.AddCost(c.MC.BarrierEntry)
-			n.reduceResult = math.Float64frombits(uint64(m.Arg))
-			c.releaseParked(n)
-		})
+		c.onRelease(n, KindBarrierRelease, KindReduceResult)
 	}
+}
+
+// onRelease registers n's handlers for a topology's two release kinds:
+// wake the parked compute process — with the result, after a reduction —
+// and pass the release on to n's children, if it has any.
+func (c *Cluster) onRelease(n *Node, barrier, reduce network.Kind) {
+	h := func(hc *HContext, m *network.Message) {
+		hc.AddCost(c.MC.BarrierEntry)
+		arg, size := int64(0), barrierMsgSize
+		if m.Kind == reduce {
+			n.reduceResult = math.Float64frombits(uint64(m.Arg))
+			arg, size = m.Arg, reduceMsgSize
+		}
+		c.releaseParked(n)
+		c.fanDown(n, m.Kind, arg, size)
+	}
+	n.On(barrier, h)
+	n.On(reduce, h)
 }
 
 func (c *Cluster) releaseParked(n *Node) {
@@ -101,97 +153,121 @@ func (c *Cluster) releaseParked(n *Node) {
 	s.Fire()
 }
 
-// armSyncTimeout schedules a membership audit for one collection in
-// progress: if missing(gen) still reports absentees when the timeout
-// expires, probeSrc interrogates each of them through the failure
-// detector and re-arms. A completed (or superseded) collection makes
-// missing return nothing, which retires the chain. Only armed on the
-// unreliable network — lossless barriers cannot hang. The audit runs
-// on env, which must be the env owning the collection's state.
-func (c *Cluster) armSyncTimeout(env *sim.Env, probeSrc int, gen int64, missing func(int64) []int) {
-	if !c.Net.Unreliable() {
-		return
-	}
-	env.After(c.MC.Faults.EffectiveBarrierTimeout(), func() {
-		miss := missing(gen)
-		if len(miss) == 0 {
-			return
-		}
-		for _, id := range miss {
-			c.Net.Probe(probeSrc, id)
-		}
-		c.armSyncTimeout(env, probeSrc, gen, missing)
-	})
-}
-
-// missingBarrier reports the nodes not yet arrived at barrier gen, or
-// nothing once that barrier completed.
-func (c *Cluster) missingBarrier(gen int64) []int {
-	if c.barrier.gen != gen || c.barrier.arrived == 0 {
-		return nil
-	}
-	var out []int
-	for i := range c.Nodes {
-		if !c.barrier.seen[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// missingReduce reports the nodes not yet contributed to reduction gen,
-// or nothing once it completed.
-func (c *Cluster) missingReduce(gen int64) []int {
-	if c.reduce.gen != gen || c.reduce.arrived == 0 {
-		return nil
-	}
-	var out []int
-	for i := range c.Nodes {
-		if !c.reduce.seen[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (c *Cluster) barrierArrived(src int) {
-	if c.barrier.seen == nil {
-		c.barrier.seen = make([]bool, len(c.Nodes))
-	}
-	if c.barrier.arrived == 0 {
-		c.armSyncTimeout(c.Env, 0, c.barrier.gen, c.missingBarrier)
-	}
-	c.barrier.arrived++
-	c.barrier.seen[src] = true
-	if c.barrier.arrived < len(c.Nodes) {
-		return
-	}
-	c.barrier.arrived = 0
-	for i := range c.barrier.seen {
-		c.barrier.seen[i] = false
-	}
-	c.barrier.gen++
-	c.runBarrierCheck()
-	master := c.Nodes[0]
-	for _, n := range c.Nodes {
-		if n.ID == 0 {
-			c.releaseParked(n)
+// fanDown sends one copy of a release to each live child of n, charging
+// n's protocol engine per send: O(N) at the flat master, O(radix) at a
+// tree node.
+func (c *Cluster) fanDown(n *Node, kind network.Kind, arg int64, size int) {
+	for _, ch := range n.children {
+		if c.Net.Dead(ch) {
 			continue
 		}
-		if c.Net.Dead(n.ID) {
-			continue
-		}
-		master.OccupyProto(c.MC.SendOver)
-		m := c.Net.NewMessage(0)
-		m.Src, m.Dst, m.Kind, m.Size = 0, n.ID, KindBarrierRelease, 4
+		n.OccupyProto(c.MC.SendOver)
+		m := c.Net.NewMessage(n.ID)
+		m.Src, m.Dst, m.Kind, m.Arg, m.Size = n.ID, ch, kind, arg, size
 		c.Net.Send(m)
 	}
 }
 
-// Barrier enters a cluster-wide barrier from node n's compute process.
-// Per the release-consistency contract, n's in-flight transactions are
-// drained first.
-func (c *Cluster) Barrier(p *sim.Proc, n *Node) {
+// allArrived runs a round's all-arrived instant at node 0, the only
+// writer of cluster-level state under either topology, and starts the
+// release wave with the given kind for a barrier or a reduction. A
+// reduction folds pairs, which hold every node's contribution in id
+// order: the canonical ascending fold makes the result bit-identical
+// across topologies and independent of message interleaving.
+func (c *Cluster) allArrived(op ReduceOp, pairs []redPair, barrier, reduce network.Kind) {
+	root := c.Nodes[0]
+	kind, arg, size := barrier, int64(0), barrierMsgSize
+	if op != opBarrier {
+		if len(pairs) != len(c.Nodes) {
+			panic(fmt.Sprintf("tempest: gathered %d reduction pairs for %d nodes", len(pairs), len(c.Nodes)))
+		}
+		result := math.Float64frombits(pairs[0].bits)
+		for i := 1; i < len(pairs); i++ {
+			if int(pairs[i].id) != i {
+				panic(fmt.Sprintf("tempest: gathered duplicate or missing contribution (slot %d holds node %d)", i, pairs[i].id))
+			}
+			result = op.Combine(result, math.Float64frombits(pairs[i].bits))
+		}
+		c.reduceGen++
+		// Journal before the epoch hook: a checkpoint captured at this
+		// epoch must carry this generation's result for ghost replay.
+		c.ReduceJournal = append(c.ReduceJournal, result)
+		root.reduceResult = result
+		kind, arg, size = reduce, int64(math.Float64bits(result)), reduceMsgSize
+	}
+	c.runBarrierCheck()
+	c.releaseParked(root)
+	c.fanDown(root, kind, arg, size)
+}
+
+// armSyncTimeout schedules a membership audit of the round n is
+// gathering: if the round is still open when the timeout expires and
+// missing reports absentees, n interrogates each of them through the
+// failure detector and re-arms. Completing the round advances its
+// generation, which retires the chain. Only armed on the unreliable
+// network — lossless collectives cannot hang. The audit runs on n's own
+// Env, the one owning the round.
+func (c *Cluster) armSyncTimeout(n *Node, gen int64, missing func(*Node) []int) {
+	if !c.Net.Unreliable() {
+		return
+	}
+	n.Env.After(config.DefaultBarrierTimeout, func() {
+		if n.round.gen != gen {
+			return
+		}
+		miss := missing(n)
+		if len(miss) == 0 {
+			return
+		}
+		for _, id := range miss {
+			c.Net.Probe(n.ID, id)
+		}
+		c.armSyncTimeout(n, gen, missing)
+	})
+}
+
+// missingFlat reports the nodes the flat master has not heard from in
+// its open round. Its own compute process counts: probing oneself does
+// nothing, but the audit stays armed while the master is the straggler.
+func (n *Node) missingFlat() []int {
+	var out []int
+	for id, ok := range n.round.seen {
+		if !ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// flatArrive records one arrival at the flat master: src's compute
+// process has entered the collective, contributing bits when op is a
+// reduction. The last arrival runs the all-arrived instant.
+func (c *Cluster) flatArrive(src int, op ReduceOp, gen int64, bits uint64) {
+	master := c.Nodes[0]
+	r := &master.round
+	if op != opBarrier {
+		if gen != c.reduceGen {
+			panic(fmt.Sprintf("tempest: reduction generation mismatch: got %d want %d", gen, c.reduceGen))
+		}
+		if r.pairs == nil {
+			r.pairs = make([]redPair, len(c.Nodes))
+		}
+		r.pairs[src] = redPair{id: int32(src), bits: bits}
+	}
+	if r.got == 0 {
+		c.armSyncTimeout(master, r.gen, (*Node).missingFlat)
+	}
+	if r.mark(src) {
+		c.allArrived(op, r.pairs, KindBarrierRelease, KindReduceResult)
+	}
+}
+
+// collective is the compute-side entry of every collective: node n's
+// compute process drains its in-flight transactions (the
+// release-consistency contract), arrives — at its own tree node, at the
+// flat master directly if it is the master, else by message — and parks
+// until released.
+func (c *Cluster) collective(p *sim.Proc, n *Node, op ReduceOp, v float64) {
 	n.WaitPending(p)
 	n.Compute(c.MC.BarrierEntry)
 	n.Sync(p)
@@ -199,104 +275,46 @@ func (c *Cluster) Barrier(p *sim.Proc, n *Node) {
 	n.parkSig.Reset()
 	n.parked = &n.parkSig
 	sig := n.parked
+	bits := math.Float64bits(v)
 	switch {
-	case c.Topo != nil:
-		c.treeBarrierArrive(n, n.ID)
+	case c.MC.Topology == config.TreeTopo:
+		var own []redPair
+		if op != opBarrier {
+			own = []redPair{{id: int32(n.ID), bits: bits}}
+		}
+		c.treeArrive(n, n.ID, op, n.round.gen, own)
 	case n.ID == 0:
-		c.barrierArrived(0)
+		c.flatArrive(0, op, c.reduceGen, bits)
 	default:
 		m := c.Net.NewMessage(n.ID)
-		m.Dst, m.Kind, m.Size = 0, KindBarrierArrive, 4
+		m.Dst, m.Kind, m.Size = 0, KindBarrierArrive, barrierMsgSize
+		if op != opBarrier {
+			m.Kind, m.Size = KindReduceContrib, reduceMsgSize
+			m.Addr, m.Arg, m.Arg2 = int(op), int64(bits), c.reduceGen
+		}
 		n.SendFromCompute(m)
 		n.Sync(p)
 	}
 	sig.Wait(p)
 	n.St.BarrierTime += p.Now() - start
 	if n.Trace != nil {
-		n.Trace.Span(n.ID, trace.LaneCompute, "barrier", "sync", start, p.Now())
+		name := "barrier"
+		if op != opBarrier {
+			name = "reduce:" + op.String()
+		}
+		n.Trace.Span(n.ID, trace.LaneCompute, name, "sync", start, p.Now())
 	}
 }
 
-func (c *Cluster) reduceArrived(src int, gen int64, op ReduceOp, v float64) {
-	if gen != c.reduce.gen {
-		panic(fmt.Sprintf("tempest: reduction generation mismatch: got %d want %d", gen, c.reduce.gen))
-	}
-	if c.reduce.seen == nil {
-		c.reduce.seen = make([]bool, len(c.Nodes))
-		c.reduce.vals = make([]float64, len(c.Nodes))
-	}
-	if c.reduce.arrived == 0 {
-		c.armSyncTimeout(c.Env, 0, gen, c.missingReduce)
-	}
-	c.reduce.arrived++
-	c.reduce.seen[src] = true
-	c.reduce.vals[src] = v
-	if c.reduce.arrived < len(c.Nodes) {
-		return
-	}
-	// Fold in ascending node-id order, not arrival order: the canonical
-	// fold makes the result bit-identical to the combining tree's (which
-	// scatters contributions by id at the root) and independent of
-	// message interleaving.
-	result := c.reduce.vals[0]
-	for i := 1; i < len(c.Nodes); i++ {
-		result = op.Combine(result, c.reduce.vals[i])
-	}
-	c.reduce.arrived = 0
-	for i := range c.reduce.seen {
-		c.reduce.seen[i] = false
-	}
-	c.reduce.gen++
-	// Journal before the epoch hook: a checkpoint captured at this
-	// epoch must carry this generation's result for ghost replay.
-	c.ReduceJournal = append(c.ReduceJournal, result)
-	c.runBarrierCheck()
-	master := c.Nodes[0]
-	bits := int64(math.Float64bits(result))
-	for _, n := range c.Nodes {
-		if n.ID == 0 {
-			n.reduceResult = result
-			c.releaseParked(n)
-			continue
-		}
-		if c.Net.Dead(n.ID) {
-			continue
-		}
-		master.OccupyProto(c.MC.SendOver)
-		m := c.Net.NewMessage(0)
-		m.Src, m.Dst, m.Kind, m.Arg, m.Size = 0, n.ID, KindReduceResult, bits, 12
-		c.Net.Send(m)
-	}
-}
+// Barrier enters a cluster-wide barrier from node n's compute process:
+// the collective with no contribution.
+func (c *Cluster) Barrier(p *sim.Proc, n *Node) { c.collective(p, n, opBarrier, 0) }
 
 // AllReduce combines each node's partial value with op and returns the
 // global result to every node; like the paper's SUM reductions it is
 // implemented with low-level messages and doubles as a barrier. All
 // compute processes must call it in the same order.
 func (c *Cluster) AllReduce(p *sim.Proc, n *Node, op ReduceOp, v float64) float64 {
-	n.WaitPending(p)
-	n.Compute(c.MC.BarrierEntry)
-	n.Sync(p)
-	start := p.Now()
-	n.parkSig.Reset()
-	n.parked = &n.parkSig
-	sig := n.parked
-	switch {
-	case c.Topo != nil:
-		c.treeReduceArrive(n, n.ID, op, n.tred.gen, []redPair{{id: int32(n.ID), bits: math.Float64bits(v)}})
-	case n.ID == 0:
-		c.reduceArrived(0, c.reduce.gen, op, v)
-	default:
-		m := c.Net.NewMessage(n.ID)
-		m.Dst, m.Kind = 0, KindReduceContrib
-		m.Addr, m.Arg, m.Arg2, m.Size = int(op), int64(math.Float64bits(v)), c.reduce.gen, 12
-		n.SendFromCompute(m)
-		n.Sync(p)
-	}
-	sig.Wait(p)
-	n.St.BarrierTime += p.Now() - start
-	if n.Trace != nil {
-		n.Trace.Span(n.ID, trace.LaneCompute, "reduce:"+op.String(), "sync", start, p.Now())
-	}
+	c.collective(p, n, op, v)
 	return n.reduceResult
 }

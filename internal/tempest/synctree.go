@@ -1,23 +1,23 @@
-// Combining-tree barriers and reductions for the tree topology.
+// The combining tree: collectives for the tree topology.
 //
 // The flat protocol funnels every arrival into node 0 and unicasts
-// N-1 releases back out, so each barrier costs the master O(N)
+// N-1 releases back out, so each collective costs the master O(N)
 // protocol-engine occupancy. The tree topology instead arranges the
 // nodes as a radix-K heap (internal/topo): each node waits for its own
 // compute process plus one up-message per child, then sends a single
 // combined up-message to its parent. The root's completion instant is
-// the barrier's all-arrived instant; releases fan back down the same
-// edges. Every node handles at most K+1 events per phase and the
-// critical path is one up-pass plus one down-pass: O(log_K N) latency,
-// O(K) per-node occupancy.
+// the all-arrived instant; releases fan back down the same edges. Every
+// node handles at most K+1 events per phase and the critical path is
+// one up-pass plus one down-pass: O(log_K N) latency, O(K) per-node
+// occupancy.
 //
 // Reductions must stay bit-identical to the flat protocol, so no
 // arithmetic happens on the way up. Contributions travel as
 // (node id, float64 bits) pairs; interior nodes concatenate their
-// subtree's pairs and the root scatters them into id order before
-// folding ascending — exactly the canonical fold the flat master
-// performs. The combined value is therefore independent of both the
-// topology and the order children happen to arrive in.
+// subtree's pairs, sorted by id, and the root folds the full vector
+// ascending — exactly the canonical fold the flat master performs. The
+// combined value is therefore independent of both the topology and the
+// order children happen to arrive in.
 //
 // Cluster-level state (epoch, reduce generation, journal, barrier
 // check) advances only at the root, which is node 0 — the same
@@ -28,39 +28,11 @@ package tempest
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/topo"
 )
-
-// treeBar tracks one barrier round at one tree node: its own compute
-// arrival plus one bit per child slot.
-type treeBar struct {
-	self bool
-	got  int
-	seen uint64 // child-slot bits (radix <= 64)
-	gen  int64
-}
-
-// treeRed tracks one reduction round at one tree node. pairs holds the
-// subtree's contributions, gathered but never combined here.
-type treeRed struct {
-	self  bool
-	got   int
-	seen  uint64
-	gen   int64
-	pairs []redPair
-}
-
-// redPair is one node's reduction contribution in transit: the raw
-// float64 bits tagged with the contributing node, so the root can
-// restore id order before folding.
-type redPair struct {
-	id   int32
-	bits uint64
-}
 
 const redPairSize = 12 // 4-byte id + 8-byte float bits on the wire
 
@@ -86,196 +58,81 @@ func decodePairs(data []byte, dst []redPair) []redPair {
 	return dst
 }
 
-// installTreeSync builds the topology and wires the combining-tree
-// handlers on every node.
+// installTreeSync places every node in the combining tree and wires its
+// handlers.
 func (c *Cluster) installTreeSync() {
 	t := topo.MustNew(c.MC.Nodes, c.MC.EffectiveRadix())
-	c.Topo = &t
 	for _, n := range c.Nodes {
 		n := n
-		n.treeParent = -1
-		if n.ID != topo.Root {
-			n.treeParent = t.Parent(n.ID)
-		}
-		n.treeChildren = t.Children(n.ID, nil)
+		n.treeParent = t.Parent(n.ID)
+		n.children = t.Children(n.ID, nil)
+		n.round.seen = make([]bool, 1+len(n.children))
 		n.On(KindTreeBarrierUp, func(hc *HContext, m *network.Message) {
 			hc.AddCost(c.MC.BarrierEntry)
-			c.treeBarrierArrive(n, m.Src)
-		})
-		n.On(KindTreeBarrierDown, func(hc *HContext, m *network.Message) {
-			hc.AddCost(c.MC.BarrierEntry)
-			c.releaseParked(n)
-			c.treeFanDown(n, KindTreeBarrierDown, 0, 4)
+			c.treeArrive(n, m.Src, opBarrier, 0, nil)
 		})
 		n.On(KindTreeReduceUp, func(hc *HContext, m *network.Message) {
 			hc.AddCost(c.MC.BarrierEntry)
-			c.treeReduceArrive(n, m.Src, ReduceOp(m.Addr), m.Arg2, decodePairs(m.Data, nil))
+			c.treeArrive(n, m.Src, ReduceOp(m.Addr), m.Arg2, decodePairs(m.Data, nil))
 		})
-		n.On(KindTreeReduceDown, func(hc *HContext, m *network.Message) {
-			hc.AddCost(c.MC.BarrierEntry)
-			n.reduceResult = math.Float64frombits(uint64(m.Arg))
-			c.releaseParked(n)
-			c.treeFanDown(n, KindTreeReduceDown, m.Arg, 12)
-		})
+		c.onRelease(n, KindTreeBarrierDown, KindTreeReduceDown)
 	}
 }
 
-// childSlot maps a child's node id to its bit slot at parent n.
-func (c *Cluster) childSlot(n *Node, src int) uint {
-	slot := src - c.Topo.FirstChild(n.ID)
-	if slot < 0 || slot >= len(n.treeChildren) {
-		panic(fmt.Sprintf("tempest: node %d got a tree up-message from non-child %d", n.ID, src))
+// missingTree reports the children n has not heard from in its open
+// round, for the per-node timeout probe.
+func (n *Node) missingTree() []int {
+	var out []int
+	for i, ch := range n.children {
+		if !n.round.seen[1+i] {
+			out = append(out, ch)
+		}
 	}
-	return uint(slot)
+	return out
 }
 
-// treeFanDown sends one copy of a down-pass message to each live child,
-// charging the node's protocol engine per send (O(radix), not O(N)).
-func (c *Cluster) treeFanDown(n *Node, kind network.Kind, arg int64, size int) {
-	for _, ch := range n.treeChildren {
-		if c.Net.Dead(ch) {
-			continue
-		}
-		n.OccupyProto(c.MC.SendOver)
-		m := c.Net.NewMessage(n.ID)
-		m.Src, m.Dst, m.Kind, m.Arg, m.Size = n.ID, ch, kind, arg, size
-		c.Net.Send(m)
+// treeArrive records one arrival at tree node n: n's own compute process
+// when src == n.ID, a child subtree otherwise. In round gen of n a
+// reduction brings contrib — the node's own pair, or the subtree's
+// gathered vector — which is concatenated, never combined. When the
+// whole subtree has arrived the node forwards one combined up-message;
+// the root runs the all-arrived instant instead.
+func (c *Cluster) treeArrive(n *Node, src int, op ReduceOp, gen int64, contrib []redPair) {
+	r := &n.round
+	if op != opBarrier && gen != r.gen {
+		panic(fmt.Sprintf("tempest: node %d reduction round mismatch: got %d want %d", n.ID, gen, r.gen))
 	}
-}
-
-// treeBarrierArrive records one arrival at tree node n — n's own
-// compute process when src == n.ID, a child subtree otherwise. When
-// the whole subtree has arrived the node forwards one combined
-// up-message (or, at the root, runs the barrier instant and starts the
-// release wave).
-func (c *Cluster) treeBarrierArrive(n *Node, src int) {
-	tb := &n.tbar
-	if !tb.self && tb.got == 0 {
-		c.armSyncTimeout(n.Env, n.ID, tb.gen, n.missingTreeBarrier)
+	if r.got == 0 {
+		c.armSyncTimeout(n, r.gen, (*Node).missingTree)
 	}
-	if src == n.ID {
-		if tb.self {
-			panic(fmt.Sprintf("tempest: node %d arrived twice at barrier gen %d", n.ID, tb.gen))
+	slot := 0
+	if src != n.ID {
+		// Children are consecutive ids (the heap is left-packed).
+		if len(n.children) == 0 || src < n.children[0] || src > n.children[len(n.children)-1] {
+			panic(fmt.Sprintf("tempest: node %d got a tree up-message from non-child %d", n.ID, src))
 		}
-		tb.self = true
-	} else {
-		bit := uint64(1) << c.childSlot(n, src)
-		if tb.seen&bit != 0 {
-			panic(fmt.Sprintf("tempest: node %d heard child %d twice at barrier gen %d", n.ID, src, tb.gen))
-		}
-		tb.seen |= bit
-		tb.got++
+		slot = 1 + src - n.children[0]
 	}
-	if !tb.self || tb.got < len(n.treeChildren) {
+	r.pairs = append(r.pairs, contrib...)
+	if !r.mark(slot) {
 		return
 	}
-	tb.self, tb.got, tb.seen = false, 0, 0
-	tb.gen++
+	if op != opBarrier {
+		// Sort by contributing node id: the vector (and so every message
+		// payload) becomes independent of child arrival order.
+		sort.Slice(r.pairs, func(i, j int) bool { return r.pairs[i].id < r.pairs[j].id })
+	}
 	if n.ID == topo.Root {
-		c.runBarrierCheck()
-		c.releaseParked(n)
-		c.treeFanDown(n, KindTreeBarrierDown, 0, 4)
-		return
-	}
-	n.OccupyProto(c.MC.SendOver)
-	m := c.Net.NewMessage(n.ID)
-	m.Src, m.Dst, m.Kind, m.Size = n.ID, n.treeParent, KindTreeBarrierUp, 4
-	c.Net.Send(m)
-}
-
-// treeReduceArrive records one reduction contribution at tree node n:
-// the node's own (id, bits) pair when src == n.ID, a child subtree's
-// gathered vector otherwise. Pairs are concatenated, never combined,
-// until the root restores id order and folds ascending.
-func (c *Cluster) treeReduceArrive(n *Node, src int, op ReduceOp, gen int64, pairs []redPair) {
-	tr := &n.tred
-	if gen != tr.gen {
-		panic(fmt.Sprintf("tempest: node %d reduction generation mismatch: got %d want %d", n.ID, gen, tr.gen))
-	}
-	if !tr.self && tr.got == 0 {
-		c.armSyncTimeout(n.Env, n.ID, tr.gen, n.missingTreeReduce)
-	}
-	if src == n.ID {
-		if tr.self {
-			panic(fmt.Sprintf("tempest: node %d contributed twice at reduce gen %d", n.ID, tr.gen))
-		}
-		tr.self = true
+		c.allArrived(op, r.pairs, KindTreeBarrierDown, KindTreeReduceDown)
 	} else {
-		bit := uint64(1) << c.childSlot(n, src)
-		if tr.seen&bit != 0 {
-			panic(fmt.Sprintf("tempest: node %d heard child %d twice at reduce gen %d", n.ID, src, tr.gen))
-		}
-		tr.seen |= bit
-		tr.got++
-	}
-	tr.pairs = append(tr.pairs, pairs...)
-	if !tr.self || tr.got < len(n.treeChildren) {
-		return
-	}
-	// Sort by contributing node id: the vector (and so every message
-	// payload) becomes independent of child arrival order.
-	sort.Slice(tr.pairs, func(i, j int) bool { return tr.pairs[i].id < tr.pairs[j].id })
-	gathered := tr.pairs
-	tr.self, tr.got, tr.seen = false, 0, 0
-	tr.gen++
-	if n.ID != topo.Root {
 		n.OccupyProto(c.MC.SendOver)
 		m := c.Net.NewMessage(n.ID)
-		m.Src, m.Dst, m.Kind = n.ID, n.treeParent, KindTreeReduceUp
-		m.Addr, m.Arg2 = int(op), gen
-		m.Data, m.Size = encodePairs(gathered), redPairSize*len(gathered)
+		m.Src, m.Dst, m.Kind, m.Size = n.ID, n.treeParent, KindTreeBarrierUp, barrierMsgSize
+		if op != opBarrier {
+			m.Kind, m.Addr, m.Arg2 = KindTreeReduceUp, int(op), gen
+			m.Data, m.Size = encodePairs(r.pairs), redPairSize*len(r.pairs)
+		}
 		c.Net.Send(m)
-		tr.pairs = tr.pairs[:0]
-		return
 	}
-	if len(gathered) != len(c.Nodes) {
-		panic(fmt.Sprintf("tempest: root gathered %d reduction pairs for %d nodes", len(gathered), len(c.Nodes)))
-	}
-	result := math.Float64frombits(gathered[0].bits)
-	for i := 1; i < len(gathered); i++ {
-		if int(gathered[i].id) != i {
-			panic(fmt.Sprintf("tempest: root gathered duplicate or missing contribution (slot %d holds node %d)", i, gathered[i].id))
-		}
-		result = op.Combine(result, math.Float64frombits(gathered[i].bits))
-	}
-	tr.pairs = tr.pairs[:0]
-	c.reduce.gen++
-	// Journal before the epoch hook, as in the flat path: a checkpoint
-	// captured at this epoch must carry this generation's result.
-	c.ReduceJournal = append(c.ReduceJournal, result)
-	c.runBarrierCheck()
-	n.reduceResult = result
-	c.releaseParked(n)
-	c.treeFanDown(n, KindTreeReduceDown, int64(math.Float64bits(result)), 12)
-}
-
-// missingTreeBarrier reports the children node n has not heard from in
-// barrier round gen, for the per-node timeout probe.
-func (n *Node) missingTreeBarrier(gen int64) []int {
-	tb := &n.tbar
-	if tb.gen != gen || (!tb.self && tb.got == 0) {
-		return nil
-	}
-	var out []int
-	for i, ch := range n.treeChildren {
-		if tb.seen&(1<<uint(i)) == 0 {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
-// missingTreeReduce is missingTreeBarrier for reduction rounds.
-func (n *Node) missingTreeReduce(gen int64) []int {
-	tr := &n.tred
-	if tr.gen != gen || (!tr.self && tr.got == 0) {
-		return nil
-	}
-	var out []int
-	for i, ch := range n.treeChildren {
-		if tr.seen&(1<<uint(i)) == 0 {
-			out = append(out, ch)
-		}
-	}
-	return out
+	r.pairs = r.pairs[:0]
 }

@@ -21,7 +21,6 @@ import (
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/stats"
-	"hpfdsm/internal/topo"
 	"hpfdsm/internal/trace"
 )
 
@@ -128,12 +127,13 @@ type Node struct {
 	parkSig      sim.Signal  // the reusable signal parked points at
 	reduceResult float64     // result delivered by KindReduceResult
 
-	// Combining-tree position and per-round state (tree topology only;
-	// per-node so the PDES single-writer discipline holds at any depth).
-	treeParent   int
-	treeChildren []int
-	tbar         treeBar
-	tred         treeRed
+	// Whom this node gathers collectives from and the round it is
+	// gathering: every other node at the flat master, its combining-tree
+	// children on the tree (whose up-messages go to treeParent). Per-node
+	// so the PDES single-writer discipline holds at any depth.
+	treeParent int
+	children   []int
+	round      round
 
 	proc *sim.Proc // the node's compute process, set by SetProc
 }
@@ -480,16 +480,10 @@ type Cluster struct {
 	// without re-running the arithmetic.
 	ReduceJournal []float64
 
-	// Topo is the combining-tree shape when the machine runs the tree
-	// topology (nil under the flat protocol). Set by installSync.
-	Topo *topo.Tree
-
 	checkErr  error
 	checksRun int64
 	epoch     int64
-
-	barrier barrierState
-	reduce  reduceState
+	reduceGen int64 // completed reductions
 }
 
 // Epoch returns the number of completed synchronization epochs
@@ -497,14 +491,14 @@ type Cluster struct {
 func (c *Cluster) Epoch() int64 { return c.epoch }
 
 // ReduceGen returns the number of completed reduction generations.
-func (c *Cluster) ReduceGen() int64 { return c.reduce.gen }
+func (c *Cluster) ReduceGen() int64 { return c.reduceGen }
 
 // RestoreEpoch rebases the epoch counter, reduction generation, and
 // reduce journal from a checkpoint (recovery only; the cluster must be
 // idle).
 func (c *Cluster) RestoreEpoch(epoch, reduceGen int64, journal []float64) {
 	c.epoch = epoch
-	c.reduce.gen = reduceGen
+	c.reduceGen = reduceGen
 	c.ReduceJournal = append(c.ReduceJournal[:0], journal...)
 }
 
