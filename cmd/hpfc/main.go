@@ -30,7 +30,6 @@ import (
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
 	"hpfdsm/internal/protocol"
-	"hpfdsm/internal/sections"
 )
 
 func main() {
@@ -75,6 +74,9 @@ func main() {
 		return
 	}
 	mc := config.Default().WithNodes(*nodes).WithBlockSize(*blockSize)
+	if err := mc.Validate(); err != nil {
+		fail(err)
+	}
 	if *lint {
 		rep, err := analysis.Verify(prog, mc, analysis.Levels()...)
 		if err != nil {
@@ -86,13 +88,7 @@ func main() {
 		}
 		return
 	}
-	layouts := map[*ir.Array]sections.Layout{}
-	base := 0
-	for _, arr := range prog.Arrays {
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-		sz := arr.Elems() * 8
-		base += (sz + mc.PageSize - 1) / mc.PageSize * mc.PageSize
-	}
+	_, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, *nodes, layouts, *blockSize)
 	if err != nil {
 		fail(err)

@@ -14,8 +14,6 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/memory"
-	"hpfdsm/internal/sections"
 )
 
 // exe is the command, built once for the tests to run.
@@ -51,11 +49,7 @@ func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]in
 		t.Fatal(err)
 	}
 	mc := config.Default().WithNodes(nodes)
-	sp := memory.NewSpace(mc)
-	layouts := map[*ir.Array]sections.Layout{}
-	for _, arr := range prog.Arrays {
-		layouts[arr] = sections.Layout{Base: sp.Alloc(arr.Name, arr.Elems()*8), Extents: arr.Extents, ElemSize: 8}
-	}
+	_, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, nodes, layouts, mc.BlockSize)
 	if err != nil {
 		t.Fatal(err)

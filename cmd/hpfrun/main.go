@@ -28,7 +28,6 @@ import (
 	"hpfdsm/internal/lang"
 	"hpfdsm/internal/profiling"
 	"hpfdsm/internal/runtime"
-	"hpfdsm/internal/sim"
 	"hpfdsm/internal/trace"
 )
 
@@ -103,7 +102,6 @@ func run() (exitCode int) {
 	pdes := flag.Int("pdes", 1, "parallel simulation: partition the simulated nodes across this many OS threads (1 = sequential; statistics are bit-identical either way)")
 	noAgg := flag.Bool("no-agg", false, "disable the barrier-epoch message aggregation layer")
 	aggThreshold := flag.Int("agg-threshold", 0, "aggregation: per-(loop,destination) byte volume at which epoch aggregation replaces bulk transfer (0 = default of 2 blocks)")
-	aggDelay := flag.Int64("agg-delay", 0, "aggregation: engine-side batch window in microseconds (0 = default)")
 	heatmap := flag.Bool("heatmap", false, "print the per-block heat map and residual-miss provenance table")
 	heatmapJSON := flag.String("heatmap-json", "", "write the per-block heat map as JSON to this file")
 	params := paramFlags{}
@@ -192,9 +190,6 @@ func run() (exitCode int) {
 	}
 	if *aggThreshold != 0 {
 		mc.AggThreshold = *aggThreshold
-	}
-	if *aggDelay != 0 {
-		mc.AggDelay = sim.Time(*aggDelay) * sim.Microsecond
 	}
 	if *drop != 0 || *dup != 0 || *jitter != 0 || *reorder != 0 || len(crashes) > 0 {
 		f := mc.Faults

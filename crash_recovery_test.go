@@ -19,14 +19,33 @@ import (
 )
 
 func TestCrashRecoveryDifferential(t *testing.T) {
-	levels := []compiler.Level{compiler.OptNone, compiler.OptBulk, compiler.OptRTElim, compiler.OptPRE}
-	grids := []struct {
-		name    string
-		crashes []config.CrashSpec
-	}{
-		{"k1", []config.CrashSpec{{Node: 2, Epoch: 3}}},
-		{"k2", []config.CrashSpec{{Node: 2, Epoch: 3}, {Node: 1, Epoch: 6}}},
-	}
+	crashRecoveryDifferential(t, config.Default(),
+		[]compiler.Level{compiler.OptNone, compiler.OptBulk, compiler.OptRTElim, compiler.OptPRE},
+		[]crashGrid{
+			{"k1", []config.CrashSpec{{Node: 2, Epoch: 3}}},
+			{"k2", []config.CrashSpec{{Node: 2, Epoch: 3}, {Node: 1, Epoch: 6}}},
+		})
+}
+
+// TestCrashRecoveryDifferentialTree is the tree column: sixteen nodes on
+// the radix-4 combining tree, losing first an interior node of it (1,
+// the parent of 5..8) and then a leaf (11). Recovery rebuilds the whole
+// machine, so no barrier ever has to route around the dead node and
+// every node's round generation restarts with its neighbours'.
+func TestCrashRecoveryDifferentialTree(t *testing.T) {
+	crashRecoveryDifferential(t, config.Default().WithNodes(16).WithTopology(config.TreeTopo).WithRadix(4),
+		[]compiler.Level{compiler.OptNone, compiler.OptRTElim},
+		[]crashGrid{
+			{"interior+leaf", []config.CrashSpec{{Node: 1, Epoch: 3}, {Node: 11, Epoch: 6}}},
+		})
+}
+
+type crashGrid struct {
+	name    string
+	crashes []config.CrashSpec
+}
+
+func crashRecoveryDifferential(t *testing.T, machine config.Machine, levels []compiler.Level, grids []crashGrid) {
 	for _, a := range apps.All() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
@@ -38,7 +57,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				opt := opt
 				t.Run(opt.String(), func(t *testing.T) {
 					ref, err := runtime.Run(prog, runtime.Options{
-						Machine: config.Default(), Opt: opt, Check: true})
+						Machine: machine, Opt: opt, Check: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -49,7 +68,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 					for _, g := range grids {
 						g := g
 						t.Run(g.name, func(t *testing.T) {
-							mc := config.Default().WithFaults(config.Faults{Crashes: g.crashes})
+							mc := machine.WithFaults(config.Faults{Crashes: g.crashes})
 							res, err := runtime.Run(prog, runtime.Options{
 								Machine: mc, Opt: opt, Check: true})
 							if err != nil {

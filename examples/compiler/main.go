@@ -12,8 +12,8 @@ import (
 
 	"hpfdsm"
 	"hpfdsm/internal/compiler"
+	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/sections"
 )
 
 const source = `
@@ -35,12 +35,7 @@ func main() {
 	}
 
 	const np, blockSize = 8, 128
-	layouts := map[*ir.Array]sections.Layout{}
-	base := 0
-	for _, arr := range prog.Arrays {
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-		base += (arr.Elems()*8 + 4095) / 4096 * 4096
-	}
+	_, layouts := compiler.Place(prog, config.Default().WithNodes(np).WithBlockSize(blockSize))
 	an, err := compiler.New(prog, np, layouts, blockSize)
 	if err != nil {
 		log.Fatal(err)

@@ -9,8 +9,6 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
-	"hpfdsm/internal/memory"
-	"hpfdsm/internal/sections"
 )
 
 // The fixture has one shift-read loop (send/ready_to_recv traffic) and
@@ -38,12 +36,7 @@ func compileFixture(t *testing.T) (*compiler.Analysis, []*ir.ParLoop) {
 		t.Fatal(err)
 	}
 	mc := config.Default()
-	sp := memory.NewSpace(mc)
-	layouts := map[*ir.Array]sections.Layout{}
-	for _, arr := range prog.Arrays {
-		base := sp.Alloc(arr.Name, arr.Elems()*8)
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-	}
+	_, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,6 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
-	"hpfdsm/internal/memory"
-	"hpfdsm/internal/sections"
 )
 
 // Loop B reads every boundary column of a that loop A reads, and the
@@ -42,12 +40,7 @@ func TestProvIndexRepeatRecordIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := config.Default()
-	sp := memory.NewSpace(mc)
-	layouts := map[*ir.Array]sections.Layout{}
-	for _, arr := range prog.Arrays {
-		base := sp.Alloc(arr.Name, arr.Elems()*8)
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-	}
+	_, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
 	if err != nil {
 		t.Fatal(err)

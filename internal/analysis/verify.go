@@ -7,8 +7,6 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/memory"
-	"hpfdsm/internal/sections"
 )
 
 // Model is the per-level verification state: it replays the program's
@@ -240,12 +238,7 @@ func Verify(prog *ir.Program, mc config.Machine, levels ...compiler.Level) (*Rep
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	sp := memory.NewSpace(mc)
-	layouts := make(map[*ir.Array]sections.Layout)
-	for _, arr := range prog.Arrays {
-		base := sp.Alloc(arr.Name, arr.Elems()*8)
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-	}
+	_, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
 	if err != nil {
 		return nil, err

@@ -394,18 +394,11 @@ func Distribution(sizing Sizing) (string, error) {
 				maxC = n.ComputeTime
 			}
 		}
-		ratio := float64(maxC) / float64(maxInt64(minC, 1))
+		ratio := float64(maxC) / float64(max(minC, 1))
 		fmt.Fprintf(&b, "  %-12s | %10.2fms %13.1fx %12.1f\n",
 			dist, ms(r.Elapsed), ratio, r.Stats.AvgMissesPerNode())
 	}
 	return b.String(), nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Consistency compares the paper's eager release-consistent default

@@ -18,8 +18,10 @@ import (
 	"fmt"
 	"sync"
 
+	"hpfdsm/internal/config"
 	"hpfdsm/internal/distribute"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/memory"
 	"hpfdsm/internal/sections"
 )
 
@@ -181,6 +183,19 @@ func Cached(prog *ir.Program, np int, layouts map[*ir.Array]sections.Layout, blo
 	}
 	cachedMu.Unlock()
 	return a, nil
+}
+
+// Place lays prog's arrays out in a fresh shared segment for machine mc
+// (which must be valid): declaration order, each page-aligned, 8-byte
+// elements. The runtime, the verifier and the compiler driver all
+// analyse the program against this one placement.
+func Place(prog *ir.Program, mc config.Machine) (*memory.Space, map[*ir.Array]sections.Layout) {
+	sp := memory.NewSpace(mc)
+	layouts := make(map[*ir.Array]sections.Layout, len(prog.Arrays))
+	for _, arr := range prog.Arrays {
+		layouts[arr] = sections.Layout{Base: sp.Alloc(arr.Name, arr.Elems()*8), Extents: arr.Extents, ElemSize: 8}
+	}
+	return sp, layouts
 }
 
 // layoutSig is an FNV-style fold of the arrays' placements.

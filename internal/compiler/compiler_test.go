@@ -3,22 +3,15 @@ package compiler
 import (
 	"testing"
 
+	"hpfdsm/internal/config"
 	"hpfdsm/internal/distribute"
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/sections"
 )
 
-// buildLayouts lays the arrays out contiguously, page aligned, as the
-// runtime does.
+// buildLayouts places the arrays as the runtime does.
 func buildLayouts(arrs []*ir.Array) map[*ir.Array]sections.Layout {
-	out := map[*ir.Array]sections.Layout{}
-	base := 0
-	const page = 4096
-	for _, a := range arrs {
-		out[a] = sections.Layout{Base: base, Extents: a.Extents, ElemSize: 8}
-		sz := a.Elems() * 8
-		base += (sz + page - 1) / page * page
-	}
+	_, out := Place(&ir.Program{Arrays: arrs}, config.Default())
 	return out
 }
 

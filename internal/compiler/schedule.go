@@ -325,11 +325,7 @@ func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Sectio
 				continue
 			}
 			covered[b] = true // dedupe across runs
-			if k := len(edges) - 1; k >= 0 && edges[k].Start+edges[k].N == b {
-				edges[k].N++
-			} else {
-				edges = append(edges, protocol.BlockRun{Start: b, N: 1})
-			}
+			edges = protocol.AppendBlock(edges, b)
 		}
 	}
 	return Transfer{

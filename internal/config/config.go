@@ -287,16 +287,9 @@ type Machine struct {
 	// optimization level. AggThreshold is the adaptive bulk threshold:
 	// the expected per-(loop, destination) byte volume at or above which
 	// the runtime chooses epoch aggregation over per-transfer bulk for
-	// tagged data (0 selects the default of 2*BlockSize). AggDelay is
-	// the coalescer's engine-side batch window: the first protocol-
-	// engine segment appended to an empty per-destination buffer opens
-	// a window of AggDelay and the buffer drains when it closes,
-	// bounding added latency while letting a request stream (the
-	// upgrade and write-miss faults between two synchronization points)
-	// share one carrier (0 selects DefaultAggDelay).
+	// tagged data (0 selects the default of 2*BlockSize).
 	NoCoalesce   bool
 	AggThreshold int
-	AggDelay     sim.Time
 
 	// Topology selects flat (paper) or tree-structured routing for
 	// synchronization and invalidation; Radix is the combining-tree
@@ -410,14 +403,15 @@ func (m Machine) WithFaults(f Faults) Machine { m.Faults = f; return m }
 // WithoutCoalesce returns a copy of m with message aggregation off.
 func (m Machine) WithoutCoalesce() Machine { m.NoCoalesce = true; return m }
 
-// DefaultAggDelay is the default engine-side batch window. Eager
+// DefaultAggDelay is the coalescer's engine-side batch window: the
+// first protocol-engine segment appended to an empty per-destination
+// buffer opens it and the buffer drains when it closes, bounding added
+// latency while letting a request stream (the upgrade and write-miss
+// faults between two synchronization points) share one carrier. Eager
 // release consistency makes write faults latency-tolerant — the
 // compute thread runs on while grants are outstanding and only the
-// next synchronization point needs them resolved — so a generous
-// window costs little latency but lets a node's whole between-barrier
-// request stream to one home share a single carrier. 100 µs (several
-// round trips, still far below a barrier interval) was the knee of
-// the window sweep on the paper's application suite.
+// next synchronization point needs them resolved — so 100 µs (several
+// round trips, still far below a barrier interval) costs little.
 const DefaultAggDelay = 100 * sim.Microsecond
 
 // EffectiveAggThreshold returns AggThreshold or its default of two
@@ -431,13 +425,8 @@ func (m Machine) EffectiveAggThreshold() int {
 	return 2 * m.BlockSize
 }
 
-// EffectiveAggDelay returns AggDelay or its default.
-func (m Machine) EffectiveAggDelay() sim.Time {
-	if m.AggDelay > 0 {
-		return m.AggDelay
-	}
-	return DefaultAggDelay
-}
+// EffectiveAggDelay returns the batch window, a constant of the model.
+func (m Machine) EffectiveAggDelay() sim.Time { return DefaultAggDelay }
 
 // Validate reports configuration errors.
 func (m Machine) Validate() error {
@@ -462,8 +451,6 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: negative MsgHeader %d", m.MsgHeader)
 	case m.AggThreshold < 0:
 		return fmt.Errorf("config: negative aggregation threshold %d (use NoCoalesce to disable aggregation)", m.AggThreshold)
-	case m.AggDelay < 0:
-		return fmt.Errorf("config: negative aggregation drain delay %d", m.AggDelay)
 	}
 	for _, p := range []struct {
 		name string

@@ -147,6 +147,10 @@ func TestFromJSON(t *testing.T) {
 			t.Errorf("machine JSON naming Faults.%s accepted", k)
 		}
 	}
+	// Nor is the coalescer's batch window, which only ever had one value.
+	if _, err := FromJSON(strings.NewReader(`{"AggDelay": 50000}`)); err == nil {
+		t.Error("machine JSON naming AggDelay accepted")
+	}
 	if _, err := FromJSON(strings.NewReader(`{"Faults": {"MaxRetries": 2, "AckDelay": 5}}`)); err != nil {
 		t.Errorf("kept reliable-delivery knobs refused: %v", err)
 	}

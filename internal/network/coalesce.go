@@ -15,8 +15,8 @@
 // at the end of every compiler emission phase and at every
 // synchronization entry (the barrier forces a flush), and segments
 // appended from the protocol engine additionally arm a short timer so
-// engine-generated bursts depart within AggDelay even if the compute
-// process never reaches a drain point. Carriers are injected through
+// engine-generated bursts depart within the batch window even if the
+// compute process never reaches a drain point. Carriers are injected through
 // the protocol engine (the NIC composes them), so serialization
 // overlaps compute and carriers never overtake engine replies composed
 // earlier.

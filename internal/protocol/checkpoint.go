@@ -13,6 +13,8 @@ package protocol
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"hpfdsm/internal/checkpoint"
@@ -51,7 +53,7 @@ func (p *Proto) Quiescent() bool {
 		// conjunction over all entries, order-free, mutation-free.
 		//simlint:commutative
 		for _, e := range np.dir {
-			if e.busy || e.pending != 0 || len(e.waitQ) != 0 {
+			if !e.idle() {
 				return false
 			}
 		}
@@ -102,14 +104,11 @@ func (p *Proto) Capture() *checkpoint.Snapshot {
 				ns.Mapped[pg] = 1
 			}
 		}
-		blocks := make([]int, 0, len(np.dir))
-		for b := range np.dir {
-			blocks = append(blocks, b)
-		}
-		sort.Ints(blocks)
+		blocks := slices.AppendSeq(make([]int, 0, len(np.dir)), maps.Keys(np.dir))
+		slices.Sort(blocks)
 		for _, b := range blocks {
 			e := np.dir[b]
-			if e.busy || e.pending != 0 || len(e.waitQ) != 0 {
+			if !e.idle() {
 				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", b, np.id))
 			}
 			ns.Dir = append(ns.Dir, checkpoint.DirEntry{
@@ -221,11 +220,7 @@ func packFlags(f blockFlags) []byte {
 }
 
 func unpackFlags(b []byte, minLen int) blockFlags {
-	n := len(b)
-	if n < minLen {
-		n = minLen
-	}
-	f := make(blockFlags, n)
+	f := make(blockFlags, max(len(b), minLen))
 	for i, v := range b {
 		f[i] = v != 0
 	}

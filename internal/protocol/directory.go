@@ -5,7 +5,6 @@ import (
 
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
-	"hpfdsm/internal/sim"
 )
 
 // dirEntry is the home-side directory state for one block: which nodes
@@ -32,6 +31,11 @@ type dirEntry struct {
 	waitQ   []*dirReq
 }
 
+// idle reports that no transaction is collecting or queued on the entry.
+func (e *dirEntry) idle() bool {
+	return !e.busy && e.pending == 0 && len(e.waitQ) == 0 && e.cur == nil
+}
+
 // newDirEntry allocates an entry with sets sized for an n-node cluster.
 func newDirEntry(n int) *dirEntry {
 	e := &dirEntry{}
@@ -46,7 +50,7 @@ type dirReq struct {
 	kind  network.Kind
 	block int
 	src   int
-	local func(withData bool) // non-nil for home-local requests
+	local func() // non-nil for home-local requests
 
 	needData bool    // mk_writable: requester lacks the data
 	agg      *mkwAgg // mk_writable aggregation, nil otherwise
@@ -82,11 +86,7 @@ func (np *nodeProto) entry(b int) *dirEntry {
 // at the already-scheduled resume time.
 func (np *nodeProto) enqueue(r *dirReq) {
 	if np.scHold.get(r.block) && r.src != np.id {
-		np.defers++
-		np.n.Env.After(2*sim.Microsecond, func() {
-			np.defers--
-			np.enqueue(r)
-		})
+		np.later(func() { np.enqueue(r) })
 		return
 	}
 	e := np.entry(r.block)
@@ -113,9 +113,7 @@ func (np *nodeProto) start(e *dirEntry, r *dirReq) {
 			mem.ClearDirty(r.block)
 			e.writers.clear(np.id)
 			if invalidate {
-				if h := np.heat(); h != nil {
-					h.AddInval(r.block)
-				}
+				np.heatInval(r.block)
 				mem.SetTag(r.block, memory.Invalid)
 			} else {
 				mem.SetTag(r.block, memory.ReadOnly)
@@ -127,38 +125,21 @@ func (np *nodeProto) start(e *dirEntry, r *dirReq) {
 		if invalidate {
 			arg = 1
 		}
-		m := np.n.Net.NewMessage(np.id)
-		m.Dst, m.Kind, m.Addr, m.Arg, m.Size = w, KPutDataReq, r.block, arg, ctrlSize
-		np.send(m)
+		np.ctrl(w, KPutDataReq, r.block, arg, 0)
 		need++
 	}
 	invalSharer := func(s int) {
 		if s == np.id {
 			np.occupy(mc.TagChange)
-			if h := np.heat(); h != nil {
-				h.AddInval(r.block)
-			}
+			np.heatInval(r.block)
 			mem.SetTag(r.block, memory.Invalid)
 			e.sharers.clear(np.id)
 			return
 		}
-		if np.coal != nil {
-			// Invalidations are latency-tolerant under eager RC (the
-			// requester's grant is collected at its next sync point, and
-			// that sync gates on the grant, which gates on these acks —
-			// so all of an epoch's invalidations land before its barrier
-			// completes). A request burst arriving in one carrier emits
-			// its whole invalidation fan-out in one event instant, so
-			// the per-sharer buffers fill back-to-back and the engine
-			// timer drains each as one carrier.
-			np.occupy(mc.TagChange)
-			np.coal.Append(s, KInval, r.block, 0, 0, nil, true)
-			need++
-			return
-		}
-		m := np.n.Net.NewMessage(np.id)
-		m.Dst, m.Kind, m.Addr, m.Size = s, KInval, r.block, ctrlSize
-		np.send(m)
+		// Latency-tolerant under eager RC: the requester's next sync
+		// point gates on its grant, which gates on these acks, so all of
+		// an epoch's invalidations land before its barrier completes.
+		np.post(s, KInval, r.block, false)
 		need++
 	}
 
@@ -208,21 +189,50 @@ func (np *nodeProto) start(e *dirEntry, r *dirReq) {
 	np.finish(e, r)
 }
 
-// collectDone records one flush or invalidation acknowledgement for a
-// busy entry; keeps indicates the responder retained a readonly copy.
-func (np *nodeProto) collectDone(b, from int, keeps bool) {
+// ownedBy records node id as the block's only holder, a writer: every
+// other copy was just invalidated.
+func (e *dirEntry) ownedBy(id int) {
+	e.writers.clearAll()
+	e.writers.set(id)
+	e.sharers.clearAll()
+	e.stale.clearAll()
+}
+
+// forget removes node id's copy from the entry.
+func (e *dirEntry) forget(id int) {
+	e.writers.clear(id)
+	e.sharers.clear(id)
+	e.stale.clear(id) // copy gone; staleness moot
+}
+
+// collecting returns block b's entry, which must be busy: a flush or an
+// acknowledgement for it has just arrived.
+func (np *nodeProto) collecting(b int) *dirEntry {
 	e := np.dir[b]
 	if e == nil || !e.busy {
 		panic(fmt.Sprintf("protocol: node %d got a collection response for idle block %d", np.id, b))
 	}
-	e.writers.clear(from)
-	e.sharers.clear(from)
+	return e
+}
+
+// collectDone records one flush or invalidation acknowledgement for a
+// busy entry; keeps indicates the responder retained a readonly copy.
+func (np *nodeProto) collectDone(b, from int, keeps bool) {
+	e := np.collecting(b)
 	if keeps {
+		e.writers.clear(from)
 		e.sharers.set(from)
 	} else {
-		e.stale.clear(from) // copy invalidated; staleness moot
+		e.forget(from)
 	}
-	e.pending--
+	np.retire(b, e, 1)
+}
+
+// retire accounts for n more of the copies block b's transaction is
+// collecting; once none is outstanding the request completes and the
+// queue behind it drains.
+func (np *nodeProto) retire(b int, e *dirEntry, n int) {
+	e.pending -= n
 	if e.pending > 0 {
 		return
 	}
@@ -251,12 +261,6 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 	mem := np.n.Mem
 	mc := np.n.MC
 
-	blockData := func() []byte {
-		d := np.n.Net.AllocBlock(np.id)
-		copy(d, mem.BlockData(r.block))
-		return d
-	}
-
 	switch r.kind {
 	case KReadReq:
 		e.sharers.set(r.src)
@@ -265,32 +269,25 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 			np.occupy(mc.TagChange)
 			mem.SetTag(r.block, memory.ReadOnly)
 			mem.ClearDirty(r.block)
-			r.local(true)
+			r.local()
 			return
 		}
 		np.occupy(mc.BlockCopy)
-		rm := np.n.Net.NewMessage(np.id)
-		rm.Dst, rm.Kind, rm.Addr, rm.Data, rm.DataPooled = r.src, KReadResp, r.block, blockData(), true
-		np.send(rm)
+		np.sendBlock(r.src, KReadResp, r.block, 0, 0)
 
 	case KWriteReq:
-		e.writers.clearAll()
-		e.writers.set(r.src)
-		e.sharers.clearAll()
-		e.stale.clearAll() // every other copy was just invalidated
+		e.ownedBy(r.src)
 		if r.local != nil {
 			// Home-local write miss: home memory is the data and the
 			// fault already opened the frame; keep the dirty mask (the
 			// processor may have written during the transaction).
 			np.occupy(mc.TagChange)
 			mem.SetTag(r.block, memory.ReadWrite)
-			r.local(true)
+			r.local()
 			return
 		}
 		np.occupy(mc.BlockCopy)
-		rm := np.n.Net.NewMessage(np.id)
-		rm.Dst, rm.Kind, rm.Addr, rm.Data, rm.DataPooled = r.src, KWriteResp, r.block, blockData(), true
-		np.send(rm)
+		np.sendBlock(r.src, KWriteResp, r.block, 0, 0)
 
 	case KUpgradeReq:
 		hadCopy := e.sharers.has(r.src) || e.writers.has(r.src)
@@ -302,51 +299,21 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 			e.stale.clear(r.src)
 		}
 		if r.local != nil {
-			r.local(true)
+			r.local()
 			return
 		}
-		if np.coal != nil {
-			// Grants for a request burst batch into one carrier per
-			// requester (the engine timer drains them); data for an
-			// invalidated-in-flight requester gathers straight from home
-			// memory into the carrier buffer, with no intermediate
-			// block-buffer allocation.
-			var payload []byte
-			if !hadCopy {
-				np.occupy(mc.BlockCopy)
-				payload = mem.BlockData(r.block)
-			}
-			np.occupy(mc.TagChange)
-			np.coal.Append(r.src, KWriteGrant, r.block, 0, 0, payload, true)
-			return
-		}
-		var data []byte
 		if !hadCopy {
 			// The requester was invalidated while its upgrade was in
 			// flight; the grant must carry fresh data.
 			np.occupy(mc.BlockCopy)
-			data = blockData()
 		}
-		rm := np.n.Net.NewMessage(np.id)
-		rm.Dst, rm.Kind, rm.Addr = r.src, KWriteGrant, r.block
-		rm.Data, rm.DataPooled, rm.Size = data, data != nil, maxInt(len(data), ctrlSize)
-		np.send(rm)
+		np.post(r.src, KWriteGrant, r.block, !hadCopy)
 
 	case KMkWritableReq:
-		e.writers.clearAll()
-		e.writers.set(r.src)
-		e.sharers.clearAll()
-		e.stale.clearAll()
-		r.agg.blockDone(np, r)
+		e.ownedBy(r.src)
+		r.agg.blockDone(np)
 
 	default:
 		panic(fmt.Sprintf("protocol: finish of unknown kind %d", r.kind))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

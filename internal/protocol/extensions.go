@@ -16,6 +16,25 @@ type BlockRun struct {
 	N     int
 }
 
+// extend grows the run by block b when b follows it directly.
+func (r *BlockRun) extend(b int) bool {
+	if r.Start+r.N != b {
+		return false
+	}
+	r.N++
+	return true
+}
+
+// AppendBlock adds block b to a list of runs built in ascending block
+// order: it extends the last run when b follows it directly, and starts
+// a new run otherwise.
+func AppendBlock(runs []BlockRun, b int) []BlockRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].extend(b) {
+		return runs
+	}
+	return append(runs, BlockRun{Start: b, N: 1})
+}
+
 // Ext is the compiler-directed protocol interface for one node: the
 // run-time calls of the paper's Section 4.2. All methods must be called
 // from the node's compute process. Each call's elapsed time is charged
@@ -24,9 +43,6 @@ type BlockRun struct {
 type Ext struct {
 	np *nodeProto
 }
-
-// Node returns the underlying tempest node.
-func (x *Ext) Node() *tempest.Node { return x.np.n }
 
 func (x *Ext) begin(p *sim.Proc) sim.Time {
 	x.np.n.Sync(p)
@@ -78,11 +94,10 @@ func (x *Ext) MkWritable(p *sim.Proc, runs []BlockRun) {
 			home := sp.HomeOfBlock(b)
 			needData := mem.Tag(b) == memory.Invalid
 			total++
+			// A change of disposition breaks a run like a gap does.
 			l := perHome[home]
-			if k := len(l) - 1; k >= 0 && l[k].start+l[k].n == b && l[k].needData == needData {
-				perHome[home][k].n++
-			} else {
-				perHome[home] = append(perHome[home], encRun{b, 1, needData})
+			if k := len(l) - 1; k < 0 || l[k].needData != needData || !l[k].extend(b) {
+				perHome[home] = append(l, encRun{BlockRun{b, 1}, needData})
 			}
 		}
 	}
@@ -96,26 +111,13 @@ func (x *Ext) MkWritable(p *sim.Proc, runs []BlockRun) {
 		if len(list) == 0 {
 			continue
 		}
-		count := 0
-		for _, er := range list {
-			count += er.n
-		}
 		if home == np.id {
-			agg := &mkwAgg{src: np.id, remaining: count, local: true}
+			agg := &mkwAgg{src: np.id, local: true}
 			for _, er := range list {
-				if er.needData {
-					agg.dataRuns = append(agg.dataRuns, BlockRun{er.start, er.n})
-				} else {
-					agg.upRuns = append(agg.upRuns, BlockRun{er.start, er.n})
-					agg.upgraded += er.n
-				}
+				agg.add(er)
 			}
-			p.Sleep(sim.Time(count) * mc.BulkPerBlock)
-			for _, er := range list {
-				for b := er.start; b < er.start+er.n; b++ {
-					np.enqueue(&dirReq{kind: KMkWritableReq, block: b, src: np.id, needData: er.needData, agg: agg})
-				}
-			}
+			p.Sleep(sim.Time(agg.remaining) * mc.BulkPerBlock)
+			np.enqueueMkWritable(list, agg)
 			continue
 		}
 		// Remote home: one pipelined request. Upgrade-only blocks can
@@ -125,12 +127,12 @@ func (x *Ext) MkWritable(p *sim.Proc, runs []BlockRun) {
 		binary.LittleEndian.PutUint32(payload, uint32(len(list)))
 		off := 4
 		for _, er := range list {
-			binary.LittleEndian.PutUint32(payload[off:], uint32(er.start))
-			binary.LittleEndian.PutUint32(payload[off+4:], uint32(er.n))
+			binary.LittleEndian.PutUint32(payload[off:], uint32(er.Start))
+			binary.LittleEndian.PutUint32(payload[off+4:], uint32(er.N))
 			if er.needData {
 				payload[off+8] = 1
 			} else {
-				for b := er.start; b < er.start+er.n; b++ {
+				for b := er.Start; b < er.Start+er.N; b++ {
 					mem.SetTag(b, memory.ReadWrite)
 				}
 			}
@@ -151,13 +153,35 @@ func (x *Ext) MkWritable(p *sim.Proc, runs []BlockRun) {
 type mkwAgg struct {
 	src       int
 	remaining int
-	dataRuns  []BlockRun
-	upRuns    []BlockRun // upgrade-only runs (kept for the local case)
-	upgraded  int
-	local     bool
+	local     bool       // the home's own request: it takes the tags of ownRuns itself
+	ownRuns   []BlockRun // local: every run, whatever its disposition
+	dataRuns  []BlockRun // remote: runs whose data the response carries
+	upgraded  int        // remote: upgrade-only blocks, acknowledged by count
 }
 
-func (a *mkwAgg) blockDone(np *nodeProto, r *dirReq) {
+// add counts one classified run of the request into the aggregate.
+func (a *mkwAgg) add(er encRun) {
+	a.remaining += er.N
+	switch {
+	case a.local:
+		a.ownRuns = append(a.ownRuns, er.BlockRun)
+	case er.needData:
+		a.dataRuns = append(a.dataRuns, er.BlockRun)
+	default:
+		a.upgraded += er.N
+	}
+}
+
+// enqueueMkWritable opens one directory transaction per block of runs.
+func (np *nodeProto) enqueueMkWritable(runs []encRun, agg *mkwAgg) {
+	for _, er := range runs {
+		for b := er.Start; b < er.Start+er.N; b++ {
+			np.enqueue(&dirReq{kind: KMkWritableReq, block: b, src: agg.src, needData: er.needData, agg: agg})
+		}
+	}
+}
+
+func (a *mkwAgg) blockDone(np *nodeProto) {
 	a.remaining--
 	if a.remaining > 0 {
 		return
@@ -168,14 +192,12 @@ func (a *mkwAgg) blockDone(np *nodeProto, r *dirReq) {
 		// Requester is the home: data is already in home memory;
 		// just take the tags.
 		n := 0
-		for _, runs := range [][]BlockRun{a.dataRuns, a.upRuns} {
-			for _, dr := range runs {
-				for b := dr.Start; b < dr.Start+dr.N; b++ {
-					mem.SetTag(b, memory.ReadWrite)
-					mem.ClearDirty(b)
-				}
-				n += dr.N
+		for _, dr := range a.ownRuns {
+			for b := dr.Start; b < dr.Start+dr.N; b++ {
+				mem.SetTag(b, memory.ReadWrite)
+				mem.ClearDirty(b)
 			}
+			n += dr.N
 		}
 		np.mkwCount.Add(int64(n))
 		return
@@ -201,10 +223,7 @@ func (a *mkwAgg) blockDone(np *nodeProto, r *dirReq) {
 	maxBlocks := mc.MaxPayload / bs
 	for _, dr := range a.dataRuns {
 		for off := 0; off < dr.N; off += maxBlocks {
-			nb := dr.N - off
-			if nb > maxBlocks {
-				nb = maxBlocks
-			}
+			nb := min(dr.N-off, maxBlocks)
 			start := dr.Start + off
 			var data []byte
 			pooled := false
@@ -219,44 +238,29 @@ func (a *mkwAgg) blockDone(np *nodeProto, r *dirReq) {
 			dm := np.n.Net.NewMessage(np.id)
 			dm.Dst, dm.Kind = a.src, KMkWritableData
 			dm.Addr, dm.Arg, dm.Data, dm.DataPooled = start*bs, int64(nb), data, pooled
-			np.send(dm)
+			np.n.SendFromProto(dm)
 		}
 	}
 	if a.upgraded > 0 {
-		m := np.n.Net.NewMessage(np.id)
-		m.Dst, m.Kind, m.Arg, m.Size = a.src, KMkWritableAck, int64(a.upgraded), ctrlSize
-		np.send(m)
+		np.ctrl(a.src, KMkWritableAck, 0, int64(a.upgraded), 0)
 	}
 }
 
 func (np *nodeProto) hMkWritableReq(hc *tempest.HContext, m *network.Message) {
-	mc := np.n.MC
 	nruns := int(binary.LittleEndian.Uint32(m.Data))
 	agg := &mkwAgg{src: m.Src}
 	runs := np.mkwScratch[:0]
-	off := 4
-	for i := 0; i < nruns; i++ {
-		er := encRun{
-			start:    int(binary.LittleEndian.Uint32(m.Data[off:])),
-			n:        int(binary.LittleEndian.Uint32(m.Data[off+4:])),
-			needData: m.Data[off+8] == 1,
-		}
-		off += 9
-		agg.remaining += er.n
-		if er.needData {
-			agg.dataRuns = append(agg.dataRuns, BlockRun{er.start, er.n})
-		} else {
-			agg.upgraded += er.n
-		}
+	for off := 4; off < 4+9*nruns; off += 9 {
+		er := encRun{BlockRun{
+			Start: int(binary.LittleEndian.Uint32(m.Data[off:])),
+			N:     int(binary.LittleEndian.Uint32(m.Data[off+4:])),
+		}, m.Data[off+8] == 1}
+		agg.add(er)
 		runs = append(runs, er)
 	}
 	np.mkwScratch = runs[:0]
-	np.occupy(sim.Time(agg.remaining) * mc.BulkPerBlock)
-	for _, er := range runs {
-		for b := er.start; b < er.start+er.n; b++ {
-			np.enqueue(&dirReq{kind: KMkWritableReq, block: b, src: m.Src, needData: er.needData, agg: agg})
-		}
-	}
+	np.occupy(sim.Time(agg.remaining) * np.n.MC.BulkPerBlock)
+	np.enqueueMkWritable(runs, agg)
 }
 
 func (np *nodeProto) hMkWritableData(hc *tempest.HContext, m *network.Message) {
@@ -391,8 +395,7 @@ func (x *Ext) SendBlocks(p *sim.Proc, dst int, runs []BlockRun, mode SendMode) {
 func (x *Ext) FlushBlocks(p *sim.Proc, owner int, runs []BlockRun, mode SendMode) {
 	x.sendTagged(p, owner, runs, mode, KCCFlush)
 	np := x.np
-	n := np.n
-	mem := n.Mem
+	mem := np.n.Mem
 	sp := mem.Space()
 	for _, r := range runs {
 		for b := r.Start; b < r.Start+r.N; b++ {
@@ -404,7 +407,7 @@ func (x *Ext) FlushBlocks(p *sim.Proc, owner int, runs []BlockRun, mode SendMode
 	// grouping reuses the node's scratch buffers (steady-state calls
 	// allocate nothing).
 	if np.homeScratch == nil {
-		np.homeScratch = make([][]homeRun, len(np.p.nodes))
+		np.homeScratch = make([][]BlockRun, len(np.p.nodes))
 	}
 	perHome := np.homeScratch
 	for i := range perHome {
@@ -413,33 +416,18 @@ func (x *Ext) FlushBlocks(p *sim.Proc, owner int, runs []BlockRun, mode SendMode
 	for _, r := range runs {
 		for b := r.Start; b < r.Start+r.N; b++ {
 			h := sp.HomeOfBlock(b)
-			l := perHome[h]
-			if k := len(l) - 1; k >= 0 && l[k].start+l[k].n == b {
-				perHome[h][k].n++
-			} else {
-				perHome[h] = append(perHome[h], homeRun{b, 1})
-			}
+			perHome[h] = AppendBlock(perHome[h], b)
 		}
 	}
 	for h := 0; h < len(perHome); h++ {
 		for _, hr := range perHome[h] {
 			if h == np.id {
-				np.ccFlushDir(hr.start, hr.n, owner, np.id)
+				np.ccFlushDir(hr.Start, hr.N, owner, np.id)
 				continue
 			}
-			if np.coal != nil {
-				// The directory update piggybacks on the epoch's carrier
-				// to that home instead of paying its own header and
-				// handler dispatch.
-				p.Sleep(n.MC.TagChange)
-				np.coal.Append(h, KCCFlushDir, hr.start, int64(hr.n), int64(owner), nil, false)
-				continue
-			}
-			p.Sleep(n.MC.SendOver)
-			m := n.Net.NewMessage(np.id)
-			m.Src, m.Dst, m.Kind = np.id, h, KCCFlushDir
-			m.Addr, m.Arg, m.Arg2, m.Size = hr.start, int64(hr.n), int64(owner), ctrlSize
-			n.Net.Send(m)
+			// With the coalescer on, the directory update piggybacks on
+			// the epoch's carrier to that home.
+			np.postFromCompute(p, 0, h, KCCFlushDir, hr.Start, int64(hr.N), int64(owner), false)
 		}
 	}
 }
@@ -450,18 +438,10 @@ func (np *nodeProto) ccFlushDir(start, n, owner, flusher int) {
 	for b := start; b < start+n; b++ {
 		e := np.entry(b)
 		if e.busy {
-			b := b
-			np.defers++
-			np.n.Env.After(2*sim.Microsecond, func() {
-				np.defers--
-				np.ccFlushDir(b, 1, owner, flusher)
-			})
+			np.later(func() { np.ccFlushDir(b, 1, owner, flusher) })
 			continue
 		}
-		e.writers.clearAll()
-		e.writers.set(owner)
-		e.sharers.clearAll()
-		e.stale.clearAll()
+		e.ownedBy(owner)
 	}
 	np.occupy(sim.Time(n) * np.n.MC.TagChange)
 }
@@ -520,34 +500,31 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 			continue
 		}
 		for off := 0; off < r.N; off += maxBlocks {
-			nb := r.N - off
-			if nb > maxBlocks {
-				nb = maxBlocks
-			}
+			nb := min(r.N-off, maxBlocks)
 			start := r.Start + off
 			var data []byte
-			pooled := false
 			if nb == 1 {
 				data = n.Net.AllocBlock(np.id)
 			} else {
 				data = n.Net.AllocVar(np.id, nb*bs)[:nb*bs]
 			}
-			pooled = true
 			copy(data, mem.Bytes(start*bs, nb*bs))
 			p.Sleep(mc.SendOver + sim.Time(nb)*mc.BulkPerBlock)
 			m := n.Net.NewMessage(np.id)
 			m.Src, m.Dst, m.Kind = np.id, dst, kind
-			m.Addr, m.Arg, m.Data, m.DataPooled = start*bs, int64(nb), data, pooled
+			m.Addr, m.Arg, m.Data, m.DataPooled = start*bs, int64(nb), data, true
 			n.Net.Send(m)
 		}
 	}
 }
 
-// installCC installs a compiler-controlled data/flush payload — the
-// receive-side hot path for every specially tagged message.
+// hCC installs a compiler-controlled data (KCCData) or flush (KCCFlush)
+// payload — the receive-side hot path for every specially tagged
+// message.
 //
 //simlint:hotpath
-func (np *nodeProto) installCC(m *network.Message, markDirty bool) {
+func (np *nodeProto) hCC(hc *tempest.HContext, m *network.Message) {
+	markDirty := m.Kind == KCCFlush
 	mem := np.n.Mem
 	bs := mem.Space().BlockSize()
 	nb := int(m.Arg)
@@ -587,15 +564,6 @@ func (np *nodeProto) installCC(m *network.Message, markDirty bool) {
 	np.ccRecv.Add(int64(nb))
 }
 
-func (np *nodeProto) hCCData(hc *tempest.HContext, m *network.Message) {
-	np.installCC(m, false)
-}
-
-func (np *nodeProto) hCCFlush(hc *tempest.HContext, m *network.Message) {
-	// The owner holds its blocks writable in steady state; enforce it.
-	np.installCC(m, true)
-}
-
 // Prefetch issues advisory, non-binding read requests for blocks this
 // node will read through the default protocol (the paper's suggested
 // boundary-case optimization: "co-operative prefetch" for the edge
@@ -628,9 +596,7 @@ func (x *Ext) Prefetch(p *sim.Proc, runs []BlockRun) {
 				p.Sleep(mc.PageMapCost)
 				mem.SetMapped(pg)
 			}
-			m := n.Net.NewMessage(np.id)
-			m.Dst, m.Kind, m.Addr, m.Size = home, KReadReq, b, ctrlSize
-			np.send(m)
+			np.ctrl(home, KReadReq, b, 0, 0)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,7 +58,7 @@ func (p *Proto) audit(quiescent bool) error {
 		homeID := sp.HomeOfBlock(b)
 		home := p.nodes[homeID]
 		e, ok := home.dir[b]
-		if ok && (e.busy || e.pending != 0 || len(e.waitQ) != 0 || e.cur != nil) {
+		if ok && !e.idle() {
 			if quiescent {
 				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
 					b, p.blockInfo(b), e.busy, e.pending, len(e.waitQ))
@@ -157,12 +159,7 @@ func (p *Proto) DumpOutstanding() string {
 	for _, np := range p.nodes {
 		var lines []string
 		if len(np.fill) > 0 {
-			var blocks []int
-			for b := range np.fill {
-				blocks = append(blocks, b)
-			}
-			sort.Ints(blocks)
-			lines = append(lines, fmt.Sprintf("blocking misses on blocks %v", blocks))
+			lines = append(lines, fmt.Sprintf("blocking misses on blocks %v", slices.Sorted(maps.Keys(np.fill))))
 		}
 		if pend := np.n.Pending(); pend > 0 {
 			lines = append(lines, fmt.Sprintf("%d non-blocking transaction(s) in flight", pend))
@@ -172,7 +169,7 @@ func (p *Proto) DumpOutstanding() string {
 		}
 		var busy []int
 		for b, e := range np.dir {
-			if e.busy || len(e.waitQ) > 0 {
+			if !e.idle() {
 				busy = append(busy, b)
 			}
 		}
@@ -181,12 +178,7 @@ func (p *Proto) DumpOutstanding() string {
 			e := np.dir[b]
 			lines = append(lines, fmt.Sprintf("directory block %d%s busy (pending=%d queued=%d)", b, p.blockInfo(b), e.pending, len(e.waitQ)))
 		}
-		var rounds []int
-		for b := range np.relay {
-			rounds = append(rounds, b)
-		}
-		sort.Ints(rounds)
-		for _, b := range rounds {
+		for _, b := range slices.Sorted(maps.Keys(np.relay)) {
 			rs := np.relay[b]
 			lines = append(lines, fmt.Sprintf("relay round for block %d%s open (%d/%d leaves answered, home %d)",
 				b, p.blockInfo(b), rs.got, rs.expect, rs.home))

@@ -12,31 +12,28 @@
 // set of cleanly invalidated leaves. The home's occupancy drops from
 // O(S) to O(clusters), and the per-cluster legs run in parallel.
 //
-// Data words cannot diverge from the flat protocol: a leaf holding
+// Only the routing differs from the flat shape. Every copy is given up
+// by the same surrender whichever message asked for it: a leaf holding
 // dirty words flushes them in a KPutDataResp straight to the home
 // (exactly the message the flat path would have produced), so home
-// memory merges the same bytes in either topology. Only clean
-// invalidations ride the combined ack.
-//
-// Completion counting is arrival-order independent: the home's
-// pending count is seeded with the number of live relayed sharers;
-// each direct KPutDataResp retires one, and a KInvalAckTree retires
-// popcount(cleanLeaves). Whichever order the two ack species arrive
-// in, pending reaches zero exactly when every sharer has been heard
-// from.
+// memory merges the same bytes in either topology, and only clean
+// invalidations ride the combined ack. Every copy is accounted for by
+// the same retire: the home's pending count is seeded with the number
+// of live relayed sharers, each direct KPutDataResp retires one and a
+// KInvalAckTree retires popcount(cleanLeaves), so whichever order the
+// two ack species arrive in, pending reaches zero exactly when every
+// sharer has been heard from.
 //
 // Tree invalidation messages travel standalone (never as coalescer
-// segments): a relay round is already a batching mechanism, and
-// keeping it off the carrier path means the PR 5 coalescer and the
-// PR 1 reliable layer see ordinary control messages they already know
-// how to retransmit.
+// segments): a relay round is already a batching mechanism, and the
+// reliable layer sees ordinary control messages it already knows how
+// to retransmit.
 package protocol
 
 import (
 	"fmt"
 	mbits "math/bits"
 
-	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/tempest"
 )
@@ -93,9 +90,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, r *dirReq, invalOne func(s in
 				// A crashed sharer's copy is gone; retire it from the
 				// directory now so the round can complete without it.
 				live &^= 1 << uint(l)
-				e.writers.clear(base + l)
-				e.sharers.clear(base + l)
-				e.stale.clear(base + l)
+				e.forget(base + l)
 			}
 		}
 		switch mbits.OnesCount64(live) {
@@ -107,10 +102,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, r *dirReq, invalOne func(s in
 			invalOne(base + mbits.TrailingZeros64(live))
 			continue
 		}
-		relay := base + mbits.TrailingZeros64(live)
-		m := np.n.Net.NewMessage(np.id)
-		m.Dst, m.Kind, m.Addr, m.Arg, m.Size = relay, KInvalTree, r.block, int64(live), ctrlSize
-		np.send(m)
+		np.ctrl(base+mbits.TrailingZeros64(live), KInvalTree, r.block, int64(live), 0)
 		extra += mbits.OnesCount64(live)
 		np.invalRounds++
 	}
@@ -135,43 +127,19 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 	if _, dup := np.relay[b]; dup {
 		panic(fmt.Sprintf("protocol: node %d got overlapping relay rounds for block %d", np.id, b))
 	}
-	rs := &relayState{home: m.Src, expect: mbits.OnesCount64(leaves)}
+	rs := &relayState{home: m.Src, expect: mbits.OnesCount64(leaves), got: 1}
 	np.relay[b] = rs
 
+	// The relay is itself a sharer — the home picks the cluster's lowest
+	// live one — and gives its copy up like any other leaf.
 	base := tr.ClusterBase(tr.ClusterOf(np.id))
 	myLeaf := uint(tr.LeafOf(np.id))
-	if leaves&(1<<myLeaf) != 0 {
-		// The relay is itself a sharer (it always is: the home picks
-		// the cluster's lowest live sharer). Invalidate like hInval:
-		// dirty words flush straight to the home, clean copies join
-		// the combined ack.
-		if h := np.heat(); h != nil {
-			h.AddInval(b)
-		}
-		mem := np.n.Mem
-		np.occupy(mc.TagChange)
-		if mask := mem.Dirty(b); mask != 0 {
-			np.occupy(mc.BlockCopy)
-			data := np.n.Net.AllocBlock(np.id)
-			copy(data, mem.BlockData(b))
-			mem.SetTag(b, memory.Invalid)
-			mem.ClearDirty(b)
-			rm := np.n.Net.NewMessage(np.id)
-			rm.Dst, rm.Kind, rm.Addr = rs.home, KPutDataResp, b
-			rm.Arg, rm.Arg2, rm.Data, rm.DataPooled = int64(mask), 0, data, true
-			np.send(rm)
-		} else {
-			mem.SetTag(b, memory.Invalid)
-			rs.clean |= 1 << myLeaf
-		}
-		rs.got++
+	np.heatInval(b)
+	if np.surrender(b, rs.home, false, false, mc.BlockCopy) {
+		rs.clean |= 1 << myLeaf
 	}
-	for rest := leaves &^ (1 << myLeaf); rest != 0; {
-		l := mbits.TrailingZeros64(rest)
-		rest &^= 1 << uint(l)
-		fm := np.n.Net.NewMessage(np.id)
-		fm.Dst, fm.Kind, fm.Addr, fm.Arg2, fm.Size = base+l, KInvalFwd, b, int64(rs.home), ctrlSize
-		np.send(fm)
+	for rest := leaves &^ (1 << myLeaf); rest != 0; rest &= rest - 1 {
+		np.ctrl(base+mbits.TrailingZeros64(rest), KInvalFwd, b, 0, int64(rs.home))
 	}
 	np.maybeCloseRelay(b, rs)
 }
@@ -185,30 +153,13 @@ func (np *nodeProto) hInvalFwd(hc *tempest.HContext, m *network.Message) {
 		np.deferMsg(m, np.hInvalFwd)
 		return
 	}
-	if h := np.heat(); h != nil {
-		h.AddInval(b)
+	np.heatInval(b)
+	np.occupy(np.n.MC.HandlerCost)
+	dirty := int64(1)
+	if np.surrender(b, int(m.Arg2), false, false, np.n.MC.BlockCopy) {
+		dirty = 0
 	}
-	mem := np.n.Mem
-	mc := np.n.MC
-	np.occupy(mc.HandlerCost + mc.TagChange)
-	dirtyFlag := int64(0)
-	if mask := mem.Dirty(b); mask != 0 {
-		np.occupy(mc.BlockCopy)
-		data := np.n.Net.AllocBlock(np.id)
-		copy(data, mem.BlockData(b))
-		mem.SetTag(b, memory.Invalid)
-		mem.ClearDirty(b)
-		rm := np.n.Net.NewMessage(np.id)
-		rm.Dst, rm.Kind, rm.Addr = int(m.Arg2), KPutDataResp, b
-		rm.Arg, rm.Arg2, rm.Data, rm.DataPooled = int64(mask), 0, data, true
-		np.send(rm)
-		dirtyFlag = 1
-	} else {
-		mem.SetTag(b, memory.Invalid)
-	}
-	am := np.n.Net.NewMessage(np.id)
-	am.Dst, am.Kind, am.Addr, am.Arg, am.Size = m.Src, KInvalAckFwd, b, dirtyFlag, ctrlSize
-	np.send(am)
+	np.ctrl(m.Src, KInvalAckFwd, b, dirty, 0)
 }
 
 // hInvalAckFwd runs at the relay: one leaf has answered.
@@ -232,39 +183,27 @@ func (np *nodeProto) maybeCloseRelay(b int, rs *relayState) {
 		return
 	}
 	delete(np.relay, b)
-	am := np.n.Net.NewMessage(np.id)
-	am.Dst, am.Kind, am.Addr, am.Arg, am.Size = rs.home, KInvalAckTree, b, int64(rs.clean), ctrlSize
-	np.send(am)
+	np.ctrl(rs.home, KInvalAckTree, b, int64(rs.clean), 0)
 }
 
 // hInvalAckTree runs at the home: one cluster's combined clean-ack.
 // Dirty leaves in the same round are (or will be) retired one at a
 // time by their direct KPutDataResp flushes; the two species commute.
+// When every leaf was dirty the mask is empty and there is nothing left
+// to account for — the flushes may already have completed the
+// transaction and left the entry idle.
 func (np *nodeProto) hInvalAckTree(hc *tempest.HContext, m *network.Message) {
 	np.occupy(np.n.MC.HandlerCost)
-	b := m.Addr
-	e := np.dir[b]
-	if e == nil || !e.busy {
-		panic(fmt.Sprintf("protocol: node %d got a combined inval ack for idle block %d", np.id, b))
-	}
-	base := np.p.tree.ClusterBase(np.p.tree.ClusterOf(m.Src))
-	for leaves := uint64(m.Arg); leaves != 0; {
-		l := mbits.TrailingZeros64(leaves)
-		leaves &^= 1 << uint(l)
-		id := base + l
-		e.writers.clear(id)
-		e.sharers.clear(id)
-		e.stale.clear(id)
-		e.pending--
-	}
-	if e.pending > 0 {
+	if m.Arg == 0 {
 		return
 	}
-	r := e.cur
-	e.cur = nil
-	e.busy = false
-	np.finish(e, r)
-	np.drain(b, e)
+	b := m.Addr
+	e := np.collecting(b)
+	base := np.p.tree.ClusterBase(np.p.tree.ClusterOf(m.Src))
+	for leaves := uint64(m.Arg); leaves != 0; leaves &= leaves - 1 {
+		e.forget(base + mbits.TrailingZeros64(leaves))
+	}
+	np.retire(b, e, mbits.OnesCount64(uint64(m.Arg)))
 }
 
 // InvalRounds returns how many multicast fan-out rounds the cluster's

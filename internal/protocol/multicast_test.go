@@ -6,8 +6,10 @@ import (
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
+	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
+	"hpfdsm/internal/trace"
 )
 
 // newTreeHarness is newHarness under the tree topology (default radix),
@@ -178,5 +180,76 @@ func TestTreeInvalRelayCrashMidRoundDiagnosed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "directory block") || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("diagnostic does not name the stuck directory transaction:\n%v", err)
+	}
+}
+
+func TestTreeInvalAllDirtyRelayRound(t *testing.T) {
+	// Both leaves of a relayed cluster upgraded concurrently with the
+	// remote write that invalidates them: each flushes its dirty words
+	// straight to the home and so retires itself there, and the relay's
+	// combined ack carries an empty clean-leaf mask. Twelve read misses
+	// homed at the relay keep its engine busy, so that ack is the last
+	// message of the exchange to reach the home — after both leaves'
+	// queued upgrades were served too — and finds the entry idle.
+	h := newTreeHarness(t, 16, 8, nil)
+	h.c.BarrierCheck = h.p.CheckAtBarrier
+	tr := trace.New(16)
+	tr.KindName = func(k uint8) string { return MsgKindName(network.Kind(k)) }
+	h.c.SetTracer(tr)
+	addr := h.addrOnPage(0, 0)
+	const storeAt = 2 * sim.Millisecond
+	for id := 0; id < 16; id++ {
+		id := id
+		h.run(id, "n", func(p *sim.Proc, n *tempest.Node) {
+			if id == 4 || id == 5 {
+				n.LoadF64(p, addr)
+			}
+			n.WaitPending(p)
+			h.c.Barrier(p, n)
+			switch id {
+			case 0:
+			case 1:
+				p.Sleep(storeAt - p.Now())
+				n.StoreF64(p, addr, 1)
+			case 5: // the forwarded leaf: its upgrade queues first
+				p.Sleep(storeAt + 50*sim.Microsecond - p.Now())
+				n.StoreF64(p, addr+8, 5)
+			case 4: // the relay
+				p.Sleep(storeAt + 55*sim.Microsecond - p.Now())
+				n.StoreF64(p, addr+16, 4)
+			default:
+				p.Sleep(storeAt + 60*sim.Microsecond - p.Now())
+				n.LoadF64(p, h.addrOnPage(4, id*h.space.BlockSize()))
+			}
+			n.WaitPending(p)
+			h.c.Barrier(p, n)
+		})
+	}
+	if err := h.c.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.c.CheckErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var ackAt, lastFlushAt sim.Time
+	for _, e := range tr.Events() {
+		switch {
+		case e.Pid != 0:
+		case e.Name == "h:inval_ack_tree":
+			ackAt = e.Ts
+		case e.Name == "h:put_data_resp":
+			lastFlushAt = e.Ts
+		}
+	}
+	if ackAt <= lastFlushAt {
+		t.Fatalf("combined ack handled at %v, before the last flush at %v: the scenario no longer lands it on an idle entry", ackAt, lastFlushAt)
+	}
+	for w, want := range []float64{1, 5, 4} {
+		if got := h.p.CoherentRead(addr + 8*w); got != want {
+			t.Fatalf("word %d = %v after the round, want %v", w, got, want)
+		}
 	}
 }

@@ -213,7 +213,7 @@ type nodeProto struct {
 	// the per-call per-home grouping in MkWritable / FlushBlocks
 	// allocates nothing in steady state.
 	encScratch  [][]encRun
-	homeScratch [][]homeRun
+	homeScratch [][]BlockRun
 	mkwScratch  []encRun
 
 	// Multicast fan-out state (tree topology only; see multicast.go).
@@ -228,12 +228,9 @@ type nodeProto struct {
 
 // encRun is a run of blocks with one mk_writable disposition.
 type encRun struct {
-	start, n int
+	BlockRun
 	needData bool
 }
-
-// homeRun is a home-contiguous run of flushed blocks.
-type homeRun struct{ start, n int }
 
 // blockFlags is a dense per-block flag set indexed by block number —
 // the bookkeeping sits on the access-fault and data-install hot paths,
@@ -283,9 +280,9 @@ func Attach(c *tempest.Cluster) *Proto {
 		}
 		p.nodes = append(p.nodes, np)
 		n.Fault = np.fault
-		n.On(KReadReq, np.hReadReq)
-		n.On(KWriteReq, np.hWriteReq)
-		n.On(KUpgradeReq, np.hUpgradeReq)
+		n.On(KReadReq, np.hDirReq)
+		n.On(KWriteReq, np.hDirReq)
+		n.On(KUpgradeReq, np.hDirReq)
 		n.On(KReadResp, np.hReadResp)
 		n.On(KWriteResp, np.hWriteResp)
 		n.On(KWriteGrant, np.hWriteGrant)
@@ -296,8 +293,8 @@ func Attach(c *tempest.Cluster) *Proto {
 		n.On(KMkWritableReq, np.hMkWritableReq)
 		n.On(KMkWritableData, np.hMkWritableData)
 		n.On(KMkWritableAck, np.hMkWritableAck)
-		n.On(KCCData, np.hCCData)
-		n.On(KCCFlush, np.hCCFlush)
+		n.On(KCCData, np.hCC)
+		n.On(KCCFlush, np.hCC)
 		n.On(KCCFlushDir, np.hCCFlushDir)
 		n.On(KCoalesced, np.hCoalesced)
 		n.On(KInvalTree, np.hInvalTree)
@@ -359,20 +356,16 @@ func (np *nodeProto) hCoalesced(hc *tempest.HContext, m *network.Message) {
 // protocol bug.
 func (np *nodeProto) dispatchSeg(hc *tempest.HContext, sm *network.Message) {
 	switch sm.Kind {
-	case KCCData:
-		np.hCCData(hc, sm)
-	case KCCFlush:
-		np.hCCFlush(hc, sm)
+	case KCCData, KCCFlush:
+		np.hCC(hc, sm)
 	case KCCFlushDir:
 		np.hCCFlushDir(hc, sm)
 	case KMkWritableData:
 		np.hMkWritableData(hc, sm)
 	case KMkWritableAck:
 		np.hMkWritableAck(hc, sm)
-	case KUpgradeReq:
-		np.hUpgradeReq(hc, sm)
-	case KWriteReq:
-		np.hWriteReq(hc, sm)
+	case KUpgradeReq, KWriteReq:
+		np.hDirReq(hc, sm)
 	case KWriteGrant:
 		np.hWriteGrant(hc, sm)
 	case KInval:
@@ -422,10 +415,88 @@ func (np *nodeProto) heat() *trace.Heat {
 	return nil
 }
 
-// send transmits from the protocol engine, charging SendOver; the
-// message departs when the engine's queued work completes.
-func (np *nodeProto) send(m *network.Message) {
+// heatInval counts one invalidation of block b in the heat map.
+func (np *nodeProto) heatInval(b int) {
+	if h := np.heat(); h != nil {
+		h.AddInval(b)
+	}
+}
+
+// ctrl sends a payload-free control message from the protocol engine
+// (charging SendOver; it departs when the engine's queued work is done).
+func (np *nodeProto) ctrl(dst int, kind network.Kind, addr int, arg, arg2 int64) {
+	m := np.n.Net.NewMessage(np.id)
+	m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2, m.Size = dst, kind, addr, arg, arg2, ctrlSize
 	np.n.SendFromProto(m)
+}
+
+// sendBlock ships this node's copy of block b in a message of its own.
+func (np *nodeProto) sendBlock(dst int, kind network.Kind, b int, arg, arg2 int64) {
+	m := np.n.Net.NewMessage(np.id)
+	m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2 = dst, kind, b, arg, arg2
+	m.Data, m.DataPooled = np.n.Net.AllocBlock(np.id), true
+	copy(m.Data, np.n.Mem.BlockData(b))
+	np.n.SendFromProto(m)
+}
+
+// post sends one of the legs eager release consistency makes
+// latency-tolerant (an invalidation, its acknowledgement, a write
+// grant) from the protocol engine, with block b's data when withData is
+// set. With the coalescer on it is a segment of the open carrier to
+// dst: the engine pays a deposit instead of a send, the data gathers
+// straight from memory with no block buffer in between, and the engine
+// timer bounds the added delay — a request burst that arrived in one
+// carrier answers in one carrier. Otherwise it is a message of its own.
+func (np *nodeProto) post(dst int, kind network.Kind, b int, withData bool) {
+	switch {
+	case np.coal != nil:
+		var payload []byte
+		if withData {
+			payload = np.n.Mem.BlockData(b)
+		}
+		np.occupy(np.n.MC.TagChange)
+		np.coal.Append(dst, kind, b, 0, 0, payload, true)
+	case withData:
+		np.sendBlock(dst, kind, b, 0, 0)
+	default:
+		np.ctrl(dst, kind, b, 0, 0)
+	}
+}
+
+// request sends a control message from the compute process, which has
+// already paid for it.
+func (np *nodeProto) request(dst int, kind network.Kind, addr int, arg, arg2 int64) {
+	rq := np.n.Net.NewMessage(np.id)
+	rq.Src, rq.Dst, rq.Kind, rq.Addr, rq.Arg, rq.Arg2, rq.Size = np.id, dst, kind, addr, arg, arg2, ctrlSize
+	np.n.Net.Send(rq)
+}
+
+// postFromCompute is post's compute-side twin, for what nothing waits
+// on before the next synchronization point (a write fault's request, a
+// flush's directory update): the compute process sleeps d plus either
+// the deposit into the open carrier to dst or the overhead of a send of
+// its own. timer opens the coalescer's batch window, so that a request
+// stream departs mid-epoch and overlaps the loop body; every
+// synchronization entry drains as a backstop either way.
+func (np *nodeProto) postFromCompute(p *sim.Proc, d sim.Time, dst int, kind network.Kind, addr int, arg, arg2 int64, timer bool) {
+	if np.coal != nil {
+		p.Sleep(d + np.n.MC.TagChange)
+		np.coal.Append(dst, kind, addr, arg, arg2, nil, timer)
+		return
+	}
+	p.Sleep(d + np.n.MC.SendOver)
+	np.request(dst, kind, addr, arg, arg2)
+}
+
+// blockingMiss sends the home a request the compute process then waits
+// on: sig fires when the reply has been installed.
+func (np *nodeProto) blockingMiss(p *sim.Proc, d sim.Time, home int, kind network.Kind, b int, sig *sim.Signal) {
+	p.Sleep(d + np.n.MC.SendOver)
+	if _, dup := np.fill[b]; dup {
+		panic(fmt.Sprintf("protocol: node %d has two blocking misses on block %d", np.id, b))
+	}
+	np.fill[b] = sig
+	np.request(home, kind, b, 0, 0)
 }
 
 // --- Fault path (compute-process context) ----------------------------
@@ -459,20 +530,13 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 			if home == np.id {
 				p.Sleep(d)
 				//simlint:ignore hotalloc -- one transaction descriptor (and completion closure) per SC write miss; its lifetime spans the directory round-trip, and the miss itself costs microseconds of simulated time
-				np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func(bool) {
+				np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func() {
 					n.Mem.SetTag(b, memory.ReadWrite)
 					np.scHold.set(b)
 					sig.Fire()
 				}})
 			} else {
-				p.Sleep(d + mc.SendOver)
-				if _, dup := np.fill[b]; dup {
-					panic(fmt.Sprintf("protocol: node %d has two blocking misses on block %d", np.id, b))
-				}
-				np.fill[b] = sig
-				rq := n.Net.NewMessage(np.id)
-				rq.Src, rq.Dst, rq.Kind, rq.Addr, rq.Size = np.id, home, kind, b, ctrlSize
-				n.Net.Send(rq)
+				np.blockingMiss(p, d, home, kind, b, sig)
 			}
 			sig.Wait(p)
 			// The store retires now (no yield between here and the
@@ -488,32 +552,18 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 		// next synchronization point.
 		n.Mem.SetTag(b, memory.ReadWrite)
 		n.AddPending()
-		switch {
-		case home == np.id:
-			p.Sleep(d)
-			//simlint:ignore hotalloc -- one descriptor per home-local write miss; pooled reuse would have to survive crash teardown (PR 6) for no measurable win at the miss rate the bench gates
-			np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func(withData bool) {
-				n.DonePending()
-			}})
-		case np.coal != nil:
-			// The request is latency-tolerant (nothing waits before the
-			// next synchronization point), so the fault handler only
-			// deposits a request descriptor into the NIC's open gather
-			// buffer; consecutive faults to the same home share one
-			// carrier. The first request to a home opens a batch window
-			// of AggDelay: close-together faults share a carrier, yet the
-			// request chain still departs mid-epoch and overlaps the loop
-			// body instead of serializing behind the barrier. WaitPending
-			// drains as a backstop, so buffered requests can never gate
-			// their own grants.
-			p.Sleep(d + mc.TagChange)
-			np.coal.Append(home, kind, b, 0, 0, nil, true)
-		default:
-			p.Sleep(d + mc.SendOver)
-			rq := n.Net.NewMessage(np.id)
-			rq.Src, rq.Dst, rq.Kind, rq.Addr, rq.Size = np.id, home, kind, b, ctrlSize
-			n.Net.Send(rq)
+		if home != np.id {
+			// Consecutive faults to one home share a carrier when the
+			// coalescer is on; WaitPending's drain means a buffered
+			// request can never gate its own grant.
+			np.postFromCompute(p, d, home, kind, b, 0, 0, true)
+			return
 		}
+		p.Sleep(d)
+		//simlint:ignore hotalloc -- one descriptor per home-local write miss; pooled reuse would have to survive crash teardown (PR 6) for no measurable win at the miss rate the bench gates
+		np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func() {
+			n.DonePending()
+		}})
 		return
 	}
 
@@ -521,16 +571,9 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 	if home == np.id {
 		p.Sleep(d)
 		//simlint:ignore hotalloc -- one descriptor per home-local read miss, same trade as the write-miss descriptors above
-		np.enqueue(&dirReq{kind: KReadReq, block: b, src: np.id, local: func(bool) { sig.Fire() }})
+		np.enqueue(&dirReq{kind: KReadReq, block: b, src: np.id, local: func() { sig.Fire() }})
 	} else {
-		p.Sleep(d + mc.SendOver)
-		if prev, dup := np.fill[b]; dup {
-			panic(fmt.Sprintf("protocol: node %d has two blocking misses on block %d (%v)", np.id, b, prev))
-		}
-		np.fill[b] = sig
-		rq := n.Net.NewMessage(np.id)
-		rq.Src, rq.Dst, rq.Kind, rq.Addr, rq.Size = np.id, home, KReadReq, b, ctrlSize
-		n.Net.Send(rq)
+		np.blockingMiss(p, d, home, KReadReq, b, sig)
 	}
 	sig.Wait(p)
 }
@@ -548,6 +591,20 @@ func (np *nodeProto) fillDone(b int) {
 	sig.Fire()
 }
 
+// resume lets the processor blocked on block b continue once the
+// engine's queued work — the install this handler charged — is done.
+func (np *nodeProto) resume(b int) {
+	np.n.Env.Schedule(np.n.ProtoBusyUntil(), func() { np.fillDone(b) })
+}
+
+// grantSC completes a sequentially consistent store's stall: the block
+// is writable and held until the blocked store has retired.
+func (np *nodeProto) grantSC(b int) {
+	np.n.Mem.SetTag(b, memory.ReadWrite)
+	np.scHold.set(b)
+	np.resume(b)
+}
+
 func (np *nodeProto) hReadResp(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
 	if h := np.heat(); h != nil {
@@ -557,8 +614,7 @@ func (np *nodeProto) hReadResp(hc *tempest.HContext, m *network.Message) {
 	np.n.Mem.InstallBlock(b, m.Data)
 	np.n.Mem.SetTag(b, memory.ReadOnly)
 	np.n.Mem.ClearDirty(b)
-	// The faulting processor resumes once the data is installed.
-	np.n.Env.Schedule(np.n.ProtoBusyUntil(), func() { np.fillDone(b) })
+	np.resume(b)
 }
 
 // hWriteResp completes a write miss. Under release consistency the
@@ -573,18 +629,14 @@ func (np *nodeProto) hWriteResp(hc *tempest.HContext, m *network.Message) {
 	np.occupy(np.n.MC.BlockCopy + np.n.MC.TagChange)
 	np.n.Mem.InstallClean(b, m.Data)
 	if np.n.MC.Consistency == config.SequentiallyConsistent {
+		np.grantSC(b)
+		return
+	}
+	// If we were invalidated while the miss was in flight the copy is
+	// already stale: leave the tag alone.
+	if np.n.Mem.Tag(b) != memory.Invalid {
 		np.n.Mem.SetTag(b, memory.ReadWrite)
-		np.scHold.set(b)
-		np.n.Env.Schedule(np.n.ProtoBusyUntil(), func() { np.fillDone(b) })
-		return
 	}
-	if np.n.Mem.Tag(b) == memory.Invalid {
-		// We were invalidated while the miss was in flight; the copy
-		// is already stale, leave the tag alone.
-		np.n.DonePending()
-		return
-	}
-	np.n.Mem.SetTag(b, memory.ReadWrite)
 	np.n.DonePending()
 }
 
@@ -603,12 +655,36 @@ func (np *nodeProto) hWriteGrant(hc *tempest.HContext, m *network.Message) {
 		np.n.Mem.ClearDirty(b)
 	}
 	if np.n.MC.Consistency == config.SequentiallyConsistent {
-		np.n.Mem.SetTag(b, memory.ReadWrite)
-		np.scHold.set(b)
-		np.n.Env.Schedule(np.n.ProtoBusyUntil(), func() { np.fillDone(b) })
+		np.grantSC(b)
 		return
 	}
 	np.n.DonePending()
+}
+
+// surrender gives up this node's copy of block b on behalf of its home:
+// the tag goes invalid (readonly with keep, when the home lets a flushed
+// writer stay a sharer) and the dirty mask clears. Dirty words — with
+// always, the whole block whatever its mask, which is the reply a
+// KPutDataReq demands — go home in a KPutDataResp, whose arrival retires
+// this node from the home's collection; shipping charges copyCost. It
+// reports whether the copy was clean: nothing was sent, and the caller
+// still owes the round its acknowledgement.
+func (np *nodeProto) surrender(b, home int, keep, always bool, copyCost sim.Time) (clean bool) {
+	mem := np.n.Mem
+	np.occupy(np.n.MC.TagChange)
+	mask := mem.Dirty(b)
+	tag, keeps := memory.Invalid, int64(0)
+	if keep {
+		tag, keeps = memory.ReadOnly, 1
+	}
+	mem.SetTag(b, tag)
+	if mask == 0 && !always {
+		return true
+	}
+	np.occupy(copyCost)
+	np.sendBlock(home, KPutDataResp, b, int64(mask), keeps)
+	mem.ClearDirty(b)
+	return false
 }
 
 // hPutDataReq: the home wants our (possibly dirty) copy of a block.
@@ -619,66 +695,37 @@ func (np *nodeProto) hPutDataReq(hc *tempest.HContext, m *network.Message) {
 		np.deferMsg(m, np.hPutDataReq)
 		return
 	}
-	mem := np.n.Mem
-	mc := np.n.MC
-	np.occupy(mc.HandlerCost + mc.BlockCopy + mc.TagChange)
-	mask := mem.Dirty(b)
-	keeps := int64(1)
-	if m.Arg == 1 || mem.Tag(b) == memory.Invalid {
-		if h := np.heat(); h != nil && m.Arg == 1 {
-			h.AddInval(b)
-		}
-		mem.SetTag(b, memory.Invalid)
-		keeps = 0
-	} else {
-		mem.SetTag(b, memory.ReadOnly)
+	np.occupy(np.n.MC.HandlerCost)
+	if m.Arg == 1 {
+		np.heatInval(b)
 	}
-	data := np.n.Net.AllocBlock(np.id)
-	copy(data, mem.BlockData(b))
-	mem.ClearDirty(b)
-	rm := np.n.Net.NewMessage(np.id)
-	rm.Dst, rm.Kind, rm.Addr = m.Src, KPutDataResp, b
-	rm.Arg, rm.Arg2, rm.Data, rm.DataPooled = int64(mask), keeps, data, true
-	np.send(rm)
+	np.surrender(b, m.Src, m.Arg != 1 && np.n.Mem.Tag(b) != memory.Invalid, true, np.n.MC.BlockCopy)
 }
 
+// hInval: the home invalidates our readonly copy. A copy we upgraded
+// concurrently flushes its words instead of acknowledging (and, unlike
+// a tree leaf, is not charged the block copy).
 func (np *nodeProto) hInval(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
 	if np.scHold.get(b) {
 		np.deferMsg(m, np.hInval)
 		return
 	}
-	if h := np.heat(); h != nil {
-		h.AddInval(b)
+	np.heatInval(b)
+	np.occupy(np.n.MC.HandlerCost)
+	if np.surrender(b, m.Src, false, false, 0) {
+		np.post(m.Src, KInvalAck, b, false)
 	}
-	mem := np.n.Mem
-	mc := np.n.MC
-	np.occupy(mc.HandlerCost + mc.TagChange)
-	if mask := mem.Dirty(b); mask != 0 {
-		// We upgraded concurrently; flush our words with the ack.
-		data := np.n.Net.AllocBlock(np.id)
-		copy(data, mem.BlockData(b))
-		mem.SetTag(b, memory.Invalid)
-		mem.ClearDirty(b)
-		rm := np.n.Net.NewMessage(np.id)
-		rm.Dst, rm.Kind, rm.Addr = m.Src, KPutDataResp, b
-		rm.Arg, rm.Arg2, rm.Data, rm.DataPooled = int64(mask), 0, data, true
-		np.send(rm)
-		return
-	}
-	mem.SetTag(b, memory.Invalid)
-	if np.coal != nil {
-		// The home's collection tolerates ack latency (the requester's
-		// grant is itself latency-tolerant under eager RC), so the ack
-		// joins the gather buffer; a whole invalidation burst acks as
-		// one carrier. The engine timer bounds the added delay.
-		np.occupy(np.n.MC.TagChange)
-		np.coal.Append(m.Src, KInvalAck, b, 0, 0, nil, true)
-		return
-	}
-	rm := np.n.Net.NewMessage(np.id)
-	rm.Dst, rm.Kind, rm.Addr, rm.Size = m.Src, KInvalAck, b, ctrlSize
-	np.send(rm)
+}
+
+// later runs fn after a short pause. The parked work is counted, so
+// that the quiescence predicate refuses to checkpoint around it.
+func (np *nodeProto) later(fn func()) {
+	np.defers++
+	np.n.Env.After(2*sim.Microsecond, func() {
+		np.defers--
+		fn()
+	})
 }
 
 // deferMsg re-delivers a message to its own handler shortly, used to
@@ -686,28 +733,16 @@ func (np *nodeProto) hInval(hc *tempest.HContext, m *network.Message) {
 // yet retired.
 func (np *nodeProto) deferMsg(m *network.Message, h func(*tempest.HContext, *network.Message)) {
 	m.Retain() // the message outlives this delivery
-	np.defers++
-	np.n.Env.After(2*sim.Microsecond, func() {
-		np.defers--
-		h(&tempest.HContext{Node: np.n}, m)
-	})
+	np.later(func() { h(&tempest.HContext{Node: np.n}, m) })
 }
 
 // --- Home-side handlers ----------------------------------------------
 
-func (np *nodeProto) hReadReq(hc *tempest.HContext, m *network.Message) {
+// hDirReq: a remote read, write or upgrade request for a block homed
+// here becomes a directory transaction of the message's kind.
+func (np *nodeProto) hDirReq(hc *tempest.HContext, m *network.Message) {
 	np.occupy(np.n.MC.HandlerCost)
-	np.enqueue(&dirReq{kind: KReadReq, block: m.Addr, src: m.Src})
-}
-
-func (np *nodeProto) hWriteReq(hc *tempest.HContext, m *network.Message) {
-	np.occupy(np.n.MC.HandlerCost)
-	np.enqueue(&dirReq{kind: KWriteReq, block: m.Addr, src: m.Src})
-}
-
-func (np *nodeProto) hUpgradeReq(hc *tempest.HContext, m *network.Message) {
-	np.occupy(np.n.MC.HandlerCost)
-	np.enqueue(&dirReq{kind: KUpgradeReq, block: m.Addr, src: m.Src})
+	np.enqueue(&dirReq{kind: m.Kind, block: m.Addr, src: m.Src})
 }
 
 func (np *nodeProto) hPutDataResp(hc *tempest.HContext, m *network.Message) {

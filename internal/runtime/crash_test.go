@@ -107,30 +107,38 @@ func TestCheckpointOnlyRunIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := config.Default().WithNodes(4)
-	base, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim, Checkpoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.CheckpointsTaken == 0 {
-		t.Fatal("Checkpoint option did not capture anything")
-	}
-	if base.Elapsed != ck.Elapsed ||
-		base.Stats.TotalMessages() != ck.Stats.TotalMessages() ||
-		base.Stats.TotalMisses() != ck.Stats.TotalMisses() {
-		t.Fatalf("checkpointing perturbed the run: elapsed %d vs %d, msgs %d vs %d",
-			base.Elapsed, ck.Elapsed, base.Stats.TotalMessages(), ck.Stats.TotalMessages())
-	}
-	want := base.ArrayData(a.CheckArrays[0])
-	got := ck.ArrayData(a.CheckArrays[0])
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("%s[%d] differs with checkpointing on", a.CheckArrays[0], k)
-		}
+	for _, mc := range []config.Machine{
+		config.Default().WithNodes(4),
+		config.Default().WithNodes(16).WithTopology(config.TreeTopo),
+	} {
+		t.Run(mc.Topology.String(), func(t *testing.T) {
+			base, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim, Checkpoint: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.CheckpointsTaken == 0 {
+				t.Fatal("Checkpoint option did not capture anything")
+			}
+			if base.Elapsed != ck.Elapsed ||
+				base.Stats.TotalMessages() != ck.Stats.TotalMessages() ||
+				base.Stats.TotalBytes() != ck.Stats.TotalBytes() ||
+				base.Stats.TotalMisses() != ck.Stats.TotalMisses() {
+				t.Fatalf("checkpointing perturbed the run: elapsed %d vs %d, msgs %d vs %d, bytes %d vs %d",
+					base.Elapsed, ck.Elapsed, base.Stats.TotalMessages(), ck.Stats.TotalMessages(),
+					base.Stats.TotalBytes(), ck.Stats.TotalBytes())
+			}
+			want := base.ArrayData(a.CheckArrays[0])
+			got := ck.ArrayData(a.CheckArrays[0])
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s[%d] differs with checkpointing on", a.CheckArrays[0], k)
+				}
+			}
+		})
 	}
 }
 

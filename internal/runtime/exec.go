@@ -316,20 +316,9 @@ func (e *exec) inspectIndirect(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partiti
 	// Coalesce into runs, deterministically.
 	var runs []protocol.BlockRun
 	for _, b := range slices.Sorted(maps.Keys(m.want)) {
-		runs = appendBlock(runs, b)
+		runs = protocol.AppendBlock(runs, b)
 	}
 	e.x.Prefetch(p, runs)
-}
-
-// appendBlock adds block b to a list of runs built in ascending block
-// order: it extends the last run when b follows it directly, and
-// starts a new run otherwise.
-func appendBlock(runs []protocol.BlockRun, b int) []protocol.BlockRun {
-	if k := len(runs) - 1; k >= 0 && runs[k].Start+runs[k].N == b {
-		runs[k].N++
-		return runs
-	}
-	return append(runs, protocol.BlockRun{Start: b, N: 1})
 }
 
 // invalidateIndirectFrames destroys this node's stale compiler-
@@ -359,7 +348,7 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 func (e *exec) staleFrames(stale []protocol.BlockRun, br protocol.BlockRun) []protocol.BlockRun {
 	for b := br.Start; b < br.Start+br.N; b++ {
 		if e.x.IsFrame(b) && e.n.Mem.Tag(b) == memory.ReadWrite && e.n.Mem.Dirty(b) == 0 {
-			stale = appendBlock(stale, b)
+			stale = protocol.AppendBlock(stale, b)
 		}
 	}
 	return stale
@@ -442,7 +431,7 @@ func (e *exec) prefetchEdges(p *sim.Proc, plan *compiler.Plan) {
 				if cc[b] {
 					continue
 				}
-				edges = appendBlock(edges, b)
+				edges = protocol.AppendBlock(edges, b)
 			}
 		}
 	}

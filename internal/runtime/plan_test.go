@@ -8,9 +8,7 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/memory"
 	"hpfdsm/internal/protocol"
-	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 )
@@ -121,11 +119,7 @@ func commWalkFixture(tb testing.TB, nodes int) (pass func(), loops, own int) {
 		tb.Fatal(err)
 	}
 	mc := config.Default().WithNodes(nodes)
-	sp := memory.NewSpace(mc)
-	layouts := map[*ir.Array]sections.Layout{}
-	for _, arr := range prog.Arrays {
-		layouts[arr] = sections.Layout{Base: sp.Alloc(arr.Name, arr.Elems()*8), Extents: arr.Extents, ElemSize: 8}
-	}
+	sp, layouts := compiler.Place(prog, mc)
 	an, err := compiler.New(prog, nodes, layouts, mc.BlockSize)
 	if err != nil {
 		tb.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sections"
@@ -78,9 +77,8 @@ type Options struct {
 	// bit-identical to the sequential event loop. 0 or 1 selects the
 	// sequential loop (zero overhead); values above the node count are
 	// clamped. Incompatible with fault injection, checkpointing,
-	// barrier-instant checks, tracing, profiling, and the
-	// message-passing backend — those are rejected with an error rather
-	// than silently diverging.
+	// barrier-instant checks, tracing and profiling — those are rejected
+	// with an error rather than silently diverging.
 	Partitions int
 }
 
@@ -239,14 +237,6 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 	if opt.Backend == MessagePassing && len(mc.Faults.Crashes) > 0 {
 		return nil, fmt.Errorf("runtime: crash injection requires the shared-memory backend (program %s)", prog.Name)
 	}
-	if mc.Topology == config.TreeTopo {
-		switch {
-		case len(mc.Faults.Crashes) > 0:
-			return nil, fmt.Errorf("runtime: crash injection is incompatible with the tree topology — a barrier cannot route around a dead interior node; rerun with -topo flat (program %s)", prog.Name)
-		case opt.Checkpoint:
-			return nil, fmt.Errorf("runtime: checkpointing is incompatible with the tree topology — restore does not rebase the per-node combining-tree generations; rerun with -topo flat (program %s)", prog.Name)
-		}
-	}
 	if opt.Partitions > mc.Nodes {
 		opt.Partitions = mc.Nodes
 	}
@@ -255,8 +245,6 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 		// rejected loudly: a run that silently diverged from the
 		// sequential loop would defeat the bit-identity contract.
 		switch {
-		case opt.Backend == MessagePassing:
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) supports the shared-memory backend only; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
 		case mc.Faults.Active():
 			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
 		case opt.Checkpoint:
@@ -310,12 +298,7 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 // errors so the caller can recover.
 func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, attempt int) (*Result, *crashError, error) {
 	mc := opt.Machine
-	sp := memory.NewSpace(mc)
-	layouts := make(map[*ir.Array]sections.Layout)
-	for _, arr := range prog.Arrays {
-		base := sp.Alloc(arr.Name, arr.Elems()*8)
-		layouts[arr] = sections.Layout{Base: base, Extents: arr.Extents, ElemSize: 8}
-	}
+	sp, layouts := compiler.Place(prog, mc)
 	// Compiled before there is a machine: a program the executor cannot
 	// run is refused without simulating anything.
 	loops, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)

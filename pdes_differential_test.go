@@ -25,24 +25,11 @@ import (
 	"hpfdsm/internal/stats"
 )
 
-// runPDES executes one app at one opt level with the given partition
-// count and returns the result.
+// runPDES executes one app at one opt level on the shared-memory
+// backend with the given partition count and returns the result.
 func runPDES(t *testing.T, a *apps.App, opt compiler.Level, parts int) *runtime.Result {
 	t.Helper()
-	prog, err := a.Program(a.ScaledParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runtime.Run(prog, runtime.Options{
-		Machine:    config.Default(),
-		Opt:        opt,
-		Backend:    runtime.SharedMemory,
-		Partitions: parts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runApp(t, a, runtime.Options{Machine: config.Default(), Opt: opt, Partitions: parts})
 }
 
 func diffNodeStats(t *testing.T, node int, seq, par *stats.Node) {
@@ -111,6 +98,38 @@ func TestPDESDifferential(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestPDESDifferentialMessagePassing is the same demand on the
+// message-passing backend: its sends and receives are plain network
+// messages between node processes, which is all the window scheduler
+// partitions, so every app at 2, 4 and 8 partitions must reproduce the
+// sequential run's elapsed time, every counter of every node, and the
+// owners' array words.
+func TestPDESDifferentialMessagePassing(t *testing.T) {
+	for _, a := range apps.All() {
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			mp := runtime.Options{Machine: config.Default(), Opt: compiler.OptRTElim, Backend: runtime.MessagePassing}
+			seq := runApp(t, a, mp)
+			for _, parts := range []int{2, 4, 8} {
+				mp.Partitions = parts
+				par := runApp(t, a, mp)
+				if par.Elapsed != seq.Elapsed {
+					t.Errorf("p%d: elapsed %dns under PDES, %dns sequential", parts, par.Elapsed, seq.Elapsed)
+				}
+				if len(par.Stats.Nodes) != len(seq.Stats.Nodes) {
+					t.Fatalf("p%d: %d stat nodes under PDES, %d sequential", parts, len(par.Stats.Nodes), len(seq.Stats.Nodes))
+				}
+				for i := range seq.Stats.Nodes {
+					if par.Stats.Nodes[i] != seq.Stats.Nodes[i] {
+						t.Errorf("p%d: node %d counters under PDES\n%+v\nsequential\n%+v", parts, i, par.Stats.Nodes[i], seq.Stats.Nodes[i])
+					}
+				}
+				compareArraysBitExact(t, a, seq, par, "mp pdes vs sequential")
 			}
 		})
 	}
