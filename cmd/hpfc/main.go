@@ -168,12 +168,20 @@ func (p printCalls) Drain()                                   { p.say("drain_agg
 func eachLoop(an *compiler.Analysis, body []ir.Stmt, env map[string]int, what string, depth int,
 	visit func(key any, label string, rule *compiler.LoopRule, reduce bool, ind string)) {
 	ind := strings.Repeat("  ", depth)
+	// A loop whose bounds leave its anchor array has no partition, hence
+	// nothing to show.
+	loop := func(key any, label string, rule *compiler.LoopRule, reduce bool) {
+		if pt := an.Partition(key, rule, env); pt.Err != nil {
+			fail(fmt.Errorf("program %s, loop %s: %w", an.Prog.Name, label, pt.Err))
+		}
+		visit(key, label, rule, reduce, ind)
+	}
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ir.ParLoop:
-			visit(st, st.Label, an.LoopRuleOf(st), false, ind)
+			loop(st, st.Label, an.LoopRuleOf(st), false)
 		case *ir.Reduce:
-			visit(st, st.Label, an.ReduceRuleOf(st), true, ind)
+			loop(st, st.Label, an.ReduceRuleOf(st), true)
 		case *ir.Block:
 			eachLoop(an, st.Body, env, what, depth, visit)
 		case *ir.SeqLoop:

@@ -146,3 +146,44 @@ func TestNodeOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopBoundsLeaveArray: a loop whose bounds drive the anchor's
+// distributed subscript outside the array used to panic out of the
+// partitioner. -lint reports it as a verifier error naming the loop,
+// and the schedule dump refuses it in one line; both exit 1.
+func TestLoopBoundsLeaveArray(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "bad.hpf")
+	if err := os.WriteFile(src, []byte(`
+PROGRAM bad
+PARAM n = 64
+REAL a(n, n)
+DISTRIBUTE a(*, BLOCK)
+FORALL (i = 1:n, j = 0:n)
+  a(i, j) = i + j
+END FORALL
+END
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "loop over J drives A's distributed subscript out of range: 0..64 not in 1..64"
+	for _, args := range [][]string{{"-lint"}, {}} {
+		cmd := exec.Command(exe, append(args, "-file", src)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if ee, failed := err.(*exec.ExitError); !failed || ee.ExitCode() != 1 {
+			t.Fatalf("hpfc %v: %v, want exit status 1\n%s%s", args, err, stdout, stderr.String())
+		}
+		out := string(stdout) + stderr.String()
+		if strings.Contains(out, "goroutine ") {
+			t.Fatalf("hpfc %v dumps a stack:\n%s", args, out)
+		}
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			found = found || strings.Contains(line, "BAD") && strings.Contains(line, "loop forall@6") && strings.Contains(line, want)
+		}
+		if !found {
+			t.Fatalf("hpfc %v: no line names program, loop, array, range and extent:\n%s", args, out)
+		}
+	}
+}

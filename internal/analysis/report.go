@@ -62,6 +62,7 @@ const (
 	RuleBarrier     = "contract/barrier"      // barrier count differs across nodes (deadlock)
 	RuleElision     = "contract/elision"      // a higher level dropped a call a lower level proves necessary
 	RuleAggMatrix   = "contract/agg-matrix"   // aggregation-policy traffic matrices disagree with the transfers' extents
+	RuleBounds      = "program/bounds"        // the loop's bounds drive a distributed subscript outside its array
 	RuleRaceWrite   = "race/write-write"      // overlapping writer sections in one parallel loop
 	RuleRaceRW      = "race/read-write"       // read/write overlap not separated by a barrier
 	RuleRaceIndir   = "race/indirect"         // irregular reference: race analysis not applicable (info)

@@ -125,7 +125,20 @@ func (m *Model) seqLoop(sl *ir.SeqLoop) {
 // instance verifies one loop/reduction instantiation and advances the
 // model state.
 func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []*ir.Assign, reduceExpr ir.Expr) {
-	sig := label + "|" + sigOf(rule, m.env)
+	env := sigOf(rule, m.env)
+	sig := label + "|" + env
+	if pt := m.an.Partition(key, rule, m.env); pt.Err != nil {
+		// No partition, so no schedule to check: the program is wrong, not
+		// the compiler's calls.
+		if !m.checked[sig] {
+			m.checked[sig] = true
+			m.bump()
+			site := Site{App: m.an.Prog.Name, Loop: label, Env: env, Level: m.level}
+			m.addDiag(Diag{Severity: Error, Rule: RuleBounds, Site: site, Msg: pt.Err.Error()})
+			m.report.markBroken(label, RuleBounds)
+		}
+		return
+	}
 	lc := m.BuildLoopCalls(key, label, rule, m.env, reduceExpr != nil)
 	if !m.checked[sig] {
 		m.checked[sig] = true

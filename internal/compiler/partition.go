@@ -11,12 +11,15 @@ import (
 // symbol valuation: per processor, the inclusive ranges of the
 // distributed loop variable it executes. When the loop has no
 // distributed variable (the anchor's last subscript is fixed), a single
-// processor executes the whole nest.
+// processor executes the whole nest. A loop whose bounds drive the
+// anchor's distributed subscript outside the array has no partition:
+// Err says so, and no processor has a range.
 type Partition struct {
 	DistVar string
 	Ranges  [][][2]int // per processor
 	Single  bool
 	Exec    int // executing processor when Single
+	Err     error
 }
 
 // Executes reports whether processor p runs any iterations.
@@ -105,8 +108,9 @@ func (a *Analysis) buildPartition(rule *LoopRule, env map[string]int) *Partition
 	}
 	tlo, thi := lo+c, hi+c
 	if tlo < 1 || thi > d.Extent {
-		panic(fmt.Sprintf("compiler: loop over %s drives %s's distributed subscript out of range: %d..%d not in 1..%d",
-			rule.DistVar, anchor.Array.Name, tlo, thi, d.Extent))
+		pt.Err = fmt.Errorf("loop over %s drives %s's distributed subscript out of range: %d..%d not in 1..%d",
+			rule.DistVar, anchor.Array.Name, tlo, thi, d.Extent)
+		return pt
 	}
 	for p := 0; p < a.NP; p++ {
 		for _, r := range d.OwnedRanges(p) {

@@ -249,6 +249,29 @@ func (m *NodeMem) WriteF64(addr int, v float64) {
 	m.dirty[b] |= 1 << uint((addr-b*m.bs)>>3)
 }
 
+// MarkDirtyRun records in the dirty masks the k words at addr,
+// addr+stride, ... (stride in bytes) — what k WriteF64 calls record, for
+// an executor that has written the words straight into the image.
+func (m *NodeMem) MarkDirtyRun(addr, stride, k int) {
+	if stride != 8 {
+		for ; k > 0; k-- {
+			b := m.block(addr)
+			m.dirty[b] |= 1 << uint((addr-b*m.bs)>>3)
+			addr += stride
+		}
+		return
+	}
+	// Consecutive words: one mask per block.
+	for k > 0 {
+		b := m.block(addr)
+		w := (addr - b*m.bs) >> 3
+		n := min(m.bs>>3-w, k)
+		m.dirty[b] |= uint16((1<<uint(n) - 1) << uint(w))
+		addr += 8 * n
+		k -= n
+	}
+}
+
 // BlockData returns the live bytes of block b (aliasing the node image).
 func (m *NodeMem) BlockData(b int) []byte {
 	bs := m.sp.mc.BlockSize

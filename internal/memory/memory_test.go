@@ -135,6 +135,42 @@ func TestDirtyMaskTracksWords(t *testing.T) {
 	}
 }
 
+// TestMarkDirtyRunMatchesWriteF64: the strip executor's dirty-run marker
+// sets exactly the bits the per-word stores would have, at every block
+// size, for runs that start and end mid-block, span blocks, stride
+// forward, backward and not at all.
+func TestMarkDirtyRunMatchesWriteF64(t *testing.T) {
+	for _, bs := range []int{128, 64, 32, 24, 8} {
+		mc := config.Default().WithBlockSize(bs)
+		if bs == 24 {
+			mc.PageSize = 24 * 128
+		}
+		sp := NewSpace(mc)
+		base := sp.Alloc("x", 2*mc.PageSize)
+		for _, stride := range []int{8, 16, 24, 40, 8 * 50, 0, -8, -24} {
+			for _, start := range []int{0, 8, bs - 8, bs, 5 * 8} {
+				for _, k := range []int{1, 2, 3, 15, 16, 17, 40} {
+					first := base + mc.PageSize + start
+					if last := first + stride*(k-1); last < base || last+8 > base+2*mc.PageSize {
+						continue
+					}
+					perWord, run := NewNodeMem(sp, 0), NewNodeMem(sp, 0)
+					for i := 0; i < k; i++ {
+						perWord.WriteF64(first+i*stride, 1)
+					}
+					run.MarkDirtyRun(first, stride, k)
+					for b := 0; b < sp.NumBlocks(); b++ {
+						if perWord.Dirty(b) != run.Dirty(b) {
+							t.Fatalf("block size %d, stride %d, start %d, %d words: block %d dirty = %016b, per-word stores give %016b",
+								bs, stride, start, k, b, run.Dirty(b), perWord.Dirty(b))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMergeDirtyWords(t *testing.T) {
 	sp := testSpace(t)
 	base := sp.Alloc("x", 4096)

@@ -61,8 +61,10 @@ type exec struct {
 	p    *sim.Proc
 
 	// loops is the program's compiled form (see fastloop.go), built once
-	// per attempt and shared read-only by every node's executor.
+	// per attempt and shared read-only by every node's executor; m is the
+	// machine this executor runs it on.
 	loops map[ir.Stmt]*fastLoop
+	m     fmach
 	// cur is the statement being executed, for fault diagnostics.
 	cur ir.Stmt
 
@@ -159,9 +161,9 @@ func (e *exec) stmts(p *sim.Proc, body []ir.Stmt) {
 		case *ir.Reduce:
 			e.profiled(p, st.Label, func() { e.reduce(p, st) })
 		case *ir.ScalarAssign:
-			e.scalars[st.Name] = e.evalScalar(p, st)
+			e.scalars[st.Name] = e.evalScalar(st)
 		case *ir.ExitIf:
-			e.exit = e.evalScalar(p, st) != 0
+			e.exit = e.evalScalar(st) != 0
 		case *ir.StartTimer:
 			e.startTimer(p)
 		case *ir.Block:
@@ -231,9 +233,11 @@ func (e *exec) profiled(p *sim.Proc, label string, body func()) {
 
 // evalScalar evaluates a replicated-scalar statement's expression (no
 // arrays, no loop variables): every node computes the same value.
-func (e *exec) evalScalar(p *sim.Proc, s ir.Stmt) float64 {
+func (e *exec) evalScalar(s ir.Stmt) float64 {
 	fl := e.loops[s]
-	return fl.expr(fl.newMach(e, p))
+	e.m.bind(fl)
+	e.m.exec(fl, fl.code, 1, 1, 0, 0, false)
+	return e.m.f[fl.res]
 }
 
 func cmp(op ir.CmpOp, l, r float64) bool {
@@ -270,12 +274,12 @@ func (e *exec) seqLoop(p *sim.Proc, sl *ir.SeqLoop) {
 
 func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 	rule := e.an.LoopRuleOf(pl)
-	pt := e.an.Partition(pl, rule, e.env)
+	pt := e.partition(pl, rule)
 
 	if e.mp != nil {
 		sched := e.an.Schedule(pl, rule, e.env)
 		e.mpPreLoop(p, sched)
-		e.runIterations(p, pl, pt)
+		e.runIterations(pl, pt)
 		e.mpPostLoop(p, sched)
 		return
 	}
@@ -290,9 +294,19 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 		if e.inspect && len(rule.IndirectArrays) > 0 {
 			e.inspectIndirect(p, pl, pt)
 		}
-		e.runIterations(p, pl, pt)
+		e.runIterations(pl, pt)
 	}
 	e.postLoopComm(false)
+}
+
+// partition is the loop instance's work assignment; one the loop's
+// bounds make impossible is a fault.
+func (e *exec) partition(key any, rule *compiler.LoopRule) *compiler.Partition {
+	pt := e.an.Partition(key, rule, e.env)
+	if pt.Err != nil {
+		panic(faultf("%v", pt.Err))
+	}
+	return pt
 }
 
 // inspectIndirect is the inspector phase for an irregular loop: it
@@ -301,21 +315,18 @@ func (e *exec) parLoop(p *sim.Proc, pl *ir.ParLoop) {
 // and issues advisory prefetches so the executor phase finds them
 // resident. Charged as (cheap) inspector computation per iteration.
 func (e *exec) inspectIndirect(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition) {
-	fl := e.loops[pl]
-	m := fl.newMach(e, p)
-	m.want = map[int]bool{}
-	fl.iterate(m, pt, func() {
-		e.n.Compute(e.n.MC.LoopOver) // inspector cost per iteration
-		for _, insp := range fl.insp {
-			insp(m)
-		}
-	})
-	if len(m.want) == 0 {
+	fl := e.loops[pl].insp
+	if e.m.want == nil {
+		e.m.want = map[int]bool{}
+	}
+	clear(e.m.want)
+	e.m.run(fl, pt, e.n.MC.LoopOver) // inspector cost per iteration
+	if len(e.m.want) == 0 {
 		return
 	}
 	// Coalesce into runs, deterministically.
 	var runs []protocol.BlockRun
-	for _, b := range slices.Sorted(maps.Keys(m.want)) {
+	for _, b := range slices.Sorted(maps.Keys(e.m.want)) {
 		runs = protocol.AppendBlock(runs, b)
 	}
 	e.x.Prefetch(p, runs)
@@ -442,7 +453,7 @@ func (e *exec) prefetchEdges(p *sim.Proc, plan *compiler.Plan) {
 
 // --- Iteration execution ----------------------------------------------
 
-func (e *exec) runIterations(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition) {
+func (e *exec) runIterations(pl *ir.ParLoop, pt *compiler.Partition) {
 	// Per-element cost, with inner-reduction trip counts resolved
 	// against the current symbol environment.
 	flops := 0
@@ -451,8 +462,7 @@ func (e *exec) runIterations(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition
 	}
 	elemCost := e.n.MC.LoopOver + sim.Time(flops)*e.n.MC.NsPerFlop
 
-	fl := e.loops[pl]
-	fl.runBody(fl.newMach(e, p), pt, elemCost)
+	e.m.run(e.loops[pl], pt, elemCost)
 }
 
 // dynOps is ir.Expr.Ops with inner-reduction trip counts evaluated
@@ -485,7 +495,7 @@ func (e *exec) dynOps(x ir.Expr) int {
 
 func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 	rule := e.an.ReduceRuleOf(rd)
-	pt := e.an.Partition(rd, rule, e.env)
+	pt := e.partition(rd, rule)
 
 	if e.mp != nil {
 		e.mpPreLoop(p, e.an.Schedule(rd, rule, e.env))
@@ -503,8 +513,8 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 		e.scalars[rd.Target] = e.ghostReduce()
 	} else {
 		fl := e.loops[rd]
-		partial := fl.runReduce(fl.newMach(e, p), pt, elemCost, rd.Op)
-		e.scalars[rd.Target] = e.cluster.AllReduce(p, e.n, allReduceOp(rd.Op), partial)
+		e.m.run(fl, pt, elemCost)
+		e.scalars[rd.Target] = e.cluster.AllReduce(p, e.n, allReduceOp(rd.Op), e.m.f[fl.res])
 	}
 
 	if e.mp == nil {

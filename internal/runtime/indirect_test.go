@@ -178,6 +178,25 @@ func faultProg(shift int, rhs func(v, m *ir.Array) ir.Expr) *ir.Program {
 		}}
 }
 
+// rangeProg fills a, then gathers b(i, j) = a(i+di, j) over i = 1:n,
+// j = jlo:jhi: a loop whose bounds can leave the arrays they index.
+func rangeProg(jlo, jhi, di int) *ir.Program {
+	const n = 64
+	mk := func(name string) *ir.Array {
+		return &ir.Array{Name: name, Extents: []int{n, n}, Dist: distribute.Spec{Kind: distribute.Block}}
+	}
+	a, b := mk("A"), mk("B")
+	i, j := ir.V("i"), ir.V("j")
+	rows := ir.Idx("i", ir.Aff(1), ir.Aff(n))
+	return &ir.Program{Name: "faulty", Params: map[string]int{"n": n}, Arrays: []*ir.Array{a, b},
+		Body: []ir.Stmt{
+			&ir.ParLoop{Label: "init", Indexes: []ir.Index{rows, ir.Idx("j", ir.Aff(1), ir.Aff(n))},
+				Body: []*ir.Assign{{LHS: ir.Ref(a, i, j), RHS: ir.Plus(ir.Iv("i"), ir.Iv("j"))}}},
+			&ir.ParLoop{Label: "gather", Indexes: []ir.Index{rows, ir.Idx("j", ir.Aff(jlo), ir.Aff(jhi))},
+				Body: []*ir.Assign{{LHS: ir.Ref(b, i, j), RHS: ir.Ref(a, i.AddC(di), j)}}},
+		}}
+}
+
 // TestExecutorFaultsAreErrors: an error in the simulated program ends
 // the run with one diagnostic naming program, statement, array or name,
 // offending value and node — from both engines — instead of a panic
@@ -193,7 +212,14 @@ func TestExecutorFaultsAreErrors(t *testing.T) {
 		}), []string{"node 7", "loop gather", "indirect subscript 65 out of range 1..64 for V"}},
 		{"affine-subscript", faultProg(0, func(v, m *ir.Array) ir.Expr {
 			return ir.Ref(v, ir.V("i").AddC(1))
-		}), []string{"node 7", "loop gather", "affine subscript out of range for V", "offset 64 not in 0..63"}},
+		}), []string{"node 7", "loop gather", "affine subscript out of range for V", "dimension 1 reaches 65, not in 1..64"}},
+		// a(i+1, j) for i = n is a(1, j+1) in memory: inside the array, outside
+		// the dimension. It used to be read without a word.
+		{"subscript-leaves-dimension", rangeProg(1, 63, 1),
+			[]string{"loop gather", "affine subscript out of range for A", "dimension 1 reaches 65, not in 1..64"}},
+		// j = 0 has no owner: this used to panic out of the partitioner.
+		{"loop-bounds-leave-array", rangeProg(0, 64, 0),
+			[]string{"loop gather", "loop over j drives B's distributed subscript out of range: 0..64 not in 1..64"}},
 		{"undefined-scalar", faultProg(0, func(v, m *ir.Array) ir.Expr {
 			return ir.Plus(ir.Ref(v, ir.V("i")), ir.S("ghost"))
 		}), []string{"node 0", "loop gather", `undefined scalar "ghost"`}},

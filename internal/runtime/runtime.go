@@ -301,7 +301,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 	sp, layouts := compiler.Place(prog, mc)
 	// Compiled before there is a machine: a program the executor cannot
 	// run is refused without simulating anything.
-	loops, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)
+	code, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)
 	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 	}
@@ -372,7 +372,8 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		cluster.SetTracer(tr)
 	}
 	for i := 0; i < mc.Nodes; i++ {
-		execs[i] = newExec(prog, an, layouts, loops, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
+		execs[i] = newExec(prog, an, layouts, code.loops, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
+		execs[i].m = code.newMach(execs[i])
 		execs[i].prof = prof
 		execs[i].edgePf = opt.EdgePrefetch
 		execs[i].inspect = opt.InspectIndirect
