@@ -62,13 +62,13 @@ artifact-guard:
 # benchmark/ is its own module (it imports hpfdsm/internal/... through a
 # replace directive), so the root ./... patterns never build it: this
 # is the only gate that notices when a refactor breaks the benchmark.
-# The layer benches (loop body, per-node views, coalescer burst, sim kernel) run
-# once each so they cannot rot either; `bash benchmark/run.sh` is what
-# measures.
+# The layer benches (loop body, per-node views, coalescer burst, sim
+# kernel, static verifier) run once each so they cannot rot either;
+# `bash benchmark/run.sh` is what measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|EventHeap|ProcessContextSwitch|SignalWake' \
-		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim
+	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|EventHeap|ProcessContextSwitch|SignalWake|CheckLoopCalls' \
+		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/analysis
 
 # Everything the CI gate runs.
 check: build fmt-check vet test race lint lint-go artifact-guard bench-smoke

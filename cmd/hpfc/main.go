@@ -30,6 +30,7 @@ import (
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
 	"hpfdsm/internal/protocol"
+	"hpfdsm/internal/sections"
 )
 
 func main() {
@@ -141,11 +142,7 @@ func (p printCalls) say(format string, args ...any) {
 }
 
 func (p printCalls) blocks(call string, b []protocol.BlockRun) {
-	n := 0
-	for _, r := range b {
-		n += r.N
-	}
-	p.say("%-30s (%d blocks)", call, n)
+	p.say("%-30s (%d blocks)", call, sections.CountBlocks(b))
 }
 
 func (p printCalls) transfer(call string, t *compiler.Transfer) {

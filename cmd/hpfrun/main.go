@@ -225,6 +225,9 @@ func run() (exitCode int) {
 	}
 	if *backend == "mp" {
 		opts.Backend = runtime.MessagePassing
+		if opts.Check || opts.Checkpoint {
+			fmt.Fprintln(os.Stderr, "hpfrun: -check and -ckpt audit and snapshot the shared-memory protocol's state; they do not apply to the message-passing backend and are ignored")
+		}
 	} else if *backend != "sm" {
 		return fail(fmt.Errorf("unknown -backend %q", *backend))
 	}
@@ -264,7 +267,7 @@ func run() (exitCode int) {
 	if fs := res.Stats.FaultSummary(); fs != "" {
 		fmt.Printf("reliable  %s\n", fs)
 	}
-	if *check {
+	if res.BarrierChecks > 0 {
 		fmt.Printf("checks    %d coherence audits passed (every barrier/reduction)\n", res.BarrierChecks)
 	}
 	if len(res.Scalars) > 0 {

@@ -77,3 +77,23 @@ func TestScaledJacobiRuns(t *testing.T) {
 		t.Errorf("exit code %d, stdout %q, stderr %q; want 0 and the pinned elapsed line", code, stdout, stderr)
 	}
 }
+
+// -check and -ckpt belong to the shared-memory protocol. On the
+// message-passing backend the run goes ahead without them and says so
+// once; it used to print "checks    0 coherence audits passed" and drop
+// -ckpt without a word.
+func TestMPBackendSaysCheckAndCkptDoNotApply(t *testing.T) {
+	for _, flags := range [][]string{{"-check"}, {"-ckpt"}, {"-check", "-ckpt"}} {
+		code, stdout, stderr := runExe(t, append([]string{"-app", "jacobi", "-size", "scaled", "-backend", "mp"}, flags...)...)
+		if code != 0 || strings.Contains(stdout, "checks ") || strings.Contains(stdout, "recovery ") {
+			t.Errorf("%v: exit code %d, stdout %q; want 0 and neither a checks nor a recovery line", flags, code, stdout)
+		}
+		if strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "do not apply to the message-passing backend") {
+			t.Errorf("%v: stderr %q; want the one line saying they do not apply", flags, stderr)
+		}
+	}
+	code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-check", "-ckpt")
+	if code != 0 || stderr != "" || !strings.Contains(stdout, "coherence audits passed") || !strings.Contains(stdout, "checkpoint(s)") {
+		t.Errorf("shared memory: exit code %d, stdout %q, stderr %q; want both lines and a silent stderr", code, stdout, stderr)
+	}
+}

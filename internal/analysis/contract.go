@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpfdsm/internal/compiler"
@@ -9,50 +10,20 @@ import (
 	"hpfdsm/internal/sections"
 )
 
-// blockSet is a set of coherence-block numbers.
-type blockSet map[int]bool
-
-func addRuns(s blockSet, runs []protocol.BlockRun) {
-	for _, r := range runs {
-		for b := r.Start; b < r.Start+r.N; b++ {
-			s[b] = true
-		}
-	}
-}
-
-func countBlocks(runs []protocol.BlockRun) int {
-	n := 0
-	for _, r := range runs {
-		n += r.N
-	}
-	return n
-}
-
 // missingFrom returns the blocks of runs not present in have, rendered
 // compactly ("" when fully covered).
-func missingFrom(runs []protocol.BlockRun, have blockSet) string {
-	var miss []int
-	for _, r := range runs {
-		for b := r.Start; b < r.Start+r.N; b++ {
-			if !have[b] {
-				miss = append(miss, b)
-			}
-		}
-	}
+func missingFrom(runs, have []protocol.BlockRun) string {
+	miss := sections.Minus(runs, have)
 	if len(miss) == 0 {
 		return ""
 	}
-	sort.Ints(miss)
-	return fmt.Sprint(miss)
+	return fmt.Sprint(sections.Blocks(miss))
 }
 
-// arrival is a send or flush event: data landing on Dst's memory at a
-// barrier phase.
-type arrival struct {
-	src, dst int
-	phase    int
-	runs     []protocol.BlockRun
-	flush    bool
+// phased is a call with the barrier phase its node makes it in.
+type phased struct {
+	phase int
+	Call
 }
 
 // CheckLoopCalls verifies one modeled loop instance against the Section
@@ -70,45 +41,34 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 	}
 	// ---- Pass 1: scan each node's call list positionally. ----
-	type frameEv struct {
-		node, phase int
-		runs        []protocol.BlockRun
-		open        bool // implicit_writable vs implicit_invalidate
-	}
-	var frameEvs []frameEv
-	var arrivals []arrival
+	var frameEvs []phased // implicit_writable and implicit_invalidate
+	var arrivals []phased // send and flush: data landing on Dst's memory
 	barrierCount := make([]int, np)
 	expectPre := make([]int, np)
 	expectPost := make([]int, np)
 	readyPre := make([]bool, np)
 	readyPost := make([]bool, np)
-	mkw := make([]blockSet, np)
-	sentPre := make([]int, np) // blocks sent to node (pre-body)
-	flushIn := make([]int, np) // blocks flushed to node
-	sentSet := make([]blockSet, np)
-	flushSet := make([]map[int]blockSet, np) // sender -> dst -> blocks
-	for n := 0; n < np; n++ {
-		mkw[n] = blockSet{}
-		sentSet[n] = blockSet{}
-		flushSet[n] = map[int]blockSet{}
-	}
+	mkw := make([][]protocol.BlockRun, np) // blocks node makes writable (pre-body)
+	sentPre := make([]int, np)             // blocks sent to node (pre-body)
+	flushIn := make([]int, np)             // blocks flushed to node
+	sentSet := make([][]protocol.BlockRun, np)
+	flushSet := make([]map[int][]protocol.BlockRun, np) // sender -> dst -> blocks
 	for n := 0; n < np; n++ {
 		bc := 0
 		pre := true
 		for _, c := range lc.Nodes[n] {
+			c.Node = n
 			phase := m.phase + bc
 			switch c.Op {
 			case OpBarrier:
 				bc++
 			case OpBody:
 				pre = false
-			case OpImplicitWritable:
-				frameEvs = append(frameEvs, frameEv{n, phase, c.Blocks, true})
-			case OpImplicitInvalidate:
-				frameEvs = append(frameEvs, frameEv{n, phase, c.Blocks, false})
+			case OpImplicitWritable, OpImplicitInvalidate:
+				frameEvs = append(frameEvs, phased{phase, c})
 			case OpMkWritable:
 				if pre {
-					addRuns(mkw[n], c.Blocks)
+					mkw[n] = sections.Union(mkw[n], c.Blocks)
 				}
 			case OpExpect:
 				if pre {
@@ -123,20 +83,18 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 					readyPost[n] = true
 				}
 			case OpSend:
-				arrivals = append(arrivals, arrival{n, c.Dst, phase, c.Blocks, false})
+				arrivals = append(arrivals, phased{phase, c})
 				if pre {
-					sentPre[c.Dst] += countBlocks(c.Blocks)
+					sentPre[c.Dst] += sections.CountBlocks(c.Blocks)
 				}
-				addRuns(sentSet[c.Dst], c.Blocks)
+				sentSet[c.Dst] = sections.Union(sentSet[c.Dst], c.Blocks)
 			case OpFlush:
-				arrivals = append(arrivals, arrival{n, c.Dst, phase, c.Blocks, true})
-				flushIn[c.Dst] += countBlocks(c.Blocks)
-				fs := flushSet[n][c.Dst]
-				if fs == nil {
-					fs = blockSet{}
-					flushSet[n][c.Dst] = fs
+				arrivals = append(arrivals, phased{phase, c})
+				flushIn[c.Dst] += sections.CountBlocks(c.Blocks)
+				if flushSet[n] == nil {
+					flushSet[n] = map[int][]protocol.BlockRun{}
 				}
-				addRuns(fs, c.Blocks)
+				flushSet[n][c.Dst] = sections.Union(flushSet[n][c.Dst], c.Blocks)
 			}
 		}
 		barrierCount[n] = bc
@@ -163,55 +121,39 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].phase < arrivals[j].phase })
 	fi := 0
 	for _, a := range arrivals {
-		for fi < len(frameEvs) && frameEvs[fi].phase <= a.phase {
-			ev := frameEvs[fi]
-			fi++
-			for _, r := range ev.runs {
-				for b := r.Start; b < r.Start+r.N; b++ {
-					if ev.open {
-						if _, ok := m.frames[ev.node][b]; !ok {
-							m.frames[ev.node][b] = ev.phase
-							m.bump()
-						}
-					} else {
-						delete(m.frames[ev.node], b)
-					}
-				}
+		for ; fi < len(frameEvs) && frameEvs[fi].phase <= a.phase; fi++ {
+			m.frameCall(frameEvs[fi])
+		}
+		// The blocks no frame opened in an earlier phase covers, and of
+		// those the ones no frame covers at all; a clean schedule leaves
+		// none, and then no block is looked at singly.
+		late := a.Blocks
+		for _, f := range m.frames[a.Dst] {
+			if f.phase < a.phase {
+				late = sections.Minus(late, f.blocks)
 			}
 		}
-		kind := "send"
-		if a.flush {
-			kind = "flush"
+		if len(late) == 0 {
+			continue
 		}
-		for _, r := range a.runs {
-			for b := r.Start; b < r.Start+r.N; b++ {
-				open, ok := m.frames[a.dst][b]
-				if !ok {
-					diag(Error, RuleFrameOrder, site,
-						"%s from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
-						kind, a.src, b, a.dst)
-				} else if open >= a.phase {
-					diag(Error, RuleFrameOrder, site,
-						"%s from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
-						kind, a.src, b, a.dst)
-				}
+		unopened := late
+		for _, f := range m.frames[a.Dst] {
+			unopened = sections.Minus(unopened, f.blocks)
+		}
+		for _, b := range sections.Blocks(late) {
+			if sections.ContainsBlock(unopened, b) {
+				diag(Error, RuleFrameOrder, site,
+					"%v from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
+					a.Op, a.Node, b, a.Dst)
+			} else {
+				diag(Error, RuleFrameOrder, site,
+					"%v from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
+					a.Op, a.Node, b, a.Dst)
 			}
 		}
 	}
 	for ; fi < len(frameEvs); fi++ {
-		ev := frameEvs[fi]
-		for _, r := range ev.runs {
-			for b := r.Start; b < r.Start+r.N; b++ {
-				if ev.open {
-					if _, ok := m.frames[ev.node][b]; !ok {
-						m.frames[ev.node][b] = ev.phase
-						m.bump()
-					}
-				} else {
-					delete(m.frames[ev.node], b)
-				}
-			}
-		}
+		m.frameCall(frameEvs[fi])
 	}
 
 	// ---- Send extents: emitted sends vs the schedule's transfers. ----
@@ -220,12 +162,9 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		m.report.markChecked(site.Loop, RuleRecvMatch)
 		m.report.markChecked(site.Loop, RuleSendOwner)
 	}
-	schedTo := make([]blockSet, np)
-	for n := 0; n < np; n++ {
-		schedTo[n] = blockSet{}
-	}
+	schedTo := make([][]protocol.BlockRun, np)
 	for _, t := range lc.Reads {
-		addRuns(schedTo[t.Receiver], t.Blocks)
+		schedTo[t.Receiver] = sections.Union(schedTo[t.Receiver], t.Blocks)
 		ts := transferSite(site, t)
 		if miss := missingFrom(t.Blocks, sentSet[t.Receiver]); miss != "" {
 			diag(Error, RuleSendExtent, ts,
@@ -247,16 +186,10 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 	}
 	for n := 0; n < np; n++ {
-		var extra []int
-		for b := range sentSet[n] {
-			if !schedTo[n][b] {
-				extra = append(extra, b)
-			}
-		}
-		if len(extra) > 0 {
-			sort.Ints(extra)
+		if extra := sections.Minus(sentSet[n], schedTo[n]); len(extra) > 0 {
 			diag(Error, RuleSendExtent, site,
-				"node %d receives unscheduled blocks %v — no transfer in the schedule covers them", n, extra)
+				"node %d receives unscheduled blocks %v — no transfer in the schedule covers them",
+				n, sections.Blocks(extra))
 		}
 	}
 
@@ -343,10 +276,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 			bytes := make([]int64, np*np)
 			msgs := make([]int64, np*np)
 			for _, t := range ts {
-				blocks := 0
-				for _, r := range t.Blocks {
-					blocks += r.N
-				}
+				blocks := sections.CountBlocks(t.Blocks)
 				if blocks != t.NumBlocks {
 					diag(Error, RuleAggMatrix, transferSite(site, t),
 						"transfer claims %d aligned block(s) but its runs cover %d",
@@ -415,34 +345,25 @@ func (m *Model) checkAlignment(lc *LoopCalls, t compiler.Transfer, diag func(Sev
 	for _, r := range runs {
 		total += r.Bytes
 	}
-	aligned := sections.BlockAlign(runs, bs)
-	alignedBytes := 0
-	want := blockSet{}
-	for _, br := range sections.RunsToBlocks(aligned, bs) {
-		alignedBytes += br[1] * bs
-		for b := br[0]; b < br[0]+br[1]; b++ {
-			want[b] = true
-		}
-	}
-	got := blockSet{}
-	addRuns(got, t.Blocks)
-	if len(got) != len(want) || missingFrom(t.Blocks, want) != "" {
+	want := sections.RunsToBlocks(sections.BlockAlign(runs, bs), bs)
+	alignedBytes := sections.CountBlocks(want) * bs
+	got := sections.Normalize(t.Blocks)
+	if !slices.Equal(got, want) {
 		diag(Error, RuleAlignment, ts,
 			"transfer carries %d block(s) but the block-aligned interior of the section has %d — shmem_limits shrink is wrong",
-			len(got), len(want))
+			sections.CountBlocks(got), sections.CountBlocks(want))
 	}
 	if t.EdgeBytes != total-alignedBytes {
 		diag(Error, RuleAlignment, ts,
 			"edge accounting: section is %dB with a %dB aligned interior, but the transfer claims %dB of edges",
 			total, alignedBytes, t.EdgeBytes)
 	}
-	lo := lay.Base / bs
-	hi := (lay.Base + lay.SizeBytes() + bs - 1) / bs
+	alloc := lay.Blocks(bs)
 	for _, r := range t.Blocks {
-		if r.Start < lo || r.Start+r.N > hi {
+		if r.Start < alloc.Start || r.End() > alloc.End() {
 			diag(Error, RuleAlignment, ts,
 				"blocks [%d,%d) fall outside the array's allocation (blocks [%d,%d))",
-				r.Start, r.Start+r.N, lo, hi)
+				r.Start, r.End(), alloc.Start, alloc.End())
 		}
 	}
 }

@@ -98,6 +98,57 @@ func dropOps(lc *analysis.LoopCalls, keep func(c analysis.Call, postBody bool) b
 	}
 }
 
+// The mutations the contract tests apply to a fixture loop's recorded
+// calls, named so that TestContractDiagnosticsPinned applies the same
+// ones.
+
+func dropReadyToRecv(lc *analysis.LoopCalls) {
+	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpReadyToRecv })
+}
+
+// dropFlushSide removes the writers' flush and the consumers' post-loop
+// expect/ready.
+func dropFlushSide(lc *analysis.LoopCalls) {
+	dropOps(lc, func(c analysis.Call, post bool) bool {
+		if c.Op == analysis.OpFlush {
+			return false
+		}
+		if post && (c.Op == analysis.OpExpect || c.Op == analysis.OpReadyToRecv) {
+			return false
+		}
+		return true
+	})
+}
+
+func dropImplicitWritable(lc *analysis.LoopCalls) {
+	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpImplicitWritable })
+}
+
+// dropLastBarrierOfNode0 removes node 0's last barrier only.
+func dropLastBarrierOfNode0(lc *analysis.LoopCalls) {
+	last := -1
+	for i, c := range lc.Nodes[0] {
+		if c.Op == analysis.OpBarrier {
+			last = i
+		}
+	}
+	lc.Nodes[0] = append(lc.Nodes[0][:last:last], lc.Nodes[0][last+1:]...)
+}
+
+// skipDeadRead lists the first read transfer as elided by PRE though
+// its delivered copy is not live.
+func skipDeadRead(lc *analysis.LoopCalls) {
+	lc.Skipped = append(lc.Skipped, analysis.SkippedTransfer{T: lc.Reads[0], Live: false})
+}
+
+// driftReadMatrices corrupts the first read transfer's cell of the
+// schedule's traffic matrices.
+func driftReadMatrices(lc *analysis.LoopCalls) {
+	ref := lc.Sched.Reads[0]
+	lc.Sched.ReadBytes[ref.Sender][ref.Receiver] += 1
+	lc.Sched.ReadMsgs[ref.Sender][ref.Receiver] += 3
+}
+
 // TestContractCleanFixture: the unmutated call sequences satisfy the
 // contract.
 func TestContractCleanFixture(t *testing.T) {
@@ -117,7 +168,7 @@ func TestContractCleanFixture(t *testing.T) {
 // yields exactly contract/recv-match errors, with loop provenance.
 func TestContractDroppedReadyToRecv(t *testing.T) {
 	m, rep, lc := buildFixture(t, 0)
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpReadyToRecv })
+	dropReadyToRecv(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -146,15 +197,7 @@ func TestContractDroppedReadyToRecv(t *testing.T) {
 // contract/write-flush errors citing the array section.
 func TestContractUnflushedMkWritable(t *testing.T) {
 	m, rep, lc := buildFixture(t, 1)
-	dropOps(lc, func(c analysis.Call, post bool) bool {
-		if c.Op == analysis.OpFlush {
-			return false
-		}
-		if post && (c.Op == analysis.OpExpect || c.Op == analysis.OpReadyToRecv) {
-			return false
-		}
-		return true
-	})
+	dropFlushSide(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -185,7 +228,7 @@ func TestContractUnflushedMkWritable(t *testing.T) {
 // trip the happens-before check for every arriving block.
 func TestContractDroppedImplicitWritable(t *testing.T) {
 	m, rep, lc := buildFixture(t, 0)
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpImplicitWritable })
+	dropImplicitWritable(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -198,14 +241,7 @@ func TestContractDroppedImplicitWritable(t *testing.T) {
 // deadlock, flagged as exactly contract/barrier.
 func TestContractBarrierParity(t *testing.T) {
 	m, rep, lc := buildFixture(t, 0)
-	// Remove node 0's last barrier only.
-	last := -1
-	for i, c := range lc.Nodes[0] {
-		if c.Op == analysis.OpBarrier {
-			last = i
-		}
-	}
-	lc.Nodes[0] = append(lc.Nodes[0][:last:last], lc.Nodes[0][last+1:]...)
+	dropLastBarrierOfNode0(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -222,7 +258,7 @@ func TestContractBadElision(t *testing.T) {
 	if len(lc.Reads) == 0 {
 		t.Fatal("fixture loop has no read transfers")
 	}
-	lc.Skipped = append(lc.Skipped, analysis.SkippedTransfer{T: lc.Reads[0], Live: false})
+	skipDeadRead(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -240,9 +276,7 @@ func TestContractAggMatrixDrift(t *testing.T) {
 	if len(lc.Sched.Reads) == 0 {
 		t.Fatal("fixture loop has no read transfers")
 	}
-	ref := lc.Sched.Reads[0]
-	lc.Sched.ReadBytes[ref.Sender][ref.Receiver] += 1
-	lc.Sched.ReadMsgs[ref.Sender][ref.Receiver] += 3
+	driftReadMatrices(lc)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -283,7 +317,7 @@ func TestContractAggMatrixDrift(t *testing.T) {
 // with the reason attached and reports stale entries.
 func TestSuppressionDowngrade(t *testing.T) {
 	m, rep, lc := buildFixture(t, 0)
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpReadyToRecv })
+	dropReadyToRecv(lc)
 	m.CheckLoopCalls(lc)
 	if !rep.HasErrors() {
 		t.Fatal("expected errors before suppression")

@@ -48,7 +48,7 @@ type ProvIndex struct {
 
 type provSpan struct {
 	name   string
-	lo, hi int // block range [lo, hi)
+	blocks protocol.BlockRun // the array's allocation
 }
 
 type provEntry struct {
@@ -71,19 +71,12 @@ func NewProvIndex(an *compiler.Analysis) *ProvIndex {
 	px := &ProvIndex{blockSize: an.BlockSize, stamps: map[provKey][]provStamp{}}
 	maxB := 0
 	for _, arr := range an.Prog.Arrays {
-		lay := an.Layouts[arr]
-		hi := (lay.Base + lay.SizeBytes() + an.BlockSize - 1) / an.BlockSize
-		px.spans = append(px.spans, provSpan{
-			name: arr.Name,
-			lo:   lay.Base / an.BlockSize,
-			hi:   hi,
-		})
-		if hi > maxB {
-			maxB = hi
-		}
+		blocks := an.Layouts[arr].Blocks(an.BlockSize)
+		px.spans = append(px.spans, provSpan{name: arr.Name, blocks: blocks})
+		maxB = max(maxB, blocks.End())
 	}
 	px.last = make([]*provEntry, maxB)
-	sort.Slice(px.spans, func(i, j int) bool { return px.spans[i].lo < px.spans[j].lo })
+	sort.Slice(px.spans, func(i, j int) bool { return px.spans[i].blocks.Start < px.spans[j].blocks.Start })
 	return px
 }
 
@@ -136,12 +129,13 @@ func (px *ProvIndex) Describe(b int) string {
 	defer px.mu.Unlock()
 	var parts []string
 	for _, s := range px.spans {
-		if b >= s.lo && b < s.hi {
+		if b >= s.blocks.Start && b < s.blocks.End() {
 			parts = append(parts, s.name)
 			break
 		}
 	}
-	if e := px.entryAt(b); e != nil {
+	if b >= 0 && b < len(px.last) && px.last[b] != nil {
+		e := px.last[b]
 		parts = append(parts, e.text)
 		if px.Report != nil {
 			if rules := px.Report.RulesFor(e.loop); len(rules) > 0 {
@@ -154,11 +148,4 @@ func (px *ProvIndex) Describe(b int) string {
 		}
 	}
 	return strings.Join(parts, "; ")
-}
-
-func (px *ProvIndex) entryAt(b int) *provEntry {
-	if b < 0 || b >= len(px.last) {
-		return nil
-	}
-	return px.last[b]
 }

@@ -21,6 +21,60 @@ func verifySrc(t *testing.T, src string) *analysis.Report {
 	return rep
 }
 
+// The race fixtures; TestContractDiagnosticsPinned verifies the same
+// sources.
+const (
+	srcGaussSeidel = `
+PROGRAM gaussseidel
+PARAM n = 64
+REAL a(n, n)
+DISTRIBUTE a(*, BLOCK)
+FORALL (i = 1:n, j = 1:n-1)
+  a(i, j) = a(i, j+1)
+END FORALL
+END
+`
+	srcWWRace = `
+PROGRAM wwrace
+PARAM n = 64
+REAL a(n, n), b(n, n)
+DISTRIBUTE a(*, BLOCK)
+DISTRIBUTE b(*, BLOCK)
+FORALL (i = 1:n, j = 1:n-1)
+  a(i, j) = b(i, j)
+  a(i, j+1) = b(i, j)
+END FORALL
+END
+`
+	srcColStorm = `
+PROGRAM colstorm
+PARAM n = 64
+REAL a(n, n), b(n, n)
+DISTRIBUTE a(*, BLOCK)
+DISTRIBUTE b(*, BLOCK)
+FORALL (i = 1:n, j = 1:n) ON b(i, j)
+  a(i, 1) = b(i, j)
+END FORALL
+END
+`
+	srcCleanStencil = `
+PROGRAM clean
+PARAM n = 64
+REAL a(n, n), b(n, n)
+DISTRIBUTE a(*, BLOCK)
+DISTRIBUTE b(*, BLOCK)
+DO t = 1, 3
+  FORALL (i = 2:n-1, j = 2:n-1)
+    b(i, j) = 0.25 * (a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1))
+  END FORALL
+  FORALL (i = 2:n-1, j = 2:n-1)
+    a(i, j) = b(i, j)
+  END FORALL
+END DO
+END
+`
+)
+
 // countRule counts diagnostics of a rule at a severity.
 func countRule(rep *analysis.Report, rule string, sev analysis.Severity) int {
 	n := 0
@@ -36,16 +90,7 @@ func countRule(rep *analysis.Report, rule string, sev analysis.Severity) int {
 // array at a shifted subscript — iterations are not independent and no
 // barrier separates them.
 func TestRaceReadWriteOverlap(t *testing.T) {
-	rep := verifySrc(t, `
-PROGRAM gaussseidel
-PARAM n = 64
-REAL a(n, n)
-DISTRIBUTE a(*, BLOCK)
-FORALL (i = 1:n, j = 1:n-1)
-  a(i, j) = a(i, j+1)
-END FORALL
-END
-`)
+	rep := verifySrc(t, srcGaussSeidel)
 	if countRule(rep, analysis.RuleRaceRW, analysis.Error) == 0 {
 		t.Fatalf("in-place shifted sweep not flagged:\n%s", rep)
 	}
@@ -73,18 +118,7 @@ END
 // TestRaceWriteWriteOverlap: two statements writing overlapping
 // sections of the same array in one parallel loop.
 func TestRaceWriteWriteOverlap(t *testing.T) {
-	rep := verifySrc(t, `
-PROGRAM wwrace
-PARAM n = 64
-REAL a(n, n), b(n, n)
-DISTRIBUTE a(*, BLOCK)
-DISTRIBUTE b(*, BLOCK)
-FORALL (i = 1:n, j = 1:n-1)
-  a(i, j) = b(i, j)
-  a(i, j+1) = b(i, j)
-END FORALL
-END
-`)
+	rep := verifySrc(t, srcWWRace)
 	if countRule(rep, analysis.RuleRaceWrite, analysis.Error) == 0 {
 		t.Fatalf("overlapping writers not flagged:\n%s", rep)
 	}
@@ -94,17 +128,7 @@ END
 // the distributed loop variable is stormed by every executing
 // processor.
 func TestRaceWriteIgnoresDistVar(t *testing.T) {
-	rep := verifySrc(t, `
-PROGRAM colstorm
-PARAM n = 64
-REAL a(n, n), b(n, n)
-DISTRIBUTE a(*, BLOCK)
-DISTRIBUTE b(*, BLOCK)
-FORALL (i = 1:n, j = 1:n) ON b(i, j)
-  a(i, 1) = b(i, j)
-END FORALL
-END
-`)
+	rep := verifySrc(t, srcColStorm)
 	if countRule(rep, analysis.RuleRaceWrite, analysis.Error) == 0 {
 		t.Fatalf("distvar-free write not flagged:\n%s", rep)
 	}
@@ -113,22 +137,7 @@ END
 // TestRaceCleanTwoArraySweep: the textbook two-array stencil has no
 // races and no contract errors at any level.
 func TestRaceCleanTwoArraySweep(t *testing.T) {
-	rep := verifySrc(t, `
-PROGRAM clean
-PARAM n = 64
-REAL a(n, n), b(n, n)
-DISTRIBUTE a(*, BLOCK)
-DISTRIBUTE b(*, BLOCK)
-DO t = 1, 3
-  FORALL (i = 2:n-1, j = 2:n-1)
-    b(i, j) = 0.25 * (a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1))
-  END FORALL
-  FORALL (i = 2:n-1, j = 2:n-1)
-    a(i, j) = b(i, j)
-  END FORALL
-END DO
-END
-`)
+	rep := verifySrc(t, srcCleanStencil)
 	if rep.HasErrors() {
 		t.Fatalf("clean stencil flagged:\n%s", rep)
 	}

@@ -7,6 +7,8 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/protocol"
+	"hpfdsm/internal/sections"
 )
 
 // Model is the per-level verification state: it replays the program's
@@ -25,7 +27,7 @@ type Model struct {
 	races  bool // run the (level-independent) race analysis on this pass
 
 	phase  int             // global barrier phase counter
-	frames []map[int]int   // per node: open frame block -> opening phase
+	frames [][]frame       // per node: its open frames
 	live   map[string]bool // transfer keys delivered and not since invalidated by a write
 
 	plans *compiler.Planner // each instance's plan, as the runtime gets it
@@ -45,15 +47,12 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 		an:      an,
 		level:   level,
 		report:  rep,
-		frames:  make([]map[int]int, an.NP),
+		frames:  make([][]frame, an.NP),
 		live:    map[string]bool{},
 		plans:   compiler.NewPlanner(level),
 		env:     map[string]int{},
 		checked: map[string]bool{},
 		seen:    map[string]bool{},
-	}
-	for n := range m.frames {
-		m.frames[n] = map[int]int{}
 	}
 	for k, v := range an.Prog.Params {
 		m.env[k] = v
@@ -62,6 +61,39 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 }
 
 func (m *Model) bump() { m.gen++ }
+
+// frame is the blocks a node opened with implicit_writable in one
+// barrier phase and has not invalidated since. A block is in at most
+// one of a node's frames: the earliest opening stands.
+type frame struct {
+	phase  int
+	blocks []protocol.BlockRun
+}
+
+// frameCall applies a call to its node's open frames: implicit_writable
+// opens one, at the call's phase, over the blocks the node has none open
+// for; implicit_invalidate takes its blocks out of them all.
+func (m *Model) frameCall(c phased) {
+	open := m.frames[c.Node]
+	switch c.Op {
+	case OpImplicitWritable:
+		fresh := c.Blocks
+		for _, f := range open {
+			fresh = sections.Minus(fresh, f.blocks)
+		}
+		if fresh = sections.Normalize(fresh); len(fresh) > 0 {
+			m.frames[c.Node] = append(open, frame{c.phase, fresh})
+			m.bump()
+		}
+	case OpImplicitInvalidate:
+		m.frames[c.Node] = open[:0]
+		for _, f := range open {
+			if f.blocks = sections.Minus(f.blocks, c.Blocks); len(f.blocks) > 0 {
+				m.frames[c.Node] = append(m.frames[c.Node], f)
+			}
+		}
+	}
+}
 
 // addDiag records a diagnostic, dropping exact duplicates (repeated
 // instances of the same loop produce identical findings).
@@ -191,25 +223,11 @@ func (m *Model) advance(lc *LoopCalls) {
 	for n := range lc.Nodes {
 		b := 0
 		for _, c := range lc.Nodes[n] {
-			switch c.Op {
-			case OpBarrier:
+			if c.Op == OpBarrier {
 				b++
-			case OpImplicitWritable:
-				for _, r := range c.Blocks {
-					for blk := r.Start; blk < r.Start+r.N; blk++ {
-						if _, ok := m.frames[n][blk]; !ok {
-							m.frames[n][blk] = m.phase + b
-							m.bump()
-						}
-					}
-				}
-			case OpImplicitInvalidate:
-				for _, r := range c.Blocks {
-					for blk := r.Start; blk < r.Start+r.N; blk++ {
-						delete(m.frames[n], blk)
-					}
-				}
 			}
+			c.Node = n
+			m.frameCall(phased{m.phase + b, c})
 		}
 	}
 	m.phase += bc

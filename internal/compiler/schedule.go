@@ -306,27 +306,12 @@ func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Sectio
 	for _, r := range runs {
 		total += r.Bytes
 	}
-	aligned := sections.BlockAlign(runs, a.BlockSize)
-	alignedBytes := 0
-	var blocks []protocol.BlockRun
-	covered := map[int]bool{}
-	for _, br := range sections.RunsToBlocks(aligned, a.BlockSize) {
-		blocks = append(blocks, protocol.BlockRun{Start: br[0], N: br[1]})
-		alignedBytes += br[1] * a.BlockSize
-		for b := br[0]; b < br[0]+br[1]; b++ {
-			covered[b] = true
-		}
-	}
+	blocks := sections.RunsToBlocks(sections.BlockAlign(runs, a.BlockSize), a.BlockSize)
+	numBlocks := sections.CountBlocks(blocks)
 	// Blocks touched but not fully covered: the edges.
-	var edges []protocol.BlockRun
+	var touched []protocol.BlockRun
 	for _, r := range runs {
-		for b := r.Addr / a.BlockSize; b*a.BlockSize < r.End(); b++ {
-			if covered[b] {
-				continue
-			}
-			covered[b] = true // dedupe across runs
-			edges = protocol.AppendBlock(edges, b)
-		}
+		touched = append(touched, r.Blocks(a.BlockSize))
 	}
 	return Transfer{
 		Array:      arr,
@@ -334,9 +319,9 @@ func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Sectio
 		Receiver:   to,
 		Sec:        sec,
 		Blocks:     blocks,
-		NumBlocks:  alignedBytes / a.BlockSize,
-		EdgeBytes:  total - alignedBytes,
-		EdgeBlocks: edges,
+		NumBlocks:  numBlocks,
+		EdgeBytes:  total - numBlocks*a.BlockSize,
+		EdgeBlocks: sections.Minus(touched, blocks),
 		Redundant:  redundant,
 		Key:        fmt.Sprintf("%s|%v|>%d", arr.Name, sec, to),
 	}

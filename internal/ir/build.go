@@ -33,9 +33,6 @@ func Times(l, r Expr) Expr { return Bin{Op: Mul, L: l, R: r} }
 // Over returns l/r.
 func Over(l, r Expr) Expr { return Bin{Op: Div, L: l, R: r} }
 
-// Sum3 returns a+b+c.
-func Sum3(a, b, c Expr) Expr { return Plus(Plus(a, b), c) }
-
 // Sum4 returns a+b+c+d.
 func Sum4(a, b, c, d Expr) Expr { return Plus(Plus(a, b), Plus(c, d)) }
 
@@ -125,15 +122,4 @@ func HasIndirect(p *Program) bool {
 		}
 	})
 	return found
-}
-
-// InnerVars collects the variables bound by inner reductions in e.
-func InnerVars(e Expr) map[string]bool {
-	out := map[string]bool{}
-	WalkExpr(e, func(x Expr) {
-		if r, ok := x.(InnerRed); ok {
-			out[r.Var] = true
-		}
-	})
-	return out
 }

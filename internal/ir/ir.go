@@ -125,16 +125,6 @@ func (a AffExpr) Vars() []string {
 	return out
 }
 
-// UsesAny reports whether the expression mentions any of the names.
-func (a AffExpr) UsesAny(names map[string]bool) bool {
-	for _, t := range a.Terms {
-		if names[t.Var] {
-			return true
-		}
-	}
-	return false
-}
-
 func (a AffExpr) String() string {
 	var b strings.Builder
 	wrote := false

@@ -62,13 +62,6 @@ func TestPropertyAffEvalLinear(t *testing.T) {
 	}
 }
 
-func TestUsesAny(t *testing.T) {
-	e := V("i").Add(V("k"))
-	if !e.UsesAny(map[string]bool{"k": true}) || e.UsesAny(map[string]bool{"j": true}) {
-		t.Fatal("UsesAny wrong")
-	}
-}
-
 func TestArrayBasics(t *testing.T) {
 	a := &Array{Name: "a", Extents: []int{100, 200}, Dist: distribute.Spec{Kind: distribute.Block}}
 	if a.Rank() != 2 || a.Elems() != 20000 || a.LastExtent() != 200 {
@@ -107,10 +100,6 @@ func TestRefsCollection(t *testing.T) {
 	refs := Refs(e)
 	if len(refs) != 3 {
 		t.Fatalf("refs = %v", refs)
-	}
-	iv := InnerVars(e)
-	if !iv["k"] || len(iv) != 1 {
-		t.Fatalf("inner vars = %v", iv)
 	}
 }
 
@@ -210,18 +199,11 @@ func TestTryEval(t *testing.T) {
 }
 
 func TestMoreBuilders(t *testing.T) {
-	if Sum3(N(1), N(2), N(3)).Ops() != 2 {
-		t.Fatal("Sum3")
-	}
 	if Over(N(1), N(2)).Ops() != 1 {
 		t.Fatal("Over")
 	}
 	a := &Array{Name: "a", Extents: []int{4, 4}}
 	if a.String() == "" || Ref(a, V("i"), V("j")).String() != "a(i,j)" {
 		t.Fatalf("strings: %q", Ref(a, V("i"), V("j")).String())
-	}
-	iv := InnerVars(Plus(N(1), N(2)))
-	if len(iv) != 0 {
-		t.Fatal("InnerVars on flat expr")
 	}
 }

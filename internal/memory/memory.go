@@ -42,19 +42,11 @@ func (t Tag) String() string {
 	}
 }
 
-// Alloc records one named allocation in the shared segment.
-type Alloc struct {
-	Name string
-	Base int
-	Size int
-}
-
-// Space is the shared segment layout: allocation map, block and page
-// geometry, and the home-node assignment.
+// Space is the shared segment layout: block and page geometry and the
+// home-node assignment.
 type Space struct {
-	mc     config.Machine
-	size   int // current segment size in bytes (page aligned)
-	allocs []Alloc
+	mc   config.Machine
+	size int // current segment size in bytes (page aligned)
 
 	// Cached geometry for the executor's per-access fast paths: block
 	// and page arithmetic reduce to shifts when the sizes are powers of
@@ -109,12 +101,8 @@ func (s *Space) Alloc(name string, bytes int) int {
 	base := s.size
 	pg := s.mc.PageSize
 	s.size += (bytes + pg - 1) / pg * pg
-	s.allocs = append(s.allocs, Alloc{Name: name, Base: base, Size: bytes})
 	return base
 }
-
-// Allocs returns the allocation map.
-func (s *Space) Allocs() []Alloc { return s.allocs }
 
 // Block returns the block number containing addr.
 func (s *Space) Block(addr int) int {
@@ -123,9 +111,6 @@ func (s *Space) Block(addr int) int {
 	}
 	return addr / s.mc.BlockSize
 }
-
-// BlockBase returns the byte address of block b.
-func (s *Space) BlockBase(b int) int { return b * s.mc.BlockSize }
 
 // Page returns the page number containing addr.
 func (s *Space) Page(addr int) int {
@@ -141,11 +126,27 @@ func (s *Space) Home(addr int) int { return s.Page(addr) % s.mc.Nodes }
 // HomeOfBlock returns the home node of block b.
 func (s *Space) HomeOfBlock(b int) int { return s.Home(b * s.mc.BlockSize) }
 
-// CheckAddr panics if addr is outside the segment or not 8-byte aligned.
-func (s *Space) CheckAddr(addr int) {
-	if addr < 0 || addr+8 > s.size || addr%8 != 0 {
-		panic(fmt.Sprintf("memory: bad shared address %#x (segment size %#x)", addr, s.size))
-	}
+// HomeSlot returns block b's home node and b's index among the blocks
+// homed there. Pages are dealt round-robin, so a home's k-th page holds
+// its slots from k times the blocks in a page on, and ascending slots
+// are ascending blocks: a table of NumHomed entries indexed by slot is a
+// home's dense per-block state.
+func (s *Space) HomeSlot(b int) (home, slot int) {
+	bpp := s.mc.PageSize / s.mc.BlockSize
+	pg := b / bpp
+	return pg % s.mc.Nodes, pg/s.mc.Nodes*bpp + b%bpp
+}
+
+// HomedBlock returns the block at slot of home's table: HomeSlot's
+// inverse.
+func (s *Space) HomedBlock(home, slot int) int {
+	bpp := s.mc.PageSize / s.mc.BlockSize
+	return (slot/bpp*s.mc.Nodes+home)*bpp + slot%bpp
+}
+
+// NumHomed returns the number of blocks homed at node home.
+func (s *Space) NumHomed(home int) int {
+	return (s.NumPages() + s.mc.Nodes - 1 - home) / s.mc.Nodes * (s.mc.PageSize / s.mc.BlockSize)
 }
 
 // NodeMem is one node's image of the shared segment: data, per-block

@@ -597,16 +597,3 @@ func (n *Network) CoalescerOf(src int) *Coalescer {
 	}
 	return n.coals[src]
 }
-
-// Broadcast sends a copy of the message to every destination in dsts.
-// Copies share Data (which receivers must treat as read-only).
-func (n *Network) Broadcast(m *Message, dsts []int) {
-	for _, d := range dsts {
-		c := *m
-		c.Dst = d
-		// Copies share Data and are independently delivered: none may
-		// carry pool ownership of the original or its buffer.
-		c.pooled, c.retained, c.DataPooled = false, false, false
-		n.Send(&c)
-	}
-}

@@ -126,22 +126,6 @@ func TestDataSizeDefaultsFromPayload(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	env, net, _, _ := testNet(4)
-	got := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		i := i
-		net.Bind(i, func(m *Message) { got[i] = true })
-	}
-	net.Broadcast(&Message{Src: 0, Size: 8}, []int{1, 2, 3})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] || !got[1] || !got[2] || !got[3] {
-		t.Fatalf("broadcast delivery set wrong: %v", got)
-	}
-}
-
 func TestBadEndpointPanics(t *testing.T) {
 	_, net, _, _ := testNet(2)
 	defer func() {

@@ -12,10 +12,10 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/memory"
@@ -37,7 +37,7 @@ func (p *Proto) Quiescent() bool {
 		if np.n.HandlersQueued() != 0 || np.n.Pending() != 0 {
 			return false
 		}
-		if len(np.fill) != 0 {
+		if np.fill != nil {
 			return false
 		}
 		if np.ccRecv.Value() != np.ccExpected {
@@ -49,11 +49,8 @@ func (p *Proto) Quiescent() bool {
 		if len(np.relay) != 0 {
 			return false
 		}
-		// Pure any-check over the directory: quiescence is the
-		// conjunction over all entries, order-free, mutation-free.
-		//simlint:commutative
 		for _, e := range np.dir {
-			if !e.idle() {
+			if e != nil && !e.idle() {
 				return false
 			}
 		}
@@ -104,10 +101,11 @@ func (p *Proto) Capture() *checkpoint.Snapshot {
 				ns.Mapped[pg] = 1
 			}
 		}
-		blocks := slices.AppendSeq(make([]int, 0, len(np.dir)), maps.Keys(np.dir))
-		slices.Sort(blocks)
-		for _, b := range blocks {
-			e := np.dir[b]
+		for i, e := range np.dir {
+			if e == nil {
+				continue
+			}
+			b := sp.HomedBlock(np.id, i)
 			if !e.idle() {
 				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", b, np.id))
 			}
@@ -118,22 +116,15 @@ func (p *Proto) Capture() *checkpoint.Snapshot {
 				Stale:   append([]uint64(nil), e.stale.words()...),
 			})
 		}
-		keys := make([][2]int, 0, len(np.iwDone))
-		for k := range np.iwDone {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
+		done := slices.SortedFunc(maps.Keys(np.iwDone), func(a, b BlockRun) int {
+			return cmp.Or(a.Start-b.Start, a.N-b.N)
 		})
-		for _, k := range keys {
-			ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(k[0]), B: int32(k[1])})
+		for _, r := range done {
+			ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
 		}
-		ns.CCFrames = packFlags(np.ccFrames)
-		ns.CCTouched = packFlags(np.ccTouched)
-		ns.SCHold = packFlags(np.scHold)
+		ns.CCFrames = np.packFlag(flagCCFrame)
+		ns.CCTouched = np.packFlag(flagCCTouched)
+		ns.SCHold = np.packFlag(flagSCHold)
 		s.Nodes = append(s.Nodes, ns)
 	}
 	return s
@@ -154,7 +145,8 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 	}
 	for i, np := range p.nodes {
 		ns := &s.Nodes[i]
-		if len(ns.Tags) != nb || len(ns.Dirty) != nb || len(ns.Mapped) != npg {
+		if len(ns.Tags) != nb || len(ns.Dirty) != nb || len(ns.Mapped) != npg ||
+			len(ns.CCFrames) != nb || len(ns.CCTouched) != nb || len(ns.SCHold) != nb {
 			return fmt.Errorf("protocol: snapshot node %d sized for a different segment (%d blocks, %d pages; want %d, %d)",
 				i, len(ns.Tags), len(ns.Mapped), nb, npg)
 		}
@@ -175,12 +167,13 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 				mem.SetMapped(pg)
 			}
 		}
-		np.dir = make(map[int]*dirEntry, len(ns.Dir))
+		clear(np.dir)
 		nnodes := len(p.nodes)
 		words := nsWords(nnodes)
 		for _, d := range ns.Dir {
 			b := int(d.Block)
-			if b < 0 || b >= nb || sp.HomeOfBlock(b) != np.id {
+			home, slot := sp.HomeSlot(b)
+			if b < 0 || b >= nb || home != np.id {
 				return fmt.Errorf("protocol: snapshot node %d has directory entry for foreign block %d", i, b)
 			}
 			if len(d.Sharers) > words || len(d.Writers) > words || len(d.Stale) > words {
@@ -190,15 +183,15 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			e.sharers.loadWords(d.Sharers)
 			e.writers.loadWords(d.Writers)
 			e.stale.loadWords(d.Stale)
-			np.dir[b] = e
+			np.dir[slot] = e
 		}
-		np.iwDone = make(map[[2]int]bool, len(ns.IWDone))
+		np.iwDone = make(map[BlockRun]bool, len(ns.IWDone))
 		for _, k := range ns.IWDone {
-			np.iwDone[[2]int{int(k.A), int(k.B)}] = true
+			np.iwDone[BlockRun{Start: int(k.A), N: int(k.B)}] = true
 		}
-		np.ccFrames = unpackFlags(ns.CCFrames, nb)
-		np.ccTouched = unpackFlags(ns.CCTouched, nb)
-		np.scHold = unpackFlags(ns.SCHold, nb)
+		for b := range np.flags {
+			np.flags[b] = flagIf(ns.CCFrames[b], flagCCFrame) | flagIf(ns.CCTouched[b], flagCCTouched) | flagIf(ns.SCHold[b], flagSCHold)
+		}
 		np.ccRecv.Reset()
 		np.ccRecv.Add(ns.CCRecv)
 		np.ccExpected = ns.CCExpected
@@ -209,20 +202,22 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 	return nil
 }
 
-func packFlags(f blockFlags) []byte {
-	out := make([]byte, len(f))
-	for i, v := range f {
-		if v {
-			out[i] = 1
+// flagIf returns bit when a snapshot's byte for it is set.
+func flagIf(packed byte, bit uint8) uint8 {
+	if packed != 0 {
+		return bit
+	}
+	return 0
+}
+
+// packFlag returns one flag of every block as a byte each, the form a
+// snapshot keeps it in.
+func (np *nodeProto) packFlag(bit uint8) []byte {
+	out := make([]byte, len(np.flags))
+	for b, f := range np.flags {
+		if f&bit != 0 {
+			out[b] = 1
 		}
 	}
 	return out
-}
-
-func unpackFlags(b []byte, minLen int) blockFlags {
-	f := make(blockFlags, max(len(b), minLen))
-	for i, v := range b {
-		f[i] = v != 0
-	}
-	return f
 }

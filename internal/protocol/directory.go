@@ -60,13 +60,12 @@ type dirReq struct {
 // which must be homed at this node. A fresh entry reflects the initial
 // tag state: home pages start writable at home.
 func (np *nodeProto) entry(b int) *dirEntry {
-	sp := np.n.Mem.Space()
-	if sp.HomeOfBlock(b) != np.id {
-		panic(fmt.Sprintf("protocol: node %d asked for directory entry of block %d homed at %d",
-			np.id, b, sp.HomeOfBlock(b)))
+	home, i := np.n.Mem.Space().HomeSlot(b)
+	if home != np.id {
+		panic(fmt.Sprintf("protocol: node %d asked for directory entry of block %d homed at %d", np.id, b, home))
 	}
-	e, ok := np.dir[b]
-	if !ok {
+	e := np.dir[i]
+	if e == nil {
 		e = newDirEntry(len(np.p.nodes))
 		switch np.n.Mem.Tag(b) {
 		case memory.ReadWrite:
@@ -74,7 +73,7 @@ func (np *nodeProto) entry(b int) *dirEntry {
 		case memory.ReadOnly:
 			e.sharers.set(np.id)
 		}
-		np.dir[b] = e
+		np.dir[i] = e
 	}
 	return e
 }
@@ -85,7 +84,7 @@ func (np *nodeProto) entry(b int) *dirEntry {
 // holder's own — progress is guaranteed because the held store retires
 // at the already-scheduled resume time.
 func (np *nodeProto) enqueue(r *dirReq) {
-	if np.scHold.get(r.block) && r.src != np.id {
+	if np.flags[r.block]&flagSCHold != 0 && r.src != np.id {
 		np.later(func() { np.enqueue(r) })
 		return
 	}
@@ -208,7 +207,7 @@ func (e *dirEntry) forget(id int) {
 // collecting returns block b's entry, which must be busy: a flush or an
 // acknowledgement for it has just arrived.
 func (np *nodeProto) collecting(b int) *dirEntry {
-	e := np.dir[b]
+	e := np.lookup(b)
 	if e == nil || !e.busy {
 		panic(fmt.Sprintf("protocol: node %d got a collection response for idle block %d", np.id, b))
 	}

@@ -6,34 +6,15 @@ import (
 
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
+	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 )
 
-// BlockRun is a contiguous range of coherence blocks [Start, Start+N).
-type BlockRun struct {
-	Start int
-	N     int
-}
-
-// extend grows the run by block b when b follows it directly.
-func (r *BlockRun) extend(b int) bool {
-	if r.Start+r.N != b {
-		return false
-	}
-	r.N++
-	return true
-}
-
-// AppendBlock adds block b to a list of runs built in ascending block
-// order: it extends the last run when b follows it directly, and starts
-// a new run otherwise.
-func AppendBlock(runs []BlockRun, b int) []BlockRun {
-	if k := len(runs) - 1; k >= 0 && runs[k].extend(b) {
-		return runs
-	}
-	return append(runs, BlockRun{Start: b, N: 1})
-}
+// BlockRun is a contiguous range of coherence blocks [Start, Start+N):
+// the operand of every Section 4.2 call. It is the front end's one
+// block-set type, under the name the calls have always used.
+type BlockRun = sections.BlockRun
 
 // Ext is the compiler-directed protocol interface for one node: the
 // run-time calls of the paper's Section 4.2. All methods must be called
@@ -96,8 +77,10 @@ func (x *Ext) MkWritable(p *sim.Proc, runs []BlockRun) {
 			total++
 			// A change of disposition breaks a run like a gap does.
 			l := perHome[home]
-			if k := len(l) - 1; k < 0 || l[k].needData != needData || !l[k].extend(b) {
-				perHome[home] = append(l, encRun{BlockRun{b, 1}, needData})
+			if k := len(l) - 1; k >= 0 && l[k].needData == needData && l[k].End() == b {
+				l[k].N++
+			} else {
+				perHome[home] = append(l, encRun{BlockRun{Start: b, N: 1}, needData})
 			}
 		}
 	}
@@ -300,14 +283,14 @@ func (x *Ext) ImplicitWritable(p *sim.Proc, runs []BlockRun, firstTimeOnly bool)
 	did := false
 	for _, r := range runs {
 		for b := r.Start; b < r.Start+r.N; b++ {
-			np.ccFrames.set(b)
+			np.flags[b] |= flagCCFrame
 		}
 		if firstTimeOnly {
-			if np.iwDone[[2]int{r.Start, r.N}] {
+			if np.iwDone[r] {
 				p.Sleep(mc.TagChange) // the test-only fast path
 				continue
 			}
-			np.iwDone[[2]int{r.Start, r.N}] = true
+			np.iwDone[r] = true
 		}
 		p.Sleep(sim.Time(r.N) * mc.TagChange)
 		for b := r.Start; b < r.Start+r.N; b++ {
@@ -416,7 +399,7 @@ func (x *Ext) FlushBlocks(p *sim.Proc, owner int, runs []BlockRun, mode SendMode
 	for _, r := range runs {
 		for b := r.Start; b < r.Start+r.N; b++ {
 			h := sp.HomeOfBlock(b)
-			perHome[h] = AppendBlock(perHome[h], b)
+			perHome[h] = sections.AppendBlock(perHome[h], b)
 		}
 	}
 	for h := 0; h < len(perHome); h++ {
@@ -476,7 +459,7 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 	}
 	for _, r := range runs {
 		for b := r.Start; b < r.Start+r.N; b++ {
-			np.ccTouched.set(b)
+			np.flags[b] |= flagCCTouched
 			// The contract requires a valid local copy. ReadWrite is the
 			// usual state (mk_writable / steady ownership); ReadOnly can
 			// occur when an advisory prefetch or an edge read downgraded
@@ -534,7 +517,7 @@ func (np *nodeProto) hCC(hc *tempest.HContext, m *network.Message) {
 	np.occupy(sim.Time(nb) * np.n.MC.BulkPerBlock)
 	b0 := m.Addr / bs
 	for b := b0; b < b0+nb; b++ {
-		np.ccTouched.set(b)
+		np.flags[b] |= flagCCTouched
 		if mem.Tag(b) != memory.ReadWrite {
 			// A frame the receiver once opened may have been torn down
 			// by an eager invalidation racing through an adjacent
@@ -542,7 +525,7 @@ func (np *nodeProto) hCC(hc *tempest.HContext, m *network.Message) {
 			// tagged message carries the contract's permission to
 			// reopen it. Data for a frame never opened is a compiler
 			// bug and still trips the check.
-			if !np.ccFrames.get(b) {
+			if np.flags[b]&flagCCFrame == 0 {
 				panic(fmt.Sprintf("protocol: compiler-directed data for block %d arrived at node %d without readwrite frame (tag %v); implicit_writable missing",
 					b, np.id, mem.Tag(b)))
 			}
@@ -603,7 +586,7 @@ func (x *Ext) Prefetch(p *sim.Proc, runs []BlockRun) {
 
 // IsFrame reports whether this node ever opened block b as a
 // compiler-controlled frame.
-func (x *Ext) IsFrame(b int) bool { return x.np.ccFrames.get(b) }
+func (x *Ext) IsFrame(b int) bool { return x.np.flags[b]&flagCCFrame != 0 }
 
 // ExpectBlocks announces n incoming compiler-controlled blocks for this
 // node's next ReadyToRecv (the schedule knows exactly what will

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"hpfdsm/internal/memory"
@@ -57,8 +56,8 @@ func (p *Proto) audit(quiescent bool) error {
 	for b := 0; b < nb; b++ {
 		homeID := sp.HomeOfBlock(b)
 		home := p.nodes[homeID]
-		e, ok := home.dir[b]
-		if ok && !e.idle() {
+		e := home.lookup(b)
+		if e != nil && !e.idle() {
 			if quiescent {
 				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
 					b, p.blockInfo(b), e.busy, e.pending, len(e.waitQ))
@@ -66,7 +65,7 @@ func (p *Proto) audit(quiescent bool) error {
 			continue // mid-transaction at a barrier instant; nothing to audit
 		}
 		var writers, sharers, stale nodeset
-		if ok {
+		if e != nil {
 			writers = e.writers
 			sharers = e.sharers
 			stale = e.stale
@@ -135,7 +134,7 @@ func (p *Proto) blockInfo(b int) string {
 // business; directory-based audits skip them at barrier instants.
 func (p *Proto) isCC(b int) bool {
 	for _, np := range p.nodes {
-		if np.ccFrames.get(b) || np.ccTouched.get(b) {
+		if np.flags[b]&(flagCCFrame|flagCCTouched) != 0 {
 			return true
 		}
 	}
@@ -158,8 +157,8 @@ func (p *Proto) DumpOutstanding() string {
 	var out strings.Builder
 	for _, np := range p.nodes {
 		var lines []string
-		if len(np.fill) > 0 {
-			lines = append(lines, fmt.Sprintf("blocking misses on blocks %v", slices.Sorted(maps.Keys(np.fill))))
+		if np.fill != nil {
+			lines = append(lines, fmt.Sprintf("blocking misses on blocks [%d]", np.fillBlock))
 		}
 		if pend := np.n.Pending(); pend > 0 {
 			lines = append(lines, fmt.Sprintf("%d non-blocking transaction(s) in flight", pend))
@@ -167,16 +166,11 @@ func (p *Proto) DumpOutstanding() string {
 		if got := np.ccRecv.Value(); got < np.ccExpected {
 			lines = append(lines, fmt.Sprintf("ready_to_recv short: %d/%d cc blocks arrived", got, np.ccExpected))
 		}
-		var busy []int
-		for b, e := range np.dir {
-			if !e.idle() {
-				busy = append(busy, b)
+		for i, e := range np.dir {
+			if e != nil && !e.idle() {
+				b := np.n.Mem.Space().HomedBlock(np.id, i)
+				lines = append(lines, fmt.Sprintf("directory block %d%s busy (pending=%d queued=%d)", b, p.blockInfo(b), e.pending, len(e.waitQ)))
 			}
-		}
-		sort.Ints(busy)
-		for _, b := range busy {
-			e := np.dir[b]
-			lines = append(lines, fmt.Sprintf("directory block %d%s busy (pending=%d queued=%d)", b, p.blockInfo(b), e.pending, len(e.waitQ)))
 		}
 		for _, b := range slices.Sorted(maps.Keys(np.relay)) {
 			rs := np.relay[b]

@@ -113,7 +113,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, r *dirReq, invalOne func(s in
 // the rest of the leaf set out as KInvalFwd, and start combining acks.
 func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
-	if np.scHold.get(b) {
+	if np.flags[b]&flagSCHold != 0 {
 		np.deferMsg(m, np.hInvalTree)
 		return
 	}
@@ -149,7 +149,7 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 // straight to the home; the ack back to the relay says which case ran.
 func (np *nodeProto) hInvalFwd(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
-	if np.scHold.get(b) {
+	if np.flags[b]&flagSCHold != 0 {
 		np.deferMsg(m, np.hInvalFwd)
 		return
 	}

@@ -108,7 +108,7 @@ func TestTreeInvalSkipsCrashedSharer(t *testing.T) {
 		t.Fatal(err)
 	}
 	home := h.p.nodes[0]
-	e := home.dir[b]
+	e := home.lookup(b)
 	if e == nil {
 		t.Fatal("home has no directory entry for the contested block")
 	}

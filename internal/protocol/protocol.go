@@ -168,8 +168,8 @@ type Proto struct {
 }
 
 // nodeProto is the per-node protocol state: the directory for blocks
-// homed here, fill signals for outstanding blocking misses, and the
-// compiler-controlled receive counter.
+// homed here, the fill signal of the outstanding blocking miss, the
+// per-block flags and the compiler-controlled receive counter.
 type nodeProto struct {
 	p  *Proto
 	n  *tempest.Node
@@ -183,23 +183,26 @@ type nodeProto struct {
 	// counter stays single-writer under the PDES window scheduler.
 	defers int
 
-	dir  map[int]*dirEntry   // blocks homed at this node
-	fill map[int]*sim.Signal // block -> local blocking miss completion
+	// dir is the directory of the blocks homed here, indexed by their
+	// memory.Space.HomeSlot; an entry is made when its block is first
+	// asked for (entry).
+	dir []*dirEntry
+
+	// fill completes the compute process's blocking miss on fillBlock;
+	// nil when none is outstanding. The node's one compute process
+	// blocks on it, so there is never a second.
+	fill      *sim.Signal
+	fillBlock int
+
+	// flags holds one byte of bookkeeping per block of the segment (the
+	// flag* bits): it sits on the access-fault and data-install paths.
+	flags []uint8
 
 	// Compiler-controlled transfer bookkeeping.
-	ccRecv     *sim.Counter // blocks received via KCCData / KCCFlush
-	ccExpected int64        // cumulative blocks announced via ExpectBlocks
-	mkwCount   *sim.Counter // blocks confirmed for the current mk_writable
-	iwDone     map[[2]int]bool
-	ccFrames   blockFlags // blocks ever opened by implicit_writable
-	ccTouched  blockFlags // blocks ever sent/received via send/flush
-
-	// scHold marks blocks between a sequentially-consistent write
-	// grant and the retirement of the blocked store: invalidations and
-	// flush requests are deferred briefly so the store always makes
-	// progress (otherwise two false-sharing writers can livelock
-	// stealing the block from each other).
-	scHold blockFlags
+	ccRecv     *sim.Counter      // blocks received via KCCData / KCCFlush
+	ccExpected int64             // cumulative blocks announced via ExpectBlocks
+	mkwCount   *sim.Counter      // blocks confirmed for the current mk_writable
+	iwDone     map[BlockRun]bool // ranges implicit_writable has processed (first-time-only)
 
 	// coal is this node's NIC-level coalescing scheduler, nil unless
 	// aggregation is enabled (EnableAggregation). When set,
@@ -232,28 +235,25 @@ type encRun struct {
 	needData bool
 }
 
-// blockFlags is a dense per-block flag set indexed by block number —
-// the bookkeeping sits on the access-fault and data-install hot paths,
-// where the former map[int]bool lookups cost hashing on every block.
-// It is sized to the shared segment at Attach and grows on demand
-// should a block past the initial segment ever appear.
-type blockFlags []bool
+// The bits of nodeProto.flags.
+const (
+	// flagSCHold marks a block between a sequentially-consistent write
+	// grant and the retirement of the blocked store: invalidations and
+	// flush requests are deferred briefly so the store always makes
+	// progress (otherwise two false-sharing writers can livelock
+	// stealing the block from each other).
+	flagSCHold    uint8 = 1 << iota
+	flagCCFrame         // ever opened by implicit_writable
+	flagCCTouched       // ever sent or received via send/flush
+)
 
-func (f blockFlags) get(b int) bool { return b < len(f) && f[b] }
-
-func (f *blockFlags) set(b int) {
-	if b >= len(*f) {
-		nf := make(blockFlags, b+64)
-		copy(nf, *f)
-		*f = nf
+// lookup returns block b's directory entry, nil when b is homed
+// elsewhere or has not been asked for.
+func (np *nodeProto) lookup(b int) *dirEntry {
+	if home, i := np.n.Mem.Space().HomeSlot(b); home == np.id {
+		return np.dir[i]
 	}
-	(*f)[b] = true
-}
-
-func (f blockFlags) clear(b int) {
-	if b < len(f) {
-		f[b] = false
-	}
+	return nil
 }
 
 // Attach installs the protocol on every node of the cluster and
@@ -265,18 +265,14 @@ func Attach(c *tempest.Cluster) *Proto {
 		t := topo.MustNew(c.MC.Nodes, c.MC.EffectiveRadix())
 		p.tree = &t
 	}
-	nb := c.Space.NumBlocks()
 	for _, n := range c.Nodes {
 		np := &nodeProto{
 			p: p, n: n, id: n.ID,
-			dir:       make(map[int]*dirEntry),
-			fill:      make(map[int]*sim.Signal),
-			scHold:    make(blockFlags, nb),
-			ccFrames:  make(blockFlags, nb),
-			ccTouched: make(blockFlags, nb),
-			ccRecv:    sim.NewCounter(),
-			mkwCount:  sim.NewCounter(),
-			iwDone:    make(map[[2]int]bool),
+			dir:      make([]*dirEntry, c.Space.NumHomed(n.ID)),
+			flags:    make([]uint8, c.Space.NumBlocks()),
+			ccRecv:   sim.NewCounter(),
+			mkwCount: sim.NewCounter(),
+			iwDone:   make(map[BlockRun]bool),
 		}
 		p.nodes = append(p.nodes, np)
 		n.Fault = np.fault
@@ -390,7 +386,7 @@ func (p *Proto) CoherentRead(addr int) float64 {
 	b := sp.Block(addr)
 	home := p.nodes[sp.HomeOfBlock(b)]
 	w := uint((addr % sp.BlockSize()) / 8)
-	if e, ok := home.dir[b]; ok {
+	if e := home.lookup(b); e != nil {
 		for i := e.writers.next(0); i >= 0; i = e.writers.next(i + 1) {
 			if p.nodes[i].n.Mem.Dirty(b)&(1<<w) != 0 {
 				return p.nodes[i].n.Mem.ReadF64(addr)
@@ -492,10 +488,10 @@ func (np *nodeProto) postFromCompute(p *sim.Proc, d sim.Time, dst int, kind netw
 // on: sig fires when the reply has been installed.
 func (np *nodeProto) blockingMiss(p *sim.Proc, d sim.Time, home int, kind network.Kind, b int, sig *sim.Signal) {
 	p.Sleep(d + np.n.MC.SendOver)
-	if _, dup := np.fill[b]; dup {
-		panic(fmt.Sprintf("protocol: node %d has two blocking misses on block %d", np.id, b))
+	if np.fill != nil {
+		panic(fmt.Sprintf("protocol: node %d has two blocking misses, on blocks %d and %d", np.id, np.fillBlock, b))
 	}
-	np.fill[b] = sig
+	np.fill, np.fillBlock = sig, b
 	np.request(home, kind, b, 0, 0)
 }
 
@@ -532,7 +528,7 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 				//simlint:ignore hotalloc -- one transaction descriptor (and completion closure) per SC write miss; its lifetime spans the directory round-trip, and the miss itself costs microseconds of simulated time
 				np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func() {
 					n.Mem.SetTag(b, memory.ReadWrite)
-					np.scHold.set(b)
+					np.flags[b] |= flagSCHold
 					sig.Fire()
 				}})
 			} else {
@@ -541,7 +537,7 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 			sig.Wait(p)
 			// The store retires now (no yield between here and the
 			// write); release the hold taken at grant time.
-			np.scHold.clear(b)
+			np.flags[b] &^= flagSCHold
 			return
 		}
 		// Eager release consistency: the writer does not wait for
@@ -581,13 +577,13 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 // --- Requester-side response handlers --------------------------------
 
 func (np *nodeProto) fillDone(b int) {
-	sig, ok := np.fill[b]
-	if !ok {
+	sig := np.fill
+	if sig == nil || np.fillBlock != b {
 		// A prefetched block completing (or a duplicate response after
 		// a prefetch raced a demand miss): nothing is waiting.
 		return
 	}
-	delete(np.fill, b)
+	np.fill = nil
 	sig.Fire()
 }
 
@@ -601,7 +597,7 @@ func (np *nodeProto) resume(b int) {
 // is writable and held until the blocked store has retired.
 func (np *nodeProto) grantSC(b int) {
 	np.n.Mem.SetTag(b, memory.ReadWrite)
-	np.scHold.set(b)
+	np.flags[b] |= flagSCHold
 	np.resume(b)
 }
 
@@ -691,7 +687,7 @@ func (np *nodeProto) surrender(b, home int, keep, always bool, copyCost sim.Time
 // Arg==1 additionally invalidates (a writer is taking ownership).
 func (np *nodeProto) hPutDataReq(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
-	if np.scHold.get(b) {
+	if np.flags[b]&flagSCHold != 0 {
 		np.deferMsg(m, np.hPutDataReq)
 		return
 	}
@@ -707,7 +703,7 @@ func (np *nodeProto) hPutDataReq(hc *tempest.HContext, m *network.Message) {
 // a tree leaf, is not charged the block copy).
 func (np *nodeProto) hInval(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
-	if np.scHold.get(b) {
+	if np.flags[b]&flagSCHold != 0 {
 		np.deferMsg(m, np.hInval)
 		return
 	}

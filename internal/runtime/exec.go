@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"hpfdsm/internal/analysis"
 	"hpfdsm/internal/compiler"
@@ -316,20 +314,11 @@ func (e *exec) partition(key any, rule *compiler.LoopRule) *compiler.Partition {
 // resident. Charged as (cheap) inspector computation per iteration.
 func (e *exec) inspectIndirect(p *sim.Proc, pl *ir.ParLoop, pt *compiler.Partition) {
 	fl := e.loops[pl].insp
-	if e.m.want == nil {
-		e.m.want = map[int]bool{}
-	}
-	clear(e.m.want)
+	e.m.want = e.m.want[:0]
 	e.m.run(fl, pt, e.n.MC.LoopOver) // inspector cost per iteration
-	if len(e.m.want) == 0 {
-		return
+	if len(e.m.want) > 0 {
+		e.x.Prefetch(p, sections.Normalize(e.m.want))
 	}
-	// Coalesce into runs, deterministically.
-	var runs []protocol.BlockRun
-	for _, b := range slices.Sorted(maps.Keys(e.m.want)) {
-		runs = protocol.AppendBlock(runs, b)
-	}
-	e.x.Prefetch(p, runs)
 }
 
 // invalidateIndirectFrames destroys this node's stale compiler-
@@ -340,13 +329,9 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 	if e.opt < compiler.OptRTElim || len(rule.IndirectArrays) == 0 || e.ghost {
 		return
 	}
-	bs := e.n.MC.BlockSize
 	var stale []protocol.BlockRun
 	for _, arr := range rule.IndirectArrays {
-		lay := e.layouts[arr]
-		b0 := lay.Base / bs
-		b1 := (lay.Base + arr.Elems()*8 + bs - 1) / bs
-		stale = e.staleFrames(stale, protocol.BlockRun{Start: b0, N: b1 - b0})
+		stale = e.staleFrames(stale, e.layouts[arr].Blocks(e.n.MC.BlockSize))
 	}
 	if len(stale) > 0 {
 		e.x.ImplicitInvalidate(p, stale)
@@ -359,7 +344,7 @@ func (e *exec) invalidateIndirectFrames(p *sim.Proc, rule *compiler.LoopRule) {
 func (e *exec) staleFrames(stale []protocol.BlockRun, br protocol.BlockRun) []protocol.BlockRun {
 	for b := br.Start; b < br.Start+br.N; b++ {
 		if e.x.IsFrame(b) && e.n.Mem.Tag(b) == memory.ReadWrite && e.n.Mem.Dirty(b) == 0 {
-			stale = protocol.AppendBlock(stale, b)
+			stale = sections.AppendBlock(stale, b)
 		}
 	}
 	return stale
@@ -421,29 +406,18 @@ func (e *exec) invalidateStaleEdges(p *sim.Proc, sched *compiler.Schedule) {
 // them would downgrade their senders.
 func (e *exec) prefetchEdges(p *sim.Proc, plan *compiler.Plan) {
 	sched := plan.Sched
-	cc := map[int]bool{}
+	var cc []protocol.BlockRun
 	for _, i := range plan.LiveReadIndexes() {
-		if plan.Skips(i) {
-			continue
-		}
-		for _, br := range sched.Reads[i].Blocks {
-			for b := br.Start; b < br.Start+br.N; b++ {
-				cc[b] = true
-			}
+		if !plan.Skips(i) {
+			cc = sections.Union(cc, sched.Reads[i].Blocks)
 		}
 	}
+	// Transfer by transfer: an edge block two transfers share is asked
+	// for twice.
 	var edges []protocol.BlockRun
 	for _, i := range sched.View(e.n.ID).ReadRecv {
-		if plan.Skips(i) {
-			continue
-		}
-		for _, br := range sched.Reads[i].EdgeBlocks {
-			for b := br.Start; b < br.Start+br.N; b++ {
-				if cc[b] {
-					continue
-				}
-				edges = protocol.AppendBlock(edges, b)
-			}
+		if !plan.Skips(i) {
+			edges = append(edges, sections.Minus(sched.Reads[i].EdgeBlocks, cc)...)
 		}
 	}
 	if len(edges) > 0 {

@@ -704,9 +704,9 @@ type fmach struct {
 	addr []int     // address register of each of the statement's refs
 	good []int     // probe's count for each: the iterations its probed blocks cover
 	lv   []flevel
-	dist int          // the nest level the partition's ranges drive, -1 if none
-	data []byte       // the node image
-	want map[int]bool // inspector phase: indirect target blocks not held
+	dist int                 // the nest level the partition's ranges drive, -1 if none
+	data []byte              // the node image
+	want []sections.BlockRun // inspector phase: indirect target blocks not held, as met
 }
 
 func (c *compiled) newMach(e *exec) fmach {
@@ -1023,7 +1023,7 @@ func (m *fmach) exec(fl *fastLoop, code []fop, k, w, slot, step int, checked boo
 				f[o.d] = n.LoadF64(p, vals[o.a])
 			case opWant:
 				if b := vals[o.a] / n.MC.BlockSize; n.Mem.Tag(b) == memory.Invalid {
-					m.want[b] = true
+					m.want = sections.AppendBlock(m.want, b)
 				}
 			case opAdd:
 				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)

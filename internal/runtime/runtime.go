@@ -364,9 +364,8 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 			// Heat-map array ranges registered once; recovery attempts
 			// reuse the same address layout.
 			for _, arr := range prog.Arrays {
-				lay := layouts[arr]
-				nb := (arr.Elems()*8 + mc.BlockSize - 1) / mc.BlockSize
-				tr.Heat.AddArray(arr.Name, lay.Base/mc.BlockSize, nb)
+				blocks := layouts[arr].Blocks(mc.BlockSize)
+				tr.Heat.AddArray(arr.Name, blocks.Start, blocks.N)
 			}
 		}
 		cluster.SetTracer(tr)

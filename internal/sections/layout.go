@@ -24,6 +24,11 @@ func (l Layout) SizeBytes() int {
 	return n
 }
 
+// Blocks returns the blocks the array's allocation touches.
+func (l Layout) Blocks(blockSize int) BlockRun {
+	return Run{Addr: l.Base, Bytes: l.SizeBytes()}.Blocks(blockSize)
+}
+
 // Addr returns the byte address of element idx (1-based indices).
 func (l Layout) Addr(idx ...int) int {
 	if len(idx) != len(l.Extents) {
@@ -49,6 +54,13 @@ type Run struct {
 
 // End returns the exclusive end address.
 func (r Run) End() int { return r.Addr + r.Bytes }
+
+// Blocks returns the blocks the run touches: it rounds outward where
+// BlockAlign rounds inward.
+func (r Run) Blocks(blockSize int) BlockRun {
+	lo := r.Addr / blockSize
+	return BlockRun{Start: lo, N: (r.End()+blockSize-1)/blockSize - lo}
+}
 
 // Runs linearizes a section into contiguous address runs in ascending
 // address order. Leading dimensions covered in full merge into longer
@@ -153,15 +165,14 @@ func BlockAlign(runs []Run, blockSize int) []Run {
 	return out
 }
 
-// RunsToBlocks converts block-aligned runs into (start block, count)
-// pairs.
-func RunsToBlocks(runs []Run, blockSize int) [][2]int {
-	var out [][2]int
+// RunsToBlocks converts block-aligned runs into runs of blocks.
+func RunsToBlocks(runs []Run, blockSize int) []BlockRun {
+	var out []BlockRun
 	for _, r := range runs {
 		if r.Addr%blockSize != 0 || r.Bytes%blockSize != 0 {
 			panic(fmt.Sprintf("sections: run %+v is not block aligned", r))
 		}
-		out = append(out, [2]int{r.Addr / blockSize, r.Bytes / blockSize})
+		out = append(out, BlockRun{Start: r.Addr / blockSize, N: r.Bytes / blockSize})
 	}
 	return out
 }

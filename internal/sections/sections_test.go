@@ -185,7 +185,7 @@ func TestPropertyBlockAlignInside(t *testing.T) {
 
 func TestRunsToBlocks(t *testing.T) {
 	got := RunsToBlocks([]Run{{256, 384}, {1024, 128}}, 128)
-	if len(got) != 2 || got[0] != [2]int{2, 3} || got[1] != [2]int{8, 1} {
+	if len(got) != 2 || got[0] != (BlockRun{2, 3}) || got[1] != (BlockRun{8, 1}) {
 		t.Fatalf("blocks = %v", got)
 	}
 	defer func() {

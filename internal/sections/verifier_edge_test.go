@@ -94,11 +94,7 @@ func FuzzBlockAlign(f *testing.F) {
 		if len(out) == 0 && bytes >= 2*bs {
 			t.Fatalf("BlockAlign(%+v, %d) dropped a run holding a full block", in, bs)
 		}
-		blocks := RunsToBlocks(out, bs) // must not panic
-		total := 0
-		for _, b := range blocks {
-			total += b[1]
-		}
+		total := CountBlocks(RunsToBlocks(out, bs)) // must not panic
 		if want := 0; len(out) == 1 {
 			want = out[0].Bytes / bs
 			if total != want {

@@ -646,9 +646,6 @@ func (s *Signal) Reset() {
 	s.fired = false
 }
 
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Wait blocks p until the signal fires.
 func (s *Signal) Wait(p *Proc) {
 	if s.fired {

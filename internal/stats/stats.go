@@ -220,19 +220,6 @@ func (c *Cluster) FaultSummary() string {
 	return s
 }
 
-// MaxCommTime returns the largest per-node communication time (miss
-// stalls plus protocol-call time plus barrier waits). The paper's
-// "communication time" includes synchronization waiting.
-func (c *Cluster) MaxCommTime() sim.Time {
-	var m sim.Time
-	for i := range c.Nodes {
-		if t := c.Nodes[i].CommTime + c.Nodes[i].BarrierTime; t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // AvgCommTime returns the mean per-node communication time including
 // barrier waits.
 func (c *Cluster) AvgCommTime() sim.Time {

@@ -330,15 +330,6 @@ func (n *Node) Sync(p *sim.Proc) {
 	}
 }
 
-// BlockOn syncs and then blocks the compute process on sig, charging
-// the blocked time to communication.
-func (n *Node) BlockOn(p *sim.Proc, sig *sim.Signal) {
-	n.Sync(p)
-	start := p.Now()
-	sig.Wait(p)
-	n.St.CommTime += p.Now() - start
-}
-
 // --- Pending-transaction tracking (release consistency) -------------
 
 // AddPending records a non-blocking transaction in flight.

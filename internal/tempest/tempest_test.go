@@ -377,9 +377,9 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 	c.Nodes[0].On(99, func(*HContext, *network.Message) {})
 }
 
-func TestHandlerSendAndBlockOn(t *testing.T) {
-	// A custom user-level protocol: node 1's handler replies via
-	// HContext.Send; node 0's compute blocks on the reply with BlockOn.
+func TestHandlerSendRoundTrip(t *testing.T) {
+	// A custom user-level protocol: node 1's handler replies from the
+	// protocol engine; node 0's compute syncs and blocks on the reply.
 	c := testCluster(t, 2, config.DualCPU)
 	sig := sim.NewSignal()
 	c.Nodes[0].On(91, func(hc *HContext, m *network.Message) {
@@ -396,7 +396,8 @@ func TestHandlerSendAndBlockOn(t *testing.T) {
 	c.Env.Spawn("compute", func(p *sim.Proc) {
 		n := c.Nodes[0]
 		n.SendFromCompute(&network.Message{Dst: 1, Kind: 90, Size: 4})
-		n.BlockOn(p, sig)
+		n.Sync(p)
+		sig.Wait(p)
 		done = p.Now()
 	})
 	if err := c.Env.Run(); err != nil {
@@ -406,9 +407,6 @@ func TestHandlerSendAndBlockOn(t *testing.T) {
 	// own send overhead before blocking.
 	if done < 2*c.MC.MsgTime(4) || done > 60*sim.Microsecond {
 		t.Fatalf("custom round trip = %d, implausible", done)
-	}
-	if c.Stats.Nodes[0].CommTime == 0 {
-		t.Fatal("BlockOn did not record communication time")
 	}
 }
 
