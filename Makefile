@@ -67,7 +67,7 @@ artifact-guard:
 # `bash benchmark/run.sh` is what measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|EventHeap|ProcessContextSwitch|SignalWake|CheckLoopCalls' \
+	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|EventHeap|EventLane|ProcessContextSwitch|SignalWake|CheckLoopCalls' \
 		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/analysis
 
 # Everything the CI gate runs.

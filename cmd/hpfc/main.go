@@ -44,9 +44,6 @@ func main() {
 	printSrc := flag.Bool("print", false, "pretty-print the program as canonical mini-HPF source and exit")
 	node := flag.Int("node", 0, "node whose calls to print with -calls")
 	flag.Parse()
-	if *node < 0 || *node >= *nodes {
-		fail(fmt.Errorf("-node %d is not one of the %d processors (0..%d)", *node, *nodes, *nodes-1))
-	}
 
 	var prog *ir.Program
 	var err error
@@ -77,6 +74,11 @@ func main() {
 	mc := config.Default().WithNodes(*nodes).WithBlockSize(*blockSize)
 	if err := mc.Validate(); err != nil {
 		fail(err)
+	}
+	// After the machine: a processor count that is no machine at all is
+	// the error to report, not the -node range it implies.
+	if *node < 0 || *node >= *nodes {
+		fail(fmt.Errorf("-node %d is not one of the %d processors (0..%d)", *node, *nodes, *nodes-1))
 	}
 	if *lint {
 		rep, err := analysis.Verify(prog, mc, analysis.Levels()...)

@@ -147,6 +147,24 @@ func TestNodeOutOfRange(t *testing.T) {
 	}
 }
 
+// TestNoSuchMachine: a processor count that is no machine is reported
+// as the configuration error hpfrun gives, not as a -node range with
+// nothing in it.
+func TestNoSuchMachine(t *testing.T) {
+	for _, nodes := range []string{"0", "-1"} {
+		for _, mode := range [][]string{nil, {"-lint"}, {"-calls"}} {
+			args := append([]string{"-app", "jacobi", "-nodes", nodes}, mode...)
+			out, err := exec.Command(exe, args...).CombinedOutput()
+			if _, failed := err.(*exec.ExitError); !failed {
+				t.Fatalf("%v: exit %v, want a non-zero exit\n%s", args, err, out)
+			}
+			if want := "hpfc: config: need at least 1 node, have " + nodes + "\n"; string(out) != want {
+				t.Fatalf("%v printed %q, want %q", args, out, want)
+			}
+		}
+	}
+}
+
 // TestLoopBoundsLeaveArray: a loop whose bounds drive the anchor's
 // distributed subscript outside the array used to panic out of the
 // partitioner. -lint reports it as a verifier error naming the loop,

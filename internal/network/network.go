@@ -80,6 +80,7 @@ type Network struct {
 	eps      []Endpoint
 	linkFree []sim.Time // sender-link next-free time
 	mseq     []uint32   // per-source delivery sequence (sim.ScheduleDelivery key)
+	departs  []sim.Lane // per-source delayed departures (SendAt), on the source's Env
 	st       *stats.Cluster
 	rel      *reliable // nil unless fault injection is active
 
@@ -156,16 +157,27 @@ func (n *Network) SetTracer(t *trace.Tracer) { n.tr = t }
 // New creates a network for mc.Nodes endpoints. Endpoints must be bound
 // with Bind before any Send.
 func New(env *sim.Env, mc config.Machine, st *stats.Cluster) *Network {
+	return newNetwork(env, nil, mc, st)
+}
+
+// newNetwork builds the network over the single env, or over one
+// partition Env per node when envs is non-nil.
+func newNetwork(env *sim.Env, envs []*sim.Env, mc config.Machine, st *stats.Cluster) *Network {
 	n := &Network{
 		env:      env,
+		envs:     envs,
 		mc:       mc,
 		eps:      make([]Endpoint, mc.Nodes),
 		linkFree: make([]sim.Time, mc.Nodes),
 		mseq:     make([]uint32, mc.Nodes),
+		departs:  make([]sim.Lane, mc.Nodes),
 		st:       st,
 		pool:     !mc.Faults.Active(),
 		pools:    make([]msgPool, 1),
 		dead:     make([]bool, mc.Nodes),
+	}
+	for i := range n.departs {
+		n.departs[i].Bind(n.envOf(i))
 	}
 	if mc.Faults.Active() {
 		n.rel = newReliable(n, mc.Faults)
@@ -197,8 +209,7 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 	if len(envs) != mc.Nodes {
 		panic(fmt.Sprintf("network: NewPartitioned needs one env per node: %d != %d", len(envs), mc.Nodes))
 	}
-	n := New(envs[0], mc, st)
-	n.envs = envs
+	n := newNetwork(envs[0], envs, mc, st)
 	n.post = post
 	// Index the distinct partition Envs in first-appearance order; node
 	// contiguity is not assumed.
@@ -474,15 +485,16 @@ var (
 // SendAt injects m at absolute virtual time t (a delayed departure,
 // e.g. a reply leaving when the protocol engine's queued work
 // completes). The departure event runs on the sender's Env; Send then
-// routes the transmission.
+// routes the transmission. A source's departures follow its engine's
+// clock, which only grows, so they queue in the source's lane.
 func (n *Network) SendAt(t sim.Time, m *Message) {
 	m.net = n
 	if n.envs != nil {
-		n.envOf(m.Src).ScheduleArg(t, sendEventP, m)
+		n.departs[m.Src].Schedule(t, sendEventP, m)
 		return
 	}
 	n.inflight++
-	n.env.ScheduleArg(t, sendEvent, m)
+	n.departs[m.Src].Schedule(t, sendEvent, m)
 }
 
 // accountSend records one wire transmission in the sender's counters.

@@ -36,7 +36,8 @@ const (
 )
 
 // node is the part of a pending event the heap sifts: its time, its
-// tie-break packed into two integers, and the slab slot of its payload.
+// tie-break packed into two integers, the slab slot of its payload and,
+// for the head of a Lane, the lane (as index+1) its successor waits in.
 // Pointer-free and 32 bytes, so a sift level moves half a cache line
 // and the collector never scans the heap array.
 //
@@ -53,6 +54,7 @@ type node struct {
 	t      Time
 	k1, k2 uint64
 	slot   uint32
+	lane   uint32
 }
 
 // payload is what an event does. Three mutually exclusive forms avoid
@@ -78,11 +80,13 @@ const deliveryKey = 1 << 63
 // per-source sequence) — instead of relying on insertion order, so two
 // executions that schedule the same deliveries in different orders (the
 // sequential loop vs the partitioned window scheduler) still pop them
-// identically.
+// identically. Of a Lane only the head is a node; pop puts the lane's
+// next event in its place.
 type eventHeap struct {
 	nodes []node
 	slab  []payload
-	free  uint32 // head of the free-slot list, as slot+1; 0 when empty
+	free  uint32  // head of the free-slot list, as slot+1; 0 when empty
+	lanes []*Lane // node.lane-1 indexes it
 }
 
 func (h *eventHeap) less(a, b *node) bool {
@@ -101,11 +105,12 @@ func (h *eventHeap) less(a, b *node) bool {
 func (h *eventHeap) peekTime() Time { return h.nodes[0].t }
 func (h *eventHeap) empty() bool    { return len(h.nodes) == 0 }
 
-// push stores pl in a free slab slot and inserts its node, moving the
-// hole up through the 4-ary order.
+// push stores pl in a free slab slot and inserts its node — the head of
+// lane (as index+1) when that is not 0 — moving the hole up through the
+// 4-ary order.
 //
 //simlint:hotpath
-func (h *eventHeap) push(t Time, k1, k2 uint64, pl payload) {
+func (h *eventHeap) push(t Time, k1, k2 uint64, lane uint32, pl payload) {
 	slot := h.free
 	if slot != 0 {
 		slot--
@@ -116,7 +121,7 @@ func (h *eventHeap) push(t Time, k1, k2 uint64, pl payload) {
 		//simlint:ignore hotalloc -- the slab grows to the queue's high-water mark once per run; steady state recycles slots through the free list
 		h.slab = append(h.slab, pl)
 	}
-	nd := node{t: t, k1: k1, k2: k2, slot: slot}
+	nd := node{t: t, k1: k1, k2: k2, slot: slot, lane: lane}
 	//simlint:ignore hotalloc -- the heap grows to its high-water mark once per run; steady state reuses the slice capacity (bench gate holds allocs/op at the PR 3 floor)
 	ns := append(h.nodes, nd)
 	i := len(ns) - 1
@@ -132,17 +137,39 @@ func (h *eventHeap) push(t Time, k1, k2 uint64, pl payload) {
 	h.nodes = ns
 }
 
-// pop removes the minimum event, moving the hole down to where the tail
-// node fits, and frees its slab slot (zeroed, so the slab pins neither
-// the function nor its argument).
+// pop removes the minimum event and moves the hole it leaves at the
+// root down to where its replacement fits. The head of a lane with
+// events waiting is replaced by the lane's next event, which takes over
+// its slab slot under the key it was issued with: the heap keeps its
+// length and the free list is not touched. Any other event gives its
+// place to the tail node and frees its slab slot (zeroed, so the slab
+// pins neither the function nor its argument).
 //
 //simlint:hotpath
 func (h *eventHeap) pop() (Time, payload) {
 	ns := h.nodes
 	top := ns[0]
-	n := len(ns) - 1
-	last := ns[n]
-	ns = ns[:n]
+	pl := h.slab[top.slot]
+	n := len(ns)
+	var nd node
+	if l := h.successor(top.lane); l != nil {
+		en := &l.ring[l.head]
+		h.slab[top.slot] = payload{afn: en.fn, arg: en.arg}
+		nd = node{t: en.t, k2: en.seq, slot: top.slot, lane: top.lane}
+		*en = laneEntry{}
+		l.head = (l.head + 1) & uint32(len(l.ring)-1)
+		l.n--
+	} else {
+		n--
+		nd = ns[n]
+		ns = ns[:n]
+		h.nodes = ns
+		h.slab[top.slot] = payload{seq: uint64(h.free)}
+		h.free = top.slot + 1
+		if n == 0 {
+			return top.t, pl
+		}
+	}
 	i := 0
 	for {
 		c := 4*i + 1
@@ -159,20 +186,121 @@ func (h *eventHeap) pop() (Time, payload) {
 				m = j
 			}
 		}
-		if !h.less(&ns[m], &last) {
+		if !h.less(&ns[m], &nd) {
 			break
 		}
 		ns[i] = ns[m]
 		i = m
 	}
-	if n > 0 {
-		ns[i] = last
-	}
-	h.nodes = ns
-	pl := h.slab[top.slot]
-	h.slab[top.slot] = payload{seq: uint64(h.free)}
-	h.free = top.slot + 1
+	ns[i] = nd
 	return top.t, pl
+}
+
+// successor is called with the lane tag of the node just popped (0: not
+// a lane's head). It returns the lane if an event is waiting in it to
+// take the head's place, and marks the lane idle if none is.
+//
+//simlint:hotpath
+func (h *eventHeap) successor(lane uint32) *Lane {
+	if lane == 0 {
+		return nil
+	}
+	l := h.lanes[lane-1]
+	if l.n == 0 {
+		l.queued = false
+		return nil
+	}
+	return l
+}
+
+// A Lane is a FIFO of events into the heap for a caller that issues
+// them in non-decreasing time, such as a server that runs one job at a
+// time: only the lane's earliest pending event is a heap node, the rest
+// wait in a ring and enter the heap one by one as pop consumes the head
+// (eventHeap.pop). Every event still gets its issue sequence number
+// when it is scheduled and is ordered by the (t, seq) key it would have
+// had as a plain ScheduleArg, and within a lane those keys only grow,
+// so the heap always holds the smallest key of every lane: the pop
+// sequence is the one scheduling each event directly gives, in every
+// run loop. An event issued for an earlier time than the lane's latest
+// simply goes to the heap as a plain event, so the order does not rest
+// on the caller's monotonicity either.
+//
+// A Lane is embedded by value in its owner and bound, where it will
+// stay, to one Env. A queue as short as most are lives in the lane
+// itself, so that a machine of many nodes pays no allocation per lane;
+// the ring moves to the heap when more events wait than buf holds.
+type Lane struct {
+	env    *Env
+	id     uint32      // index+1 in env.events.lanes
+	queued bool        // the head is in the heap
+	tail   Time        // time of the latest event issued through the lane
+	head   uint32      // ring index of the next event to enter the heap
+	n      uint32      // events waiting in the ring
+	ring   []laneEntry // a power of two long: buf, until it overflows
+	buf    [16]laneEntry
+}
+
+// laneEntry is a waiting event: its key and its ScheduleArg payload.
+type laneEntry struct {
+	t   Time
+	seq uint64
+	fn  func(any)
+	arg any
+}
+
+// Bind attaches the lane to e. A lane is bound once, before its first
+// Schedule, and must not be copied or moved afterwards: e keeps its
+// address.
+func (l *Lane) Bind(e *Env) {
+	if l.env != nil {
+		panic("sim: lane bound twice")
+	}
+	e.events.lanes = append(e.events.lanes, l)
+	l.env, l.id, l.ring = e, uint32(len(e.events.lanes)), l.buf[:]
+}
+
+// Schedule runs fn(arg) at absolute virtual time t, exactly as
+// Env.ScheduleArg would.
+//
+//simlint:hotpath
+func (l *Lane) Schedule(t Time, fn func(any), arg any) {
+	e := l.env
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
+	}
+	e.seq++
+	switch {
+	case !l.queued:
+		l.queued, l.tail = true, t
+		e.events.push(t, 0, e.seq, l.id, payload{afn: fn, arg: arg})
+	case t < l.tail:
+		e.events.push(t, 0, e.seq, 0, payload{afn: fn, arg: arg})
+	default:
+		l.tail = t
+		l.wait(laneEntry{t: t, seq: e.seq, fn: fn, arg: arg})
+	}
+}
+
+// wait appends en to the ring.
+//
+//simlint:hotpath
+func (l *Lane) wait(en laneEntry) {
+	if int(l.n) == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&uint32(len(l.ring)-1)] = en
+	l.n++
+}
+
+// grow doubles a full ring, unrolling it so the oldest entry is at
+// index 0. Once the ring has left buf, buf pins nothing.
+func (l *Lane) grow() {
+	ring := make([]laneEntry, 2*len(l.ring))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+	l.buf = [len(l.buf)]laneEntry{}
 }
 
 // Env is a simulation environment: an event queue plus a virtual clock.
@@ -228,7 +356,7 @@ func (e *Env) Schedule(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
 	}
 	e.seq++
-	e.events.push(t, 0, e.seq, payload{fn: fn})
+	e.events.push(t, 0, e.seq, 0, payload{fn: fn})
 }
 
 // ScheduleArg runs fn(arg) at absolute virtual time t. It is the
@@ -242,7 +370,7 @@ func (e *Env) ScheduleArg(t Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: schedule in the past: t=%d now=%d", t, e.now))
 	}
 	e.seq++
-	e.events.push(t, 0, e.seq, payload{afn: fn, arg: arg})
+	e.events.push(t, 0, e.seq, 0, payload{afn: fn, arg: arg})
 }
 
 // ScheduleDelivery runs fn(arg) at absolute virtual time t, ordered
@@ -265,7 +393,7 @@ func (e *Env) ScheduleDelivery(t, sent Time, src int, dseq uint32, fn func(any),
 		panic(fmt.Sprintf("sim: delivery key out of range: sent=%d t=%d src=%d", sent, t, src))
 	}
 	e.seq++
-	e.events.push(t, deliveryKey|uint64(sent), uint64(src)<<32|uint64(dseq),
+	e.events.push(t, deliveryKey|uint64(sent), uint64(src)<<32|uint64(dseq), 0,
 		payload{afn: fn, arg: arg, seq: e.seq})
 }
 
@@ -274,7 +402,7 @@ func (e *Env) ScheduleDelivery(t, sent Time, src int, dseq uint32, fn func(any),
 //simlint:hotpath
 func (e *Env) scheduleProc(t Time, p *Proc) {
 	e.seq++
-	e.events.push(t, 0, e.seq, payload{arg: p})
+	e.events.push(t, 0, e.seq, 0, payload{arg: p})
 }
 
 // exec executes one popped event. This is the event-dispatch loop's
@@ -353,6 +481,25 @@ func (e *Env) stallError() error {
 	return fmt.Errorf("%s", msg)
 }
 
+// step executes the earliest pending event: the one place the clock
+// advances and an event runs, shared by every run loop. It returns the
+// Abort error, or the stall watchdog's diagnostic, once that event has
+// finished.
+//
+//simlint:hotpath
+func (e *Env) step() error {
+	at, pl := e.events.pop()
+	e.now = at
+	e.exec(&pl)
+	if e.abortErr != nil {
+		return e.abortErr
+	}
+	if e.stalled() {
+		return e.stallError()
+	}
+	return nil
+}
+
 // Run executes events until the queue is empty. If processes remain
 // blocked with no pending events, Run returns an error describing the
 // deadlock; if a watchdog is armed and the simulation stalls (events
@@ -362,14 +509,8 @@ func (e *Env) stallError() error {
 //simlint:hotpath
 func (e *Env) Run() error {
 	for !e.events.empty() {
-		at, pl := e.events.pop()
-		e.now = at
-		e.exec(&pl)
-		if e.abortErr != nil {
-			return e.abortErr
-		}
-		if e.stalled() {
-			return e.stallError()
+		if err := e.step(); err != nil {
+			return err
 		}
 	}
 	if e.blocked > 0 {
@@ -427,16 +568,19 @@ func (e *Env) CrashProc(p *Proc) {
 	e.alive--
 }
 
-// RunUntil executes events with time <= t, then sets the clock to t.
-func (e *Env) RunUntil(t Time) {
+// RunUntil executes events with time <= t, then sets the clock to t. It
+// stops early, leaving the clock at the event that ended the run, with
+// the abort error or the stall watchdog's diagnostic, exactly like Run.
+func (e *Env) RunUntil(t Time) error {
 	for !e.events.empty() && e.events.peekTime() <= t {
-		at, pl := e.events.pop()
-		e.now = at
-		e.exec(&pl)
+		if err := e.step(); err != nil {
+			return err
+		}
 	}
 	if t > e.now {
 		e.now = t
 	}
+	return nil
 }
 
 // RunWindow executes events with time strictly below limit. Windows are
@@ -454,14 +598,8 @@ func (e *Env) RunUntil(t Time) {
 //simlint:hotpath
 func (e *Env) RunWindow(limit Time) error {
 	for !e.events.empty() && e.events.peekTime() < limit {
-		at, pl := e.events.pop()
-		e.now = at
-		e.exec(&pl)
-		if e.abortErr != nil {
-			return e.abortErr
-		}
-		if e.stalled() {
-			return e.stallError()
+		if err := e.step(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -476,6 +614,11 @@ func (e *Env) NextEventTime() (Time, bool) {
 	}
 	return e.events.peekTime(), true
 }
+
+// HeapLen returns the number of nodes the event heap holds: every
+// pending event but those waiting behind the head of a Lane.
+// Scheduler-context diagnostics only.
+func (e *Env) HeapLen() int { return len(e.events.nodes) }
 
 func (e *Env) blockedNames() string {
 	var names []string

@@ -241,6 +241,31 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+func TestRunUntilReportsAbortAndStall(t *testing.T) {
+	// RunUntil ends the way Run does when an event aborts the run or the
+	// watchdog sees a stall: at that event, with the error.
+	e := NewEnv()
+	boom := fmt.Errorf("boom")
+	ran := 0
+	e.Schedule(10, func() { ran++; e.Abort(boom) })
+	e.Schedule(20, func() { ran++ })
+	if err := e.RunUntil(50); err != boom || ran != 1 || e.Now() != 10 {
+		t.Fatalf("RunUntil past an Abort: err=%v after %d events at t=%d, want boom, 1, 10", err, ran, e.Now())
+	}
+
+	e = NewEnv()
+	s := NewSignal()
+	e.Spawn("stuck", func(p *Proc) { s.Wait(p) })
+	var tick func()
+	tick = func() { e.After(Millisecond, tick) }
+	e.After(Millisecond, tick)
+	e.SetWatchdog(10*Millisecond, nil)
+	if err := e.RunUntil(Second); err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("RunUntil over a stall returned %v, want the watchdog's diagnostic", err)
+	}
+	defer e.Shutdown()
+}
+
 func TestNestedSpawnFromProcess(t *testing.T) {
 	e := NewEnv()
 	var childAt Time = -1
@@ -316,6 +341,42 @@ func BenchmarkEventHeap(b *testing.B) {
 			}
 			for i := 0; i < depth; i++ {
 				e.ScheduleArg(Time(i), fn, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkEventLane holds 4096 events pending whose times only grow —
+// a backed-up server's queue — and replaces each executed one at the
+// tail: through one Lane, where the heap holds the head alone, and
+// through plain ScheduleArg, where it holds all 4096.
+func BenchmarkEventLane(b *testing.B) {
+	for _, mode := range []string{"lane", "plain"} {
+		b.Run(mode, func(b *testing.B) {
+			e := NewEnv()
+			var l Lane
+			l.Bind(e)
+			sched := e.ScheduleArg
+			if mode == "lane" {
+				sched = l.Schedule
+			}
+			left, tail := b.N, Time(0)
+			var fn func(any)
+			fn = func(any) {
+				if left > 0 {
+					left--
+					tail++
+					sched(tail, fn, nil)
+				}
+			}
+			for i := 0; i < 4096; i++ {
+				tail++
+				sched(tail, fn, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -508,13 +569,17 @@ func eventLess(a, b *refEvent) bool {
 }
 
 // TestEventOrderOracle drives every way an event enters the heap —
-// Schedule, ScheduleArg, ScheduleDelivery, Sleep and Signal wake-ups —
-// from inside executing events, with times and delivery keys drawn from
-// tiny ranges so that ties at every level of the key are the rule, and
-// demands that the executed order is the sort of everything scheduled
-// by the reference order. An executing event only schedules what sorts
-// after itself (a delivery schedules strictly later), which is what
-// makes the whole run one sorted sequence.
+// Schedule, ScheduleArg, Lane.Schedule, ScheduleDelivery, Sleep and
+// Signal wake-ups — from inside executing events, with times and
+// delivery keys drawn from tiny ranges so that ties at every level of
+// the key are the rule, and demands that the executed order is the sort
+// of everything scheduled by the reference order. An executing event
+// only schedules what sorts after itself (a delivery schedules strictly
+// later), which is what makes the whole run one sorted sequence. Three
+// of four ScheduleArg events go through one of sixteen lanes, with no
+// care for the lane's order: some become the head, some wait behind it
+// (later, or at the tail's own instant), some are issued for a time
+// before the tail.
 func TestEventOrderOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 0xdeadbeef, 0x9e3779b97f4a7c15} {
 		t.Run(fmt.Sprintf("seed%x", seed), func(t *testing.T) {
@@ -526,6 +591,11 @@ func TestEventOrderOracle(t *testing.T) {
 			var want []refEvent // index = id, in issue order
 			var got []int
 			budget := 12000
+			var lanes [16]Lane
+			for i := range lanes {
+				lanes[i].Bind(e)
+			}
+			var heads, waited, sameInstant, early int
 			// issue records the event the next kernel call will enqueue
 			// (its seq is the next one the Env hands out).
 			issue := func(ev refEvent) int {
@@ -570,7 +640,23 @@ func TestEventOrderOracle(t *testing.T) {
 						e.Schedule(at, func() { run(id, false) })
 					case 1:
 						id := issue(refEvent{t: at})
-						e.ScheduleArg(at, func(a any) { run(a.(int), false) }, id)
+						fn := func(a any) { run(a.(int), false) }
+						if pick(4) == 0 {
+							e.ScheduleArg(at, fn, id)
+							break
+						}
+						l := &lanes[pick(len(lanes))]
+						switch {
+						case !l.queued:
+							heads++
+						case at < l.tail:
+							early++
+						case at == l.tail:
+							sameInstant++
+						default:
+							waited++
+						}
+						l.Schedule(at, fn, id)
 					case 2:
 						if parked && !inDelivery {
 							fire()
@@ -644,6 +730,11 @@ func TestEventOrderOracle(t *testing.T) {
 			if ties < 100 {
 				t.Fatalf("only %d adjacent deliveries differed in seq alone; the generator no longer exercises the payload tie-break", ties)
 			}
+			t.Logf("lane events: %d heads, %d waiting later, %d at the tail's instant, %d before the tail", heads, waited, sameInstant, early)
+			if heads < 100 || waited < 100 || sameInstant < 100 || early < 100 {
+				t.Fatalf("lane events: %d heads, %d waiting later, %d waiting at the tail's instant, %d issued before the tail; want >= 100 of each",
+					heads, waited, sameInstant, early)
+			}
 		})
 	}
 }
@@ -702,6 +793,154 @@ func TestHeapSteadyState(t *testing.T) {
 	for i, pl := range h.slab {
 		if pl.afn != nil || pl.arg != nil || pl.fn != nil {
 			t.Fatalf("popped slot %d still pins its payload: %+v", i, pl)
+		}
+	}
+}
+
+// laneProgram runs a random self-extending schedule on a fresh Env and
+// returns the ids in execution order and the final clock. Events go
+// through four issuers, each with a clock that mostly advances (a busy
+// server's next free slot) and now and then falls back to Now; with
+// useLanes every issuer is a Lane, without it the same calls are plain
+// ScheduleArg. Plain events and deliveries are mixed in either way.
+// window > 0 runs the schedule as consecutive RunWindow windows.
+func laneProgram(t *testing.T, seed uint64, useLanes bool, window Time) ([]int, Time) {
+	e := NewEnv()
+	var lanes [4]Lane
+	var free [4]Time
+	for i := range lanes {
+		lanes[i].Bind(e)
+	}
+	rng := seed
+	pick := func(n int) int { return int(fuzzRand(&rng) >> 33 % uint64(n)) }
+	var got []int
+	budget, next := 20000, 0
+	var fn func(any)
+	issue := func() {
+		budget--
+		id := next
+		next++
+		switch k := pick(6); {
+		case k < len(lanes):
+			if free[k] < e.now || pick(16) == 0 {
+				free[k] = e.now // an idle server, or a caller that breaks the lane's order
+			}
+			free[k] += Time(pick(3)) * 5
+			if useLanes {
+				lanes[k].Schedule(free[k], fn, id)
+			} else {
+				e.ScheduleArg(free[k], fn, id)
+			}
+		case k == len(lanes):
+			e.ScheduleArg(e.now+Time(pick(4))*5, fn, id)
+		default:
+			at := e.now + Time(1+pick(3))*5
+			e.ScheduleDelivery(at, e.now, pick(3), uint32(id), fn, id)
+		}
+	}
+	fn = func(a any) {
+		got = append(got, a.(int))
+		// Bursts, so the issuers back up the way a flooded engine does.
+		for k := pick(2) * pick(8); k > 0 && budget > 0; k-- {
+			issue()
+		}
+		if e.events.empty() && budget > 0 {
+			issue()
+		}
+	}
+	for i := 0; i < 8; i++ {
+		issue()
+	}
+	if window == 0 {
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got, e.Now()
+	}
+	for limit := window; !e.events.empty(); limit += window {
+		if err := e.RunWindow(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got, e.Now()
+}
+
+// TestLaneMatchesPlainHeap: the same random schedule executes in the
+// same order and ends at the same instant whether its issuers are lanes
+// or plain ScheduleArg calls, in one Run and cut into windows.
+func TestLaneMatchesPlainHeap(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 0x9e3779b97f4a7c15} {
+		want, wantNow := laneProgram(t, seed, false, 0)
+		if len(want) < 20000 {
+			t.Fatalf("seed %#x: the reference run executed %d events, want >= 20000", seed, len(want))
+		}
+		for _, window := range []Time{0, 1, 7, 40} {
+			got, now := laneProgram(t, seed, true, window)
+			if now != wantNow || len(got) != len(want) {
+				t.Fatalf("seed %#x window %d: lanes executed %d events ending at t=%d, plain heap %d ending at t=%d",
+					seed, window, len(got), now, len(want), wantNow)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %#x window %d: event %d is id %d through lanes, id %d through the plain heap",
+						seed, window, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLaneSteadyState is TestHeapSteadyState for a lane: once it has
+// been at a depth, scheduling through it and popping at or below that
+// depth allocates nothing, the whole queue costs one heap node and one
+// slab slot, and every consumed ring entry and the slot are zeroed.
+func TestLaneSteadyState(t *testing.T) {
+	const depth = 1000
+	e := NewEnv()
+	var l Lane
+	l.Bind(e)
+	nop := func(any) {}
+	round := func() {
+		for i := 0; i < depth; i++ {
+			l.Schedule(e.now+Time(i/3), nop, e)
+			if len(e.events.nodes) != 1 {
+				t.Fatalf("heap holds %d nodes with %d events in the lane, want 1", len(e.events.nodes), i+1)
+			}
+		}
+		for i := 0; !e.events.empty(); i++ {
+			if at, _ := e.events.pop(); at != e.now+Time(i/3) {
+				t.Fatalf("pop %d is for t=%d, want %d", i, at, e.now+Time(i/3))
+			}
+		}
+	}
+	// A queue no longer than the lane's own ring never leaves the lane.
+	for i := 0; i <= len(l.buf); i++ {
+		l.Schedule(e.now, nop, e)
+	}
+	if int(l.n) != len(l.buf) || &l.ring[0] != &l.buf[0] {
+		t.Fatalf("%d events behind the head: %d wait in a ring of %d, want them all in the lane's own %d",
+			len(l.buf), l.n, len(l.ring), len(l.buf))
+	}
+	for !e.events.empty() {
+		e.events.pop()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("steady-state schedule+pop through a lane allocates %.1f times per %d events, want 0", allocs, depth)
+	}
+	h := &e.events
+	if len(h.slab) != 1 || h.free != 1 {
+		t.Errorf("slab holds %d slots (free list head %d) after rounds through one lane, want the one slot, free", len(h.slab), h.free)
+	}
+	if pl := h.slab[0]; pl.afn != nil || pl.arg != nil || pl.fn != nil {
+		t.Errorf("the lane's slab slot still pins its payload: %+v", pl)
+	}
+	if l.queued || l.n != 0 || len(l.ring) != 1024 {
+		t.Errorf("drained lane: queued=%v, %d waiting, ring of %d; want idle, 0, 1024", l.queued, l.n, len(l.ring))
+	}
+	for i, en := range append(l.ring[:len(l.ring):len(l.ring)], l.buf[:]...) {
+		if en.t != 0 || en.seq != 0 || en.fn != nil || en.arg != nil {
+			t.Fatalf("consumed ring entry %d (past %d: the inline ring it outgrew) still pins its event: %+v", i, len(l.ring), en)
 		}
 	}
 }

@@ -429,3 +429,55 @@ func TestSendFromProtoOrdering(t *testing.T) {
 		t.Fatalf("delivery order = %v", got)
 	}
 }
+
+func TestEngineQueueStaysOutOfHeap(t *testing.T) {
+	// A flood of messages the endpoint accepts at one instant queues
+	// behind the protocol engine, not in the event heap: only the next
+	// handler run — and the reply departures it leaves behind, likewise
+	// one per source — is a heap node, and the handlers still run in
+	// arrival order, back to back.
+	const flood = 4096
+	c := testCluster(t, 2, config.DualCPU)
+	n := c.Nodes[1]
+	var order []int64
+	peak := 0
+	n.On(93, func(hc *HContext, m *network.Message) {
+		order = append(order, m.Arg)
+		hc.AddCost(sim.Microsecond)
+		hc.Node.SendFromProto(&network.Message{Dst: 0, Kind: 94, Arg: m.Arg, Size: 4})
+		if l := c.Env.HeapLen(); l > peak {
+			peak = l
+		}
+	})
+	var replies []int64
+	c.Nodes[0].On(94, func(hc *HContext, m *network.Message) { replies = append(replies, m.Arg) })
+	c.Env.Schedule(0, func() {
+		for i := 0; i < flood; i++ {
+			n.receive(&network.Message{Src: 0, Dst: 1, Kind: 93, Arg: int64(i), Size: 4})
+		}
+		if got := n.HandlersQueued(); got != flood {
+			t.Errorf("HandlersQueued = %d after the flood, want %d", got, flood)
+		}
+		if l := c.Env.HeapLen(); l >= 64 {
+			t.Errorf("event heap holds %d nodes with %d handler runs queued, want < 64", l, flood)
+		}
+	})
+	if err := c.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peak >= 64 {
+		t.Errorf("event heap reached %d nodes while the engine drained, want < 64", peak)
+	}
+	if n.HandlersQueued() != 0 || len(order) != flood || len(replies) != flood {
+		t.Fatalf("ran %d handlers, got %d replies, %d still queued; want %d, %d, 0",
+			len(order), len(replies), n.HandlersQueued(), flood, flood)
+	}
+	for i := range order {
+		if order[i] != int64(i) || replies[i] != int64(i) {
+			t.Fatalf("handler %d ran message %d and reply %d carried %d: not in arrival order", i, order[i], i, replies[i])
+		}
+	}
+	if want := sim.Time(flood) * (c.MC.RecvOver + sim.Microsecond + c.MC.SendOver); n.ProtoBusyUntil() != want {
+		t.Errorf("engine busy until %d, want %d: the occupancy of %d receives, handlers and sends", n.ProtoBusyUntil(), want, flood)
+	}
+}
