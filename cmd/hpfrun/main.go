@@ -236,6 +236,10 @@ func run() (exitCode int) {
 	if err != nil {
 		return fail(err)
 	}
+	if n := int64(len(mc.Faults.Crashes)); res.CrashesDetected < n {
+		fmt.Fprintf(os.Stderr, "hpfrun: %d of %d configured crash(es) never fired or went undetected before the run ended\n",
+			n-res.CrashesDetected, n)
+	}
 
 	fmt.Printf("program   %s\n", prog.Name)
 	fmt.Printf("machine   %d node(s), %s, %dB blocks, backend %v, opt %v\n",

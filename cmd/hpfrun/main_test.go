@@ -78,6 +78,27 @@ func TestScaledJacobiRuns(t *testing.T) {
 	}
 }
 
+// A crash the run never reaches — an epoch past its last barrier, a
+// time past its end — used to leave only "recovery  0 crash(es)
+// detected" and exit 0 without a word. The run still succeeds, but says
+// once on stderr that the crash never happened; a crash that fires and
+// is recovered from says nothing.
+func TestUnreachedCrashIsReported(t *testing.T) {
+	for _, spec := range []string{"node=3@epoch=999", "node=3@t=999ms"} {
+		code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-crash", spec)
+		if code != 0 || !strings.Contains(stdout, "recovery  0 crash(es) detected") {
+			t.Errorf("%s: exit code %d, stdout %q; want 0 and no crash detected", spec, code, stdout)
+		}
+		if strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "1 of 1 configured crash(es) never fired") {
+			t.Errorf("%s: stderr %q; want the one line naming the crash that never fired", spec, stderr)
+		}
+	}
+	code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-crash", "node=3@epoch=5")
+	if code != 0 || stderr != "" || !strings.Contains(stdout, "recovery  1 crash(es) detected, 1 recover(ies)") {
+		t.Errorf("firing crash: exit code %d, stdout %q, stderr %q; want 0, one recovery and a silent stderr", code, stdout, stderr)
+	}
+}
+
 // -check and -ckpt belong to the shared-memory protocol. On the
 // message-passing backend the run goes ahead without them and says so
 // once; it used to print "checks    0 coherence audits passed" and drop

@@ -19,6 +19,10 @@
 package hpfdsm_test
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hpfdsm/internal/apps"
@@ -27,6 +31,7 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/runtime"
 	"hpfdsm/internal/sim"
+	"hpfdsm/internal/trace"
 )
 
 // golden is what every row pins: simulated elapsed time in ns, misses,
@@ -224,6 +229,118 @@ func TestGoldenStatsCrashJacobi(t *testing.T) {
 	if r.Recoveries != 1 || r.RecoveryTime != 5000000 || r.CheckpointsTaken != 22 {
 		t.Errorf("recoveries %d, recovery time %d ns, checkpoints %d; golden 1, 5000000, 22",
 			r.Recoveries, r.RecoveryTime, r.CheckpointsTaken)
+	}
+}
+
+// lossyFaults is the wire of the benchmark's lossy_recover workload.
+var lossyFaults = config.Faults{Drop: .05, Dup: .02, Jitter: 30 * sim.Microsecond, Reorder: .05, Seed: 1}
+
+// lossyGolden is what a lossy row pins beyond goldenOf: the
+// reliable-delivery layer's counters, the barrier audits, and the
+// event census of the closing sim.events trace instant.
+type lossyGolden struct {
+	retransmits, wireDrops, dupsDropped, giveUps, acks, probes int64
+	checks                                                     int64
+	dispatches, argEvents, fnEvents                            int64
+}
+
+// goldenLossy pins the reliable-delivery layer end to end at
+// OptRTElim with -check: jacobi on the default flat machine and cg on a
+// 16-node radix-4 tree. Every retransmission, drop, duplicate and ACK
+// is a PRNG draw or a timer in the event queue, so a change that moves
+// the draw order or any Schedule call moves these rows. The cg row is
+// also the one gate on tree invalidation over a lossy wire: before
+// relayed invalidations learned to spoil an overtaken read response
+// (protocol's markOvertaken) it failed its 14th audit.
+var goldenLossy = []struct {
+	app string
+	mc  config.Machine
+	golden
+	lossyGolden
+}{
+	{"jacobi", config.Default().WithFaults(lossyFaults),
+		golden{61823619, 224, 3393, 237902}, lossyGolden{119, 149, 78, 0, 1663, 0, 22, 4886, 8218, 16033}},
+	{"cg", config.Default().WithNodes(16).WithTopology(config.TreeTopo).WithRadix(4).WithFaults(lossyFaults),
+		golden{170999886, 1755, 20747, 851100}, lossyGolden{888, 1016, 581, 0, 9955, 0, 45, 10474, 23567, 52342}},
+}
+
+func TestGoldenStatsLossy(t *testing.T) {
+	for _, g := range goldenLossy {
+		a, err := apps.ByName(g.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := a.Program(a.ScaledParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New(g.mc.Nodes)
+		r, err := runtime.Run(prog, runtime.Options{Machine: g.mc, Opt: compiler.OptRTElim, Check: true, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats
+		got := lossyGolden{st.TotalRetransmits(), st.TotalWireDrops(), st.TotalDupsDropped(), st.TotalGiveUps(),
+			st.TotalAcksSent(), st.TotalProbesSent(), r.BarrierChecks, 0, 0, 0}
+		for _, e := range tr.Events() {
+			if e.Ph != trace.PhaseInstant || e.Name != "sim.events" {
+				continue
+			}
+			for _, a := range e.Args {
+				v, _ := strconv.ParseInt(a.J, 10, 64)
+				switch a.K {
+				case "dispatches":
+					got.dispatches = v
+				case "arg_events":
+					got.argEvents = v
+				case "fn_events":
+					got.fnEvents = v
+				}
+			}
+		}
+		if gg := goldenOf(r); gg != g.golden {
+			t.Errorf("%s: elapsed/misses/msgs/bytes %v, golden %v", g.app, gg, g.golden)
+		}
+		if got != g.lossyGolden {
+			t.Errorf("%s: reliable counters, audits and census %+v, golden %+v", g.app, got, g.lossyGolden)
+		}
+	}
+}
+
+// TestLossDumpsPinned pins the two loss diagnostics byte for byte: the
+// stall watchdog's dump of jacobi on a wire that loses 99.9 % of
+// transmissions, and the deadlock dump once retransmit exhaustion gives
+// up (the verify skill's {"Drop": 0.6, "MaxRetries": 2} machine). Both
+// list every reliable-delivery channel and each of its unacked messages
+// in (source, destination, sequence) order.
+func TestLossDumpsPinned(t *testing.T) {
+	giveUp, err := config.FromJSON(strings.NewReader(`{"Faults": {"Drop": 0.6, "MaxRetries": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file string
+		mc   config.Machine
+	}{
+		{"watchdog_drop999.golden", config.Default().WithFaults(config.Faults{Drop: 0.999, Seed: 1})},
+		{"giveup_deadlock.golden", giveUp},
+	} {
+		_, err := runtime.Run(prog, runtime.Options{Machine: c.mc, Opt: compiler.OptRTElim})
+		if err == nil {
+			t.Fatalf("%s: the run completed; want its diagnostic", c.file)
+		}
+		want, rerr := os.ReadFile(filepath.Join("testdata", c.file))
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if got := err.Error() + "\n"; got != string(want) {
+			t.Errorf("%s: the diagnostic moved (%d bytes, golden %d):\n%s", c.file, len(got), len(want), got)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/sim"
@@ -120,7 +121,6 @@ type Network struct {
 	// predicate the checkpoint layer requires.
 	dead     []bool
 	inflight int
-	detected map[int]bool // peers already declared dead (idempotence)
 
 	// OnDeath, when non-nil, is invoked from scheduler context the
 	// moment the failure detector declares a peer dead (retransmit
@@ -214,16 +214,16 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 	// Index the distinct partition Envs in first-appearance order; node
 	// contiguity is not assumed.
 	n.partOf = make([]int, len(envs))
-	index := map[*sim.Env]int{}
+	var distinct []*sim.Env
 	for i, e := range envs {
-		idx, ok := index[e]
-		if !ok {
-			idx = len(index)
-			index[e] = idx
+		idx := slices.Index(distinct, e)
+		if idx < 0 {
+			idx = len(distinct)
+			distinct = append(distinct, e)
 		}
 		n.partOf[i] = idx
 	}
-	n.pools = make([]msgPool, len(index))
+	n.pools = make([]msgPool, len(distinct))
 	return n
 }
 
@@ -566,40 +566,6 @@ func (n *Network) Dead(id int) bool { return n.dead[id] }
 // (pending deliveries and delayed departures). Zero means the wire is
 // silent — one leg of the checkpoint layer's quiescence predicate.
 func (n *Network) Inflight() int { return n.inflight }
-
-// declareDead reports a failure-detector verdict to the layer above.
-// Idempotent per node: only the first detection fires the callback.
-func (n *Network) declareDead(node int, reason string) {
-	if n.detected == nil {
-		n.detected = make(map[int]bool)
-	}
-	if n.detected[node] {
-		return
-	}
-	n.detected[node] = true
-	if n.OnDeath != nil {
-		n.OnDeath(node, reason)
-	}
-}
-
-// RetransQueueDepth returns the number of unacknowledged messages node
-// src is holding for retransmission across all its channels (the
-// stall-watchdog dump includes it per node).
-func (n *Network) RetransQueueDepth(src int) int {
-	if n.rel == nil {
-		return 0
-	}
-	depth := 0
-	// Summing queue lengths is order-independent, and the count feeds
-	// only the human-facing watchdog dump.
-	//simlint:commutative
-	for k, c := range n.rel.chans {
-		if k[0] == src {
-			depth += len(c.out)
-		}
-	}
-	return depth
-}
 
 // CoalescerOf returns node src's coalescing scheduler, or nil when
 // aggregation is off.

@@ -26,7 +26,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hpfdsm/internal/config"
@@ -92,17 +91,26 @@ type outstanding struct {
 
 // relChan is the reliable-delivery state of one directed (src,dst)
 // pair: sender-side outstanding window and receiver-side reassembly.
+// Sequence numbers are dense, so both sides are slices addressed by
+// sequence offset and every walk over them is in sequence order.
 type relChan struct {
-	src, dst int
+	src, dst  int
+	blackhole bool // every transmission src->dst vanishes (Blackhole)
 
-	// Sender side (lives conceptually at src).
+	// Sender side (lives conceptually at src). out is the unacked
+	// window, oldest first: cumulative ACKs retire a prefix, so it always
+	// holds exactly the sequence numbers (nextSeq-len(out), nextSeq].
 	nextSeq int64
-	out     map[int64]*outstanding
+	out     []outstanding
 
-	// Receiver side (lives conceptually at dst).
+	// Receiver side (lives conceptually at dst). buf[i] holds the
+	// out-of-order arrival with sequence number expect+1+i, nil for a
+	// gap; nbuf counts the arrivals held.
 	expect     int64 // next sequence number to deliver (first is 1)
-	buf        map[int64]*Message
+	buf        []*Message
+	nbuf       int
 	ackPending bool
+	ack        func() // the coalesced-ACK timer's event, made with the channel
 
 	// Failure-detector state (sender side): after a message exhausts its
 	// retransmit budget the channel stops retransmitting and sends
@@ -115,32 +123,51 @@ type relChan struct {
 	probeGen int64    // invalidates stale probe-timer events
 }
 
+// unacked returns the window entry of sequence number seq, nil once a
+// cumulative ACK has retired it.
+func (c *relChan) unacked(seq int64) *outstanding {
+	i := seq - c.nextSeq + int64(len(c.out)) - 1
+	if i < 0 {
+		return nil
+	}
+	return &c.out[i]
+}
+
+// busy reports whether c still owes its receiver something: an
+// undelivered message in its window (unacked messages below expect
+// await only their cumulative ACK, which carries no protocol state), an
+// out-of-order arrival, or an open probe round.
+func (c *relChan) busy() bool {
+	return len(c.out) > 0 && c.nextSeq >= c.expect || c.nbuf > 0 || c.probing
+}
+
 // reliable is the fault-injection + reliable-delivery layer of one
-// network.
+// network. chans[src][dst] is the channel src->dst; a source's row is
+// made on its first send or arrival, each channel on first use.
 type reliable struct {
-	n         *Network
-	f         config.Faults
-	rng       rng
-	chans     map[[2]int]*relChan
-	blackhole map[[2]int]bool
+	n        *Network
+	f        config.Faults
+	rng      rng
+	chans    [][]*relChan
+	detected []bool // peers already declared dead (idempotence)
 }
 
 func newReliable(n *Network, f config.Faults) *reliable {
-	return &reliable{
-		n:         n,
-		f:         f,
-		rng:       rng{s: f.Seed},
-		chans:     make(map[[2]int]*relChan),
-		blackhole: make(map[[2]int]bool),
-	}
+	return &reliable{n: n, f: f, rng: rng{s: f.Seed},
+		chans: make([][]*relChan, n.mc.Nodes), detected: make([]bool, n.mc.Nodes)}
 }
 
 func (r *reliable) channel(src, dst int) *relChan {
-	key := [2]int{src, dst}
-	c, ok := r.chans[key]
-	if !ok {
-		c = &relChan{src: src, dst: dst, expect: 1, out: make(map[int64]*outstanding), buf: make(map[int64]*Message)}
-		r.chans[key] = c
+	row := r.chans[src]
+	if row == nil {
+		row = make([]*relChan, len(r.chans))
+		r.chans[src] = row
+	}
+	c := row[dst]
+	if c == nil {
+		c = &relChan{src: src, dst: dst, expect: 1}
+		c.ack = func() { r.sendAck(c) }
+		row[dst] = c
 	}
 	return c
 }
@@ -151,7 +178,7 @@ func (r *reliable) send(m *Message) {
 	c := r.channel(m.Src, m.Dst)
 	c.nextSeq++
 	m.Seq = c.nextSeq
-	c.out[m.Seq] = &outstanding{m: m, rto: r.f.EffectiveRetransmitTimeout()}
+	c.out = append(c.out, outstanding{m: m, rto: r.f.EffectiveRetransmitTimeout()})
 	arrive := r.transmit(m, false)
 	r.armTimer(c, m.Seq, arrive)
 }
@@ -189,7 +216,7 @@ func (r *reliable) transmit(m *Message, retx bool) sim.Time {
 // wire.
 func (r *reliable) inject(m *Message, arrive sim.Time) {
 	sst := &r.n.st.Nodes[m.Src]
-	if r.blackhole[[2]int{m.Src, m.Dst}] {
+	if r.channel(m.Src, m.Dst).blackhole {
 		sst.WireDrops++
 		return
 	}
@@ -256,22 +283,29 @@ func (r *reliable) arrive(m *Message) {
 	case m.Seq == c.expect:
 		c.expect++
 		r.n.deliver(m)
-		// Drain any buffered successors now in order.
-		for {
-			nxt, ok := c.buf[c.expect]
-			if !ok {
-				break
-			}
-			delete(c.buf, c.expect)
+		// buf[0] now holds seq expect: drain the run of buffered
+		// successors, then drop the delivered slots and the new expect's.
+		k := 0
+		for ; k < len(c.buf) && c.buf[k] != nil; k++ {
+			c.nbuf--
 			c.expect++
-			r.n.deliver(nxt)
+			r.n.deliver(c.buf[k])
 		}
+		k = min(k+1, len(c.buf))
+		rest := copy(c.buf, c.buf[k:])
+		clear(c.buf[rest:])
+		c.buf = c.buf[:rest]
 	default:
 		// Out of order: hold until the gap fills.
-		if _, dup := c.buf[m.Seq]; dup {
+		i := int(m.Seq - c.expect - 1)
+		for len(c.buf) <= i {
+			c.buf = append(c.buf, nil)
+		}
+		if c.buf[i] != nil {
 			dst.DupsDropped++
 		} else {
-			c.buf[m.Seq] = m
+			c.buf[i] = m
+			c.nbuf++
 		}
 	}
 }
@@ -284,28 +318,29 @@ func (r *reliable) scheduleAck(c *relChan) {
 		return
 	}
 	c.ackPending = true
-	r.n.env.After(r.f.EffectiveAckDelay(), func() {
-		c.ackPending = false
-		r.n.st.Nodes[c.dst].AcksSent++
-		// The ACK travels the reverse direction, unsequenced, and takes
-		// its own chances with the fault model; a lost ACK is repaired
-		// by the sender's retransmission provoking a fresh one.
-		r.transmit(&Message{Src: c.dst, Dst: c.src, Kind: KindAck, Arg: c.expect - 1, Size: ackSize}, false)
-	})
+	r.n.env.After(r.f.EffectiveAckDelay(), c.ack)
 }
 
-// handleAck retires every outstanding message the cumulative ACK
-// covers. The ACK from dst about channel (src→dst) arrives at src.
+// sendAck closes c's ACK window: one cumulative acknowledgement of
+// everything delivered in order so far.
+func (r *reliable) sendAck(c *relChan) {
+	c.ackPending = false
+	r.n.st.Nodes[c.dst].AcksSent++
+	// The ACK travels the reverse direction, unsequenced, and takes its
+	// own chances with the fault model; a lost ACK is repaired by the
+	// sender's retransmission provoking a fresh one.
+	r.transmit(&Message{Src: c.dst, Dst: c.src, Kind: KindAck, Arg: c.expect - 1, Size: ackSize}, false)
+}
+
+// handleAck retires the prefix of the window the cumulative ACK covers.
+// The ACK from dst about channel (src→dst) arrives at src; a stale one
+// covers nothing still held.
 func (r *reliable) handleAck(m *Message) {
 	c := r.channel(m.Dst, m.Src)
-	// Deleting every sequence number <= the cumulative ACK is a pure
-	// set subtraction: no retired entry is observed again, so the
-	// visit order cannot leak into simulated state.
-	//simlint:commutative
-	for seq := range c.out {
-		if seq <= m.Arg {
-			delete(c.out, seq)
-		}
+	if k := m.Arg - c.nextSeq + int64(len(c.out)); k > 0 {
+		rest := copy(c.out, c.out[k:])
+		clear(c.out[rest:])
+		c.out = c.out[:rest]
 	}
 }
 
@@ -317,8 +352,8 @@ func (r *reliable) handleAck(m *Message) {
 // exists per outstanding message: armed at send, re-armed at each
 // timeout, dissolved when the ACK removes the window entry.
 func (r *reliable) armTimer(c *relChan, seq int64, arrive sim.Time) {
-	o, ok := c.out[seq]
-	if !ok {
+	o := c.unacked(seq)
+	if o == nil {
 		return
 	}
 	r.n.env.Schedule(arrive+o.rto, func() { r.timeout(c, seq) })
@@ -328,8 +363,8 @@ func (r *reliable) armTimer(c *relChan, seq int64, arrive sim.Time) {
 // full RTO past its transmission: retransmit, double the backoff,
 // re-arm.
 func (r *reliable) timeout(c *relChan, seq int64) {
-	o, ok := c.out[seq]
-	if !ok {
+	o := c.unacked(seq)
+	if o == nil {
 		return // acknowledged while the timer was in flight
 	}
 	sst := &r.n.st.Nodes[c.src]
@@ -377,7 +412,7 @@ func (r *reliable) probe(c *relChan, gen int64) {
 	if c.probes >= config.DefaultMaxProbes {
 		c.probing = false
 		c.probeGen++
-		r.n.declareDead(c.dst, fmt.Sprintf("%d liveness probes from node %d unanswered after retransmit exhaustion", c.probes, c.src))
+		r.declareDead(c.dst, fmt.Sprintf("%d liveness probes from node %d unanswered after retransmit exhaustion", c.probes, c.src))
 		return
 	}
 	c.probes++
@@ -411,22 +446,18 @@ func (r *reliable) handleProbeAck(m *Message) {
 	}
 	c.probing = false
 	c.probeGen++
-	var seqs []int64
-	for s, o := range c.out {
-		if o.suspended {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	sst := &r.n.st.Nodes[c.src]
-	for _, s := range seqs {
-		o := c.out[s]
+	for i := range c.out {
+		o := &c.out[i]
+		if !o.suspended {
+			continue
+		}
 		o.suspended = false
 		o.retries = 0
 		o.rto = r.f.EffectiveRetransmitTimeout()
 		sst.Retransmits++
 		arrive := r.transmit(o.m, true)
-		r.armTimer(c, s, arrive)
+		r.armTimer(c, o.m.Seq, arrive)
 	}
 }
 
@@ -438,7 +469,7 @@ func (n *Network) Blackhole(src, dst int) {
 	if n.rel == nil {
 		panic("network: Blackhole requires active fault injection (config.Faults)")
 	}
-	n.rel.blackhole[[2]int{src, dst}] = true
+	n.rel.channel(src, dst).blackhole = true
 }
 
 // Unreliable reports whether fault injection (and therefore the
@@ -459,27 +490,16 @@ func (n *Network) Probe(src, dst int) {
 }
 
 // ChannelsQuiescent reports whether every reliable-delivery channel
-// has delivered everything it was given: no out-of-order arrivals
-// buffered, no probe round open, and every unacknowledged message
-// already delivered (seq below the receiver's expect — such messages
-// await only their cumulative ACK, which carries no protocol state).
-// Trivially true when fault injection is off. One leg of the
-// checkpoint layer's quiescence predicate.
+// has delivered everything it was given (none is busy). Trivially true
+// when fault injection is off. One leg of the checkpoint layer's
+// quiescence predicate.
 func (n *Network) ChannelsQuiescent() bool {
 	if n.rel == nil {
 		return true
 	}
-	// Both loops are pure universally-quantified checks: the answer is
-	// the conjunction over all channels/sequence numbers, independent
-	// of visit order, and nothing is mutated.
-	//simlint:commutative
-	for _, c := range n.rel.chans {
-		if len(c.buf) > 0 || c.probing {
-			return false
-		}
-		//simlint:commutative
-		for s := range c.out {
-			if s >= c.expect {
+	for _, row := range n.rel.chans {
+		for _, c := range row {
+			if c != nil && c.busy() {
 				return false
 			}
 		}
@@ -487,45 +507,59 @@ func (n *Network) ChannelsQuiescent() bool {
 	return true
 }
 
-// DumpChannels renders the reliable-delivery state of every channel
-// with in-flight work: outstanding (unacknowledged) messages with their
-// retry counts, and out-of-order arrivals buffered at the receiver.
-// Used by the stall watchdog's diagnostic dump. Returns "" when idle or
-// when fault injection is off.
+// RetransQueueDepth returns the number of unacknowledged messages node
+// src is holding for retransmission across all its channels (the
+// stall-watchdog dump includes it per node).
+func (n *Network) RetransQueueDepth(src int) int {
+	if n.rel == nil {
+		return 0
+	}
+	depth := 0
+	for _, c := range n.rel.chans[src] {
+		if c != nil {
+			depth += len(c.out)
+		}
+	}
+	return depth
+}
+
+// DumpChannels renders every channel with in-flight work, by source
+// then destination: its unacknowledged messages in sequence order with
+// their retry counts, and how many out-of-order arrivals its receiver
+// buffers. Used by the stall watchdog's diagnostic dump. Returns "" when
+// idle or when fault injection is off.
 func (n *Network) DumpChannels() string {
 	if n.rel == nil {
 		return ""
 	}
-	var keys [][2]int
-	for k, c := range n.rel.chans {
-		if len(c.out) > 0 || len(c.buf) > 0 || c.probing {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
 	var b strings.Builder
-	for _, k := range keys {
-		c := n.rel.chans[k]
-		probing := ""
-		if c.probing {
-			probing = fmt.Sprintf(" PROBING(%d sent)", c.probes)
-		}
-		fmt.Fprintf(&b, "  channel %d->%d: nextSeq=%d expect=%d unacked=%d buffered=%d%s\n",
-			k[0], k[1], c.nextSeq, c.expect, len(c.out), len(c.buf), probing)
-		var seqs []int64
-		for s := range c.out {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs {
-			o := c.out[s]
-			fmt.Fprintf(&b, "    unacked %v retries=%d rto=%dus\n", o.m, o.retries, o.rto/1000)
+	for _, row := range n.rel.chans {
+		for _, c := range row {
+			if c == nil || len(c.out) == 0 && c.nbuf == 0 && !c.probing {
+				continue
+			}
+			probing := ""
+			if c.probing {
+				probing = fmt.Sprintf(" PROBING(%d sent)", c.probes)
+			}
+			fmt.Fprintf(&b, "  channel %d->%d: nextSeq=%d expect=%d unacked=%d buffered=%d%s\n",
+				c.src, c.dst, c.nextSeq, c.expect, len(c.out), c.nbuf, probing)
+			for _, o := range c.out {
+				fmt.Fprintf(&b, "    unacked %v retries=%d rto=%dus\n", o.m, o.retries, o.rto/1000)
+			}
 		}
 	}
 	return b.String()
+}
+
+// declareDead reports a failure-detector verdict to the layer above.
+// Idempotent per node: only the first detection fires the callback.
+func (r *reliable) declareDead(node int, reason string) {
+	if r.detected[node] {
+		return
+	}
+	r.detected[node] = true
+	if r.n.OnDeath != nil {
+		r.n.OnDeath(node, reason)
+	}
 }

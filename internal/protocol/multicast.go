@@ -34,6 +34,7 @@ import (
 	"fmt"
 	mbits "math/bits"
 
+	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/tempest"
 )
@@ -135,6 +136,7 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 	base := tr.ClusterBase(tr.ClusterOf(np.id))
 	myLeaf := uint(tr.LeafOf(np.id))
 	np.heatInval(b)
+	np.markOvertaken(b)
 	if np.surrender(b, rs.home, false, false, mc.BlockCopy) {
 		rs.clean |= 1 << myLeaf
 	}
@@ -154,12 +156,26 @@ func (np *nodeProto) hInvalFwd(hc *tempest.HContext, m *network.Message) {
 		return
 	}
 	np.heatInval(b)
+	np.markOvertaken(b)
 	np.occupy(np.n.MC.HandlerCost)
 	dirty := int64(1)
 	if np.surrender(b, int(m.Arg2), false, false, np.n.MC.BlockCopy) {
 		dirty = 0
 	}
 	np.ctrl(m.Src, KInvalAckFwd, b, dirty, 0)
+}
+
+// markOvertaken runs where a relayed invalidation of block b lands. If
+// this node's read miss on b is still waiting for its response, the
+// home granted that read before it sent the invalidation: the flat
+// route, one FIFO channel from the home, would deliver the response
+// first, but the relay's extra hop (or a jittered, reordering wire) can
+// let the invalidation overtake it. The copy in flight is then stale on
+// arrival, and hReadResp drops it instead of installing it.
+func (np *nodeProto) markOvertaken(b int) {
+	if np.fill != nil && np.fillBlock == b && np.n.Mem.Tag(b) == memory.Invalid {
+		np.flags[b] |= flagStaleFill
+	}
 }
 
 // hInvalAckFwd runs at the relay: one leaf has answered.

@@ -245,6 +245,7 @@ const (
 	flagSCHold    uint8 = 1 << iota
 	flagCCFrame         // ever opened by implicit_writable
 	flagCCTouched       // ever sent or received via send/flush
+	flagStaleFill       // a relayed invalidation overtook the read response in flight (multicast.go)
 )
 
 // lookup returns block b's directory entry, nil when b is homed
@@ -607,9 +608,15 @@ func (np *nodeProto) hReadResp(hc *tempest.HContext, m *network.Message) {
 		h.AddBytes(b, m.Size)
 	}
 	np.occupy(np.n.MC.BlockCopy + 2*np.n.MC.TagChange)
-	np.n.Mem.InstallBlock(b, m.Data)
-	np.n.Mem.SetTag(b, memory.ReadOnly)
-	np.n.Mem.ClearDirty(b)
+	if np.flags[b]&flagStaleFill != 0 {
+		// Stale on arrival: the load wakes, finds the block invalid and
+		// faults again, and the home answers after the invalidation.
+		np.flags[b] &^= flagStaleFill
+	} else {
+		np.n.Mem.InstallBlock(b, m.Data)
+		np.n.Mem.SetTag(b, memory.ReadOnly)
+		np.n.Mem.ClearDirty(b)
+	}
 	np.resume(b)
 }
 
