@@ -97,7 +97,8 @@ cover:
 		hpfdsm/internal/profiling=75 \
 		hpfdsm/internal/simlint=80 \
 		hpfdsm/internal/analysis=80 \
-		hpfdsm/internal/compiler=86.8
+		hpfdsm/internal/compiler=86.8 \
+		hpfdsm/internal/bench=83
 
 # Remove generated artifacts: coverage profiles, CPU/heap profiles,
 # runtime traces and paperbench scratch output.

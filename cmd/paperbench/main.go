@@ -27,44 +27,44 @@ import (
 // ctx is what an experiment reads: the flags that select its inputs
 // and, for the suite experiments, the finished sweep.
 type ctx struct {
-	sizing   bench.Sizing
+	cfg      bench.Config
 	suite    *bench.SuiteResults
-	pdes     int
 	traceOut string
 }
 
 // experiments is every -exp name, in the order `-exp all` runs them.
 var experiments = []struct {
 	name      string
-	needSuite bool // reads the (app, variant) sweep of bench.RunSuite
+	needSuite bool // reads the (app, variant) sweep of bench.RunSuite, and with it -pdes
+	pdes      bool // reads -pdes without the sweep
 	extra     bool // runs only when named, not under -exp all
 	run       func(ctx) (string, error)
 }{
 	{name: "table1", run: func(ctx) (string, error) { return bench.Table1(), nil }},
 	{name: "fig1", run: fig1},
-	{name: "table2", run: func(c ctx) (string, error) { return bench.Table2(c.sizing), nil }},
+	{name: "table2", run: func(c ctx) (string, error) { return bench.Table2(c.cfg.Sizing), nil }},
 	{name: "fig3", needSuite: true, run: onSuite(bench.Fig3)},
 	{name: "table3", needSuite: true, run: onSuite(bench.Table3)},
 	{name: "fig4", needSuite: true, run: onSuite(bench.Fig4)},
 	{name: "pre", needSuite: true, run: onSuite(bench.PRE)},
-	{name: "blocksize", run: sized(bench.BlockSize)},
-	{name: "prefetch", run: sized(bench.Prefetch)},
-	{name: "consistency", run: sized(bench.Consistency)},
-	{name: "distribution", run: sized(bench.Distribution)},
-	{name: "irregular", run: sized(bench.Irregular)},
-	{name: "network", run: sized(bench.Network)},
-	{name: "faults", run: sized(bench.Faults)},
-	{name: "agg", run: sized(bench.Agg)},
-	{name: "scale", extra: true, run: func(c ctx) (string, error) { return bench.Scale(c.sizing, c.pdes) }},
-	{name: "pdes", extra: true, run: sized(bench.PDES)},
+	{name: "blocksize", run: onConfig(bench.BlockSize)},
+	{name: "prefetch", run: onConfig(bench.Prefetch)},
+	{name: "consistency", run: onConfig(bench.Consistency)},
+	{name: "distribution", run: onConfig(bench.Distribution)},
+	{name: "irregular", run: onConfig(bench.Irregular)},
+	{name: "network", run: onConfig(bench.Network)},
+	{name: "faults", run: onConfig(bench.Faults)},
+	{name: "agg", run: onConfig(bench.Agg)},
+	{name: "scale", extra: true, pdes: true, run: onConfig(bench.Scale)},
+	{name: "pdes", extra: true, run: onConfig(bench.PDES)},
 }
 
 func onSuite(f func(*bench.SuiteResults) string) func(ctx) (string, error) {
 	return func(c ctx) (string, error) { return f(c.suite), nil }
 }
 
-func sized(f func(bench.Sizing) (string, error)) func(ctx) (string, error) {
-	return func(c ctx) (string, error) { return f(c.sizing) }
+func onConfig(f func(bench.Config) (string, error)) func(ctx) (string, error) {
+	return func(c ctx) (string, error) { return f(c.cfg) }
 }
 
 // fig1 prints the microbenchmark and, under -trace-out, also writes
@@ -100,16 +100,13 @@ func run() (exitCode int) {
 	size := flag.String("size", "bench", "problem sizes: "+bench.SizingNames)
 	nodes := flag.Int("nodes", 8, "cluster size for suite experiments")
 	verbose := flag.Bool("v", false, "log each run")
-	workers := flag.Int("j", goruntime.GOMAXPROCS(0), "max concurrent simulations in sweeps")
-	pdes := flag.Int("pdes", 1, "partition each simulation across this many OS threads (conservative PDES; 1 = sequential, statistics bit-identical either way)")
+	workers := flag.Int("j", goruntime.GOMAXPROCS(0), "max concurrent simulations in every experiment (-exp pdes still times its runs one at a time)")
+	pdes := flag.Int("pdes", 1, "partition each simulation of fig3, table3, fig4, pre and scale across this many OS threads (conservative PDES; 1 = sequential, statistics bit-identical either way); other experiments ignore it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	traceOut := flag.String("trace-out", "", "with -exp fig1: write the microbenchmark's causal protocol trace (Chrome trace-event JSON) to this file")
 	flag.Parse()
-
-	bench.SuiteWorkers = *workers
-	bench.Partitions = *pdes
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
@@ -125,32 +122,36 @@ func run() (exitCode int) {
 		}
 	}()
 
-	c := ctx{pdes: *pdes, traceOut: *traceOut}
-	if c.sizing, err = bench.ParseSizing(*size); err != nil {
+	c := ctx{cfg: bench.Config{Nodes: *nodes, Workers: *workers, Partitions: *pdes}, traceOut: *traceOut}
+	if c.cfg.Sizing, err = bench.ParseSizing(*size); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if c.sizing == bench.Paper {
+	if c.cfg.Sizing == bench.Paper {
 		fmt.Fprintln(os.Stderr, "note: paper sizes simulate the full Table 2 problems; expect long runs")
 	}
 
-	selected, needSuite := experiments[:0:0], false
+	selected, needSuite, readsPDES := experiments[:0:0], false, false
 	for _, e := range experiments {
 		if e.name == *exp || *exp == "all" && !e.extra {
 			selected = append(selected, e)
 			needSuite = needSuite || e.needSuite
+			readsPDES = readsPDES || e.needSuite || e.pdes
 		}
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		return 2
 	}
+	if *pdes > 1 && !readsPDES {
+		fmt.Fprintf(os.Stderr, "note: -exp %s does not read -pdes; only fig3, table3, fig4, pre and scale partition their simulations\n", *exp)
+	}
 	if needSuite {
 		var log io.Writer
 		if *verbose {
 			log = os.Stderr
 		}
-		if c.suite, err = bench.RunSuite(c.sizing, *nodes, log); err != nil {
+		if c.suite, err = bench.RunSuite(c.cfg, log); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return 1
 		}

@@ -75,3 +75,21 @@ func TestNamedExperimentRuns(t *testing.T) {
 		t.Errorf("-exp table1: exit code %d, stderr %q", code, stderr)
 	}
 }
+
+// -pdes partitions only the suite experiments' and scale's simulations;
+// naming it for any other experiment says so on stderr and still runs.
+func TestPDESNoteNamesIgnoringExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the suite sweep")
+	}
+	const note = "does not read -pdes"
+	for _, c := range []struct {
+		exp      string
+		wantNote bool
+	}{{"network", true}, {"fig3", false}} {
+		code, stderr := exitCode(t, "-exp", c.exp, "-size", "scaled", "-nodes", "2", "-pdes", "2")
+		if code != 0 || strings.Contains(stderr, note) != c.wantNote {
+			t.Errorf("-exp %s -pdes 2: exit code %d, stderr %q; want 0 and the note %v", c.exp, code, stderr, c.wantNote)
+		}
+	}
+}

@@ -60,7 +60,7 @@ func runScaled(t *testing.T, app string, mc config.Machine, opt compiler.Level) 
 	return r
 }
 
-// goldenSuite is bench.RunSuite(Scaled, 8) — the sweep every suite
+// goldenSuite is bench.RunSuite at Scaled on 8 nodes — the sweep every suite
 // experiment of paperbench formats — cell by cell in grid order: the
 // six applications under the nine bench.Variants(8).
 var goldenSuite = []struct {
@@ -133,7 +133,7 @@ func TestGoldenStatsOptRTElim(t *testing.T) {
 	if len(goldenSuite) != len(names)*len(variants) {
 		t.Fatalf("%d golden rows for a %dx%d grid", len(goldenSuite), len(names), len(variants))
 	}
-	suite, err := bench.RunSuite(bench.Scaled, 8, nil)
+	suite, err := bench.RunSuite(bench.Config{Sizing: bench.Scaled, Nodes: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestGoldenReadMiss(t *testing.T) {
 // O(N) against O(log N) claim. ScaleSweep itself fails unless the tree
 // reduces to the same bits as flat at every N.
 func TestGoldenStatsScaleSweep(t *testing.T) {
-	cells, err := bench.ScaleSweep(1)
+	cells, err := bench.ScaleSweep(bench.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,8 @@ import (
 	"hpfdsm/internal/apps"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
+	"hpfdsm/internal/ir"
+	"hpfdsm/internal/lang"
 	"hpfdsm/internal/runtime"
 	"hpfdsm/internal/sim"
 )
@@ -81,18 +83,71 @@ func Variants(nodes int) []Variant {
 	}
 }
 
-// SuiteWorkers bounds how many independent simulations RunSuite and
-// the grid experiments may run concurrently. Each sim.Env is fully
-// self-contained, so runs only share the (read-only, internally
-// locked) compiled-program caches. Values <= 1 run serially.
-var SuiteWorkers = 1
+// Config is what every experiment reads from paperbench's flags.
+type Config struct {
+	Sizing Sizing
+	// Nodes is the suite sweep's cluster size (-nodes).
+	Nodes int
+	// Workers bounds how many simulations run at once (-j); <= 1 runs
+	// them one at a time, in order. Each sim.Env is self-contained, so
+	// concurrent runs share only the read-only, internally locked
+	// compiled-program caches.
+	Workers int
+	// Partitions is the conservative-PDES partition count (-pdes) of the
+	// simulations that take it: the suite's shared-memory variants and
+	// scale's. <= 1 keeps the sequential event loop.
+	Partitions int
+}
+
+// cell is one simulation of an experiment: the named app at the
+// config's sizing, run with opts. When src is set it is simulated in
+// place of the app's source, with the app's PARAMs at that sizing as
+// overrides.
+type cell struct {
+	app  string
+	src  string
+	opts runtime.Options
+}
+
+// simulate runs every cell on the Workers pool and returns the results
+// in cell order.
+func (c Config) simulate(cells []cell) ([]*runtime.Result, error) {
+	return grid(c.Workers, cells, func(x cell) (*runtime.Result, error) {
+		a, err := apps.ByName(x.app)
+		if err != nil {
+			return nil, err
+		}
+		params := ParamsFor(a, c.Sizing)
+		var prog *ir.Program
+		if x.src == "" {
+			prog, err = a.Program(params)
+		} else {
+			prog, err = lang.ParseWithOverrides(x.src, params)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return runtime.Run(prog, x.opts)
+	})
+}
+
+// grid runs run on every cell, at most workers at a time, and returns
+// the results in cell order, or the lowest-index error.
+func grid[C, R any](workers int, cells []C, run func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(cells))
+	err := forEachLimit(len(cells), workers, func(i int) (err error) {
+		out[i], err = run(cells[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // forEachLimit runs f(0)..f(n-1) on at most `workers` goroutines and
 // returns the lowest-index error. With workers <= 1 it runs inline, in
-// order — the streaming path the CLIs use by default. Results must be
-// written to per-index storage by f; output ordering is the caller's
-// job (grid experiments collect first, then print rows in grid order,
-// so parallel output is byte-identical to serial).
+// order.
 func forEachLimit(n, workers int, f func(int) error) error {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -130,29 +185,10 @@ func forEachLimit(n, workers int, f func(int) error) error {
 	return nil
 }
 
-// Partitions selects the conservative-PDES partition count for RunApp
-// simulations (the -pdes flag). Values <= 1 keep the sequential event
-// loop. Message-passing variants always run sequentially: the MP
-// backend models send/receive outside the window scheduler's
-// lookahead analysis, and the runtime would reject the combination.
-var Partitions = 1
-
-// RunApp executes one app under one variant.
-func RunApp(a *apps.App, params map[string]int, v Variant) (*runtime.Result, error) {
-	prog, err := a.Program(params)
-	if err != nil {
-		return nil, err
-	}
-	mc := config.Default().WithNodes(v.Nodes).WithCPUMode(v.CPUMode)
-	opts := runtime.Options{Machine: mc, Opt: v.Opt, Backend: v.Backend}
-	if Partitions > 1 && v.Backend != runtime.MessagePassing {
-		opts.Partitions = Partitions
-	}
-	return runtime.Run(prog, opts)
-}
-
-// SuiteResults holds one result per (app, variant key).
+// SuiteResults holds one result per (app, variant key) of a sweep on
+// Nodes nodes.
 type SuiteResults struct {
+	Nodes   int
 	Results map[string]map[string]*runtime.Result
 }
 
@@ -161,52 +197,40 @@ func (s *SuiteResults) Get(app, key string) *runtime.Result {
 	return s.Results[app][key]
 }
 
-// RunSuite runs every app under every variant, logging progress to w
-// (which may be nil). With SuiteWorkers > 1 the (app, variant) grid
-// runs on a bounded worker pool; results and log lines still come out
-// in grid order, identical to the serial run.
-func RunSuite(sizing Sizing, nodes int, w io.Writer) (*SuiteResults, error) {
-	type job struct {
-		a *apps.App
-		v Variant
-	}
-	var jobs []job
-	out := &SuiteResults{Results: map[string]map[string]*runtime.Result{}}
-	for _, a := range apps.All() {
-		out.Results[a.Name] = map[string]*runtime.Result{}
-		for _, v := range Variants(nodes) {
-			jobs = append(jobs, job{a, v})
-		}
-	}
-	workers := SuiteWorkers
-	streaming := workers <= 1 && w != nil
-	results := make([]*runtime.Result, len(jobs))
-	err := forEachLimit(len(jobs), workers, func(i int) error {
-		j := jobs[i]
-		if streaming {
-			fmt.Fprintf(w, "running %-8s %-13s ... ", j.a.Name, j.v.Key)
-		}
-		res, err := RunApp(j.a, ParamsFor(j.a, sizing), j.v)
-		if err != nil {
-			if streaming {
-				fmt.Fprintln(w, "error")
+// RunSuite runs every app under every variant on cfg.Nodes nodes, then
+// logs one line per run, in grid order, to w (which may be nil).
+// Message-passing variants always run sequentially: the MP backend
+// models send/receive outside the window scheduler's lookahead
+// analysis.
+func RunSuite(cfg Config, w io.Writer) (*SuiteResults, error) {
+	vs := Variants(cfg.Nodes)
+	var cells []cell
+	for _, app := range AppNames() {
+		for _, v := range vs {
+			opts := runtime.Options{
+				Machine: config.Default().WithNodes(v.Nodes).WithCPUMode(v.CPUMode),
+				Opt:     v.Opt, Backend: v.Backend,
 			}
-			return fmt.Errorf("%s/%s: %w", j.a.Name, j.v.Key, err)
+			if v.Backend != runtime.MessagePassing {
+				opts.Partitions = cfg.Partitions
+			}
+			cells = append(cells, cell{app: app, opts: opts})
 		}
-		results[i] = res
-		if streaming {
-			fmt.Fprintf(w, "%8.2f ms, %7d misses\n", ms(res.Elapsed), res.Stats.TotalMisses())
-		}
-		return nil
-	})
+	}
+	res, err := cfg.simulate(cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		out.Results[j.a.Name][j.v.Key] = results[i]
-		if w != nil && !streaming {
+	out := &SuiteResults{Nodes: cfg.Nodes, Results: map[string]map[string]*runtime.Result{}}
+	for i, r := range res {
+		app, key := cells[i].app, vs[i%len(vs)].Key
+		if out.Results[app] == nil {
+			out.Results[app] = map[string]*runtime.Result{}
+		}
+		out.Results[app][key] = r
+		if w != nil {
 			fmt.Fprintf(w, "running %-8s %-13s ... %8.2f ms, %7d misses\n",
-				j.a.Name, j.v.Key, ms(results[i].Elapsed), results[i].Stats.TotalMisses())
+				app, key, ms(r.Elapsed), r.Stats.TotalMisses())
 		}
 	}
 	return out, nil

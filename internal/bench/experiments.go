@@ -7,7 +7,6 @@ import (
 	"hpfdsm/internal/apps"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
-	"hpfdsm/internal/lang"
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/protocol"
@@ -198,7 +197,7 @@ func Table2(sizing Sizing) string {
 // run for each configuration.
 func Fig3(s *SuiteResults) string {
 	var b strings.Builder
-	b.WriteString("Figure 3: speedups on 8 nodes (relative to 1-node run)\n\n")
+	fmt.Fprintf(&b, "Figure 3: speedups on %d nodes (relative to 1-node run)\n\n", s.Nodes)
 	cols := []string{"unopt-single", "unopt-dual", "opt-single", "opt-dual", "mp"}
 	fmt.Fprintf(&b, "  %-9s", "App")
 	for _, c := range cols {
@@ -235,9 +234,9 @@ func Table3(s *SuiteResults) string {
 		missU, missO := ud.Stats.AvgMissesPerNode(), od.Stats.AvgMissesPerNode()
 		fmt.Fprintf(&b, "  %-9s %7.1fms | %8.1fms %6.1f%% | %8.1fms %6.1f%% | %9.1f %6.1f%%\n",
 			name, ms(ud.Stats.AvgComputeTime()),
-			ms(commUD), pctRed(commUD, commOD),
-			ms(commUS), pctRed(commUS, commOS),
-			missU, 100*(1-missO/missU))
+			ms(commUD), pctRed(float64(commUD), float64(commOD)),
+			ms(commUS), pctRed(float64(commUS), float64(commOS)),
+			missU, pctRed(missU, missO))
 	}
 	return b.String()
 }
@@ -277,38 +276,38 @@ func PRE(s *SuiteResults) string {
 	return b.String()
 }
 
+// unoptAndRTElim is app on machine mc unoptimized, then at rtelim.
+func unoptAndRTElim(app string, mc config.Machine) []cell {
+	return []cell{
+		{app: app, opts: runtime.Options{Machine: mc, Opt: compiler.OptNone}},
+		{app: app, opts: runtime.Options{Machine: mc, Opt: compiler.OptRTElim}},
+	}
+}
+
 // Network sweeps interconnect bandwidth, a what-if the paper's
 // conclusion motivates ("most emerging commercial parallel systems
 // will provide fine-grain shared memory"): as the network speeds up,
 // the unoptimized protocol's software overheads dominate and the
 // compiler-directed transfers' advantage narrows but persists.
-func Network(sizing Sizing) (string, error) {
-	a, err := apps.ByName("jacobi")
-	if err != nil {
-		return "", err
-	}
-	params := ParamsFor(a, sizing)
-	var b strings.Builder
-	b.WriteString("Ablation: network bandwidth (jacobi, dual-cpu)\n\n")
-	fmt.Fprintf(&b, "  %-10s | %12s %12s | %10s\n", "Bandwidth", "unopt", "rtelim", "opt gain")
+func Network(cfg Config) (string, error) {
+	var cells []cell
 	for _, nsPerByte := range []int64{50, 12, 3} { // 20, ~83, ~333 MB/s
 		mc := config.Default()
 		mc.NsPerByte = nsPerByte
-		var res [2]*runtime.Result
-		for i, opt := range []compiler.Level{compiler.OptNone, compiler.OptRTElim} {
-			prog, err := a.Program(params)
-			if err != nil {
-				return "", err
-			}
-			r, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: opt})
-			if err != nil {
-				return "", err
-			}
-			res[i] = r
-		}
+		cells = append(cells, unoptAndRTElim("jacobi", mc)...)
+	}
+	res, err := cfg.simulate(cells)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.WriteString("Ablation: network bandwidth (jacobi, dual-cpu)\n\n")
+	fmt.Fprintf(&b, "  %-10s | %12s %12s | %10s\n", "Bandwidth", "unopt", "rtelim", "opt gain")
+	for i := 0; i < len(res); i += 2 {
+		un, op := res[i], res[i+1]
 		fmt.Fprintf(&b, "  %7.0fMB/s | %10.2fms %10.2fms | %9.1f%%\n",
-			1000.0/float64(nsPerByte), ms(res[0].Elapsed), ms(res[1].Elapsed),
-			100*(1-float64(res[1].Elapsed)/float64(res[0].Elapsed)))
+			1000.0/float64(cells[i].opts.Machine.NsPerByte), ms(un.Elapsed), ms(op.Elapsed),
+			pctRed(float64(un.Elapsed), float64(op.Elapsed)))
 	}
 	return b.String(), nil
 }
@@ -317,47 +316,29 @@ func Network(sizing Sizing) (string, error) {
 // affine and indirect subscripts runs (and benefits from the
 // optimizations on its affine part) on shared memory, while the
 // message-passing backend must reject it.
-func Irregular(sizing Sizing) (string, error) {
-	a := apps.Irregular()
-	params := ParamsFor(a, sizing)
+func Irregular(cfg Config) (string, error) {
+	mc := config.Default()
+	res, err := cfg.simulate(append(unoptAndRTElim("irregular", mc),
+		cell{app: "irregular", opts: runtime.Options{Machine: mc, Opt: compiler.OptRTElim, InspectIndirect: true}}))
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Extension: affine + indirect subscripts (paper section 7 future work)\n\n")
-	for _, v := range []struct {
-		name string
-		opt  compiler.Level
-	}{{"unoptimized", compiler.OptNone}, {"optimized (affine part)", compiler.OptRTElim}} {
-		prog, err := a.Program(params)
-		if err != nil {
-			return "", err
-		}
-		r, err := runtime.Run(prog, runtime.Options{Machine: config.Default(), Opt: v.opt})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  shared memory, %-24s : %8.2f ms, %6.1f misses/node\n",
-			v.name, ms(r.Elapsed), r.Stats.AvgMissesPerNode())
+	for i, name := range []string{"unoptimized              ", "optimized (affine part)  ", "+ indirect inspector    "} {
+		fmt.Fprintf(&b, "  shared memory, %s: %8.2f ms, %6.1f misses/node\n",
+			name, ms(res[i].Elapsed), res[i].Stats.AvgMissesPerNode())
 	}
-	prog, err := a.Program(params)
+	// Off the grid: this run's expected outcome is an error.
+	a := apps.Irregular()
+	prog, err := a.Program(ParamsFor(a, cfg.Sizing))
 	if err != nil {
 		return "", err
 	}
-	r, err := runtime.Run(prog, runtime.Options{
-		Machine: config.Default(), Opt: compiler.OptRTElim, InspectIndirect: true,
-	})
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "  shared memory, + indirect inspector    : %8.2f ms, %6.1f misses/node\n",
-		ms(r.Elapsed), r.Stats.AvgMissesPerNode())
-	prog2, err := a.Program(params)
-	if err != nil {
-		return "", err
-	}
-	if _, err := runtime.Run(prog2, runtime.Options{Machine: config.Default(), Backend: runtime.MessagePassing}); err != nil {
-		fmt.Fprintf(&b, "  message passing                         : rejected (%v)\n", err)
-	} else {
+	if _, err = runtime.Run(prog, runtime.Options{Machine: mc, Backend: runtime.MessagePassing}); err == nil {
 		return "", fmt.Errorf("message-passing backend unexpectedly accepted an irregular program")
 	}
+	fmt.Fprintf(&b, "  message passing                         : rejected (%v)\n", err)
 	return b.String(), nil
 }
 
@@ -365,38 +346,29 @@ func Irregular(sizing Sizing) (string, error) {
 // trailing submatrix on the last processors (poor balance), CYCLIC
 // deals columns for balance (the configuration the paper's lu uses),
 // CYCLIC(4) trades balance against fewer, larger transfers.
-func Distribution(sizing Sizing) (string, error) {
-	a, err := apps.ByName("lu")
+func Distribution(cfg Config) (string, error) {
+	dists := []string{"BLOCK", "CYCLIC", "CYCLIC(4)"}
+	var cells []cell
+	for _, dist := range dists {
+		src := strings.Replace(apps.LU().Source, "DISTRIBUTE a(*, CYCLIC)", "DISTRIBUTE a(*, "+dist+")", 1)
+		cells = append(cells, cell{app: "lu", src: src, opts: runtime.Options{Machine: config.Default(), Opt: compiler.OptRTElim}})
+	}
+	res, err := cfg.simulate(cells)
 	if err != nil {
 		return "", err
 	}
-	params := ParamsFor(a, sizing)
 	var b strings.Builder
 	b.WriteString("Ablation: lu column distribution (rtelim, dual-cpu)\n\n")
 	fmt.Fprintf(&b, "  %-12s | %12s %14s %12s\n", "Distribution", "elapsed", "max/min work", "misses/node")
-	for _, dist := range []string{"BLOCK", "CYCLIC", "CYCLIC(4)"} {
-		src := strings.Replace(a.Source, "DISTRIBUTE a(*, CYCLIC)", "DISTRIBUTE a(*, "+dist+")", 1)
-		prog, err := lang.ParseWithOverrides(src, params)
-		if err != nil {
-			return "", err
-		}
-		r, err := runtime.Run(prog, runtime.Options{Machine: config.Default(), Opt: compiler.OptRTElim})
-		if err != nil {
-			return "", err
-		}
+	for i, r := range res {
 		// Work balance: max/min per-node compute time.
 		minC, maxC := r.Stats.Nodes[0].ComputeTime, r.Stats.Nodes[0].ComputeTime
 		for _, n := range r.Stats.Nodes {
-			if n.ComputeTime < minC {
-				minC = n.ComputeTime
-			}
-			if n.ComputeTime > maxC {
-				maxC = n.ComputeTime
-			}
+			minC, maxC = min(minC, n.ComputeTime), max(maxC, n.ComputeTime)
 		}
 		ratio := float64(maxC) / float64(max(minC, 1))
 		fmt.Fprintf(&b, "  %-12s | %10.2fms %13.1fx %12.1f\n",
-			dist, ms(r.Elapsed), ratio, r.Stats.AvgMissesPerNode())
+			dists[i], ms(r.Elapsed), ratio, r.Stats.AvgMissesPerNode())
 	}
 	return b.String(), nil
 }
@@ -406,33 +378,26 @@ func Distribution(sizing Sizing) (string, error) {
 // (blocking writes) — the design choice motivated by the paper's
 // footnote 1, and a demonstration of Tempest's user-swappable
 // protocols.
-func Consistency(sizing Sizing) (string, error) {
+func Consistency(cfg Config) (string, error) {
+	var cells []cell
+	for _, name := range []string{"jacobi", "shallow", "lu"} {
+		for _, cons := range []config.Consistency{config.ReleaseConsistent, config.SequentiallyConsistent} {
+			cells = append(cells, cell{app: name, opts: runtime.Options{
+				Machine: config.Default().WithConsistency(cons), Opt: compiler.OptNone,
+			}})
+		}
+	}
+	res, err := cfg.simulate(cells)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Ablation: release consistency vs blocking writes (unoptimized, dual-cpu)\n\n")
 	fmt.Fprintf(&b, "  %-9s | %12s %12s | %10s\n", "App", "release", "sequential", "RC saves")
-	for _, name := range []string{"jacobi", "shallow", "lu"} {
-		a, err := apps.ByName(name)
-		if err != nil {
-			return "", err
-		}
-		params := ParamsFor(a, sizing)
-		var res [2]*runtime.Result
-		for i, cons := range []config.Consistency{config.ReleaseConsistent, config.SequentiallyConsistent} {
-			prog, err := a.Program(params)
-			if err != nil {
-				return "", err
-			}
-			r, err := runtime.Run(prog, runtime.Options{
-				Machine: config.Default().WithConsistency(cons), Opt: compiler.OptNone,
-			})
-			if err != nil {
-				return "", err
-			}
-			res[i] = r
-		}
+	for i := 0; i < len(res); i += 2 {
+		rc, sc := res[i], res[i+1]
 		fmt.Fprintf(&b, "  %-9s | %10.2fms %10.2fms | %9.1f%%\n",
-			name, ms(res[0].Elapsed), ms(res[1].Elapsed),
-			100*(1-float64(res[0].Elapsed)/float64(res[1].Elapsed)))
+			cells[i].app, ms(rc.Elapsed), ms(sc.Elapsed), pctRed(float64(sc.Elapsed), float64(rc.Elapsed)))
 	}
 	return b.String(), nil
 }
@@ -441,33 +406,26 @@ func Consistency(sizing Sizing) (string, error) {
 // self-invalidate / co-operative prefetch for the boundary elements
 // shmem_limits leaves to the default protocol, "a worthwhile
 // optimization where the data set size is small" (grav's case).
-func Prefetch(sizing Sizing) (string, error) {
+func Prefetch(cfg Config) (string, error) {
+	var cells []cell
+	for _, name := range []string{"grav", "shallow", "jacobi"} {
+		for _, pf := range []bool{false, true} {
+			cells = append(cells, cell{app: name, opts: runtime.Options{
+				Machine: config.Default(), Opt: compiler.OptRTElim, EdgePrefetch: pf,
+			}})
+		}
+	}
+	res, err := cfg.simulate(cells)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Ablation: advisory edge prefetch (rtelim, dual-cpu)\n\n")
 	fmt.Fprintf(&b, "  %-9s | %12s %12s | %10s %10s\n", "App", "no prefetch", "prefetch", "misses", "misses-pf")
-	for _, name := range []string{"grav", "shallow", "jacobi"} {
-		a, err := apps.ByName(name)
-		if err != nil {
-			return "", err
-		}
-		params := ParamsFor(a, sizing)
-		var res [2]*runtime.Result
-		for i, pf := range []bool{false, true} {
-			prog, err := a.Program(params)
-			if err != nil {
-				return "", err
-			}
-			r, err := runtime.Run(prog, runtime.Options{
-				Machine: config.Default(), Opt: compiler.OptRTElim, EdgePrefetch: pf,
-			})
-			if err != nil {
-				return "", err
-			}
-			res[i] = r
-		}
+	for i := 0; i < len(res); i += 2 {
+		off, on := res[i], res[i+1]
 		fmt.Fprintf(&b, "  %-9s | %10.2fms %10.2fms | %10d %10d\n",
-			name, ms(res[0].Elapsed), ms(res[1].Elapsed),
-			res[0].Stats.TotalMisses(), res[1].Stats.TotalMisses())
+			cells[i].app, ms(off.Elapsed), ms(on.Elapsed), off.Stats.TotalMisses(), on.Stats.TotalMisses())
 	}
 	return b.String(), nil
 }
@@ -475,43 +433,25 @@ func Prefetch(sizing Sizing) (string, error) {
 // BlockSize is the block-size ablation: the paper's system supports
 // 32-128 byte blocks; smaller blocks reduce false sharing and edge
 // effects but multiply per-block overheads.
-func BlockSize(sizing Sizing) (string, error) {
-	var b strings.Builder
-	b.WriteString("Ablation: coherence block size (jacobi + grav, dual-cpu)\n\n")
-	fmt.Fprintf(&b, "  %-9s %6s | %12s %12s | %9s\n", "App", "Block", "unopt", "rtelim", "miss red")
-	names := []string{"jacobi", "grav"}
-	sizes := []int{32, 64, 128}
-	type cell struct{ un, op *runtime.Result }
-	cells := make([]cell, len(names)*len(sizes))
-	err := forEachLimit(len(cells), SuiteWorkers, func(i int) error {
-		name, bs := names[i/len(sizes)], sizes[i%len(sizes)]
-		a, err := apps.ByName(name)
-		if err != nil {
-			return err
+func BlockSize(cfg Config) (string, error) {
+	var cells []cell
+	for _, name := range []string{"jacobi", "grav"} {
+		for _, bs := range []int{32, 64, 128} {
+			cells = append(cells, unoptAndRTElim(name, config.Default().WithBlockSize(bs))...)
 		}
-		prog, err := a.Program(ParamsFor(a, sizing))
-		if err != nil {
-			return err
-		}
-		mc := config.Default().WithBlockSize(bs)
-		un, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: compiler.OptNone})
-		if err != nil {
-			return err
-		}
-		op, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: compiler.OptRTElim})
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{un, op}
-		return nil
-	})
+	}
+	res, err := cfg.simulate(cells)
 	if err != nil {
 		return "", err
 	}
-	for i, c := range cells {
+	var b strings.Builder
+	b.WriteString("Ablation: coherence block size (jacobi + grav, dual-cpu)\n\n")
+	fmt.Fprintf(&b, "  %-9s %6s | %12s %12s | %9s\n", "App", "Block", "unopt", "rtelim", "miss red")
+	for i := 0; i < len(res); i += 2 {
+		un, op := res[i], res[i+1]
 		fmt.Fprintf(&b, "  %-9s %5dB | %10.2fms %10.2fms | %8.1f%%\n",
-			names[i/len(sizes)], sizes[i%len(sizes)], ms(c.un.Elapsed), ms(c.op.Elapsed),
-			100*(1-c.op.Stats.AvgMissesPerNode()/c.un.Stats.AvgMissesPerNode()))
+			cells[i].app, cells[i].opts.Machine.BlockSize, ms(un.Elapsed), ms(op.Elapsed),
+			pctRed(un.Stats.AvgMissesPerNode(), op.Stats.AvgMissesPerNode()))
 	}
 	return b.String(), nil
 }
@@ -524,63 +464,49 @@ func BlockSize(sizing Sizing) (string, error) {
 // destination) expected bytes against them. The grid is walked in
 // deterministic order — apps in suite order, block sizes then
 // thresholds ascending — so two sweeps diff cleanly.
-func Agg(sizing Sizing) (string, error) {
+func Agg(cfg Config) (string, error) {
+	var cells []cell
+	for _, name := range AppNames() {
+		for _, bs := range []int{64, 128} {
+			for _, thr := range []int{-1, 2, 32, 256} { // in blocks; -1 = aggregation off
+				mc := config.Default().WithBlockSize(bs)
+				if thr < 0 {
+					mc = mc.WithoutCoalesce()
+				} else {
+					mc.AggThreshold = thr * bs
+				}
+				cells = append(cells, cell{app: name, opts: runtime.Options{Machine: mc, Opt: compiler.OptRTElim}})
+			}
+		}
+	}
+	res, err := cfg.simulate(cells)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Ablation: barrier-epoch aggregation threshold x block size (rtelim, dual-cpu)\n\n")
 	fmt.Fprintf(&b, "  %-9s %6s %10s | %12s %8s %9s %8s %9s\n",
 		"App", "Block", "Threshold", "elapsed", "msgs", "bytes", "segs", "carriers")
-	names := AppNames()
-	sizes := []int{64, 128}
-	thresholds := []int{-1, 2, 32, 256} // in blocks; -1 = aggregation off
-	results := make([]*runtime.Result, len(names)*len(sizes)*len(thresholds))
-	err := forEachLimit(len(results), SuiteWorkers, func(i int) error {
-		name := names[i/(len(sizes)*len(thresholds))]
-		bs := sizes[i/len(thresholds)%len(sizes)]
-		thr := thresholds[i%len(thresholds)]
-		a, err := apps.ByName(name)
-		if err != nil {
-			return err
-		}
-		prog, err := a.Program(ParamsFor(a, sizing))
-		if err != nil {
-			return err
-		}
-		mc := config.Default().WithBlockSize(bs)
-		if thr < 0 {
-			mc = mc.WithoutCoalesce()
-		} else {
-			mc.AggThreshold = thr * bs
-		}
-		r, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: compiler.OptRTElim})
-		if err != nil {
-			return fmt.Errorf("%s block=%d threshold=%d: %w", name, bs, thr, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, r := range results {
-		name := names[i/(len(sizes)*len(thresholds))]
-		bs := sizes[i/len(thresholds)%len(sizes)]
-		thr := thresholds[i%len(thresholds)]
+	for i, r := range res {
+		mc := cells[i].opts.Machine
 		label := "off"
-		if thr >= 0 {
-			label = fmt.Sprintf("%d blk", thr)
+		if !mc.NoCoalesce {
+			label = fmt.Sprintf("%d blk", mc.AggThreshold/mc.BlockSize)
 		}
 		fmt.Fprintf(&b, "  %-9s %5dB %10s | %10.2fms %8d %9d %8d %9d\n",
-			name, bs, label, ms(r.Elapsed), r.Stats.TotalMessages(), r.Stats.TotalBytes(),
+			cells[i].app, mc.BlockSize, label, ms(r.Elapsed), r.Stats.TotalMessages(), r.Stats.TotalBytes(),
 			r.Stats.TotalSegsCoalesced(), r.Stats.TotalCarriersSent())
 	}
 	return b.String(), nil
 }
 
-func pctRed(before, after sim.Time) float64 {
+// pctRed is the percent reduction from before to after; nothing to
+// reduce (before == 0) reads as none.
+func pctRed(before, after float64) float64 {
 	if before == 0 {
 		return 0
 	}
-	return 100 * (1 - float64(after)/float64(before))
+	return 100 * (1 - after/before)
 }
 
 func us(t sim.Time) float64 { return float64(t) / 1e3 }
@@ -591,11 +517,7 @@ func us(t sim.Time) float64 { return float64(t) / 1e3 }
 // costs: retransmission volume and the slowdown against the lossless
 // run. The barrier-instant coherence audit is armed throughout, so
 // every row is also a correctness statement.
-func Faults(sizing Sizing) (string, error) {
-	var b strings.Builder
-	b.WriteString("Robustness: fault injection + reliable delivery (rtelim, dual-cpu, audited)\n\n")
-	fmt.Fprintf(&b, "  %-8s %-12s | %10s %8s %11s %8s %11s | %8s\n",
-		"app", "faults", "elapsed", "msgs", "retransmit", "drops", "dedup-drop", "slowdown")
+func Faults(cfg Config) (string, error) {
 	levels := []struct {
 		name      string
 		drop, dup float64
@@ -604,37 +526,28 @@ func Faults(sizing Sizing) (string, error) {
 		{"1%+0.5%", 0.01, 0.005},
 		{"5%+2%", 0.05, 0.02},
 	}
-	names := []string{"jacobi", "lu", "cg"}
-	results := make([]*runtime.Result, len(names)*len(levels))
-	err := forEachLimit(len(results), SuiteWorkers, func(i int) error {
-		name, lv := names[i/len(levels)], levels[i%len(levels)]
-		a, err := apps.ByName(name)
-		if err != nil {
-			return err
+	var cells []cell
+	for _, name := range []string{"jacobi", "lu", "cg"} {
+		for _, lv := range levels {
+			mc := config.Default()
+			if lv.drop > 0 {
+				mc = mc.WithFaults(config.Faults{Drop: lv.drop, Dup: lv.dup, Seed: 1})
+			}
+			cells = append(cells, cell{app: name, opts: runtime.Options{Machine: mc, Opt: compiler.OptRTElim, Check: true}})
 		}
-		prog, err := a.Program(ParamsFor(a, sizing))
-		if err != nil {
-			return err
-		}
-		mc := config.Default()
-		if lv.drop > 0 {
-			mc = mc.WithFaults(config.Faults{Drop: lv.drop, Dup: lv.dup, Seed: 1})
-		}
-		r, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: compiler.OptRTElim, Check: true})
-		if err != nil {
-			return fmt.Errorf("%s at %s: %w", name, lv.name, err)
-		}
-		results[i] = r
-		return nil
-	})
+	}
+	res, err := cfg.simulate(cells)
 	if err != nil {
 		return "", err
 	}
-	for i, r := range results {
-		name, lv := names[i/len(levels)], levels[i%len(levels)]
-		base := results[i-i%len(levels)].Elapsed // the app's lossless run
+	var b strings.Builder
+	b.WriteString("Robustness: fault injection + reliable delivery (rtelim, dual-cpu, audited)\n\n")
+	fmt.Fprintf(&b, "  %-8s %-12s | %10s %8s %11s %8s %11s | %8s\n",
+		"app", "faults", "elapsed", "msgs", "retransmit", "drops", "dedup-drop", "slowdown")
+	for i, r := range res {
+		base := res[i-i%len(levels)].Elapsed // the app's lossless run
 		fmt.Fprintf(&b, "  %-8s %-12s | %8.2fms %8d %11d %8d %11d | %7.2fx\n",
-			name, lv.name, ms(r.Elapsed), r.Stats.TotalMessages(),
+			cells[i].app, levels[i%len(levels)].name, ms(r.Elapsed), r.Stats.TotalMessages(),
 			r.Stats.TotalRetransmits(), r.Stats.TotalWireDrops(), r.Stats.TotalDupsDropped(),
 			float64(r.Elapsed)/float64(base))
 	}

@@ -22,71 +22,67 @@ import (
 // records the host's CPU budget because the speedups are wall-clock
 // facts about THIS host: on a single-core runner the engine falls back
 // to its inline path and the honest expectation is ~1.0x.
-func PDES(sizing Sizing) (string, error) {
-	parts := []int{2, 4, 8}
+func PDES(cfg Config) (string, error) {
+	parts := []int{1, 2, 4, 8} // the first is the sequential reference
+	var cells []cell
+	for _, name := range AppNames() {
+		for _, p := range parts {
+			cells = append(cells, cell{app: name, opts: runtime.Options{
+				Machine: config.Default(), Opt: compiler.OptRTElim, Partitions: p,
+			}})
+		}
+	}
+	res, err := cfg.simulate(cells)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Multicore PDES: wall-clock speedup vs sequential event loop (rtelim, dual-cpu)\n")
 	fmt.Fprintf(&b, "(host: %d CPU(s), GOMAXPROCS=%d; every cell verified bit-identical first)\n\n",
 		goruntime.NumCPU(), goruntime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "  %-9s %12s |", "App", "seq wall")
-	for _, p := range parts {
+	for _, p := range parts[1:] {
 		fmt.Fprintf(&b, " %8s", fmt.Sprintf("p=%d", p))
 	}
 	fmt.Fprintf(&b, " | %10s\n", "sim-ms")
-	for _, a := range apps.All() {
-		prog, err := a.Program(ParamsFor(a, sizing))
-		if err != nil {
-			return "", err
-		}
-		mc := config.Default()
-		run := func(p int) (*runtime.Result, error) {
-			return runtime.Run(prog, runtime.Options{
-				Machine: mc, Opt: compiler.OptRTElim, Partitions: p})
-		}
-		seq, err := run(1)
-		if err != nil {
-			return "", err
-		}
-		for _, p := range parts {
-			res, err := run(p)
-			if err != nil {
-				return "", fmt.Errorf("%s at %d partitions: %w", a.Name, p, err)
-			}
-			if res.Elapsed != seq.Elapsed ||
-				res.Stats.TotalMisses() != seq.Stats.TotalMisses() ||
-				res.Stats.TotalMessages() != seq.Stats.TotalMessages() ||
-				res.Stats.TotalBytes() != seq.Stats.TotalBytes() {
+	for i, a := range apps.All() {
+		row, rowRes := cells[i*len(parts):][:len(parts)], res[i*len(parts):][:len(parts)]
+		seq := rowRes[0]
+		for j, r := range rowRes[1:] {
+			if r.Elapsed != seq.Elapsed ||
+				r.Stats.TotalMisses() != seq.Stats.TotalMisses() ||
+				r.Stats.TotalMessages() != seq.Stats.TotalMessages() ||
+				r.Stats.TotalBytes() != seq.Stats.TotalBytes() {
 				return "", fmt.Errorf("%s at %d partitions diverged from sequential: elapsed %d vs %d, misses %d vs %d, msgs %d vs %d, bytes %d vs %d",
-					a.Name, p, res.Elapsed, seq.Elapsed,
-					res.Stats.TotalMisses(), seq.Stats.TotalMisses(),
-					res.Stats.TotalMessages(), seq.Stats.TotalMessages(),
-					res.Stats.TotalBytes(), seq.Stats.TotalBytes())
+					a.Name, parts[j+1], r.Elapsed, seq.Elapsed,
+					r.Stats.TotalMisses(), seq.Stats.TotalMisses(),
+					r.Stats.TotalMessages(), seq.Stats.TotalMessages(),
+					r.Stats.TotalBytes(), seq.Stats.TotalBytes())
 			}
 		}
-		wall := func(p int) (time.Duration, error) {
+		// The timing runs stay off the pool: a run sharing the host with
+		// others would time them, not itself.
+		prog, err := a.Program(ParamsFor(a, cfg.Sizing))
+		if err != nil {
+			return "", err
+		}
+		var walls []time.Duration
+		for _, c := range row {
 			best := time.Duration(0)
 			for rep := 0; rep < 3; rep++ {
 				t0 := time.Now()
-				if _, err := run(p); err != nil {
-					return 0, err
+				if _, err := runtime.Run(prog, c.opts); err != nil {
+					return "", err
 				}
 				if d := time.Since(t0); best == 0 || d < best {
 					best = d
 				}
 			}
-			return best, nil
+			walls = append(walls, best)
 		}
-		seqWall, err := wall(1)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  %-9s %12s |", a.Name, seqWall.Round(time.Microsecond))
-		for _, p := range parts {
-			w, err := wall(p)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, " %7.2fx", float64(seqWall)/float64(w))
+		fmt.Fprintf(&b, "  %-9s %12s |", a.Name, walls[0].Round(time.Microsecond))
+		for _, w := range walls[1:] {
+			fmt.Fprintf(&b, " %7.2fx", float64(walls[0])/float64(w))
 		}
 		fmt.Fprintf(&b, " | %10.2f\n", ms(seq.Elapsed))
 	}

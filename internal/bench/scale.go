@@ -187,33 +187,33 @@ func measureInval(cell *ScaleCell, parts int) error {
 	return nil
 }
 
-// ScaleSweep measures the full N x {flat, tree} grid. parts > 1 runs
-// every simulation under the conservative-PDES window scheduler; every
-// reported number is bit-identical either way. The tree's reduction
-// result is REQUIRED to match the flat protocol's bit-for-bit at every
-// N — that is the tentpole's contract, not a tolerance comparison.
-func ScaleSweep(parts int) ([]ScaleCell, error) {
-	var cells []ScaleCell
+// ScaleSweep measures the full N x {flat, tree} grid on cfg's pool.
+// cfg.Partitions > 1 runs every simulation under the conservative-PDES
+// window scheduler; every reported number is bit-identical either way.
+// The tree's reduction result is REQUIRED to match the flat protocol's
+// bit-for-bit at every N — that is the tentpole's contract, not a
+// tolerance comparison.
+func ScaleSweep(cfg Config) ([]ScaleCell, error) {
+	var points []ScaleCell
 	for _, n := range ScaleNodes {
-		var flatBits, treeBits uint64
 		for _, topo := range []config.Topology{config.Flat, config.TreeTopo} {
-			cell, err := measureSync(n, topo, parts)
-			if err != nil {
-				return nil, err
-			}
-			if err := measureInval(&cell, parts); err != nil {
-				return nil, err
-			}
-			if topo == config.Flat {
-				flatBits = cell.ReduceBits
-			} else {
-				treeBits = cell.ReduceBits
-			}
-			cells = append(cells, cell)
+			points = append(points, ScaleCell{Nodes: n, Topo: topo})
 		}
-		if flatBits != treeBits {
+	}
+	cells, err := grid(cfg.Workers, points, func(p ScaleCell) (ScaleCell, error) {
+		c, err := measureSync(p.Nodes, p.Topo, cfg.Partitions)
+		if err == nil {
+			err = measureInval(&c, cfg.Partitions)
+		}
+		return c, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(cells); i += 2 {
+		if flat, tree := cells[i], cells[i+1]; flat.ReduceBits != tree.ReduceBits {
 			return nil, fmt.Errorf("scale n=%d: tree reduction %x differs from flat %x (data words must be bit-identical)",
-				n, treeBits, flatBits)
+				flat.Nodes, tree.ReduceBits, flat.ReduceBits)
 		}
 	}
 	return cells, nil
@@ -223,15 +223,15 @@ func ScaleSweep(parts int) ([]ScaleCell, error) {
 // plus a full jacobi run at N=64 under both topologies, whose final
 // arrays must agree bit-for-bit (the flat side is the semantic
 // reference; the tree may only reroute messages).
-func Scale(sizing Sizing, parts int) (string, error) {
-	cells, err := ScaleSweep(parts)
+func Scale(cfg Config) (string, error) {
+	cells, err := ScaleSweep(cfg)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	b.WriteString("Scale-out: flat vs combining-tree hierarchical coherence\n")
-	if parts > 1 {
-		fmt.Fprintf(&b, "(conservative PDES, %d partitions; statistics bit-identical to sequential)\n", parts)
+	if cfg.Partitions > 1 {
+		fmt.Fprintf(&b, "(conservative PDES, %d partitions; statistics bit-identical to sequential)\n", cfg.Partitions)
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  %5s %-5s %5s | %11s %11s | %11s %7s %6s | %9s %10s\n",
@@ -251,7 +251,7 @@ func Scale(sizing Sizing, parts int) (string, error) {
 	b.WriteString("  serialized sends (home tx) and the round's critical path (inval lat)\n")
 
 	// Application leg: one real program at N=64 on both topologies.
-	flat, tree, err := scaleAppPair("jacobi", 64, sizing, parts)
+	flat, tree, err := scaleAppPair(cfg, apps.Jacobi(), 64)
 	if err != nil {
 		return "", err
 	}
@@ -262,39 +262,27 @@ func Scale(sizing Sizing, parts int) (string, error) {
 
 // scaleAppPair runs one application at N nodes under both topologies
 // and fails unless every checked array matches bit-for-bit.
-func scaleAppPair(app string, nodes int, sizing Sizing, parts int) (flat, tree *runtime.Result, err error) {
-	a, err := apps.ByName(app)
+func scaleAppPair(cfg Config, a *apps.App, nodes int) (flat, tree *runtime.Result, err error) {
+	var cells []cell
+	for _, topo := range []config.Topology{config.Flat, config.TreeTopo} {
+		cells = append(cells, cell{app: a.Name, opts: runtime.Options{
+			Machine: config.Default().WithNodes(nodes).WithTopology(topo), Opt: compiler.OptRTElim, Partitions: cfg.Partitions,
+		}})
+	}
+	res, err := cfg.simulate(cells)
 	if err != nil {
 		return nil, nil, err
 	}
-	params := ParamsFor(a, sizing)
-	run := func(topo config.Topology) (*runtime.Result, error) {
-		prog, err := a.Program(params)
-		if err != nil {
-			return nil, err
-		}
-		mc := config.Default().WithNodes(nodes).WithTopology(topo)
-		opts := runtime.Options{Machine: mc, Opt: compiler.OptRTElim}
-		if parts > 1 {
-			opts.Partitions = parts
-		}
-		return runtime.Run(prog, opts)
-	}
-	if flat, err = run(config.Flat); err != nil {
-		return nil, nil, fmt.Errorf("%s n=%d flat: %w", app, nodes, err)
-	}
-	if tree, err = run(config.TreeTopo); err != nil {
-		return nil, nil, fmt.Errorf("%s n=%d tree: %w", app, nodes, err)
-	}
+	flat, tree = res[0], res[1]
 	for _, name := range a.CheckArrays {
 		fd, td := flat.ArrayData(name), tree.ArrayData(name)
 		if len(fd) != len(td) {
-			return nil, nil, fmt.Errorf("%s n=%d: array %s length %d flat vs %d tree", app, nodes, name, len(fd), len(td))
+			return nil, nil, fmt.Errorf("%s n=%d: array %s length %d flat vs %d tree", a.Name, nodes, name, len(fd), len(td))
 		}
 		for i := range fd {
 			if math.Float64bits(fd[i]) != math.Float64bits(td[i]) {
 				return nil, nil, fmt.Errorf("%s n=%d: array %s[%d] = %x tree, %x flat (data words must be bit-identical)",
-					app, nodes, name, i, math.Float64bits(td[i]), math.Float64bits(fd[i]))
+					a.Name, nodes, name, i, math.Float64bits(td[i]), math.Float64bits(fd[i]))
 			}
 		}
 	}
