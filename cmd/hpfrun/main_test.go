@@ -2,6 +2,7 @@ package main
 
 import (
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -96,6 +97,57 @@ func TestUnreachedCrashIsReported(t *testing.T) {
 	code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-crash", "node=3@epoch=5")
 	if code != 0 || stderr != "" || !strings.Contains(stdout, "recovery  1 crash(es) detected, 1 recover(ies)") {
 		t.Errorf("firing crash: exit code %d, stdout %q, stderr %q; want 0, one recovery and a silent stderr", code, stdout, stderr)
+	}
+}
+
+// TestProvenancePinned pins, byte for byte, the provenance text runs
+// print: -heatmap stdout of shallow at bulk and of cg on a 16-node tree,
+// then the prov argument of every miss span in a -trace-out of the
+// shallow run, in export order.
+func TestProvenancePinned(t *testing.T) {
+	shallow := []string{"-app", "shallow", "-size", "scaled", "-opt", "bulk"}
+	var got strings.Builder
+	for _, args := range [][]string{
+		append(shallow, "-heatmap"),
+		{"-app", "cg", "-size", "scaled", "-opt", "rtelim", "-topo", "tree", "-nodes", "16", "-heatmap"},
+	} {
+		code, stdout, stderr := runExe(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d, stderr %q", args, code, stderr)
+		}
+		fmt.Fprintf(&got, "$ hpfrun %s\n%s", strings.Join(args, " "), stdout)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if code, _, stderr := runExe(t, append(shallow, "-trace-out", path)...); code != 0 {
+		t.Fatalf("-trace-out: exit code %d, stderr %q", code, stderr)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Cat  string `json:"cat"`
+			Args struct {
+				Prov string `json:"prov"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&got, "$ hpfrun %s -trace-out: prov of every miss span\n", strings.Join(shallow, " "))
+	for _, e := range tr.TraceEvents {
+		if e.Cat == "miss" {
+			got.WriteString(e.Args.Prov + "\n")
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "provenance.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("provenance text moved (%d bytes, golden %d):\n%s", got.Len(), len(want), got.String())
 	}
 }
 
