@@ -100,6 +100,20 @@ func TestUnreachedCrashIsReported(t *testing.T) {
 	}
 }
 
+// An unusable -ckpt-dir used to exit 0 having written nothing and said
+// nothing; it is one line naming the path, exit 1.
+func TestUnwritableCkptDirFails(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "x")
+	code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-ckpt-dir", dir)
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "hpfrun: runtime: checkpoint directory "+dir+": ") {
+		t.Errorf("exit code %d, stdout %q, stderr %q; want 1 and one line naming %s", code, stdout, stderr, dir)
+	}
+}
+
 // TestProvenancePinned pins, byte for byte, the provenance text runs
 // print: -heatmap stdout of shallow at bulk and of cg on a 16-node tree,
 // then the prov argument of every miss span in a -trace-out of the

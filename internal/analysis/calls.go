@@ -154,7 +154,7 @@ func (m *Model) RecordLoopCalls(key any, site Site, sched *compiler.Schedule, is
 		m.inst++
 		for _, i := range plan.LiveReadIndexes() {
 			if t := sched.Reads[i]; plan.Skips(i) {
-				lc.Skipped = append(lc.Skipped, SkippedTransfer{T: t, Live: m.live[t.Key]})
+				lc.Skipped = append(lc.Skipped, SkippedTransfer{T: t, Live: m.live[t.Array.Name][t.Key]})
 			} else {
 				lc.Reads = append(lc.Reads, t)
 			}

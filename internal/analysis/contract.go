@@ -34,7 +34,13 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	np := m.an.NP
 	site := lc.Site
 
-	diag := func(sev Severity, rule string, s Site, format string, args ...any) {
+	// diag reports a finding about the transfer t, or about the loop
+	// instance when t is nil; a transfer's site is built only here.
+	diag := func(sev Severity, rule string, t *compiler.Transfer, format string, args ...any) {
+		s := site
+		if t != nil {
+			s = transferSite(site, t)
+		}
 		m.addDiag(Diag{Severity: sev, Rule: rule, Site: s, Msg: fmt.Sprintf(format, args...)})
 		if sev == Error {
 			m.report.markBroken(s.Loop, rule)
@@ -104,7 +110,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	m.report.markChecked(site.Loop, RuleBarrier)
 	for n := 1; n < np; n++ {
 		if barrierCount[n] != barrierCount[0] {
-			diag(Error, RuleBarrier, site,
+			diag(Error, RuleBarrier, nil,
 				"node %d reaches %d barrier(s) where node 0 reaches %d — the loop deadlocks",
 				n, barrierCount[n], barrierCount[0])
 		}
@@ -142,11 +148,11 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 		for _, b := range sections.Blocks(late) {
 			if sections.ContainsBlock(unopened, b) {
-				diag(Error, RuleFrameOrder, site,
+				diag(Error, RuleFrameOrder, nil,
 					"%v from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
 					a.Op, a.Node, b, a.Dst)
 			} else {
-				diag(Error, RuleFrameOrder, site,
+				diag(Error, RuleFrameOrder, nil,
 					"%v from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
 					a.Op, a.Node, b, a.Dst)
 			}
@@ -163,11 +169,11 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		m.report.markChecked(site.Loop, RuleSendOwner)
 	}
 	schedTo := make([][]protocol.BlockRun, np)
-	for _, t := range lc.Reads {
+	for i := range lc.Reads {
+		t := &lc.Reads[i]
 		schedTo[t.Receiver] = sections.Union(schedTo[t.Receiver], t.Blocks)
-		ts := transferSite(site, t)
 		if miss := missingFrom(t.Blocks, sentSet[t.Receiver]); miss != "" {
-			diag(Error, RuleSendExtent, ts,
+			diag(Error, RuleSendExtent, t,
 				"scheduled transfer node %d -> node %d is not fully emitted: blocks %s are never sent",
 				t.Sender, t.Receiver, miss)
 		}
@@ -178,7 +184,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		cols := t.Sec.Dims[len(t.Sec.Dims)-1]
 		for col := cols.Lo; col <= cols.Hi; col++ {
 			if o := d.Owner(col); o != t.Sender {
-				diag(Error, RuleSendOwner, ts,
+				diag(Error, RuleSendOwner, t,
 					"send originates at node %d but column %d is owned by node %d — the sender's copy is not authoritative",
 					t.Sender, col, o)
 				break
@@ -187,7 +193,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	}
 	for n := 0; n < np; n++ {
 		if extra := sections.Minus(sentSet[n], schedTo[n]); len(extra) > 0 {
-			diag(Error, RuleSendExtent, site,
+			diag(Error, RuleSendExtent, nil,
 				"node %d receives unscheduled blocks %v — no transfer in the schedule covers them",
 				n, sections.Blocks(extra))
 		}
@@ -197,31 +203,31 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	for r := 0; r < np; r++ {
 		if sentPre[r] > 0 {
 			if !readyPre[r] {
-				diag(Error, RuleRecvMatch, site,
+				diag(Error, RuleRecvMatch, nil,
 					"%d block(s) are sent to node %d but it never calls ready_to_recv before the loop body — the transfer is unacknowledged and the sender's next barrier can pass stale data",
 					sentPre[r], r)
 			} else if expectPre[r] != sentPre[r] {
-				diag(Error, RuleRecvMatch, site,
+				diag(Error, RuleRecvMatch, nil,
 					"node %d expects %d block(s) before the body but %d are sent — ready_to_recv would %s",
 					r, expectPre[r], sentPre[r], stallOrRace(expectPre[r], sentPre[r]))
 			}
 		} else if expectPre[r] > 0 {
-			diag(Error, RuleRecvMatch, site,
+			diag(Error, RuleRecvMatch, nil,
 				"node %d expects %d block(s) before the body but nothing is sent to it — ready_to_recv stalls forever",
 				r, expectPre[r])
 		}
 		if flushIn[r] > 0 {
 			if !readyPost[r] {
-				diag(Error, RuleRecvMatch, site,
+				diag(Error, RuleRecvMatch, nil,
 					"%d flushed block(s) reach node %d but it never calls ready_to_recv after the loop — flushed updates are unacknowledged",
 					flushIn[r], r)
 			} else if expectPost[r] != flushIn[r] {
-				diag(Error, RuleRecvMatch, site,
+				diag(Error, RuleRecvMatch, nil,
 					"node %d expects %d flushed block(s) but %d are flushed — ready_to_recv would %s",
 					r, expectPost[r], flushIn[r], stallOrRace(expectPost[r], flushIn[r]))
 			}
 		} else if expectPost[r] > 0 {
-			diag(Error, RuleRecvMatch, site,
+			diag(Error, RuleRecvMatch, nil,
 				"node %d expects %d flushed block(s) but nothing is flushed to it — ready_to_recv stalls forever",
 				r, expectPost[r])
 		}
@@ -232,15 +238,15 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		m.report.markChecked(site.Loop, RuleWriteFlush)
 		m.report.markChecked(site.Loop, RuleFlushOwner)
 	}
-	for _, t := range lc.Writes {
-		ts := transferSite(site, t)
+	for i := range lc.Writes {
+		t := &lc.Writes[i]
 		if miss := missingFrom(t.Blocks, mkw[t.Sender]); miss != "" {
-			diag(Error, RuleWriteFlush, ts,
+			diag(Error, RuleWriteFlush, t,
 				"non-owner write on node %d: blocks %s are written without a pre-loop mk_writable — the writes land on an invalid copy",
 				t.Sender, miss)
 		}
 		if miss := missingFrom(t.Blocks, flushSet[t.Sender][t.Receiver]); miss != "" {
-			diag(Error, RuleWriteFlush, ts,
+			diag(Error, RuleWriteFlush, t,
 				"mk_writable is taken on node %d but blocks %s are never flushed to home node %d — the updates would be lost past the closing barrier",
 				t.Sender, miss, t.Receiver)
 		}
@@ -248,7 +254,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		cols := t.Sec.Dims[len(t.Sec.Dims)-1]
 		for col := cols.Lo; col <= cols.Hi; col++ {
 			if o := d.Owner(col); o != t.Receiver {
-				diag(Error, RuleFlushOwner, ts,
+				diag(Error, RuleFlushOwner, t,
 					"flush targets node %d but column %d is owned by node %d — the owner keeps a stale copy",
 					t.Receiver, col, o)
 				break
@@ -260,8 +266,10 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	if lc.Sched != nil && len(lc.Reads)+len(lc.Writes) > 0 {
 		m.report.markChecked(site.Loop, RuleAlignment)
 	}
-	for _, t := range append(append([]compiler.Transfer{}, lc.Reads...), lc.Writes...) {
-		m.checkAlignment(lc, t, diag)
+	for _, ts := range [...][]compiler.Transfer{lc.Reads, lc.Writes} {
+		for i := range ts {
+			m.checkAlignment(&ts[i], diag)
+		}
 	}
 
 	// ---- Aggregation policy: traffic matrices vs the transfers. ----
@@ -272,13 +280,15 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	// traffic through a wire path the contract never examined.
 	if lc.Sched != nil {
 		m.report.markChecked(site.Loop, RuleAggMatrix)
+		// The sums go to the model's scratch, bytes then messages, and
+		// each cell is zeroed again as it is compared.
+		bytes, msgs := m.cells[:np*np], m.cells[np*np:]
 		checkMatrices := func(ts []compiler.Transfer, bmat, mmat [][]int64, phase string) {
-			bytes := make([]int64, np*np)
-			msgs := make([]int64, np*np)
-			for _, t := range ts {
+			for i := range ts {
+				t := &ts[i]
 				blocks := sections.CountBlocks(t.Blocks)
 				if blocks != t.NumBlocks {
-					diag(Error, RuleAggMatrix, transferSite(site, t),
+					diag(Error, RuleAggMatrix, t,
 						"transfer claims %d aligned block(s) but its runs cover %d",
 						t.NumBlocks, blocks)
 				}
@@ -287,15 +297,17 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 			}
 			for s := 0; s < np; s++ {
 				for r := 0; r < np; r++ {
+					k := s*np + r
 					var gb, gm int64
 					if s < len(bmat) && r < len(bmat[s]) {
 						gb, gm = bmat[s][r], mmat[s][r]
 					}
-					if gb != bytes[s*np+r] || gm != msgs[s*np+r] {
-						diag(Error, RuleAggMatrix, site,
+					if gb != bytes[k] || gm != msgs[k] {
+						diag(Error, RuleAggMatrix, nil,
 							"%s matrix cell %d->%d records %dB over %d message(s) but the transfers sum to %dB over %d — the adaptive transport policy would be steered by traffic the schedule does not emit",
-							phase, s, r, gb, gm, bytes[s*np+r], msgs[s*np+r])
+							phase, s, r, gb, gm, bytes[k], msgs[k])
 					}
+					bytes[k], msgs[k] = 0, 0
 				}
 			}
 		}
@@ -309,7 +321,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	}
 	for _, sk := range lc.Skipped {
 		if !sk.Live {
-			diag(Error, RuleElision, transferSite(site, sk.T),
+			diag(Error, RuleElision, &sk.T,
 				"OptPRE drops the transfer node %d -> node %d, but the previously delivered copy was invalidated by an intervening write to %s (or never delivered) — a lower level proves the transfer necessary",
 				sk.T.Sender, sk.T.Receiver, sk.T.Array.Name)
 		}
@@ -326,7 +338,7 @@ func stallOrRace(expect, sent int) string {
 	return "return before all data arrived"
 }
 
-func transferSite(base Site, t compiler.Transfer) Site {
+func transferSite(base Site, t *compiler.Transfer) Site {
 	base.Array = t.Array.Name
 	base.Sec = secString(t.Sec)
 	return base
@@ -336,8 +348,7 @@ func transferSite(base Site, t compiler.Transfer) Site {
 // compares: the transfer's blocks must be exactly the block-aligned
 // interior of the section, within the array's allocation, with the edge
 // byte count accounting for the remainder.
-func (m *Model) checkAlignment(lc *LoopCalls, t compiler.Transfer, diag func(Severity, string, Site, string, ...any)) {
-	ts := transferSite(lc.Site, t)
+func (m *Model) checkAlignment(t *compiler.Transfer, diag func(Severity, string, *compiler.Transfer, string, ...any)) {
 	lay := m.an.Layouts[t.Array]
 	bs := m.an.BlockSize
 	runs := sections.CoalesceRuns(lay.Runs(t.Sec))
@@ -349,19 +360,19 @@ func (m *Model) checkAlignment(lc *LoopCalls, t compiler.Transfer, diag func(Sev
 	alignedBytes := sections.CountBlocks(want) * bs
 	got := sections.Normalize(t.Blocks)
 	if !slices.Equal(got, want) {
-		diag(Error, RuleAlignment, ts,
+		diag(Error, RuleAlignment, t,
 			"transfer carries %d block(s) but the block-aligned interior of the section has %d — shmem_limits shrink is wrong",
 			sections.CountBlocks(got), sections.CountBlocks(want))
 	}
 	if t.EdgeBytes != total-alignedBytes {
-		diag(Error, RuleAlignment, ts,
+		diag(Error, RuleAlignment, t,
 			"edge accounting: section is %dB with a %dB aligned interior, but the transfer claims %dB of edges",
 			total, alignedBytes, t.EdgeBytes)
 	}
 	alloc := lay.Blocks(bs)
 	for _, r := range t.Blocks {
 		if r.Start < alloc.Start || r.End() > alloc.End() {
-			diag(Error, RuleAlignment, ts,
+			diag(Error, RuleAlignment, t,
 				"blocks [%d,%d) fall outside the array's allocation (blocks [%d,%d))",
 				r.Start, r.End(), alloc.Start, alloc.End())
 		}

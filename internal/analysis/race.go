@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/ir"
@@ -13,20 +13,8 @@ import (
 type access struct {
 	ref   ir.ArrayRef
 	sec   sections.Section
-	subs  string // canonical subscript-vector text
 	write bool
 	stmt  int // body statement index, for provenance
-}
-
-// subsKey canonicalizes a reference's subscript vector: two accesses
-// with identical vectors touch the same element in the same iteration,
-// which the sequential body orders — not a race.
-func subsKey(r ir.ArrayRef) string {
-	parts := make([]string, len(r.Subs))
-	for i, s := range r.Subs {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ",")
 }
 
 // boundRef bounds a reference over the loop's iteration space, clipped
@@ -82,13 +70,28 @@ func (m *Model) CheckRaces(key any, rule *compiler.LoopRule, env map[string]int,
 	}
 	concurrent := rule.DistVar != "" && procs > 1
 
+	// The subscript rule bounds each reference over the iterations that
+	// run: a stepped index ends at its last executed value, not at its
+	// bound, and a loop with an empty index runs none.
+	runs, live := m.an.VarRanges(rule, env), true
+	for _, ix := range rule.Indexes {
+		if r := runs[ix.Var]; r[0] > r[1] {
+			live = false
+		} else {
+			runs[ix.Var] = [2]int{r[0], r[1] - (r[1]-r[0])%ix.StepOr1()}
+		}
+	}
+
 	var accs []access
 	addRef := func(r ir.ArrayRef, write bool, stmt int) {
+		if live {
+			checkSubscripts(r, runs, env, site, diag)
+		}
 		sec, ok := boundRef(r, ranges, env)
 		if !ok {
 			return
 		}
-		accs = append(accs, access{ref: r, sec: sec, subs: subsKey(r), write: write, stmt: stmt})
+		accs = append(accs, access{ref: r, sec: sec, write: write, stmt: stmt})
 	}
 	for i, as := range body {
 		addRef(as.LHS, true, i)
@@ -131,7 +134,7 @@ func (m *Model) CheckRaces(key any, rule *compiler.LoopRule, env map[string]int,
 			if a.ref.Array != b.ref.Array || (!a.write && !b.write) {
 				continue
 			}
-			if a.subs == b.subs {
+			if slices.EqualFunc(a.ref.Subs, b.ref.Subs, ir.AffExpr.Equal) {
 				continue // same element, same iteration: body order applies
 			}
 			ov := sections.Intersect(a.sec, b.sec)
@@ -147,21 +150,36 @@ func (m *Model) CheckRaces(key any, rule *compiler.LoopRule, env map[string]int,
 			}
 			if a.write && b.write {
 				diag(sev, RuleRaceWrite, s,
-					"writes %s%v and %s%v overlap on %s — no barrier separates iterations of a parallel loop",
-					a.ref.Array.Name, subsText(a.ref), b.ref.Array.Name, subsText(b.ref), secString(ov))
+					"writes %v and %v overlap on %s — no barrier separates iterations of a parallel loop",
+					a.ref, b.ref, secString(ov))
 			} else {
 				w, r := a, b
 				if !w.write {
 					w, r = b, a
 				}
 				diag(sev, RuleRaceRW, s,
-					"the loop writes %s%v while reading %s%v: the overlap %s is read and written with no separating barrier — iterations are not independent",
-					w.ref.Array.Name, subsText(w.ref), r.ref.Array.Name, subsText(r.ref), secString(ov))
+					"the loop writes %v while reading %v: the overlap %s is read and written with no separating barrier — iterations are not independent",
+					w.ref, r.ref, secString(ov))
 			}
 		}
 	}
 }
 
-func subsText(r ir.ArrayRef) string {
-	return "(" + subsKey(r) + ")"
+// checkSubscripts reports every dimension of r that leaves its extent
+// over runs, the values its variables take (program/subscript). A
+// reference under an empty inner range never runs.
+func checkSubscripts(r ir.ArrayRef, runs map[string][2]int, env map[string]int, site Site, diag func(Severity, string, Site, string, ...any)) {
+	for _, e := range r.Subs {
+		for _, v := range e.Vars() {
+			if rg, ok := runs[v]; ok && rg[0] > rg[1] {
+				return
+			}
+		}
+	}
+	site.Array = r.Array.Name
+	for d, e := range r.Subs {
+		if lo, hi := compiler.EvalRange(e, runs, env); lo < 1 || hi > r.Array.Extents[d] {
+			diag(Error, RuleSubscript, site, "dimension %d of %v ranges over %d..%d, not in 1..%d", d+1, r, lo, hi, r.Array.Extents[d])
+		}
+	}
 }

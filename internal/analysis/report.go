@@ -63,6 +63,7 @@ const (
 	RuleElision     = "contract/elision"      // a higher level dropped a call a lower level proves necessary
 	RuleAggMatrix   = "contract/agg-matrix"   // aggregation-policy traffic matrices disagree with the transfers' extents
 	RuleBounds      = "program/bounds"        // the loop's bounds drive a distributed subscript outside its array
+	RuleSubscript   = "program/subscript"     // a subscript leaves its dimension over the iterations that run
 	RuleRaceWrite   = "race/write-write"      // overlapping writer sections in one parallel loop
 	RuleRaceRW      = "race/read-write"       // read/write overlap not separated by a barrier
 	RuleRaceIndir   = "race/indirect"         // irregular reference: race analysis not applicable (info)

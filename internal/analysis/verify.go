@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
@@ -26,9 +25,12 @@ type Model struct {
 	report *Report
 	races  bool // run the (level-independent) race analysis on this pass
 
-	phase  int             // global barrier phase counter
-	frames [][]frame       // per node: its open frames
-	live   map[string]bool // transfer keys delivered and not since invalidated by a write
+	phase  int       // global barrier phase counter
+	frames [][]frame // per node: its open frames
+	// live holds, per array name, the keys of the transfers delivered
+	// and not since invalidated by a write to the array.
+	live  map[string]map[string]bool
+	cells []int64 // CheckLoopCalls' traffic-matrix sums, zero between uses
 
 	plans *compiler.Planner // each instance's plan, as the runtime gets it
 	inst  int               // instances planned so far
@@ -36,7 +38,7 @@ type Model struct {
 
 	env     map[string]int
 	checked map[string]bool // loop|sig instances already diagnosed
-	seen    map[string]bool // diagnostic dedup
+	seen    map[Diag]bool   // diagnostic dedup
 	gen     int             // bumped on any state/diagnostic change (fixpoint detection)
 }
 
@@ -48,11 +50,12 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 		level:   level,
 		report:  rep,
 		frames:  make([][]frame, an.NP),
-		live:    map[string]bool{},
+		live:    map[string]map[string]bool{},
+		cells:   make([]int64, 2*an.NP*an.NP),
 		plans:   compiler.NewPlanner(level),
 		env:     map[string]int{},
 		checked: map[string]bool{},
-		seen:    map[string]bool{},
+		seen:    map[Diag]bool{},
 	}
 	for k, v := range an.Prog.Params {
 		m.env[k] = v
@@ -98,11 +101,10 @@ func (m *Model) frameCall(c phased) {
 // addDiag records a diagnostic, dropping exact duplicates (repeated
 // instances of the same loop produce identical findings).
 func (m *Model) addDiag(d Diag) {
-	key := d.Rule + "|" + d.Site.String() + "|" + d.Msg
-	if m.seen[key] {
+	if m.seen[d] {
 		return
 	}
-	m.seen[key] = true
+	m.seen[d] = true
 	m.report.add(d)
 	m.bump()
 }
@@ -186,28 +188,29 @@ func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []
 	}
 	// PRE liveness: executed read transfers deliver their sections ...
 	for _, t := range lc.Reads {
-		if !m.live[t.Key] {
-			m.live[t.Key] = true
+		arr := m.live[t.Array.Name]
+		if arr == nil {
+			arr = map[string]bool{}
+			m.live[t.Array.Name] = arr
+		}
+		if !arr[t.Key] {
+			arr[t.Key] = true
 			m.bump()
 		}
 	}
 	// ... and any write to an array invalidates every delivered copy of
 	// it (the kill set markRedundant reasons about, re-derived here).
-	written := map[string]bool{}
+	kill := func(name string) {
+		if len(m.live[name]) > 0 {
+			delete(m.live, name)
+			m.bump()
+		}
+	}
 	for _, as := range body {
-		written[as.LHS.Array.Name] = true
+		kill(as.LHS.Array.Name)
 	}
 	for _, t := range lc.Writes {
-		written[t.Array.Name] = true
-	}
-	for name := range written {
-		prefix := name + "|"
-		for tk := range m.live {
-			if strings.HasPrefix(tk, prefix) {
-				delete(m.live, tk)
-				m.bump()
-			}
-		}
+		kill(t.Array.Name)
 	}
 }
 

@@ -24,22 +24,14 @@ func (a *Analysis) markRedundant() {
 	// a redundancy fact proven at one site need not hold at another, so
 	// multiply-occurring rules are never marked.
 	occurrences := map[*LoopRule]int{}
-	var count func(stmts []ir.Stmt)
-	count = func(stmts []ir.Stmt) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *ir.ParLoop:
-				occurrences[a.loops[st]]++
-			case *ir.Reduce:
-				occurrences[a.reds[st]]++
-			case *ir.SeqLoop:
-				count(st.Body)
-			case *ir.Block:
-				count(st.Body)
-			}
+	ir.WalkStmts(a.Prog.Body, func(s ir.Stmt) {
+		switch st := s.(type) {
+		case *ir.ParLoop:
+			occurrences[a.loops[st]]++
+		case *ir.Reduce:
+			occurrences[a.reds[st]]++
 		}
-	}
-	count(a.Prog.Body)
+	})
 	a.shared = map[*LoopRule]bool{}
 	for r, n := range occurrences {
 		if n > 1 {
@@ -57,13 +49,11 @@ func (a *Analysis) markSeq(stmts []ir.Stmt, cyclic bool) {
 		writes map[string]bool // array names written (including flushes)
 	}
 	var units []unit
-	for _, s := range stmts {
+	for _, s := range flatten(stmts) { // inlined subroutines splice in
 		switch st := s.(type) {
 		case *ir.ParLoop:
 			w := map[string]bool{}
-			for _, as := range st.Body {
-				w[as.LHS.Array.Name] = true
-			}
+			collectWrites([]ir.Stmt{st}, w)
 			units = append(units, unit{rule: a.loops[st], writes: w})
 		case *ir.Reduce:
 			units = append(units, unit{rule: a.reds[st], writes: map[string]bool{}})
@@ -74,27 +64,6 @@ func (a *Analysis) markSeq(stmts []ir.Stmt, cyclic bool) {
 			w := map[string]bool{}
 			collectWrites(st.Body, w)
 			units = append(units, unit{writes: w})
-		case *ir.Block:
-			// Inlined subroutine: splice its units into this sequence.
-			for _, inner := range flattenBlock(st) {
-				switch is := inner.(type) {
-				case *ir.ParLoop:
-					w := map[string]bool{}
-					for _, as := range is.Body {
-						w[as.LHS.Array.Name] = true
-					}
-					units = append(units, unit{rule: a.loops[is], writes: w})
-				case *ir.Reduce:
-					units = append(units, unit{rule: a.reds[is], writes: map[string]bool{}})
-				case *ir.SeqLoop:
-					a.markSeq(is.Body, true)
-					w := map[string]bool{}
-					collectWrites(is.Body, w)
-					units = append(units, unit{writes: w})
-				}
-			}
-		case *ir.ScalarAssign, *ir.ExitIf:
-			// No array effects.
 		}
 	}
 
@@ -132,17 +101,14 @@ func (a *Analysis) markSeq(stmts []ir.Stmt, cyclic bool) {
 }
 
 // matchRule reports whether prev contains a read rule identical to rr
-// (same signature and same iteration bounds for the swept variables),
-// so its transfer delivered a superset of rr's data.
+// (the same pattern and the same iteration bounds for the swept
+// variables), so its transfer delivered a superset of rr's data.
 func matchRule(prev, cur *LoopRule, rr *RefRule) bool {
 	if len(prev.UsedSym) != 0 || len(cur.UsedSym) != 0 {
 		return false // symbol-dependent sections; play safe
 	}
 	for _, pr := range prev.Reads {
-		if pr.IsWrite || pr.Signature() != rr.Signature() {
-			continue
-		}
-		if boundsEqual(prev, cur, pr, rr) {
+		if !pr.IsWrite && pr.same(rr) && boundsEqual(prev, cur, rr) {
 			return true
 		}
 	}
@@ -151,77 +117,73 @@ func matchRule(prev, cur *LoopRule, rr *RefRule) bool {
 
 // boundsEqual checks that the variables steering both rules' sections
 // have identical ranges in their loops.
-func boundsEqual(pl, cl *LoopRule, pr, cr *RefRule) bool {
-	pv := indexBounds(pl)
-	cv := indexBounds(cl)
+func boundsEqual(pl, cl *LoopRule, cr *RefRule) bool {
 	// Every variable used by the current reference's subscripts must
 	// have the same range in both loops.
 	for _, sub := range cr.Ref.Subs {
 		for _, v := range sub.Vars() {
-			pb, okP := pv[v]
-			cb, okC := cv[v]
-			if okP != okC {
-				return false
-			}
-			if okP && pb != cb {
+			if !sameBounds(pl, cl, v, v) {
 				return false
 			}
 		}
 	}
 	// The work partitions must match: same distributed variable range
-	// and same anchor alignment.
+	// (a distributed variable is a loop index, so it has one) and same
+	// anchor alignment.
 	if pl.DistVar != "" || cl.DistVar != "" {
-		pb, okP := pv[pl.DistVar]
-		cb, okC := cv[cl.DistVar]
-		if !okP || !okC || pb != cb {
+		if !sameBounds(pl, cl, pl.DistVar, cl.DistVar) {
 			return false
 		}
-		pa := pl.Anchor.Subs[len(pl.Anchor.Subs)-1].String() + "|" + pl.Anchor.Array.Name
-		ca := cl.Anchor.Subs[len(cl.Anchor.Subs)-1].String() + "|" + cl.Anchor.Array.Name
 		// Anchors may differ in array but must partition identically:
-		// compare subscript form and distribution via array extents.
-		if pa != ca && (pl.Anchor.Array.LastExtent() != cl.Anchor.Array.LastExtent() ||
-			pl.Anchor.Array.Dist != cl.Anchor.Array.Dist ||
-			pl.Anchor.Subs[len(pl.Anchor.Subs)-1].String() != cl.Anchor.Subs[len(cl.Anchor.Subs)-1].String()) {
+		// same subscript form, and the same distribution and extent.
+		pa, ca := pl.Anchor, cl.Anchor
+		if !pa.Subs[len(pa.Subs)-1].Equal(ca.Subs[len(ca.Subs)-1]) ||
+			pa.Array.Name != ca.Array.Name && (pa.Array.LastExtent() != ca.Array.LastExtent() || pa.Array.Dist != ca.Array.Dist) {
 			return false
 		}
 	}
 	return true
 }
 
-func indexBounds(r *LoopRule) map[string]string {
-	out := map[string]string{}
+// bounds returns a loop or inner-reduction variable's range; an inner
+// reduction's bounds shadow a loop index of the same name.
+func (r *LoopRule) bounds(v string) (lo, hi ir.AffExpr, ok bool) {
+	if rg, in := r.inner[v]; in {
+		return rg.lo, rg.hi, true
+	}
 	for _, ix := range r.Indexes {
-		out[ix.Var] = ix.Lo.String() + ":" + ix.Hi.String()
+		if ix.Var == v {
+			lo, hi, ok = ix.Lo, ix.Hi, true
+		}
 	}
-	for v, rg := range r.inner {
-		out[v] = rg.lo.String() + ":" + rg.hi.String()
-	}
-	return out
+	return lo, hi, ok
+}
+
+// sameBounds reports whether variable pv of pl and cv of cl are both
+// unbounded, or both bounded by equal expressions.
+func sameBounds(pl, cl *LoopRule, pv, cv string) bool {
+	plo, phi, okP := pl.bounds(pv)
+	clo, chi, okC := cl.bounds(cv)
+	return okP == okC && (!okP || plo.Equal(clo) && phi.Equal(chi))
 }
 
 func collectWrites(stmts []ir.Stmt, w map[string]bool) {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *ir.ParLoop:
-			for _, as := range st.Body {
+	ir.WalkStmts(stmts, func(s ir.Stmt) {
+		if pl, ok := s.(*ir.ParLoop); ok {
+			for _, as := range pl.Body {
 				w[as.LHS.Array.Name] = true
 			}
-		case *ir.SeqLoop:
-			collectWrites(st.Body, w)
-		case *ir.Block:
-			collectWrites(st.Body, w)
 		}
-	}
+	})
 }
 
-// flattenBlock expands nested inlined-subroutine blocks into a flat
+// flatten expands nested inlined-subroutine blocks into a flat
 // statement list.
-func flattenBlock(b *ir.Block) []ir.Stmt {
+func flatten(stmts []ir.Stmt) []ir.Stmt {
 	var out []ir.Stmt
-	for _, s := range b.Body {
-		if inner, ok := s.(*ir.Block); ok {
-			out = append(out, flattenBlock(inner)...)
+	for _, s := range stmts {
+		if b, ok := s.(*ir.Block); ok {
+			out = append(out, flatten(b.Body)...)
 			continue
 		}
 		out = append(out, s)

@@ -10,35 +10,20 @@ import (
 // buildRules walks the program and compiles a LoopRule for every
 // parallel loop and global reduction.
 func (a *Analysis) buildRules() error {
-	var walk func(stmts []ir.Stmt) error
-	walk = func(stmts []ir.Stmt) error {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *ir.ParLoop:
-				r, err := a.analyzeLoop(st)
-				if err != nil {
-					return err
-				}
-				a.loops[st] = r
-			case *ir.Reduce:
-				r, err := a.analyzeReduce(st)
-				if err != nil {
-					return err
-				}
-				a.reds[st] = r
-			case *ir.SeqLoop:
-				if err := walk(st.Body); err != nil {
-					return err
-				}
-			case *ir.Block:
-				if err := walk(st.Body); err != nil {
-					return err
-				}
+	var err error
+	ir.WalkStmts(a.Prog.Body, func(s ir.Stmt) {
+		switch st := s.(type) {
+		case *ir.ParLoop:
+			if err == nil {
+				a.loops[st], err = a.analyzeLoop(st)
+			}
+		case *ir.Reduce:
+			if err == nil {
+				a.reds[st], err = a.analyzeReduce(st)
 			}
 		}
-		return nil
-	}
-	return walk(a.Prog.Body)
+	})
+	return err
 }
 
 // LoopRuleOf returns the compiled rule for a parallel loop.
@@ -214,7 +199,7 @@ func (r *LoopRule) addRef(a *Analysis, ref ir.ArrayRef, isWrite bool) error {
 	// same offset as the anchor (which an ON HOME directive may have
 	// made nonzero), and identical distribution parameters.
 	if kind == KindShift && a.sameDist(ref.Array, r.Anchor.Array) {
-		if d := rest.Sub(r.anchorRest); d.IsConst() && d.Const == 0 {
+		if rest.Equal(r.anchorRest) {
 			return nil
 		}
 	}
@@ -226,13 +211,12 @@ func (r *LoopRule) addRef(a *Analysis, ref ir.ArrayRef, isWrite bool) error {
 	}
 
 	rr := &RefRule{Ref: ref, Kind: kind, Rest: rest, SweepVar: sweep, IsWrite: isWrite}
-	sig := rr.Signature()
 	list := &r.Reads
 	if isWrite {
 		list = &r.Writes
 	}
 	for _, have := range *list {
-		if have.Signature() == sig {
+		if have.same(rr) {
 			return nil // duplicate reference, one transfer suffices
 		}
 	}
@@ -295,13 +279,18 @@ func (a *Analysis) finishRule(r *LoopRule, indexes []ir.Index) {
 	sort.Strings(r.UsedSym)
 }
 
-// Signature identifies a reference rule's communication pattern for
-// deduplication and PRE: array, kind, sweep variable, rest expression,
-// and row subscripts.
-func (rr *RefRule) Signature() string {
-	s := fmt.Sprintf("%s|%v|%s|%s|w=%v", rr.Ref.Array.Name, rr.Kind, rr.SweepVar, rr.Rest, rr.IsWrite)
-	for d := 0; d < len(rr.Ref.Subs)-1; d++ {
-		s += "|" + rr.Ref.Subs[d].String()
+// same reports whether two reference rules have one communication
+// pattern, for deduplication and PRE: array, kind, sweep variable, rest
+// expression, write flag and row subscripts.
+func (rr *RefRule) same(o *RefRule) bool {
+	if rr.Ref.Array.Name != o.Ref.Array.Name || rr.Kind != o.Kind || rr.SweepVar != o.SweepVar ||
+		!rr.Rest.Equal(o.Rest) || rr.IsWrite != o.IsWrite {
+		return false
 	}
-	return s
+	for d := 0; d < len(rr.Ref.Subs)-1; d++ {
+		if !rr.Ref.Subs[d].Equal(o.Ref.Subs[d]) {
+			return false
+		}
+	}
+	return true
 }

@@ -106,6 +106,13 @@ func (a AffExpr) TryEval(env map[string]int) (int, bool) {
 // IsConst reports whether the expression has no variable terms.
 func (a AffExpr) IsConst() bool { return len(a.Terms) == 0 }
 
+// Equal reports whether a and b are the same affine function: a-b is the
+// zero constant.
+func (a AffExpr) Equal(b AffExpr) bool {
+	d := a.Sub(b)
+	return d.IsConst() && d.Const == 0
+}
+
 // Coef returns the coefficient of variable v (0 if absent).
 func (a AffExpr) Coef(v string) int {
 	for _, t := range a.Terms {

@@ -26,6 +26,25 @@ func TestAffCancellation(t *testing.T) {
 	}
 }
 
+// TestAffEqualMatchesText: over canonical expressions, Equal is exactly
+// the equality of their printed forms, which it replaced as the
+// compiler's identity test; a term order only a literal can produce
+// still compares by value.
+func TestAffEqualMatchesText(t *testing.T) {
+	f := func(a, b, c, x, y, z int8) bool {
+		e := V("i").Scale(int(a) % 3).Add(V("j").Scale(int(b) % 3)).AddC(int(c) % 3)
+		g := V("i").Scale(int(x) % 3).Add(V("j").Scale(int(y) % 3)).AddC(int(z) % 3)
+		return e.Equal(g) == (e.String() == g.String())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	swapped := AffExpr{Const: 1, Terms: []Term{{"j", 1}, {"i", 2}}}
+	if !swapped.Equal(V("i").Scale(2).Add(V("j")).AddC(1)) || swapped.Equal(V("i").Add(V("j")).AddC(1)) {
+		t.Fatal("Equal does not compare term lists by value")
+	}
+}
+
 func TestAffUnboundPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hpfdsm/internal/apps"
@@ -139,6 +142,44 @@ func TestCheckpointOnlyRunIsInert(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCkptDirErrorsAreReported: a checkpoint directory that cannot be
+// made fails the run before it simulates, and a checkpoint that cannot
+// be written fails it at the end — both used to be dropped without a
+// word, leaving nothing on disk.
+func TestCkptDirErrorsAreReported(t *testing.T) {
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	blocked := filepath.Join(tmp, "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The blob's own path is a directory: every write of it fails.
+	unwritable := filepath.Join(tmp, "dir")
+	if err := os.MkdirAll(filepath.Join(unwritable, prog.Name+".ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ dir, want string }{
+		{filepath.Join(blocked, "sub"), "runtime: checkpoint directory " + filepath.Join(blocked, "sub") + ": "},
+		{unwritable, "runtime: checkpoint: open " + filepath.Join(unwritable, prog.Name+".ckpt") + ": "},
+	} {
+		_, err := Run(prog, Options{Machine: config.Default(), Opt: compiler.OptRTElim, Checkpoint: true, CkptDir: c.dir})
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("-ckpt-dir %s: error %v, want one starting %q", c.dir, err, c.want)
+		}
+	}
+	dir := filepath.Join(tmp, "made", "here")
+	if _, err := Run(prog, Options{Machine: config.Default(), Opt: compiler.OptRTElim, Checkpoint: true, CkptDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, prog.Name+".ckpt")); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -204,17 +204,19 @@ type recovery struct {
 	detected     int64
 	lostTime     sim.Time
 	checksBefore int64 // BarrierChecks accumulated by aborted attempts
+	err          error // the first failed write to dir
 }
 
-// keep installs a freshly captured checkpoint as the recovery point.
+// keep installs a freshly captured checkpoint as the recovery point,
+// and persists it to dir when one is set (a diagnostic artifact that
+// recovery never reads back).
 func (rec *recovery) keep(blob []byte) {
 	rec.blob = blob
 	rec.taken++
 	rec.bytes += int64(len(blob))
-	if rec.dir != "" {
-		// Best-effort diagnostic artifact; recovery never reads it back.
-		if os.MkdirAll(rec.dir, 0o755) == nil {
-			_ = os.WriteFile(filepath.Join(rec.dir, rec.prog+".ckpt"), blob, 0o644)
+	if rec.dir != "" && rec.err == nil {
+		if err := os.WriteFile(filepath.Join(rec.dir, rec.prog+".ckpt"), blob, 0o644); err != nil {
+			rec.err = fmt.Errorf("runtime: checkpoint: %w (program %s)", err, rec.prog)
 		}
 	}
 }
@@ -266,9 +268,17 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 		dir:     opt.CkptDir,
 		prog:    prog.Name,
 	}
+	if rec.enabled && rec.dir != "" {
+		if err := os.MkdirAll(rec.dir, 0o755); err != nil {
+			return nil, fmt.Errorf("runtime: checkpoint directory %s: %w (program %s)", rec.dir, err, prog.Name)
+		}
+	}
 	startAt := sim.Time(0)
 	for attempt := 0; ; attempt++ {
 		res, crash, err := runAttempt(prog, opt, rec, startAt, attempt)
+		if err == nil {
+			err = rec.err
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"hpfdsm/internal/analysis"
 	"hpfdsm/internal/apps"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
@@ -146,7 +148,8 @@ func (s fuzzShape) program() *ir.Program {
 // written, a few iterations behind or ahead), the loop's bounds and the
 // innermost step, a loop runs the same in strips as in checked mode, and
 // a subscript that leaves its dimension is an error from both — never a
-// panic, never a silent read of a neighbouring column.
+// panic, never a silent read of a neighbouring column — and a
+// program/subscript error from the static verifier.
 func FuzzLoopShapes(f *testing.F) {
 	f.Add(uint8(40), uint8(24), uint8(4), uint8(8), false, int8(1), int8(-1), int8(1), uint8(2), uint8(1), uint8(0), uint8(1), int8(0))
 	f.Add(uint8(50), uint8(7), uint8(2), uint8(5), true, int8(-1), int8(51), int8(0), uint8(1), uint8(3), uint8(0), uint8(0), int8(-1))
@@ -175,6 +178,16 @@ func FuzzLoopShapes(f *testing.F) {
 				t.Fatalf("%+v/%v: run succeeded = %v, want %v: the reads span rows %d..%d and %d..%d of 1..%d, columns %d..%d of 1..%d",
 					s, lv, ok, want, first, last, s.lo+s.ob, ihi+s.ob, s.n1, s.jlo+s.oj, s.jhi+s.oj, s.n2)
 			}
+		}
+		// The verifier says so too, statically: program/subscript exactly
+		// when the run fails.
+		rep, err := analysis.Verify(s.program(), mc, compiler.OptNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flagged := slices.ContainsFunc(rep.Diags, func(d analysis.Diag) bool { return d.Rule == analysis.RuleSubscript })
+		if flagged == want {
+			t.Fatalf("%+v: the verifier reports %s = %v, but the run succeeds = %v:\n%s", s, analysis.RuleSubscript, flagged, want, rep)
 		}
 	})
 }
