@@ -12,10 +12,7 @@
 package protocol
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 
 	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/memory"
@@ -116,10 +113,7 @@ func (p *Proto) Capture() *checkpoint.Snapshot {
 				Stale:   append([]uint64(nil), e.stale.words()...),
 			})
 		}
-		done := slices.SortedFunc(maps.Keys(np.iwDone), func(a, b BlockRun) int {
-			return cmp.Or(a.Start-b.Start, a.N-b.N)
-		})
-		for _, r := range done {
+		for _, r := range np.iwDone {
 			ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
 		}
 		ns.CCFrames = np.packFlag(flagCCFrame)
@@ -185,9 +179,9 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			e.stale.loadWords(d.Stale)
 			np.dir[slot] = e
 		}
-		np.iwDone = make(map[BlockRun]bool, len(ns.IWDone))
+		np.iwDone = np.iwDone[:0]
 		for _, k := range ns.IWDone {
-			np.iwDone[BlockRun{Start: int(k.A), N: int(k.B)}] = true
+			np.iwDone = append(np.iwDone, BlockRun{Start: int(k.A), N: int(k.B)})
 		}
 		for b := range np.flags {
 			np.flags[b] = flagIf(ns.CCFrames[b], flagCCFrame) | flagIf(ns.CCTouched[b], flagCCTouched) | flagIf(ns.SCHold[b], flagSCHold)

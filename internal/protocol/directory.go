@@ -11,8 +11,8 @@ import (
 // hold readonly copies (sharers) and which hold writable copies
 // (writers; more than one is legal under the multiple-writer protocol).
 // Requests against a block are serviced one at a time: while a request
-// is collecting flushes or invalidation acknowledgements the entry is
-// busy and later requests queue.
+// is collecting flushes or invalidation acknowledgements it is the
+// entry's cur, the entry is busy, and later requests queue.
 type dirEntry struct {
 	sharers nodeset
 	writers nodeset
@@ -25,15 +25,17 @@ type dirEntry struct {
 	// data-agreement audit must not compare those copies against home.
 	stale nodeset
 
-	busy    bool
-	cur     *dirReq
+	cur     dirReq // the request collecting; kind 0 when none
 	pending int
-	waitQ   []*dirReq
+	waitQ   []dirReq
 }
+
+// busy reports that a request is collecting copies for the entry.
+func (e *dirEntry) busy() bool { return e.cur.kind != 0 }
 
 // idle reports that no transaction is collecting or queued on the entry.
 func (e *dirEntry) idle() bool {
-	return !e.busy && e.pending == 0 && len(e.waitQ) == 0 && e.cur == nil
+	return !e.busy() && e.pending == 0 && len(e.waitQ) == 0
 }
 
 // newDirEntry allocates an entry with sets sized for an n-node cluster.
@@ -43,14 +45,13 @@ func newDirEntry(n int) *dirEntry {
 	return e
 }
 
-// dirReq is one directory transaction. For remote requesters the reply
-// is a message; for the home node's own faults (and local mk_writable
-// work) the completion runs the local callback instead.
+// dirReq is one directory transaction, passed and queued by value. A
+// remote requester's reply is a message; the home's own read, write or
+// upgrade (src is the home) completes in place (finish).
 type dirReq struct {
 	kind  network.Kind
 	block int
 	src   int
-	local func() // non-nil for home-local requests
 
 	needData bool    // mk_writable: requester lacks the data
 	agg      *mkwAgg // mk_writable aggregation, nil otherwise
@@ -83,13 +84,13 @@ func (np *nodeProto) entry(b int) *dirEntry {
 // (scHold, sequential consistency) are deferred briefly, except the
 // holder's own — progress is guaranteed because the held store retires
 // at the already-scheduled resume time.
-func (np *nodeProto) enqueue(r *dirReq) {
+func (np *nodeProto) enqueue(r dirReq) {
 	if np.flags[r.block]&flagSCHold != 0 && r.src != np.id {
 		np.later(func() { np.enqueue(r) })
 		return
 	}
 	e := np.entry(r.block)
-	if e.busy {
+	if e.busy() {
 		e.waitQ = append(e.waitQ, r)
 		return
 	}
@@ -99,7 +100,7 @@ func (np *nodeProto) enqueue(r *dirReq) {
 // start begins servicing r: it collects remote copies (flushes from
 // writers, invalidation acks from sharers) as the request type demands,
 // then finishes immediately if nothing remote is outstanding.
-func (np *nodeProto) start(e *dirEntry, r *dirReq) {
+func (np *nodeProto) start(e *dirEntry, r dirReq) {
 	mem := np.n.Mem
 	mc := np.n.MC
 	need := 0
@@ -167,7 +168,7 @@ func (np *nodeProto) start(e *dirEntry, r *dirReq) {
 			}
 		}
 		if tree := np.p.tree; tree != nil {
-			need += np.invalSharersTree(e, r, invalSharer)
+			need += np.invalSharersTree(e, r.src, r.block, invalSharer)
 		} else {
 			for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
 				if s != r.src {
@@ -180,7 +181,6 @@ func (np *nodeProto) start(e *dirEntry, r *dirReq) {
 	}
 
 	if need > 0 {
-		e.busy = true
 		e.cur = r
 		e.pending = need
 		return
@@ -208,7 +208,7 @@ func (e *dirEntry) forget(id int) {
 // acknowledgement for it has just arrived.
 func (np *nodeProto) collecting(b int) *dirEntry {
 	e := np.lookup(b)
-	if e == nil || !e.busy {
+	if e == nil || !e.busy() {
 		panic(fmt.Sprintf("protocol: node %d got a collection response for idle block %d", np.id, b))
 	}
 	return e
@@ -236,27 +236,26 @@ func (np *nodeProto) retire(b int, e *dirEntry, n int) {
 		return
 	}
 	r := e.cur
-	e.cur = nil
-	e.busy = false
+	e.cur = dirReq{}
 	np.finish(e, r)
 	np.drain(b, e)
 }
 
-// drain services queued requests until the entry goes busy again.
+// drain services queued requests, in place, until the entry goes busy.
 func (np *nodeProto) drain(b int, e *dirEntry) {
-	for !e.busy && len(e.waitQ) > 0 {
+	for !e.busy() && len(e.waitQ) > 0 {
 		r := e.waitQ[0]
-		e.waitQ = e.waitQ[1:]
+		e.waitQ = e.waitQ[:copy(e.waitQ, e.waitQ[1:])]
 		np.occupy(np.n.MC.HandlerCost)
 		np.start(e, r)
 	}
 }
 
 // finish completes a serviced request: updates the directory masks and
-// delivers the reply (message or local callback). Home memory is
-// current at this point: all remote writers' dirty words were merged
-// during collection.
-func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
+// delivers the reply (a message, or doneLocal for the home's own). Home
+// memory is current at this point: all remote writers' dirty words were
+// merged during collection.
+func (np *nodeProto) finish(e *dirEntry, r dirReq) {
 	mem := np.n.Mem
 	mc := np.n.MC
 
@@ -264,11 +263,11 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 	case KReadReq:
 		e.sharers.set(r.src)
 		e.stale.clear(r.src) // fresh, fully merged copy
-		if r.local != nil {
+		if r.src == np.id {
 			np.occupy(mc.TagChange)
 			mem.SetTag(r.block, memory.ReadOnly)
 			mem.ClearDirty(r.block)
-			r.local()
+			np.doneLocal(r)
 			return
 		}
 		np.occupy(mc.BlockCopy)
@@ -276,13 +275,13 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 
 	case KWriteReq:
 		e.ownedBy(r.src)
-		if r.local != nil {
+		if r.src == np.id {
 			// Home-local write miss: home memory is the data and the
 			// fault already opened the frame; keep the dirty mask (the
 			// processor may have written during the transaction).
 			np.occupy(mc.TagChange)
 			mem.SetTag(r.block, memory.ReadWrite)
-			r.local()
+			np.doneLocal(r)
 			return
 		}
 		np.occupy(mc.BlockCopy)
@@ -297,8 +296,8 @@ func (np *nodeProto) finish(e *dirEntry, r *dirReq) {
 			// whatever staleness the copy already carried.
 			e.stale.clear(r.src)
 		}
-		if r.local != nil {
-			r.local()
+		if r.src == np.id {
+			np.doneLocal(r)
 			return
 		}
 		if !hadCopy {

@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
@@ -159,7 +161,7 @@ func (a *mkwAgg) add(er encRun) {
 func (np *nodeProto) enqueueMkWritable(runs []encRun, agg *mkwAgg) {
 	for _, er := range runs {
 		for b := er.Start; b < er.Start+er.N; b++ {
-			np.enqueue(&dirReq{kind: KMkWritableReq, block: b, src: agg.src, needData: er.needData, agg: agg})
+			np.enqueue(dirReq{kind: KMkWritableReq, block: b, src: agg.src, needData: er.needData, agg: agg})
 		}
 	}
 }
@@ -286,11 +288,12 @@ func (x *Ext) ImplicitWritable(p *sim.Proc, runs []BlockRun, firstTimeOnly bool)
 			np.flags[b] |= flagCCFrame
 		}
 		if firstTimeOnly {
-			if np.iwDone[r] {
+			i, seen := slices.BinarySearchFunc(np.iwDone, r, cmpRun)
+			if seen {
 				p.Sleep(mc.TagChange) // the test-only fast path
 				continue
 			}
-			np.iwDone[r] = true
+			np.iwDone = slices.Insert(np.iwDone, i, r)
 		}
 		p.Sleep(sim.Time(r.N) * mc.TagChange)
 		for b := r.Start; b < r.Start+r.N; b++ {
@@ -299,6 +302,11 @@ func (x *Ext) ImplicitWritable(p *sim.Proc, runs []BlockRun, firstTimeOnly bool)
 		did = true
 	}
 	return did
+}
+
+// cmpRun orders runs by (Start, N), as iwDone and a snapshot keep them.
+func cmpRun(a, b BlockRun) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.N, b.N))
 }
 
 // ImplicitInvalidate invalidates every block in runs locally, restoring
@@ -420,7 +428,7 @@ func (x *Ext) FlushBlocks(p *sim.Proc, owner int, runs []BlockRun, mode SendMode
 func (np *nodeProto) ccFlushDir(start, n, owner, flusher int) {
 	for b := start; b < start+n; b++ {
 		e := np.entry(b)
-		if e.busy {
+		if e.busy() {
 			np.later(func() { np.ccFlushDir(b, 1, owner, flusher) })
 			continue
 		}

@@ -3,8 +3,6 @@ package protocol
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 
 	"hpfdsm/internal/memory"
@@ -60,7 +58,7 @@ func (p *Proto) audit(quiescent bool) error {
 		if e != nil && !e.idle() {
 			if quiescent {
 				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
-					b, p.blockInfo(b), e.busy, e.pending, len(e.waitQ))
+					b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
 			}
 			continue // mid-transaction at a barrier instant; nothing to audit
 		}
@@ -172,26 +170,13 @@ func (p *Proto) DumpOutstanding() string {
 				lines = append(lines, fmt.Sprintf("directory block %d%s busy (pending=%d queued=%d)", b, p.blockInfo(b), e.pending, len(e.waitQ)))
 			}
 		}
-		for _, b := range slices.Sorted(maps.Keys(np.relay)) {
-			rs := np.relay[b]
+		for _, rs := range np.relay {
 			lines = append(lines, fmt.Sprintf("relay round for block %d%s open (%d/%d leaves answered, home %d)",
-				b, p.blockInfo(b), rs.got, rs.expect, rs.home))
+				rs.block, p.blockInfo(rs.block), rs.got, rs.expect, rs.home))
 		}
 		for _, l := range lines {
 			fmt.Fprintf(&out, "  node %d: %s\n", np.id, l)
 		}
 	}
 	return out.String()
-}
-
-// TagCensus counts block tags across the cluster (diagnostics).
-func (p *Proto) TagCensus() map[memory.Tag]int {
-	out := map[memory.Tag]int{}
-	nb := p.C.Space.NumBlocks()
-	for _, np := range p.nodes {
-		for b := 0; b < nb; b++ {
-			out[np.n.Mem.Tag(b)]++
-		}
-	}
-	return out
 }

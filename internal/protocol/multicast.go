@@ -31,8 +31,10 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
 	mbits "math/bits"
+	"slices"
 
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
@@ -43,6 +45,7 @@ import (
 // The home serializes directory transactions per block, so at most
 // one round per block can involve this relay at a time.
 type relayState struct {
+	block  int
 	home   int // the requesting home node (gets the combined ack)
 	expect int // leaves to hear from, including the relay itself
 	got    int
@@ -50,20 +53,20 @@ type relayState struct {
 }
 
 // invalSharersTree performs the home side of the fan-out: it buckets
-// e's remote sharers (excluding r.src) by cluster, invalidates the
+// e's remote sharers (excluding src) by cluster, invalidates the
 // home's own copy locally, sends singleton clusters a plain KInval via
 // invalOne (which does its own need accounting), drops sharers already
 // declared dead (their copies died with them), and opens one relay
 // round per multi-sharer cluster. It returns the number of relayed
 // sharers, which the caller adds to the entry's pending count.
-func (np *nodeProto) invalSharersTree(e *dirEntry, r *dirReq, invalOne func(s int)) int {
+func (np *nodeProto) invalSharersTree(e *dirEntry, src, b int, invalOne func(s int)) int {
 	tr := np.p.tree
 	if np.clusterMask == nil {
 		np.clusterMask = make([]uint64, tr.Clusters())
 	}
 	touched := np.clusterScratch[:0]
 	for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
-		if s == r.src {
+		if s == src {
 			continue
 		}
 		if s == np.id {
@@ -103,7 +106,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, r *dirReq, invalOne func(s in
 			invalOne(base + mbits.TrailingZeros64(live))
 			continue
 		}
-		np.ctrl(base+mbits.TrailingZeros64(live), KInvalTree, r.block, int64(live), 0)
+		np.ctrl(base+mbits.TrailingZeros64(live), KInvalTree, b, int64(live), 0)
 		extra += mbits.OnesCount64(live)
 		np.invalRounds++
 	}
@@ -122,14 +125,12 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 	mc := np.n.MC
 	np.occupy(mc.HandlerCost)
 	leaves := uint64(m.Arg)
-	if np.relay == nil {
-		np.relay = make(map[int]*relayState)
-	}
-	if _, dup := np.relay[b]; dup {
+	i, dup := np.relayRound(b)
+	if dup {
 		panic(fmt.Sprintf("protocol: node %d got overlapping relay rounds for block %d", np.id, b))
 	}
-	rs := &relayState{home: m.Src, expect: mbits.OnesCount64(leaves), got: 1}
-	np.relay[b] = rs
+	np.relay = slices.Insert(np.relay, i, relayState{block: b, home: m.Src, expect: mbits.OnesCount64(leaves), got: 1})
+	rs := &np.relay[i]
 
 	// The relay is itself a sharer — the home picks the cluster's lowest
 	// live one — and gives its copy up like any other leaf.
@@ -143,7 +144,7 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 	for rest := leaves &^ (1 << myLeaf); rest != 0; rest &= rest - 1 {
 		np.ctrl(base+mbits.TrailingZeros64(rest), KInvalFwd, b, 0, int64(rs.home))
 	}
-	np.maybeCloseRelay(b, rs)
+	np.maybeCloseRelay(i)
 }
 
 // hInvalFwd runs at a fan-out leaf: the relay (m.Src) wants our copy
@@ -181,25 +182,32 @@ func (np *nodeProto) markOvertaken(b int) {
 // hInvalAckFwd runs at the relay: one leaf has answered.
 func (np *nodeProto) hInvalAckFwd(hc *tempest.HContext, m *network.Message) {
 	b := m.Addr
-	rs := np.relay[b]
-	if rs == nil {
+	i, open := np.relayRound(b)
+	if !open {
 		panic(fmt.Sprintf("protocol: node %d got a fan-out ack for block %d with no relay round open", np.id, b))
 	}
+	rs := &np.relay[i]
 	np.occupy(np.n.MC.HandlerCost)
 	if m.Arg == 0 {
 		rs.clean |= 1 << uint(np.p.tree.LeafOf(m.Src))
 	}
 	rs.got++
-	np.maybeCloseRelay(b, rs)
+	np.maybeCloseRelay(i)
 }
 
-// maybeCloseRelay sends the combined ack once every leaf answered.
-func (np *nodeProto) maybeCloseRelay(b int, rs *relayState) {
+// relayRound returns where block b's fan-out round is (open) or goes.
+func (np *nodeProto) relayRound(b int) (int, bool) {
+	return slices.BinarySearchFunc(np.relay, b, func(rs relayState, b int) int { return cmp.Compare(rs.block, b) })
+}
+
+// maybeCloseRelay sends round i's combined ack once every leaf answered.
+func (np *nodeProto) maybeCloseRelay(i int) {
+	rs := np.relay[i]
 	if rs.got < rs.expect {
 		return
 	}
-	delete(np.relay, b)
-	np.ctrl(rs.home, KInvalAckTree, b, int64(rs.clean), 0)
+	np.relay = slices.Delete(np.relay, i, i+1)
+	np.ctrl(rs.home, KInvalAckTree, rs.block, int64(rs.clean), 0)
 }
 
 // hInvalAckTree runs at the home: one cluster's combined clean-ack.

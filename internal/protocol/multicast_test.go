@@ -112,8 +112,8 @@ func TestTreeInvalSkipsCrashedSharer(t *testing.T) {
 	if e == nil {
 		t.Fatal("home has no directory entry for the contested block")
 	}
-	if e.busy || e.pending != 0 {
-		t.Fatalf("round did not close: busy=%v pending=%d", e.busy, e.pending)
+	if e.busy() || e.pending != 0 {
+		t.Fatalf("round did not close: busy=%v pending=%d", e.busy(), e.pending)
 	}
 	if e.sharers.has(6) {
 		t.Fatal("crashed sharer 6 still in the directory sharer set")

@@ -188,10 +188,11 @@ type nodeProto struct {
 	// asked for (entry).
 	dir []*dirEntry
 
-	// fill completes the compute process's blocking miss on fillBlock;
-	// nil when none is outstanding. The node's one compute process
-	// blocks on it, so there is never a second.
+	// fill completes the compute process's blocking miss on fillBlock,
+	// remote or home-local: nil when none is outstanding, else fillSig,
+	// rearmed per miss. The node's one compute process blocks on it.
 	fill      *sim.Signal
+	fillSig   sim.Signal
 	fillBlock int
 
 	// flags holds one byte of bookkeeping per block of the segment (the
@@ -199,10 +200,10 @@ type nodeProto struct {
 	flags []uint8
 
 	// Compiler-controlled transfer bookkeeping.
-	ccRecv     *sim.Counter      // blocks received via KCCData / KCCFlush
-	ccExpected int64             // cumulative blocks announced via ExpectBlocks
-	mkwCount   *sim.Counter      // blocks confirmed for the current mk_writable
-	iwDone     map[BlockRun]bool // ranges implicit_writable has processed (first-time-only)
+	ccRecv     *sim.Counter // blocks received via KCCData / KCCFlush
+	ccExpected int64        // cumulative blocks announced via ExpectBlocks
+	mkwCount   *sim.Counter // blocks confirmed for the current mk_writable
+	iwDone     []BlockRun   // ranges implicit_writable has processed (first-time-only), by (Start, N)
 
 	// coal is this node's NIC-level coalescing scheduler, nil unless
 	// aggregation is enabled (EnableAggregation). When set,
@@ -221,11 +222,11 @@ type nodeProto struct {
 
 	// Multicast fan-out state (tree topology only; see multicast.go).
 	// clusterMask/clusterScratch are the home-side per-round bucketing
-	// scratch; relay holds this node's open fan-out rounds by block;
-	// invalRounds counts rounds this home opened (diagnostic).
+	// scratch; relay holds this node's open fan-out rounds in block
+	// order; invalRounds counts rounds this home opened (diagnostic).
 	clusterMask    []uint64
 	clusterScratch []int
-	relay          map[int]*relayState
+	relay          []relayState
 	invalRounds    int64
 }
 
@@ -273,7 +274,6 @@ func Attach(c *tempest.Cluster) *Proto {
 			flags:    make([]uint8, c.Space.NumBlocks()),
 			ccRecv:   sim.NewCounter(),
 			mkwCount: sim.NewCounter(),
-			iwDone:   make(map[BlockRun]bool),
 		}
 		p.nodes = append(p.nodes, np)
 		n.Fault = np.fault
@@ -485,15 +485,26 @@ func (np *nodeProto) postFromCompute(p *sim.Proc, d sim.Time, dst int, kind netw
 	np.request(dst, kind, addr, arg, arg2)
 }
 
-// blockingMiss sends the home a request the compute process then waits
-// on: sig fires when the reply has been installed.
-func (np *nodeProto) blockingMiss(p *sim.Proc, d sim.Time, home int, kind network.Kind, b int, sig *sim.Signal) {
-	p.Sleep(d + np.n.MC.SendOver)
+// blockingMiss asks block b's home for it, after the fault's cost d, and
+// blocks the compute process until the reply has been installed. The
+// home's own miss goes straight into its directory, whose finish
+// completes it; anyone else's is a request message.
+func (np *nodeProto) blockingMiss(p *sim.Proc, d sim.Time, home int, kind network.Kind, b int) {
+	if home != np.id {
+		d += np.n.MC.SendOver
+	}
+	p.Sleep(d)
 	if np.fill != nil {
 		panic(fmt.Sprintf("protocol: node %d has two blocking misses, on blocks %d and %d", np.id, np.fillBlock, b))
 	}
-	np.fill, np.fillBlock = sig, b
-	np.request(home, kind, b, 0, 0)
+	np.fillSig.Reset()
+	np.fill, np.fillBlock = &np.fillSig, b
+	if home == np.id {
+		np.enqueue(dirReq{kind: kind, block: b, src: np.id})
+	} else {
+		np.request(home, kind, b, 0, 0)
+	}
+	np.fillSig.Wait(p)
 }
 
 // --- Fault path (compute-process context) ----------------------------
@@ -523,19 +534,7 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 		if mc.Consistency == config.SequentiallyConsistent {
 			// Conservative model: the store stalls until ownership (and
 			// data, on a miss) arrive.
-			sig := sim.NewSignal()
-			if home == np.id {
-				p.Sleep(d)
-				//simlint:ignore hotalloc -- one transaction descriptor (and completion closure) per SC write miss; its lifetime spans the directory round-trip, and the miss itself costs microseconds of simulated time
-				np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func() {
-					n.Mem.SetTag(b, memory.ReadWrite)
-					np.flags[b] |= flagSCHold
-					sig.Fire()
-				}})
-			} else {
-				np.blockingMiss(p, d, home, kind, b, sig)
-			}
-			sig.Wait(p)
+			np.blockingMiss(p, d, home, kind, b)
 			// The store retires now (no yield between here and the
 			// write); release the hold taken at grant time.
 			np.flags[b] &^= flagSCHold
@@ -557,26 +556,15 @@ func (np *nodeProto) fault(p *sim.Proc, addr int, write bool) {
 			return
 		}
 		p.Sleep(d)
-		//simlint:ignore hotalloc -- one descriptor per home-local write miss; pooled reuse would have to survive crash teardown (PR 6) for no measurable win at the miss rate the bench gates
-		np.enqueue(&dirReq{kind: kind, block: b, src: np.id, local: func() {
-			n.DonePending()
-		}})
+		np.enqueue(dirReq{kind: kind, block: b, src: np.id})
 		return
 	}
-
-	sig := sim.NewSignal()
-	if home == np.id {
-		p.Sleep(d)
-		//simlint:ignore hotalloc -- one descriptor per home-local read miss, same trade as the write-miss descriptors above
-		np.enqueue(&dirReq{kind: KReadReq, block: b, src: np.id, local: func() { sig.Fire() }})
-	} else {
-		np.blockingMiss(p, d, home, KReadReq, b, sig)
-	}
-	sig.Wait(p)
+	np.blockingMiss(p, d, home, KReadReq, b)
 }
 
 // --- Requester-side response handlers --------------------------------
 
+// fillDone wakes the compute process blocked on block b, if any.
 func (np *nodeProto) fillDone(b int) {
 	sig := np.fill
 	if sig == nil || np.fillBlock != b {
@@ -600,6 +588,22 @@ func (np *nodeProto) grantSC(b int) {
 	np.n.Mem.SetTag(b, memory.ReadWrite)
 	np.flags[b] |= flagSCHold
 	np.resume(b)
+}
+
+// doneLocal completes the home's own read, write or upgrade in place,
+// with no event in between, as the reply's handler would a remote one
+// (a sequentially consistent store's block held until it retires).
+func (np *nodeProto) doneLocal(r dirReq) {
+	switch {
+	case r.kind == KReadReq:
+	case np.n.MC.Consistency == config.SequentiallyConsistent:
+		np.n.Mem.SetTag(r.block, memory.ReadWrite)
+		np.flags[r.block] |= flagSCHold
+	default:
+		np.n.DonePending()
+		return
+	}
+	np.fillDone(r.block)
 }
 
 func (np *nodeProto) hReadResp(hc *tempest.HContext, m *network.Message) {
@@ -743,9 +747,11 @@ func (np *nodeProto) deferMsg(m *network.Message, h func(*tempest.HContext, *net
 
 // hDirReq: a remote read, write or upgrade request for a block homed
 // here becomes a directory transaction of the message's kind.
+//
+//simlint:hotpath
 func (np *nodeProto) hDirReq(hc *tempest.HContext, m *network.Message) {
 	np.occupy(np.n.MC.HandlerCost)
-	np.enqueue(&dirReq{kind: m.Kind, block: m.Addr, src: m.Src})
+	np.enqueue(dirReq{kind: m.Kind, block: m.Addr, src: m.Src})
 }
 
 func (np *nodeProto) hPutDataResp(hc *tempest.HContext, m *network.Message) {

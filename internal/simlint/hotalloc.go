@@ -23,7 +23,7 @@ import (
 //
 // Plain value literals (T{...} of struct/array type) are not flagged:
 // they live on the stack. A justified allocation — a freelist growing
-// to its high-water mark, a per-miss transaction descriptor — carries
+// to its high-water mark — carries
 // //simlint:ignore hotalloc -- <reason> and shows up in the summary.
 // The annotation is available in every package: hot paths exist
 // outside the deterministic set too.
