@@ -79,7 +79,8 @@ type DirEntry struct {
 	Stale   []uint64
 }
 
-// IWKey is one completed install-window key (block, writer).
+// IWKey is one done implicit_writable run: its first block (A) and its
+// length in blocks (B), the Start and N of the run.
 type IWKey struct {
 	A, B int32
 }
@@ -88,9 +89,10 @@ type IWKey struct {
 var statsSize = binary.Size(stats.Node{})
 
 // Encode serializes the snapshot: magic, version, payload, CRC32
-// (IEEE) of everything preceding the checksum.
+// (IEEE) of everything preceding the checksum. The result is allocated
+// once, at its exact length.
 func Encode(s *Snapshot) []byte {
-	w := &writer{}
+	w := &writer{buf: make([]byte, 0, encodedSize(s))}
 	w.raw([]byte(Magic))
 	w.u32(Version)
 	w.i64(s.Epoch)
@@ -107,6 +109,32 @@ func Encode(s *Snapshot) []byte {
 	}
 	w.u32(crc32.ChecksumIEEE(w.buf))
 	return w.buf
+}
+
+// encodedSize returns the length of Encode(s).
+func encodedSize(s *Snapshot) int {
+	n := len(Magic) + 4 + 4*8 + 4 + 8*len(s.Journal) + 4
+	for i := range s.Nodes {
+		n += nodeSize(&s.Nodes[i])
+	}
+	return n + 4
+}
+
+// nodeSize returns the encoded length of one node, field by field in
+// encodeNode's order; every count and blob length is a u32.
+func nodeSize(n *NodeState) int {
+	size := 4 + len(n.Tags) + 4 + 2*len(n.Dirty) + 4 + len(n.Mapped)
+	size += 4
+	for _, b := range n.Blocks {
+		size += 4 + 4 + len(b.Data)
+	}
+	size += 4
+	for _, d := range n.Dir {
+		size += 4 + 3*4 + 8*(len(d.Sharers)+len(d.Writers)+len(d.Stale))
+	}
+	size += 4 + 8*len(n.IWDone)
+	size += 3*4 + len(n.CCFrames) + len(n.CCTouched) + len(n.SCHold)
+	return size + 2*8 + 4 + statsSize
 }
 
 func encodeNode(w *writer, n *NodeState) {
@@ -138,11 +166,11 @@ func encodeNode(w *writer, n *NodeState) {
 	w.blob(n.SCHold)
 	w.i64(n.CCRecv)
 	w.i64(n.CCExpected)
-	var sb bytes.Buffer
-	if err := binary.Write(&sb, binary.LittleEndian, &n.Stats); err != nil {
+	w.u32(uint32(statsSize))
+	var err error
+	if w.buf, err = binary.Append(w.buf, binary.LittleEndian, &n.Stats); err != nil {
 		panic(fmt.Sprintf("checkpoint: stats encode: %v", err))
 	}
-	w.blob(sb.Bytes())
 }
 
 // Decode parses and validates an encoded snapshot. It never panics on

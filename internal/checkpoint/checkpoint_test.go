@@ -155,3 +155,49 @@ func FuzzCheckpointCodec(f *testing.F) {
 		}
 	})
 }
+
+// wide builds a one-node snapshot of nb blocks, every one of them kept
+// as an image and carrying a directory entry.
+func wide(nb int) *Snapshot {
+	n := NodeState{
+		Tags:      make([]byte, nb),
+		Dirty:     make([]uint16, nb),
+		Mapped:    make([]byte, (nb+31)/32),
+		CCFrames:  make([]byte, nb),
+		CCTouched: make([]byte, nb),
+		SCHold:    make([]byte, nb),
+		IWDone:    []IWKey{{A: 0, B: int32(nb)}},
+	}
+	for b := 0; b < nb; b++ {
+		n.Blocks = append(n.Blocks, BlockImage{Block: int32(b), Data: make([]byte, 128)})
+		n.Dir = append(n.Dir, DirEntry{Block: int32(b), Sharers: []uint64{1}, Writers: []uint64{0}, Stale: []uint64{0}})
+	}
+	return &Snapshot{Epoch: 1, Journal: []float64{2}, Nodes: []NodeState{n, {}}}
+}
+
+// TestEncodeSizedOnce: Encode sizes its result before writing it, so
+// the blob is exactly as long as its allocation and the number of
+// allocations does not depend on how much state the snapshot holds.
+func TestEncodeSizedOnce(t *testing.T) {
+	for _, s := range []*Snapshot{sample(), wide(1), wide(4096)} {
+		if blob := Encode(s); len(blob) != cap(blob) {
+			t.Errorf("Encode returned %d bytes in a buffer of %d", len(blob), cap(blob))
+		}
+	}
+	small, large := wide(1), wide(4096)
+	a := testing.AllocsPerRun(20, func() { Encode(small) })
+	b := testing.AllocsPerRun(20, func() { Encode(large) })
+	if a != b {
+		t.Errorf("Encode allocates %v times for 1 block and %v times for 4096", a, b)
+	}
+}
+
+// BenchmarkEncode is the host cost of encoding a 4096-block snapshot.
+func BenchmarkEncode(b *testing.B) {
+	s := wide(4096)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(Encode(s))))
+	for b.Loop() {
+		Encode(s)
+	}
+}

@@ -207,6 +207,14 @@ func (m *NodeMem) Tag(b int) Tag { return m.tags[b] }
 // SetTag sets block b's access tag.
 func (m *NodeMem) SetTag(b int, t Tag) { m.tags[b] = t }
 
+// Tags returns the per-block tag table, indexed by block (aliasing the
+// node's state: callers read it and must not write it).
+func (m *NodeMem) Tags() []Tag { return m.tags }
+
+// DirtyMasks returns the per-block dirty-word masks, indexed by block
+// (aliasing the node's state: callers read it and must not write it).
+func (m *NodeMem) DirtyMasks() []uint16 { return m.dirty }
+
 // Mapped reports whether page pg has been mapped locally.
 func (m *NodeMem) Mapped(pg int) bool { return m.mapped[pg] }
 

@@ -46,8 +46,8 @@ func (p *Proto) Quiescent() bool {
 		if len(np.relay) != 0 {
 			return false
 		}
-		for _, e := range np.dir {
-			if e != nil && !e.idle() {
+		for i := range np.dir {
+			if !np.dir[i].idle() {
 				return false
 			}
 		}
@@ -60,68 +60,111 @@ func (p *Proto) Quiescent() bool {
 // here is a bug, not a race.
 func (p *Proto) Capture() *checkpoint.Snapshot {
 	c := p.C
-	sp := c.Space
-	nb := sp.NumBlocks()
-	npg := sp.NumPages()
 	s := &checkpoint.Snapshot{
 		Epoch:      c.Epoch(),
 		SimTime:    int64(c.Env.Now()),
 		TimerStart: int64(c.TimerStart),
 		ReduceGen:  c.ReduceGen(),
 		Journal:    append([]float64(nil), c.ReduceJournal...),
+		Nodes:      make([]checkpoint.NodeState, len(p.nodes)),
 	}
-	for _, np := range p.nodes {
-		mem := np.n.Mem
-		ns := checkpoint.NodeState{
-			Tags:       make([]byte, nb),
-			Dirty:      make([]uint16, nb),
-			Mapped:     make([]byte, npg),
-			CCRecv:     np.ccRecv.Value(),
-			CCExpected: np.ccExpected,
-			Stats:      *np.n.St,
-		}
-		for b := 0; b < nb; b++ {
-			ns.Tags[b] = byte(mem.Tag(b))
-			ns.Dirty[b] = mem.Dirty(b)
-			// A block matters if this node is its home (home memory is
-			// the authoritative copy) or holds a live or dirty cached
-			// copy; everything else is reconstructible garbage.
-			if sp.HomeOfBlock(b) == np.id || mem.Tag(b) != memory.Invalid || mem.Dirty(b) != 0 {
-				ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{
-					Block: int32(b),
-					Data:  append([]byte(nil), mem.BlockData(b)...),
-				})
-			}
-		}
-		for pg := 0; pg < npg; pg++ {
-			if mem.Mapped(pg) {
-				ns.Mapped[pg] = 1
-			}
-		}
-		for i, e := range np.dir {
-			if e == nil {
-				continue
-			}
-			b := sp.HomedBlock(np.id, i)
-			if !e.idle() {
-				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", b, np.id))
-			}
-			ns.Dir = append(ns.Dir, checkpoint.DirEntry{
-				Block:   int32(b),
-				Sharers: append([]uint64(nil), e.sharers.words()...),
-				Writers: append([]uint64(nil), e.writers.words()...),
-				Stale:   append([]uint64(nil), e.stale.words()...),
-			})
-		}
-		for _, r := range np.iwDone {
-			ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
-		}
-		ns.CCFrames = np.packFlag(flagCCFrame)
-		ns.CCTouched = np.packFlag(flagCCTouched)
-		ns.SCHold = np.packFlag(flagSCHold)
-		s.Nodes = append(s.Nodes, ns)
+	for k, np := range p.nodes {
+		np.capture(&s.Nodes[k])
 	}
 	return s
+}
+
+// capture fills ns with this node's state. The kept block images share
+// one arena and the directory sets another, each sized by a counting
+// pass, so the allocations do not grow with what the node caches.
+func (np *nodeProto) capture(ns *checkpoint.NodeState) {
+	mem := np.n.Mem
+	sp := mem.Space()
+	tags, dirty := mem.Tags(), mem.DirtyMasks()
+	*ns = checkpoint.NodeState{
+		Tags:       make([]byte, len(tags)),
+		Dirty:      make([]uint16, len(dirty)),
+		Mapped:     make([]byte, sp.NumPages()),
+		IWDone:     make([]checkpoint.IWKey, len(np.iwDone)),
+		CCFrames:   np.packFlag(flagCCFrame),
+		CCTouched:  np.packFlag(flagCCTouched),
+		SCHold:     np.packFlag(flagSCHold),
+		CCRecv:     np.ccRecv.Value(),
+		CCExpected: np.ccExpected,
+		Stats:      *np.n.St,
+	}
+	for b, t := range tags {
+		ns.Tags[b] = byte(t)
+	}
+	copy(ns.Dirty, dirty)
+	for pg := range ns.Mapped {
+		if mem.Mapped(pg) {
+			ns.Mapped[pg] = 1
+		}
+	}
+	for i, r := range np.iwDone {
+		ns.IWDone[i] = checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)}
+	}
+
+	kept := 0
+	np.keptBlocks(func(int) { kept++ })
+	bs := sp.BlockSize()
+	images := make([]byte, kept*bs)
+	ns.Blocks = make([]checkpoint.BlockImage, 0, kept)
+	np.keptBlocks(func(b int) {
+		data := images[:bs:bs]
+		images = images[bs:]
+		copy(data, mem.BlockData(b))
+		ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{Block: int32(b), Data: data})
+	})
+
+	made := 0
+	for i := range np.dir {
+		if e := &np.dir[i]; e.made() {
+			if !e.idle() {
+				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", sp.HomedBlock(np.id, i), np.id))
+			}
+			made++
+		}
+	}
+	w := nsWords(len(np.p.nodes))
+	words := make([]uint64, 3*w*made)
+	ns.Dir = make([]checkpoint.DirEntry, 0, made)
+	for i := range np.dir {
+		e := &np.dir[i]
+		if !e.made() {
+			continue
+		}
+		sets := words[: 3*w : 3*w]
+		words = words[3*w:]
+		copy(sets, e.sets)
+		ns.Dir = append(ns.Dir, checkpoint.DirEntry{
+			Block:   int32(sp.HomedBlock(np.id, i)),
+			Sharers: sets[:w:w],
+			Writers: sets[w : 2*w : 2*w],
+			Stale:   sets[2*w:],
+		})
+	}
+}
+
+// keptBlocks calls fn, in ascending order, on every block whose image a
+// snapshot of this node keeps: the blocks homed here (home memory is the
+// authoritative copy) and any other block with a live tag or dirty
+// words. Everything else is reconstructible garbage.
+func (np *nodeProto) keptBlocks(fn func(b int)) {
+	mem := np.n.Mem
+	sp := mem.Space()
+	tags, dirty := mem.Tags(), mem.DirtyMasks()
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	nn := len(np.p.nodes)
+	for pg := 0; pg < sp.NumPages(); pg++ {
+		homed := pg%nn == np.id
+		for b := pg * bpp; b < (pg+1)*bpp; b++ {
+			if homed || tags[b] != memory.Invalid || dirty[b] != 0 {
+				fn(b)
+			}
+		}
+	}
 }
 
 // Restore installs a snapshot on a freshly built cluster (same machine
@@ -139,10 +182,17 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 	}
 	for i, np := range p.nodes {
 		ns := &s.Nodes[i]
-		if len(ns.Tags) != nb || len(ns.Dirty) != nb || len(ns.Mapped) != npg ||
-			len(ns.CCFrames) != nb || len(ns.CCTouched) != nb || len(ns.SCHold) != nb {
-			return fmt.Errorf("protocol: snapshot node %d sized for a different segment (%d blocks, %d pages; want %d, %d)",
-				i, len(ns.Tags), len(ns.Mapped), nb, npg)
+		for _, t := range []struct {
+			name      string
+			got, want int
+		}{
+			{"Tags", len(ns.Tags), nb}, {"Dirty", len(ns.Dirty), nb}, {"Mapped", len(ns.Mapped), npg},
+			{"CCFrames", len(ns.CCFrames), nb}, {"CCTouched", len(ns.CCTouched), nb}, {"SCHold", len(ns.SCHold), nb},
+		} {
+			if t.got != t.want {
+				return fmt.Errorf("protocol: snapshot node %d sized for a different segment (%s has %d entries, want %d)",
+					i, t.name, t.got, t.want)
+			}
 		}
 		mem := np.n.Mem
 		for _, bi := range ns.Blocks {
@@ -162,8 +212,8 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			}
 		}
 		clear(np.dir)
-		nnodes := len(p.nodes)
-		words := nsWords(nnodes)
+		clear(np.slab)
+		words := nsWords(len(p.nodes))
 		for _, d := range ns.Dir {
 			b := int(d.Block)
 			home, slot := sp.HomeSlot(b)
@@ -173,11 +223,10 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			if len(d.Sharers) > words || len(d.Writers) > words || len(d.Stale) > words {
 				return fmt.Errorf("protocol: snapshot node %d directory entry for block %d sized for a larger cluster", i, b)
 			}
-			e := newDirEntry(nnodes)
-			e.sharers.loadWords(d.Sharers)
-			e.writers.loadWords(d.Writers)
-			e.stale.loadWords(d.Stale)
-			np.dir[slot] = e
+			e := np.makeEntry(slot)
+			copy(e.sharers(), d.Sharers)
+			copy(e.writers(), d.Writers)
+			copy(e.stale(), d.Stale)
 		}
 		np.iwDone = np.iwDone[:0]
 		for _, k := range ns.IWDone {

@@ -2,11 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/config"
+	"hpfdsm/internal/memory"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 )
@@ -104,5 +106,69 @@ func TestRestoreRefusesMissizedSnapshot(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want an error naming %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestRestoreNamesMissizedTable: a mis-sized table is named with its own
+// length, not the tag table's.
+func TestRestoreNamesMissizedTable(t *testing.T) {
+	h := sharedRun(t)
+	snap := h.p.Capture()
+	snap.Nodes[3].CCFrames = snap.Nodes[3].CCFrames[:5]
+	nb := h.space.NumBlocks()
+	want := fmt.Sprintf("protocol: snapshot node 3 sized for a different segment (CCFrames has 5 entries, want %d)", nb)
+	if err := newHarness(t, 4, 11, config.DualCPU).p.Restore(snap); err == nil || err.Error() != want {
+		t.Fatalf("Restore = %v, want %q", err, want)
+	}
+}
+
+// cachedRun leaves every node holding, besides its home pages, readonly
+// copies of the first `per` blocks of every page homed elsewhere, so
+// that every home has directory entries.
+func cachedRun(tb testing.TB, per int) *harness {
+	const nodes, pages = 4, 8
+	mc := config.Default().WithNodes(nodes).WithCPUMode(config.DualCPU)
+	sp := memory.NewSpace(mc)
+	base := sp.Alloc("arr", pages*mc.PageSize)
+	c := tempest.NewCluster(sim.NewEnv(), sp)
+	h := &harness{c: c, p: Attach(c), base: base, space: sp}
+	for id := 0; id < nodes; id++ {
+		h.run(id, "reader", func(p *sim.Proc, n *tempest.Node) {
+			for pg := 0; pg < pages; pg++ {
+				if pg%nodes == n.ID {
+					continue
+				}
+				for k := 0; k < per; k++ {
+					n.LoadF64(p, h.addrOnPage(pg, k*mc.BlockSize))
+				}
+			}
+			h.c.Barrier(p, n)
+		})
+	}
+	if err := h.c.Env.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// TestCaptureAllocs: a node's kept block images and directory sets are
+// copied into arenas, so a capture allocates as often whether the nodes
+// cache one block of each remote page or all of them.
+func TestCaptureAllocs(t *testing.T) {
+	few, many := cachedRun(t, 1), cachedRun(t, 32)
+	a := testing.AllocsPerRun(10, func() { few.p.Capture() })
+	b := testing.AllocsPerRun(10, func() { many.p.Capture() })
+	if a != b {
+		t.Errorf("Capture allocates %v times with 1 cached block per remote page, %v with 32", a, b)
+	}
+}
+
+// BenchmarkCapture is the host cost of capturing a 4-node cluster whose
+// nodes cache every block of every remote page.
+func BenchmarkCapture(b *testing.B) {
+	h := cachedRun(b, 32)
+	b.ReportAllocs()
+	for b.Loop() {
+		h.p.Capture()
 	}
 }

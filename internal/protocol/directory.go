@@ -7,28 +7,42 @@ import (
 	"hpfdsm/internal/network"
 )
 
-// dirEntry is the home-side directory state for one block: which nodes
-// hold readonly copies (sharers) and which hold writable copies
-// (writers; more than one is legal under the multiple-writer protocol).
-// Requests against a block are serviced one at a time: while a request
-// is collecting flushes or invalidation acknowledgements it is the
-// entry's cur, the entry is busy, and later requests queue.
+// dirEntry is the home-side directory state for one block, a value in
+// its home's table: which nodes hold readonly copies (sharers) and which
+// hold writable copies (writers; more than one is legal under the
+// multiple-writer protocol). Requests against a block are serviced one
+// at a time: while a request is collecting flushes or invalidation
+// acknowledgements it is the entry's cur, the entry is busy, and later
+// requests queue.
 type dirEntry struct {
-	sharers nodeset
-	writers nodeset
-
+	// sets holds the sharer, writer and stale sets back to back, cut
+	// from the home's slab when the entry is made (nil until then).
+	//
 	// stale marks nodes whose retained copy may hold stale words: when
 	// a read collects flushes from two or more concurrent writers, each
 	// writer keeps a readonly copy that never saw the *other* writers'
 	// words. The protocol tolerates this (data-race-free programs only
 	// read words they are entitled to), but the invariant checker's
 	// data-agreement audit must not compare those copies against home.
-	stale nodeset
+	sets nodeset
 
 	cur     dirReq // the request collecting; kind 0 when none
 	pending int
 	waitQ   []dirReq
 }
+
+// made reports that the entry's block has been asked for: its sets exist.
+func (e *dirEntry) made() bool { return e.sets != nil }
+
+// set returns the k-th of the entry's three sets (nil when unmade).
+func (e *dirEntry) set(k int) nodeset {
+	w := len(e.sets) / 3
+	return e.sets[k*w : (k+1)*w : (k+1)*w]
+}
+
+func (e *dirEntry) sharers() nodeset { return e.set(0) }
+func (e *dirEntry) writers() nodeset { return e.set(1) }
+func (e *dirEntry) stale() nodeset   { return e.set(2) }
 
 // busy reports that a request is collecting copies for the entry.
 func (e *dirEntry) busy() bool { return e.cur.kind != 0 }
@@ -38,26 +52,27 @@ func (e *dirEntry) idle() bool {
 	return !e.busy() && e.pending == 0 && len(e.waitQ) == 0
 }
 
-// newDirEntry allocates an entry with sets sized for an n-node cluster.
-func newDirEntry(n int) *dirEntry {
-	e := &dirEntry{}
-	e.sharers, e.writers, e.stale = newNodesets(n)
-	return e
-}
-
 // dirReq is one directory transaction, passed and queued by value. A
 // remote requester's reply is a message; the home's own read, write or
 // upgrade (src is the home) completes in place (finish).
 type dirReq struct {
-	kind  network.Kind
 	block int
 	src   int
+	agg   *mkwAgg // mk_writable aggregation, nil otherwise
 
-	needData bool    // mk_writable: requester lacks the data
-	agg      *mkwAgg // mk_writable aggregation, nil otherwise
+	kind     network.Kind
+	needData bool // mk_writable: requester lacks the data
 }
 
-// entry returns (creating if needed) the directory entry for block b,
+// makeEntry gives slot i's entry its sets, zeroed, from the node's slab.
+func (np *nodeProto) makeEntry(i int) *dirEntry {
+	w := 3 * nsWords(len(np.p.nodes))
+	e := &np.dir[i]
+	e.sets = np.slab[i*w : (i+1)*w : (i+1)*w]
+	return e
+}
+
+// entry returns (making it if needed) the directory entry for block b,
 // which must be homed at this node. A fresh entry reflects the initial
 // tag state: home pages start writable at home.
 func (np *nodeProto) entry(b int) *dirEntry {
@@ -65,16 +80,15 @@ func (np *nodeProto) entry(b int) *dirEntry {
 	if home != np.id {
 		panic(fmt.Sprintf("protocol: node %d asked for directory entry of block %d homed at %d", np.id, b, home))
 	}
-	e := np.dir[i]
-	if e == nil {
-		e = newDirEntry(len(np.p.nodes))
+	e := &np.dir[i]
+	if !e.made() {
+		np.makeEntry(i)
 		switch np.n.Mem.Tag(b) {
 		case memory.ReadWrite:
-			e.writers.set(np.id)
+			e.writers().set(np.id)
 		case memory.ReadOnly:
-			e.sharers.set(np.id)
+			e.sharers().set(np.id)
 		}
-		np.dir[i] = e
 	}
 	return e
 }
@@ -111,13 +125,13 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 			// downgrade the tag.
 			np.occupy(mc.TagChange)
 			mem.ClearDirty(r.block)
-			e.writers.clear(np.id)
+			e.writers().clear(np.id)
 			if invalidate {
 				np.heatInval(r.block)
 				mem.SetTag(r.block, memory.Invalid)
 			} else {
 				mem.SetTag(r.block, memory.ReadOnly)
-				e.sharers.set(np.id)
+				e.sharers().set(np.id)
 			}
 			return
 		}
@@ -133,7 +147,7 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 			np.occupy(mc.TagChange)
 			np.heatInval(r.block)
 			mem.SetTag(r.block, memory.Invalid)
-			e.sharers.clear(np.id)
+			e.sharers().clear(np.id)
 			return
 		}
 		// Latency-tolerant under eager RC: the requester's next sync
@@ -148,21 +162,21 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 		// If two or more nodes hold modified words (the home's direct
 		// writes count), the readonly copies the flushed writers keep
 		// are mutually stale; record that for the data-agreement audit.
-		holders := e.writers.count()
-		if mem.Dirty(r.block) != 0 && !e.writers.has(np.id) {
+		holders := e.writers().count()
+		if mem.Dirty(r.block) != 0 && !e.writers().has(np.id) {
 			holders++
 		}
 		multiWriter := holders >= 2
-		for w := e.writers.next(0); w >= 0; w = e.writers.next(w + 1) {
+		for w := e.writers().next(0); w >= 0; w = e.writers().next(w + 1) {
 			if w != r.src {
 				if multiWriter && w != np.id {
-					e.stale.set(w)
+					e.stale().set(w)
 				}
 				flushWriter(w, false)
 			}
 		}
 	case KWriteReq, KUpgradeReq, KMkWritableReq:
-		for w := e.writers.next(0); w >= 0; w = e.writers.next(w + 1) {
+		for w := e.writers().next(0); w >= 0; w = e.writers().next(w + 1) {
 			if w != r.src {
 				flushWriter(w, true)
 			}
@@ -170,7 +184,7 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 		if tree := np.p.tree; tree != nil {
 			need += np.invalSharersTree(e, r.src, r.block, invalSharer)
 		} else {
-			for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
+			for s := e.sharers().next(0); s >= 0; s = e.sharers().next(s + 1) {
 				if s != r.src {
 					invalSharer(s)
 				}
@@ -191,17 +205,17 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 // ownedBy records node id as the block's only holder, a writer: every
 // other copy was just invalidated.
 func (e *dirEntry) ownedBy(id int) {
-	e.writers.clearAll()
-	e.writers.set(id)
-	e.sharers.clearAll()
-	e.stale.clearAll()
+	e.writers().clearAll()
+	e.writers().set(id)
+	e.sharers().clearAll()
+	e.stale().clearAll()
 }
 
 // forget removes node id's copy from the entry.
 func (e *dirEntry) forget(id int) {
-	e.writers.clear(id)
-	e.sharers.clear(id)
-	e.stale.clear(id) // copy gone; staleness moot
+	e.writers().clear(id)
+	e.sharers().clear(id)
+	e.stale().clear(id) // copy gone; staleness moot
 }
 
 // collecting returns block b's entry, which must be busy: a flush or an
@@ -219,8 +233,8 @@ func (np *nodeProto) collecting(b int) *dirEntry {
 func (np *nodeProto) collectDone(b, from int, keeps bool) {
 	e := np.collecting(b)
 	if keeps {
-		e.writers.clear(from)
-		e.sharers.set(from)
+		e.writers().clear(from)
+		e.sharers().set(from)
 	} else {
 		e.forget(from)
 	}
@@ -261,8 +275,8 @@ func (np *nodeProto) finish(e *dirEntry, r dirReq) {
 
 	switch r.kind {
 	case KReadReq:
-		e.sharers.set(r.src)
-		e.stale.clear(r.src) // fresh, fully merged copy
+		e.sharers().set(r.src)
+		e.stale().clear(r.src) // fresh, fully merged copy
 		if r.src == np.id {
 			np.occupy(mc.TagChange)
 			mem.SetTag(r.block, memory.ReadOnly)
@@ -288,13 +302,13 @@ func (np *nodeProto) finish(e *dirEntry, r dirReq) {
 		np.sendBlock(r.src, KWriteResp, r.block, 0, 0)
 
 	case KUpgradeReq:
-		hadCopy := e.sharers.has(r.src) || e.writers.has(r.src)
-		e.sharers.clear(r.src)
-		e.writers.set(r.src)
+		hadCopy := e.sharers().has(r.src) || e.writers().has(r.src)
+		e.sharers().clear(r.src)
+		e.writers().set(r.src)
 		if !hadCopy {
 			// The grant ships fresh data; a retained-copy upgrade keeps
 			// whatever staleness the copy already carried.
-			e.stale.clear(r.src)
+			e.stale().clear(r.src)
 		}
 		if r.src == np.id {
 			np.doneLocal(r)

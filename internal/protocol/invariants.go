@@ -47,65 +47,93 @@ import (
 // correspondence in the readwrite direction (readers hold RW frames the
 // directory never sees), so RW tags without directory entries are legal
 // under the Section 4.2 contract and not flagged.
+//
+// The walk is page by page, so that a block's home and directory slot
+// come from its page without a division per block, and it reads every
+// node's tag and dirty tables in place. A block with no dirty word at
+// any node and no readonly copy away from its home can break none of
+// 2-5, and is passed without reading its directory sets.
+//
+//simlint:hotpath
 func (p *Proto) audit(quiescent bool) error {
 	sp := p.C.Space
-	nb := sp.NumBlocks()
+	nn := len(p.nodes)
 	bs := sp.BlockSize()
-	for b := 0; b < nb; b++ {
-		homeID := sp.HomeOfBlock(b)
+	bpp := sp.Machine().PageSize / bs
+	tags := make([][]memory.Tag, nn)
+	dirty := make([][]uint16, nn)
+	flags := make([][]uint8, nn)
+	for i, np := range p.nodes {
+		tags[i], dirty[i], flags[i] = np.n.Mem.Tags(), np.n.Mem.DirtyMasks(), np.flags
+	}
+	for pg := 0; pg < sp.NumPages(); pg++ {
+		homeID := pg % nn
 		home := p.nodes[homeID]
-		e := home.lookup(b)
-		if e != nil && !e.idle() {
-			if quiescent {
-				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
-					b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
-			}
-			continue // mid-transaction at a barrier instant; nothing to audit
-		}
-		var writers, sharers, stale nodeset
-		if e != nil {
-			writers = e.writers
-			sharers = e.sharers
-			stale = e.stale
-		}
-		cc := p.isCC(b)
-		var dirtyMask, allDirty uint16
-		for _, np := range p.nodes {
-			allDirty |= np.n.Mem.Dirty(b)
-		}
-		for i, np := range p.nodes {
-			d := np.n.Mem.Dirty(b)
-			if d != 0 {
-				if d&dirtyMask != 0 {
-					return fmt.Errorf("block %d%s: overlapping dirty words across nodes (mask %016b at node %d)", b, p.blockInfo(b), d, i)
+		dir := home.dir[pg/nn*bpp:][:bpp]
+		for k := range dir {
+			b := pg*bpp + k
+			e := &dir[k]
+			if !e.idle() {
+				if quiescent {
+					return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
+						b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
 				}
-				dirtyMask |= d
-				if !writers.has(i) && homeID != i && (quiescent || !cc) {
-					return fmt.Errorf("block %d%s: node %d holds dirty words but is not a directory writer", b, p.blockInfo(b), i)
-				}
+				continue // mid-transaction at a barrier instant; nothing to audit
 			}
-			if np.n.Mem.Tag(b) != memory.ReadOnly || homeID == i {
+			var allDirty uint16
+			var anyFlags uint8
+			readonly := false
+			for i := range nn {
+				allDirty |= dirty[i][b]
+				anyFlags |= flags[i][b]
+				readonly = readonly || i != homeID && tags[i][b] == memory.ReadOnly
+			}
+			if allDirty == 0 && !readonly {
 				continue
 			}
-			if !writers.has(i) && !sharers.has(i) {
-				if quiescent || !cc {
-					return fmt.Errorf("block %d%s: node %d holds an untracked readonly copy", b, p.blockInfo(b), i)
+			writers, sharers, stale := e.writers(), e.sharers(), e.stale()
+			// A node moved b through a compiler-controlled transfer (opened
+			// a frame, or sent or received it via send/flush): its
+			// consistency is the Section 4.2 contract's business.
+			cc := anyFlags&(flagCCFrame|flagCCTouched) != 0
+			var dirtyMask uint16
+			for i := range nn {
+				d := dirty[i][b]
+				if d != 0 {
+					if d&dirtyMask != 0 {
+						return fmt.Errorf("block %d%s: overlapping dirty words across nodes (mask %016b at node %d)", b, p.blockInfo(b), d, i)
+					}
+					dirtyMask |= d
+					if !writers.has(i) && homeID != i && (quiescent || !cc) {
+						return fmt.Errorf("block %d%s: node %d holds dirty words but is not a directory writer", b, p.blockInfo(b), i)
+					}
 				}
-				continue
-			}
-			// Invariant 5: data agreement of the tracked readonly copy.
-			if cc || !sharers.has(i) || stale.has(i) {
-				continue
-			}
-			hd := home.n.Mem.BlockData(b)
-			cd := np.n.Mem.BlockData(b)
-			for w := 0; w < bs/8; w++ {
-				if allDirty&(1<<uint(w)) != 0 {
-					continue // legitimately divergent: someone owns this word
+				if tags[i][b] != memory.ReadOnly || homeID == i {
+					continue
 				}
-				if !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
-					return fmt.Errorf("block %d word %d%s: node %d's readonly copy disagrees with home %d (copy %x, home %x)",
-						b, w, p.blockInfo(b), i, homeID, cd[w*8:w*8+8], hd[w*8:w*8+8])
+				if !writers.has(i) && !sharers.has(i) {
+					if quiescent || !cc {
+						return fmt.Errorf("block %d%s: node %d holds an untracked readonly copy", b, p.blockInfo(b), i)
+					}
+					continue
+				}
+				// Invariant 5: data agreement of the tracked readonly copy.
+				if cc || !sharers.has(i) || stale.has(i) {
+					continue
+				}
+				hd := home.n.Mem.BlockData(b)
+				cd := p.nodes[i].n.Mem.BlockData(b)
+				if bytes.Equal(hd, cd) {
+					continue // agrees on every word, owned or not
+				}
+				for w := 0; w < bs/8; w++ {
+					if allDirty&(1<<uint(w)) != 0 {
+						continue // legitimately divergent: someone owns this word
+					}
+					if !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
+						return fmt.Errorf("block %d word %d%s: node %d's readonly copy disagrees with home %d (copy %x, home %x)",
+							b, w, p.blockInfo(b), i, homeID, cd[w*8:w*8+8], hd[w*8:w*8+8])
+					}
 				}
 			}
 		}
@@ -124,19 +152,6 @@ func (p *Proto) blockInfo(b int) string {
 		return " [" + s + "]"
 	}
 	return ""
-}
-
-// isCC reports whether any node ever moved block b through a
-// compiler-controlled transfer (opened a frame, or sent/received it via
-// send/flush). Such blocks' consistency is the Section 4.2 contract's
-// business; directory-based audits skip them at barrier instants.
-func (p *Proto) isCC(b int) bool {
-	for _, np := range p.nodes {
-		if np.flags[b]&(flagCCFrame|flagCCTouched) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckInvariants audits the quiescent cluster state (call it after the
@@ -164,8 +179,8 @@ func (p *Proto) DumpOutstanding() string {
 		if got := np.ccRecv.Value(); got < np.ccExpected {
 			lines = append(lines, fmt.Sprintf("ready_to_recv short: %d/%d cc blocks arrived", got, np.ccExpected))
 		}
-		for i, e := range np.dir {
-			if e != nil && !e.idle() {
+		for i := range np.dir {
+			if e := &np.dir[i]; !e.idle() {
 				b := np.n.Mem.Space().HomedBlock(np.id, i)
 				lines = append(lines, fmt.Sprintf("directory block %d%s busy (pending=%d queued=%d)", b, p.blockInfo(b), e.pending, len(e.waitQ)))
 			}

@@ -68,8 +68,8 @@ func missLoop(tb testing.TB, mc missCase) (h *harness, step func()) {
 			for _, id := range mc.share {
 				h.c.Nodes[id].Mem.SetTag(b, memory.ReadOnly)
 				h.c.Nodes[id].Mem.ClearDirty(b)
-				e.writers.clear(id)
-				e.sharers.set(id)
+				e.writers().clear(id)
+				e.sharers().set(id)
 			}
 			if mc.store {
 				n.StoreF64(p, addr, 1)

@@ -65,7 +65,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, src, b int, invalOne func(s i
 		np.clusterMask = make([]uint64, tr.Clusters())
 	}
 	touched := np.clusterScratch[:0]
-	for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
+	for s := e.sharers().next(0); s >= 0; s = e.sharers().next(s + 1) {
 		if s == src {
 			continue
 		}

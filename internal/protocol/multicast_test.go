@@ -115,7 +115,7 @@ func TestTreeInvalSkipsCrashedSharer(t *testing.T) {
 	if e.busy() || e.pending != 0 {
 		t.Fatalf("round did not close: busy=%v pending=%d", e.busy(), e.pending)
 	}
-	if e.sharers.has(6) {
+	if e.sharers().has(6) {
 		t.Fatal("crashed sharer 6 still in the directory sharer set")
 	}
 	for _, id := range []int{2, 3, 4, 5, 7, 8, 11, 12, 15} {

@@ -6,19 +6,11 @@ import mbits "math/bits"
 // sharer/writer/stale sets were single uint64 masks — the historic
 // 64-node cap — and are now sized to the cluster, so the same
 // directory scales to the tree topology's 1024-node runs. A nil
-// nodeset reads as empty (the invariant auditor's "no entry" case).
+// nodeset (an unmade directory entry's) reads as empty.
 type nodeset []uint64
 
 // nsWords returns how many words a cluster of n nodes needs.
 func nsWords(n int) int { return (n + 63) / 64 }
-
-// newNodesets allocates the three per-entry sets from one backing
-// array (sharers, writers, stale).
-func newNodesets(n int) (sharers, writers, stale nodeset) {
-	w := nsWords(n)
-	back := make(nodeset, 3*w)
-	return back[:w:w], back[w : 2*w : 2*w], back[2*w:]
-}
 
 // has reports membership; out-of-range ids (including any id against a
 // nil set) are simply absent.
@@ -86,14 +78,4 @@ func (s nodeset) next(i int) int {
 		}
 	}
 	return -1
-}
-
-// words exposes the raw backing for the checkpoint codec.
-func (s nodeset) words() []uint64 { return s }
-
-// loadWords copies encoded words into a sized set (extra encoded words
-// beyond the cluster's width are a snapshot/config mismatch handled by
-// the caller; missing words stay zero).
-func (s nodeset) loadWords(w []uint64) {
-	copy(s, w)
 }

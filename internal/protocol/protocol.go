@@ -185,8 +185,10 @@ type nodeProto struct {
 
 	// dir is the directory of the blocks homed here, indexed by their
 	// memory.Space.HomeSlot; an entry is made when its block is first
-	// asked for (entry).
-	dir []*dirEntry
+	// asked for (entry). slab backs every entry's node sets, 3*nsWords(N)
+	// words per slot.
+	dir  []dirEntry
+	slab nodeset
 
 	// fill completes the compute process's blocking miss on fillBlock,
 	// remote or home-local: nil when none is outstanding, else fillSig,
@@ -252,8 +254,8 @@ const (
 // lookup returns block b's directory entry, nil when b is homed
 // elsewhere or has not been asked for.
 func (np *nodeProto) lookup(b int) *dirEntry {
-	if home, i := np.n.Mem.Space().HomeSlot(b); home == np.id {
-		return np.dir[i]
+	if home, i := np.n.Mem.Space().HomeSlot(b); home == np.id && np.dir[i].made() {
+		return &np.dir[i]
 	}
 	return nil
 }
@@ -268,9 +270,11 @@ func Attach(c *tempest.Cluster) *Proto {
 		p.tree = &t
 	}
 	for _, n := range c.Nodes {
+		homed := c.Space.NumHomed(n.ID)
 		np := &nodeProto{
 			p: p, n: n, id: n.ID,
-			dir:      make([]*dirEntry, c.Space.NumHomed(n.ID)),
+			dir:      make([]dirEntry, homed),
+			slab:     make(nodeset, 3*nsWords(len(c.Nodes))*homed),
 			flags:    make([]uint8, c.Space.NumBlocks()),
 			ccRecv:   sim.NewCounter(),
 			mkwCount: sim.NewCounter(),
@@ -388,7 +392,7 @@ func (p *Proto) CoherentRead(addr int) float64 {
 	home := p.nodes[sp.HomeOfBlock(b)]
 	w := uint((addr % sp.BlockSize()) / 8)
 	if e := home.lookup(b); e != nil {
-		for i := e.writers.next(0); i >= 0; i = e.writers.next(i + 1) {
+		for i := e.writers().next(0); i >= 0; i = e.writers().next(i + 1) {
 			if p.nodes[i].n.Mem.Dirty(b)&(1<<w) != 0 {
 				return p.nodes[i].n.Mem.ReadF64(addr)
 			}

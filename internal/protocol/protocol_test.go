@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"testing"
+	"unsafe"
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
@@ -348,5 +349,21 @@ func TestSingleCPUMissesSlower(t *testing.T) {
 	single := measure(config.SingleCPU)
 	if single <= dual {
 		t.Fatalf("single-cpu run (%d) not slower than dual-cpu (%d)", single, dual)
+	}
+}
+
+// TestDirectoryValueSizes pins the directory's per-slot footprint on
+// 64-bit hosts: every homed block pays a dirEntry in its home's table
+// whether or not it is ever asked for, and a request is copied on every
+// enqueue.
+func TestDirectoryValueSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(dirReq{}); got != 32 {
+		t.Errorf("dirReq is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(dirEntry{}); got > 88 {
+		t.Errorf("dirEntry is %d bytes, want at most 88", got)
 	}
 }
