@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestMain(m *testing.M) {
 
 // verifierBarriers is, per loop of lu in the order hpfc -calls shows them
 // (sequential loops at their first iteration), the barriers the static
-// verifier records for each node at OptBulk.
+// verifier folds for each node at OptBulk.
 func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]int) {
 	t.Helper()
 	a, err := apps.ByName("lu")
@@ -60,16 +61,8 @@ func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]in
 		env[k] = v
 	}
 	record := func(lc *analysis.LoopCalls) {
-		per := make([]int, nodes)
-		for n, calls := range lc.Nodes {
-			for _, c := range calls {
-				if c.Op == analysis.OpBarrier {
-					per[n]++
-				}
-			}
-		}
 		labels = append(labels, lc.Site.Loop)
-		barriers = append(barriers, per)
+		barriers = append(barriers, slices.Clone(lc.Barriers)) // the model's scratch
 	}
 	var walk func(body []ir.Stmt)
 	walk = func(body []ir.Stmt) {
@@ -82,7 +75,7 @@ func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]in
 				walk(st.Body)
 				delete(env, st.Var)
 			case *ir.ParLoop:
-				record(m.BuildLoopCalls(st, st.Label, an.LoopRuleOf(st), env, false))
+				record(m.FoldLoopCalls(st, analysis.Site{Loop: st.Label}, an.Schedule(st, an.LoopRuleOf(st), env), false))
 			case *ir.Reduce:
 				t.Fatalf("lu has a reduction now (%s): hpfc prints its all-reduce as part of the body, the verifier counts it as a barrier, and this test does not allow for that", st.Label)
 			}
@@ -96,7 +89,7 @@ func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]in
 // a loop from the node's own transfers, so lu's forall@17 showed three on
 // node 0 and four elsewhere, where every node of a run takes four. Every
 // node must print the same number per loop, and it must be the number
-// the verifier records.
+// the verifier folds.
 func TestCallsBarrierParity(t *testing.T) {
 	const nodes = 8
 	labels, want := verifierBarriers(t, nodes)
@@ -122,7 +115,7 @@ func TestCallsBarrierParity(t *testing.T) {
 		}
 		for i, label := range labels {
 			if got[i] != want[i][n] || got[i] != want[i][0] {
-				t.Errorf("node %d, %s: hpfc -calls prints %d barrier(s), the verifier records %d for it and %d for node 0",
+				t.Errorf("node %d, %s: hpfc -calls prints %d barrier(s), the verifier folds %d for it and %d for node 0",
 					n, label, got[i], want[i][n], want[i][0])
 			}
 			sawReads = sawReads || got[i] == 4

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hpfdsm/internal/analysis"
@@ -10,13 +11,13 @@ import (
 )
 
 // BenchmarkCheckLoopCalls is the verifier's layer number: the whole
-// static check of one compiled program — every schedule instance
-// recorded and held to the contract at all five levels — on 64 nodes,
-// where a loop instance has the most calls to compare. lu instantiates
-// a schedule per pivot step (the most instances of any shipped
-// application), pde is the stencil whose frames stay open across
-// iterations. The analysis is built once: its schedule cache is warm
-// after the first op, so an op is the verifier's own work.
+// static check of one compiled program — every schedule instance folded
+// and held to the contract at all five levels — on 8 and on 64 nodes,
+// so that its growth with the machine shows. lu instantiates a schedule
+// per pivot step (the most instances of any shipped application), pde
+// is the stencil whose frames stay open across iterations. The analysis
+// is built once: its schedule cache is warm after the first op, so an op
+// is the verifier's own work.
 func BenchmarkCheckLoopCalls(b *testing.B) {
 	for _, name := range []string{"lu", "pde"} {
 		a, err := apps.ByName(name)
@@ -27,19 +28,21 @@ func BenchmarkCheckLoopCalls(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc := config.Default().WithNodes(64)
-		_, layouts := compiler.Place(prog, mc)
-		an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if rep := analysis.VerifyAnalysis(an, analysis.Levels()...); rep.HasErrors() {
-					b.Fatalf("verifier errors:\n%s", rep)
-				}
+		for _, nodes := range []int{8, 64} {
+			mc := config.Default().WithNodes(nodes)
+			_, layouts := compiler.Place(prog, mc)
+			an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/nodes=%d", name, nodes), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if rep := analysis.VerifyAnalysis(an, analysis.Levels()...); rep.HasErrors() {
+						b.Fatalf("verifier errors:\n%s", rep)
+					}
+				}
+			})
+		}
 	}
 }

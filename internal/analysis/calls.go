@@ -7,51 +7,8 @@ import (
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/protocol"
+	"hpfdsm/internal/sections"
 )
-
-// Op identifies one run-time call of the Section 4.2 sequence (plus the
-// OpBody marker separating a loop's pre- and post-communication).
-type Op int
-
-// Call kinds.
-const (
-	OpMkWritable Op = iota
-	OpImplicitWritable
-	OpExpect
-	OpSend
-	OpReadyToRecv
-	OpBody
-	OpFlush
-	OpImplicitInvalidate
-	OpBarrier
-)
-
-func (o Op) String() string {
-	return [...]string{"mk_writable", "implicit_writable", "expect", "send",
-		"ready_to_recv", "<body>", "flush", "implicit_invalidate", "barrier"}[o]
-}
-
-// Call is one recorded run-time call on one node.
-type Call struct {
-	Op     Op
-	Node   int
-	Dst    int                 // Send / Flush destination
-	Blocks []protocol.BlockRun // block operand
-	N      int                 // Expect block count
-}
-
-func (c Call) String() string {
-	switch c.Op {
-	case OpSend, OpFlush:
-		return fmt.Sprintf("%v -> node %d %v", c.Op, c.Dst, c.Blocks)
-	case OpExpect:
-		return fmt.Sprintf("%v %d", c.Op, c.N)
-	case OpMkWritable, OpImplicitWritable, OpImplicitInvalidate:
-		return fmt.Sprintf("%v %v", c.Op, c.Blocks)
-	default:
-		return c.Op.String()
-	}
-}
 
 // SkippedTransfer records a transfer a higher optimization level
 // elided, with the walker's independently derived judgement of whether
@@ -62,9 +19,11 @@ type SkippedTransfer struct {
 	Live bool
 }
 
-// LoopCalls is the recorded call sequence of one loop instance: per
-// node, the run-time calls in program order, plus the (PRE-filtered)
+// LoopCalls is one loop instance as the contract checks see it: the
+// facts every node's call sequence folds into, plus the (PRE-filtered)
 // transfers the sequence implements and the transfers that were elided.
+// The facts are the model's scratch: they hold until the model folds its
+// next instance.
 type LoopCalls struct {
 	Key      any
 	Site     Site
@@ -73,7 +32,9 @@ type LoopCalls struct {
 	Writes   []compiler.Transfer // active write transfers
 	Skipped  []SkippedTransfer   // transfers elided by OptPRE
 	IsReduce bool
-	Nodes    [][]Call
+	Barriers []int // per node: the barriers it reaches
+
+	f *fold
 }
 
 // sigOf renders a rule's symbol valuation for provenance ("" when the
@@ -89,64 +50,179 @@ func sigOf(rule *compiler.LoopRule, env map[string]int) string {
 	return strings.Join(parts, ",")
 }
 
-// recorder is the verifier's sink of the emitter: it keeps one node's
-// calls as the emitter makes them.
-type recorder struct {
-	lc   *LoopCalls
-	node int
+// evKind is the call an event is.
+type evKind uint8
+
+const (
+	evOpen  evKind = iota // implicit_writable
+	evClose               // implicit_invalidate
+	evSend
+	evFlush
+)
+
+func (k evKind) String() string {
+	return [...]string{"implicit_writable", "implicit_invalidate", "send", "flush"}[k]
 }
 
-func (r *recorder) add(c Call) {
-	c.Node = r.node
-	r.lc.Nodes[r.node] = append(r.lc.Nodes[r.node], c)
+// event is a call that opens or closes a node's frames, or lands data on
+// its destination's memory, with the barrier phase its node makes it in.
+type event struct {
+	kind   evKind
+	phase  int
+	node   int
+	dst    int // send, flush: the receiving node
+	blocks []protocol.BlockRun
 }
 
-// blocks adds a call with a block operand, copied: the emitter's list
-// is scratch.
-func (r *recorder) blocks(op Op, b []protocol.BlockRun) {
-	r.add(Call{Op: op, Blocks: slices.Clone(b)})
+// flushed is the blocks one sender flushes to one destination.
+type flushed struct {
+	dst    int
+	blocks []protocol.BlockRun
 }
 
-func (r *recorder) MkWritable(b []protocol.BlockRun)         { r.blocks(OpMkWritable, b) }
-func (r *recorder) ImplicitWritable(b []protocol.BlockRun)   { r.blocks(OpImplicitWritable, b) }
-func (r *recorder) ImplicitInvalidate(b []protocol.BlockRun) { r.blocks(OpImplicitInvalidate, b) }
-func (r *recorder) Expect(n int)                             { r.add(Call{Op: OpExpect, N: n}) }
-func (r *recorder) ReadyToRecv()                             { r.add(Call{Op: OpReadyToRecv}) }
-func (r *recorder) Barrier()                                 { r.add(Call{Op: OpBarrier}) }
-func (r *recorder) Drain()                                   {} // transport, not contract
-func (r *recorder) Send(t *compiler.Transfer) {
-	r.add(Call{Op: OpSend, Dst: t.Receiver, Blocks: t.Blocks})
-}
-func (r *recorder) Flush(t *compiler.Transfer) {
-	r.add(Call{Op: OpFlush, Dst: t.Receiver, Blocks: t.Blocks})
+// fold is the verifier's sink of the emitter: it folds each call, as the
+// emitter makes it, into the facts the contract checks read. The model
+// owns one and resets it for every instance, keeping its memory. A block
+// list the emitter passes is its scratch, so what is kept of one is
+// copied; a transfer is the schedule's and outlives the call. Block sets
+// are gathered as they come and made canonical once, for the checks.
+type fold struct {
+	node   int  // the node whose calls arrive
+	side   int  // 0 before the loop body, 1 after it
+	phase  int  // the model's barrier phase when the instance began
+	repeat bool // the model checked the instance's site before: fold what advance reads
+
+	barriers []int    // per node: the barriers it reaches
+	expect   [2][]int // per side, per node: the blocks it expects
+	ready    [2][]bool
+	mkw      [][]protocol.BlockRun // per node: the blocks it makes writable before the body
+	sentPre  []int                 // per receiver: blocks sent to it before the body
+	flushIn  []int                 // per receiver: blocks flushed to it
+	sentSet  [][]protocol.BlockRun // per receiver: the blocks sent to it
+	flushSet [][]flushed           // per sender: the blocks it flushes, by destination
+
+	// frames (implicit_writable, implicit_invalidate) and arrivals (send,
+	// flush) in node-major emission order; blocks holds the frame
+	// events' block lists.
+	frames, arrivals []event
+	blocks           []protocol.BlockRun
 }
 
-// BuildLoopCalls records the call sequence of one loop (or reduction)
-// instance at the model's optimization level, instantiating its
-// schedule under env.
-func (m *Model) BuildLoopCalls(key any, label string, rule *compiler.LoopRule, env map[string]int, isReduce bool) *LoopCalls {
-	site := Site{App: m.an.Prog.Name, Loop: label, Env: sigOf(rule, env), Level: m.level}
-	var sched *compiler.Schedule // none at OptNone: default protocol only
-	if m.level >= compiler.OptBase {
-		sched = m.an.Schedule(key, rule, env)
+func newFold(np int) fold {
+	return fold{
+		barriers: make([]int, np),
+		expect:   [2][]int{make([]int, np), make([]int, np)},
+		ready:    [2][]bool{make([]bool, np), make([]bool, np)},
+		mkw:      make([][]protocol.BlockRun, np),
+		sentPre:  make([]int, np),
+		flushIn:  make([]int, np),
+		sentSet:  make([][]protocol.BlockRun, np),
+		flushSet: make([][]flushed, np),
 	}
-	return m.RecordLoopCalls(key, site, sched, isReduce)
 }
 
-// RecordLoopCalls is BuildLoopCalls for an instance whose schedule the
-// caller has: what the emitter the executor runs emits for each node —
-// run-time elimination's call and barrier elisions and PRE's transfer
-// skips included — from the same inputs the executor hands it, the
-// level and the instance's plan off a planner of the model's own. The
-// transfers the sequence implements and the ones PRE elided are listed
-// beside it for the contract checks.
-func (m *Model) RecordLoopCalls(key any, site Site, sched *compiler.Schedule, isReduce bool) *LoopCalls {
+func (f *fold) reset(phase int, repeat bool) {
+	f.phase, f.repeat = phase, repeat
+	clear(f.barriers)
+	for side := range f.expect {
+		clear(f.expect[side])
+		clear(f.ready[side])
+	}
+	clear(f.sentPre)
+	clear(f.flushIn)
+	for n := range f.barriers {
+		f.mkw[n], f.sentSet[n], f.flushSet[n] = f.mkw[n][:0], f.sentSet[n][:0], f.flushSet[n][:0]
+	}
+	f.frames, f.arrivals, f.blocks = f.frames[:0], f.arrivals[:0], f.blocks[:0]
+}
+
+// canonical makes the fold's block sets canonical.
+func (f *fold) canonical() {
+	for n := range f.barriers {
+		f.mkw[n] = sections.Normalize(f.mkw[n])
+		f.sentSet[n] = sections.Normalize(f.sentSet[n])
+		for i := range f.flushSet[n] {
+			f.flushSet[n][i].blocks = sections.Normalize(f.flushSet[n][i].blocks)
+		}
+	}
+}
+
+func (f *fold) MkWritable(b []protocol.BlockRun) {
+	if f.side == 0 && !f.repeat {
+		f.mkw[f.node] = append(f.mkw[f.node], b...)
+	}
+}
+
+func (f *fold) ImplicitWritable(b []protocol.BlockRun)   { f.frame(evOpen, b) }
+func (f *fold) ImplicitInvalidate(b []protocol.BlockRun) { f.frame(evClose, b) }
+func (f *fold) Expect(n int)                             { f.expect[f.side][f.node] += n }
+func (f *fold) ReadyToRecv()                             { f.ready[f.side][f.node] = true }
+func (f *fold) Barrier()                                 { f.barriers[f.node]++ }
+func (f *fold) Drain()                                   {} // transport, not contract
+
+func (f *fold) Send(t *compiler.Transfer) {
+	if f.repeat {
+		return
+	}
+	f.arrive(evSend, t)
+	if f.side == 0 {
+		f.sentPre[t.Receiver] += sections.CountBlocks(t.Blocks)
+	}
+	f.sentSet[t.Receiver] = append(f.sentSet[t.Receiver], t.Blocks...)
+}
+
+func (f *fold) Flush(t *compiler.Transfer) {
+	if f.repeat {
+		return
+	}
+	f.arrive(evFlush, t)
+	f.flushIn[t.Receiver] += sections.CountBlocks(t.Blocks)
+	out := f.flushSet[f.node]
+	for i := range out {
+		if out[i].dst == t.Receiver {
+			out[i].blocks = append(out[i].blocks, t.Blocks...)
+			return
+		}
+	}
+	f.flushSet[f.node] = append(out, flushed{t.Receiver, slices.Clone(t.Blocks)})
+}
+
+func (f *fold) frame(k evKind, b []protocol.BlockRun) {
+	at := len(f.blocks)
+	f.blocks = append(f.blocks, b...)
+	f.frames = append(f.frames, event{kind: k, phase: f.phase + f.barriers[f.node], node: f.node, blocks: f.blocks[at:len(f.blocks):len(f.blocks)]})
+}
+
+func (f *fold) arrive(k evKind, t *compiler.Transfer) {
+	f.arrivals = append(f.arrivals, event{kind: k, phase: f.phase + f.barriers[f.node], node: f.node, dst: t.Receiver, blocks: t.Blocks})
+}
+
+// flushedTo returns the blocks sender flushes to dst.
+func (f *fold) flushedTo(sender, dst int) []protocol.BlockRun {
+	for _, fl := range f.flushSet[sender] {
+		if fl.dst == dst {
+			return fl.blocks
+		}
+	}
+	return nil
+}
+
+// FoldLoopCalls folds the call sequence of one loop (or reduction)
+// instance whose schedule the caller has (nil below OptBase): what the
+// emitter the executor runs emits for each node — run-time elimination's
+// call and barrier elisions and PRE's transfer skips included — from the
+// same inputs the executor hands it, the level and the instance's plan
+// off a planner of the model's own. The transfers the sequence
+// implements and the ones PRE elided are listed beside the facts for
+// the contract checks. An instance whose site the model has checked
+// before folds only its frames and barriers, all that a repeat changes.
+func (m *Model) FoldLoopCalls(key any, site Site, sched *compiler.Schedule, isReduce bool) *LoopCalls {
 	lc := &LoopCalls{
 		Key:      key,
 		Site:     site,
 		Sched:    sched,
 		IsReduce: isReduce,
-		Nodes:    make([][]Call, m.an.NP),
+		f:        &m.fold,
 	}
 	var plan *compiler.Plan
 	if sched != nil {
@@ -165,14 +241,26 @@ func (m *Model) RecordLoopCalls(key any, site Site, sched *compiler.Schedule, is
 			}
 		}
 	}
-	rec := &recorder{lc: lc}
-	for rec.node = range lc.Nodes {
-		m.em.Pre(plan, rec.node, m.level, rec)
-		rec.add(Call{Op: OpBody})
+	f := &m.fold
+	f.reset(m.phase, m.checked[site])
+	for f.node = range f.barriers {
+		f.side = 0
+		m.em.Pre(plan, f.node, m.level, m.sink())
+		f.side = 1
 		if isReduce {
-			rec.Barrier() // the AllReduce synchronizes
+			f.Barrier() // the AllReduce synchronizes
 		}
-		m.em.Post(plan, rec.node, m.level, isReduce, rec)
+		m.em.Post(plan, f.node, m.level, isReduce, m.sink())
 	}
+	lc.Barriers = f.barriers
 	return lc
+}
+
+// sink is where the emitter's calls for the fold's current node and side
+// go: the fold, or the test seam's wrapper around it.
+func (m *Model) sink() compiler.Calls {
+	if m.Tee == nil {
+		return &m.fold
+	}
+	return m.Tee(m.fold.node, m.fold.side == 1, &m.fold)
 }

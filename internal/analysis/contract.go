@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/protocol"
@@ -20,11 +19,8 @@ func missingFrom(runs, have []protocol.BlockRun) string {
 	return fmt.Sprint(sections.Blocks(miss))
 }
 
-// phased is a call with the barrier phase its node makes it in.
-type phased struct {
-	phase int
-	Call
-}
+// byPhase orders events by barrier phase.
+func byPhase(a, b event) int { return a.phase - b.phase }
 
 // CheckLoopCalls verifies one modeled loop instance against the Section
 // 4.2 contract and advances the model's happens-before state (frame
@@ -33,6 +29,8 @@ type phased struct {
 func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	np := m.an.NP
 	site := lc.Site
+	f := lc.f
+	f.canonical()
 
 	// diag reports a finding about the transfer t, or about the loop
 	// instance when t is nil; a transfer's site is built only here.
@@ -46,73 +44,14 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 			m.report.markBroken(s.Loop, rule)
 		}
 	}
-	// ---- Pass 1: scan each node's call list positionally. ----
-	var frameEvs []phased // implicit_writable and implicit_invalidate
-	var arrivals []phased // send and flush: data landing on Dst's memory
-	barrierCount := make([]int, np)
-	expectPre := make([]int, np)
-	expectPost := make([]int, np)
-	readyPre := make([]bool, np)
-	readyPost := make([]bool, np)
-	mkw := make([][]protocol.BlockRun, np) // blocks node makes writable (pre-body)
-	sentPre := make([]int, np)             // blocks sent to node (pre-body)
-	flushIn := make([]int, np)             // blocks flushed to node
-	sentSet := make([][]protocol.BlockRun, np)
-	flushSet := make([]map[int][]protocol.BlockRun, np) // sender -> dst -> blocks
-	for n := 0; n < np; n++ {
-		bc := 0
-		pre := true
-		for _, c := range lc.Nodes[n] {
-			c.Node = n
-			phase := m.phase + bc
-			switch c.Op {
-			case OpBarrier:
-				bc++
-			case OpBody:
-				pre = false
-			case OpImplicitWritable, OpImplicitInvalidate:
-				frameEvs = append(frameEvs, phased{phase, c})
-			case OpMkWritable:
-				if pre {
-					mkw[n] = sections.Union(mkw[n], c.Blocks)
-				}
-			case OpExpect:
-				if pre {
-					expectPre[n] += c.N
-				} else {
-					expectPost[n] += c.N
-				}
-			case OpReadyToRecv:
-				if pre {
-					readyPre[n] = true
-				} else {
-					readyPost[n] = true
-				}
-			case OpSend:
-				arrivals = append(arrivals, phased{phase, c})
-				if pre {
-					sentPre[c.Dst] += sections.CountBlocks(c.Blocks)
-				}
-				sentSet[c.Dst] = sections.Union(sentSet[c.Dst], c.Blocks)
-			case OpFlush:
-				arrivals = append(arrivals, phased{phase, c})
-				flushIn[c.Dst] += sections.CountBlocks(c.Blocks)
-				if flushSet[n] == nil {
-					flushSet[n] = map[int][]protocol.BlockRun{}
-				}
-				flushSet[n][c.Dst] = sections.Union(flushSet[n][c.Dst], c.Blocks)
-			}
-		}
-		barrierCount[n] = bc
-	}
 
 	// ---- Barrier parity: mismatched counts deadlock the machine. ----
 	m.report.markChecked(site.Loop, RuleBarrier)
 	for n := 1; n < np; n++ {
-		if barrierCount[n] != barrierCount[0] {
+		if f.barriers[n] != f.barriers[0] {
 			diag(Error, RuleBarrier, nil,
 				"node %d reaches %d barrier(s) where node 0 reaches %d — the loop deadlocks",
-				n, barrierCount[n], barrierCount[0])
+				n, f.barriers[n], f.barriers[0])
 		}
 	}
 
@@ -123,43 +62,43 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	if lc.Sched != nil {
 		m.report.markChecked(site.Loop, RuleFrameOrder)
 	}
-	sort.SliceStable(frameEvs, func(i, j int) bool { return frameEvs[i].phase < frameEvs[j].phase })
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].phase < arrivals[j].phase })
+	slices.SortStableFunc(f.frames, byPhase)
+	slices.SortStableFunc(f.arrivals, byPhase)
 	fi := 0
-	for _, a := range arrivals {
-		for ; fi < len(frameEvs) && frameEvs[fi].phase <= a.phase; fi++ {
-			m.frameCall(frameEvs[fi])
+	for _, a := range f.arrivals {
+		for ; fi < len(f.frames) && f.frames[fi].phase <= a.phase; fi++ {
+			m.frameCall(f.frames[fi])
 		}
 		// The blocks no frame opened in an earlier phase covers, and of
 		// those the ones no frame covers at all; a clean schedule leaves
 		// none, and then no block is looked at singly.
-		late := a.Blocks
-		for _, f := range m.frames[a.Dst] {
-			if f.phase < a.phase {
-				late = sections.Minus(late, f.blocks)
+		late := a.blocks
+		for _, fr := range m.frames[a.dst] {
+			if fr.phase < a.phase {
+				late = sections.Minus(late, fr.blocks)
 			}
 		}
 		if len(late) == 0 {
 			continue
 		}
 		unopened := late
-		for _, f := range m.frames[a.Dst] {
-			unopened = sections.Minus(unopened, f.blocks)
+		for _, fr := range m.frames[a.dst] {
+			unopened = sections.Minus(unopened, fr.blocks)
 		}
 		for _, b := range sections.Blocks(late) {
 			if sections.ContainsBlock(unopened, b) {
 				diag(Error, RuleFrameOrder, nil,
 					"%v from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
-					a.Op, a.Node, b, a.Dst)
+					a.kind, a.node, b, a.dst)
 			} else {
 				diag(Error, RuleFrameOrder, nil,
 					"%v from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
-					a.Op, a.Node, b, a.Dst)
+					a.kind, a.node, b, a.dst)
 			}
 		}
 	}
-	for ; fi < len(frameEvs); fi++ {
-		m.frameCall(frameEvs[fi])
+	for ; fi < len(f.frames); fi++ {
+		m.frameCall(f.frames[fi])
 	}
 
 	// ---- Send extents: emitted sends vs the schedule's transfers. ----
@@ -172,7 +111,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	for i := range lc.Reads {
 		t := &lc.Reads[i]
 		schedTo[t.Receiver] = sections.Union(schedTo[t.Receiver], t.Blocks)
-		if miss := missingFrom(t.Blocks, sentSet[t.Receiver]); miss != "" {
+		if miss := missingFrom(t.Blocks, f.sentSet[t.Receiver]); miss != "" {
 			diag(Error, RuleSendExtent, t,
 				"scheduled transfer node %d -> node %d is not fully emitted: blocks %s are never sent",
 				t.Sender, t.Receiver, miss)
@@ -192,7 +131,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 	}
 	for n := 0; n < np; n++ {
-		if extra := sections.Minus(sentSet[n], schedTo[n]); len(extra) > 0 {
+		if extra := sections.Minus(f.sentSet[n], schedTo[n]); len(extra) > 0 {
 			diag(Error, RuleSendExtent, nil,
 				"node %d receives unscheduled blocks %v — no transfer in the schedule covers them",
 				n, sections.Blocks(extra))
@@ -200,6 +139,9 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	}
 
 	// ---- Receive matching: every send needs a counted ready_to_recv. ----
+	sentPre, flushIn := f.sentPre, f.flushIn
+	expectPre, expectPost := f.expect[0], f.expect[1]
+	readyPre, readyPost := f.ready[0], f.ready[1]
 	for r := 0; r < np; r++ {
 		if sentPre[r] > 0 {
 			if !readyPre[r] {
@@ -240,12 +182,12 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	}
 	for i := range lc.Writes {
 		t := &lc.Writes[i]
-		if miss := missingFrom(t.Blocks, mkw[t.Sender]); miss != "" {
+		if miss := missingFrom(t.Blocks, f.mkw[t.Sender]); miss != "" {
 			diag(Error, RuleWriteFlush, t,
 				"non-owner write on node %d: blocks %s are written without a pre-loop mk_writable — the writes land on an invalid copy",
 				t.Sender, miss)
 		}
-		if miss := missingFrom(t.Blocks, flushSet[t.Sender][t.Receiver]); miss != "" {
+		if miss := missingFrom(t.Blocks, f.flushedTo(t.Sender, t.Receiver)); miss != "" {
 			diag(Error, RuleWriteFlush, t,
 				"mk_writable is taken on node %d but blocks %s are never flushed to home node %d — the updates would be lost past the closing barrier",
 				t.Sender, miss, t.Receiver)
@@ -272,49 +214,6 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 	}
 
-	// ---- Aggregation policy: traffic matrices vs the transfers. ----
-	// The runtime picks each pair's transport (eager / bulk / epoch
-	// aggregation) from the schedule's [sender][receiver] byte and
-	// message-count matrices. Recompute both independently from the
-	// transfers the emission was checked against: drift would steer
-	// traffic through a wire path the contract never examined.
-	if lc.Sched != nil {
-		m.report.markChecked(site.Loop, RuleAggMatrix)
-		// The sums go to the model's scratch, bytes then messages, and
-		// each cell is zeroed again as it is compared.
-		bytes, msgs := m.cells[:np*np], m.cells[np*np:]
-		checkMatrices := func(ts []compiler.Transfer, bmat, mmat [][]int64, phase string) {
-			for i := range ts {
-				t := &ts[i]
-				blocks := sections.CountBlocks(t.Blocks)
-				if blocks != t.NumBlocks {
-					diag(Error, RuleAggMatrix, t,
-						"transfer claims %d aligned block(s) but its runs cover %d",
-						t.NumBlocks, blocks)
-				}
-				bytes[t.Sender*np+t.Receiver] += int64(blocks) * int64(m.an.BlockSize)
-				msgs[t.Sender*np+t.Receiver] += int64(len(t.Blocks))
-			}
-			for s := 0; s < np; s++ {
-				for r := 0; r < np; r++ {
-					k := s*np + r
-					var gb, gm int64
-					if s < len(bmat) && r < len(bmat[s]) {
-						gb, gm = bmat[s][r], mmat[s][r]
-					}
-					if gb != bytes[k] || gm != msgs[k] {
-						diag(Error, RuleAggMatrix, nil,
-							"%s matrix cell %d->%d records %dB over %d message(s) but the transfers sum to %dB over %d — the adaptive transport policy would be steered by traffic the schedule does not emit",
-							phase, s, r, gb, gm, bytes[k], msgs[k])
-					}
-					bytes[k], msgs[k] = 0, 0
-				}
-			}
-		}
-		checkMatrices(lc.Sched.Reads, lc.Sched.ReadBytes, lc.Sched.ReadMsgs, "read")
-		checkMatrices(lc.Sched.Writes, lc.Sched.WriteBytes, lc.Sched.WriteMsgs, "write")
-	}
-
 	// ---- PRE elisions: every skip re-validated independently. ----
 	if len(lc.Skipped) > 0 {
 		m.report.markChecked(site.Loop, RuleElision)
@@ -327,7 +226,7 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		}
 	}
 
-	m.phase += barrierCount[0]
+	m.phase += f.barriers[0]
 	m.report.Instances++
 }
 
@@ -363,6 +262,11 @@ func (m *Model) checkAlignment(t *compiler.Transfer, diag func(Severity, string,
 		diag(Error, RuleAlignment, t,
 			"transfer carries %d block(s) but the block-aligned interior of the section has %d — shmem_limits shrink is wrong",
 			sections.CountBlocks(got), sections.CountBlocks(want))
+	} else if n := sections.CountBlocks(t.Blocks); n != t.NumBlocks {
+		// The count the receivers expect and the transport policy sums.
+		diag(Error, RuleAlignment, t,
+			"transfer claims %d aligned block(s) but its runs cover %d",
+			t.NumBlocks, n)
 	}
 	if t.EdgeBytes != total-alignedBytes {
 		diag(Error, RuleAlignment, t,

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
 	"hpfdsm/internal/lang"
+	"hpfdsm/internal/protocol"
 )
 
 // The fixture has one shift-read loop (send/ready_to_recv traffic) and
@@ -53,19 +55,21 @@ func compileFixture(t *testing.T) (*compiler.Analysis, []*ir.ParLoop) {
 	return an, loops
 }
 
-// buildFixture returns a fresh model/report pair and the modeled call
-// sequence of one fixture loop at OptBulk.
-func buildFixture(t *testing.T, loopIdx int) (*analysis.Model, *analysis.Report, *analysis.LoopCalls) {
+// tee is the model's test seam: it wraps the verifier's sink for one
+// node's calls before (after false) or after the loop body.
+type tee = func(node int, after bool, c compiler.Calls) compiler.Calls
+
+// buildFixture returns a fresh model/report pair and one fixture loop's
+// instance at OptBulk, its calls folded through tee (nil: as emitted).
+func buildFixture(t *testing.T, loopIdx int, tee tee) (*analysis.Model, *analysis.Report, *analysis.LoopCalls) {
 	t.Helper()
 	an, loops := compileFixture(t)
 	rep := analysis.NewReport(an.Prog.Name)
 	m := analysis.NewModel(an, compiler.OptBulk, rep)
-	env := map[string]int{}
-	for k, v := range an.Prog.Params {
-		env[k] = v
-	}
+	m.Tee = tee
 	pl := loops[loopIdx]
-	lc := m.BuildLoopCalls(pl, pl.Label, an.LoopRuleOf(pl), env, false)
+	site := analysis.Site{App: an.Prog.Name, Loop: pl.Label, Level: compiler.OptBulk}
+	lc := m.FoldLoopCalls(pl, site, an.Schedule(pl, an.LoopRuleOf(pl), an.Prog.Params), false)
 	return m, rep, lc
 }
 
@@ -81,58 +85,102 @@ func errorRules(rep *analysis.Report) map[string]bool {
 	return out
 }
 
-// dropOps removes calls matching keep==false from every node's list.
-func dropOps(lc *analysis.LoopCalls, keep func(c analysis.Call, postBody bool) bool) {
-	for n := range lc.Nodes {
-		var out []analysis.Call
-		post := false
-		for _, c := range lc.Nodes[n] {
-			if c.Op == analysis.OpBody {
-				post = true
-			}
-			if keep(c, post) {
-				out = append(out, c)
-			}
-		}
-		lc.Nodes[n] = out
+// filter forwards the calls keep accepts, each named as the verifier's
+// diagnostics name it.
+type filter struct {
+	compiler.Calls
+	keep func(op string) bool
+}
+
+func (f filter) MkWritable(b []protocol.BlockRun) {
+	if f.keep("mk_writable") {
+		f.Calls.MkWritable(b)
 	}
 }
 
-// The mutations the contract tests apply to a fixture loop's recorded
-// calls, named so that TestContractDiagnosticsPinned applies the same
-// ones.
-
-func dropReadyToRecv(lc *analysis.LoopCalls) {
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpReadyToRecv })
+func (f filter) ImplicitWritable(b []protocol.BlockRun) {
+	if f.keep("implicit_writable") {
+		f.Calls.ImplicitWritable(b)
+	}
 }
+
+func (f filter) Expect(n int) {
+	if f.keep("expect") {
+		f.Calls.Expect(n)
+	}
+}
+
+func (f filter) Send(t *compiler.Transfer) {
+	if f.keep("send") {
+		f.Calls.Send(t)
+	}
+}
+
+func (f filter) ReadyToRecv() {
+	if f.keep("ready_to_recv") {
+		f.Calls.ReadyToRecv()
+	}
+}
+
+func (f filter) Flush(t *compiler.Transfer) {
+	if f.keep("flush") {
+		f.Calls.Flush(t)
+	}
+}
+
+func (f filter) ImplicitInvalidate(b []protocol.BlockRun) {
+	if f.keep("implicit_invalidate") {
+		f.Calls.ImplicitInvalidate(b)
+	}
+}
+
+func (f filter) Barrier() {
+	if f.keep("barrier") {
+		f.Calls.Barrier()
+	}
+}
+
+// dropping drops every call of the named kinds, on every node.
+func dropping(ops ...string) tee {
+	return func(_ int, _ bool, c compiler.Calls) compiler.Calls {
+		return filter{c, func(op string) bool { return !slices.Contains(ops, op) }}
+	}
+}
+
+// dropKth drops the k-th (from 1) op call that node makes.
+func dropKth(node int, op string, k int) tee {
+	seen := 0
+	return func(n int, _ bool, c compiler.Calls) compiler.Calls {
+		return filter{c, func(o string) bool {
+			if n != node || o != op {
+				return true
+			}
+			seen++
+			return seen != k
+		}}
+	}
+}
+
+// The mutations the contract tests apply to a fixture loop's calls or
+// to its folded instance, named so that TestContractDiagnosticsPinned
+// applies the same ones.
+
+var dropReadyToRecv = dropping("ready_to_recv")
 
 // dropFlushSide removes the writers' flush and the consumers' post-loop
 // expect/ready.
-func dropFlushSide(lc *analysis.LoopCalls) {
-	dropOps(lc, func(c analysis.Call, post bool) bool {
-		if c.Op == analysis.OpFlush {
-			return false
-		}
-		if post && (c.Op == analysis.OpExpect || c.Op == analysis.OpReadyToRecv) {
-			return false
-		}
-		return true
-	})
+func dropFlushSide(_ int, after bool, c compiler.Calls) compiler.Calls {
+	return filter{c, func(op string) bool {
+		return op != "flush" && !(after && (op == "expect" || op == "ready_to_recv"))
+	}}
 }
 
-func dropImplicitWritable(lc *analysis.LoopCalls) {
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpImplicitWritable })
-}
+var dropImplicitWritable = dropping("implicit_writable")
 
 // dropLastBarrierOfNode0 removes node 0's last barrier only.
-func dropLastBarrierOfNode0(lc *analysis.LoopCalls) {
-	last := -1
-	for i, c := range lc.Nodes[0] {
-		if c.Op == analysis.OpBarrier {
-			last = i
-		}
-	}
-	lc.Nodes[0] = append(lc.Nodes[0][:last:last], lc.Nodes[0][last+1:]...)
+func dropLastBarrierOfNode0(t *testing.T, loopIdx int) tee {
+	_, _, clean := buildFixture(t, loopIdx, nil)
+	return dropKth(0, "barrier", clean.Barriers[0])
 }
 
 // skipDeadRead lists the first read transfer as elided by PRE though
@@ -141,19 +189,11 @@ func skipDeadRead(lc *analysis.LoopCalls) {
 	lc.Skipped = append(lc.Skipped, analysis.SkippedTransfer{T: lc.Reads[0], Live: false})
 }
 
-// driftReadMatrices corrupts the first read transfer's cell of the
-// schedule's traffic matrices.
-func driftReadMatrices(lc *analysis.LoopCalls) {
-	ref := lc.Sched.Reads[0]
-	lc.Sched.ReadBytes[ref.Sender][ref.Receiver] += 1
-	lc.Sched.ReadMsgs[ref.Sender][ref.Receiver] += 3
-}
-
 // TestContractCleanFixture: the unmutated call sequences satisfy the
 // contract.
 func TestContractCleanFixture(t *testing.T) {
 	for idx := 0; idx < 2; idx++ {
-		m, rep, lc := buildFixture(t, idx)
+		m, rep, lc := buildFixture(t, idx, nil)
 		m.CheckLoopCalls(lc)
 		if rep.HasErrors() {
 			t.Fatalf("loop %d: clean fixture produced errors:\n%s", idx, rep)
@@ -167,8 +207,7 @@ func TestContractCleanFixture(t *testing.T) {
 // TestContractDroppedReadyToRecv: removing the consumers' ready_to_recv
 // yields exactly contract/recv-match errors, with loop provenance.
 func TestContractDroppedReadyToRecv(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
-	dropReadyToRecv(lc)
+	m, rep, lc := buildFixture(t, 0, dropReadyToRecv)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -196,8 +235,7 @@ func TestContractDroppedReadyToRecv(t *testing.T) {
 // (flush + the consumers' post-loop expect/ready) yields exactly
 // contract/write-flush errors citing the array section.
 func TestContractUnflushedMkWritable(t *testing.T) {
-	m, rep, lc := buildFixture(t, 1)
-	dropFlushSide(lc)
+	m, rep, lc := buildFixture(t, 1, dropFlushSide)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -227,8 +265,7 @@ func TestContractUnflushedMkWritable(t *testing.T) {
 // TestContractDroppedImplicitWritable: consumers that never open frames
 // trip the happens-before check for every arriving block.
 func TestContractDroppedImplicitWritable(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
-	dropImplicitWritable(lc)
+	m, rep, lc := buildFixture(t, 0, dropImplicitWritable)
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -240,8 +277,7 @@ func TestContractDroppedImplicitWritable(t *testing.T) {
 // TestContractBarrierParity: a node skipping its closing barrier is a
 // deadlock, flagged as exactly contract/barrier.
 func TestContractBarrierParity(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
-	dropLastBarrierOfNode0(lc)
+	m, rep, lc := buildFixture(t, 0, dropLastBarrierOfNode0(t, 0))
 	m.CheckLoopCalls(lc)
 
 	rules := errorRules(rep)
@@ -254,7 +290,7 @@ func TestContractBarrierParity(t *testing.T) {
 // live (the walker's independent re-derivation says an intervening
 // write killed it) is exactly contract/elision.
 func TestContractBadElision(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
+	m, rep, lc := buildFixture(t, 0, nil)
 	if len(lc.Reads) == 0 {
 		t.Fatal("fixture loop has no read transfers")
 	}
@@ -267,57 +303,39 @@ func TestContractBadElision(t *testing.T) {
 	}
 }
 
-// TestContractAggMatrixDrift: corrupting the schedule's traffic
-// matrices — the inputs the runtime's adaptive transport policy reads —
-// is exactly contract/agg-matrix, and a clean run marks the rule
-// verified.
-func TestContractAggMatrixDrift(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
-	if len(lc.Sched.Reads) == 0 {
-		t.Fatal("fixture loop has no read transfers")
-	}
-	driftReadMatrices(lc)
-	m.CheckLoopCalls(lc)
+// TestContractNumBlocksOffByOne: a transfer whose block count is one
+// off its runs — the count its receiver expects and the transport policy
+// sums — is exactly contract/shmem-limits, on the read and on the write
+// side.
+func TestContractNumBlocksOffByOne(t *testing.T) {
+	for idx := 0; idx < 2; idx++ {
+		for _, delta := range []int{-1, 1} {
+			m, rep, lc := buildFixture(t, idx, nil)
+			ts := lc.Reads
+			if idx == 1 {
+				ts = lc.Writes
+			}
+			if len(ts) == 0 {
+				t.Fatalf("fixture loop %d has no transfers", idx)
+			}
+			ts[0].NumBlocks += delta
+			m.CheckLoopCalls(lc)
 
-	rules := errorRules(rep)
-	if len(rules) != 1 || !rules[analysis.RuleAggMatrix] {
-		t.Fatalf("want exactly {%s}, got %v:\n%s", analysis.RuleAggMatrix, rules, rep)
-	}
-	found := false
-	for _, d := range rep.Diags {
-		if d.Rule == analysis.RuleAggMatrix && d.Severity == analysis.Error {
-			if d.Site.Loop != lc.Site.Loop {
-				t.Fatalf("diagnostic lacks loop provenance: %v", d)
+			rules := errorRules(rep)
+			if len(rules) != 1 || !rules[analysis.RuleAlignment] {
+				t.Fatalf("loop %d, NumBlocks %+d: want exactly {%s}, got %v:\n%s", idx, delta, analysis.RuleAlignment, rules, rep)
 			}
-			if !strings.Contains(d.Msg, "transport policy") {
-				t.Fatalf("diagnostic does not explain the policy impact: %v", d)
+			if n := rep.Errors(); n != 1 || !strings.Contains(rep.Diags[0].Msg, "claims") {
+				t.Fatalf("loop %d, NumBlocks %+d: want one diagnostic naming the claimed count, got %d:\n%s", idx, delta, n, rep)
 			}
-			found = true
 		}
-	}
-	if !found {
-		t.Fatalf("no agg-matrix error:\n%s", rep)
-	}
-	if got := rep.RulesFor(lc.Site.Loop); containsRule(got, analysis.RuleAggMatrix) {
-		t.Fatalf("broken rule still reported as verified: %v", got)
-	}
-
-	// A fresh, unmutated schedule verifies the rule.
-	m2, rep2, lc2 := buildFixture(t, 0)
-	m2.CheckLoopCalls(lc2)
-	if rep2.HasErrors() {
-		t.Fatalf("clean fixture produced errors:\n%s", rep2)
-	}
-	if got := rep2.RulesFor(lc2.Site.Loop); !containsRule(got, analysis.RuleAggMatrix) {
-		t.Fatalf("clean run did not record %s as verified: %v", analysis.RuleAggMatrix, got)
 	}
 }
 
 // TestSuppressionDowngrade: Apply downgrades a matching error to Info
 // with the reason attached and reports stale entries.
 func TestSuppressionDowngrade(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0)
-	dropReadyToRecv(lc)
+	m, rep, lc := buildFixture(t, 0, dropReadyToRecv)
 	m.CheckLoopCalls(lc)
 	if !rep.HasErrors() {
 		t.Fatal("expected errors before suppression")

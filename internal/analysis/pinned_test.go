@@ -10,6 +10,7 @@ import (
 
 	"hpfdsm/internal/analysis"
 	"hpfdsm/internal/apps"
+	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/protocol"
 )
@@ -22,53 +23,57 @@ var updateDiagnostics = flag.Bool("update-diagnostics", false, "rewrite testdata
 // unscheduled, delivered with no frame or in the frame's own phase, and
 // a transfer that is not its section's aligned interior.
 
-func dropSends(lc *analysis.LoopCalls) {
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpSend })
-}
+var (
+	dropSends      = dropping("send")
+	dropMkWritable = dropping("mk_writable")
+)
 
-func dropMkWritable(lc *analysis.LoopCalls) {
-	dropOps(lc, func(c analysis.Call, post bool) bool { return c.Op != analysis.OpMkWritable })
+// sendTwice repeats every send one block further on.
+type sendTwice struct{ compiler.Calls }
+
+func (s sendTwice) Send(t *compiler.Transfer) {
+	s.Calls.Send(t)
+	again := *t
+	again.Blocks = slices.Clone(t.Blocks)
+	for i := range again.Blocks {
+		again.Blocks[i].Start++
+	}
+	s.Calls.Send(&again)
 }
 
 // sendTwiceOverlapping has every sender repeat its sends one block
 // further on, so that the blocks a node is sent overlap and one of them
 // is in no transfer.
-func sendTwiceOverlapping(lc *analysis.LoopCalls) {
-	for n, calls := range lc.Nodes {
-		var out []analysis.Call
-		for _, c := range calls {
-			out = append(out, c)
-			if c.Op == analysis.OpSend {
-				again := c
-				again.Blocks = slices.Clone(c.Blocks)
-				for i := range again.Blocks {
-					again.Blocks[i].Start++
-				}
-				out = append(out, again)
-			}
-		}
-		lc.Nodes[n] = out
-	}
+func sendTwiceOverlapping(_ int, _ bool, c compiler.Calls) compiler.Calls { return sendTwice{c} }
+
+// lateFrames holds a node's implicit_writable calls back and makes them
+// right after its next barrier.
+type lateFrames struct {
+	compiler.Calls
+	held *[][]protocol.BlockRun
 }
 
-// openFramesLate moves every implicit_writable behind the node's first
+func (l lateFrames) ImplicitWritable(b []protocol.BlockRun) {
+	*l.held = append(*l.held, slices.Clone(b)) // b is the emitter's scratch
+}
+
+func (l lateFrames) Barrier() {
+	l.Calls.Barrier()
+	for _, b := range *l.held {
+		l.Calls.ImplicitWritable(b)
+	}
+	*l.held = nil
+}
+
+// openFramesLate moves every implicit_writable behind the node's next
 // barrier: the phase its data arrives in.
-func openFramesLate(lc *analysis.LoopCalls) {
-	for n, calls := range lc.Nodes {
-		var out, held []analysis.Call
-		for _, c := range calls {
-			switch {
-			case c.Op == analysis.OpImplicitWritable:
-				held = append(held, c)
-				continue
-			case c.Op == analysis.OpBarrier && held != nil:
-				out = append(append(out, c), held...)
-				held = nil
-				continue
-			}
-			out = append(out, c)
+func openFramesLate() tee {
+	var held [][]protocol.BlockRun
+	return func(_ int, after bool, c compiler.Calls) compiler.Calls {
+		if !after {
+			held = nil // a node's frames wait for its own barriers only
 		}
-		lc.Nodes[n] = out
+		return lateFrames{c, &held}
 	}
 }
 
@@ -94,24 +99,26 @@ func TestContractDiagnosticsPinned(t *testing.T) {
 	for _, f := range []struct {
 		name   string
 		loop   int
-		mutate func(*analysis.LoopCalls)
+		tee    tee                       // alters the calls on their way to the fold
+		mutate func(*analysis.LoopCalls) // alters the folded instance
 	}{
-		{"clean-read", 0, func(*analysis.LoopCalls) {}},
-		{"clean-write", 1, func(*analysis.LoopCalls) {}},
-		{"drop-ready-to-recv", 0, dropReadyToRecv},
-		{"drop-flush-side", 1, dropFlushSide},
-		{"drop-implicit-writable", 0, dropImplicitWritable},
-		{"drop-last-barrier-of-node-0", 0, dropLastBarrierOfNode0},
-		{"skip-dead-read", 0, skipDeadRead},
-		{"drift-read-matrices", 0, driftReadMatrices},
-		{"drop-sends", 0, dropSends},
-		{"drop-mk-writable", 1, dropMkWritable},
-		{"send-twice-overlapping", 0, sendTwiceOverlapping},
-		{"open-frames-late", 0, openFramesLate},
-		{"shift-transfer-blocks", 0, shiftTransferBlocks},
+		{"clean-read", 0, nil, nil},
+		{"clean-write", 1, nil, nil},
+		{"drop-ready-to-recv", 0, dropReadyToRecv, nil},
+		{"drop-flush-side", 1, dropFlushSide, nil},
+		{"drop-implicit-writable", 0, dropImplicitWritable, nil},
+		{"drop-last-barrier-of-node-0", 0, dropLastBarrierOfNode0(t, 0), nil},
+		{"skip-dead-read", 0, nil, skipDeadRead},
+		{"drop-sends", 0, dropSends, nil},
+		{"drop-mk-writable", 1, dropMkWritable, nil},
+		{"send-twice-overlapping", 0, sendTwiceOverlapping, nil},
+		{"open-frames-late", 0, openFramesLate(), nil},
+		{"shift-transfer-blocks", 0, nil, shiftTransferBlocks},
 	} {
-		m, rep, lc := buildFixture(t, f.loop)
-		f.mutate(lc)
+		m, rep, lc := buildFixture(t, f.loop, f.tee)
+		if f.mutate != nil {
+			f.mutate(lc)
+		}
 		m.CheckLoopCalls(lc)
 		fmt.Fprintf(&got, "== mutation %s ==\n%s", f.name, rep)
 	}

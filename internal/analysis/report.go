@@ -58,10 +58,9 @@ const (
 	RuleWriteFlush  = "contract/write-flush"  // non-owner write not covered by mk_writable + flush
 	RuleFlushOwner  = "contract/flush-owner"  // flush destination is not the section's home
 	RuleSendOwner   = "contract/send-owner"   // read-transfer sender does not own the section
-	RuleAlignment   = "contract/shmem-limits" // blocks not the block-aligned interior, or out of bounds
+	RuleAlignment   = "contract/shmem-limits" // blocks not the block-aligned interior or not the count claimed, or out of bounds
 	RuleBarrier     = "contract/barrier"      // barrier count differs across nodes (deadlock)
 	RuleElision     = "contract/elision"      // a higher level dropped a call a lower level proves necessary
-	RuleAggMatrix   = "contract/agg-matrix"   // aggregation-policy traffic matrices disagree with the transfers' extents
 	RuleBounds      = "program/bounds"        // the loop's bounds drive a distributed subscript outside its array
 	RuleSubscript   = "program/subscript"     // a subscript leaves its dimension over the iterations that run
 	RuleRaceWrite   = "race/write-write"      // overlapping writer sections in one parallel loop

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
@@ -12,7 +13,7 @@ import (
 
 // Model is the per-level verification state: it replays the program's
 // control flow symbolically (SPMD control flow is replicated, so one
-// walk stands for all nodes), recording per loop instance the calls the
+// walk stands for all nodes), folding per loop instance the calls the
 // executor's emitter makes and checking them against the contract. The
 // state that the checks depend on persists across loop instances
 // exactly as it does at run time: open implicit_writable frames per
@@ -29,17 +30,21 @@ type Model struct {
 	frames [][]frame // per node: its open frames
 	// live holds, per array name, the keys of the transfers delivered
 	// and not since invalidated by a write to the array.
-	live  map[string]map[string]bool
-	cells []int64 // CheckLoopCalls' traffic-matrix sums, zero between uses
+	live map[string]map[string]bool
 
 	plans *compiler.Planner // each instance's plan, as the runtime gets it
 	inst  int               // instances planned so far
 	em    compiler.Emitter
+	fold  fold // the current instance's calls, folded
+	// Tee, when a test sets it, wraps the fold for each node's calls
+	// before (after false) and after the loop body: the one seam through
+	// which a test watches or alters the stream the verifier checks.
+	Tee func(node int, after bool, c compiler.Calls) compiler.Calls
 
 	env     map[string]int
-	checked map[string]bool // loop|sig instances already diagnosed
-	seen    map[Diag]bool   // diagnostic dedup
-	gen     int             // bumped on any state/diagnostic change (fixpoint detection)
+	checked map[Site]bool // loop instances already diagnosed
+	seen    map[Diag]bool // diagnostic dedup
+	gen     int           // bumped on any state/diagnostic change (fixpoint detection)
 }
 
 // NewModel builds a fresh verification state for one optimization
@@ -51,10 +56,10 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 		report:  rep,
 		frames:  make([][]frame, an.NP),
 		live:    map[string]map[string]bool{},
-		cells:   make([]int64, 2*an.NP*an.NP),
 		plans:   compiler.NewPlanner(level),
+		fold:    newFold(an.NP),
 		env:     map[string]int{},
-		checked: map[string]bool{},
+		checked: map[Site]bool{},
 		seen:    map[Diag]bool{},
 	}
 	for k, v := range an.Prog.Params {
@@ -73,26 +78,27 @@ type frame struct {
 	blocks []protocol.BlockRun
 }
 
-// frameCall applies a call to its node's open frames: implicit_writable
-// opens one, at the call's phase, over the blocks the node has none open
-// for; implicit_invalidate takes its blocks out of them all.
-func (m *Model) frameCall(c phased) {
-	open := m.frames[c.Node]
-	switch c.Op {
-	case OpImplicitWritable:
-		fresh := c.Blocks
+// frameCall applies a frame event to its node's open frames:
+// implicit_writable opens one, at the event's phase, over the blocks the
+// node has none open for (copied: the event's list is the fold's);
+// implicit_invalidate takes its blocks out of them all.
+func (m *Model) frameCall(e event) {
+	open := m.frames[e.node]
+	switch e.kind {
+	case evOpen:
+		fresh := e.blocks
 		for _, f := range open {
 			fresh = sections.Minus(fresh, f.blocks)
 		}
 		if fresh = sections.Normalize(fresh); len(fresh) > 0 {
-			m.frames[c.Node] = append(open, frame{c.phase, fresh})
+			m.frames[e.node] = append(open, frame{e.phase, slices.Clone(fresh)})
 			m.bump()
 		}
-	case OpImplicitInvalidate:
-		m.frames[c.Node] = open[:0]
+	case evClose:
+		m.frames[e.node] = open[:0]
 		for _, f := range open {
-			if f.blocks = sections.Minus(f.blocks, c.Blocks); len(f.blocks) > 0 {
-				m.frames[c.Node] = append(m.frames[c.Node], f)
+			if f.blocks = sections.Minus(f.blocks, e.blocks); len(f.blocks) > 0 {
+				m.frames[e.node] = append(m.frames[e.node], f)
 			}
 		}
 	}
@@ -159,27 +165,29 @@ func (m *Model) seqLoop(sl *ir.SeqLoop) {
 // instance verifies one loop/reduction instantiation and advances the
 // model state.
 func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []*ir.Assign, reduceExpr ir.Expr) {
-	env := sigOf(rule, m.env)
-	sig := label + "|" + env
+	site := Site{App: m.an.Prog.Name, Loop: label, Env: sigOf(rule, m.env), Level: m.level}
 	if pt := m.an.Partition(key, rule, m.env); pt.Err != nil {
 		// No partition, so no schedule to check: the program is wrong, not
 		// the compiler's calls.
-		if !m.checked[sig] {
-			m.checked[sig] = true
+		if !m.checked[site] {
+			m.checked[site] = true
 			m.bump()
-			site := Site{App: m.an.Prog.Name, Loop: label, Env: env, Level: m.level}
 			m.addDiag(Diag{Severity: Error, Rule: RuleBounds, Site: site, Msg: pt.Err.Error()})
 			m.report.markBroken(label, RuleBounds)
 		}
 		return
 	}
-	lc := m.BuildLoopCalls(key, label, rule, m.env, reduceExpr != nil)
-	if !m.checked[sig] {
-		m.checked[sig] = true
+	var sched *compiler.Schedule // none at OptNone: default protocol only
+	if m.level >= compiler.OptBase {
+		sched = m.an.Schedule(key, rule, m.env)
+	}
+	lc := m.FoldLoopCalls(key, site, sched, reduceExpr != nil)
+	if !m.checked[site] {
+		m.checked[site] = true
 		m.bump()
 		m.CheckLoopCalls(lc)
 		if m.races {
-			m.CheckRaces(key, rule, m.env, lc.Site, body, reduceExpr)
+			m.CheckRaces(key, rule, m.env, site, body, reduceExpr)
 		}
 	} else {
 		// Repeat instance: the checks would repeat verbatim, but the
@@ -217,23 +225,10 @@ func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []
 // advance replays a repeat instance's effect on the happens-before
 // state (frames open, phase advances) without re-diagnosing.
 func (m *Model) advance(lc *LoopCalls) {
-	bc := 0
-	for _, c := range lc.Nodes[0] {
-		if c.Op == OpBarrier {
-			bc++
-		}
+	for _, e := range lc.f.frames {
+		m.frameCall(e)
 	}
-	for n := range lc.Nodes {
-		b := 0
-		for _, c := range lc.Nodes[n] {
-			if c.Op == OpBarrier {
-				b++
-			}
-			c.Node = n
-			m.frameCall(phased{m.phase + b, c})
-		}
-	}
-	m.phase += bc
+	m.phase += lc.Barriers[0]
 }
 
 // Levels returns every optimization level, in ascending order.

@@ -6,7 +6,7 @@ import "hpfdsm/internal/protocol"
 // 4.2 sequence, one method per call, in the order one node makes them.
 // Everything that needs the sequence is a sink of it: the executor
 // forwards to the protocol, crash recovery's ghost replay counts the
-// barriers, the static verifier records, hpfc -calls prints. A block
+// barriers, the static verifier folds, hpfc -calls prints. A block
 // list is only valid during the call (it is the emitter's scratch).
 type Calls interface {
 	MkWritable(blocks []protocol.BlockRun)

@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"hpfdsm/internal/ir"
@@ -31,6 +33,12 @@ type Transfer struct {
 	// planning an instance formats nothing. Schedules are memoized, so
 	// the formatting cost is paid once per valuation.
 	Key string
+	// pairBytes and pairMsgs are the phase's compiler-controlled traffic
+	// from Sender to Receiver, summed over the transfer's list (the
+	// schedule's reads, or its writes) by buildSchedule: bytes of
+	// block-aligned interior, and the bulk wire messages they take (one
+	// per contiguous block run). Mode reads them.
+	pairBytes, pairMsgs int
 }
 
 func (t Transfer) String() string {
@@ -40,59 +48,33 @@ func (t Transfer) String() string {
 
 // Schedule is a loop's instantiated communication: Reads execute
 // before the loop (owner sends to readers), Writes after it (writers
-// flush to owners). ReadBytes and WriteBytes are the phase's expected
-// compiler-controlled traffic matrices — [sender][receiver] bytes,
-// summed over every transfer's block-aligned interior — computed from
-// the same section arithmetic that produced the transfers; ReadMsgs
-// and WriteMsgs count the bulk wire messages that traffic would take
-// (one per contiguous block run). The runtime consults them (via Mode)
-// to pick each destination's transport: a pair whose phase collapses
-// to one wire message gains nothing from aggregation machinery, while
-// a pair whose epoch total clears the machine's threshold amortizes
-// one carrier header over many segments.
+// flush to owners).
 type Schedule struct {
 	Reads  []Transfer
 	Writes []Transfer
 
-	ReadBytes  [][]int64
-	WriteBytes [][]int64
-	ReadMsgs   [][]int64
-	WriteMsgs  [][]int64
-
+	np int // the machine's node count
 	// The per-node indexes (view.go), each built on first use: a
 	// schedule the front end only inspects pays two nil words for them.
 	live, all atomic.Pointer[nodeIndex]
 }
 
-// Mode picks the transport for one transfer of this schedule, given
-// the optimization level and the machine's aggregation threshold
-// (bytes) and block size. Below OptBulk every block travels alone
-// (the paper's unoptimized send). At OptBulk and above, a (sender,
-// receiver) pair whose expected epoch traffic reaches the threshold
-// AND spans at least two wire messages aggregates through the
-// coalescing scheduler — aggregation only ever wins by merging
-// messages, so a pair that already collapses to one bulk message is
-// sent as exactly that message; a multi-message pair below the
-// threshold uses per-transfer bulk messages; a single-block pair
-// stays eager — the bulk path's chunking would produce the identical
-// wire message.
-func (s *Schedule) Mode(level Level, sender, receiver int, write bool, blockSize, threshold int) protocol.SendMode {
-	if level < OptBulk {
-		return protocol.SendEager
-	}
-	bmat, mmat := s.ReadBytes, s.ReadMsgs
-	if write {
-		bmat, mmat = s.WriteBytes, s.WriteMsgs
-	}
-	var bytes, msgs int64
-	if sender < len(bmat) && receiver < len(bmat[sender]) {
-		bytes = bmat[sender][receiver]
-		msgs = mmat[sender][receiver]
-	}
+// Mode picks the transfer's transport, given the optimization level and
+// the machine's block size and aggregation threshold (bytes), from the
+// phase's traffic between its sender and receiver. Below OptBulk every
+// block travels alone (the paper's unoptimized send). At OptBulk and
+// above, a pair whose phase traffic reaches the threshold AND spans at
+// least two wire messages aggregates through the coalescing scheduler
+// — aggregation only ever wins by merging messages, so a pair that
+// already collapses to one bulk message is sent as exactly that
+// message; a multi-message pair below the threshold uses per-transfer
+// bulk messages; a single-block pair stays eager — the bulk path's
+// chunking would produce the identical wire message.
+func (t *Transfer) Mode(level Level, blockSize, threshold int) protocol.SendMode {
 	switch {
-	case bytes <= int64(blockSize):
+	case level < OptBulk || t.pairBytes <= blockSize:
 		return protocol.SendEager
-	case msgs >= 2 && bytes >= int64(threshold):
+	case t.pairMsgs >= 2 && t.pairBytes >= threshold:
 		return protocol.SendAggregate
 	default:
 		return protocol.SendBulk
@@ -122,37 +104,44 @@ func (a *Analysis) Schedule(key any, rule *LoopRule, env map[string]int) *Schedu
 
 func (a *Analysis) buildSchedule(key any, rule *LoopRule, env map[string]int) *Schedule {
 	pt := a.Partition(key, rule, env)
-	s := &Schedule{}
+	s := &Schedule{np: a.NP}
 	for _, rr := range rule.Reads {
 		s.Reads = append(s.Reads, a.refTransfers(rule, rr, pt, env)...)
 	}
 	for _, rr := range rule.Writes {
 		s.Writes = append(s.Writes, a.refTransfers(rule, rr, pt, env)...)
 	}
-	s.ReadBytes, s.ReadMsgs = a.trafficMatrices(s.Reads)
-	s.WriteBytes, s.WriteMsgs = a.trafficMatrices(s.Writes)
+	a.sumPairs(s.Reads)
+	a.sumPairs(s.Writes)
 	return s
 }
 
-// trafficMatrices sums each transfer list's block-aligned interiors
-// into [sender][receiver] matrices: total bytes, and the number of
-// bulk wire messages that traffic takes (one per contiguous block
-// run). Schedules are memoized, so the cost is paid once per (loop,
-// valuation).
-func (a *Analysis) trafficMatrices(ts []Transfer) (bytes, msgs [][]int64) {
-	bytes = make([][]int64, a.NP)
-	msgs = make([][]int64, a.NP)
-	cells := make([]int64, 2*a.NP*a.NP)
-	for i := range bytes {
-		bytes[i] = cells[i*a.NP : (i+1)*a.NP]
-		msgs[i] = cells[(a.NP+i)*a.NP : (a.NP+i+1)*a.NP]
+// sumPairs gives every transfer of ts its pair's totals over ts. Sorted
+// by (sender, receiver), the list's indices put each pair's transfers
+// side by side, so the sums take memory in the transfers, not in the
+// machine's size. Schedules are memoized, so the cost is paid once per
+// (loop, valuation).
+func (a *Analysis) sumPairs(ts []Transfer) {
+	byPair := make([]int32, len(ts))
+	for i := range byPair {
+		byPair[i] = int32(i)
 	}
-	for i := range ts {
-		t := &ts[i]
-		bytes[t.Sender][t.Receiver] += int64(t.NumBlocks) * int64(a.BlockSize)
-		msgs[t.Sender][t.Receiver] += int64(len(t.Blocks))
+	slices.SortFunc(byPair, func(i, j int32) int {
+		return cmp.Or(ts[i].Sender-ts[j].Sender, ts[i].Receiver-ts[j].Receiver)
+	})
+	for lo := 0; lo < len(byPair); {
+		s, r := ts[byPair[lo]].Sender, ts[byPair[lo]].Receiver
+		hi, bytes, msgs := lo, 0, 0
+		for ; hi < len(byPair) && ts[byPair[hi]].Sender == s && ts[byPair[hi]].Receiver == r; hi++ {
+			t := &ts[byPair[hi]]
+			bytes += t.NumBlocks * a.BlockSize
+			msgs += len(t.Blocks)
+		}
+		for _, i := range byPair[lo:hi] {
+			ts[i].pairBytes, ts[i].pairMsgs = bytes, msgs
+		}
+		lo = hi
 	}
-	return bytes, msgs
 }
 
 // VarRanges builds the value ranges of all loop and inner-reduction

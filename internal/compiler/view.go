@@ -82,7 +82,7 @@ func (x *nodeIndex) view(p int) View {
 // (role, node) lists: one pass sizes them, a second fills them, and
 // because both visit the transfers in ascending order so is every list.
 func buildIndex(s *Schedule, liveOnly bool) *nodeIndex {
-	np := len(s.ReadBytes) // the traffic matrices are NP x NP
+	np := s.np
 	x := &nodeIndex{np: np}
 	each := func(put func(slot int, i int32)) {
 		for i := range s.Reads {

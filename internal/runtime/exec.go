@@ -84,18 +84,18 @@ func (l liveCalls) Barrier()                                 { l.cluster.Barrier
 func (l liveCalls) Drain()                                   { l.x.DrainAggregated(l.p) }
 
 func (l liveCalls) Send(t *compiler.Transfer) {
-	l.x.SendBlocks(l.p, t.Receiver, t.Blocks, l.mode(t, false))
+	l.x.SendBlocks(l.p, t.Receiver, t.Blocks, l.mode(t))
 }
 
 func (l liveCalls) Flush(t *compiler.Transfer) {
-	l.x.FlushBlocks(l.p, t.Receiver, t.Blocks, l.mode(t, true))
+	l.x.FlushBlocks(l.p, t.Receiver, t.Blocks, l.mode(t))
 }
 
-// mode is a transfer's transport, from the current schedule's
-// expected-byte matrices and the machine's aggregation threshold.
-func (l liveCalls) mode(t *compiler.Transfer, write bool) protocol.SendMode {
+// mode is a transfer's transport, from its pair's phase traffic and the
+// machine's aggregation threshold.
+func (l liveCalls) mode(t *compiler.Transfer) protocol.SendMode {
 	mc := l.n.MC
-	return l.plan.Sched.Mode(l.opt, t.Sender, t.Receiver, write, mc.BlockSize, mc.EffectiveAggThreshold())
+	return t.Mode(l.opt, mc.BlockSize, mc.EffectiveAggThreshold())
 }
 
 // teeCalls, when a test sets it, wraps each node's live sink.
