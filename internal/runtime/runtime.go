@@ -207,10 +207,17 @@ type recovery struct {
 	err          error // the first failed write to dir
 }
 
+// keepHook, when set, sees every blob keep installs, at the instant it
+// is installed. It is a test seam (export_test.go); nil otherwise.
+var keepHook func(blob []byte)
+
 // keep installs a freshly captured checkpoint as the recovery point,
 // and persists it to dir when one is set (a diagnostic artifact that
 // recovery never reads back).
 func (rec *recovery) keep(blob []byte) {
+	if keepHook != nil {
+		keepHook(blob)
+	}
 	rec.blob = blob
 	rec.taken++
 	rec.bytes += int64(len(blob))
