@@ -14,7 +14,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,8 +90,23 @@ var statsSize = binary.Size(stats.Node{})
 // Encode serializes the snapshot: magic, version, payload, CRC32
 // (IEEE) of everything preceding the checksum. The result is allocated
 // once, at its exact length.
-func Encode(s *Snapshot) []byte {
-	w := &writer{buf: make([]byte, 0, encodedSize(s))}
+func Encode(s *Snapshot) []byte { return AppendEncode(nil, s) }
+
+// AppendEncode appends Encode(s) to dst and returns the extended
+// buffer. It writes within dst's capacity and allocates only when the
+// encoding does not fit, so a caller that passes back the buffer of an
+// earlier capture (resliced to length zero) encodes a same-sized
+// snapshot without allocating. Whatever dst's spare capacity held is
+// overwritten, never read.
+func AppendEncode(dst []byte, s *Snapshot) []byte {
+	start := len(dst)
+	end := start + encodedSize(s)
+	if cap(dst) < end {
+		grown := make([]byte, start, end+cap(dst)/4)
+		copy(grown, dst)
+		dst = grown
+	}
+	w := &writer{buf: dst[:end], off: start}
 	w.raw([]byte(Magic))
 	w.u32(Version)
 	w.i64(s.Epoch)
@@ -107,7 +121,10 @@ func Encode(s *Snapshot) []byte {
 	for i := range s.Nodes {
 		encodeNode(w, &s.Nodes[i])
 	}
-	w.u32(crc32.ChecksumIEEE(w.buf))
+	w.u32(crc32.ChecksumIEEE(w.buf[start:w.off]))
+	if w.off != end {
+		panic(fmt.Sprintf("checkpoint: encoded %d bytes, sized %d", w.off-start, end-start))
+	}
 	return w.buf
 }
 
@@ -140,17 +157,20 @@ func nodeSize(n *NodeState) int {
 func encodeNode(w *writer, n *NodeState) {
 	w.blob(n.Tags)
 	w.u32(uint32(len(n.Dirty)))
-	for _, m := range n.Dirty {
-		w.u16(m)
+	out := w.next(2 * len(n.Dirty))
+	for i, m := range n.Dirty {
+		binary.LittleEndian.PutUint16(out[2*i:], m)
 	}
 	w.blob(n.Mapped)
 	w.u32(uint32(len(n.Blocks)))
-	for _, b := range n.Blocks {
+	for i := range n.Blocks {
+		b := &n.Blocks[i]
 		w.u32(uint32(b.Block))
 		w.blob(b.Data)
 	}
 	w.u32(uint32(len(n.Dir)))
-	for _, d := range n.Dir {
+	for i := range n.Dir {
+		d := &n.Dir[i]
 		w.u32(uint32(d.Block))
 		w.words(d.Sharers)
 		w.words(d.Writers)
@@ -167,8 +187,7 @@ func encodeNode(w *writer, n *NodeState) {
 	w.i64(n.CCRecv)
 	w.i64(n.CCExpected)
 	w.u32(uint32(statsSize))
-	var err error
-	if w.buf, err = binary.Append(w.buf, binary.LittleEndian, &n.Stats); err != nil {
+	if _, err := binary.Encode(w.next(statsSize), binary.LittleEndian, &n.Stats); err != nil {
 		panic(fmt.Sprintf("checkpoint: stats encode: %v", err))
 	}
 }
@@ -197,9 +216,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		TimerStart: r.i64(),
 		ReduceGen:  r.i64(),
 	}
-	nj := r.count(8)
-	for i := 0; i < nj && r.err == nil; i++ {
-		s.Journal = append(s.Journal, math.Float64frombits(r.u64()))
+	s.Journal = sized[float64](r.count(8))
+	for i := range s.Journal {
+		s.Journal[i] = math.Float64frombits(r.u64())
 	}
 	nn := r.count(1)
 	for i := 0; i < nn && r.err == nil; i++ {
@@ -218,54 +237,123 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
+// decodeNode reads one node. Its block images share one arena and its
+// directory sets another, so the allocations per node do not grow with
+// the blocks it keeps; nothing aliases the input.
 func decodeNode(r *reader) (NodeState, error) {
 	var n NodeState
 	n.Tags = r.blob()
-	nd := r.count(2)
-	for i := 0; i < nd && r.err == nil; i++ {
-		n.Dirty = append(n.Dirty, r.u16())
+	dirty := r.span(2)
+	n.Dirty = sized[uint16](len(dirty) / 2)
+	for i := range n.Dirty {
+		n.Dirty[i] = binary.LittleEndian.Uint16(dirty[2*i:])
 	}
 	n.Mapped = r.blob()
-	nb := r.count(8)
-	for i := 0; i < nb && r.err == nil; i++ {
-		n.Blocks = append(n.Blocks, BlockImage{Block: int32(r.u32()), Data: r.blob()})
-	}
-	ne := r.count(16) // block + three (possibly empty) word vectors
-	for i := 0; i < ne && r.err == nil; i++ {
-		n.Dir = append(n.Dir, DirEntry{
-			Block: int32(r.u32()), Sharers: r.words(), Writers: r.words(), Stale: r.words(),
-		})
-	}
-	nk := r.count(8)
-	for i := 0; i < nk && r.err == nil; i++ {
-		n.IWDone = append(n.IWDone, IWKey{A: int32(r.u32()), B: int32(r.u32())})
+	n.Blocks = r.blocks()
+	n.Dir = r.dir()
+	n.IWDone = sized[IWKey](r.count(8))
+	for i := range n.IWDone {
+		n.IWDone[i] = IWKey{A: int32(r.u32()), B: int32(r.u32())}
 	}
 	n.CCFrames = r.blob()
 	n.CCTouched = r.blob()
 	n.SCHold = r.blob()
 	n.CCRecv = r.i64()
 	n.CCExpected = r.i64()
-	sb := r.blob()
+	sb := r.span(1)
 	if r.err != nil {
 		return n, r.err
 	}
 	if len(sb) != statsSize {
 		return n, fmt.Errorf("checkpoint: stats record is %d bytes, want %d", len(sb), statsSize)
 	}
-	if err := binary.Read(bytes.NewReader(sb), binary.LittleEndian, &n.Stats); err != nil {
+	if _, err := binary.Decode(sb, binary.LittleEndian, &n.Stats); err != nil {
 		return n, fmt.Errorf("checkpoint: stats decode: %v", err)
 	}
 	return n, nil
 }
 
+// blocks reads a node's block images. A first pass over the records
+// validates them and sums their lengths; the second copies every image
+// into one arena.
+func (r *reader) blocks() []BlockImage {
+	nb := r.count(8) // block + length
+	start, total := r.off, 0
+	for i := 0; i < nb && r.err == nil; i++ {
+		r.u32()
+		total += len(r.span(1))
+	}
+	if r.err != nil || nb == 0 {
+		return nil
+	}
+	r.off = start
+	arena := make([]byte, total)
+	bs := make([]BlockImage, nb)
+	for i := range bs {
+		bs[i].Block = int32(r.u32())
+		if d := r.span(1); len(d) > 0 {
+			bs[i].Data = arena[:len(d):len(d)]
+			arena = arena[copy(arena, d):]
+		}
+	}
+	return bs
+}
+
+// dir reads a node's directory entries, their sets carved from one
+// arena sized by a first pass.
+func (r *reader) dir() []DirEntry {
+	ne := r.count(16) // block + three (possibly empty) word vectors
+	start, total := r.off, 0
+	for i := 0; i < ne && r.err == nil; i++ {
+		r.u32()
+		for range 3 {
+			total += len(r.span(8)) / 8
+		}
+	}
+	if r.err != nil || ne == 0 {
+		return nil
+	}
+	r.off = start
+	arena := make([]uint64, total)
+	ds := make([]DirEntry, ne)
+	for i := range ds {
+		d := &ds[i]
+		d.Block = int32(r.u32())
+		d.Sharers, arena = r.words(arena)
+		d.Writers, arena = r.words(arena)
+		d.Stale, arena = r.words(arena)
+	}
+	return ds
+}
+
+// sized returns a slice of n zero elements, nil when n is 0 (an empty
+// field decodes to nil, as the fuzz target's fixed point requires).
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
 // --- primitive codec --------------------------------------------------
 
-type writer struct{ buf []byte }
+// writer fills buf, which AppendEncode sized to the whole encoding,
+// from off on. Only the offset moves, so writing stores no pointer.
+type writer struct {
+	buf []byte
+	off int
+}
 
-func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
-func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// next returns the next n bytes of the buffer for the caller to fill.
+func (w *writer) next(n int) []byte {
+	b := w.buf[w.off : w.off+n : w.off+n]
+	w.off += n
+	return b
+}
+
+func (w *writer) raw(b []byte) { copy(w.next(len(b)), b) }
+func (w *writer) u32(v uint32) { binary.LittleEndian.PutUint32(w.next(4), v) }
+func (w *writer) u64(v uint64) { binary.LittleEndian.PutUint64(w.next(8), v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
 
 // blob writes a length-prefixed byte slice.
@@ -277,8 +365,9 @@ func (w *writer) blob(b []byte) {
 // words writes a length-prefixed uint64 vector (a node-set bitmap).
 func (w *writer) words(v []uint64) {
 	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u64(x)
+	out := w.next(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(out[8*i:], x)
 	}
 }
 
@@ -297,15 +386,6 @@ func (r *reader) need(n int) bool {
 		return false
 	}
 	return true
-}
-
-func (r *reader) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.data[r.off:])
-	r.off += 2
-	return v
 }
 
 func (r *reader) u32() uint32 {
@@ -343,27 +423,38 @@ func (r *reader) count(elemSize int) int {
 	return n
 }
 
-// words reads a length-prefixed uint64 vector.
-func (r *reader) words() []uint64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+// span reads an element count and returns the elements' bytes,
+// aliasing the input (nil on error).
+func (r *reader) span(elemSize int) []byte {
+	n := r.count(elemSize) * elemSize
+	if r.err != nil {
 		return nil
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.u64()
+	b := r.data[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
+}
+
+// words reads a length-prefixed uint64 vector into the front of arena,
+// returning it (nil when empty) and the rest of arena.
+func (r *reader) words(arena []uint64) (v, rest []uint64) {
+	b := r.span(8)
+	n := len(b) / 8
+	if n == 0 {
+		return nil, arena
 	}
-	return v
+	v = arena[:n:n]
+	for i := range v {
+		v[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return v, arena[n:]
 }
 
 // blob reads a length-prefixed byte slice (copied out of the input).
 func (r *reader) blob() []byte {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
+	b := r.span(1)
+	if len(b) == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.data[r.off:])
-	r.off += n
-	return b
+	return append(make([]byte, 0, len(b)), b...)
 }

@@ -146,6 +146,14 @@ func FuzzCheckpointCodec(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted blob is not canonical: re-encode differs (%d vs %d bytes)", len(re), len(data))
 		}
+		// Into a reused buffer too small or large enough for the blob,
+		// whatever the buffer held, AppendEncode writes Encode's bytes.
+		for _, size := range []int{len(re) / 2, len(re) + 64} {
+			dst := bytes.Repeat([]byte{0xa5}, size)
+			if got := AppendEncode(dst[:0], s); !bytes.Equal(got, re) {
+				t.Fatalf("AppendEncode into a %d-byte garbage buffer differs from Encode", size)
+			}
+		}
 		s2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded blob rejected: %v", err)
@@ -189,6 +197,44 @@ func TestEncodeSizedOnce(t *testing.T) {
 	b := testing.AllocsPerRun(20, func() { Encode(large) })
 	if a != b {
 		t.Errorf("Encode allocates %v times for 1 block and %v times for 4096", a, b)
+	}
+}
+
+// TestAppendEncodeReusesItsBuffer: a buffer that held a blob takes the
+// next one of the same size in place, after whatever dst already holds.
+func TestAppendEncodeReusesItsBuffer(t *testing.T) {
+	s := wide(64)
+	buf := Encode(s)
+	if n := testing.AllocsPerRun(20, func() { buf = AppendEncode(buf[:0], s) }); n != 0 {
+		t.Errorf("AppendEncode into a buffer that fits allocates %v times", n)
+	}
+	prefix := []byte("head")
+	if got := AppendEncode(prefix, s); !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], buf) {
+		t.Error("AppendEncode does not append Encode's bytes to what dst holds")
+	}
+}
+
+// TestDecodeAllocsPerNode: a node's block images and directory sets are
+// carved from one arena each, so Decode allocates as often for a node
+// keeping one block as for one keeping 4096.
+func TestDecodeAllocsPerNode(t *testing.T) {
+	small, large := Encode(wide(1)), Encode(wide(4096))
+	a := testing.AllocsPerRun(20, func() { Decode(small) })
+	b := testing.AllocsPerRun(20, func() { Decode(large) })
+	if a != b {
+		t.Errorf("Decode allocates %v times for 1 block and %v times for 4096", a, b)
+	}
+}
+
+// BenchmarkDecode is the host cost of decoding a 4096-block snapshot.
+func BenchmarkDecode(b *testing.B) {
+	blob := Encode(wide(4096))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	for b.Loop() {
+		if _, err := Decode(blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

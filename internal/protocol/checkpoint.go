@@ -55,115 +55,103 @@ func (p *Proto) Quiescent() bool {
 	return true
 }
 
-// Capture snapshots the cluster's protocol-visible state. The caller
-// must have established quiescence (Quiescent); a busy directory entry
-// here is a bug, not a race.
-func (p *Proto) Capture() *checkpoint.Snapshot {
+// Checkpoint appends the encoded snapshot of the cluster's
+// protocol-visible state to dst and returns the extended buffer
+// (checkpoint.AppendEncode): into a buffer that already holds a
+// checkpoint's capacity it allocates nothing. The caller must have
+// established quiescence (Quiescent); a busy directory entry here is a
+// bug, not a race.
+//
+// The snapshot it encodes lives in scratch the Proto owns, made on the
+// first call, and borrows the live state: block images, dirty masks,
+// directory sets and the reduction journal are the cluster's own
+// slices, not copies. It never escapes this call — only the encoded
+// bytes do — so the borrow ends before anything can move that state.
+func (p *Proto) Checkpoint(dst []byte) []byte {
 	c := p.C
-	s := &checkpoint.Snapshot{
-		Epoch:      c.Epoch(),
-		SimTime:    int64(c.Env.Now()),
-		TimerStart: int64(c.TimerStart),
-		ReduceGen:  c.ReduceGen(),
-		Journal:    append([]float64(nil), c.ReduceJournal...),
-		Nodes:      make([]checkpoint.NodeState, len(p.nodes)),
+	if p.ckpt == nil {
+		p.ckpt = &checkpoint.Snapshot{Nodes: make([]checkpoint.NodeState, len(p.nodes))}
 	}
+	s := p.ckpt
+	s.Epoch = c.Epoch()
+	s.SimTime = int64(c.Env.Now())
+	s.TimerStart = int64(c.TimerStart)
+	s.ReduceGen = c.ReduceGen()
+	s.Journal = c.ReduceJournal
 	for k, np := range p.nodes {
-		np.capture(&s.Nodes[k])
+		np.snapshot(&s.Nodes[k])
 	}
-	return s
+	return checkpoint.AppendEncode(dst, s)
 }
 
-// capture fills ns with this node's state. The kept block images share
-// one arena and the directory sets another, each sized by a counting
-// pass, so the allocations do not grow with what the node caches.
-func (np *nodeProto) capture(ns *checkpoint.NodeState) {
+// snapshot points ns at this node's state, in one ordered walk. Tags,
+// mapped pages and the three flags are converted into a byte arena ns
+// keeps from the first call on. The kept block images are the node's
+// memory: the blocks homed here (home memory is the authoritative copy)
+// and any other block with a live tag or dirty words; everything else is
+// reconstructible garbage. Each directory entry's sets are the entry's
+// own.
+func (np *nodeProto) snapshot(ns *checkpoint.NodeState) {
 	mem := np.n.Mem
 	sp := mem.Space()
 	tags, dirty := mem.Tags(), mem.DirtyMasks()
-	*ns = checkpoint.NodeState{
-		Tags:       make([]byte, len(tags)),
-		Dirty:      make([]uint16, len(dirty)),
-		Mapped:     make([]byte, sp.NumPages()),
-		IWDone:     make([]checkpoint.IWKey, len(np.iwDone)),
-		CCFrames:   np.packFlag(flagCCFrame),
-		CCTouched:  np.packFlag(flagCCTouched),
-		SCHold:     np.packFlag(flagSCHold),
-		CCRecv:     np.ccRecv.Value(),
-		CCExpected: np.ccExpected,
-		Stats:      *np.n.St,
+	nb, npg := len(tags), sp.NumPages()
+	if ns.Tags == nil {
+		arena := make([]byte, 4*nb+npg)
+		ns.Tags, arena = arena[:nb:nb], arena[nb:]
+		ns.CCFrames, arena = arena[:nb:nb], arena[nb:]
+		ns.CCTouched, arena = arena[:nb:nb], arena[nb:]
+		ns.SCHold, ns.Mapped = arena[:nb:nb], arena[nb:]
 	}
 	for b, t := range tags {
 		ns.Tags[b] = byte(t)
 	}
-	copy(ns.Dirty, dirty)
+	for b, f := range np.flags {
+		ns.CCFrames[b] = f / flagCCFrame & 1
+		ns.CCTouched[b] = f / flagCCTouched & 1
+		ns.SCHold[b] = f / flagSCHold & 1
+	}
 	for pg := range ns.Mapped {
+		ns.Mapped[pg] = 0
 		if mem.Mapped(pg) {
 			ns.Mapped[pg] = 1
 		}
 	}
-	for i, r := range np.iwDone {
-		ns.IWDone[i] = checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)}
+	ns.Dirty = dirty
+	ns.IWDone = ns.IWDone[:0]
+	for _, r := range np.iwDone {
+		ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
 	}
+	ns.CCRecv = np.ccRecv.Value()
+	ns.CCExpected = np.ccExpected
+	ns.Stats = *np.n.St
 
-	kept := 0
-	np.keptBlocks(func(int) { kept++ })
-	bs := sp.BlockSize()
-	images := make([]byte, kept*bs)
-	ns.Blocks = make([]checkpoint.BlockImage, 0, kept)
-	np.keptBlocks(func(b int) {
-		data := images[:bs:bs]
-		images = images[bs:]
-		copy(data, mem.BlockData(b))
-		ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{Block: int32(b), Data: data})
-	})
-
-	made := 0
-	for i := range np.dir {
-		if e := &np.dir[i]; e.made() {
-			if !e.idle() {
-				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", sp.HomedBlock(np.id, i), np.id))
+	ns.Blocks = ns.Blocks[:0]
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	for pg := 0; pg < npg; pg++ {
+		homed := pg%len(np.p.nodes) == np.id
+		for b := pg * bpp; b < (pg+1)*bpp; b++ {
+			if homed || tags[b] != memory.Invalid || dirty[b] != 0 {
+				ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{Block: int32(b), Data: mem.BlockData(b)})
 			}
-			made++
 		}
 	}
-	w := nsWords(len(np.p.nodes))
-	words := make([]uint64, 3*w*made)
-	ns.Dir = make([]checkpoint.DirEntry, 0, made)
+
+	ns.Dir = ns.Dir[:0]
 	for i := range np.dir {
 		e := &np.dir[i]
 		if !e.made() {
 			continue
 		}
-		sets := words[: 3*w : 3*w]
-		words = words[3*w:]
-		copy(sets, e.sets)
+		if !e.idle() {
+			panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", sp.HomedBlock(np.id, i), np.id))
+		}
 		ns.Dir = append(ns.Dir, checkpoint.DirEntry{
 			Block:   int32(sp.HomedBlock(np.id, i)),
-			Sharers: sets[:w:w],
-			Writers: sets[w : 2*w : 2*w],
-			Stale:   sets[2*w:],
+			Sharers: e.sharers(),
+			Writers: e.writers(),
+			Stale:   e.stale(),
 		})
-	}
-}
-
-// keptBlocks calls fn, in ascending order, on every block whose image a
-// snapshot of this node keeps: the blocks homed here (home memory is the
-// authoritative copy) and any other block with a live tag or dirty
-// words. Everything else is reconstructible garbage.
-func (np *nodeProto) keptBlocks(fn func(b int)) {
-	mem := np.n.Mem
-	sp := mem.Space()
-	tags, dirty := mem.Tags(), mem.DirtyMasks()
-	bpp := sp.Machine().PageSize / sp.BlockSize()
-	nn := len(np.p.nodes)
-	for pg := 0; pg < sp.NumPages(); pg++ {
-		homed := pg%nn == np.id
-		for b := pg * bpp; b < (pg+1)*bpp; b++ {
-			if homed || tags[b] != memory.Invalid || dirty[b] != 0 {
-				fn(b)
-			}
-		}
 	}
 }
 
@@ -177,6 +165,8 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 	sp := c.Space
 	nb := sp.NumBlocks()
 	npg := sp.NumPages()
+	wpb := sp.BlockSize() / 8
+	allDirty := uint16(1)<<wpb - 1
 	if len(s.Nodes) != len(p.nodes) {
 		return fmt.Errorf("protocol: snapshot has %d nodes, cluster has %d", len(s.Nodes), len(p.nodes))
 	}
@@ -203,7 +193,14 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			mem.InstallBlock(b, bi.Data)
 		}
 		for b := 0; b < nb; b++ {
-			mem.SetTag(b, memory.Tag(ns.Tags[b]))
+			t := memory.Tag(ns.Tags[b])
+			if t > memory.ReadWrite {
+				return fmt.Errorf("protocol: snapshot node %d has tag %d for block %d, above readwrite", i, t, b)
+			}
+			if ns.Dirty[b]&^allDirty != 0 {
+				return fmt.Errorf("protocol: snapshot node %d has dirty mask %#x for block %d, past its %d words", i, ns.Dirty[b], b, wpb)
+			}
+			mem.SetTag(b, t)
 			mem.SetDirtyMask(b, ns.Dirty[b])
 		}
 		for pg := 0; pg < npg; pg++ {
@@ -228,9 +225,18 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 			copy(e.writers(), d.Writers)
 			copy(e.stale(), d.Stale)
 		}
+		// ImplicitWritable binary-searches the memo: an unsorted one
+		// would skip or repeat a first-time-only run.
 		np.iwDone = np.iwDone[:0]
-		for _, k := range ns.IWDone {
-			np.iwDone = append(np.iwDone, BlockRun{Start: int(k.A), N: int(k.B)})
+		for j, k := range ns.IWDone {
+			r := BlockRun{Start: int(k.A), N: int(k.B)}
+			if r.Start < 0 || r.N < 0 || r.Start+r.N > nb {
+				return fmt.Errorf("protocol: snapshot node %d has implicit_writable run %d+%d outside the segment's %d blocks", i, r.Start, r.N, nb)
+			}
+			if j > 0 && cmpRun(np.iwDone[j-1], r) >= 0 {
+				return fmt.Errorf("protocol: snapshot node %d has implicit_writable run %d+%d out of order or repeated", i, r.Start, r.N)
+			}
+			np.iwDone = append(np.iwDone, r)
 		}
 		for b := range np.flags {
 			np.flags[b] = flagIf(ns.CCFrames[b], flagCCFrame) | flagIf(ns.CCTouched[b], flagCCTouched) | flagIf(ns.SCHold[b], flagSCHold)
@@ -251,16 +257,4 @@ func flagIf(packed byte, bit uint8) uint8 {
 		return bit
 	}
 	return 0
-}
-
-// packFlag returns one flag of every block as a byte each, the form a
-// snapshot keeps it in.
-func (np *nodeProto) packFlag(bit uint8) []byte {
-	out := make([]byte, len(np.flags))
-	for b, f := range np.flags {
-		if f&bit != 0 {
-			out[b] = 1
-		}
-	}
-	return out
 }

@@ -16,10 +16,11 @@ import (
 // sharedRun leaves directory entries on several homes (remote reads and
 // writes of the pages of nodes 0..2, eleven pages over four nodes so the
 // homes hold unequal shares), a compiler-controlled frame and a touched
-// block, then drains.
-func sharedRun(t *testing.T) *harness {
+// block, then drains. It runs on four dual-CPU nodes with blockSize-byte
+// blocks.
+func sharedRun(t *testing.T, blockSize int) *harness {
 	t.Helper()
-	h := newHarness(t, 4, 11, config.DualCPU)
+	h := newHarnessOn(config.Default().WithNodes(4).WithCPUMode(config.DualCPU).WithBlockSize(blockSize), 11)
 	bs := h.space.BlockSize()
 	for id := 0; id < 4; id++ {
 		h.run(id, "worker", func(p *sim.Proc, n *tempest.Node) {
@@ -46,15 +47,31 @@ func sharedRun(t *testing.T) *harness {
 	return h
 }
 
+// fresh returns an unused cluster on h's machine.
+func (h *harness) fresh() *harness { return newHarnessOn(h.space.Machine(), 11) }
+
+// decoded is the snapshot a checkpoint of h decodes to.
+func decoded(t *testing.T, h *harness) *checkpoint.Snapshot {
+	t.Helper()
+	s, err := checkpoint.Decode(h.p.Checkpoint(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestCaptureRestoreRoundTrip: a snapshot restored on a fresh cluster
 // captures to the same bytes — directory entries in block order through
 // the slot arithmetic both ways, flags packed and unpacked bit by bit,
 // the implicit_writable memo — and the restored directory answers
 // lookups for the blocks the original had entries for and no others.
 func TestCaptureRestoreRoundTrip(t *testing.T) {
-	h := sharedRun(t)
-	snap := h.p.Capture()
-	blob := checkpoint.Encode(snap)
+	h := sharedRun(t, 128)
+	blob := h.p.Checkpoint(nil)
+	snap, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	entries := 0
 	for _, ns := range snap.Nodes {
 		entries += len(ns.Dir)
@@ -63,15 +80,11 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 		t.Fatal("the run left no directory entry to carry")
 	}
 
-	fresh := newHarness(t, 4, 11, config.DualCPU)
-	decoded, err := checkpoint.Decode(blob)
-	if err != nil {
+	fresh := h.fresh()
+	if err := fresh.p.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.p.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	recaptured := fresh.p.Capture()
+	recaptured := decoded(t, fresh)
 	recaptured.SimTime = snap.SimTime // the fresh cluster's clock reads zero
 	if again := checkpoint.Encode(recaptured); !bytes.Equal(again, blob) {
 		t.Fatalf("the restored cluster captures to %d bytes that differ from the %d restored", len(again), len(blob))
@@ -87,9 +100,14 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesMissizedSnapshot: a blob is outside input. A flag
-// array for another segment size, or a directory entry for a block homed
-// elsewhere, is an error and not an index out of range.
+// TestRestoreRefusesMissizedSnapshot: a blob is outside input. Restore
+// refuses, with an error and not an index out of range or a silently
+// wrong machine, what no capture produces: a flag array for another
+// segment size, a directory entry for a block homed elsewhere, a tag
+// above readwrite, a dirty mask with bits past the block's words (the
+// run uses 64-byte blocks, eight words), and an implicit_writable memo
+// that is out of order, repeated or outside the segment (ImplicitWritable
+// binary-searches it).
 func TestRestoreRefusesMissizedSnapshot(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -99,10 +117,23 @@ func TestRestoreRefusesMissizedSnapshot(t *testing.T) {
 		{"short flags", func(s *checkpoint.Snapshot) { s.Nodes[2].CCTouched = s.Nodes[2].CCTouched[:3] }, "different segment"},
 		{"long flags", func(s *checkpoint.Snapshot) { s.Nodes[0].SCHold = append(s.Nodes[0].SCHold, 1) }, "different segment"},
 		{"foreign entry", func(s *checkpoint.Snapshot) { s.Nodes[1].Dir[0].Block = 0 }, "foreign block 0"},
+		{"tag", func(s *checkpoint.Snapshot) { s.Nodes[3].Tags[7] = byte(memory.ReadWrite) + 1 }, "node 3 has tag 3 for block 7"},
+		{"dirty past the block", func(s *checkpoint.Snapshot) { s.Nodes[2].Dirty[9] = 1 << 8 }, "node 2 has dirty mask 0x100 for block 9, past its 8 words"},
+		{"memo out of order", func(s *checkpoint.Snapshot) {
+			s.Nodes[1].IWDone = []checkpoint.IWKey{{A: 40, B: 2}, {A: 30, B: 2}}
+		}, "node 1 has implicit_writable run 30+2 out of order or repeated"},
+		{"memo repeated", func(s *checkpoint.Snapshot) {
+			s.Nodes[1].IWDone = append(s.Nodes[1].IWDone, s.Nodes[1].IWDone...)
+		}, "out of order or repeated"},
+		{"memo outside", func(s *checkpoint.Snapshot) {
+			s.Nodes[0].IWDone = []checkpoint.IWKey{{A: int32(len(s.Nodes[0].Tags)) - 1, B: 2}}
+		}, "outside the segment's"},
+		{"memo negative", func(s *checkpoint.Snapshot) { s.Nodes[0].IWDone = []checkpoint.IWKey{{A: -1, B: 1}} }, "run -1+1 outside"},
 	} {
-		snap := sharedRun(t).p.Capture()
+		h := sharedRun(t, 64)
+		snap := decoded(t, h)
 		c.corrupt(snap)
-		err := newHarness(t, 4, 11, config.DualCPU).p.Restore(snap)
+		err := h.fresh().p.Restore(snap)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want an error naming %q", c.name, err, c.want)
 		}
@@ -112,13 +143,47 @@ func TestRestoreRefusesMissizedSnapshot(t *testing.T) {
 // TestRestoreNamesMissizedTable: a mis-sized table is named with its own
 // length, not the tag table's.
 func TestRestoreNamesMissizedTable(t *testing.T) {
-	h := sharedRun(t)
-	snap := h.p.Capture()
+	h := sharedRun(t, 128)
+	snap := decoded(t, h)
 	snap.Nodes[3].CCFrames = snap.Nodes[3].CCFrames[:5]
 	nb := h.space.NumBlocks()
 	want := fmt.Sprintf("protocol: snapshot node 3 sized for a different segment (CCFrames has 5 entries, want %d)", nb)
-	if err := newHarness(t, 4, 11, config.DualCPU).p.Restore(snap); err == nil || err.Error() != want {
+	if err := h.fresh().p.Restore(snap); err == nil || err.Error() != want {
 		t.Fatalf("Restore = %v, want %q", err, want)
+	}
+}
+
+// TestCheckpointOwnsItsBytes: a checkpoint's blob is a copy, not a view
+// of the live state it borrowed while encoding. Loads and stores after
+// it (new cached copies, new dirty words, new directory sharers, new
+// home data) and a second checkpoint into another buffer leave its bytes
+// as they were.
+func TestCheckpointOwnsItsBytes(t *testing.T) {
+	h := sharedRun(t, 128)
+	a := h.p.Checkpoint(nil)
+	taken := bytes.Clone(a)
+	bs := h.space.BlockSize()
+	for id := 0; id < 4; id++ {
+		h.run(id, "more", func(p *sim.Proc, n *tempest.Node) {
+			for home := 0; home < 4; home++ {
+				n.LoadF64(p, h.addrOnPage(home+4, 2*bs))
+				n.StoreF64(p, h.addrOnPage(home, 3*bs+8*n.ID), float64(100+n.ID))
+			}
+			h.c.Barrier(p, n)
+		})
+	}
+	if err := h.c.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !h.p.Quiescent() {
+		t.Fatalf("the drained cluster is not quiescent:\n%s", h.p.DumpOutstanding())
+	}
+	b := h.p.Checkpoint(make([]byte, 0, len(a)))
+	if bytes.Equal(a, b) {
+		t.Fatal("the second run changed nothing a checkpoint holds")
+	}
+	if !bytes.Equal(a, taken) {
+		t.Fatal("the first checkpoint's bytes changed after more traffic and a second checkpoint")
 	}
 }
 
@@ -127,11 +192,8 @@ func TestRestoreNamesMissizedTable(t *testing.T) {
 // that every home has directory entries.
 func cachedRun(tb testing.TB, per int) *harness {
 	const nodes, pages = 4, 8
-	mc := config.Default().WithNodes(nodes).WithCPUMode(config.DualCPU)
-	sp := memory.NewSpace(mc)
-	base := sp.Alloc("arr", pages*mc.PageSize)
-	c := tempest.NewCluster(sim.NewEnv(), sp)
-	h := &harness{c: c, p: Attach(c), base: base, space: sp}
+	h := newHarnessOn(config.Default().WithNodes(nodes).WithCPUMode(config.DualCPU), pages)
+	bs := h.space.BlockSize()
 	for id := 0; id < nodes; id++ {
 		h.run(id, "reader", func(p *sim.Proc, n *tempest.Node) {
 			for pg := 0; pg < pages; pg++ {
@@ -139,7 +201,7 @@ func cachedRun(tb testing.TB, per int) *harness {
 					continue
 				}
 				for k := 0; k < per; k++ {
-					n.LoadF64(p, h.addrOnPage(pg, k*mc.BlockSize))
+					n.LoadF64(p, h.addrOnPage(pg, k*bs))
 				}
 			}
 			h.c.Barrier(p, n)
@@ -151,24 +213,29 @@ func cachedRun(tb testing.TB, per int) *harness {
 	return h
 }
 
-// TestCaptureAllocs: a node's kept block images and directory sets are
-// copied into arenas, so a capture allocates as often whether the nodes
-// cache one block of each remote page or all of them.
-func TestCaptureAllocs(t *testing.T) {
-	few, many := cachedRun(t, 1), cachedRun(t, 32)
-	a := testing.AllocsPerRun(10, func() { few.p.Capture() })
-	b := testing.AllocsPerRun(10, func() { many.p.Capture() })
-	if a != b {
-		t.Errorf("Capture allocates %v times with 1 cached block per remote page, %v with 32", a, b)
+// TestCheckpointAllocs: a checkpoint borrows the live state and encodes
+// into the buffer it is given, so into a buffer that already held one it
+// allocates nothing, whether the nodes cache one block of each remote
+// page or all of them.
+func TestCheckpointAllocs(t *testing.T) {
+	for _, per := range []int{1, 32} {
+		h := cachedRun(t, per)
+		buf := h.p.Checkpoint(nil)
+		if n := testing.AllocsPerRun(10, func() { buf = h.p.Checkpoint(buf[:0]) }); n != 0 {
+			t.Errorf("with %d cached block(s) per remote page a checkpoint into a warmed buffer allocates %v times", per, n)
+		}
 	}
 }
 
-// BenchmarkCapture is the host cost of capturing a 4-node cluster whose
-// nodes cache every block of every remote page.
-func BenchmarkCapture(b *testing.B) {
+// BenchmarkCheckpoint is the host cost of checkpointing a 4-node cluster
+// whose nodes cache every block of every remote page, into a reused
+// buffer.
+func BenchmarkCheckpoint(b *testing.B) {
 	h := cachedRun(b, 32)
+	buf := h.p.Checkpoint(nil)
 	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
 	for b.Loop() {
-		h.p.Capture()
+		buf = h.p.Checkpoint(buf[:0])
 	}
 }

@@ -21,7 +21,11 @@ type harness struct {
 
 func newHarness(t *testing.T, nodes, pages int, mode config.CPUMode) *harness {
 	t.Helper()
-	mc := config.Default().WithNodes(nodes).WithCPUMode(mode)
+	return newHarnessOn(config.Default().WithNodes(nodes).WithCPUMode(mode), pages)
+}
+
+// newHarnessOn builds a harness on machine mc with a pages-page array.
+func newHarnessOn(mc config.Machine, pages int) *harness {
 	sp := memory.NewSpace(mc)
 	base := sp.Alloc("arr", pages*mc.PageSize)
 	c := tempest.NewCluster(sim.NewEnv(), sp)

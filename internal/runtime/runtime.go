@@ -197,6 +197,7 @@ type recovery struct {
 	specs   []config.CrashSpec
 	fired   []bool
 	blob    []byte // latest complete checkpoint, encoded
+	spare   []byte // the buffer the next checkpoint is encoded into
 	dir     string
 	prog    string
 
@@ -211,14 +212,18 @@ type recovery struct {
 // is installed. It is a test seam (export_test.go); nil otherwise.
 var keepHook func(blob []byte)
 
-// keep installs a freshly captured checkpoint as the recovery point,
-// and persists it to dir when one is set (a diagnostic artifact that
-// recovery never reads back).
-func (rec *recovery) keep(blob []byte) {
+// keep captures a checkpoint of proto into the spare buffer, installs
+// it as the recovery point, and persists it to dir when one is set (a
+// diagnostic artifact that recovery never reads back).
+func (rec *recovery) keep(proto *protocol.Proto) {
+	blob := proto.Checkpoint(rec.spare[:0])
 	if keepHook != nil {
 		keepHook(blob)
 	}
-	rec.blob = blob
+	// The old recovery point becomes the next capture's spare. That is
+	// safe only because checkpoint.Decode copies out of its input: no
+	// restored snapshot still reads these bytes when they are reused.
+	rec.blob, rec.spare = blob, rec.blob
 	rec.taken++
 	rec.bytes += int64(len(blob))
 	if rec.dir != "" && rec.err == nil {
@@ -423,7 +428,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 			// The initial state is itself a consistent checkpoint: a
 			// crash before the first quiescent epoch restarts the whole
 			// program (ghosting is disabled for epoch 0).
-			rec.keep(checkpoint.Encode(proto.Capture()))
+			rec.keep(proto)
 		} else {
 			snap, err := checkpoint.Decode(rec.blob)
 			if err != nil {
@@ -445,7 +450,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		// lose E's checkpoint, which the recovery restores to).
 		cluster.OnEpoch = func(epoch int64) {
 			if proto.Quiescent() {
-				rec.keep(checkpoint.Encode(proto.Capture()))
+				rec.keep(proto)
 			}
 			for i, cs := range rec.specs {
 				if !rec.fired[i] && cs.Epoch > 0 && cs.Epoch == epoch {
