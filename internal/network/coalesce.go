@@ -24,13 +24,14 @@
 // Determinism: per-destination buffers are dense slices indexed by
 // node id, FlushAll and the end of a handler burst drain in ascending
 // destination order (a burst sorts the short list of destinations it
-// touched instead of scanning every buffer), and no map is touched
-// anywhere on the wire path.
+// touched and FlushAll walks a bitmap of the open buffers, so neither
+// scans every buffer), and no map is touched anywhere on the wire path.
 package network
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"hpfdsm/internal/sim"
@@ -73,6 +74,7 @@ type Coalescer struct {
 	delay   sim.Time       // engine drain timer
 	send    func(*Message) // carrier injection (the node's protocol engine)
 	bufs    []dstBuf
+	open    []uint64 // bit d set while bufs[d] holds segments
 	timers  []timerArg
 	st      *stats.Node
 	inBurst bool // inside a protocol-handler run (see Burst)
@@ -98,9 +100,15 @@ func (n *Network) AttachCoalescer(src int, kind Kind, ctrl int, delay sim.Time, 
 	if n.coals[src] != nil {
 		panic(fmt.Sprintf("network: node %d already has a coalescer", src))
 	}
+	// The open bitmap lets the full drains walk only the buffers that
+	// hold segments. Its one allocation ends in a cache line of padding:
+	// two coalescers' bits, written by different PDES partitions, never
+	// share a line.
+	words := (len(n.eps) + 63) / 64
 	c := &Coalescer{
 		net: n, env: n.envOf(src), src: src, kind: kind, ctrl: ctrl, delay: delay, send: send,
 		bufs:   make([]dstBuf, len(n.eps)),
+		open:   make([]uint64, words, words+8),
 		timers: make([]timerArg, len(n.eps)),
 		st:     &n.st.Nodes[src],
 	}
@@ -144,7 +152,9 @@ func (c *Coalescer) Append(dst int, kind Kind, addr int, arg, arg2 int64, payloa
 	binary.LittleEndian.PutUint32(seg[9:], uint32(arg2))
 	binary.LittleEndian.PutUint32(seg[13:], uint32(len(payload)))
 	copy(seg[SegHeader:], payload)
-	b.segs++
+	if b.segs++; b.segs == 1 {
+		c.open[dst>>6] |= 1 << (dst & 63)
+	}
 	c.st.SegsCoalesced++
 	if c.inBurst && !b.burst {
 		b.burst = true
@@ -186,18 +196,28 @@ func (c *Coalescer) Burst(begin bool) {
 
 // PendingAny reports whether any destination has buffered segments.
 func (c *Coalescer) PendingAny() bool {
-	for d := range c.bufs {
-		if c.bufs[d].segs > 0 {
-			return true
+	return c.nextOpen(0) >= 0
+}
+
+// nextOpen returns the lowest destination at or above from whose buffer
+// holds segments, or -1 when there is none.
+func (c *Coalescer) nextOpen(from int) int {
+	for w := from >> 6; w < len(c.open); w++ {
+		word := c.open[w]
+		if w == from>>6 {
+			word &= ^uint64(0) << (from & 63)
+		}
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
 		}
 	}
-	return false
+	return -1
 }
 
 // Occupancy returns the total buffered segments and encoded bytes
 // across all destinations (stall-watchdog diagnostics).
 func (c *Coalescer) Occupancy() (segs, bytes int) {
-	for d := range c.bufs {
+	for d := c.nextOpen(0); d >= 0; d = c.nextOpen(d + 1) {
 		segs += c.bufs[d].segs
 		bytes += len(c.bufs[d].data)
 	}
@@ -218,6 +238,7 @@ func (c *Coalescer) Teardown() {
 		}
 		b.data, b.segs, b.burst, b.deadline = nil, 0, false, 0
 	}
+	clear(c.open)
 	c.touched = c.touched[:0]
 	c.dead = true
 }
@@ -257,6 +278,7 @@ func (c *Coalescer) FlushDst(dst int) {
 	b.data = nil
 	b.segs = 0
 	b.burst = false
+	c.open[dst>>6] &^= 1 << (dst & 63)
 	if segs == 1 {
 		var m *Message
 		ForEachSegment(data, 1, func(kind Kind, addr int, arg, arg2 int64, payload []byte) {
@@ -290,9 +312,12 @@ func (c *Coalescer) FlushDst(dst int) {
 }
 
 // FlushAll drains every destination's buffer, in ascending
-// destination order (deterministic).
+// destination order (deterministic). It reads the open bits afresh
+// after each drain, so a segment appended meanwhile to a higher
+// destination departs in this pass, as it would in a scan of every
+// buffer.
 func (c *Coalescer) FlushAll() {
-	for d := range c.bufs {
+	for d := c.nextOpen(0); d >= 0; d = c.nextOpen(d + 1) {
 		c.FlushDst(d)
 	}
 }

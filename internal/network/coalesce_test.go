@@ -137,6 +137,44 @@ func TestCoalesceFlushAllAscendingAndEpochBoundary(t *testing.T) {
 	}
 }
 
+// TestCoalesceFlushAllWideCluster: at 256 destinations the open
+// buffers span several bitmap words; FlushAll still drains exactly the
+// three that hold segments, one carrier each, in ascending order.
+func TestCoalesceFlushAllWideCluster(t *testing.T) {
+	_, net, _, _ := testNet(256)
+	c, got := capture(net, 7, 0)
+	for _, dst := range []int{255, 64, 63} {
+		c.Append(dst, Kind(7), dst, 0, 0, nil, false)
+		c.Append(dst, Kind(7), dst+1000, 0, 0, []byte{byte(dst)}, false)
+	}
+	if segs, _ := c.Occupancy(); segs != 6 {
+		t.Fatalf("occupancy %d segments, want 6", segs)
+	}
+	c.FlushAll()
+	if c.PendingAny() {
+		t.Fatal("PendingAny true after FlushAll")
+	}
+	if len(*got) != 3 {
+		t.Fatalf("drained %d carriers, want 3", len(*got))
+	}
+	for i, wantDst := range []int{63, 64, 255} {
+		m := (*got)[i]
+		if m.Dst != wantDst || m.Src != 7 || m.Kind != Kind(99) || m.Arg != 2 {
+			t.Fatalf("carrier %d = %v, want 7->%d carrying 2 segments (ascending 63, 64, 255)", i, m, wantDst)
+		}
+		var addrs []int
+		ForEachSegment(m.Data, int(m.Arg), func(_ Kind, addr int, _, _ int64, _ []byte) { addrs = append(addrs, addr) })
+		if len(addrs) != 2 || addrs[0] != wantDst || addrs[1] != wantDst+1000 {
+			t.Fatalf("carrier to %d holds segments %v, want [%d %d]", wantDst, addrs, wantDst, wantDst+1000)
+		}
+	}
+	// The bits are clear again: a second drain emits nothing.
+	c.FlushAll()
+	if len(*got) != 3 {
+		t.Fatalf("second FlushAll emitted %d more carrier(s)", len(*got)-3)
+	}
+}
+
 func TestCoalesceBatchWindowTimer(t *testing.T) {
 	env, net, _, _ := testNet(3)
 	const window = sim.Time(4000)
@@ -249,7 +287,6 @@ func TestCoalesceGatherBufferGrowthAndReuse(t *testing.T) {
 	// Recycle the carrier and refill: the pooled gather buffer must be
 	// reused without residue from the previous epoch.
 	m.DataPooled = true
-	m.pooled = true
 	net.Recycle(m)
 	c.Append(1, Kind(7), 7, 7, 0, []byte{77}, false)
 	c.Append(1, Kind(7), 8, 8, 0, []byte{88}, false)

@@ -1,0 +1,29 @@
+package network
+
+// poisonKind and poisonByte mark a message, and its payload, that the
+// quarantine reclaimed. No protocol kind or payload stamp uses either.
+const (
+	poisonKind Kind = 0xDB
+	poisonByte byte = 0xDB
+)
+
+// quarantineReclaims makes n poison every message its last Recycle
+// reclaims, pooled payload included, and keep both out of circulation,
+// so no later NewMessage or AllocBlock hands them out again. A reference
+// released too early then surfaces where the message is next used: the
+// wire panics on its out-of-range endpoints, and a handler sees
+// poisonKind and poisoned bytes. It returns the count of reclaimed
+// messages.
+func quarantineReclaims(n *Network) *int {
+	reclaimed := new(int)
+	n.quarantine = func(m *Message) {
+		if m.DataPooled {
+			for i := range m.Data {
+				m.Data[i] = poisonByte
+			}
+		}
+		*m = Message{Src: -1, Dst: -1, Kind: poisonKind, Arg: -1, Seq: -1, Data: m.Data, net: n}
+		*reclaimed++
+	}
+	return reclaimed
+}

@@ -24,9 +24,14 @@ type Kind uint8
 // bytes used for timing and byte accounting (header accounted
 // separately); Data may be nil for control messages.
 //
-// Messages obtained from Network.NewMessage are recycled automatically
-// after their delivery handler returns; a handler that keeps a
-// reference past its own return must call Retain. Messages built
+// A message obtained from Network.NewMessage carries a holder count:
+// NewMessage hands the caller one reference, and every Recycle drops
+// one. The message and its pooled payload go back to the pool only when
+// the last reference is dropped. Send takes over the caller's
+// reference; the delivery layer releases the one it hands the handler
+// after the handler returns, so a handler that keeps the message past
+// its own return must call Retain. Under fault injection the reliable
+// layer holds further references (see reliable.go). Messages built
 // directly with a literal are never recycled.
 type Message struct {
 	Src, Dst int
@@ -44,8 +49,8 @@ type Message struct {
 	DataPooled bool
 
 	net      *Network // owning network, set at creation or first Send
-	pooled   bool     // recycle after the delivery handler returns
-	retained bool     // handler kept the message; skip recycling
+	refs     int32    // holders of a pooled message; 0 for a literal (never recycled)
+	retained bool     // handler kept the message; never reclaim it
 	flow     uint64   // trace flow id of the latest transmission (0 = untraced)
 }
 
@@ -55,9 +60,18 @@ type Message struct {
 func (m *Message) Flow() uint64 { return m.flow }
 
 // Retain marks a delivered message (and its Data) as kept by the
-// handler beyond its return, exempting both from recycling. Required
-// whenever a handler queues or defers the message.
+// handler beyond its return: neither is ever reclaimed, whatever other
+// references are dropped later. Required whenever a handler queues or
+// defers the message.
 func (m *Message) Retain() { m.retained = true }
+
+// hold takes one more reference to a pooled message (a no-op on a
+// literal, which is never recycled).
+func (m *Message) hold() {
+	if m.refs > 0 {
+		m.refs++
+	}
+}
 
 func (m *Message) String() string {
 	return fmt.Sprintf("msg{%d->%d kind=%d addr=%#x arg=%d arg2=%d seq=%d size=%d}",
@@ -97,14 +111,19 @@ type Network struct {
 	// per partition Env (a single pool in sequential mode), so every
 	// list stays single-threaded and plain slices beat sync.Pool (no
 	// locking, no per-P shards). Allocation draws from the sending
-	// node's partition pool; Recycle returns to the *destination*'s
-	// pool, because delivery — the only place pool-owned messages are
-	// recycled — runs on the destination's thread. Pooling is disabled
-	// when the reliable layer is active: duplication and retransmission
-	// keep references past delivery.
-	pool   bool
+	// node's partition pool; the last Recycle of a message returns it to
+	// the *destination*'s pool. On the lossless wire delivery holds the
+	// only reference, and delivery runs on the destination's thread.
+	// Under fault injection the reliable layer's unacked window, every
+	// scheduled arrival and every reorder slot hold one reference each,
+	// so the last release may happen at the sender (the cumulative ACK);
+	// fault injection runs on one Env with one pool, so that is safe.
 	pools  []msgPool
 	partOf []int // node -> pools index; nil in sequential mode (all 0)
+
+	// quarantine, set only by tests (export_test.go), takes every
+	// reclaimed message in place of the freelists.
+	quarantine func(*Message)
 
 	// coals holds each source node's coalescing scheduler (nil slice or
 	// nil entries when aggregation is off). Send consults it: any
@@ -172,7 +191,6 @@ func newNetwork(env *sim.Env, envs []*sim.Env, mc config.Machine, st *stats.Clus
 		mseq:     make([]uint32, mc.Nodes),
 		departs:  make([]sim.Lane, mc.Nodes),
 		st:       st,
-		pool:     !mc.Faults.Active(),
 		pools:    make([]msgPool, 1),
 		dead:     make([]bool, mc.Nodes),
 	}
@@ -250,27 +268,23 @@ func (n *Network) poolOf(node int) *msgPool {
 }
 
 // NewMessage returns a zeroed message owned by this network, reusing a
-// recycled one from src's partition pool when the pool is active. src
-// must be the node on whose Env the caller is executing (the sender).
-// Callers fill the fields and Send it; after the delivery handler
-// returns, the message goes back to the destination's pool unless the
-// handler Retained it.
+// recycled one from src's partition pool, and hands the caller its one
+// reference. src must be the node on whose Env the caller is executing
+// (the sender). Callers fill the fields and Send it; once the delivery
+// handler has returned and every other holder has let go, the message
+// goes back to the destination's pool unless the handler Retained it.
 //
 //simlint:hotpath
 func (n *Network) NewMessage(src int) *Message {
-	if n.pool {
-		p := n.poolOf(src)
-		if k := len(p.free); k > 0 {
-			m := p.free[k-1]
-			p.free = p.free[:k-1]
-			m.pooled = true
-			return m
-		}
-		//simlint:ignore hotalloc -- pool miss: the message population grows to its high-water mark once, then every call is a freelist hit (bench gate holds allocs/op)
-		return &Message{net: n, pooled: true}
+	p := n.poolOf(src)
+	if k := len(p.free); k > 0 {
+		m := p.free[k-1]
+		p.free = p.free[:k-1]
+		m.refs = 1
+		return m
 	}
-	//simlint:ignore hotalloc -- pooling is off under fault injection (retransmission keeps references past delivery); the faults path trades allocs for correctness by design
-	return &Message{}
+	//simlint:ignore hotalloc -- pool miss: the message population grows to its high-water mark once, then every call is a freelist hit (bench gate holds allocs/op)
+	return &Message{net: n, refs: 1}
 }
 
 // AllocBlock returns a coherence-block-sized payload buffer from src's
@@ -331,15 +345,24 @@ func (n *Network) recycleVar(node int, b []byte) {
 	}
 }
 
-// Recycle returns a delivered pool-owned message (and its pooled
-// payload buffer) to the destination's partition pool — delivery runs
-// on the destination's thread, so that is the only pool this call may
-// touch. Called by the delivery layer after the handler returns; a
+// Recycle drops one reference to a pool-owned message. The last one
+// returns the message (and its pooled payload buffer) to the
+// destination's partition pool — on the lossless wire the last holder
+// is delivery, which runs on the destination's thread, so that is the
+// only pool this call may touch. Called by the delivery layer after the
+// handler returns and by the reliable layer as its holders let go; a
 // no-op for literal-built or Retained messages.
 //
 //simlint:hotpath
 func (n *Network) Recycle(m *Message) {
-	if !m.pooled || m.retained {
+	if m.refs == 0 || m.retained {
+		return
+	}
+	if m.refs--; m.refs > 0 {
+		return
+	}
+	if n.quarantine != nil {
+		n.quarantine(m)
 		return
 	}
 	p := n.poolOf(m.Dst)
@@ -529,9 +552,12 @@ func (n *Network) wireArrival(m *Message) sim.Time {
 	return depart + ser + n.mc.WireLatency
 }
 
+// deliver hands m, and the reference the caller held, to the
+// destination's endpoint.
 func (n *Network) deliver(m *Message) {
 	if n.dead[m.Dst] || n.dead[m.Src] {
-		return // crash-stop: traffic touching a dead node vanishes
+		n.Recycle(m) // crash-stop: traffic touching a dead node vanishes
+		return
 	}
 	ep := n.eps[m.Dst]
 	if ep == nil {

@@ -22,10 +22,31 @@
 // splitmix64 PRNG drawn in scheduler context, so a given seed always
 // produces the same schedule. With fault injection inactive none of
 // this code runs and the network is bit-identical to the seed model.
+//
+// Messages stay pooled under faults; every holder of a message owns one
+// reference (Message.refs) and drops it with Recycle:
+//
+//   - the unacked window holds the sender's reference until the
+//     cumulative ACK retires the entry;
+//   - every scheduled arrival, the duplicate's included, holds one. An
+//     out-of-order arrival's reference moves into its reorder slot, an
+//     in-order arrival's into deliver; a stale or already-buffered
+//     duplicate, an arrival touching a dead node and a handled ACK or
+//     probe drop theirs;
+//   - ACKs and probes come from the pool (sendCtrl), and their sender
+//     drops its reference right after transmit;
+//   - retransmit timers find their entry by (channel, seq) and hold
+//     none.
+//
+// Arrivals and retransmit timers stay func() events (the event census
+// counts them as such), but each is a reusable object whose closure is
+// bound once, when the object is made, and which goes back on the
+// layer's free list the moment it fires.
 package network
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hpfdsm/internal/config"
@@ -150,6 +171,63 @@ type reliable struct {
 	rng      rng
 	chans    [][]*relChan
 	detected []bool // peers already declared dead (idempotence)
+
+	// Free lists of fired arrival and retransmit-timer events.
+	arrivals []*arrival
+	timers   []*rtimer
+}
+
+// arrival is one scheduled transmission reaching its destination NIC.
+// It holds one reference to m until it fires.
+type arrival struct {
+	m    *Message
+	fire func()
+}
+
+// rtimer is one armed retransmit timer of sequence number seq on c.
+type rtimer struct {
+	c    *relChan
+	seq  int64
+	fire func()
+}
+
+// newArrival returns a free arrival event for m, taking a reference.
+func (r *reliable) newArrival(m *Message) *arrival {
+	var a *arrival
+	if k := len(r.arrivals); k > 0 {
+		a = r.arrivals[k-1]
+		r.arrivals = r.arrivals[:k-1]
+	} else {
+		a = &arrival{}
+		a.fire = func() {
+			m := a.m
+			a.m = nil
+			r.arrivals = append(r.arrivals, a)
+			r.arrive(m)
+		}
+	}
+	m.hold()
+	a.m = m
+	return a
+}
+
+// newTimer returns a free retransmit-timer event for (c, seq).
+func (r *reliable) newTimer(c *relChan, seq int64) *rtimer {
+	var t *rtimer
+	if k := len(r.timers); k > 0 {
+		t = r.timers[k-1]
+		r.timers = r.timers[:k-1]
+	} else {
+		t = &rtimer{}
+		t.fire = func() {
+			c, seq := t.c, t.seq
+			t.c = nil
+			r.timers = append(r.timers, t)
+			r.timeout(c, seq)
+		}
+	}
+	t.c, t.seq = c, seq
+	return t
 }
 
 func newReliable(n *Network, f config.Faults) *reliable {
@@ -173,7 +251,8 @@ func (r *reliable) channel(src, dst int) *relChan {
 }
 
 // send assigns the message its sequence number, records it in the
-// outstanding window, and launches the first transmission attempt.
+// outstanding window, and launches the first transmission attempt. The
+// caller's reference moves into the window.
 func (r *reliable) send(m *Message) {
 	c := r.channel(m.Src, m.Dst)
 	c.nextSeq++
@@ -227,7 +306,7 @@ func (r *reliable) inject(m *Message, arrive sim.Time) {
 	} else {
 		at := arrive + r.delay()
 		r.n.inflight++
-		r.n.env.Schedule(at, func() { r.arrive(m) })
+		r.n.env.Schedule(at, r.newArrival(m).fire)
 	}
 	if duped {
 		sst.WireDups++
@@ -235,7 +314,7 @@ func (r *reliable) inject(m *Message, arrive sim.Time) {
 		// never lands at the exact same instant as the original.
 		at := arrive + r.delay() + 1
 		r.n.inflight++
-		r.n.env.Schedule(at, func() { r.arrive(m) })
+		r.n.env.Schedule(at, r.newArrival(m).fire)
 	}
 }
 
@@ -253,22 +332,25 @@ func (r *reliable) delay() sim.Time {
 	return d
 }
 
-// arrive is a transmission reaching the destination NIC.
+// arrive is a transmission reaching the destination NIC, with the
+// reference its arrival event held.
 func (r *reliable) arrive(m *Message) {
 	r.n.inflight--
 	if r.n.dead[m.Dst] || r.n.dead[m.Src] {
-		return // crash-stop: traffic touching a dead node vanishes
+		r.n.Recycle(m) // crash-stop: traffic touching a dead node vanishes
+		return
 	}
 	r.n.accountRecv(m)
-	switch m.Kind {
-	case KindAck:
-		r.handleAck(m)
-		return
-	case KindProbe:
-		r.handleProbe(m)
-		return
-	case KindProbeAck:
-		r.handleProbeAck(m)
+	if ctrlKind(m.Kind) {
+		switch m.Kind {
+		case KindAck:
+			r.handleAck(m)
+		case KindProbe:
+			r.handleProbe(m)
+		default:
+			r.handleProbeAck(m)
+		}
+		r.n.Recycle(m)
 		return
 	}
 	c := r.channel(m.Src, m.Dst)
@@ -280,6 +362,7 @@ func (r *reliable) arrive(m *Message) {
 	case m.Seq < c.expect:
 		// Stale duplicate of an already-delivered message.
 		dst.DupsDropped++
+		r.n.Recycle(m)
 	case m.Seq == c.expect:
 		c.expect++
 		r.n.deliver(m)
@@ -298,11 +381,15 @@ func (r *reliable) arrive(m *Message) {
 	default:
 		// Out of order: hold until the gap fills.
 		i := int(m.Seq - c.expect - 1)
-		for len(c.buf) <= i {
-			c.buf = append(c.buf, nil)
+		if i >= len(c.buf) {
+			// The gap is shorter than the sender's window (m is in it and
+			// expect-1 is not), so growing to the window's capacity reaches
+			// the high-water mark at once. Slots past len are nil.
+			c.buf = slices.Grow(c.buf, max(i+1, cap(c.out))-len(c.buf))[:i+1]
 		}
 		if c.buf[i] != nil {
 			dst.DupsDropped++
+			r.n.Recycle(m)
 		} else {
 			c.buf[i] = m
 			c.nbuf++
@@ -329,15 +416,28 @@ func (r *reliable) sendAck(c *relChan) {
 	// The ACK travels the reverse direction, unsequenced, and takes its
 	// own chances with the fault model; a lost ACK is repaired by the
 	// sender's retransmission provoking a fresh one.
-	r.transmit(&Message{Src: c.dst, Dst: c.src, Kind: KindAck, Arg: c.expect - 1, Size: ackSize}, false)
+	r.sendCtrl(c.dst, c.src, KindAck, c.expect-1, ackSize)
 }
 
-// handleAck retires the prefix of the window the cumulative ACK covers.
-// The ACK from dst about channel (src→dst) arrives at src; a stale one
-// covers nothing still held.
+// sendCtrl transmits one unsequenced NIC control message (ACK, probe or
+// probe ack) drawn from the pool. The sender lets go of it at once: from
+// then on, its scheduled arrivals hold the only references.
+func (r *reliable) sendCtrl(src, dst int, kind Kind, arg int64, size int) {
+	m := r.n.NewMessage(src)
+	m.Src, m.Dst, m.Kind, m.Arg, m.Size = src, dst, kind, arg, size
+	r.transmit(m, false)
+	r.n.Recycle(m)
+}
+
+// handleAck retires the prefix of the window the cumulative ACK covers,
+// releasing the window's references. The ACK from dst about channel
+// (src→dst) arrives at src; a stale one covers nothing still held.
 func (r *reliable) handleAck(m *Message) {
 	c := r.channel(m.Dst, m.Src)
 	if k := m.Arg - c.nextSeq + int64(len(c.out)); k > 0 {
+		for _, o := range c.out[:k] {
+			r.n.Recycle(o.m)
+		}
 		rest := copy(c.out, c.out[k:])
 		clear(c.out[rest:])
 		c.out = c.out[:rest]
@@ -356,7 +456,7 @@ func (r *reliable) armTimer(c *relChan, seq int64, arrive sim.Time) {
 	if o == nil {
 		return
 	}
-	r.n.env.Schedule(arrive+o.rto, func() { r.timeout(c, seq) })
+	r.n.env.Schedule(arrive+o.rto, r.newTimer(c, seq).fire)
 }
 
 // timeout fires when an outstanding message went unacknowledged for its
@@ -417,7 +517,7 @@ func (r *reliable) probe(c *relChan, gen int64) {
 	}
 	c.probes++
 	r.n.st.Nodes[c.src].ProbesSent++
-	r.transmit(&Message{Src: c.src, Dst: c.dst, Kind: KindProbe, Size: probeSize}, false)
+	r.sendCtrl(c.src, c.dst, KindProbe, 0, probeSize)
 	rto := c.probeRTO
 	c.probeRTO *= 2
 	if mb := r.f.EffectiveMaxBackoff(); c.probeRTO > mb {
@@ -432,7 +532,7 @@ func (r *reliable) probe(c *relChan, gen int64) {
 func (r *reliable) handleProbe(m *Message) {
 	r.n.env.Progress()
 	r.n.st.Nodes[m.Dst].ProbeAcks++
-	r.transmit(&Message{Src: m.Dst, Dst: m.Src, Kind: KindProbeAck, Size: probeSize}, false)
+	r.sendCtrl(m.Dst, m.Src, KindProbeAck, 0, probeSize)
 }
 
 // handleProbeAck ends the probe round on the prober's channel and

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -200,10 +202,20 @@ func TestReliableDeterminism(t *testing.T) {
 // of them zero (same-instant bursts). Every ordered pair must deliver
 // exactly its send order, each message once, and once the env drains
 // no channel may hold anything.
+//
+// Every message is pooled and carries a pooled payload stamped with its
+// source, destination and index; endpoints check the stamp and Recycle.
+// The network runs quarantined (export_test.go): a reclaimed message
+// and its payload are poisoned and never reused, so a reference dropped
+// too early shows up as a bad stamp, a poisoned delivery or a
+// retransmission that panics. Once drained, every message NewMessage
+// handed out must have been reclaimed.
 func FuzzReliableDelivery(f *testing.F) {
 	f.Add(uint8(2), uint8(100), uint8(50), uint8(50), uint8(30), uint64(1), []byte{0, 1, 0, 1, 0, 0, 0, 1, 200, 1, 1, 0})
 	f.Add(uint8(6), uint8(255), uint8(255), uint8(255), uint8(99), uint64(7), []byte("all-to-all burst: the quick brown fox jumps over the lazy dog"))
 	f.Add(uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint64(0), []byte{3, 2, 0, 3, 2, 0, 3, 2, 0, 2, 3, 70})
+	// A duplicate of an arrival already held in a reorder slot.
+	f.Add(uint8(81), uint8(247), uint8(255), uint8(255), uint8(199), uint64(5), []byte("2002000100"))
 	f.Fuzz(func(t *testing.T, nodes, drop, dup, reorder, jitter uint8, seed uint64, sends []byte) {
 		n := 2 + int(nodes)%5
 		env := sim.NewEnv()
@@ -211,11 +223,22 @@ func FuzzReliableDelivery(f *testing.F) {
 			Drop: float64(drop) / 512, Dup: float64(dup) / 512, Reorder: float64(reorder) / 512,
 			Jitter: 1 + sim.Time(jitter%100)*sim.Microsecond, Seed: seed,
 		})
-		net := New(env, mc, stats.New(n))
+		st := stats.New(n)
+		net := New(env, mc, st)
+		reclaimed := quarantineReclaims(net)
 		got := make([][][]int64, n) // got[dst][src]: the Args delivered, in order
+		want := make([]byte, mc.BlockSize)
 		for i := range got {
 			got[i] = make([][]int64, n)
-			net.Bind(i, func(m *Message) { got[i][m.Src] = append(got[i][m.Src], m.Arg) })
+			net.Bind(i, func(m *Message) {
+				if m.Kind != 1 || m.Src < 0 || m.Src >= n || m.Dst != i ||
+					!bytes.Equal(m.Data, stamp(want, m.Src, m.Dst, m.Arg)) {
+					t.Errorf("node %d delivered a corrupt message %v, payload % x", i, m, m.Data[:min(len(m.Data), 16)])
+					return
+				}
+				got[i][m.Src] = append(got[i][m.Src], m.Arg)
+				net.Recycle(m)
+			})
 		}
 		sent := make([][]int64, n*n)
 		var at sim.Time
@@ -224,43 +247,65 @@ func FuzzReliableDelivery(f *testing.F) {
 			if g := sends[k+2]; g >= 64 {
 				at += sim.Time(g-64) * sim.Microsecond
 			}
-			m := &Message{Src: src, Dst: dst, Kind: 1, Arg: int64(len(sent[src*n+dst])), Size: 16}
-			sent[src*n+dst] = append(sent[src*n+dst], m.Arg)
-			env.Schedule(at, func() { net.Send(m) })
+			idx := int64(len(sent[src*n+dst]))
+			sent[src*n+dst] = append(sent[src*n+dst], idx)
+			env.Schedule(at, func() {
+				m := net.NewMessage(src)
+				m.Src, m.Dst, m.Kind, m.Arg, m.Size = src, dst, 1, idx, 16
+				m.Data, m.DataPooled = stamp(net.AllocBlock(src), src, dst, idx), true
+				net.Send(m)
+			})
 		}
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
+		handedOut := 0
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
 				if g, w := got[dst][src], sent[src*n+dst]; !slices.Equal(g, w) {
 					t.Fatalf("%d->%d delivered %v, sent %v", src, dst, g, w)
 				}
+				handedOut += len(sent[src*n+dst])
 			}
 			if d := net.RetransQueueDepth(src); d != 0 {
 				t.Fatalf("node %d still holds %d message(s) for retransmission", src, d)
 			}
+			ns := &st.Nodes[src]
+			handedOut += int(ns.AcksSent + ns.ProbesSent + ns.ProbeAcks)
 		}
 		if !net.ChannelsQuiescent() || net.Inflight() != 0 || net.DumpChannels() != "" {
 			t.Fatalf("drained env: quiescent %v, inflight %d, channels:\n%s",
 				net.ChannelsQuiescent(), net.Inflight(), net.DumpChannels())
 		}
+		if *reclaimed != handedOut {
+			t.Fatalf("drained env reclaimed %d of the %d messages NewMessage handed out", *reclaimed, handedOut)
+		}
 	})
 }
 
-// BenchmarkReliableSend is the reliable layer's per-message path: an
-// 8-node all-to-all burst (eight messages per ordered pair) through a
-// 5 %-drop, 2 %-dup wire, drained — sequencing, the unacked window,
-// coalesced ACKs, retransmission timers and reassembly.
-func BenchmarkReliableSend(b *testing.B) {
+// stamp fills b with a pattern unique to message idx of src->dst and
+// returns it.
+func stamp(b []byte, src, dst int, idx int64) []byte {
+	binary.LittleEndian.PutUint32(b, uint32(src))
+	binary.LittleEndian.PutUint32(b[4:], uint32(dst))
+	binary.LittleEndian.PutUint64(b[8:], uint64(idx))
+	for j := 16; j < len(b); j++ {
+		b[j] = byte(idx) ^ byte(j)
+	}
+	return b
+}
+
+// reliableBurst binds recycling endpoints on an 8-node network over f
+// and returns one all-to-all burst (perPair messages per ordered pair,
+// sent and drained) and the number of messages it sends.
+func reliableBurst(tb testing.TB, f config.Faults) (net *Network, burst func(), msgs int) {
 	const nodes, perPair = 8, 8
 	env := sim.NewEnv()
-	mc := config.Default().WithNodes(nodes).WithFaults(config.Faults{Drop: .05, Dup: .02, Seed: 1})
-	net := New(env, mc, stats.New(nodes))
+	net = New(env, config.Default().WithNodes(nodes).WithFaults(f), stats.New(nodes))
 	for i := 0; i < nodes; i++ {
-		net.Bind(i, func(*Message) {})
+		net.Bind(i, net.Recycle)
 	}
-	burst := func() {
+	burst = func() {
 		for k := 0; k < perPair; k++ {
 			for src := 0; src < nodes; src++ {
 				for dst := 0; dst < nodes; dst++ {
@@ -273,9 +318,44 @@ func BenchmarkReliableSend(b *testing.B) {
 			}
 		}
 		if err := env.Run(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return net, burst, nodes * (nodes - 1) * perPair
+}
+
+// TestReliableSteadyStateAllocs pins the lossy path's steady state at
+// zero host allocations: once one burst has grown the freelists, the
+// windows and the event slab, a burst through a wire that drops,
+// duplicates and reorders allocates nothing — sends, retransmissions,
+// duplicates, ACKs, reassembly and deliveries alike. The faults are
+// random, so a later burst still now and then sets a new high-water mark
+// (one more arrival in flight, a channel's first reordering); the
+// average over 200 bursts, truncated as AllocsPerRun does, must be 0.
+func TestReliableSteadyStateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	net, burst, msgs := reliableBurst(t, config.Faults{Drop: .05, Dup: .02, Reorder: .05, Seed: 1})
+	burst()
+	st := net.st
+	r0, d0 := st.TotalRetransmits(), st.TotalDupsDropped()
+	if got := testing.AllocsPerRun(200, burst); got != 0 {
+		t.Errorf("a burst of %d messages allocates %v times, want 0", msgs, got)
+	}
+	if st.TotalRetransmits() == r0 || st.TotalDupsDropped() == d0 {
+		t.Errorf("measured bursts retransmitted %d and dropped %d duplicates: the faults never fired",
+			st.TotalRetransmits()-r0, st.TotalDupsDropped()-d0)
+	}
+}
+
+// BenchmarkReliableSend is the reliable layer's per-message path: an
+// 8-node all-to-all burst (eight messages per ordered pair) through a
+// 5 %-drop, 2 %-dup wire, drained — sequencing, the unacked window,
+// coalesced ACKs, retransmission timers, reassembly and delivery to an
+// endpoint that recycles.
+func BenchmarkReliableSend(b *testing.B) {
+	_, burst, msgs := reliableBurst(b, config.Faults{Drop: .05, Dup: .02, Seed: 1})
 	burst() // every channel exists and its window has grown once
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -285,9 +365,9 @@ func BenchmarkReliableSend(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	msgs := float64(b.N * nodes * (nodes - 1) * perPair)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/msg")
+	total := float64(b.N * msgs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/msg")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/msg")
 }
 
 func TestZeroFaultConfigIsInert(t *testing.T) {

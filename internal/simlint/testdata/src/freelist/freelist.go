@@ -75,3 +75,34 @@ func retainThenRecycle(p *Pool) {
 	m.Retain()
 	p.Recycle(m)
 }
+
+// transmit hands the wire its own references to m; the caller keeps
+// the one NewMessage gave it.
+func (p *Pool) transmit(m *Msg) {}
+
+// releaseAfterTransmit is the reliable layer's control-message idiom
+// (sendCtrl): the sender drops its own reference right after the wire
+// took its references.
+func releaseAfterTransmit(p *Pool) {
+	m := p.NewMessage()
+	m.N = 1
+	p.transmit(m)
+	p.Recycle(m)
+}
+
+// useAfterRelease reads the message after dropping its reference: the
+// wire's references may already be gone, so m may be on the freelist.
+func useAfterRelease(p *Pool) int {
+	m := p.NewMessage()
+	p.transmit(m)
+	p.Recycle(m)
+	return m.N // want `m used after Recycle`
+}
+
+// retransmitAfterRelease hands a released message back to the wire.
+func retransmitAfterRelease(p *Pool) {
+	m := p.NewMessage()
+	p.transmit(m)
+	p.Recycle(m)
+	p.transmit(m) // want `m used after Recycle`
+}
