@@ -64,12 +64,13 @@ artifact-guard:
 # is the only gate that notices when a refactor breaks the benchmark.
 # The layer benches (loop body, per-node views, coalescer burst,
 # reliable-delivery burst, sim kernel, miss path, coherence audit,
-# checkpoint, its encode and decode, static verifier) run once each so
-# they cannot rot either; `bash benchmark/run.sh` is what measures.
+# checkpoint, its encode and decode, shmem_limits walk, static
+# verifier) run once each so they cannot rot either;
+# `bash benchmark/run.sh` is what measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|CheckLoopCalls' \
-		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/analysis
+	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls' \
+		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis
 
 # Everything the CI gate runs.
 check: build fmt-check vet test race lint lint-go artifact-guard bench-smoke

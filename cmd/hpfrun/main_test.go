@@ -72,6 +72,24 @@ func TestFailureStillClosesProfile(t *testing.T) {
 	}
 }
 
+// A -machine file naming a CPU mode, memory model or topology that no
+// constant names used to run a machine no flag describes (Consistency 9
+// simulated release semantics with the coalescer off). Each is refused
+// by field, exit 1.
+func TestMachineEnumOutOfRangeFails(t *testing.T) {
+	for _, in := range []string{`{"Consistency": 9}`, `{"CPUMode": -1}`, `{"Topology": 2}`} {
+		field, _, _ := strings.Cut(strings.Trim(in, `{"`), `"`)
+		path := filepath.Join(t.TempDir(), "machine.json")
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-machine", path)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "hpfrun: config: "+field+" ") {
+			t.Errorf("-machine %s: exit code %d, stdout %q, stderr %q; want 1 and a config: line naming %s", in, code, stdout, stderr, field)
+		}
+	}
+}
+
 func TestScaledJacobiRuns(t *testing.T) {
 	code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled")
 	if code != 0 || !strings.Contains(stdout, "elapsed   24.362 ms (simulated)") {

@@ -10,10 +10,8 @@ import (
 
 // TestVerifyAllApps runs the static verifier over every shipped app at
 // every optimization level: the seed schedules must satisfy the
-// Section 4.2 contract with no errors. Any future violation must be
-// either fixed or suppressed here with a tracked reason.
+// Section 4.2 contract with no errors.
 func TestVerifyAllApps(t *testing.T) {
-	var suppressions []analysis.Suppression // none needed by the seed apps
 	for _, a := range apps.All() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
@@ -24,9 +22,6 @@ func TestVerifyAllApps(t *testing.T) {
 			rep, err := analysis.Verify(prog, config.Default(), analysis.Levels()...)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if stale := rep.Apply(suppressions); len(stale) > 0 {
-				t.Errorf("stale suppressions: %v", stale)
 			}
 			if rep.HasErrors() {
 				t.Errorf("verifier errors:\n%s", rep)

@@ -250,12 +250,8 @@ func transferSite(base Site, t *compiler.Transfer) Site {
 func (m *Model) checkAlignment(t *compiler.Transfer, diag func(Severity, string, *compiler.Transfer, string, ...any)) {
 	lay := m.an.Layouts[t.Array]
 	bs := m.an.BlockSize
-	runs := sections.CoalesceRuns(lay.Runs(t.Sec))
-	total := 0
-	for _, r := range runs {
-		total += r.Bytes
-	}
-	want := sections.RunsToBlocks(sections.BlockAlign(runs, bs), bs)
+	want, edges, total := lay.Cover(t.Sec, bs, m.interior, m.edges)
+	m.interior, m.edges = want, edges
 	alignedBytes := sections.CountBlocks(want) * bs
 	got := sections.Normalize(t.Blocks)
 	if !slices.Equal(got, want) {

@@ -332,26 +332,6 @@ func TestContractNumBlocksOffByOne(t *testing.T) {
 	}
 }
 
-// TestSuppressionDowngrade: Apply downgrades a matching error to Info
-// with the reason attached and reports stale entries.
-func TestSuppressionDowngrade(t *testing.T) {
-	m, rep, lc := buildFixture(t, 0, dropReadyToRecv)
-	m.CheckLoopCalls(lc)
-	if !rep.HasErrors() {
-		t.Fatal("expected errors before suppression")
-	}
-	stale := rep.Apply([]analysis.Suppression{
-		{Rule: analysis.RuleRecvMatch, Loop: lc.Site.Loop, Reason: "known seed limitation"},
-		{Rule: analysis.RuleBarrier, Loop: "nosuch", Reason: "stale"},
-	})
-	if rep.HasErrors() {
-		t.Fatalf("suppression did not downgrade errors:\n%s", rep)
-	}
-	if len(stale) != 1 || stale[0].Loop != "nosuch" {
-		t.Fatalf("stale suppressions wrong: %v", stale)
-	}
-}
-
 func containsRule(rules []string, want string) bool {
 	for _, r := range rules {
 		if r == want {

@@ -52,21 +52,20 @@ func (s Severity) String() string {
 
 // Contract and race rule identifiers. Each diagnostic cites exactly one.
 const (
-	RuleRecvMatch   = "contract/recv-match"   // send without matching ready_to_recv / count mismatch
-	RuleSendExtent  = "contract/send-extent"  // emitted sends differ from the schedule's block extents
-	RuleFrameOrder  = "contract/frame-order"  // data may arrive before the consumer opened its frame
-	RuleWriteFlush  = "contract/write-flush"  // non-owner write not covered by mk_writable + flush
-	RuleFlushOwner  = "contract/flush-owner"  // flush destination is not the section's home
-	RuleSendOwner   = "contract/send-owner"   // read-transfer sender does not own the section
-	RuleAlignment   = "contract/shmem-limits" // blocks not the block-aligned interior or not the count claimed, or out of bounds
-	RuleBarrier     = "contract/barrier"      // barrier count differs across nodes (deadlock)
-	RuleElision     = "contract/elision"      // a higher level dropped a call a lower level proves necessary
-	RuleBounds      = "program/bounds"        // the loop's bounds drive a distributed subscript outside its array
-	RuleSubscript   = "program/subscript"     // a subscript leaves its dimension over the iterations that run
-	RuleRaceWrite   = "race/write-write"      // overlapping writer sections in one parallel loop
-	RuleRaceRW      = "race/read-write"       // read/write overlap not separated by a barrier
-	RuleRaceIndir   = "race/indirect"         // irregular reference: race analysis not applicable (info)
-	RuleSuppression = "lint/suppression"      // a tracked suppression matched (info)
+	RuleRecvMatch  = "contract/recv-match"   // send without matching ready_to_recv / count mismatch
+	RuleSendExtent = "contract/send-extent"  // emitted sends differ from the schedule's block extents
+	RuleFrameOrder = "contract/frame-order"  // data may arrive before the consumer opened its frame
+	RuleWriteFlush = "contract/write-flush"  // non-owner write not covered by mk_writable + flush
+	RuleFlushOwner = "contract/flush-owner"  // flush destination is not the section's home
+	RuleSendOwner  = "contract/send-owner"   // read-transfer sender does not own the section
+	RuleAlignment  = "contract/shmem-limits" // blocks not the block-aligned interior or not the count claimed, or out of bounds
+	RuleBarrier    = "contract/barrier"      // barrier count differs across nodes (deadlock)
+	RuleElision    = "contract/elision"      // a higher level dropped a call a lower level proves necessary
+	RuleBounds     = "program/bounds"        // the loop's bounds drive a distributed subscript outside its array
+	RuleSubscript  = "program/subscript"     // a subscript leaves its dimension over the iterations that run
+	RuleRaceWrite  = "race/write-write"      // overlapping writer sections in one parallel loop
+	RuleRaceRW     = "race/read-write"       // read/write overlap not separated by a barrier
+	RuleRaceIndir  = "race/indirect"         // irregular reference: race analysis not applicable (info)
 )
 
 // Site is the provenance of a diagnostic: where in the compiled program
@@ -102,16 +101,6 @@ type Diag struct {
 
 func (d Diag) String() string {
 	return fmt.Sprintf("%s %s: %s: %s (level %v)", d.Severity, d.Rule, d.Site, d.Msg, d.Site.Level)
-}
-
-// Suppression records a known, accepted violation: diagnostics matching
-// Rule and Loop are downgraded to Info with the reason attached. Every
-// suppression must carry a reason; they are printed with the report so
-// nothing is silently ignored.
-type Suppression struct {
-	Rule   string // rule identifier, e.g. RuleRaceRW
-	Loop   string // loop label the suppression applies to
-	Reason string
 }
 
 // Report collects the diagnostics of one verification run together with
@@ -189,28 +178,6 @@ func (r *Report) Errors() int {
 
 // HasErrors reports whether any hard error was found.
 func (r *Report) HasErrors() bool { return r.Errors() > 0 }
-
-// Apply downgrades diagnostics matching a suppression to Info, citing
-// the reason. It returns the suppressions that matched nothing (stale
-// entries a caller should prune).
-func (r *Report) Apply(sups []Suppression) []Suppression {
-	var stale []Suppression
-	for _, s := range sups {
-		hit := false
-		for i := range r.Diags {
-			d := &r.Diags[i]
-			if d.Rule == s.Rule && d.Site.Loop == s.Loop && d.Severity == Error {
-				d.Severity = Info
-				d.Msg += " [suppressed: " + s.Reason + "]"
-				hit = true
-			}
-		}
-		if !hit {
-			stale = append(stale, s)
-		}
-	}
-	return stale
-}
 
 // String renders the report, diagnostics first (errors leading), then a
 // one-line summary.

@@ -45,6 +45,10 @@ type Model struct {
 	checked map[Site]bool // loop instances already diagnosed
 	seen    map[Diag]bool // diagnostic dedup
 	gen     int           // bumped on any state/diagnostic change (fixpoint detection)
+
+	// interior and edges are checkAlignment's lists, reused from one
+	// transfer's shmem_limits to the next.
+	interior, edges []sections.BlockRun
 }
 
 // NewModel builds a fresh verification state for one optimization

@@ -122,7 +122,7 @@ func TestPropertyScheduleCoverage(t *testing.T) {
 		// bytes lie within the linearized section.
 		layB := an.Layouts[B]
 		for _, tr := range sched.Reads {
-			runs := sections.CoalesceRuns(layB.Runs(tr.Sec))
+			runs := layB.Runs(tr.Sec)
 			for _, br := range tr.Blocks {
 				lo, hi := br.Start*128, (br.Start+br.N)*128
 				inside := false

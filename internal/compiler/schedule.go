@@ -289,19 +289,8 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 // makeTransfer linearizes a section and computes its block-aligned
 // interior (the shmem_limits shrink).
 func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Section, redundant bool) Transfer {
-	layout := a.Layouts[arr]
-	runs := sections.CoalesceRuns(layout.Runs(sec))
-	total := 0
-	for _, r := range runs {
-		total += r.Bytes
-	}
-	blocks := sections.RunsToBlocks(sections.BlockAlign(runs, a.BlockSize), a.BlockSize)
+	blocks, edges, total := a.Layouts[arr].Cover(sec, a.BlockSize, nil, nil)
 	numBlocks := sections.CountBlocks(blocks)
-	// Blocks touched but not fully covered: the edges.
-	var touched []protocol.BlockRun
-	for _, r := range runs {
-		touched = append(touched, r.Blocks(a.BlockSize))
-	}
 	return Transfer{
 		Array:      arr,
 		Sender:     from,
@@ -310,7 +299,7 @@ func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Sectio
 		Blocks:     blocks,
 		NumBlocks:  numBlocks,
 		EdgeBytes:  total - numBlocks*a.BlockSize,
-		EdgeBlocks: sections.Minus(touched, blocks),
+		EdgeBlocks: edges,
 		Redundant:  redundant,
 		Key:        fmt.Sprintf("%s|%v|>%d", arr.Name, sec, to),
 	}

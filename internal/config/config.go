@@ -451,6 +451,12 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: negative MsgHeader %d", m.MsgHeader)
 	case m.AggThreshold < 0:
 		return fmt.Errorf("config: negative aggregation threshold %d (use NoCoalesce to disable aggregation)", m.AggThreshold)
+	case m.CPUMode != DualCPU && m.CPUMode != SingleCPU:
+		return fmt.Errorf("config: CPUMode %d is neither %d (%v) nor %d (%v)", m.CPUMode, DualCPU, DualCPU, SingleCPU, SingleCPU)
+	case m.Consistency != ReleaseConsistent && m.Consistency != SequentiallyConsistent:
+		return fmt.Errorf("config: Consistency %d is neither %d (%v) nor %d (%v)", m.Consistency, ReleaseConsistent, ReleaseConsistent, SequentiallyConsistent, SequentiallyConsistent)
+	case m.Topology != Flat && m.Topology != TreeTopo:
+		return fmt.Errorf("config: Topology %d is neither %d (%v) nor %d (%v)", m.Topology, Flat, Flat, TreeTopo, TreeTopo)
 	}
 	for _, p := range []struct {
 		name string

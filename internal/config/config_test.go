@@ -42,6 +42,12 @@ func TestValidateRejections(t *testing.T) {
 		{"page not multiple", func(m *Machine) { m.PageSize = 1000 }},
 		{"payload under block", func(m *Machine) { m.MaxPayload = 64 }},
 		{"negative latency", func(m *Machine) { m.WireLatency = -1 }},
+		{"unknown CPU mode", func(m *Machine) { m.CPUMode = SingleCPU + 1 }},
+		{"negative CPU mode", func(m *Machine) { m.CPUMode = -1 }},
+		{"unknown consistency", func(m *Machine) { m.Consistency = 9 }},
+		{"negative consistency", func(m *Machine) { m.Consistency = -1 }},
+		{"unknown topology", func(m *Machine) { m.Topology = TreeTopo + 1 }},
+		{"negative topology", func(m *Machine) { m.Topology = -1 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -67,6 +73,9 @@ func TestValidateRejectsUnmodellableMachines(t *testing.T) {
 	cases := map[string]string{ // JSON override -> what the error must name
 		`{"BlockSize": 256}`:                     "block size 256",
 		`{"BlockSize": 136, "MaxPayload": 4080}`: "block size 136",
+		`{"Consistency": 9}`:                     "Consistency 9",
+		`{"CPUMode": -1}`:                        "CPUMode -1",
+		`{"Topology": 2}`:                        "Topology 2",
 	}
 	for _, f := range fields {
 		cases[`{"`+f+`": -1}`] = "negative " + f
@@ -154,4 +163,30 @@ func TestFromJSON(t *testing.T) {
 	if _, err := FromJSON(strings.NewReader(`{"Faults": {"MaxRetries": 2, "AckDelay": 5}}`)); err != nil {
 		t.Errorf("kept reliable-delivery knobs refused: %v", err)
 	}
+}
+
+// FuzzMachineJSON: FromJSON never panics, and whatever it accepts
+// Validate accepts too, with every enum one of its constants.
+func FuzzMachineJSON(f *testing.F) {
+	for _, in := range []string{
+		`{}`,
+		`{"Faults": {"Drop": 0.6, "MaxRetries": 2}}`, // the golden give-up machine
+		`{"Consistency": 9}`, `{"CPUMode": -1}`, `{"Topology": 2}`,
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := FromJSON(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("FromJSON(%q) accepted a machine Validate refuses: %v", in, err)
+		}
+		if m.CPUMode != DualCPU && m.CPUMode != SingleCPU ||
+			m.Consistency != ReleaseConsistent && m.Consistency != SequentiallyConsistent ||
+			m.Topology != Flat && m.Topology != TreeTopo {
+			t.Fatalf("FromJSON(%q) accepted CPUMode %d, Consistency %d, Topology %d", in, m.CPUMode, m.Consistency, m.Topology)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/network"
-	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 )
@@ -79,7 +78,7 @@ func (e *exec) mpInstall(m *network.Message) {
 func (e *exec) mpSend(p *sim.Proc, t *compiler.Transfer, to int) {
 	mc := e.n.MC
 	lay := e.layouts[t.Array]
-	for _, run := range sections.CoalesceRuns(lay.Runs(t.Sec)) {
+	for _, run := range lay.Runs(t.Sec) {
 		for off := 0; off < run.Bytes; off += mc.MaxPayload {
 			nb := run.Bytes - off
 			if nb > mc.MaxPayload {

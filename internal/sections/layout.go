@@ -62,91 +62,118 @@ func (r Run) Blocks(blockSize int) BlockRun {
 	return BlockRun{Start: lo, N: (r.End()+blockSize-1)/blockSize - lo}
 }
 
+// interior returns the whole blocks inside the run: it rounds the start
+// up and the end down to block boundaries, where Blocks rounds outward.
+// N <= 0 when the run holds no whole block.
+func (r Run) interior(blockSize int) BlockRun {
+	lo := (r.Addr + blockSize - 1) / blockSize
+	return BlockRun{Start: lo, N: r.End()/blockSize - lo}
+}
+
 // Runs linearizes a section into contiguous address runs in ascending
 // address order. Leading dimensions covered in full merge into longer
 // runs (a whole-columns section of a 2-D array is a single run).
 func (l Layout) Runs(s Section) []Run {
+	var runs []Run
+	l.walk(s, func(r Run) { runs = append(runs, r) })
+	return runs
+}
+
+// Cover is the paper's shmem_limits in one walk over the section. It
+// returns the block-aligned interior of each of the section's runs
+// (BlockAlign's shrink, in blocks), the blocks the runs touch but do not
+// cover (the edges, left to the default protocol), and the section's
+// byte count. Both lists are canonical: runs are disjoint and
+// ascending, so their interiors are too, and an edge block two runs
+// share is listed once. No interior block is an edge, since a block one
+// run covers holds no byte of another. The lists are built in the
+// memory of interior and edges, whatever they held; passing the lists
+// of a previous call makes the walk allocation-free.
+func (l Layout) Cover(s Section, blockSize int, interior, edges []BlockRun) ([]BlockRun, []BlockRun, int) {
+	bytes := 0
+	interior, edges = interior[:0], edges[:0]
+	edge := func(lo, hi int) { // blocks [lo, hi), in ascending order
+		if hi <= lo {
+			return
+		}
+		if k := len(edges) - 1; k >= 0 && lo <= edges[k].End() {
+			edges[k].N = max(edges[k].End(), hi) - edges[k].Start
+			return
+		}
+		edges = append(edges, BlockRun{Start: lo, N: hi - lo})
+	}
+	l.walk(s, func(r Run) {
+		bytes += r.Bytes
+		in, touched := r.interior(blockSize), r.Blocks(blockSize)
+		if in.N <= 0 {
+			edge(touched.Start, touched.End())
+			return
+		}
+		interior = append(interior, in)
+		edge(touched.Start, in.Start)
+		edge(in.End(), touched.End())
+	})
+	return interior, edges, bytes
+}
+
+// walk calls yield with each of the section's runs in ascending address
+// order. The leading dimensions the section covers in full and the one
+// after them make one piece of contiguous bytes; the outer dimensions
+// place the pieces, stepping by their byte strides. Two pieces never
+// abut, because the partial dimension leaves a gap between them, so
+// every piece is a whole run.
+func (l Layout) walk(s Section, yield func(Run)) {
 	if len(s.Dims) != len(l.Extents) {
 		panic("sections: Runs rank mismatch")
 	}
 	if s.Empty() {
-		return nil
+		return
 	}
-	// Longest contiguous prefix: full leading dims, then one possibly
-	// partial dim terminates the run.
-	elems := 1
-	k := 0
-	for k < len(l.Extents) && s.Dims[k].Lo == 1 && s.Dims[k].Hi == l.Extents[k] {
-		elems *= l.Extents[k]
-		k++
-	}
-	if k < len(l.Extents) {
-		elems *= s.Dims[k].Count()
-		k++
-	}
-	runBytes := elems * l.ElemSize
-
-	// Iterate the outer dimensions k..rank-1.
-	outer := s.Dims[k:]
-	idx := make([]int, len(outer))
-	for d := range outer {
-		idx[d] = outer[d].Lo
-	}
-	// Address of the run start for the current outer index combination.
-	start := func() int {
-		full := make([]int, len(l.Extents))
-		for d := 0; d < k; d++ {
-			full[d] = s.Dims[d].Lo
-		}
-		copy(full[k:], idx)
-		return l.Addr(full...)
-	}
-	var runs []Run
-	for {
-		runs = append(runs, Run{Addr: start(), Bytes: runBytes})
-		// Advance outer indices (odometer).
-		d := 0
-		for ; d < len(outer); d++ {
-			idx[d]++
-			if idx[d] <= outer[d].Hi {
-				break
+	addr, stride, top := l.Base, l.ElemSize, l.ElemSize
+	for d, dim := range s.Dims {
+		ext := l.Extents[d]
+		for _, i := range [...]int{dim.Lo, dim.Hi} {
+			if i < 1 || i > ext {
+				panic(fmt.Sprintf("sections: index %d out of range 1..%d in dim %d", i, ext, d))
 			}
-			idx[d] = outer[d].Lo
 		}
-		if d == len(outer) {
-			break
-		}
+		addr += (dim.Lo - 1) * stride
+		top, stride = stride, stride*ext
 	}
-	// Coalesce adjacent runs (outer iteration produces ascending,
-	// possibly abutting runs).
-	return CoalesceRuns(runs)
+	p := pieces{dims: s.Dims, extents: l.Extents, bytes: l.ElemSize, yield: yield}
+	for p.inner < len(s.Dims) && s.Dims[p.inner] == (Dim{1, l.Extents[p.inner]}) {
+		p.bytes *= l.Extents[p.inner]
+		p.inner++
+	}
+	if p.inner < len(s.Dims) {
+		p.bytes *= s.Dims[p.inner].Count()
+		p.inner++
+	}
+	p.place(len(s.Dims)-1, addr, top)
 }
 
-// CoalesceRuns sorts runs by address and merges abutting or overlapping
-// ones.
-func CoalesceRuns(runs []Run) []Run {
-	if len(runs) <= 1 {
-		return runs
+// pieces places a section's pieces: the dimensions below inner lie
+// inside one piece of the given bytes.
+type pieces struct {
+	dims    []Dim
+	extents []int
+	inner   int
+	bytes   int
+	yield   func(Run)
+}
+
+// place yields the pieces of dimensions inner..d, the first at addr;
+// stride is dimension d's byte stride.
+func (p *pieces) place(d, addr, stride int) {
+	if d < p.inner {
+		p.yield(Run{Addr: addr, Bytes: p.bytes})
+		return
 	}
-	sorted := make([]Run, len(runs))
-	copy(sorted, runs)
-	for i := 1; i < len(sorted); i++ { // insertion sort: inputs are mostly ordered
-		for j := i; j > 0 && sorted[j].Addr < sorted[j-1].Addr; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
+	next := stride / p.extents[d-1]
+	for i := p.dims[d].Lo; i <= p.dims[d].Hi; i++ {
+		p.place(d-1, addr, next)
+		addr += stride
 	}
-	out := sorted[:1]
-	for _, r := range sorted[1:] {
-		last := &out[len(out)-1]
-		if r.Addr <= last.End() {
-			if r.End() > last.End() {
-				last.Bytes = r.End() - last.Addr
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // BlockAlign shrinks each run to whole coherence blocks — the paper's
@@ -156,23 +183,9 @@ func CoalesceRuns(runs []Run) []Run {
 func BlockAlign(runs []Run, blockSize int) []Run {
 	var out []Run
 	for _, r := range runs {
-		lo := (r.Addr + blockSize - 1) / blockSize * blockSize
-		hi := r.End() / blockSize * blockSize
-		if hi > lo {
-			out = append(out, Run{Addr: lo, Bytes: hi - lo})
+		if in := r.interior(blockSize); in.N > 0 {
+			out = append(out, Run{Addr: in.Start * blockSize, Bytes: in.N * blockSize})
 		}
-	}
-	return out
-}
-
-// RunsToBlocks converts block-aligned runs into runs of blocks.
-func RunsToBlocks(runs []Run, blockSize int) []BlockRun {
-	var out []BlockRun
-	for _, r := range runs {
-		if r.Addr%blockSize != 0 || r.Bytes%blockSize != 0 {
-			panic(fmt.Sprintf("sections: run %+v is not block aligned", r))
-		}
-		out = append(out, BlockRun{Start: r.Addr / blockSize, N: r.Bytes / blockSize})
 	}
 	return out
 }

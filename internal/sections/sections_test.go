@@ -137,13 +137,6 @@ func TestRunsCoverEveryElementExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestCoalesceRuns(t *testing.T) {
-	got := CoalesceRuns([]Run{{0, 8}, {16, 8}, {8, 8}, {32, 8}})
-	if len(got) != 2 || got[0] != (Run{0, 24}) || got[1] != (Run{32, 8}) {
-		t.Fatalf("coalesce = %v", got)
-	}
-}
-
 func TestBlockAlignShrinks(t *testing.T) {
 	const bs = 128
 	// Run from 100 to 612: aligned part is [128, 512).
@@ -181,17 +174,4 @@ func TestPropertyBlockAlignInside(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunsToBlocks(t *testing.T) {
-	got := RunsToBlocks([]Run{{256, 384}, {1024, 128}}, 128)
-	if len(got) != 2 || got[0] != (BlockRun{2, 3}) || got[1] != (BlockRun{8, 1}) {
-		t.Fatalf("blocks = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned run did not panic")
-		}
-	}()
-	RunsToBlocks([]Run{{100, 128}}, 128)
 }

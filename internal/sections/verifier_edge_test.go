@@ -6,7 +6,7 @@ import (
 
 // Edge cases the static verifier leans on: the contract checker
 // recomputes shmem_limits shrinks, so the corner behavior of
-// BlockAlign / RunsToBlocks must be exact.
+// BlockAlign must be exact.
 
 // TestBlockAlignMidBlock: runs ending mid-block are truncated to the
 // last boundary; runs contained within one block vanish entirely (the
@@ -40,28 +40,9 @@ func TestBlockAlignMidBlock(t *testing.T) {
 	}
 }
 
-// TestRunsToBlocksPanicsUnaligned: feeding unshrunk runs to the block
-// converter is a programming error, not a silent truncation.
-func TestRunsToBlocksPanicsUnaligned(t *testing.T) {
-	bad := []Run{
-		{Addr: 100, Bytes: 128}, // unaligned start
-		{Addr: 128, Bytes: 100}, // unaligned length
-	}
-	for _, r := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RunsToBlocks(%+v) did not panic", r)
-				}
-			}()
-			RunsToBlocks([]Run{r}, 128)
-		}()
-	}
-}
-
 // FuzzBlockAlign: for arbitrary runs and block sizes, the shrink must
-// return block-aligned runs that are subsets of their inputs, and the
-// result must always be accepted by RunsToBlocks. This is the
+// return block-aligned runs that are subsets of their inputs, holding
+// every whole block of the input and no other. This is the
 // shmem_limits safety property the static verifier's alignment rule
 // (contract/shmem-limits) re-checks per schedule.
 func FuzzBlockAlign(f *testing.F) {
@@ -94,14 +75,15 @@ func FuzzBlockAlign(f *testing.F) {
 		if len(out) == 0 && bytes >= 2*bs {
 			t.Fatalf("BlockAlign(%+v, %d) dropped a run holding a full block", in, bs)
 		}
-		total := CountBlocks(RunsToBlocks(out, bs)) // must not panic
-		if want := 0; len(out) == 1 {
-			want = out[0].Bytes / bs
-			if total != want {
-				t.Fatalf("RunsToBlocks count %d, want %d", total, want)
-			}
-		} else if total != want {
-			t.Fatalf("RunsToBlocks of empty shrink returned %d blocks", total)
+		// It keeps every whole block: as many as there are block
+		// boundaries from the first at or after the start to the last
+		// at or before the end, less one.
+		got := 0
+		for _, r := range out {
+			got += r.Bytes / bs
+		}
+		if want := max(0, (addr+bytes)/bs-(addr+bs-1)/bs); got != want {
+			t.Fatalf("BlockAlign(%+v, %d) = %+v keeps %d whole blocks, the input holds %d", in, bs, out, got, want)
 		}
 	})
 }

@@ -84,16 +84,6 @@ func (t Tree) Parent(id int) int {
 	return (id - 1) / t.radix
 }
 
-// FirstChild returns the lowest child id of id, or n if id is a leaf.
-func (t Tree) FirstChild(id int) int {
-	t.check(id)
-	c := t.radix*id + 1
-	if c > t.n {
-		return t.n
-	}
-	return c
-}
-
 // Children appends the child ids of id to dst and returns it. The
 // result is ascending; leaves append nothing.
 func (t Tree) Children(id int, dst []int) []int {
