@@ -202,3 +202,46 @@ func TestMPBackendSaysCheckAndCkptDoNotApply(t *testing.T) {
 		t.Errorf("shared memory: exit code %d, stdout %q, stderr %q; want both lines and a silent stderr", code, stdout, stderr)
 	}
 }
+
+// TestProfilePinned pins, byte for byte, what the observers print: the
+// stdout of a profiled, charted lu run with per-node stats and its
+// -profile-json, the stdout of a lossy jacobi run (the reliable-delivery
+// line and the cluster summary), and the -heatmap-json of shallow at
+// bulk.
+func TestProfilePinned(t *testing.T) {
+	dir := t.TempDir()
+	var got strings.Builder
+	for _, run := range []struct {
+		args []string
+		out  string // the file flag whose bytes follow stdout, or ""
+	}{
+		{[]string{"-app", "lu", "-size", "scaled", "-profile", "-gantt", "80", "-stats"}, "-profile-json"},
+		{[]string{"-app", "jacobi", "-size", "scaled", "-drop", ".05", "-dup", ".02", "-stats"}, ""},
+		{[]string{"-app", "shallow", "-size", "scaled", "-opt", "bulk"}, "-heatmap-json"},
+	} {
+		args := run.args
+		path := filepath.Join(dir, "out.json")
+		if run.out != "" {
+			args = append(args, run.out, path)
+		}
+		code, stdout, stderr := runExe(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d, stderr %q", args, code, stderr)
+		}
+		fmt.Fprintf(&got, "$ hpfrun %s\n%s", strings.Join(run.args, " "), stdout)
+		if run.out != "" {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "$ %s\n%s", run.out, raw)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "profile.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("observer output moved (%d bytes, golden %d):\n%s", got.Len(), len(want), got.String())
+	}
+}
