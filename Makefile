@@ -94,6 +94,7 @@ cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
 	$(GO) run ./cmd/covercheck -profile cover.out \
 		hpfdsm/internal/trace=90 \
+		hpfdsm/internal/stats=75 \
 		hpfdsm/internal/protocol=85 \
 		hpfdsm/internal/network=85 \
 		hpfdsm/internal/profiling=75 \

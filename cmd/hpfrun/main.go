@@ -93,7 +93,7 @@ func run() (exitCode int) {
 	check := flag.Bool("check", false, "audit coherence invariants at every barrier and reduction")
 	verify := flag.Bool("verify", false, "statically verify the schedules at the selected level before running; refuse to simulate on hard errors")
 	profile := flag.Bool("profile", false, "print a per-loop time profile")
-	gantt := flag.Int("gantt", 0, "print an ASCII timeline this many characters wide (implies -profile)")
+	gantt := flag.Int("gantt", 0, "print an ASCII timeline this many characters wide, at least 10 (implies -profile)")
 	profileJSON := flag.String("profile-json", "", "write the per-loop profile as JSON to this file (implies -profile)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -107,6 +107,9 @@ func run() (exitCode int) {
 	params := paramFlags{}
 	flag.Var(params, "param", "override a PARAM (NAME=VALUE, repeatable)")
 	flag.Parse()
+	if *gantt != 0 && *gantt < trace.MinGanttWidth {
+		return fail(fmt.Errorf("-gantt must be 0 or at least %d characters wide, have %d", trace.MinGanttWidth, *gantt))
+	}
 
 	stopProf, err0 := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err0 != nil {
@@ -287,7 +290,7 @@ func run() (exitCode int) {
 	}
 	if *gantt > 0 {
 		fmt.Println()
-		fmt.Print(res.Profile.Timeline.Gantt(*gantt))
+		fmt.Print(res.Profile.Gantt(*gantt))
 	}
 	if *profileJSON != "" {
 		if err := writeFile(*profileJSON, res.Profile.WriteJSON); err != nil {

@@ -132,6 +132,22 @@ func TestUnwritableCkptDirFails(t *testing.T) {
 	}
 }
 
+// A chart narrower than Gantt draws used to print "(empty timeline)"
+// and exit 0, and a negative width was ignored; both are one line
+// naming the minimum, exit 1.
+func TestGanttBelowMinimumFails(t *testing.T) {
+	for _, width := range []string{"5", "9", "-3"} {
+		code, stdout, stderr := runExe(t, "-app", "lu", "-size", "scaled", "-gantt", width)
+		if code != 1 || stdout != "" || stderr != "hpfrun: -gantt must be 0 or at least 10 characters wide, have "+width+"\n" {
+			t.Errorf("-gantt %s: exit code %d, stdout %q, stderr %q; want 1 and the minimum named", width, code, stdout, stderr)
+		}
+	}
+	code, stdout, stderr := runExe(t, "-app", "lu", "-size", "scaled", "-gantt", "10")
+	if code != 0 || !strings.Contains(stdout, "legend: a=forall@7") {
+		t.Errorf("-gantt 10: exit code %d, stdout %q, stderr %q; want 0 and a chart", code, stdout, stderr)
+	}
+}
+
 // TestProvenancePinned pins, byte for byte, the provenance text runs
 // print: -heatmap stdout of shallow at bulk and of cg on a 16-node tree,
 // then the prov argument of every miss span in a -trace-out of the

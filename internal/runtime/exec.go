@@ -187,20 +187,16 @@ func (e *exec) startTimer(p *sim.Proc) {
 	}
 }
 
-// profiled runs body, attributing this node's stat deltas to label and
-// recording the span on the timeline and, when tracing, as a region on
-// the node's compute lane (which also attributes the loop's misses in
+// profiled runs body as one region: this node's stat deltas under
+// label and its span, handed to the profile and, when tracing, to the
+// node's compute lane (where the open loop also attributes misses in
 // the heat map's provenance table).
 func (e *exec) profiled(p *sim.Proc, label string, body func()) {
 	tr := e.n.Trace
-	if e.ghost {
-		// Ghost loops cost nothing and attribute nothing; a loop the
-		// walk goes live inside is likewise unattributed (its pre-flip
-		// portion never re-ran).
-		body()
-		return
-	}
-	if e.prof == nil && tr == nil {
+	// Ghost loops cost nothing and attribute nothing; a loop the walk
+	// goes live inside is likewise unattributed (its pre-flip portion
+	// never re-ran).
+	if e.ghost || (e.prof == nil && tr == nil) {
 		body()
 		return
 	}
@@ -208,25 +204,27 @@ func (e *exec) profiled(p *sim.Proc, label string, body func()) {
 	before := *e.n.St
 	start := p.Now()
 	if tr != nil {
-		tr.BeginRegion(e.n.ID, label, start)
+		tr.BeginLoop(e.n.ID, label)
 	}
 	body()
 	e.n.Sync(p)
+	st := e.n.St
+	r := trace.Region{
+		Span: trace.Span{Node: e.n.ID, Label: label, Start: start, End: p.Now()},
+		Sample: trace.Sample{
+			Compute: st.ComputeTime - before.ComputeTime,
+			Comm:    st.CommTime - before.CommTime,
+			Barrier: st.BarrierTime - before.BarrierTime,
+			Misses:  st.Misses() - before.Misses(),
+			Msgs:    st.MsgsSent - before.MsgsSent,
+		},
+	}
 	if tr != nil {
-		tr.EndRegion(e.n.ID, p.Now())
+		tr.EndLoop(r.Span)
 	}
-	if e.prof == nil {
-		return
+	if e.prof != nil {
+		e.prof.Add(r)
 	}
-	e.prof.Timeline.Add(e.n.ID, label, start, p.Now())
-	after := *e.n.St
-	e.prof.Add(label, trace.Sample{
-		Compute: after.ComputeTime - before.ComputeTime,
-		Comm:    after.CommTime - before.CommTime,
-		Barrier: after.BarrierTime - before.BarrierTime,
-		Misses:  after.Misses() - before.Misses(),
-		Msgs:    after.MsgsSent - before.MsgsSent,
-	})
 }
 
 // evalScalar evaluates a replicated-scalar statement's expression (no
@@ -505,25 +503,6 @@ func allReduceOp(op ir.RedOp) tempest.ReduceOp {
 		return tempest.OpMax
 	case ir.RedMin:
 		return tempest.OpMin
-	default:
-		panic("runtime: bad reduction op")
-	}
-}
-
-func redCombine(op ir.RedOp, a, b float64) float64 {
-	switch op {
-	case ir.RedSum:
-		return a + b
-	case ir.RedMax:
-		if b > a {
-			return b
-		}
-		return a
-	case ir.RedMin:
-		if b < a {
-			return b
-		}
-		return a
 	default:
 		panic("runtime: bad reduction op")
 	}

@@ -10,6 +10,7 @@ import (
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
+	"hpfdsm/internal/tempest"
 )
 
 // This file is the loop executor: the only code that evaluates a
@@ -143,7 +144,7 @@ const (
 // as the kind says.
 type fop struct {
 	k       opKind
-	sub     uint8 // opAcc: the ir.RedOp; opCmp: the ir.CmpOp
+	sub     uint8 // opAcc: the tempest.ReduceOp; opCmp: the ir.CmpOp
 	d, a, b int32
 }
 
@@ -494,7 +495,7 @@ func (fc *fcomp) indirect(t ir.Indirect) int32 {
 // both first.
 func (fc *fcomp) acc(op ir.RedOp, v int32) (acc, seen int32) {
 	acc, seen = fc.temp(), fc.temp()
-	fc.emit(fop{k: opAcc, sub: uint8(op), d: acc, a: v, b: seen})
+	fc.emit(fop{k: opAcc, sub: uint8(allReduceOp(op)), d: acc, a: v, b: seen})
 	return
 }
 
@@ -1098,7 +1099,7 @@ func (m *fmach) exec(fl *fastLoop, code []fop, k, w, slot, step int, checked boo
 					if f[o.b] == 0 {
 						f[o.d], f[o.b] = x, 1
 					} else {
-						f[o.d] = redCombine(ir.RedOp(o.sub), f[o.d], x)
+						f[o.d] = tempest.ReduceOp(o.sub).Combine(f[o.d], x)
 					}
 				}
 			}

@@ -12,8 +12,9 @@ import (
 )
 
 // latBuckets is the number of exponential miss-latency histogram
-// buckets: bucket i covers [2^i, 2^(i+1)) microseconds, with the last
-// bucket open-ended.
+// buckets: bucket i covers [2^i, 2^(i+1)) microseconds, except that
+// bucket 0 also takes stalls under 1 µs and the last bucket is
+// open-ended.
 const latBuckets = 14
 
 // Node holds one simulated node's counters.
@@ -52,11 +53,13 @@ type Node struct {
 	CarriersSent  int64 // coalesced carrier messages injected
 
 	// MissLatency is an exponential histogram of blocking-miss stall
-	// times: bucket i counts stalls in [2^i, 2^(i+1)) µs.
+	// times: bucket i counts stalls in [2^i, 2^(i+1)) µs, bucket 0 also
+	// those under 1 µs.
 	MissLatency [latBuckets]int64
 }
 
-// RecordMissLatency adds one blocking-miss stall to the histogram.
+// RecordMissLatency adds one blocking-miss stall to the histogram
+// (a stall under 1 µs counts in bucket 0).
 func (n *Node) RecordMissLatency(d sim.Time) {
 	us := d / 1000
 	b := 0
@@ -84,14 +87,25 @@ func New(n int) *Cluster { return &Cluster{Nodes: make([]Node, n)} }
 // N returns the cluster size.
 func (c *Cluster) N() int { return len(c.Nodes) }
 
-// TotalMisses sums access faults over all nodes.
-func (c *Cluster) TotalMisses() int64 {
+// sum folds one per-node counter over the cluster.
+func (c *Cluster) sum(f func(n *Node) int64) int64 {
 	var t int64
 	for i := range c.Nodes {
-		t += c.Nodes[i].Misses()
+		t += f(&c.Nodes[i])
 	}
 	return t
 }
+
+// avg is sum's per-node mean, 0 for an empty cluster.
+func (c *Cluster) avg(f func(n *Node) int64) int64 {
+	if len(c.Nodes) == 0 {
+		return 0
+	}
+	return c.sum(f) / int64(len(c.Nodes))
+}
+
+// TotalMisses sums access faults over all nodes.
+func (c *Cluster) TotalMisses() int64 { return c.sum((*Node).Misses) }
 
 // AvgMissesPerNode reports the paper's Table 3 miss metric: the average
 // number of misses per node.
@@ -104,118 +118,74 @@ func (c *Cluster) AvgMissesPerNode() float64 {
 
 // TotalMessages sums messages sent over all nodes.
 func (c *Cluster) TotalMessages() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].MsgsSent
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.MsgsSent })
 }
 
 // TotalBytes sums payload+header bytes sent over all nodes.
 func (c *Cluster) TotalBytes() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].BytesSent
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.BytesSent })
 }
 
 // TotalSegsCoalesced sums carrier-borne protocol messages over all
 // nodes (each would have been a standalone wire message without the
 // coalescing scheduler).
 func (c *Cluster) TotalSegsCoalesced() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].SegsCoalesced
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.SegsCoalesced })
 }
 
 // TotalCarriersSent sums coalesced carrier messages over all nodes.
 func (c *Cluster) TotalCarriersSent() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].CarriersSent
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.CarriersSent })
 }
 
 // TotalRetransmits sums timeout-driven retransmissions over all nodes.
 func (c *Cluster) TotalRetransmits() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].Retransmits
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.Retransmits })
 }
 
 // TotalWireDrops sums fault-injected transmission losses over all nodes.
 func (c *Cluster) TotalWireDrops() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].WireDrops
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.WireDrops })
 }
 
 // TotalWireDups sums fault-injected duplications over all nodes.
 func (c *Cluster) TotalWireDups() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].WireDups
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.WireDups })
 }
 
 // TotalDupsDropped sums receive-side dedup discards over all nodes.
 func (c *Cluster) TotalDupsDropped() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].DupsDropped
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.DupsDropped })
 }
 
 // TotalAcksSent sums reliable-delivery acknowledgements over all nodes.
 func (c *Cluster) TotalAcksSent() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].AcksSent
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.AcksSent })
 }
 
 // TotalGiveUps sums retransmit chains parked after MaxRetries over all
 // nodes. Nonzero means the failure detector escalated to probing.
 func (c *Cluster) TotalGiveUps() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].GiveUps
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.GiveUps })
 }
 
 // TotalProbesSent sums failure-detector liveness probes over all nodes.
 func (c *Cluster) TotalProbesSent() int64 {
-	var t int64
-	for i := range c.Nodes {
-		t += c.Nodes[i].ProbesSent
-	}
-	return t
+	return c.sum(func(n *Node) int64 { return n.ProbesSent })
 }
 
 // FaultSummary renders the reliable-delivery counters in one line, or
 // "" if the network never misbehaved (lossless configuration).
 func (c *Cluster) FaultSummary() string {
-	if c.TotalWireDrops() == 0 && c.TotalWireDups() == 0 && c.TotalRetransmits() == 0 &&
-		c.TotalDupsDropped() == 0 && c.TotalAcksSent() == 0 && c.TotalGiveUps() == 0 {
+	rtx, drops, dups := c.TotalRetransmits(), c.TotalWireDrops(), c.TotalWireDups()
+	dedup, acks, giveUps := c.TotalDupsDropped(), c.TotalAcksSent(), c.TotalGiveUps()
+	if rtx == 0 && drops == 0 && dups == 0 && dedup == 0 && acks == 0 && giveUps == 0 {
 		return ""
 	}
 	s := fmt.Sprintf("retransmits=%d wire-drops=%d wire-dups=%d dedup-drops=%d acks=%d",
-		c.TotalRetransmits(), c.TotalWireDrops(), c.TotalWireDups(),
-		c.TotalDupsDropped(), c.TotalAcksSent())
-	if g := c.TotalGiveUps(); g > 0 {
-		s += fmt.Sprintf(" GIVE-UPS=%d", g)
+		rtx, drops, dups, dedup, acks)
+	if giveUps > 0 {
+		s += fmt.Sprintf(" GIVE-UPS=%d", giveUps)
 	}
 	return s
 }
@@ -223,26 +193,12 @@ func (c *Cluster) FaultSummary() string {
 // AvgCommTime returns the mean per-node communication time including
 // barrier waits.
 func (c *Cluster) AvgCommTime() sim.Time {
-	if len(c.Nodes) == 0 {
-		return 0
-	}
-	var t sim.Time
-	for i := range c.Nodes {
-		t += c.Nodes[i].CommTime + c.Nodes[i].BarrierTime
-	}
-	return t / sim.Time(len(c.Nodes))
+	return c.avg(func(n *Node) int64 { return n.CommTime + n.BarrierTime })
 }
 
 // AvgComputeTime returns the mean per-node computation time.
 func (c *Cluster) AvgComputeTime() sim.Time {
-	if len(c.Nodes) == 0 {
-		return 0
-	}
-	var t sim.Time
-	for i := range c.Nodes {
-		t += c.Nodes[i].ComputeTime
-	}
-	return t / sim.Time(len(c.Nodes))
+	return c.avg(func(n *Node) int64 { return n.ComputeTime })
 }
 
 // MissLatencyPercentile returns the approximate p-quantile (0..1) of

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,12 +70,21 @@ func (h *Heat) stat(b int) *BlockStat {
 	return s
 }
 
+// arrayIndex returns the index of the registered array covering block
+// b, or -1.
+func (h *Heat) arrayIndex(b int) int {
+	for i, a := range h.arrays {
+		if b >= a.Start && b < a.Start+a.N {
+			return i
+		}
+	}
+	return -1
+}
+
 // arrayOf returns the registered array covering block b, or "".
 func (h *Heat) arrayOf(b int) string {
-	for _, a := range h.arrays {
-		if b >= a.Start && b < a.Start+a.N {
-			return a.Name
-		}
+	if i := h.arrayIndex(b); i >= 0 {
+		return h.arrays[i].Name
 	}
 	return ""
 }
@@ -121,6 +132,19 @@ func (h *Heat) sortedBlocks() []*BlockStat {
 	return out
 }
 
+// sortedMissKeys returns the provenance rows' keys by loop, then array,
+// then kind.
+func (h *Heat) sortedMissKeys() []missKey {
+	keys := make([]missKey, 0, len(h.miss))
+	for k := range h.miss {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b missKey) int {
+		return cmp.Or(cmp.Compare(a.region, b.region), cmp.Compare(a.array, b.array), cmp.Compare(a.kind, b.kind))
+	})
+	return keys
+}
+
 // WriteText renders the heat map: per-array totals, then the hottest
 // blocks (by misses, then bytes) with provenance from blockInfo (which
 // may be nil).
@@ -139,11 +163,8 @@ func (h *Heat) WriteText(w io.Writer, blockInfo func(b int) string) {
 	other := agg{name: "(unregistered)"}
 	for _, s := range blocks {
 		tgt := &other
-		for i, a := range h.arrays {
-			if s.Block >= a.Start && s.Block < a.Start+a.N {
-				tgt = &aggs[i]
-				break
-			}
+		if i := h.arrayIndex(s.Block); i >= 0 {
+			tgt = &aggs[i]
 		}
 		tgt.blocks++
 		tgt.misses += s.Misses
@@ -191,22 +212,9 @@ func (h *Heat) WriteText(w io.Writer, blockInfo func(b int) string) {
 // block's schedule provenance — the explanation of each miss that
 // survives at the rtelim level.
 func (h *Heat) WriteMissTable(w io.Writer, blockInfo func(b int) string) {
-	keys := make([]missKey, 0, len(h.miss))
-	for k := range h.miss {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].region != keys[j].region {
-			return keys[i].region < keys[j].region
-		}
-		if keys[i].array != keys[j].array {
-			return keys[i].array < keys[j].array
-		}
-		return keys[i].kind < keys[j].kind
-	})
 	fmt.Fprintf(w, "Residual-miss provenance (per loop)\n")
 	fmt.Fprintf(w, "%-16s %-10s %-8s %8s  %s\n", "loop", "array", "kind", "misses", "example provenance")
-	for _, k := range keys {
+	for _, k := range h.sortedMissKeys() {
 		r := h.miss[k]
 		region, array := k.region, k.array
 		if region == "" {
@@ -244,20 +252,7 @@ func (h *Heat) WriteJSON(w io.Writer) error {
 			s.Block, s.Misses, s.Invals, s.Bytes)
 	}
 	b.WriteString("],\"misses\":[")
-	keys := make([]missKey, 0, len(h.miss))
-	for k := range h.miss {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].region != keys[j].region {
-			return keys[i].region < keys[j].region
-		}
-		if keys[i].array != keys[j].array {
-			return keys[i].array < keys[j].array
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for i, k := range keys {
+	for i, k := range h.sortedMissKeys() {
 		if i > 0 {
 			b.WriteString(",")
 		}

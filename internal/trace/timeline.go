@@ -8,36 +8,21 @@ import (
 	"hpfdsm/internal/sim"
 )
 
-// Span is one node's execution of one labelled region.
-type Span struct {
-	Node  int
-	Label string
-	Start sim.Time
-	End   sim.Time
-}
+// MinGanttWidth is the narrowest chart Gantt draws.
+const MinGanttWidth = 10
 
-// Timeline records per-node region spans for a run.
-type Timeline struct {
-	Spans []Span
-}
-
-// Add records one span.
-func (tl *Timeline) Add(node int, label string, start, end sim.Time) {
-	tl.Spans = append(tl.Spans, Span{Node: node, Label: label, Start: start, End: end})
-}
-
-// Gantt renders an ASCII chart: one row per node, width character
-// buckets across the run; each bucket shows the first letter of the
-// label active longest within it, '.' for idle/synchronization gaps.
-// The legend maps letters back to labels.
-func (tl *Timeline) Gantt(width int) string {
-	if len(tl.Spans) == 0 || width < 10 {
+// Gantt renders the profile's timeline as an ASCII chart: one row per
+// node, width character buckets across the run; each bucket shows the
+// first letter of the label active longest within it, '.' for
+// idle/synchronization gaps. The legend maps letters back to labels.
+func (p *Profile) Gantt(width int) string {
+	if len(p.spans) == 0 || width < MinGanttWidth {
 		return "(empty timeline)\n"
 	}
 	var t0, t1 sim.Time
 	maxNode := 0
-	t0 = tl.Spans[0].Start
-	for _, s := range tl.Spans {
+	t0 = p.spans[0].Start
+	for _, s := range p.spans {
 		if s.Start < t0 {
 			t0 = s.Start
 		}
@@ -56,7 +41,7 @@ func (tl *Timeline) Gantt(width int) string {
 	// Assign letters to labels in first-appearance order.
 	letters := map[string]byte{}
 	var order []string
-	for _, s := range tl.Spans {
+	for _, s := range p.spans {
 		if _, ok := letters[s.Label]; !ok {
 			letters[s.Label] = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"[len(letters)%52]
 			order = append(order, s.Label)
@@ -68,7 +53,7 @@ func (tl *Timeline) Gantt(width int) string {
 	for n := range rows {
 		rows[n] = make([]map[string]float64, width)
 	}
-	for _, s := range tl.Spans {
+	for _, s := range p.spans {
 		b0 := int(float64(s.Start-t0) / bucket)
 		b1 := int(float64(s.End-t0) / bucket)
 		if b1 >= width {

@@ -25,6 +25,21 @@ type Sample struct {
 	Msgs    int64
 }
 
+// Span is one node's execution of one labelled region.
+type Span struct {
+	Node  int
+	Label string
+	Start sim.Time
+	End   sim.Time
+}
+
+// Region is one node's visit to one labelled loop: where it sits on the
+// timeline and what it cost.
+type Region struct {
+	Span
+	Sample
+}
+
 // Entry aggregates all samples for one label.
 type Entry struct {
 	Label  string
@@ -36,32 +51,32 @@ type Entry struct {
 func (e *Entry) Total() sim.Time { return e.Compute + e.Comm + e.Barrier }
 
 // Profile aggregates entries by label, preserving first-seen order,
-// and records the span timeline for Gantt rendering.
+// and keeps every region's span, in recording order, for the timeline.
 type Profile struct {
 	entries map[string]*Entry
 	order   []string
-
-	// Timeline holds per-node spans of the labelled regions.
-	Timeline Timeline
+	spans   []Span
 }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile { return &Profile{entries: map[string]*Entry{}} }
 
-// Add accumulates one sample under a label.
-func (p *Profile) Add(label string, s Sample) {
-	e, ok := p.entries[label]
+// Add records one region: its span joins the timeline and its sample
+// is summed under its label.
+func (p *Profile) Add(r Region) {
+	p.spans = append(p.spans, r.Span)
+	e, ok := p.entries[r.Label]
 	if !ok {
-		e = &Entry{Label: label}
-		p.entries[label] = e
-		p.order = append(p.order, label)
+		e = &Entry{Label: r.Label}
+		p.entries[r.Label] = e
+		p.order = append(p.order, r.Label)
 	}
 	e.Visits++
-	e.Compute += s.Compute
-	e.Comm += s.Comm
-	e.Barrier += s.Barrier
-	e.Misses += s.Misses
-	e.Msgs += s.Msgs
+	e.Compute += r.Compute
+	e.Comm += r.Comm
+	e.Barrier += r.Barrier
+	e.Misses += r.Misses
+	e.Msgs += r.Msgs
 }
 
 // Entry returns the entry for a label, or nil.
@@ -105,7 +120,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 		Entries []entryJSON `json:"entries"`
 		Spans   []Span      `json:"spans"`
 	}
-	out := profJSON{Spans: p.Timeline.Spans}
+	out := profJSON{Spans: p.spans}
 	for _, e := range p.Entries() {
 		out.Entries = append(out.Entries, entryJSON{
 			Label: e.Label, Visits: e.Visits,

@@ -5,11 +5,21 @@ import (
 	"testing"
 )
 
+// sample records one visit to label costing s, with no span to speak of.
+func sample(p *Profile, label string, s Sample) {
+	p.Add(Region{Span: Span{Label: label}, Sample: s})
+}
+
+// span records one node's visit to label over [start, end].
+func span(p *Profile, node int, label string, start, end int64) {
+	p.Add(Region{Span: Span{Node: node, Label: label, Start: start, End: end}})
+}
+
 func TestProfileAccumulates(t *testing.T) {
 	p := NewProfile()
-	p.Add("sweep", Sample{Compute: 100, Comm: 50, Misses: 3})
-	p.Add("sweep", Sample{Compute: 200, Barrier: 25, Msgs: 7})
-	p.Add("copy", Sample{Compute: 10})
+	sample(p, "sweep", Sample{Compute: 100, Comm: 50, Misses: 3})
+	sample(p, "sweep", Sample{Compute: 200, Barrier: 25, Msgs: 7})
+	sample(p, "copy", Sample{Compute: 10})
 	e := p.Entry("sweep")
 	if e == nil || e.Visits != 2 || e.Compute != 300 || e.Comm != 50 || e.Barrier != 25 {
 		t.Fatalf("sweep entry = %+v", e)
@@ -27,9 +37,9 @@ func TestProfileAccumulates(t *testing.T) {
 
 func TestEntriesSortedByTotal(t *testing.T) {
 	p := NewProfile()
-	p.Add("small", Sample{Compute: 1})
-	p.Add("big", Sample{Compute: 1000})
-	p.Add("mid", Sample{Comm: 500})
+	sample(p, "small", Sample{Compute: 1})
+	sample(p, "big", Sample{Compute: 1000})
+	sample(p, "mid", Sample{Comm: 500})
 	es := p.Entries()
 	if es[0].Label != "big" || es[1].Label != "mid" || es[2].Label != "small" {
 		t.Fatalf("order = %v %v %v", es[0].Label, es[1].Label, es[2].Label)
@@ -38,7 +48,7 @@ func TestEntriesSortedByTotal(t *testing.T) {
 
 func TestProfileString(t *testing.T) {
 	p := NewProfile()
-	p.Add("sweep", Sample{Compute: 2_000_000, Misses: 42})
+	sample(p, "sweep", Sample{Compute: 2_000_000, Misses: 42})
 	s := p.String()
 	if !strings.Contains(s, "sweep") || !strings.Contains(s, "42") {
 		t.Fatalf("render missing fields:\n%s", s)
@@ -46,11 +56,11 @@ func TestProfileString(t *testing.T) {
 }
 
 func TestTimelineGantt(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, "sweep", 0, 1000)
-	tl.Add(0, "copy", 1000, 2000)
-	tl.Add(1, "sweep", 0, 2000)
-	g := tl.Gantt(20)
+	p := NewProfile()
+	span(p, 0, "sweep", 0, 1000)
+	span(p, 0, "copy", 1000, 2000)
+	span(p, 1, "sweep", 0, 2000)
+	g := p.Gantt(20)
 	if !strings.Contains(g, "node  0") || !strings.Contains(g, "node  1") {
 		t.Fatalf("missing rows:\n%s", g)
 	}
@@ -68,21 +78,21 @@ func TestTimelineGantt(t *testing.T) {
 }
 
 func TestTimelineEmpty(t *testing.T) {
-	var tl Timeline
-	if g := tl.Gantt(40); !strings.Contains(g, "empty") {
+	p := NewProfile()
+	if g := p.Gantt(40); !strings.Contains(g, "empty") {
 		t.Fatalf("empty timeline rendering: %q", g)
 	}
-	tl.Add(0, "x", 5, 5)
-	if g := tl.Gantt(40); !strings.Contains(g, "empty") {
+	span(p, 0, "x", 5, 5)
+	if g := p.Gantt(40); !strings.Contains(g, "empty") {
 		t.Fatalf("zero-width timeline rendering: %q", g)
 	}
 }
 
 func TestTimelineIdleGaps(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, "w", 0, 100)
-	tl.Add(0, "w", 900, 1000)
-	g := tl.Gantt(10)
+	p := NewProfile()
+	span(p, 0, "w", 0, 100)
+	span(p, 0, "w", 900, 1000)
+	g := p.Gantt(10)
 	row := ""
 	for _, line := range strings.Split(g, "\n") {
 		if strings.HasPrefix(line, "node  0") {
@@ -96,8 +106,7 @@ func TestTimelineIdleGaps(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	p := NewProfile()
-	p.Add("sweep", Sample{Compute: 1000, Misses: 2})
-	p.Timeline.Add(0, "sweep", 0, 1000)
+	p.Add(Region{Span: Span{Node: 0, Label: "sweep", End: 1000}, Sample: Sample{Compute: 1000, Misses: 2}})
 	var buf strings.Builder
 	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

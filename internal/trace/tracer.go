@@ -76,12 +76,6 @@ type Event struct {
 	Args []Arg
 }
 
-// region is one open compute-lane annotation (a loop or reduction).
-type region struct {
-	label string
-	start sim.Time
-}
-
 // Tracer accumulates the causal event record of one simulated run.
 // It is not safe for concurrent use; the simulator is single-threaded.
 type Tracer struct {
@@ -101,13 +95,13 @@ type Tracer struct {
 
 	events   []Event
 	nextFlow uint64
-	regions  [][]region // per-node open-region stacks
+	loops    []string // per node, the label of its open loop, or ""
 }
 
 // New returns a tracer for a cluster of nodes, with naming metadata for
 // each node's process and lanes already recorded.
 func New(nodes int) *Tracer {
-	t := &Tracer{Heat: NewHeat(), regions: make([][]region, nodes)}
+	t := &Tracer{Heat: NewHeat(), loops: make([]string, nodes)}
 	lanes := []struct {
 		tid  int
 		name string
@@ -186,37 +180,25 @@ func (t *Tracer) FlowEnd(pid, tid int, id uint64, ts sim.Time) {
 	})
 }
 
-// --- Region annotations (compute lane) --------------------------------
+// --- Loop annotations (compute lane) ---------------------------------
 
-// BeginRegion opens a labelled region (a parallel loop or reduction) on
-// a node's compute lane. Regions nest; the innermost open region
-// attributes misses in the heat map's provenance table.
-func (t *Tracer) BeginRegion(node int, label string, ts sim.Time) {
-	t.regions[node] = append(t.regions[node], region{label: label, start: ts})
-}
+// BeginLoop opens a labelled loop (a parallel loop or reduction) on a
+// node's compute lane. Loops do not nest; the open one attributes the
+// node's misses in the heat map's provenance table.
+func (t *Tracer) BeginLoop(node int, label string) { t.loops[node] = label }
 
-// EndRegion closes the innermost open region and records its span.
-func (t *Tracer) EndRegion(node int, ts sim.Time) {
-	stack := t.regions[node]
-	if len(stack) == 0 {
-		panic("trace: EndRegion with no open region")
+// EndLoop closes the node's open loop and records its span.
+func (t *Tracer) EndLoop(sp Span) {
+	if t.loops[sp.Node] == "" {
+		panic("trace: EndLoop with no open loop")
 	}
-	r := stack[len(stack)-1]
-	t.regions[node] = stack[:len(stack)-1]
-	t.Span(node, LaneCompute, r.label, "loop", r.start, ts)
-}
-
-// Region returns the label of a node's innermost open region, or "".
-func (t *Tracer) Region(node int) string {
-	if stack := t.regions[node]; len(stack) > 0 {
-		return stack[len(stack)-1].label
-	}
-	return ""
+	t.loops[sp.Node] = ""
+	t.Span(sp.Node, LaneCompute, sp.Label, "loop", sp.Start, sp.End)
 }
 
 // MissSpan records one access-fault stall on a node's compute lane and
-// feeds the heat map, attributing the miss to the node's current
-// region. kind is "read", "write", or "upgrade".
+// feeds the heat map, attributing the miss to the node's open loop.
+// kind is "read", "write", or "upgrade".
 func (t *Tracer) MissSpan(node, block, addr int, kind string, start, end sim.Time) {
 	args := []Arg{Int("block", block), Int("addr", addr), Str("kind", kind)}
 	if t.BlockInfo != nil {
@@ -225,7 +207,7 @@ func (t *Tracer) MissSpan(node, block, addr int, kind string, start, end sim.Tim
 		}
 	}
 	t.Span(node, LaneCompute, "miss:"+kind, "miss", start, end, args...)
-	t.Heat.AddMiss(block, kind, t.Region(node))
+	t.Heat.AddMiss(block, kind, t.loops[node])
 }
 
 // --- Chrome trace-event export ----------------------------------------

@@ -156,51 +156,54 @@ func TestKindNameFallbackAndHook(t *testing.T) {
 	}
 }
 
-func TestRegionsNestAndAttributeMisses(t *testing.T) {
-	tr := New(1)
-	tr.BeginRegion(0, "loop A", 0)
-	tr.BeginRegion(0, "loop B", 10)
-	if got := tr.Region(0); got != "loop B" {
-		t.Fatalf("innermost region %q", got)
-	}
+func TestOpenLoopAttributesMisses(t *testing.T) {
+	tr := New(2)
+	tr.MissSpan(0, 4, 512, "read", 2, 8)
+	tr.BeginLoop(0, "loop A")
+	tr.BeginLoop(1, "loop B")
 	tr.MissSpan(0, 5, 640, "read", 12, 20)
-	tr.EndRegion(0, 30)
-	if got := tr.Region(0); got != "loop A" {
-		t.Fatalf("after EndRegion, region %q", got)
-	}
-	tr.EndRegion(0, 40)
-	if got := tr.Region(0); got != "" {
-		t.Fatalf("after closing all, region %q", got)
-	}
+	tr.MissSpan(1, 6, 768, "write", 14, 22)
+	tr.EndLoop(Span{Node: 0, Label: "loop A", Start: 10, End: 30})
+	tr.MissSpan(0, 7, 896, "read", 32, 36)
+	tr.EndLoop(Span{Node: 1, Label: "loop B", Start: 10, End: 40})
 
-	// The two EndRegions recorded loop spans, innermost first.
+	// Each EndLoop recorded its loop span as it closed.
 	var loops []Event
 	for _, e := range tr.Events() {
 		if e.Cat == "loop" {
 			loops = append(loops, e)
 		}
 	}
-	if len(loops) != 2 || loops[0].Name != "loop B" || loops[1].Name != "loop A" {
+	if len(loops) != 2 || loops[0].Name != "loop A" || loops[0].Pid != 0 || loops[0].Dur != 20 ||
+		loops[1].Name != "loop B" || loops[1].Pid != 1 || loops[1].Dur != 30 {
 		t.Fatalf("loop spans = %+v", loops)
 	}
 
-	// The miss was attributed to the innermost open region.
+	// Each miss went to its own node's open loop, or to none.
 	var buf bytes.Buffer
 	if err := tr.Heat.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"loop":"loop B"`) {
-		t.Fatalf("miss not attributed to loop B:\n%s", buf.String())
+	for _, want := range []string{
+		`{"loop":"","array":"","kind":"read","count":2,"example_block":4}`,
+		`{"loop":"loop A","array":"","kind":"read","count":1,"example_block":5}`,
+		`{"loop":"loop B","array":"","kind":"write","count":1,"example_block":6}`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %s:\n%s", want, buf.String())
+		}
 	}
 }
 
-func TestEndRegionPanicsWhenEmpty(t *testing.T) {
+func TestEndLoopPanicsWhenNoneOpen(t *testing.T) {
+	tr := New(2)
+	tr.BeginLoop(1, "loop B")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("EndRegion on empty stack did not panic")
+			t.Fatal("EndLoop with no open loop did not panic")
 		}
 	}()
-	New(1).EndRegion(0, 0)
+	tr.EndLoop(Span{Node: 0, Label: "loop B"})
 }
 
 func TestMissSpanCarriesProvenance(t *testing.T) {
