@@ -65,12 +65,12 @@ artifact-guard:
 # The layer benches (loop body, per-node views, coalescer burst,
 # reliable-delivery burst, sim kernel, miss path, coherence audit,
 # checkpoint, its encode and decode, shmem_limits walk, static
-# verifier) run once each so they cannot rot either;
+# verifier, node images) run once each so they cannot rot either;
 # `bash benchmark/run.sh` is what measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls' \
-		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis
+	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls|NewNodeMem' \
+		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis ./internal/memory
 
 # Everything the CI gate runs.
 check: build fmt-check vet test race lint lint-go artifact-guard bench-smoke

@@ -97,6 +97,21 @@ func TestScaledJacobiRuns(t *testing.T) {
 	}
 }
 
+// A -param the program cannot take is one line, exit 1: an array too
+// large to declare used to panic in makeslice while the cluster was
+// built, and a name the program does not declare was ignored.
+func TestBadParamFails(t *testing.T) {
+	for _, c := range []struct{ param, want string }{
+		{"N=999999999", "hpfrun: apps: jacobi: line 5: array A holds more than 1099511627776 bytes, the most one array may\n"},
+		{"ZZ=3", "hpfrun: apps: jacobi: no PARAM ZZ to override: program JACOBI declares ITERS, N\n"},
+	} {
+		code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-param", c.param)
+		if code != 1 || stdout != "" || stderr != c.want {
+			t.Errorf("-param %s: exit code %d, stdout %q, stderr %q; want 1 and %q", c.param, code, stdout, stderr, c.want)
+		}
+	}
+}
+
 // A crash the run never reaches — an epoch past its last barrier, a
 // time past its end — used to leave only "recovery  0 crash(es)
 // detected" and exit 0 without a word. The run still succeeds, but says

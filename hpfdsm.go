@@ -93,7 +93,8 @@ type Program = ir.Program
 type App = apps.App
 
 // Compile parses a mini-HPF program. overrides, if non-nil, replaces
-// PARAM values (problem scaling); parameter names are upper-case.
+// PARAM values (problem scaling); names match case-insensitively, and
+// one naming no PARAM of the program is an error.
 func Compile(source string, overrides map[string]int) (*Program, error) {
 	return lang.ParseWithOverrides(source, overrides)
 }

@@ -105,8 +105,11 @@ func TestAppsMetadata(t *testing.T) {
 		if a.PaperProblem == "" || a.PaperMemMB <= 0 || len(a.CheckArrays) == 0 {
 			t.Fatalf("%s: incomplete metadata", a.Name)
 		}
-		if _, err := a.Program(a.PaperParams); err != nil {
-			t.Fatalf("%s: paper-size program does not parse: %v", a.Name, err)
+		// Each size names only PARAMs the program declares.
+		for size, params := range map[string]map[string]int{"paper": a.PaperParams, "scaled": a.ScaledParams, "bench": a.BenchParams} {
+			if _, err := a.Program(params); err != nil {
+				t.Fatalf("%s: %s-size program does not parse: %v", a.Name, size, err)
+			}
 		}
 		if _, err := ByName(a.Name); err != nil {
 			t.Fatal(err)

@@ -157,6 +157,13 @@ func (a AffExpr) String() string {
 
 // --- Arrays ------------------------------------------------------------
 
+// MaxArrayBytes is the most one array may hold. Every node keeps an
+// image of the whole shared segment, so a larger array could never be
+// simulated; refusing it where it is declared gives a positioned error
+// instead of an element count or segment size that overflows int on its
+// way to a node image.
+const MaxArrayBytes = 1 << 40
+
 // Array is a distributed array declaration. Indices are 1-based,
 // storage is column-major, elements are float64. Only the last
 // dimension may be distributed (the paper's assumption).

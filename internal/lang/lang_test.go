@@ -206,6 +206,55 @@ END
 	}
 }
 
+// Overrides match PARAMs case-insensitively, and one naming no PARAM
+// is refused with the program's own list rather than ignored.
+func TestParamOverrideNames(t *testing.T) {
+	prog, err := ParseWithOverrides(jacobiSrc, map[string]int{"n": 16, "Iters": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Param("N") != 16 || prog.Param("ITERS") != 2 {
+		t.Fatalf("lower- and mixed-case overrides gave N=%d ITERS=%d, want 16 and 2", prog.Param("N"), prog.Param("ITERS"))
+	}
+	for _, c := range []struct {
+		overrides map[string]int
+		want      string
+	}{
+		{map[string]int{"ZZ": 3}, "no PARAM ZZ to override: program JACOBI declares ITERS, N"},
+		{map[string]int{"N": 16, "zz": 3, "Yy": 1}, "no PARAM YY, ZZ to override"},
+		{map[string]int{"n": 16, "N": 8}, "PARAM N overridden twice"},
+	} {
+		if _, err := ParseWithOverrides(jacobiSrc, c.overrides); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("overrides %v: error %v, want one containing %q", c.overrides, err, c.want)
+		}
+	}
+}
+
+// An array over ir.MaxArrayBytes is refused where it is declared, with
+// its line — also when extents x 8 would overflow int.
+func TestArrayByteCeiling(t *testing.T) {
+	for _, c := range []struct {
+		decl string
+		ok   bool
+	}{
+		{"REAL a(131072, 1048576)", true}, // exactly 1<<40 bytes
+		{"REAL a(131073, 1048576)", false},
+		{"REAL a(n, n)", false}, // n = 999999999: 8e18 bytes, still an int
+		{"REAL a(n, n, n)", false},
+		{"REAL a(4), b(n, n)", false},
+		{"REAL a(4294967296, 4294967296)", false},
+	} {
+		src := "PROGRAM p\nPARAM n = 999999999\n" + c.decl + "\nEND\n"
+		_, err := Parse(src)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.decl, err)
+		case !c.ok && (err == nil || !strings.HasPrefix(err.Error(), "line 3: array ") || !strings.Contains(err.Error(), "holds more than 1099511627776 bytes")):
+			t.Errorf("%s: error %v, want the line and the ceiling", c.decl, err)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"no program":           "PARAM n = 4\nEND\n",

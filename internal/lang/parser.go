@@ -2,7 +2,10 @@ package lang
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 
 	"hpfdsm/internal/distribute"
 	"hpfdsm/internal/ir"
@@ -14,15 +17,25 @@ func Parse(src string) (*ir.Program, error) {
 }
 
 // ParseWithOverrides compiles source, overriding PARAM values (used to
-// scale problem sizes without editing the program text).
+// scale problem sizes without editing the program text). Names match
+// case-insensitively, as identifiers do; an override that names no
+// PARAM of the program is an error.
 func ParseWithOverrides(src string, overrides map[string]int) (*ir.Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
+	upper := make(map[string]int, len(overrides))
+	for k, v := range overrides {
+		u := strings.ToUpper(k)
+		if _, dup := upper[u]; dup {
+			return nil, fmt.Errorf("PARAM %s overridden twice", u)
+		}
+		upper[u] = v
+	}
 	p := &parser{
 		toks:      toks,
-		overrides: overrides,
+		overrides: upper,
 		prog:      &ir.Program{Params: map[string]int{}},
 		arrays:    map[string]*ir.Array{},
 		scalars:   map[string]bool{},
@@ -31,6 +44,18 @@ func ParseWithOverrides(src string, overrides map[string]int) (*ir.Program, erro
 	}
 	if err := p.program(); err != nil {
 		return nil, err
+	}
+	var unknown []string
+	for k := range upper {
+		if _, ok := p.prog.Params[k]; !ok {
+			unknown = append(unknown, k)
+		}
+	}
+	if unknown != nil {
+		slices.Sort(unknown)
+		declared := slices.Sorted(maps.Keys(p.prog.Params))
+		return nil, fmt.Errorf("no PARAM %s to override: program %s declares %s",
+			strings.Join(unknown, ", "), p.prog.Name, strings.Join(declared, ", "))
 	}
 	return p.prog, nil
 }
@@ -238,6 +263,7 @@ func (p *parser) realDecl() error {
 			return err
 		}
 		var extents []int
+		elems := 1
 		for {
 			e, err := p.affExpr()
 			if err != nil {
@@ -250,6 +276,10 @@ func (p *parser) realDecl() error {
 			if ev < 1 {
 				return p.errf("array %s has non-positive extent %d", name.text, ev)
 			}
+			if elems > ir.MaxArrayBytes/8/ev {
+				return p.errf("array %s holds more than %d bytes, the most one array may", name.text, ir.MaxArrayBytes)
+			}
+			elems *= ev
 			extents = append(extents, ev)
 			if p.accept(tRParen) {
 				break

@@ -9,6 +9,16 @@
 // round-robin to home nodes, so an array's owner (from its HPF
 // distribution) is generally not its home — exactly the situation the
 // paper's mk_writable step exists to handle.
+//
+// The host populates images lazily too. On Linux an image is an
+// anonymous private mapping outside the Go heap: the kernel zero-fills
+// a page the first time the node touches it, so a page the node never
+// touches costs no host memory, and a cleanup unmaps the image once its
+// NodeMem is unreachable. Hence the lifetime rule on NodeMem. Under the
+// race detector, which watches only Go-heap memory, and on other
+// systems an image is an ordinary zeroed slice. Mapped images are
+// invisible to the GC pacer, so the heap it paces is smaller and
+// collections come more often.
 package memory
 
 import (
@@ -153,6 +163,12 @@ func (s *Space) NumHomed(home int) int {
 // tags, per-block dirty-word masks (used by the multiple-writer
 // protocol), and the per-page mapped bits (remote pages pay a mapping
 // cost on first touch).
+//
+// Lifetime rule: the image may live outside the Go heap and is released
+// when the NodeMem becomes unreachable, so a slice of it (BlockData,
+// Bytes) may be held only by objects reachable from the cluster that
+// owns this NodeMem, and never past it. Whatever must outlive the
+// cluster copies the bytes out.
 type NodeMem struct {
 	sp     *Space
 	id     int
@@ -176,13 +192,13 @@ func NewNodeMem(sp *Space, id int) *NodeMem {
 	nm := &NodeMem{
 		sp:     sp,
 		id:     id,
-		data:   make([]byte, sp.size),
 		tags:   make([]Tag, nb),
 		dirty:  make([]uint16, nb),
 		mapped: make([]bool, np),
 		bs:     sp.mc.BlockSize,
 		bshift: log2of(sp.mc.BlockSize),
 	}
+	nm.data = newImage(nm, sp.size)
 	bpp := sp.mc.PageSize / sp.mc.BlockSize
 	for pg := 0; pg < np; pg++ {
 		if sp.Home(pg*sp.mc.PageSize) == id {

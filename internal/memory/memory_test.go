@@ -1,6 +1,8 @@
 package memory
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -78,23 +80,30 @@ func TestBlockGeometry(t *testing.T) {
 	}
 }
 
+// Home pages start mapped and ReadWrite, all others unmapped and
+// Invalid, on every node; filling the whole image first shows that
+// data never moves a tag, a dirty mask or a mapped bit.
 func TestHomePagesStartReadWrite(t *testing.T) {
 	sp := testSpace(t)
 	sp.Alloc("x", 16*sp.Machine().PageSize)
-	nm := NewNodeMem(sp, 2)
+	ones := bytes.Repeat([]byte{0xff}, sp.Size())
 	bpp := sp.Machine().PageSize / sp.BlockSize()
-	for pg := 0; pg < sp.NumPages(); pg++ {
-		isHome := sp.Home(pg*sp.Machine().PageSize) == 2
-		if nm.Mapped(pg) != isHome {
-			t.Fatalf("page %d mapped=%v, home=%v", pg, nm.Mapped(pg), isHome)
-		}
-		for b := pg * bpp; b < (pg+1)*bpp; b++ {
-			want := Invalid
-			if isHome {
-				want = ReadWrite
+	for id := 0; id < sp.Machine().Nodes; id++ {
+		nm := NewNodeMem(sp, id)
+		nm.InstallRange(0, ones)
+		for pg := 0; pg < sp.NumPages(); pg++ {
+			isHome := sp.Home(pg*sp.Machine().PageSize) == id
+			if nm.Mapped(pg) != isHome {
+				t.Fatalf("node %d page %d mapped=%v, home=%v", id, pg, nm.Mapped(pg), isHome)
 			}
-			if nm.Tag(b) != want {
-				t.Fatalf("page %d block %d tag=%v, want %v", pg, b, nm.Tag(b), want)
+			for b := pg * bpp; b < (pg+1)*bpp; b++ {
+				want := Invalid
+				if isHome {
+					want = ReadWrite
+				}
+				if nm.Tag(b) != want || nm.Dirty(b) != 0 {
+					t.Fatalf("node %d page %d block %d tag=%v dirty=%#x, want %v and clean", id, pg, b, nm.Tag(b), nm.Dirty(b), want)
+				}
 			}
 		}
 	}
@@ -187,6 +196,7 @@ func TestMergeDirtyWords(t *testing.T) {
 	writer.WriteF64(base+16, -2)
 	writer.WriteF64(base+40, -5)
 	home.MergeDirtyWords(b, writer.BlockData(b), writer.Dirty(b))
+	runtime.KeepAlive(writer) // its image may be unmapped once writer is unreachable
 
 	for i := 0; i < 16; i++ {
 		want := float64(100 + i)
@@ -213,6 +223,7 @@ func TestInstallBlockAndRange(t *testing.T) {
 	blk := sp.Block(base)
 	bnode.InstallBlock(blk, a.BlockData(blk))
 	bnode.InstallRange(base+sp.BlockSize(), a.Bytes(base+sp.BlockSize(), sp.BlockSize()))
+	runtime.KeepAlive(a)
 	for i := 0; i < 32; i++ {
 		if got := bnode.ReadF64(base + 8*i); got != float64(i)*1.5 {
 			t.Fatalf("installed word %d = %v", i, got)
@@ -279,6 +290,7 @@ func TestPropertyMergeNeverTouchesCleanWords(t *testing.T) {
 		}
 		home.ClearDirty(blk)
 		home.MergeDirtyWords(blk, w.BlockData(blk), mask)
+		runtime.KeepAlive(w)
 		for i := 0; i < 16; i++ {
 			got := home.ReadF64(base + 8*i)
 			if mask&(1<<uint(i)) != 0 {
