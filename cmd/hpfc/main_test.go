@@ -198,3 +198,33 @@ END
 		}
 	}
 }
+
+// TestBlockCyclicChunkFails: a CYCLIC(k) chunk the language refuses is
+// one positioned line, exit 1, with or without -lint; CYCLIC(0) used to
+// panic in the distribution, and a k past MaxInt ran the verifier out of
+// memory.
+func TestBlockCyclicChunkFails(t *testing.T) {
+	for k, want := range map[string]string{
+		"0":                    "hpfc: line 4: CYCLIC(0): the chunk size must be at least 1\n",
+		"99999999999999999999": "hpfc: line 4: CYCLIC(99999999999999999999): the chunk size is out of range\n",
+	} {
+		src := filepath.Join(t.TempDir(), "cyc.hpf")
+		if err := os.WriteFile(src, []byte(`PROGRAM cyc
+PARAM n = 16
+REAL a(n, n)
+DISTRIBUTE a(*, CYCLIC(`+k+`))
+FORALL (i = 1:n, j = 1:n)
+  a(i, j) = i + j
+END FORALL
+END
+`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-lint"}, {}} {
+			out, err := exec.Command(exe, append(args, "-file", src)...).CombinedOutput()
+			if ee, failed := err.(*exec.ExitError); !failed || ee.ExitCode() != 1 || string(out) != want {
+				t.Errorf("hpfc %v, CYCLIC(%s): %v, output %q; want exit status 1 and %q", args, k, err, out, want)
+			}
+		}
+	}
+}

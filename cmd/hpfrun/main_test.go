@@ -276,3 +276,30 @@ func TestProfilePinned(t *testing.T) {
 		t.Errorf("observer output moved (%d bytes, golden %d):\n%s", got.Len(), len(want), got.String())
 	}
 }
+
+// A CYCLIC(k) chunk the language refuses is one positioned line, exit 1:
+// CYCLIC(0) used to panic in the distribution, and a k past MaxInt was
+// read as MaxInt and ran the process out of memory.
+func TestBlockCyclicChunkFails(t *testing.T) {
+	for k, want := range map[string]string{
+		"0":                    "hpfrun: line 4: CYCLIC(0): the chunk size must be at least 1\n",
+		"99999999999999999999": "hpfrun: line 4: CYCLIC(99999999999999999999): the chunk size is out of range\n",
+	} {
+		src := filepath.Join(t.TempDir(), "cyc.hpf")
+		if err := os.WriteFile(src, []byte(`PROGRAM cyc
+PARAM n = 16
+REAL a(n, n)
+DISTRIBUTE a(*, CYCLIC(`+k+`))
+FORALL (i = 1:n, j = 1:n)
+  a(i, j) = i + j
+END FORALL
+END
+`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runExe(t, "-file", src)
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("CYCLIC(%s): exit code %d, stdout %q, stderr %q; want 1 and %q", k, code, stdout, stderr, want)
+		}
+	}
+}

@@ -12,10 +12,11 @@ import (
 
 // BenchmarkCheckLoopCalls is the verifier's layer number: the whole
 // static check of one compiled program — every schedule instance folded
-// and held to the contract at all five levels — on 8 and on 64 nodes,
-// so that its growth with the machine shows. lu instantiates a schedule
-// per pivot step (the most instances of any shipped application), pde
-// is the stencil whose frames stay open across iterations. The analysis
+// and held to the contract at all five levels — on 8 and 64 flat nodes
+// and on 256 in a radix-4 tree, so that its growth with the machine
+// shows. lu instantiates a schedule per pivot step (the most instances
+// of any shipped application), pde is the stencil whose frames stay
+// open across iterations. The analysis
 // is built once: its schedule cache is warm after the first op, so an op
 // is the verifier's own work.
 func BenchmarkCheckLoopCalls(b *testing.B) {
@@ -28,14 +29,17 @@ func BenchmarkCheckLoopCalls(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, nodes := range []int{8, 64} {
-			mc := config.Default().WithNodes(nodes)
+		for _, mc := range []config.Machine{
+			config.Default().WithNodes(8),
+			config.Default().WithNodes(64),
+			config.Default().WithNodes(256).WithTopology(config.TreeTopo).WithRadix(4),
+		} {
 			_, layouts := compiler.Place(prog, mc)
 			an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/nodes=%d", name, nodes), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/nodes=%d", name, mc.Nodes), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
 					if rep := analysis.VerifyAnalysis(an, analysis.Levels()...); rep.HasErrors() {

@@ -22,8 +22,8 @@ type SkippedTransfer struct {
 // LoopCalls is one loop instance as the contract checks see it: the
 // facts every node's call sequence folds into, plus the (PRE-filtered)
 // transfers the sequence implements and the transfers that were elided.
-// The facts are the model's scratch: they hold until the model folds its
-// next instance.
+// It is the model's scratch, lists and facts alike: it holds until the
+// model folds its next instance.
 type LoopCalls struct {
 	Key      any
 	Site     Site
@@ -216,11 +216,16 @@ func (f *fold) flushedTo(sender, dst int) []protocol.BlockRun {
 // implements and the ones PRE elided are listed beside the facts for
 // the contract checks. An instance whose site the model has checked
 // before folds only its frames and barriers, all that a repeat changes.
+// The LoopCalls returned is the model's own, refilled by each fold.
 func (m *Model) FoldLoopCalls(key any, site Site, sched *compiler.Schedule, isReduce bool) *LoopCalls {
-	lc := &LoopCalls{
+	lc := &m.calls
+	*lc = LoopCalls{
 		Key:      key,
 		Site:     site,
 		Sched:    sched,
+		Reads:    lc.Reads[:0],
+		Writes:   lc.Writes[:0],
+		Skipped:  lc.Skipped[:0],
 		IsReduce: isReduce,
 		f:        &m.fold,
 	}

@@ -69,22 +69,17 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		for ; fi < len(f.frames) && f.frames[fi].phase <= a.phase; fi++ {
 			m.frameCall(f.frames[fi])
 		}
+		if m.onEvent != nil {
+			m.onEvent(a)
+		}
 		// The blocks no frame opened in an earlier phase covers, and of
 		// those the ones no frame covers at all; a clean schedule leaves
 		// none, and then no block is looked at singly.
-		late := a.blocks
-		for _, fr := range m.frames[a.dst] {
-			if fr.phase < a.phase {
-				late = sections.Minus(late, fr.blocks)
-			}
-		}
+		late := m.frames.late(a.dst, a.phase, a.blocks)
 		if len(late) == 0 {
 			continue
 		}
-		unopened := late
-		for _, fr := range m.frames[a.dst] {
-			unopened = sections.Minus(unopened, fr.blocks)
-		}
+		unopened := m.frames.unopened(a.dst, late)
 		for _, b := range sections.Blocks(late) {
 			if sections.ContainsBlock(unopened, b) {
 				diag(Error, RuleFrameOrder, nil,
@@ -107,10 +102,13 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 		m.report.markChecked(site.Loop, RuleRecvMatch)
 		m.report.markChecked(site.Loop, RuleSendOwner)
 	}
-	schedTo := make([][]protocol.BlockRun, np)
+	schedTo := m.schedTo
+	for n := range schedTo {
+		schedTo[n] = schedTo[n][:0]
+	}
 	for i := range lc.Reads {
 		t := &lc.Reads[i]
-		schedTo[t.Receiver] = sections.Union(schedTo[t.Receiver], t.Blocks)
+		schedTo[t.Receiver] = append(schedTo[t.Receiver], t.Blocks...)
 		if miss := missingFrom(t.Blocks, f.sentSet[t.Receiver]); miss != "" {
 			diag(Error, RuleSendExtent, t,
 				"scheduled transfer node %d -> node %d is not fully emitted: blocks %s are never sent",

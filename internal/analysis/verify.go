@@ -2,12 +2,10 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sections"
 )
 
@@ -26,8 +24,11 @@ type Model struct {
 	report *Report
 	races  bool // run the (level-independent) race analysis on this pass
 
-	phase  int       // global barrier phase counter
-	frames [][]frame // per node: its open frames
+	phase  int    // global barrier phase counter
+	frames frames // every node's open frames
+	// onEvent, when a test sets it, sees every frame event and arrival
+	// in the order the model applies them to the frames.
+	onEvent func(event)
 	// live holds, per array name, the keys of the transfers delivered
 	// and not since invalidated by a write to the array.
 	live map[string]map[string]bool
@@ -35,7 +36,8 @@ type Model struct {
 	plans *compiler.Planner // each instance's plan, as the runtime gets it
 	inst  int               // instances planned so far
 	em    compiler.Emitter
-	fold  fold // the current instance's calls, folded
+	fold  fold      // the current instance's calls, folded
+	calls LoopCalls // the current instance, as FoldLoopCalls returns it
 	// Tee, when a test sets it, wraps the fold for each node's calls
 	// before (after false) and after the loop body: the one seam through
 	// which a test watches or alters the stream the verifier checks.
@@ -47,8 +49,10 @@ type Model struct {
 	gen     int           // bumped on any state/diagnostic change (fixpoint detection)
 
 	// interior and edges are checkAlignment's lists, reused from one
-	// transfer's shmem_limits to the next.
+	// transfer's shmem_limits to the next; schedTo, per receiver, the
+	// blocks an instance's read transfers send it, reused likewise.
 	interior, edges []sections.BlockRun
+	schedTo         [][]sections.BlockRun
 }
 
 // NewModel builds a fresh verification state for one optimization
@@ -58,10 +62,11 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 		an:      an,
 		level:   level,
 		report:  rep,
-		frames:  make([][]frame, an.NP),
+		frames:  newFrames(an.NP),
 		live:    map[string]map[string]bool{},
 		plans:   compiler.NewPlanner(level),
 		fold:    newFold(an.NP),
+		schedTo: make([][]sections.BlockRun, an.NP),
 		env:     map[string]int{},
 		checked: map[Site]bool{},
 		seen:    map[Diag]bool{},
@@ -74,37 +79,21 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 
 func (m *Model) bump() { m.gen++ }
 
-// frame is the blocks a node opened with implicit_writable in one
-// barrier phase and has not invalidated since. A block is in at most
-// one of a node's frames: the earliest opening stands.
-type frame struct {
-	phase  int
-	blocks []protocol.BlockRun
-}
-
 // frameCall applies a frame event to its node's open frames:
 // implicit_writable opens one, at the event's phase, over the blocks the
-// node has none open for (copied: the event's list is the fold's);
-// implicit_invalidate takes its blocks out of them all.
+// node has none open for; implicit_invalidate takes its blocks out of
+// them all.
 func (m *Model) frameCall(e event) {
-	open := m.frames[e.node]
+	if m.onEvent != nil {
+		m.onEvent(e)
+	}
 	switch e.kind {
 	case evOpen:
-		fresh := e.blocks
-		for _, f := range open {
-			fresh = sections.Minus(fresh, f.blocks)
-		}
-		if fresh = sections.Normalize(fresh); len(fresh) > 0 {
-			m.frames[e.node] = append(open, frame{e.phase, slices.Clone(fresh)})
+		if m.frames.open(e.node, e.phase, e.blocks) {
 			m.bump()
 		}
 	case evClose:
-		m.frames[e.node] = open[:0]
-		for _, f := range open {
-			if f.blocks = sections.Minus(f.blocks, e.blocks); len(f.blocks) > 0 {
-				m.frames[e.node] = append(m.frames[e.node], f)
-			}
-		}
+		m.frames.close(e.node, e.blocks)
 	}
 }
 
@@ -212,9 +201,10 @@ func (m *Model) instance(key any, label string, rule *compiler.LoopRule, body []
 	}
 	// ... and any write to an array invalidates every delivered copy of
 	// it (the kill set markRedundant reasons about, re-derived here).
+	// The array's set is emptied, not dropped: it fills again.
 	kill := func(name string) {
-		if len(m.live[name]) > 0 {
-			delete(m.live, name)
+		if arr := m.live[name]; len(arr) > 0 {
+			clear(arr)
 			m.bump()
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"hpfdsm/internal/ir"
@@ -29,9 +30,10 @@ type Transfer struct {
 	EdgeBlocks []protocol.BlockRun
 	Redundant  bool
 	// Key identifies the transfer's data content (array section ->
-	// receiver) for PRE's delivered set (plan.go); precomputed here so
-	// planning an instance formats nothing. Schedules are memoized, so
-	// the formatting cost is paid once per valuation.
+	// receiver) for PRE's delivered set (plan.go) and the verifier's
+	// liveness map; precomputed here so planning an instance builds
+	// nothing. Schedules are memoized, so the cost is paid once per
+	// valuation.
 	Key string
 	// pairBytes and pairMsgs are the phase's compiler-controlled traffic
 	// from Sender to Receiver, summed over the transfer's list (the
@@ -301,6 +303,22 @@ func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Sectio
 		EdgeBytes:  total - numBlocks*a.BlockSize,
 		EdgeBlocks: edges,
 		Redundant:  redundant,
-		Key:        fmt.Sprintf("%s|%v|>%d", arr.Name, sec, to),
+		Key:        transferKey(arr.Name, sec, to),
 	}
+}
+
+// transferKey renders a transfer's data content, array|section|>receiver,
+// as "A|(1:64,3:5)|>2": array names are identifiers, so the text is
+// injective over the three.
+func transferKey(array string, sec sections.Section, to int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], array...), "|("...)
+	for i, d := range sec.Dims {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(strconv.AppendInt(b, int64(d.Lo), 10), ':')
+		b = strconv.AppendInt(b, int64(d.Hi), 10)
+	}
+	return string(strconv.AppendInt(append(b, ")|>"...), int64(to), 10))
 }

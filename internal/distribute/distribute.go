@@ -52,7 +52,8 @@ type Dist struct {
 	NP     int
 }
 
-// New validates and builds a distribution.
+// New validates and builds a distribution. A BlockCyclic chunk longer
+// than the extent is clamped to it.
 func New(s Spec, extent, np int) Dist {
 	if extent < 1 || np < 1 {
 		panic(fmt.Sprintf("distribute: bad extent %d / np %d", extent, np))
@@ -60,6 +61,9 @@ func New(s Spec, extent, np int) Dist {
 	if s.Kind == BlockCyclic && s.K < 1 {
 		panic("distribute: BlockCyclic needs K >= 1")
 	}
+	// A chunk as long as the extent already gives processor 0 every
+	// index; a longer one would only overflow the ownership arithmetic.
+	s.K = min(s.K, extent)
 	return Dist{Spec: s, Extent: extent, NP: np}
 }
 

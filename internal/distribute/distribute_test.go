@@ -1,7 +1,9 @@
 package distribute
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,4 +148,30 @@ func TestStrings(t *testing.T) {
 		t.Fatal("kind strings wrong")
 	}
 	_ = New(Spec{Kind: Block}, 4, 2).String()
+}
+
+// A chunk no shorter than the extent puts every index on processor 0.
+// CYCLIC(MaxInt) used to overflow OwnedRanges' stride and append ranges
+// until memory ran out.
+func TestBlockCyclicChunkPastExtent(t *testing.T) {
+	for _, k := range []int{16, 17, math.MaxInt} {
+		d := New(Spec{Kind: BlockCyclic, K: k}, 16, 4)
+		if d.ChunkSize() != 16 {
+			t.Errorf("K = %d: chunk %d, want the extent 16", k, d.ChunkSize())
+		}
+		for j := 1; j <= 16; j++ {
+			if o := d.Owner(j); o != 0 {
+				t.Fatalf("K = %d: Owner(%d) = %d, want 0", k, j, o)
+			}
+		}
+		for p := range 4 {
+			want := [][2]int(nil)
+			if p == 0 {
+				want = [][2]int{{1, 16}}
+			}
+			if got := d.OwnedRanges(p); !slices.Equal(got, want) {
+				t.Errorf("K = %d: OwnedRanges(%d) = %v, want %v", k, p, got, want)
+			}
+		}
+	}
 }

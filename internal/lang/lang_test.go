@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -203,6 +204,34 @@ END
 	}
 	if prog.Arrays[1].Dist.Kind != distribute.BlockCyclic || prog.Arrays[1].Dist.K != 2 {
 		t.Fatal("cyclic(k) not parsed")
+	}
+}
+
+// A CYCLIC(k) chunk under 1, or one no int holds, is refused at its
+// line: CYCLIC(0) used to panic in the distribution, and an overflowing
+// k became MaxInt and ran the ownership arithmetic out of memory.
+func TestBlockCyclicChunk(t *testing.T) {
+	for _, c := range []struct {
+		k    string
+		want string // the error; "" to parse with K = k
+	}{
+		{"1", ""},
+		{"9223372036854775807", ""},
+		{"0", "line 4: CYCLIC(0): the chunk size must be at least 1"},
+		{"00", "line 4: CYCLIC(00): the chunk size must be at least 1"},
+		{"9223372036854775808", "line 4: CYCLIC(9223372036854775808): the chunk size is out of range"},
+		{"99999999999999999999", "line 4: CYCLIC(99999999999999999999): the chunk size is out of range"},
+	} {
+		src := "PROGRAM p\nPARAM n = 8\nREAL a(n, n)\nDISTRIBUTE a(*, CYCLIC(" + c.k + "))\nEND\n"
+		prog, err := Parse(src)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("CYCLIC(%s): %v", c.k, err)
+		case c.want == "" && fmt.Sprint(prog.Arrays[0].Dist.K) != c.k:
+			t.Errorf("CYCLIC(%s) parsed as K = %d", c.k, prog.Arrays[0].Dist.K)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("CYCLIC(%s): error %v, want %q", c.k, err, c.want)
+		}
 	}
 }
 

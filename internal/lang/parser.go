@@ -341,7 +341,12 @@ func (p *parser) distributeDecl() error {
 					return err
 				}
 				sp.Kind = distribute.BlockCyclic
-				sp.K, _ = strconv.Atoi(k.text)
+				if sp.K, err = strconv.Atoi(k.text); err != nil {
+					return p.errf("CYCLIC(%s): the chunk size is out of range", k.text)
+				}
+				if sp.K < 1 {
+					return p.errf("CYCLIC(%s): the chunk size must be at least 1", k.text)
+				}
 				if _, err := p.expect(tRParen); err != nil {
 					return err
 				}
