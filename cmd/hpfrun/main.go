@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -28,6 +29,7 @@ import (
 	"hpfdsm/internal/lang"
 	"hpfdsm/internal/profiling"
 	"hpfdsm/internal/runtime"
+	"hpfdsm/internal/sim"
 	"hpfdsm/internal/trace"
 )
 
@@ -107,6 +109,9 @@ func run() (exitCode int) {
 	params := paramFlags{}
 	flag.Var(params, "param", "override a PARAM (NAME=VALUE, repeatable)")
 	flag.Parse()
+	if *jitter > math.MaxInt64/sim.Microsecond || *jitter < -math.MaxInt64/sim.Microsecond {
+		return fail(fmt.Errorf("-jitter %dus overflows the simulated clock (at most %dus)", *jitter, int64(math.MaxInt64/sim.Microsecond)))
+	}
 	if *gantt != 0 && *gantt < trace.MinGanttWidth {
 		return fail(fmt.Errorf("-gantt must be 0 or at least %d characters wide, have %d", trace.MinGanttWidth, *gantt))
 	}
@@ -198,7 +203,7 @@ func run() (exitCode int) {
 		f := mc.Faults
 		f.Drop = *drop
 		f.Dup = *dup
-		f.Jitter = *jitter * 1000 // µs -> ns
+		f.Jitter = *jitter * sim.Microsecond
 		f.Reorder = *reorder
 		f.Seed = *faultSeed
 		f.Crashes = append(f.Crashes, crashes...)

@@ -147,6 +147,19 @@ func TestUnwritableCkptDirFails(t *testing.T) {
 	}
 }
 
+// A -jitter whose nanoseconds no int64 holds used to wrap to some
+// other delay, and the run then died in the watchdog; it is one line
+// naming the limit, exit 1.
+func TestJitterOverflowFails(t *testing.T) {
+	for _, us := range []string{"20000000000000000", "-20000000000000000", "9223372036854776"} {
+		code, stdout, stderr := runExe(t, "-app", "jacobi", "-size", "scaled", "-jitter", us)
+		want := "hpfrun: -jitter " + us + "us overflows the simulated clock (at most 9223372036854775us)\n"
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("-jitter %s: exit code %d, stdout %q, stderr %q; want 1 and %q", us, code, stdout, stderr, want)
+		}
+	}
+}
+
 // A chart narrower than Gantt draws used to print "(empty timeline)"
 // and exit 0, and a negative width was ignored; both are one line
 // naming the minimum, exit 1.

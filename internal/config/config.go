@@ -11,8 +11,10 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -538,6 +540,9 @@ func ParseCrashSpec(s string) (CrashSpec, error) {
 		c.Epoch = e
 	case strings.HasPrefix(trigger, "t="):
 		d, err := parseSimDuration(trigger[len("t="):])
+		if errors.Is(err, errClockOverflow) {
+			return CrashSpec{}, fmt.Errorf("config: bad crash spec %q: %w", s, err)
+		}
 		if err != nil || d <= 0 {
 			return bad()
 		}
@@ -547,6 +552,10 @@ func ParseCrashSpec(s string) (CrashSpec, error) {
 	}
 	return c, nil
 }
+
+// errClockOverflow is a duration too long for the int64 nanoseconds of
+// the simulated clock.
+var errClockOverflow = errors.New("the time overflows the simulated clock (at most 9223372036s)")
 
 // parseSimDuration parses a whole-number duration with an ns/us/ms/s
 // suffix into virtual nanoseconds.
@@ -563,6 +572,9 @@ func parseSimDuration(s string) (sim.Time, error) {
 		s, unit = s[:len(s)-1], sim.Second
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
+	if errors.Is(err, strconv.ErrRange) || v > math.MaxInt64/unit || v < math.MinInt64/unit {
+		return 0, errClockOverflow
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -190,3 +190,47 @@ func FuzzMachineJSON(f *testing.F) {
 		}
 	})
 }
+
+// ParseCrashSpec takes the two -crash forms and refuses every other
+// one; a time past the int64 nanosecond clock is refused by name
+// rather than wrapped to some other instant.
+func TestParseCrashSpec(t *testing.T) {
+	const syntax = ` (want "node=N@epoch=E" or "node=N@t=4ms")`
+	for _, c := range []struct {
+		in   string
+		want CrashSpec
+		err  string // the whole error; "" to parse as want
+	}{
+		{in: "node=2@epoch=3", want: CrashSpec{Node: 2, Epoch: 3}},
+		{in: "node=0@t=4ms", want: CrashSpec{At: 4 * sim.Millisecond}},
+		{in: "node=1@t=7", want: CrashSpec{Node: 1, At: 7}},
+		{in: "node=1@t=7ns", want: CrashSpec{Node: 1, At: 7}},
+		{in: "node=1@t=5us", want: CrashSpec{Node: 1, At: 5 * sim.Microsecond}},
+		{in: "node=3@t=2s", want: CrashSpec{Node: 3, At: 2 * sim.Second}},
+		{in: "node=3@t=9223372036s", want: CrashSpec{Node: 3, At: 9223372036 * sim.Second}},
+		{in: "node=2", err: `config: bad crash spec "node=2"` + syntax},
+		{in: "n=2@epoch=3", err: `config: bad crash spec "n=2@epoch=3"` + syntax},
+		{in: "node=x@epoch=3", err: `config: bad crash spec "node=x@epoch=3"` + syntax},
+		{in: "node=2@epoch=0", err: `config: bad crash spec "node=2@epoch=0"` + syntax},
+		{in: "node=2@epoch=-1", err: `config: bad crash spec "node=2@epoch=-1"` + syntax},
+		{in: "node=2@epoch=x", err: `config: bad crash spec "node=2@epoch=x"` + syntax},
+		{in: "node=2@t=0ms", err: `config: bad crash spec "node=2@t=0ms"` + syntax},
+		{in: "node=2@t=-4ms", err: `config: bad crash spec "node=2@t=-4ms"` + syntax},
+		{in: "node=2@t=4h", err: `config: bad crash spec "node=2@t=4h"` + syntax},
+		{in: "node=2@t=ms", err: `config: bad crash spec "node=2@t=ms"` + syntax},
+		{in: "node=2@at=4ms", err: `config: bad crash spec "node=2@at=4ms"` + syntax},
+		{in: "node=2@t=20000000000s", err: `config: bad crash spec "node=2@t=20000000000s": the time overflows the simulated clock (at most 9223372036s)`},
+		{in: "node=2@t=9223372037s", err: `config: bad crash spec "node=2@t=9223372037s": the time overflows the simulated clock (at most 9223372036s)`},
+		{in: "node=2@t=99999999999999999999ns", err: `config: bad crash spec "node=2@t=99999999999999999999ns": the time overflows the simulated clock (at most 9223372036s)`},
+	} {
+		got, err := ParseCrashSpec(c.in)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.in, err)
+		case c.err == "" && got != c.want:
+			t.Errorf("%s parsed as %+v, want %+v", c.in, got, c.want)
+		case c.err != "" && (err == nil || err.Error() != c.err):
+			t.Errorf("%s: error %v, want %q", c.in, err, c.err)
+		}
+	}
+}

@@ -39,7 +39,11 @@ func (p *parser) affTerm(neg bool) (ir.AffExpr, error) {
 	var e ir.AffExpr
 	switch p.cur().kind {
 	case tInt:
-		n, _ := strconv.Atoi(p.next().text)
+		tok := p.next()
+		n, err := strconv.Atoi(tok.text)
+		if err != nil {
+			return e, p.errf("integer %s is out of range", tok.text)
+		}
 		e = ir.Aff(n)
 		if p.accept(tStar) {
 			id, err := p.expect(tIdent)
@@ -56,7 +60,10 @@ func (p *parser) affTerm(neg bool) (ir.AffExpr, error) {
 			if err != nil {
 				return e, err
 			}
-			k, _ := strconv.Atoi(n.text)
+			k, err := strconv.Atoi(n.text)
+			if err != nil {
+				return e, p.errf("coefficient %s is out of range", n.text)
+			}
 			e = e.Scale(k)
 		}
 	default:

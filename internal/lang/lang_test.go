@@ -235,6 +235,24 @@ func TestBlockCyclicChunk(t *testing.T) {
 	}
 }
 
+// An integer literal no int holds is refused at its line wherever the
+// parser converts one: it used to read as MaxInt.
+func TestIntegerLiteralRange(t *testing.T) {
+	const big = "99999999999999999999"
+	for _, c := range []struct{ src, want string }{
+		{"PROGRAM p\nPARAM n = " + big + "\nEND\n", "line 2: PARAM N = " + big + ": the value is out of range"},
+		{"PROGRAM p\nPARAM n = -" + big + "\nEND\n", "line 2: PARAM N = " + big + ": the value is out of range"},
+		{"PROGRAM p\nPARAM n = 8\nREAL a(n)\nFORALL (i = 1:n:" + big + ")\n a(i) = 0\nEND FORALL\nEND\n", "line 4: step " + big + " is out of range"},
+		{"PROGRAM p\nPARAM n = 8\nREAL a(n)\nFORALL (i = 1:n+" + big + ")\n a(i) = 0\nEND FORALL\nEND\n", "line 4: integer " + big + " is out of range"},
+		{"PROGRAM p\nPARAM n = 8\nREAL a(n)\nFORALL (i = 1:" + big + "*n)\n a(i) = 0\nEND FORALL\nEND\n", "line 4: integer " + big + " is out of range"},
+		{"PROGRAM p\nPARAM n = 8\nREAL a(n)\nFORALL (i = 1:n*" + big + ")\n a(i) = 0\nEND FORALL\nEND\n", "line 4: coefficient " + big + " is out of range"},
+	} {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 // Overrides match PARAMs case-insensitively, and one naming no PARAM
 // is refused with the program's own list rather than ignored.
 func TestParamOverrideNames(t *testing.T) {

@@ -239,7 +239,10 @@ func (p *parser) param() error {
 	if err != nil {
 		return err
 	}
-	n, _ := strconv.Atoi(v.text)
+	n, err := strconv.Atoi(v.text)
+	if err != nil {
+		return p.errf("PARAM %s = %s: the value is out of range", name.text, v.text)
+	}
 	if neg {
 		n = -n
 	}
@@ -399,7 +402,9 @@ func (p *parser) indexSpec() (ir.Index, error) {
 		if err != nil {
 			return ir.Index{}, err
 		}
-		ix.Step, _ = strconv.Atoi(st.text)
+		if ix.Step, err = strconv.Atoi(st.text); err != nil {
+			return ir.Index{}, p.errf("step %s is out of range", st.text)
+		}
 		if ix.Step < 1 {
 			return ir.Index{}, p.errf("step must be positive")
 		}

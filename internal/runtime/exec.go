@@ -200,17 +200,22 @@ func (e *exec) profiled(p *sim.Proc, label string, body func()) {
 		body()
 		return
 	}
-	e.n.Sync(p)
+	// Read the clock, never Sync: that would move the run it observes.
+	now := func(st *stats.Node) sim.Time {
+		work, stolen := e.n.Unsynced()
+		st.ComputeTime += work
+		return p.Now() + work + stolen
+	}
 	before := *e.n.St
-	start := p.Now()
+	start := now(&before)
 	if tr != nil {
 		tr.BeginLoop(e.n.ID, label)
 	}
 	body()
-	e.n.Sync(p)
-	st := e.n.St
+	st := *e.n.St
+	end := now(&st)
 	r := trace.Region{
-		Span: trace.Span{Node: e.n.ID, Label: label, Start: start, End: p.Now()},
+		Span: trace.Span{Node: e.n.ID, Label: label, Start: start, End: end},
 		Sample: trace.Sample{
 			Compute: st.ComputeTime - before.ComputeTime,
 			Comm:    st.CommTime - before.CommTime,
@@ -454,10 +459,7 @@ func (e *exec) dynOps(x ir.Expr) int {
 		lo, okL := t.Lo.TryEval(e.env)
 		hi, okH := t.Hi.TryEval(e.env)
 		if okL && okH {
-			trip = hi - lo + 1
-			if trip < 0 {
-				trip = 0
-			}
+			trip = max(hi-lo+1, 0)
 		}
 		return trip * (1 + e.dynOps(t.Body))
 	default:

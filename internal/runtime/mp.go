@@ -49,16 +49,15 @@ type mpState struct {
 func installMP(execs []*exec) {
 	for _, e := range execs {
 		e.mp = &mpState{recv: sim.NewCounter(), queued: map[int64][]*network.Message{}}
-		ee := e
 		e.n.On(KMPData, func(hc *tempest.HContext, m *network.Message) {
-			if m.Arg2 != ee.mp.phase {
+			if m.Arg2 != e.mp.phase {
 				// Early arrival from a sender already in a later
 				// phase: hold it until this node catches up.
 				m.Retain()
-				ee.mp.queued[m.Arg2] = append(ee.mp.queued[m.Arg2], m)
+				e.mp.queued[m.Arg2] = append(e.mp.queued[m.Arg2], m)
 				return
 			}
-			ee.mpInstall(m)
+			e.mpInstall(m)
 		})
 	}
 }
@@ -80,10 +79,7 @@ func (e *exec) mpSend(p *sim.Proc, t *compiler.Transfer, to int) {
 	lay := e.layouts[t.Array]
 	for _, run := range lay.Runs(t.Sec) {
 		for off := 0; off < run.Bytes; off += mc.MaxPayload {
-			nb := run.Bytes - off
-			if nb > mc.MaxPayload {
-				nb = mc.MaxPayload
-			}
+			nb := min(run.Bytes-off, mc.MaxPayload)
 			addr := run.Addr + off
 			data := make([]byte, nb)
 			copy(data, e.n.Mem.Bytes(addr, nb))

@@ -75,10 +75,8 @@ type Options struct {
 	// threads, advancing in lockstep windows derived from the minimum
 	// cross-partition message latency (see sim.Shards). Statistics are
 	// bit-identical to the sequential event loop. 0 or 1 selects the
-	// sequential loop (zero overhead); values above the node count are
-	// clamped. Incompatible with fault injection, checkpointing,
-	// barrier-instant checks, tracing and profiling — those are rejected
-	// with an error rather than silently diverging.
+	// sequential loop; values above the node count are clamped. The
+	// modes it cannot partition are refused (see refusals).
 	Partitions int
 }
 
@@ -233,6 +231,36 @@ func (rec *recovery) keep(proto *protocol.Proto) {
 	}
 }
 
+// refusals are the configurations Run will not simulate, in checking
+// order; a format sees the program's name, the partition count and
+// MsgTime(0) as arguments 1, 2 and 3. pdes refuses every mode whose
+// machinery is not partitioned rather than silently diverge.
+var refusals = []struct {
+	when   func(*ir.Program, *Options) bool
+	format string
+}{
+	{func(p *ir.Program, o *Options) bool { return o.Backend == MessagePassing && ir.HasIndirect(p) }, "runtime: program %[1]s contains indirect array subscripts and is not amenable to message passing; use the shared-memory backend"},
+	{func(_ *ir.Program, o *Options) bool {
+		return o.Backend == MessagePassing && len(o.Machine.Faults.Crashes) > 0
+	}, "runtime: crash injection requires the shared-memory backend (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.Faults.Active() }, "runtime: pdes (Partitions=%[2]d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Checkpoint }, "runtime: pdes (Partitions=%[2]d) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Check }, "runtime: pdes (Partitions=%[2]d) is incompatible with barrier-instant coherence checks — the audit reads every node's state from one thread mid-run; rerun without -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Trace != nil }, "runtime: pdes (Partitions=%[2]d) is incompatible with tracing — the tracer's buffers are single-threaded; rerun without -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Profile }, "runtime: pdes (Partitions=%[2]d) is incompatible with per-loop profiling — the profile accumulator is single-threaded; rerun without -pdes, or use the observer-only -cpuprofile/-memprofile, which work under -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.MsgTime(0) <= 0 }, "runtime: pdes needs a positive minimum message latency for its lookahead window; this machine has MsgTime(0)=%[3]d (program %[1]s)"},
+}
+
+// Refusal is Run's error for prog under o (Partitions clamped), or nil.
+func Refusal(prog *ir.Program, o Options) error {
+	for _, r := range refusals {
+		if r.when(prog, &o) {
+			return fmt.Errorf(r.format, prog.Name, o.Partitions, o.Machine.MsgTime(0))
+		}
+	}
+	return nil
+}
+
 // Run executes prog on a simulated cluster. With crash injection (or
 // Options.Checkpoint) active, the protocol state is snapshotted at
 // every quiescent synchronization epoch; a detected crash-stop failure
@@ -245,33 +273,9 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Backend == MessagePassing && ir.HasIndirect(prog) {
-		return nil, fmt.Errorf("runtime: program %s contains indirect array subscripts and is not amenable to message passing; use the shared-memory backend", prog.Name)
-	}
-	if opt.Backend == MessagePassing && len(mc.Faults.Crashes) > 0 {
-		return nil, fmt.Errorf("runtime: crash injection requires the shared-memory backend (program %s)", prog.Name)
-	}
-	if opt.Partitions > mc.Nodes {
-		opt.Partitions = mc.Nodes
-	}
-	if opt.Partitions > 1 {
-		// Modes whose machinery is inherently cross-partition are
-		// rejected loudly: a run that silently diverged from the
-		// sequential loop would defeat the bit-identity contract.
-		switch {
-		case mc.Faults.Active():
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
-		case opt.Checkpoint:
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
-		case opt.Check:
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with barrier-instant coherence checks — the audit reads every node's state from one thread mid-run; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
-		case opt.Trace != nil:
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with tracing — the tracer's buffers are single-threaded; rerun without -pdes (program %s)", opt.Partitions, prog.Name)
-		case opt.Profile:
-			return nil, fmt.Errorf("runtime: pdes (Partitions=%d) is incompatible with per-loop profiling — the profile accumulator is single-threaded; rerun without -pdes, or use the observer-only -cpuprofile/-memprofile, which work under -pdes (program %s)", opt.Partitions, prog.Name)
-		case mc.MsgTime(0) <= 0:
-			return nil, fmt.Errorf("runtime: pdes needs a positive minimum message latency for its lookahead window; this machine has MsgTime(0)=%d (program %s)", mc.MsgTime(0), prog.Name)
-		}
+	opt.Partitions = min(opt.Partitions, mc.Nodes)
+	if err := Refusal(prog, opt); err != nil {
+		return nil, err
 	}
 	rec := &recovery{
 		enabled: opt.Backend == SharedMemory && (opt.Checkpoint || len(mc.Faults.Crashes) > 0),
@@ -308,10 +312,9 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("runtime: recovery attempt %d aborted but only %d crash(es) were configured (program %s): %v",
 				attempt, len(rec.specs), prog.Name, crash)
 		}
-		delay := config.DefaultRecoveryDelay
 		rec.detected++
-		rec.lostTime += delay
-		startAt = crash.at + delay
+		rec.lostTime += config.DefaultRecoveryDelay
+		startAt = crash.at + config.DefaultRecoveryDelay
 	}
 }
 
@@ -467,7 +470,6 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 			if cs.Epoch > 0 || rec.fired[i] {
 				continue
 			}
-			i, cs := i, cs
 			at := cs.At
 			if at < startAt {
 				// The scheduled instant fell inside a previous attempt's
@@ -495,8 +497,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		}
 	}
 
-	for i := 0; i < mc.Nodes; i++ {
-		e := execs[i]
+	for i, e := range execs {
 		// Each node's compute process lives on the node's own Env — its
 		// partition Env under PDES, the single Env otherwise.
 		cluster.Nodes[i].Env.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) { e.run(p) })

@@ -335,6 +335,11 @@ func (n *Node) Sync(p *sim.Proc) {
 	}
 }
 
+// Unsynced returns the compute work and stolen time the next Sync will
+// charge. An observer reads them instead of syncing early: a split Sync
+// charges time stolen during its sleep later, and so moves the run.
+func (n *Node) Unsynced() (work, stolen sim.Time) { return n.acc, n.stolen }
+
 // --- Pending-transaction tracking (release consistency) -------------
 
 // AddPending records a non-blocking transaction in flight.

@@ -11,20 +11,17 @@ import (
 	"path/filepath"
 	"testing"
 
-	"hpfdsm/internal/apps"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/profiling"
 )
 
 // TestPDESCPUProfile runs one app at 4 partitions with the host CPU
 // profiler attached and demands (a) a non-empty profile file and (b)
-// statistics bit-identical to the unprofiled run.
+// outputs identical to the unprofiled run, a corpus cell of
+// TestPDESDifferential.
 func TestPDESCPUProfile(t *testing.T) {
-	a, err := apps.ByName("lu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := runPDES(t, a, compiler.OptRTElim, 4)
+	c := conf{app: "lu", opt: compiler.OptRTElim, parts: 4}
+	plain := run(t, c)
 
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "pdes.cpuprofile")
@@ -32,7 +29,10 @@ func TestPDESCPUProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled := runPDES(t, a, compiler.OptRTElim, 4)
+	profiled, err := simulate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,7 @@ func TestPDESCPUProfile(t *testing.T) {
 	if fi.Size() == 0 {
 		t.Fatal("cpu profile is empty")
 	}
-
-	if profiled.Elapsed != plain.Elapsed {
-		t.Errorf("elapsed %dns profiled, %dns unprofiled", profiled.Elapsed, plain.Elapsed)
-	}
-	if len(profiled.Stats.Nodes) != len(plain.Stats.Nodes) {
-		t.Fatalf("%d stat nodes profiled, %d unprofiled", len(profiled.Stats.Nodes), len(plain.Stats.Nodes))
-	}
-	for i := range plain.Stats.Nodes {
-		diffNodeStats(t, i, &plain.Stats.Nodes[i], &profiled.Stats.Nodes[i])
+	if d := sameParts(profiled, plain, "Data", "Timing"); d != "" {
+		t.Errorf("profiled run differs: %s", d)
 	}
 }
