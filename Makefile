@@ -101,7 +101,10 @@ cover:
 		hpfdsm/internal/simlint=80 \
 		hpfdsm/internal/analysis=80 \
 		hpfdsm/internal/compiler=86.8 \
-		hpfdsm/internal/bench=83
+		hpfdsm/internal/bench=83 \
+		hpfdsm/internal/sim=90 \
+		hpfdsm/internal/tempest=90 \
+		hpfdsm/internal/runtime=90
 
 # Remove generated artifacts: coverage profiles, CPU/heap profiles,
 # runtime traces and paperbench scratch output.

@@ -115,6 +115,12 @@ func run() (exitCode int) {
 	if *gantt != 0 && *gantt < trace.MinGanttWidth {
 		return fail(fmt.Errorf("-gantt must be 0 or at least %d characters wide, have %d", trace.MinGanttWidth, *gantt))
 	}
+	if *pdes < 1 {
+		return fail(fmt.Errorf("-pdes must be at least 1, have %d", *pdes))
+	}
+	if *backend != "sm" && *backend != "mp" {
+		return fail(fmt.Errorf("unknown -backend %q", *backend))
+	}
 
 	stopProf, err0 := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err0 != nil {
@@ -179,18 +185,12 @@ func run() (exitCode int) {
 			return fail(err)
 		}
 	}
-	mc = mc.WithNodes(*nodes).WithBlockSize(*blockSize)
 	tp, err := config.ParseTopology(*topoName)
 	if err != nil {
 		return fail(err)
 	}
-	mc = mc.WithTopology(tp).WithRadix(*radix)
-	switch *cpus {
-	case 1:
-		mc = mc.WithCPUMode(config.SingleCPU)
-	case 2:
-		mc = mc.WithCPUMode(config.DualCPU)
-	default:
+	cpuMode, ok := map[int]config.CPUMode{1: config.SingleCPU, 2: config.DualCPU}[*cpus]
+	if !ok {
 		return fail(fmt.Errorf("-cpus must be 1 or 2"))
 	}
 	if *noAgg {
@@ -199,14 +199,35 @@ func run() (exitCode int) {
 	if *aggThreshold != 0 {
 		mc.AggThreshold = *aggThreshold
 	}
-	if *drop != 0 || *dup != 0 || *jitter != 0 || *reorder != 0 || len(crashes) > 0 {
-		f := mc.Faults
-		f.Drop = *drop
-		f.Dup = *dup
-		f.Jitter = *jitter * sim.Microsecond
-		f.Reorder = *reorder
-		f.Seed = *faultSeed
-		f.Crashes = append(f.Crashes, crashes...)
+	// A machine flag overrides the -machine file only when it is given
+	// on the command line, a fault flag only the field it names, and
+	// -crash adds to the file's crashes. Without a file every flag
+	// applies, its default included, and faults stay off unless a flag
+	// turns them on.
+	f := mc.Faults
+	set := map[string]func(){
+		"nodes":      func() { mc = mc.WithNodes(*nodes) },
+		"block":      func() { mc = mc.WithBlockSize(*blockSize) },
+		"topo":       func() { mc = mc.WithTopology(tp) },
+		"radix":      func() { mc = mc.WithRadix(*radix) },
+		"cpus":       func() { mc = mc.WithCPUMode(cpuMode) },
+		"drop":       func() { f.Drop = *drop },
+		"dup":        func() { f.Dup = *dup },
+		"jitter":     func() { f.Jitter = *jitter * sim.Microsecond },
+		"reorder":    func() { f.Reorder = *reorder },
+		"fault-seed": func() { f.Seed = *faultSeed },
+	}
+	visit := flag.VisitAll
+	if *machineFile != "" {
+		visit = flag.Visit
+	}
+	visit(func(fl *flag.Flag) {
+		if apply := set[fl.Name]; apply != nil {
+			apply()
+		}
+	})
+	f.Crashes = append(f.Crashes, crashes...)
+	if f.Active() || *machineFile != "" {
 		mc = mc.WithFaults(f)
 	}
 	opts := runtime.Options{Machine: mc, Opt: opt, Check: *check,
@@ -236,17 +257,15 @@ func run() (exitCode int) {
 		if opts.Check || opts.Checkpoint {
 			fmt.Fprintln(os.Stderr, "hpfrun: -check and -ckpt audit and snapshot the shared-memory protocol's state; they do not apply to the message-passing backend and are ignored")
 		}
-	} else if *backend != "sm" {
-		return fail(fmt.Errorf("unknown -backend %q", *backend))
 	}
 
 	res, err := runtime.Run(prog, opts)
 	if err != nil {
 		return fail(err)
 	}
-	if n := int64(len(mc.Faults.Crashes)); res.CrashesDetected < n {
+	if n := int64(len(mc.Faults.Crashes)); res.Recoveries < n {
 		fmt.Fprintf(os.Stderr, "hpfrun: %d of %d configured crash(es) never fired or went undetected before the run ended\n",
-			n-res.CrashesDetected, n)
+			n-res.Recoveries, n)
 	}
 
 	fmt.Printf("program   %s\n", prog.Name)
@@ -261,7 +280,7 @@ func run() (exitCode int) {
 	}
 	if res.CheckpointsTaken > 0 {
 		fmt.Printf("recovery  %d crash(es) detected, %d recover(ies), %.3f ms lost; %d checkpoint(s), %.1f KB\n",
-			res.CrashesDetected, res.Recoveries, float64(res.RecoveryTime)/1e6,
+			res.Recoveries, res.Recoveries, float64(res.RecoveryTime)/1e6,
 			res.CheckpointsTaken, float64(res.CheckpointBytes)/1024)
 	}
 	fmt.Printf("elapsed   %.3f ms (simulated)\n", float64(res.Elapsed)/1e6)

@@ -316,3 +316,67 @@ END
 		}
 	}
 }
+
+// A -machine file's values used to be replaced by every flag's
+// default: a 4-node single-CPU tree ran as 8 dual-CPU nodes on a flat
+// topology, and adding -crash reset the file's drop rate and seed. A
+// flag now overrides the file only when given, a fault flag only the
+// field it names, and -crash adds to the file's crashes.
+func TestMachineFileKeepsValuesNoFlagGives(t *testing.T) {
+	tree := `{"Nodes": 4, "BlockSize": 64, "CPUMode": 1, "Topology": 1, "Radix": 2}`
+	lossy := `{"Faults": {"Drop": 0.01, "Seed": 7}}`
+	for _, c := range []struct {
+		name, file string
+		flags      []string
+		want       []string // lines stdout must hold
+	}{
+		{"file alone", tree, nil, []string{
+			"machine   4 node(s), single-cpu, 64B blocks,",
+			"topology  tree, radix 2\n",
+		}},
+		{"file and -nodes", tree, []string{"-nodes", "2"}, []string{
+			"machine   2 node(s), single-cpu, 64B blocks,",
+			"topology  tree, radix 2\n",
+		}},
+		{"file faults and -crash", lossy, []string{"-crash", "node=1@epoch=3"}, []string{
+			"machine   8 node(s), dual-cpu, 128B blocks,",
+			"faults    drop=0.01 dup=0 jitter=0us reorder=0 seed=7 crashes=1\n",
+			"recovery  1 crash(es) detected, 1 recover(ies),",
+		}},
+	} {
+		path := filepath.Join(t.TempDir(), "machine.json")
+		if err := os.WriteFile(path, []byte(c.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runExe(t, append([]string{"-app", "jacobi", "-size", "scaled", "-machine", path}, c.flags...)...)
+		if code != 0 {
+			t.Errorf("%s: exit code %d, stderr %q; want 0", c.name, code, stderr)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(stdout, w) {
+				t.Errorf("%s: stdout %q lacks %q", c.name, stdout, w)
+			}
+		}
+	}
+}
+
+// Every flag is checked before anything runs: an unknown -backend used
+// to fail only after -verify had printed its verdict, and a -pdes below
+// 1 ran sequentially without a word. Both are one line, exit 1, with
+// nothing on stdout.
+func TestBadFlagFailsBeforeWork(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-verify", "-backend", "foo"}, "hpfrun: unknown -backend \"foo\"\n"},
+		{[]string{"-pdes", "-3"}, "hpfrun: -pdes must be at least 1, have -3\n"},
+		{[]string{"-pdes", "0"}, "hpfrun: -pdes must be at least 1, have 0\n"},
+	} {
+		code, stdout, stderr := runExe(t, append([]string{"-app", "jacobi", "-size", "scaled"}, c.flags...)...)
+		if code != 1 || stdout != "" || stderr != c.want {
+			t.Errorf("%v: exit code %d, stdout %q, stderr %q; want 1 and %q", c.flags, code, stdout, stderr, c.want)
+		}
+	}
+}

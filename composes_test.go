@@ -139,10 +139,10 @@ type outputs struct {
 		Journal []float64 // every reduction's combined value
 	}
 	Timing struct {
-		Elapsed                     sim.Time
-		Nodes                       []stats.Node
-		CrashesDetected, Recoveries int64
-		RecoveryTime                sim.Time
+		Elapsed      sim.Time
+		Nodes        []stats.Node
+		Recoveries   int64
+		RecoveryTime sim.Time
 	}
 	Observed struct {
 		BarrierChecks, CheckpointsTaken, CheckpointBytes int64
@@ -169,7 +169,7 @@ func simulate(c conf) (*outputs, error) {
 	}
 	out.Data.Scalars, out.Data.Journal = res.Scalars, slices.Clone(res.ReduceJournal())
 	out.Timing.Elapsed, out.Timing.Nodes = res.Elapsed, res.Stats.Nodes
-	out.Timing.CrashesDetected, out.Timing.Recoveries, out.Timing.RecoveryTime = res.CrashesDetected, res.Recoveries, res.RecoveryTime
+	out.Timing.Recoveries, out.Timing.RecoveryTime = res.Recoveries, res.RecoveryTime
 	out.Observed.BarrierChecks, out.Observed.CheckpointsTaken, out.Observed.CheckpointBytes = res.BarrierChecks, res.CheckpointsTaken, res.CheckpointBytes
 	return out, nil
 }

@@ -66,21 +66,14 @@ func newScaleCluster(n int, topo config.Topology, parts int) *scaleCluster {
 	sp := memory.NewSpace(mc)
 	base := sp.Alloc("x", mc.PageSize)
 	s := &scaleCluster{mc: mc, base: base}
-	if parts > n {
-		parts = n
-	}
-	if parts > 1 {
-		var shards *sim.Shards
-		s.c, shards = tempest.NewShardedCluster(sp, parts, 0)
+	c, shards := tempest.NewShardedCluster(sp, parts, 0)
+	s.c, s.run = c, c.Env.Run
+	if shards != nil {
 		s.run = func() error {
 			err := shards.Run()
 			shards.Shutdown()
 			return err
 		}
-	} else {
-		env := sim.NewEnv()
-		s.c = tempest.NewCluster(env, sp)
-		s.run = env.Run
 	}
 	s.pr = protocol.Attach(s.c)
 	return s

@@ -1,8 +1,9 @@
 package ir
 
-// Construction helpers: the applications in internal/apps and tests
-// build IR directly with these; the mini-HPF front end produces the
-// same structures from source text.
+// Construction helpers: the mini-HPF front end (internal/lang) builds
+// expressions with these, and tests build whole programs. The
+// applications in internal/apps are mini-HPF source, not IR built by
+// hand.
 
 // N returns a numeric literal expression.
 func N(v float64) Expr { return Num{V: v} }

@@ -67,7 +67,7 @@ func timerEvent(a any) {
 // Coalescer is one node's NIC-level coalescing scheduler.
 type Coalescer struct {
 	net     *Network
-	env     *sim.Env // the Env node src's events run on (partition Env in PDES mode)
+	env     *sim.Env // the Env node src's events run on
 	src     int
 	kind    Kind           // carrier message kind (protocol-defined)
 	ctrl    int            // Size of a payload-free standalone message

@@ -90,7 +90,6 @@ type Endpoint func(m *Message)
 // lossless, ordered Myrinet and behavior is bit-identical to the
 // original model.
 type Network struct {
-	env      *sim.Env
 	mc       config.Machine
 	eps      []Endpoint
 	linkFree []sim.Time // sender-link next-free time
@@ -99,27 +98,28 @@ type Network struct {
 	st       *stats.Cluster
 	rel      *reliable // nil unless fault injection is active
 
-	// Conservative-PDES mode (NewPartitioned): envs[i] is node i's
-	// partition Env and post is the cross-partition mailbox hook. A
-	// send whose source and destination share an Env schedules locally;
-	// anything else is posted for injection at the next window
-	// boundary. nil envs (New) is the sequential single-Env mode.
+	// envs[i] is the Env node i's events run on: the same Env for every
+	// node in a sequential run, its partition's Env under the parallel
+	// engine. A message between two nodes of one Env is scheduled on it;
+	// any other is handed to post, the cross-partition mailbox hook,
+	// for injection at the next window boundary (nil when every node
+	// shares one Env).
 	envs []*sim.Env
 	post PostFn
 
 	// Freelists for zero-steady-state-allocation messaging: one msgPool
-	// per partition Env (a single pool in sequential mode), so every
-	// list stays single-threaded and plain slices beat sync.Pool (no
-	// locking, no per-P shards). Allocation draws from the sending
-	// node's partition pool; the last Recycle of a message returns it to
-	// the *destination*'s pool. On the lossless wire delivery holds the
-	// only reference, and delivery runs on the destination's thread.
-	// Under fault injection the reliable layer's unacked window, every
-	// scheduled arrival and every reorder slot hold one reference each,
-	// so the last release may happen at the sender (the cumulative ACK);
-	// fault injection runs on one Env with one pool, so that is safe.
+	// per distinct Env, so every list stays single-threaded and plain
+	// slices beat sync.Pool (no locking, no per-P shards). Allocation
+	// draws from the sending node's pool; the last Recycle of a message
+	// returns it to the *destination*'s pool. On the lossless wire
+	// delivery holds the only reference, and delivery runs on the
+	// destination's thread. Under fault injection the reliable layer's
+	// unacked window, every scheduled arrival and every reorder slot
+	// hold one reference each, so the last release may happen at the
+	// sender (the cumulative ACK); fault injection runs on one Env with
+	// one pool, so that is safe.
 	pools  []msgPool
-	partOf []int // node -> pools index; nil in sequential mode (all 0)
+	partOf []int // node -> pools index
 
 	// quarantine, set only by tests (export_test.go), takes every
 	// reclaimed message in place of the freelists.
@@ -135,11 +135,7 @@ type Network struct {
 	// Crash-stop failure support. dead masks crashed nodes: a dead node
 	// sends nothing, and every transmission to or from it vanishes at
 	// delivery time — including traffic already in flight when it died.
-	// inflight counts scheduled future wire actions (deliveries and
-	// delayed departures); zero is one leg of the cluster-quiescence
-	// predicate the checkpoint layer requires.
-	dead     []bool
-	inflight int
+	dead []bool
 
 	// OnDeath, when non-nil, is invoked from scheduler context the
 	// moment the failure detector declares a peer dead (retransmit
@@ -152,20 +148,23 @@ type Network struct {
 	tr *trace.Tracer
 }
 
-// msgPool is one partition's message and payload-buffer freelists.
-// Each pool is written only by its partition's worker: allocation on
-// the sending node's thread, recycling on the destination node's
+// msgPool is one Env's message and payload-buffer freelists and its
+// share of the in-flight count. Each pool is written only by its Env's
+// worker: allocation and the in-flight increment on the sending node's
+// thread, recycling and the decrement on the destination node's
 // thread, with the epoch barrier ordering the hand-off of the message
-// itself. The trailing pad keeps two partitions' list headers off one
-// cache line. poolSoftCap bounds each list so asymmetric traffic (one
-// partition receiving far more than it sends) cannot grow a receive-
-// heavy pool without bound; beyond the cap, recycled values go back to
-// the GC.
+// itself. A pool's count alone may go negative; their sum is the wire's
+// in-flight total. The trailing pad keeps two partitions' list headers
+// off one cache line. poolSoftCap bounds each list so asymmetric
+// traffic (one partition receiving far more than it sends) cannot grow
+// a receive-heavy pool without bound; beyond the cap, recycled values
+// go back to the GC.
 type msgPool struct {
-	free    []*Message
-	bufFree [][]byte     // BlockSize-sized payload buffers
-	varFree [32][][]byte // variable-size gather buffers, power-of-two buckets
-	_pad    [64]byte
+	free     []*Message
+	bufFree  [][]byte     // BlockSize-sized payload buffers
+	varFree  [32][][]byte // variable-size gather buffers, power-of-two buckets
+	inflight int          // scheduled wire actions sent minus delivered here
+	_pad     [64]byte
 }
 
 const poolSoftCap = 1 << 14
@@ -173,34 +172,10 @@ const poolSoftCap = 1 << 14
 // SetTracer installs the causal event tracer (nil disables tracing).
 func (n *Network) SetTracer(t *trace.Tracer) { n.tr = t }
 
-// New creates a network for mc.Nodes endpoints. Endpoints must be bound
-// with Bind before any Send.
+// New creates a network for mc.Nodes endpoints, every node on env.
+// Endpoints must be bound with Bind before any Send.
 func New(env *sim.Env, mc config.Machine, st *stats.Cluster) *Network {
-	return newNetwork(env, nil, mc, st)
-}
-
-// newNetwork builds the network over the single env, or over one
-// partition Env per node when envs is non-nil.
-func newNetwork(env *sim.Env, envs []*sim.Env, mc config.Machine, st *stats.Cluster) *Network {
-	n := &Network{
-		env:      env,
-		envs:     envs,
-		mc:       mc,
-		eps:      make([]Endpoint, mc.Nodes),
-		linkFree: make([]sim.Time, mc.Nodes),
-		mseq:     make([]uint32, mc.Nodes),
-		departs:  make([]sim.Lane, mc.Nodes),
-		st:       st,
-		pools:    make([]msgPool, 1),
-		dead:     make([]bool, mc.Nodes),
-	}
-	for i := range n.departs {
-		n.departs[i].Bind(n.envOf(i))
-	}
-	if mc.Faults.Active() {
-		n.rel = newReliable(n, mc.Faults)
-	}
-	return n
+	return NewPartitioned(slices.Repeat([]*sim.Env{env}, mc.Nodes), nil, mc, st)
 }
 
 // PostFn queues a cross-partition event: fn(arg) must run on dst's
@@ -210,28 +185,34 @@ func newNetwork(env *sim.Env, envs []*sim.Env, mc config.Machine, st *stats.Clus
 // delivery key the destination heap orders by.
 type PostFn func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any)
 
-// NewPartitioned creates a network in conservative-PDES mode: envs[i]
-// is node i's partition environment and post the cross-partition
-// mailbox hook. Pooling stays on, with one msgPool per partition:
-// allocation draws from the sending node's partition pool and Recycle
-// returns to the destination's, so every freelist is touched by
-// exactly one partition worker (delivery runs on the destination's
-// thread; a message that crossed partitions changed owners through the
-// epoch barrier, which orders the hand-off). Fault injection is
-// rejected: the reliable-delivery layer's retransmission timers are
-// per-channel state that the window scheduler does not partition.
+// NewPartitioned creates a network whose node i runs on envs[i]; post
+// carries messages between nodes on different Envs. There is one
+// msgPool per distinct Env: allocation draws from the sending node's
+// pool and Recycle returns to the destination's, so every freelist is
+// touched by exactly one partition worker (delivery runs on the
+// destination's thread; a message that crossed partitions changed
+// owners through the epoch barrier, which orders the hand-off). Fault
+// injection is rejected over more than one Env: the reliable-delivery
+// layer's retransmission timers are per-channel state that the window
+// scheduler does not partition.
 func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.Cluster) *Network {
-	if mc.Faults.Active() {
-		panic("network: fault injection is not supported in partitioned (PDES) mode")
-	}
 	if len(envs) != mc.Nodes {
 		panic(fmt.Sprintf("network: NewPartitioned needs one env per node: %d != %d", len(envs), mc.Nodes))
 	}
-	n := newNetwork(envs[0], envs, mc, st)
-	n.post = post
-	// Index the distinct partition Envs in first-appearance order; node
+	n := &Network{
+		envs:     envs,
+		post:     post,
+		mc:       mc,
+		eps:      make([]Endpoint, mc.Nodes),
+		linkFree: make([]sim.Time, mc.Nodes),
+		mseq:     make([]uint32, mc.Nodes),
+		departs:  make([]sim.Lane, mc.Nodes),
+		st:       st,
+		partOf:   make([]int, mc.Nodes),
+		dead:     make([]bool, mc.Nodes),
+	}
+	// Index the distinct Envs in first-appearance order; node
 	// contiguity is not assumed.
-	n.partOf = make([]int, len(envs))
 	var distinct []*sim.Env
 	for i, e := range envs {
 		idx := slices.Index(distinct, e)
@@ -240,32 +221,27 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 			distinct = append(distinct, e)
 		}
 		n.partOf[i] = idx
+		n.departs[i].Bind(e)
 	}
 	n.pools = make([]msgPool, len(distinct))
+	if mc.Faults.Active() {
+		if len(distinct) > 1 {
+			panic("network: fault injection is not supported in partitioned (PDES) mode")
+		}
+		n.rel = newReliable(n, distinct[0], mc.Faults)
+	}
 	return n
 }
 
-// envOf returns the Env that owns node's events: its partition Env in
-// PDES mode, the single shared Env otherwise.
+// envOf returns the Env that owns node's events.
 //
 //simlint:hotpath
-func (n *Network) envOf(node int) *sim.Env {
-	if n.envs != nil {
-		return n.envs[node]
-	}
-	return n.env
-}
+func (n *Network) envOf(node int) *sim.Env { return n.envs[node] }
 
-// poolOf returns the freelist pool node's partition owns: its
-// partition's pool in PDES mode, the single shared pool otherwise.
+// poolOf returns the freelist pool of node's Env.
 //
 //simlint:hotpath
-func (n *Network) poolOf(node int) *msgPool {
-	if n.partOf != nil {
-		return &n.pools[n.partOf[node]]
-	}
-	return &n.pools[0]
-}
+func (n *Network) poolOf(node int) *msgPool { return &n.pools[n.partOf[node]] }
 
 // NewMessage returns a zeroed message owned by this network, reusing a
 // recycled one from src's partition pool, and hands the caller its one
@@ -410,62 +386,41 @@ func (n *Network) Send(m *Message) {
 	if m.Data != nil && m.Size == 0 {
 		m.Size = len(m.Data)
 	}
-	if m.Src == m.Dst {
-		// Loopback: deliver after local copy time only. Loopback never
-		// touches the wire, so it bypasses fault injection — and never
-		// crosses a partition.
-		env := n.envOf(m.Src)
-		n.accountSend(m)
-		sent := env.Now()
-		at := sent + sim.Time(m.Size)*n.mc.NsPerByte/4 + 1
-		sq := n.mseq[m.Src]
-		n.mseq[m.Src]++
-		if n.envs == nil {
-			n.accountRecv(m)
-			if n.tr != nil {
-				n.traceTx(m, sent, at, false)
-			}
-			n.inflight++
-			env.ScheduleDelivery(at, sent, m.Src, sq, deliverEvent, m)
-			return
-		}
-		env.ScheduleDelivery(at, sent, m.Src, sq, deliverEventP, m)
-		return
-	}
-	if n.rel != nil {
+	if m.Src != m.Dst && n.rel != nil {
 		n.rel.send(m)
 		return
 	}
 	n.accountSend(m)
-	arrival := n.wireArrival(m)
-	sq := n.mseq[m.Src]
-	n.mseq[m.Src]++
-	if n.envs == nil {
-		n.accountRecv(m)
+	src, dst := n.envOf(m.Src), n.envOf(m.Dst)
+	var arrival sim.Time
+	if m.Src == m.Dst {
+		// Loopback: deliver after local copy time only. Loopback never
+		// touches the wire, so it bypasses fault injection — and never
+		// crosses a partition.
+		arrival = src.Now() + sim.Time(m.Size)*n.mc.NsPerByte/4 + 1
+		if n.tr != nil {
+			n.traceTx(m, src.Now(), arrival, false)
+		}
+	} else {
+		arrival = n.wireArrival(m)
 		if n.tr != nil {
 			ser := sim.Time(n.mc.MsgHeader+m.Size) * n.mc.NsPerByte
 			depart := arrival - n.mc.WireLatency - ser
 			n.traceTx(m, depart, depart+ser, false)
 		}
-		n.inflight++
-		n.env.ScheduleDelivery(arrival, n.env.Now(), m.Src, sq, deliverEvent, m)
-		return
 	}
-	// PDES mode: receive-side accounting happens at delivery (on the
-	// destination's thread); the inflight counter — one leg of the
-	// checkpoint quiescence predicate, which PDES rejects — is not
-	// maintained. The lossless wire makes send-time vs delivery-time
-	// receive accounting equivalent: every send is delivered.
-	srcEnv, dstEnv := n.envOf(m.Src), n.envOf(m.Dst)
-	if srcEnv == dstEnv {
-		srcEnv.ScheduleDelivery(arrival, srcEnv.Now(), m.Src, sq, deliverEventP, m)
+	sq := n.mseq[m.Src]
+	n.mseq[m.Src]++
+	n.poolOf(m.Src).inflight++
+	if src == dst {
+		src.ScheduleDelivery(arrival, src.Now(), m.Src, sq, deliverEvent, m)
 		return
 	}
 	// Cross-partition: arrival >= send time + MsgTime(0) (serialization
 	// of at least the header plus the wire latency), which is exactly
 	// the window scheduler's lookahead — the mail always lands at or
 	// past the current window's edge.
-	n.post(m.Src, m.Dst, srcEnv.Now(), arrival, sq, deliverEventP, m)
+	n.post(m.Src, m.Dst, src.Now(), arrival, sq, deliverEvent, m)
 }
 
 // traceTx records one physical transmission: a serialization span on
@@ -494,15 +449,19 @@ func (n *Network) traceTx(m *Message, start, end sim.Time, retx bool) {
 
 // deliverEvent and sendEvent are the shared event functions for
 // ScheduleArg: one package-level func value each, so scheduling a
-// delivery or a delayed departure allocates nothing. The P variants
-// are their PDES-mode twins: they skip the inflight counter, which is
-// only maintained single-threaded (checkpoint quiescence is rejected
-// in PDES mode anyway).
+// delivery or a delayed departure allocates nothing. Each runs on the
+// Env of the node it acts for, so it settles the in-flight count in
+// that node's pool; a delivery also charges the receive counters, on
+// the destination's thread.
 var (
-	deliverEvent  = func(a any) { m := a.(*Message); m.net.inflight--; m.net.deliver(m) }
-	sendEvent     = func(a any) { m := a.(*Message); m.net.inflight--; m.net.Send(m) }
-	deliverEventP = func(a any) { m := a.(*Message); m.net.deliver(m) }
-	sendEventP    = func(a any) { m := a.(*Message); m.net.Send(m) }
+	deliverEvent = func(a any) {
+		m := a.(*Message)
+		n := m.net
+		n.poolOf(m.Dst).inflight--
+		n.accountRecv(m)
+		n.deliver(m)
+	}
+	sendEvent = func(a any) { m := a.(*Message); m.net.poolOf(m.Src).inflight--; m.net.Send(m) }
 )
 
 // SendAt injects m at absolute virtual time t (a delayed departure,
@@ -512,11 +471,7 @@ var (
 // clock, which only grows, so they queue in the source's lane.
 func (n *Network) SendAt(t sim.Time, m *Message) {
 	m.net = n
-	if n.envs != nil {
-		n.departs[m.Src].Schedule(t, sendEventP, m)
-		return
-	}
-	n.inflight++
+	n.poolOf(m.Src).inflight++
 	n.departs[m.Src].Schedule(t, sendEvent, m)
 }
 
@@ -527,10 +482,10 @@ func (n *Network) accountSend(m *Message) {
 	n.st.Nodes[m.Src].BytesSent += bytes
 }
 
-// accountRecv records one wire arrival in the receiver's counters. On
-// the lossless network it is charged at send time (delivery is
-// certain); the fault-injection layer charges it when a transmission
-// actually reaches the destination.
+// accountRecv records one wire arrival in the receiver's counters. The
+// lossless wire charges it when its delivery event runs; the
+// fault-injection layer, when a transmission reaches the destination
+// NIC.
 func (n *Network) accountRecv(m *Message) {
 	bytes := int64(n.mc.MsgHeader + m.Size)
 	n.st.Nodes[m.Dst].MsgsRecv++
@@ -540,8 +495,8 @@ func (n *Network) accountRecv(m *Message) {
 // wireArrival reserves the sender's link for one transmission and
 // returns its arrival time at the destination: serialization behind any
 // queued transmissions plus the wire latency. linkFree[src] is only
-// touched from src's own Env, so the reservation is single-threaded in
-// PDES mode too.
+// touched from src's own Env, so the reservation is single-threaded
+// under the parallel engine too.
 func (n *Network) wireArrival(m *Message) sim.Time {
 	depart := n.envOf(m.Src).Now()
 	if n.linkFree[m.Src] > depart {
@@ -563,13 +518,6 @@ func (n *Network) deliver(m *Message) {
 	if ep == nil {
 		panic(fmt.Sprintf("network: no endpoint bound for node %d", m.Dst))
 	}
-	if n.envs != nil {
-		// PDES mode charges receive counters at delivery: the write
-		// lands on the destination's thread. Loopback keeps send-time
-		// accounting semantics but routes through here too, so the
-		// charge is unconditional.
-		n.accountRecv(m)
-	}
 	// A delivery is forward progress for the stall watchdog even while
 	// every compute process is blocked at a sync point: a long
 	// transaction drain must not be mistaken for a stall. (Duplicates
@@ -589,9 +537,16 @@ func (n *Network) MarkDead(id int) { n.dead[id] = true }
 func (n *Network) Dead(id int) bool { return n.dead[id] }
 
 // Inflight returns the number of scheduled future wire actions
-// (pending deliveries and delayed departures). Zero means the wire is
-// silent — one leg of the checkpoint layer's quiescence predicate.
-func (n *Network) Inflight() int { return n.inflight }
+// (pending deliveries and delayed departures), summed over the pools.
+// Zero means the wire is silent — one leg of the checkpoint layer's
+// quiescence predicate.
+func (n *Network) Inflight() int {
+	total := 0
+	for i := range n.pools {
+		total += n.pools[i].inflight
+	}
+	return total
+}
 
 // CoalescerOf returns node src's coalescing scheduler, or nil when
 // aggregation is off.

@@ -155,3 +155,86 @@ func TestRoundTripMatchesTable1(t *testing.T) {
 		t.Fatalf("round trip = %d ns, want ~40000", done)
 	}
 }
+
+// Receive counters are charged when a lossless message is delivered,
+// on loopback and on the wire alike: between send and delivery only the
+// sender's counters have moved, and the handler already sees its own.
+func TestRecvChargedAtDelivery(t *testing.T) {
+	env, net, st, mc := testNet(2)
+	var seen []int64 // the receiver's MsgsRecv inside each handler
+	for i := 0; i < 2; i++ {
+		net.Bind(i, func(m *Message) { seen = append(seen, st.Nodes[m.Dst].MsgsRecv) })
+	}
+	env.Schedule(0, func() {
+		net.Send(&Message{Src: 0, Dst: 0, Size: 64})
+		net.Send(&Message{Src: 0, Dst: 1, Size: 64})
+		if st.Nodes[0].MsgsSent != 2 || st.Nodes[0].MsgsRecv != 0 || st.Nodes[1].MsgsRecv != 0 ||
+			st.Nodes[0].BytesRecv != 0 || st.Nodes[1].BytesRecv != 0 {
+			t.Errorf("after send: %+v; want two sends and no receive charged", st.Nodes)
+		}
+		if net.Inflight() != 2 {
+			t.Errorf("after send: %d in flight, want 2", net.Inflight())
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 1 {
+		t.Fatalf("handlers saw MsgsRecv %v, want [1 1]", seen)
+	}
+	for i := 0; i < 2; i++ {
+		if st.Nodes[i].BytesRecv != int64(mc.MsgHeader+64) {
+			t.Errorf("node %d: %d bytes received, want %d", i, st.Nodes[i].BytesRecv, mc.MsgHeader+64)
+		}
+	}
+	if net.Inflight() != 0 {
+		t.Fatalf("drained: %d in flight, want 0", net.Inflight())
+	}
+}
+
+// Over two distinct Envs a message is counted in flight in its sender's
+// pool and settled in its receiver's, so only the sum means anything:
+// once the window scheduler drains, Inflight is 0 again and every
+// delivery charged its receiver, on both execution paths.
+func TestInflightDrainsAcrossEnvs(t *testing.T) {
+	for _, inline := range []bool{true, false} {
+		mc := config.Default().WithNodes(4)
+		st := stats.New(mc.Nodes)
+		envs := []*sim.Env{sim.NewEnv(), sim.NewEnv()}
+		shards := sim.NewShards(envs, mc.MsgTime(0))
+		shards.SetInline(inline)
+		part := []int{0, 0, 1, 1}
+		nodeEnvs := []*sim.Env{envs[0], envs[0], envs[1], envs[1]}
+		net := NewPartitioned(nodeEnvs, func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
+			shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
+		}, mc, st)
+		for i := 0; i < mc.Nodes; i++ {
+			net.Bind(i, func(m *Message) {
+				if m.Arg > 0 { // bounce it back once
+					net.Send(&Message{Src: m.Dst, Dst: m.Src, Size: 8})
+				}
+			})
+		}
+		for src := 0; src < mc.Nodes; src++ {
+			nodeEnvs[src].Schedule(0, func() {
+				for dst := 0; dst < mc.Nodes; dst++ {
+					net.Send(&Message{Src: src, Dst: dst, Arg: 1, Size: 32})
+				}
+				net.SendAt(3*sim.Microsecond, &Message{Src: src, Dst: (src + 2) % mc.Nodes, Size: 16})
+			})
+		}
+		if err := shards.Run(); err != nil {
+			t.Fatal(err)
+		}
+		shards.Shutdown()
+		if net.Inflight() != 0 {
+			t.Errorf("inline %v: drained with %d in flight, want 0", inline, net.Inflight())
+		}
+		// Each node receives 4 + 4 bounces + 1 delayed message.
+		for i := range st.Nodes {
+			if st.Nodes[i].MsgsRecv != 9 || st.Nodes[i].MsgsSent != 9 {
+				t.Errorf("inline %v: node %d sent %d, received %d; want 9 and 9", inline, i, st.Nodes[i].MsgsSent, st.Nodes[i].MsgsRecv)
+			}
+		}
+	}
+}

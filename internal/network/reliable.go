@@ -167,6 +167,7 @@ func (c *relChan) busy() bool {
 // made on its first send or arrival, each channel on first use.
 type reliable struct {
 	n        *Network
+	env      *sim.Env // the one Env of every node: faults are not partitioned
 	f        config.Faults
 	rng      rng
 	chans    [][]*relChan
@@ -230,8 +231,8 @@ func (r *reliable) newTimer(c *relChan, seq int64) *rtimer {
 	return t
 }
 
-func newReliable(n *Network, f config.Faults) *reliable {
-	return &reliable{n: n, f: f, rng: rng{s: f.Seed},
+func newReliable(n *Network, env *sim.Env, f config.Faults) *reliable {
+	return &reliable{n: n, env: env, f: f, rng: rng{s: f.Seed},
 		chans: make([][]*relChan, n.mc.Nodes), detected: make([]bool, n.mc.Nodes)}
 }
 
@@ -275,7 +276,7 @@ func (r *reliable) transmit(m *Message, retx bool) sim.Time {
 	ser := sim.Time(r.n.mc.MsgHeader+m.Size) * r.n.mc.NsPerByte
 	var arrive sim.Time
 	if ctrlKind(m.Kind) {
-		arrive = r.n.env.Now() + ser + r.n.mc.WireLatency
+		arrive = r.env.Now() + ser + r.n.mc.WireLatency
 	} else {
 		arrive = r.n.wireArrival(m)
 	}
@@ -305,16 +306,16 @@ func (r *reliable) inject(m *Message, arrive sim.Time) {
 		sst.WireDrops++
 	} else {
 		at := arrive + r.delay()
-		r.n.inflight++
-		r.n.env.Schedule(at, r.newArrival(m).fire)
+		r.n.poolOf(m.Src).inflight++
+		r.env.Schedule(at, r.newArrival(m).fire)
 	}
 	if duped {
 		sst.WireDups++
 		// The duplicate takes its own (independently jittered) path and
 		// never lands at the exact same instant as the original.
 		at := arrive + r.delay() + 1
-		r.n.inflight++
-		r.n.env.Schedule(at, r.newArrival(m).fire)
+		r.n.poolOf(m.Src).inflight++
+		r.env.Schedule(at, r.newArrival(m).fire)
 	}
 }
 
@@ -335,7 +336,7 @@ func (r *reliable) delay() sim.Time {
 // arrive is a transmission reaching the destination NIC, with the
 // reference its arrival event held.
 func (r *reliable) arrive(m *Message) {
-	r.n.inflight--
+	r.n.poolOf(m.Dst).inflight--
 	if r.n.dead[m.Dst] || r.n.dead[m.Src] {
 		r.n.Recycle(m) // crash-stop: traffic touching a dead node vanishes
 		return
@@ -405,7 +406,7 @@ func (r *reliable) scheduleAck(c *relChan) {
 		return
 	}
 	c.ackPending = true
-	r.n.env.After(r.f.EffectiveAckDelay(), c.ack)
+	r.env.After(r.f.EffectiveAckDelay(), c.ack)
 }
 
 // sendAck closes c's ACK window: one cumulative acknowledgement of
@@ -456,7 +457,7 @@ func (r *reliable) armTimer(c *relChan, seq int64, arrive sim.Time) {
 	if o == nil {
 		return
 	}
-	r.n.env.Schedule(arrive+o.rto, r.newTimer(c, seq).fire)
+	r.env.Schedule(arrive+o.rto, r.newTimer(c, seq).fire)
 }
 
 // timeout fires when an outstanding message went unacknowledged for its
@@ -523,14 +524,14 @@ func (r *reliable) probe(c *relChan, gen int64) {
 	if mb := r.f.EffectiveMaxBackoff(); c.probeRTO > mb {
 		c.probeRTO = mb
 	}
-	r.n.env.After(rto, func() { r.probe(c, gen) })
+	r.env.After(rto, func() { r.probe(c, gen) })
 }
 
 // handleProbe answers a liveness probe: NIC firmware replies
 // immediately on the control lane. Reaching this point at all means
 // the destination is alive (dead nodes' arrivals are dropped earlier).
 func (r *reliable) handleProbe(m *Message) {
-	r.n.env.Progress()
+	r.env.Progress()
 	r.n.st.Nodes[m.Dst].ProbeAcks++
 	r.sendCtrl(m.Dst, m.Src, KindProbeAck, 0, probeSize)
 }
@@ -539,7 +540,7 @@ func (r *reliable) handleProbe(m *Message) {
 // revives every parked retransmit chain: the peer is alive, the
 // exhausted messages just met an unlucky wire.
 func (r *reliable) handleProbeAck(m *Message) {
-	r.n.env.Progress()
+	r.env.Progress()
 	c := r.channel(m.Dst, m.Src) // the probed channel runs m.Dst -> m.Src
 	if !c.probing {
 		return // stale ack from an earlier round

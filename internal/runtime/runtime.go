@@ -93,8 +93,7 @@ type Result struct {
 
 	// Crash-recovery outcome (all zero unless crash injection or
 	// Options.Checkpoint was active).
-	CrashesDetected  int64    // failure-detector verdicts that aborted an attempt
-	Recoveries       int64    // restarts from a checkpoint
+	Recoveries       int64    // detected crashes, each an aborted attempt restarted from a checkpoint
 	RecoveryTime     sim.Time // simulated time modeled for restore pauses
 	CheckpointsTaken int64    // quiescent captures (incl. the initial state)
 	CheckpointBytes  int64    // total encoded bytes across captures
@@ -299,7 +298,6 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 			return nil, err
 		}
 		if crash == nil {
-			res.CrashesDetected = rec.detected
 			res.Recoveries = rec.detected
 			res.RecoveryTime = rec.lostTime
 			res.CheckpointsTaken = rec.taken
@@ -330,19 +328,10 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 	}
-	var (
-		env     *sim.Env
-		shards  *sim.Shards
-		cluster *tempest.Cluster
-	)
-	if opt.Partitions > 1 {
-		// Conservative PDES: one Env per partition.
-		cluster, shards = tempest.NewShardedCluster(sp, opt.Partitions, startAt)
-		env = cluster.Env
-	} else {
-		env = sim.NewEnvAt(startAt)
-		cluster = tempest.NewCluster(env, sp)
-	}
+	// Conservative PDES runs one Env per partition under shards; one
+	// partition has no shards and runs env.
+	cluster, shards := tempest.NewShardedCluster(sp, opt.Partitions, startAt)
+	env := cluster.Env
 	proto := protocol.Attach(cluster)
 	// The NIC-level coalescing scheduler rides on eager release
 	// consistency (its buffered legs are exactly the latency-tolerant

@@ -1,7 +1,7 @@
 // FuzzShardHorizons drives randomized synthetic message-passing
-// programs — random partition count, base lookahead, per-link latency
-// matrix, seed events, and fanout trees — through the per-link
-// horizon engine and demands that every partition's delivery log is
+// programs — random partition count, lookahead, per-link message
+// latencies at or above it, seed events, and fanout trees — through
+// the horizon engine and demands that every partition's delivery log is
 // record-for-record identical to the sequential single-Env reference.
 //
 // The synthetic program is deterministic by construction: each
@@ -151,7 +151,9 @@ func runFuzzReference(t *testing.T, fp *fuzzProgram) ([][][2]uint64, Time) {
 }
 
 // runFuzzShards executes the program over fp.p partition Envs under
-// the per-link horizon engine, on the requested execution path.
+// the horizon engine, on the requested execution path. The engine
+// knows only the lookahead; the links' own latencies stay in the
+// harness.
 func runFuzzShards(t *testing.T, fp *fuzzProgram, inline bool) ([][][2]uint64, Time) {
 	t.Helper()
 	envs := make([]*Env, fp.p)
@@ -161,13 +163,6 @@ func runFuzzShards(t *testing.T, fp *fuzzProgram, inline bool) ([][][2]uint64, T
 	s := NewShards(envs, fp.look)
 	defer s.Shutdown()
 	s.SetInline(inline)
-	for src := 0; src < fp.p; src++ {
-		for dst := 0; dst < fp.p; dst++ {
-			if src != dst {
-				s.SetLinkLatency(src, dst, fp.lat[src*fp.p+dst])
-			}
-		}
-	}
 	h := &fuzzHarness{p: fp.p, lat: fp.lat, seq: fp.seedSeq(), logs: newFuzzLogs(fp.p)}
 	h.nowFn = func(part int) Time { return envs[part].Now() }
 	h.sendFn = func(src, dst int, arrival, sent Time, seq uint32, m *fuzzMsg) {
@@ -226,10 +221,11 @@ func FuzzShardHorizons(f *testing.F) {
 	})
 }
 
-// TestShardHorizonsNonUniformLinks pins one asymmetric-latency case as
-// a plain unit test (fuzz seeds only run under the fuzz harness): a
-// fast link one way and a slow link back must still produce the
-// reference delivery order on both execution paths.
+// TestShardHorizonsNonUniformLinks pins asymmetric-latency cases as a
+// plain unit test (fuzz seeds only run under the fuzz harness): a fast
+// link one way and a slow link back, both at or above the lookahead,
+// must still produce the reference delivery order on both execution
+// paths.
 func TestShardHorizonsNonUniformLinks(t *testing.T) {
 	for _, seed := range []uint64{7, 99, 0xabcdef} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -247,5 +243,92 @@ func TestShardHorizonsNonUniformLinks(t *testing.T) {
 				diffFuzzLogs(t, mode, want, got)
 			}
 		})
+	}
+}
+
+// relaxHorizons is the channel-clock computation computeHorizons
+// replaced, kept as its reference: an earliest-cause fixed point by
+// Bellman-Ford relaxation over the P×P link graph, every link at
+// latency look, then each partition's horizon from its peers' clocks.
+func relaxHorizons(n []Time, look Time) []Time {
+	p := len(n)
+	ec := append([]Time(nil), n...)
+	for changed := true; changed; {
+		changed = false
+		for q := 0; q < p; q++ {
+			for r := 0; r < p; r++ {
+				if r == q || ec[r] >= horizonInf {
+					continue
+				}
+				if c := ec[r] + look; c < ec[q] {
+					ec[q] = c
+					changed = true
+				}
+			}
+		}
+	}
+	h := make([]Time, p)
+	for i := range h {
+		h[i] = horizonInf
+		for q := 0; q < p; q++ {
+			if q != i && ec[q] < horizonInf {
+				h[i] = min(h[i], ec[q]+look)
+			}
+		}
+	}
+	return h
+}
+
+// TestHorizonsMatchRelaxation holds computeHorizons' closed form to the
+// relaxation on random inputs: P from 1 to 8, a partition's next time
+// drawn from a small range (so ties are common) or left idle, and
+// carried by a pending event, by undrained mail, or by both.
+func TestHorizonsMatchRelaxation(t *testing.T) {
+	state := uint64(0x5eed)
+	for iter := 0; iter < 20000; iter++ {
+		p := 1 + int(fuzzRand(&state)%8)
+		look := 1 + Time(fuzzRand(&state)%20)
+		envs := make([]*Env, p)
+		for i := range envs {
+			envs[i] = NewEnv()
+		}
+		s := NewShards(envs, look)
+		n := make([]Time, p)
+		for q := range n {
+			n[q] = horizonInf
+			if fuzzRand(&state)%4 == 0 {
+				continue // idle
+			}
+			n[q] = Time(fuzzRand(&state) % 30)
+			switch fuzzRand(&state) % 3 {
+			case 0:
+				envs[q].Schedule(n[q], func() {})
+			case 1:
+				s.slots[q].inMin[fuzzRand(&state)%uint64(p)] = n[q]
+			default:
+				envs[q].Schedule(n[q]+Time(fuzzRand(&state)%5), func() {})
+				s.slots[q].inMin[0] = n[q]
+			}
+		}
+		want := relaxHorizons(n, look)
+		pending := s.computeHorizons()
+		idle := true
+		for q := range n {
+			idle = idle && n[q] >= horizonInf
+			if s.nmin[q] != n[q] {
+				t.Fatalf("iter %d: n = %v, look %d: nmin[%d] = %d", iter, n, look, q, s.nmin[q])
+			}
+		}
+		if pending == idle {
+			t.Fatalf("iter %d: n = %v: computeHorizons reports pending %v", iter, n, pending)
+		}
+		if !pending {
+			continue
+		}
+		for q := range n {
+			if got := s.slots[q].horizon; got != want[q] {
+				t.Fatalf("iter %d: n = %v, look %d: horizon[%d] = %d, relaxation %d", iter, n, look, q, got, want[q])
+			}
+		}
 	}
 }

@@ -1,29 +1,20 @@
 // Conservative parallel discrete-event simulation (PDES) over a set of
 // per-partition Envs.
 //
-// Horizons. The simulated machine's per-link minimum cross-partition
-// message latency lat[q][p] (wire latency plus header serialization,
-// uniform by default) is a conservative lookahead: no message executed
-// at time s on partition q can be delivered to partition p before
-// s + lat[q][p]. Instead of advancing all partitions in lockstep
-// windows bounded by the one global minimum, each epoch computes a
-// per-partition horizon from CMB-style channel clocks:
+// Horizons. The machine's minimum message latency L (wire latency
+// plus header serialization, the same on every link) is the lookahead:
+// nothing executed at time s on one partition reaches another before
+// s + L. Each epoch gives every partition a private horizon,
 //
-//	n[q]  = min(q's earliest pending event, q's earliest undrained mail)
-//	ec[q] = min(n[q], min over r != q of ec[r] + lat[r][q])   (fixed point)
-//	horizon[p] = min over q != p of ec[q] + lat[q][p]
+//	n[q]       = min(q's earliest pending event, q's earliest undrained mail)
+//	m          = min over q of n[q]
+//	horizon[p] = min(min over q != p of n[q], m + L) + L
 //
-// ec[q] is a lower bound on the time of ANY event partition q can ever
-// execute from here on — including events caused by relay chains
-// through other partitions, which is what the fixed point (a
-// Bellman-Ford relaxation over the static link graph; each hop adds a
-// positive latency, so it grounds in at most P sweeps) accounts for.
-// Every future cross-partition arrival at p therefore lands at or past
-// horizon[p], and p may run privately to that edge. The partition
-// owning the global minimum always has horizon > n, so the epoch loop
-// makes progress whenever any event is pending; with uniform latency L
-// every horizon is at least min(n) + L, so the per-link horizons
-// strictly subsume the old global window [m, m+L).
+// the closed form of CMB channel clocks with L on every link: a relay
+// chain of k hops adds kL, so one hop from m is as early as any event
+// another partition can cause (DESIGN §13). The owner of m always has
+// horizon > n, so every epoch makes progress; a lone partition's
+// horizon is unbounded.
 //
 // Epochs. Workers meet at a coordinator-free sense-reversing barrier
 // (an atomic arrival counter plus an epoch counter whose parity is the
@@ -60,7 +51,7 @@ import (
 )
 
 // horizonInf is the "no bound" horizon sentinel. It is far above any
-// reachable virtual time but low enough that adding a link latency
+// reachable virtual time but low enough that adding the lookahead
 // cannot overflow; values at or past it are treated as infinite.
 const horizonInf = Time(1) << 62
 
@@ -115,21 +106,21 @@ type parkSlot struct {
 	_pad   [40]byte
 }
 
-// Shards runs P partition Envs under per-link conservative horizons.
+// Shards runs P partition Envs under private conservative horizons.
 // All methods except Post must be called from the goroutine that calls
 // Run (or before Run); Post is called by partition workers while their
 // window executes, each writing only its own partition's outbox rows.
 //
 //simlint:concurrent -- the barrier counters and per-worker park slots are the epoch hand-off; all other fields are single-writer by partition or touched only in the serial boundary phase with every worker stopped at the barrier, proven under -race by the differential suites
 type Shards struct {
-	envs []*Env
-	lat  []Time // lat[src*P+dst]: minimum cross-partition latency per link
+	envs      []*Env
+	lookahead Time // minimum cross-partition message latency, every link
 
 	slots []shardSlot
 
-	// Boundary-phase scratch, sized once at construction.
-	nmin []Time // per-partition earliest pending event or undrained mail
-	ec   []Time // earliest-cause fixed point (channel clocks)
+	// Boundary-phase scratch, sized once at construction: each
+	// partition's earliest pending event or undrained mail.
+	nmin []Time
 
 	// Sense-reversing barrier: arrivals counts workers into the epoch
 	// boundary; the last one runs the serial phase and bumps epoch (the
@@ -163,7 +154,6 @@ type Shards struct {
 // in an epoch scheduler with the given conservative lookahead: the
 // minimum virtual latency of any cross-partition message. lookahead
 // must be positive, or horizons could not make guaranteed progress.
-// Individual links may be raised above it with SetLinkLatency.
 //
 //simlint:concurrent -- allocates the per-worker park channels; the barrier itself lives in runWorker/awaitEpoch/release
 func NewShards(envs []*Env, lookahead Time) *Shards {
@@ -175,15 +165,11 @@ func NewShards(envs []*Env, lookahead Time) *Shards {
 	}
 	p := len(envs)
 	s := &Shards{
-		envs:  envs,
-		lat:   make([]Time, p*p),
-		slots: make([]shardSlot, p),
-		nmin:  make([]Time, p),
-		ec:    make([]Time, p),
-		park:  make([]parkSlot, p),
-	}
-	for i := range s.lat {
-		s.lat[i] = lookahead
+		envs:      envs,
+		lookahead: lookahead,
+		slots:     make([]shardSlot, p),
+		nmin:      make([]Time, p),
+		park:      make([]parkSlot, p),
 	}
 	for i := range s.slots {
 		sl := &s.slots[i]
@@ -204,19 +190,6 @@ func NewShards(envs []*Env, lookahead Time) *Shards {
 // SetInline overrides the automatic inline decision (see the inline
 // field). Simulated results do not depend on it.
 func (s *Shards) SetInline(v bool) { s.inline = v }
-
-// SetLinkLatency raises (or lowers) the conservative minimum latency
-// of the src->dst link. Must be called before Run; l must be positive.
-// A link's latency is a promise: no message executed on src at time t
-// may arrive on dst before t+l. Lowering a link below the machine's
-// real minimum latency is safe for correctness bounds but wasteful;
-// raising it above is a lookahead violation the injection check traps.
-func (s *Shards) SetLinkLatency(src, dst int, l Time) {
-	if l <= 0 {
-		panic(fmt.Sprintf("sim: SetLinkLatency must be positive, got %d", l))
-	}
-	s.lat[src*len(s.envs)+dst] = l
-}
 
 // Env returns partition p's environment. Interact with it only between
 // Run calls or before Run (e.g. to Spawn processes).
@@ -241,8 +214,8 @@ func (s *Shards) SetWatchdog(horizon Time, dump func() string) {
 // Post queues a cross-partition delivery: fn(arg) runs on partition
 // dstPart's Env at virtual time arrival. Called by partition srcPart's
 // worker while its window executes; arrival must be at or past every
-// horizon the destination could be running (guaranteed by the link
-// latency if sent is inside srcPart's window). sent, srcNode, and seq
+// horizon the destination could be running (guaranteed by the
+// lookahead if sent is inside srcPart's window). sent, srcNode, and seq
 // are the delivery key the destination heap orders by — the same key
 // the source would pass to ScheduleDelivery for an intra-partition
 // send.
@@ -334,61 +307,42 @@ func (s *Shards) drainInbox(p int) {
 }
 
 // computeHorizons fills nmin (each partition's earliest pending event
-// or undrained mail), runs the channel-clock fixed point, and writes
-// every slot's horizon. Returns false when no partition has anything
+// or undrained mail) and writes every slot's horizon by the closed form
+// in the package comment. Returns false when no partition has anything
 // pending — the termination condition. Serial (boundary phase only).
 //
 //simlint:hotpath
 func (s *Shards) computeHorizons() bool {
-	p := len(s.envs)
-	pending := false
-	for q := 0; q < p; q++ {
+	// m is the least n, at partition first; m2 the least n of the rest.
+	m, m2, first := horizonInf, horizonInf, -1
+	for q, env := range s.envs {
 		n := horizonInf
-		if t, ok := s.envs[q].NextEventTime(); ok {
+		if t, ok := env.NextEventTime(); ok {
 			n = t
 		}
-		for _, m := range s.slots[q].inMin {
-			if m < n {
-				n = m
-			}
+		for _, t := range s.slots[q].inMin {
+			n = min(n, t)
 		}
 		s.nmin[q] = n
-		s.ec[q] = n
-		if n < horizonInf {
-			pending = true
+		if n < m {
+			m, m2, first = n, m, q
+		} else {
+			m2 = min(m2, n)
 		}
 	}
-	if !pending {
+	if m >= horizonInf {
 		return false
 	}
-	// Earliest-cause fixed point: ec[q] may drop when another partition
-	// r could act early and relay into q. Each relaxation adds a
-	// positive link latency, so the sweep grounds in at most P rounds.
-	for changed := true; changed; {
-		changed = false
-		for q := 0; q < p; q++ {
-			for r := 0; r < p; r++ {
-				if r == q || s.ec[r] >= horizonInf {
-					continue
-				}
-				if c := s.ec[r] + s.lat[r*p+q]; c < s.ec[q] {
-					s.ec[q] = c
-					changed = true
-				}
-			}
-		}
-	}
-	for i := 0; i < p; i++ {
+	for p := range s.slots {
 		h := horizonInf
-		for q := 0; q < p; q++ {
-			if q == i || s.ec[q] >= horizonInf {
-				continue
+		if len(s.envs) > 1 {
+			others := m // the least n over q != p
+			if p == first {
+				others = m2
 			}
-			if c := s.ec[q] + s.lat[q*p+i]; c < h {
-				h = c
-			}
+			h = min(others, m+s.lookahead) + s.lookahead
 		}
-		s.slots[i].horizon = h
+		s.slots[p].horizon = h
 	}
 	return true
 }
@@ -436,7 +390,7 @@ func (s *Shards) boundary() {
 			// Two or more active partitions: release the barrier and let
 			// the workers run the epoch in parallel. (Zero is impossible:
 			// the global-minimum owner's horizon always exceeds its next
-			// event by at least the smallest inbound link latency.)
+			// event by at least the lookahead.)
 			return
 		}
 		s.drainInbox(last)

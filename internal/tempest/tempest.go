@@ -15,6 +15,7 @@ package tempest
 
 import (
 	"fmt"
+	"slices"
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
@@ -539,43 +540,58 @@ func (c *Cluster) Crash(id int) {
 	}
 }
 
-// NewCluster builds a cluster over an already-laid-out address space.
+// NewCluster builds a cluster over an already-laid-out address space,
+// every node on env.
 func NewCluster(env *sim.Env, sp *memory.Space) *Cluster {
-	mc := sp.Machine()
-	st := stats.New(mc.Nodes)
-	net := network.New(env, mc, st)
-	c := &Cluster{Env: env, MC: mc, Space: sp, Net: net, Stats: st}
-	c.assemble(func(int) *sim.Env { return env })
-	return c
+	return NewPartitionedCluster(slices.Repeat([]*sim.Env{env}, sp.Machine().Nodes), sp, nil)
 }
 
-// NewPartitionedCluster builds a cluster in conservative-PDES mode:
-// envs[i] is node i's partition environment and post the network's
-// cross-partition mailbox hook (see network.NewPartitioned). Each
-// node's handlers, timers, and compute process live entirely on its
-// own Env; Cluster.Env is node 0's — the home of the barrier and
-// reduction master state, which only node 0's handlers mutate.
+// NewPartitionedCluster builds a cluster whose node i runs on envs[i];
+// post is the network's cross-partition mailbox hook (see
+// network.NewPartitioned). Each node's handlers, timers, and compute
+// process live entirely on its own Env; Cluster.Env is node 0's — the
+// home of the barrier and reduction master state, which only node 0's
+// handlers mutate.
 func NewPartitionedCluster(envs []*sim.Env, sp *memory.Space, post network.PostFn) *Cluster {
 	mc := sp.Machine()
 	st := stats.New(mc.Nodes)
 	net := network.NewPartitioned(envs, post, mc, st)
 	c := &Cluster{Env: envs[0], MC: mc, Space: sp, Net: net, Stats: st}
-	c.assemble(func(i int) *sim.Env { return envs[i] })
+	for i, env := range envs {
+		n := &Node{
+			ID:  i,
+			Env: env,
+			Net: net,
+			Mem: memory.NewNodeMem(sp, i),
+			MC:  mc,
+			St:  &st.Nodes[i],
+		}
+		n.engine.Bind(env)
+		net.Bind(i, n.receive)
+		c.Nodes = append(c.Nodes, n)
+	}
+	c.installSync()
 	return c
 }
 
-// NewShardedCluster builds a partitioned cluster together with the
-// window scheduler that runs it: parts partition environments with
+// NewShardedCluster builds a cluster together with the window scheduler
+// that runs it: parts, clamped to [1, N], partition environments with
 // their clocks at startAt, the nodes split among them in contiguous
 // runs (node i in partition i*parts/N), cross-partition sends routed
 // through the scheduler's mailbox. The lookahead is the machine's
 // minimum message latency: header serialization plus the wire latency,
-// the floor of any cross-node delivery delay.
+// the floor of any cross-node delivery delay. One partition needs no
+// scheduler: the returned Shards is nil, and the caller runs
+// Cluster.Env.
 func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster, *sim.Shards) {
 	mc := sp.Machine()
+	parts = min(max(parts, 1), mc.Nodes)
 	penvs := make([]*sim.Env, parts)
 	for i := range penvs {
 		penvs[i] = sim.NewEnvAt(startAt)
+	}
+	if parts == 1 {
+		return NewCluster(penvs[0], sp), nil
 	}
 	part := make([]int, mc.Nodes)
 	nodeEnvs := make([]*sim.Env, mc.Nodes)
@@ -588,25 +604,6 @@ func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster,
 		shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
 	}
 	return NewPartitionedCluster(nodeEnvs, sp, post), shards
-}
-
-// assemble builds and binds the per-node state; envOf maps a node id
-// to the Env its events run on.
-func (c *Cluster) assemble(envOf func(int) *sim.Env) {
-	for i := 0; i < c.MC.Nodes; i++ {
-		n := &Node{
-			ID:  i,
-			Env: envOf(i),
-			Net: c.Net,
-			Mem: memory.NewNodeMem(c.Space, i),
-			MC:  c.MC,
-			St:  &c.Stats.Nodes[i],
-		}
-		n.engine.Bind(n.Env)
-		c.Net.Bind(i, n.receive)
-		c.Nodes = append(c.Nodes, n)
-	}
-	c.installSync()
 }
 
 // SetTracer installs the causal event tracer on the cluster: the
