@@ -161,8 +161,16 @@ func (s *Space) NumHomed(home int) int {
 
 // NodeMem is one node's image of the shared segment: data, per-block
 // tags, per-block dirty-word masks (used by the multiple-writer
-// protocol), and the per-page mapped bits (remote pages pay a mapping
-// cost on first touch).
+// protocol), the per-page mapped bits (remote pages pay a mapping cost
+// on first touch) and the per-page cards.
+//
+// A card is the write barrier of the coherence audit: every mutator
+// that can give a block dirty words or a readonly tag sets its page's
+// card (SetTag to ReadOnly, WriteF64, MarkDirtyRun, MarkAllDirty and
+// SetDirtyMask with a nonzero mask), and nothing here clears one. The
+// audit visits only the pages whose card is set, and clears a card once
+// every block under it is clean at this node, so what it reads is what
+// some node holds rather than the whole segment.
 //
 // Lifetime rule: the image may live outside the Go heap and is released
 // when the NodeMem becomes unreachable, so a slice of it (BlockData,
@@ -176,11 +184,14 @@ type NodeMem struct {
 	tags   []Tag
 	dirty  []uint16 // bit i set => word i of block modified locally
 	mapped []bool
+	cards  []bool // per page: a block under it may be dirty or readonly
 
-	// Cached block geometry so the per-access check/translate path
-	// never chases m.sp.mc and divides by a shift where possible.
+	// Cached block and page geometry so the per-access check/translate
+	// path never chases m.sp.mc and divides by a shift where possible.
 	bs     int  // block size in bytes
 	bshift uint // log2(bs), 0 if bs is not a power of two
+	ps     int  // page size in bytes
+	pshift uint // log2(ps), 0 if ps is not a power of two
 }
 
 // NewNodeMem creates node id's memory image. Blocks on pages homed at
@@ -189,14 +200,18 @@ type NodeMem struct {
 func NewNodeMem(sp *Space, id int) *NodeMem {
 	nb := sp.NumBlocks()
 	np := sp.NumPages()
+	pages := make([]bool, 2*np) // mapped bits, then cards
 	nm := &NodeMem{
 		sp:     sp,
 		id:     id,
 		tags:   make([]Tag, nb),
 		dirty:  make([]uint16, nb),
-		mapped: make([]bool, np),
+		mapped: pages[:np:np],
+		cards:  pages[np:],
 		bs:     sp.mc.BlockSize,
 		bshift: log2of(sp.mc.BlockSize),
+		ps:     sp.mc.PageSize,
+		pshift: log2of(sp.mc.PageSize),
 	}
 	nm.data = newImage(nm, sp.size)
 	bpp := sp.mc.PageSize / sp.mc.BlockSize
@@ -221,7 +236,12 @@ func (m *NodeMem) Space() *Space { return m.sp }
 func (m *NodeMem) Tag(b int) Tag { return m.tags[b] }
 
 // SetTag sets block b's access tag.
-func (m *NodeMem) SetTag(b int, t Tag) { m.tags[b] = t }
+func (m *NodeMem) SetTag(b int, t Tag) {
+	m.tags[b] = t
+	if t == ReadOnly {
+		m.cards[m.page(b*m.bs)] = true
+	}
+}
 
 // Tags returns the per-block tag table, indexed by block (aliasing the
 // node's state: callers read it and must not write it).
@@ -230,6 +250,12 @@ func (m *NodeMem) Tags() []Tag { return m.tags }
 // DirtyMasks returns the per-block dirty-word masks, indexed by block
 // (aliasing the node's state: callers read it and must not write it).
 func (m *NodeMem) DirtyMasks() []uint16 { return m.dirty }
+
+// Cards returns the per-page card table, indexed by page (aliasing the
+// node's state). The coherence audit reads it and clears the card of a
+// page none of whose blocks is dirty or readonly here; nothing else
+// writes it.
+func (m *NodeMem) Cards() []bool { return m.cards }
 
 // Mapped reports whether page pg has been mapped locally.
 func (m *NodeMem) Mapped(pg int) bool { return m.mapped[pg] }
@@ -244,12 +270,18 @@ func (m *NodeMem) Dirty(b int) uint16 { return m.dirty[b] }
 func (m *NodeMem) ClearDirty(b int) { m.dirty[b] = 0 }
 
 // SetDirtyMask replaces block b's dirty-word mask (checkpoint restore).
-func (m *NodeMem) SetDirtyMask(b int, mask uint16) { m.dirty[b] = mask }
+func (m *NodeMem) SetDirtyMask(b int, mask uint16) {
+	m.dirty[b] = mask
+	if mask != 0 {
+		m.cards[m.page(b*m.bs)] = true
+	}
+}
 
 // MarkAllDirty sets every word of block b dirty (used when a whole
 // block of modifications is installed at once).
 func (m *NodeMem) MarkAllDirty(b int) {
 	m.dirty[b] = uint16(1)<<uint(m.sp.mc.BlockSize/8) - 1
+	m.cards[m.page(b*m.bs)] = true
 }
 
 // ReadF64 reads the float64 at addr with no access check; the executor
@@ -266,22 +298,33 @@ func (m *NodeMem) block(addr int) int {
 	return addr / m.bs
 }
 
+// page is the inlined page-number translation for the card marks.
+func (m *NodeMem) page(addr int) int {
+	if m.pshift != 0 {
+		return addr >> m.pshift
+	}
+	return addr / m.ps
+}
+
 // WriteF64 writes the float64 at addr with no access check and records
-// the word in the containing block's dirty mask.
+// the word in the containing block's dirty mask and page's card.
 func (m *NodeMem) WriteF64(addr int, v float64) {
 	binary.LittleEndian.PutUint64(m.data[addr:], math.Float64bits(v))
 	b := m.block(addr)
 	m.dirty[b] |= 1 << uint((addr-b*m.bs)>>3)
+	m.cards[m.page(addr)] = true
 }
 
-// MarkDirtyRun records in the dirty masks the k words at addr,
-// addr+stride, ... (stride in bytes) — what k WriteF64 calls record, for
-// an executor that has written the words straight into the image.
+// MarkDirtyRun records in the dirty masks and cards the k words at
+// addr, addr+stride, ... (stride in bytes) — what k WriteF64 calls
+// record, for an executor that has written the words straight into the
+// image.
 func (m *NodeMem) MarkDirtyRun(addr, stride, k int) {
 	if stride != 8 {
 		for ; k > 0; k-- {
 			b := m.block(addr)
 			m.dirty[b] |= 1 << uint((addr-b*m.bs)>>3)
+			m.cards[m.page(addr)] = true
 			addr += stride
 		}
 		return
@@ -292,6 +335,7 @@ func (m *NodeMem) MarkDirtyRun(addr, stride, k int) {
 		w := (addr - b*m.bs) >> 3
 		n := min(m.bs>>3-w, k)
 		m.dirty[b] |= uint16((1<<uint(n) - 1) << uint(w))
+		m.cards[m.page(addr)] = true
 		addr += 8 * n
 		k -= n
 	}

@@ -181,6 +181,71 @@ func TestMarkDirtyRunMatchesWriteF64(t *testing.T) {
 	}
 }
 
+// TestCardsCoverEveryMutator: each mutator that can give a block dirty
+// words or a readonly tag sets the card of that block's page, and one
+// that gives none sets no card. Runs cover strides 8, 16 and -8 and
+// cross a page boundary; both a power-of-two page and one that is not.
+func TestCardsCoverEveryMutator(t *testing.T) {
+	for _, bs := range []int{128, 24} {
+		mc := config.Default().WithBlockSize(bs)
+		if bs == 24 {
+			mc.PageSize = 24 * 128
+		}
+		sp := NewSpace(mc)
+		ps := mc.PageSize
+		base := sp.Alloc("x", 4*ps)
+		edge := base + 2*ps // the first byte of page 2
+		b := sp.Block(base + ps + 8)
+		for _, c := range []struct {
+			name   string
+			mutate func(m *NodeMem)
+			carded bool // whether the mutation leaves any block dirty or readonly
+		}{
+			{"SetTag readonly", func(m *NodeMem) { m.SetTag(b, ReadOnly) }, true},
+			{"SetTag readwrite", func(m *NodeMem) { m.SetTag(b, ReadWrite) }, false},
+			{"SetTag invalid", func(m *NodeMem) { m.SetTag(b, Invalid) }, false},
+			{"WriteF64", func(m *NodeMem) { m.WriteF64(edge-8, 1) }, true},
+			{"MarkAllDirty", func(m *NodeMem) { m.MarkAllDirty(b) }, true},
+			{"SetDirtyMask nonzero", func(m *NodeMem) { m.SetDirtyMask(b, 1<<2) }, true},
+			{"SetDirtyMask zero", func(m *NodeMem) { m.SetDirtyMask(b, 0) }, false},
+			{"MarkDirtyRun stride 8 across a page", func(m *NodeMem) { m.MarkDirtyRun(edge-3*8, 8, 7) }, true},
+			{"MarkDirtyRun stride 8 across pages", func(m *NodeMem) { m.MarkDirtyRun(edge-ps-8, 8, ps/8+2) }, true},
+			{"MarkDirtyRun stride 16 across a page", func(m *NodeMem) { m.MarkDirtyRun(edge-5*16, 16, 9) }, true},
+			{"MarkDirtyRun stride -8 across a page", func(m *NodeMem) { m.MarkDirtyRun(edge+2*8, -8, 6) }, true},
+			{"MarkDirtyRun stride -8 within a page", func(m *NodeMem) { m.MarkDirtyRun(edge+5*8, -8, 3) }, true},
+		} {
+			m := NewNodeMem(sp, 1)
+			for pg, set := range m.Cards() {
+				if set {
+					t.Fatalf("block size %d: fresh node has page %d carded", bs, pg)
+				}
+			}
+			c.mutate(m)
+			touched := 0
+			for blk := 0; blk < sp.NumBlocks(); blk++ {
+				if m.Dirty(blk) == 0 && m.Tag(blk) != ReadOnly {
+					continue
+				}
+				touched++
+				if pg := sp.Page(blk * bs); !m.Cards()[pg] {
+					t.Errorf("block size %d, %s: block %d is dirty (%016b) or readonly (%v) under page %d, whose card is clear",
+						bs, c.name, blk, m.Dirty(blk), m.Tag(blk), pg)
+				}
+			}
+			if (touched > 0) != c.carded {
+				t.Errorf("block size %d, %s: %d blocks dirty or readonly, want some: %v", bs, c.name, touched, c.carded)
+			}
+			if !c.carded {
+				for pg, set := range m.Cards() {
+					if set {
+						t.Errorf("block size %d, %s: page %d carded with nothing dirty or readonly", bs, c.name, pg)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMergeDirtyWords(t *testing.T) {
 	sp := testSpace(t)
 	base := sp.Alloc("x", 4096)

@@ -48,14 +48,187 @@ import (
 // directory never sees), so RW tags without directory entries are legal
 // under the Section 4.2 contract and not flagged.
 //
-// The walk is page by page, so that a block's home and directory slot
-// come from its page without a division per block, and it reads every
-// node's tag and dirty tables in place. A block with no dirty word at
-// any node and no readonly copy away from its home can break none of
-// 2-5, and is passed without reading its directory sets.
+// The audit costs what is live. Every node's memory keeps a card per
+// page, set by each mutator that can make a block dirty or readonly
+// there (memory.NodeMem), and the audit visits, node by node, only the
+// pages whose card is set, in two passes: the first folds the dirty
+// masks into a per-block union and checks 2 and 3, the second checks 4
+// and then 5 against the final union. Each page's home and directory
+// slice is taken once per page. A card is cleared once every block
+// under it is clean at its node (no dirty word, and no readonly copy
+// away from home), whatever the directory says; a block with no dirty
+// word at any node and no readonly copy away from its home can break
+// none of 2-5. In quiescent mode one scan of the directories checks 1
+// first. The passes only tell whether something is wrong: when they
+// find anything, walk reruns the audit in page order and returns its
+// first diagnostic, so a failing audit says what it always said.
 //
 //simlint:hotpath
 func (p *Proto) audit(quiescent bool) error {
+	sp := p.C.Space
+	if len(p.union) != sp.NumBlocks() {
+		p.union = make([]uint16, sp.NumBlocks())
+		p.unionPg = make([]bool, sp.NumPages())
+	}
+	ok := (!quiescent || p.dirIdle()) && p.foldDirty(quiescent) && p.checkCopies(quiescent)
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	for pg, set := range p.unionPg {
+		if set {
+			clear(p.union[pg*bpp:][:bpp])
+			p.unionPg[pg] = false
+		}
+	}
+	if ok {
+		return nil
+	}
+	return p.walk(quiescent)
+}
+
+// dirIdle reports that no directory entry is mid-transaction.
+//
+//simlint:hotpath
+func (p *Proto) dirIdle() bool {
+	for _, np := range p.nodes {
+		for i := range np.dir {
+			if !np.dir[i].idle() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// foldDirty is the audit's first pass. Over each node's carded pages
+// it folds the dirty masks into p.union, and reports false on an
+// overlap with another node's words or on a dirty node the directory
+// does not list as a writer (2 and 3). It clears the card of a page
+// that holds nothing the audit reads.
+//
+// Both passes ask whether a block's entry is mid-transaction (possible
+// only in barrier mode, where it excuses the block) only once the block
+// would fail, so that a passing block reads no more of its entry than
+// the sets. A mid-transaction block's words may enter p.union: the
+// second pass skips that block, and they can only excuse a later
+// node's words on it.
+//
+//simlint:hotpath
+func (p *Proto) foldDirty(quiescent bool) bool {
+	sp := p.C.Space
+	nn := len(p.nodes)
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	for i, np := range p.nodes {
+		cards, tags, dirty := np.n.Mem.Cards(), np.n.Mem.Tags(), np.n.Mem.DirtyMasks()
+		for pg, set := range cards {
+			if !set {
+				continue
+			}
+			homeID := pg % nn
+			first := pg * bpp
+			union := p.union[first:][:bpp]
+			var dir []dirEntry // taken at the page's first dirty block
+			clean := true
+			for k, d := range dirty[first:][:bpp] {
+				if d == 0 {
+					clean = clean && (tags[first+k] != memory.ReadOnly || homeID == i)
+					continue
+				}
+				if dir == nil {
+					dir = p.nodes[homeID].dir[pg/nn*bpp:][:bpp]
+					p.unionPg[pg] = true
+				}
+				clean = false
+				if union[k]&d != 0 || homeID != i && !dir[k].writers().has(i) && (quiescent || !p.isCC(first+k)) {
+					if dir[k].idle() {
+						return false
+					}
+					continue // barrier mode: mid-transaction, nothing to audit
+				}
+				union[k] |= d
+			}
+			if clean {
+				cards[pg] = false
+			}
+		}
+	}
+	return true
+}
+
+// checkCopies is the audit's second pass. Over each node's carded pages
+// homed elsewhere it reports false on a readonly copy the directory
+// does not track (4), or on a tracked copy that disagrees with home on
+// a word outside p.union (5).
+//
+//simlint:hotpath
+func (p *Proto) checkCopies(quiescent bool) bool {
+	sp := p.C.Space
+	nn := len(p.nodes)
+	bs := sp.BlockSize()
+	bpp := sp.Machine().PageSize / bs
+	for i, np := range p.nodes {
+		mem := np.n.Mem
+		cards, tags := mem.Cards(), mem.Tags()
+		for pg, set := range cards {
+			homeID := pg % nn
+			if !set || homeID == i {
+				continue
+			}
+			home := p.nodes[homeID]
+			first := pg * bpp
+			union := p.union[first:][:bpp]
+			var dir []dirEntry // taken at the page's first readonly block
+			for k, t := range tags[first:][:bpp] {
+				if t != memory.ReadOnly {
+					continue
+				}
+				if dir == nil {
+					dir = home.dir[pg/nn*bpp:][:bpp]
+				}
+				e := &dir[k]
+				b := first + k
+				sharers := e.sharers()
+				if !sharers.has(i) && !e.writers().has(i) {
+					if (quiescent || !p.isCC(b)) && e.idle() {
+						return false
+					}
+					continue
+				}
+				if !sharers.has(i) || e.stale().has(i) {
+					continue
+				}
+				hd, cd := home.n.Mem.BlockData(b), mem.BlockData(b)
+				if bytes.Equal(hd, cd) || p.isCC(b) || !e.idle() {
+					continue
+				}
+				for w := 0; w < bs/8; w++ {
+					if union[k]&(1<<uint(w)) == 0 && !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// isCC reports whether any node ever moved block b through a
+// compiler-controlled transfer (opened a frame, or sent or received it
+// via send/flush): its consistency is the Section 4.2 contract's
+// business.
+func (p *Proto) isCC(b int) bool {
+	for _, np := range p.nodes {
+		if np.flags[b]&(flagCCFrame|flagCCTouched) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// walk is the audit page by page over every block, reading every
+// node's tag and dirty tables in place: the audit's diagnostic, the
+// first violation in page order (nil when there is none). A block's
+// home and directory slot come from its page without a division per
+// block.
+func (p *Proto) walk(quiescent bool) error {
 	sp := p.C.Space
 	nn := len(p.nodes)
 	bs := sp.BlockSize()

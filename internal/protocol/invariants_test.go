@@ -115,18 +115,6 @@ func (p *Proto) auditRef(quiescent bool) error {
 	return nil
 }
 
-// isCC reports whether any node ever moved block b through a
-// compiler-controlled transfer (opened a frame, or sent/received it via
-// send/flush): auditRef's per-block form of the audit's flag test.
-func (p *Proto) isCC(b int) bool {
-	for _, np := range p.nodes {
-		if np.flags[b]&(flagCCFrame|flagCCTouched) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // errText renders an audit verdict for comparison ("" for a pass).
 func errText(err error) string {
 	if err == nil {
@@ -202,30 +190,174 @@ func auditTraffic(h *harness, nodes int) {
 	}
 }
 
+// denseTraffic is shallow's shape: in each of rounds epochs every word
+// of pages 0..7 is written by one node that is not the page's home, a
+// different one each round, so every block of eight pages is dirty at a
+// barrier and the next round's writers invalidate the last round's.
+// Every node then reads a word of each page. h needs eight pages on
+// eight or more nodes.
+func denseTraffic(h *harness, nodes, rounds int) {
+	ps := h.space.Machine().PageSize
+	for id := 0; id < nodes; id++ {
+		h.run(id, "dense", func(p *sim.Proc, n *tempest.Node) {
+			for r := 0; r < rounds; r++ {
+				for pg := 0; pg < 8; pg++ {
+					if (pg+1+r)%nodes != id {
+						continue
+					}
+					for off := 0; off < ps; off += 8 {
+						n.StoreF64(p, h.addrOnPage(pg, off), float64(r+off))
+					}
+				}
+				h.c.Barrier(p, n)
+				for pg := 0; pg < 8; pg++ {
+					n.LoadF64(p, h.addrOnPage(pg, 8*id))
+				}
+				h.c.Barrier(p, n)
+			}
+		})
+	}
+}
+
+// restoredCluster drains stress traffic on a 4-node flat cluster,
+// restores its checkpoint on a fresh one (Restore writes every tag and
+// dirty mask through SetTag and SetDirtyMask), checks the restored
+// state against auditRef before anything runs, and spawns more traffic.
+func restoredCluster(t *testing.T) *harness {
+	h := drained(t, 4, false, func(h *harness) { auditTraffic(h, 4) })
+	r := newAuditHarness(4, false)
+	if err := r.p.Restore(decoded(t, h)); err != nil {
+		t.Fatal(err)
+	}
+	if d := cardsCoverLive(r.p); d != "" {
+		t.Errorf("restored: %s", d)
+	}
+	if d := auditDiff(r.p); d != "" {
+		t.Errorf("restored: %s", d)
+	}
+	auditTraffic(r, 4)
+	return r
+}
+
+// cardsCoverLive returns a description of a block that is dirty, or
+// readonly away from its home, under a page whose card is clear at that
+// node — a block the audit would not read — or "" when there is none.
+func cardsCoverLive(p *Proto) string {
+	sp := p.C.Space
+	for i, np := range p.nodes {
+		mem := np.n.Mem
+		for b := 0; b < sp.NumBlocks(); b++ {
+			live := mem.Dirty(b) != 0 || mem.Tag(b) == memory.ReadOnly && sp.HomeOfBlock(b) != i
+			if pg := sp.Page(b * sp.BlockSize()); live && !mem.Cards()[pg] {
+				return fmt.Sprintf("node %d: block %d (dirty %016b, %v) under page %d, whose card is clear", i, b, mem.Dirty(b), mem.Tag(b), pg)
+			}
+		}
+	}
+	return ""
+}
+
+// cardAll sets the card of every page at every node through a mutator,
+// leaving tags as they were: the cards traffic leaves behind on pages
+// it has since cleaned up, for a clean audit to clear.
+func cardAll(h *harness) {
+	bpp := h.space.Machine().PageSize / h.space.BlockSize()
+	for _, n := range h.c.Nodes {
+		for pg := 0; pg < h.space.NumPages(); pg++ {
+			b := pg * bpp
+			t := n.Mem.Tag(b)
+			n.Mem.SetTag(b, memory.ReadOnly)
+			n.Mem.SetTag(b, t)
+		}
+	}
+}
+
+// plantInClearedCards drains the cluster build makes, sets every card
+// (cardAll) and runs a clean barrier audit, which clears the cards of
+// the pages with nothing live. At each node and such page away from
+// the node's home, it then plants a dirty word and, separately, a
+// readonly tag on the page's first block, each on its own copy of the
+// settled cluster, and compares the audit with auditRef in both modes.
+func plantInClearedCards(t *testing.T, build func(t *testing.T) *harness) {
+	settle := func() *harness {
+		h := build(t)
+		if err := h.c.Env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		cardAll(h)
+		if err := h.p.CheckAtBarrier(); err != nil {
+			t.Fatalf("the drained cluster fails its barrier audit: %v", err)
+		}
+		return h
+	}
+	h := settle()
+	ps := h.space.Machine().PageSize
+	bpp := ps / h.space.BlockSize()
+	planted, flagged := 0, 0
+	for i, n := range h.c.Nodes {
+		for pg := 0; pg < h.space.NumPages(); pg++ {
+			if n.Mem.Cards()[pg] || h.space.Home(pg*ps) == i {
+				continue
+			}
+			for _, pl := range []plant{
+				{node: i, block: pg * bpp, tag: tagKeep, mask: 1, word: -1},
+				{node: i, block: pg * bpp, tag: memory.ReadOnly, word: -1},
+			} {
+				c := settle()
+				pl.apply(c)
+				planted++
+				if errText(c.p.auditRef(false)) != "" {
+					flagged++
+				}
+				if d := auditDiff(c.p); d != "" {
+					t.Errorf("node %d page %d, plant %+v: %s", i, pg, pl, d)
+				}
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Fatalf("none of %d faults planted in cleared pages is a violation", planted)
+	}
+	t.Logf("%d faults planted in cleared pages, %d violations at a barrier", planted, flagged)
+}
+
 // TestAuditMatchesReference: at every barrier of stress traffic, on the
-// paper's flat layout and on a radix-4 tree, and once the cluster has
-// drained, the audit returns what auditRef returns in both modes — the
-// same first diagnostic, or nil from both.
+// paper's flat layout and on a radix-4 tree, of shallow's dense epochs,
+// and of traffic on a cluster restored from a checkpoint, and once each
+// cluster has drained, the audit returns what auditRef returns in both
+// modes — the same first diagnostic, or nil from both — and every block
+// it must read is under a set card. So does a fault planted in a page
+// whose card a clean audit cleared.
 func TestAuditMatchesReference(t *testing.T) {
+	dense := func(*testing.T) *harness {
+		h := newAuditHarness(8, false)
+		denseTraffic(h, 8, 3)
+		return h
+	}
 	for _, c := range []struct {
 		name  string
-		nodes int
-		tree  bool
-	}{{"flat", 4, false}, {"tree", 16, true}} {
+		build func(t *testing.T) *harness // a cluster with its traffic spawned
+	}{
+		{"flat", func(*testing.T) *harness { h := newAuditHarness(4, false); auditTraffic(h, 4); return h }},
+		{"tree", func(*testing.T) *harness { h := newAuditHarness(16, true); auditTraffic(h, 16); return h }},
+		{"dense", dense},
+		{"restored", restoredCluster},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			h := newAuditHarness(c.nodes, c.tree)
+			h := c.build(t)
 			checks, flagged := 0, 0
 			h.c.BarrierCheck = func() error {
 				checks++
 				if errText(h.p.auditRef(true)) != "" {
 					flagged++
 				}
+				if d := cardsCoverLive(h.p); d != "" {
+					t.Errorf("barrier %d: %s", checks, d)
+				}
 				if d := auditDiff(h.p); d != "" {
 					t.Errorf("barrier %d: %s", checks, d)
 				}
 				return h.p.CheckAtBarrier()
 			}
-			auditTraffic(h, c.nodes)
 			if err := h.c.Env.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -241,6 +373,7 @@ func TestAuditMatchesReference(t *testing.T) {
 			t.Logf("%d barriers, %d with a quiescent-mode diagnostic", checks, flagged)
 		})
 	}
+	t.Run("cleared card", func(t *testing.T) { plantInClearedCards(t, dense) })
 }
 
 // plant is one corruption of a settled cluster: node's tag for block
@@ -351,7 +484,14 @@ func TestInvariantsCatchPlantedViolations(t *testing.T) {
 
 // FuzzAuditMatchesReference plants a corruption drawn from the input on
 // the settled cluster of plantedCluster and compares the audit with
-// auditRef in both modes. The seeds are the planted cases above.
+// auditRef in both modes. Before the plant every card is set and a
+// clean audit clears those of the pages with nothing live, so a fault
+// off page 0 lands in a page whose card the audit cleared. The seeds
+// are the planted cases above, an overlap of the home's dirty words
+// with a writer's (the one violation no other check also reports), then
+// four faults in cleared pages: an untracked readonly copy, a dirty word
+// at a non-writer, one at the home, and a disagreeing copy of a
+// compiler-controlled block.
 func FuzzAuditMatchesReference(f *testing.F) {
 	for _, s := range []struct {
 		node, block, tag uint8
@@ -367,11 +507,20 @@ func FuzzAuditMatchesReference(f *testing.F) {
 		{2, 2, 1, 0, -1, 0, true},
 		{1, 1, 0, 0x8000, 15, 2, false},
 		{2, 0, 1, 0, -1, 3, false},
+		{0, 0, 3, 1, -1, 0, false},
+		{2, 40, 1, 0, -1, 0, false},
+		{1, 70, 3, 4, -1, 0, false},
+		{0, 100, 2, 1, -1, 0, false},
+		{2, 33, 1, 0, 5, 0, true},
 	} {
 		f.Add(s.node, s.block, s.tag, s.mask, s.word, s.busy, s.cc)
 	}
 	f.Fuzz(func(t *testing.T, node, block, tag uint8, mask uint16, word, busy int8, cc bool) {
 		h, b0 := plantedCluster(t)
+		cardAll(h)
+		if err := h.p.CheckAtBarrier(); err != nil {
+			t.Fatalf("clean state flagged: %v", err)
+		}
 		words := h.space.BlockSize() / 8
 		pl := plant{
 			node:  int(node) % 3,
@@ -392,22 +541,60 @@ func FuzzAuditMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkAudit is the host cost of one barrier-mode and one
-// quiescent-mode audit of an 8-node cluster after stress traffic.
-func BenchmarkAudit(b *testing.B) {
-	h := newAuditHarness(8, false)
-	auditTraffic(h, 8)
+// drained returns the cluster of newAuditHarness(nodes, tree) after
+// traffic has run on it to the end.
+func drained(tb testing.TB, nodes int, tree bool, traffic func(h *harness)) *harness {
+	h := newAuditHarness(nodes, tree)
+	traffic(h)
 	if err := h.c.Env.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, m := range []struct {
+	return h
+}
+
+// TestAuditAllocs: once its scratch is sized, a passing barrier audit
+// allocates nothing, after stress traffic and after a dense epoch.
+func TestAuditAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		traffic func(h *harness)
+	}{
+		{"stress", func(h *harness) { auditTraffic(h, 8) }},
+		{"dense", func(h *harness) { denseTraffic(h, 8, 1) }},
+	} {
+		h := drained(t, 8, false, c.traffic)
+		if err := h.p.CheckAtBarrier(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { h.p.CheckAtBarrier() }); n != 0 {
+			t.Errorf("%s: a barrier audit allocates %v times", c.name, n)
+		}
+	}
+}
+
+// BenchmarkAudit is the host cost of one audit: barrier and quiescent
+// mode on an 8-node cluster after stress traffic (whose compiler-
+// controlled frame fails the quiescent audit, so that case costs a
+// diagnostic), barrier mode on an 8-node cluster holding shallow's
+// dense epoch, and a passing quiescent audit of a 256-node radix-4 tree
+// after one.
+func BenchmarkAudit(b *testing.B) {
+	stress := drained(b, 8, false, func(h *harness) { auditTraffic(h, 8) })
+	for _, c := range []struct {
 		name      string
+		h         func() *harness
 		quiescent bool
-	}{{"barrier", false}, {"quiescent", true}} {
-		b.Run(m.name, func(b *testing.B) {
+	}{
+		{"barrier", func() *harness { return stress }, false},
+		{"quiescent", func() *harness { return stress }, true},
+		{"dense/n8", func() *harness { return drained(b, 8, false, func(h *harness) { denseTraffic(h, 8, 1) }) }, false},
+		{"quiescent/n256-tree", func() *harness { return drained(b, 256, true, func(h *harness) { denseTraffic(h, 256, 1) }) }, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := c.h()
 			b.ReportAllocs()
 			for b.Loop() {
-				h.p.audit(m.quiescent)
+				h.p.audit(c.quiescent)
 			}
 		})
 	}

@@ -170,6 +170,13 @@ type Proto struct {
 	// ckpt is the snapshot Checkpoint fills and encodes, nil until the
 	// first checkpoint: runs that take none allocate nothing for it.
 	ckpt *checkpoint.Snapshot
+
+	// union and unionPg are the coherence audit's scratch, nil until the
+	// first audit: the per-block union of every node's dirty masks, and
+	// per page whether any of its blocks' unions is nonzero. Both are
+	// zero between audits.
+	union   []uint16
+	unionPg []bool
 }
 
 // nodeProto is the per-node protocol state: the directory for blocks
