@@ -60,28 +60,21 @@ import (
 // word at any node and no readonly copy away from its home can break
 // none of 2-5. In quiescent mode one scan of the directories checks 1
 // first. The passes only tell whether something is wrong: when they
-// find anything, walk reruns the audit in page order and returns its
-// first diagnostic, so a failing audit says what it always said.
+// find anything, auditRef reruns the audit block by block and returns
+// its first diagnostic, so a failing audit says what it always said.
 //
 //simlint:hotpath
 func (p *Proto) audit(quiescent bool) error {
 	sp := p.C.Space
 	if len(p.union) != sp.NumBlocks() {
 		p.union = make([]uint16, sp.NumBlocks())
-		p.unionPg = make([]bool, sp.NumPages())
 	}
 	ok := (!quiescent || p.dirIdle()) && p.foldDirty(quiescent) && p.checkCopies(quiescent)
-	bpp := sp.Machine().PageSize / sp.BlockSize()
-	for pg, set := range p.unionPg {
-		if set {
-			clear(p.union[pg*bpp:][:bpp])
-			p.unionPg[pg] = false
-		}
-	}
+	clear(p.union)
 	if ok {
 		return nil
 	}
-	return p.walk(quiescent)
+	return p.auditRef(quiescent)
 }
 
 // dirIdle reports that no directory entry is mid-transaction.
@@ -134,7 +127,6 @@ func (p *Proto) foldDirty(quiescent bool) bool {
 				}
 				if dir == nil {
 					dir = p.nodes[homeID].dir[pg/nn*bpp:][:bpp]
-					p.unionPg[pg] = true
 				}
 				clean = false
 				if union[k]&d != 0 || homeID != i && !dir[k].writers().has(i) && (quiescent || !p.isCC(first+k)) {
@@ -223,90 +215,70 @@ func (p *Proto) isCC(b int) bool {
 	return false
 }
 
-// walk is the audit page by page over every block, reading every
-// node's tag and dirty tables in place: the audit's diagnostic, the
-// first violation in page order (nil when there is none). A block's
-// home and directory slot come from its page without a division per
-// block.
-func (p *Proto) walk(quiescent bool) error {
+// auditRef is the audit as a block-ordered walk that finds each
+// block's home and entry through HomeOfBlock and lookup, reading every
+// node's state for every block: the audit's diagnostic, the first
+// violation in block order (nil when there is none), and the reference
+// the passes must agree with.
+func (p *Proto) auditRef(quiescent bool) error {
 	sp := p.C.Space
-	nn := len(p.nodes)
+	nb := sp.NumBlocks()
 	bs := sp.BlockSize()
-	bpp := sp.Machine().PageSize / bs
-	tags := make([][]memory.Tag, nn)
-	dirty := make([][]uint16, nn)
-	flags := make([][]uint8, nn)
-	for i, np := range p.nodes {
-		tags[i], dirty[i], flags[i] = np.n.Mem.Tags(), np.n.Mem.DirtyMasks(), np.flags
-	}
-	for pg := 0; pg < sp.NumPages(); pg++ {
-		homeID := pg % nn
+	for b := 0; b < nb; b++ {
+		homeID := sp.HomeOfBlock(b)
 		home := p.nodes[homeID]
-		dir := home.dir[pg/nn*bpp:][:bpp]
-		for k := range dir {
-			b := pg*bpp + k
-			e := &dir[k]
-			if !e.idle() {
-				if quiescent {
-					return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
-						b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
+		e := home.lookup(b)
+		if e != nil && !e.idle() {
+			if quiescent {
+				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
+					b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
+			}
+			continue // mid-transaction at a barrier instant; nothing to audit
+		}
+		var writers, sharers, stale nodeset
+		if e != nil {
+			writers = e.writers()
+			sharers = e.sharers()
+			stale = e.stale()
+		}
+		cc := p.isCC(b)
+		var dirtyMask, allDirty uint16
+		for _, np := range p.nodes {
+			allDirty |= np.n.Mem.Dirty(b)
+		}
+		for i, np := range p.nodes {
+			d := np.n.Mem.Dirty(b)
+			if d != 0 {
+				if d&dirtyMask != 0 {
+					return fmt.Errorf("block %d%s: overlapping dirty words across nodes (mask %016b at node %d)", b, p.blockInfo(b), d, i)
 				}
-				continue // mid-transaction at a barrier instant; nothing to audit
+				dirtyMask |= d
+				if !writers.has(i) && homeID != i && (quiescent || !cc) {
+					return fmt.Errorf("block %d%s: node %d holds dirty words but is not a directory writer", b, p.blockInfo(b), i)
+				}
 			}
-			var allDirty uint16
-			var anyFlags uint8
-			readonly := false
-			for i := range nn {
-				allDirty |= dirty[i][b]
-				anyFlags |= flags[i][b]
-				readonly = readonly || i != homeID && tags[i][b] == memory.ReadOnly
-			}
-			if allDirty == 0 && !readonly {
+			if np.n.Mem.Tag(b) != memory.ReadOnly || homeID == i {
 				continue
 			}
-			writers, sharers, stale := e.writers(), e.sharers(), e.stale()
-			// A node moved b through a compiler-controlled transfer (opened
-			// a frame, or sent or received it via send/flush): its
-			// consistency is the Section 4.2 contract's business.
-			cc := anyFlags&(flagCCFrame|flagCCTouched) != 0
-			var dirtyMask uint16
-			for i := range nn {
-				d := dirty[i][b]
-				if d != 0 {
-					if d&dirtyMask != 0 {
-						return fmt.Errorf("block %d%s: overlapping dirty words across nodes (mask %016b at node %d)", b, p.blockInfo(b), d, i)
-					}
-					dirtyMask |= d
-					if !writers.has(i) && homeID != i && (quiescent || !cc) {
-						return fmt.Errorf("block %d%s: node %d holds dirty words but is not a directory writer", b, p.blockInfo(b), i)
-					}
+			if !writers.has(i) && !sharers.has(i) {
+				if quiescent || !cc {
+					return fmt.Errorf("block %d%s: node %d holds an untracked readonly copy", b, p.blockInfo(b), i)
 				}
-				if tags[i][b] != memory.ReadOnly || homeID == i {
-					continue
+				continue
+			}
+			// Invariant 5: data agreement of the tracked readonly copy.
+			if cc || !sharers.has(i) || stale.has(i) {
+				continue
+			}
+			hd := home.n.Mem.BlockData(b)
+			cd := np.n.Mem.BlockData(b)
+			for w := 0; w < bs/8; w++ {
+				if allDirty&(1<<uint(w)) != 0 {
+					continue // legitimately divergent: someone owns this word
 				}
-				if !writers.has(i) && !sharers.has(i) {
-					if quiescent || !cc {
-						return fmt.Errorf("block %d%s: node %d holds an untracked readonly copy", b, p.blockInfo(b), i)
-					}
-					continue
-				}
-				// Invariant 5: data agreement of the tracked readonly copy.
-				if cc || !sharers.has(i) || stale.has(i) {
-					continue
-				}
-				hd := home.n.Mem.BlockData(b)
-				cd := p.nodes[i].n.Mem.BlockData(b)
-				if bytes.Equal(hd, cd) {
-					continue // agrees on every word, owned or not
-				}
-				for w := 0; w < bs/8; w++ {
-					if allDirty&(1<<uint(w)) != 0 {
-						continue // legitimately divergent: someone owns this word
-					}
-					if !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
-						return fmt.Errorf("block %d word %d%s: node %d's readonly copy disagrees with home %d (copy %x, home %x)",
-							b, w, p.blockInfo(b), i, homeID, cd[w*8:w*8+8], hd[w*8:w*8+8])
-					}
+				if !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
+					return fmt.Errorf("block %d word %d%s: node %d's readonly copy disagrees with home %d (copy %x, home %x)",
+						b, w, p.blockInfo(b), i, homeID, cd[w*8:w*8+8], hd[w*8:w*8+8])
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,75 +45,6 @@ func TestInvariantsHoldAfterTraffic(t *testing.T) {
 	}
 }
 
-// auditRef is the audit as a block-ordered walk that finds each
-// block's home and entry through HomeOfBlock and lookup: the reference
-// the page-ordered audit must agree with, diagnostic for diagnostic.
-func (p *Proto) auditRef(quiescent bool) error {
-	sp := p.C.Space
-	nb := sp.NumBlocks()
-	bs := sp.BlockSize()
-	for b := 0; b < nb; b++ {
-		homeID := sp.HomeOfBlock(b)
-		home := p.nodes[homeID]
-		e := home.lookup(b)
-		if e != nil && !e.idle() {
-			if quiescent {
-				return fmt.Errorf("block %d%s: directory entry not quiescent (busy=%v pending=%d queued=%d)",
-					b, p.blockInfo(b), e.busy(), e.pending, len(e.waitQ))
-			}
-			continue // mid-transaction at a barrier instant; nothing to audit
-		}
-		var writers, sharers, stale nodeset
-		if e != nil {
-			writers = e.writers()
-			sharers = e.sharers()
-			stale = e.stale()
-		}
-		cc := p.isCC(b)
-		var dirtyMask, allDirty uint16
-		for _, np := range p.nodes {
-			allDirty |= np.n.Mem.Dirty(b)
-		}
-		for i, np := range p.nodes {
-			d := np.n.Mem.Dirty(b)
-			if d != 0 {
-				if d&dirtyMask != 0 {
-					return fmt.Errorf("block %d%s: overlapping dirty words across nodes (mask %016b at node %d)", b, p.blockInfo(b), d, i)
-				}
-				dirtyMask |= d
-				if !writers.has(i) && homeID != i && (quiescent || !cc) {
-					return fmt.Errorf("block %d%s: node %d holds dirty words but is not a directory writer", b, p.blockInfo(b), i)
-				}
-			}
-			if np.n.Mem.Tag(b) != memory.ReadOnly || homeID == i {
-				continue
-			}
-			if !writers.has(i) && !sharers.has(i) {
-				if quiescent || !cc {
-					return fmt.Errorf("block %d%s: node %d holds an untracked readonly copy", b, p.blockInfo(b), i)
-				}
-				continue
-			}
-			// Invariant 5: data agreement of the tracked readonly copy.
-			if cc || !sharers.has(i) || stale.has(i) {
-				continue
-			}
-			hd := home.n.Mem.BlockData(b)
-			cd := np.n.Mem.BlockData(b)
-			for w := 0; w < bs/8; w++ {
-				if allDirty&(1<<uint(w)) != 0 {
-					continue // legitimately divergent: someone owns this word
-				}
-				if !bytes.Equal(hd[w*8:w*8+8], cd[w*8:w*8+8]) {
-					return fmt.Errorf("block %d word %d%s: node %d's readonly copy disagrees with home %d (copy %x, home %x)",
-						b, w, p.blockInfo(b), i, homeID, cd[w*8:w*8+8], hd[w*8:w*8+8])
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // errText renders an audit verdict for comparison ("" for a pass).
 func errText(err error) string {
 	if err == nil {
@@ -124,7 +54,9 @@ func errText(err error) string {
 }
 
 // auditDiff returns a description of where the audit and auditRef
-// disagree, in either mode, or "" when they agree.
+// disagree, in either mode, or "" when they agree. A failing audit
+// returns auditRef's diagnostic, so what this tells is that the audit's
+// passes pass exactly when auditRef does.
 func auditDiff(p *Proto) string {
 	for _, q := range []bool{true, false} {
 		if got, want := errText(p.audit(q)), errText(p.auditRef(q)); got != want {

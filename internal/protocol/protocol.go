@@ -171,12 +171,10 @@ type Proto struct {
 	// first checkpoint: runs that take none allocate nothing for it.
 	ckpt *checkpoint.Snapshot
 
-	// union and unionPg are the coherence audit's scratch, nil until the
-	// first audit: the per-block union of every node's dirty masks, and
-	// per page whether any of its blocks' unions is nonzero. Both are
-	// zero between audits.
-	union   []uint16
-	unionPg []bool
+	// union is the coherence audit's scratch, nil until the first
+	// audit: the per-block union of every node's dirty masks, zero
+	// between audits.
+	union []uint16
 }
 
 // nodeProto is the per-node protocol state: the directory for blocks
