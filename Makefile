@@ -86,28 +86,43 @@ fmt-check:
 	fi
 
 # Statement coverage with per-package floors on the protocol-critical
-# packages (the profile is merged across all test packages, so a
-# package's floor counts coverage from anyone's tests, not just its
-# own). The floors sit well under current values; they catch a test
-# deletion or a big untested addition, not normal drift.
+# packages. Every test binary writes its counters into COVERDIR, and
+# the toolchain merges them, so a package's figure counts coverage from
+# anyone's tests, not just its own. The floors sit well under current
+# values; they catch a test deletion or a big untested addition, not
+# normal drift. cover.out is the merged profile in the text format.
+COVERDIR = $(CURDIR)/.coverdata
+COVER_FLOORS = \
+	hpfdsm/internal/trace=90 \
+	hpfdsm/internal/stats=75 \
+	hpfdsm/internal/protocol=85 \
+	hpfdsm/internal/network=85 \
+	hpfdsm/internal/profiling=75 \
+	hpfdsm/internal/simlint=80 \
+	hpfdsm/internal/analysis=80 \
+	hpfdsm/internal/compiler=86.8 \
+	hpfdsm/internal/bench=83 \
+	hpfdsm/internal/sim=90 \
+	hpfdsm/internal/tempest=90 \
+	hpfdsm/internal/runtime=90
+
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
-	$(GO) run ./cmd/covercheck -profile cover.out \
-		hpfdsm/internal/trace=90 \
-		hpfdsm/internal/stats=75 \
-		hpfdsm/internal/protocol=85 \
-		hpfdsm/internal/network=85 \
-		hpfdsm/internal/profiling=75 \
-		hpfdsm/internal/simlint=80 \
-		hpfdsm/internal/analysis=80 \
-		hpfdsm/internal/compiler=86.8 \
-		hpfdsm/internal/bench=83 \
-		hpfdsm/internal/sim=90 \
-		hpfdsm/internal/tempest=90 \
-		hpfdsm/internal/runtime=90
+	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)
+	$(GO) test -cover -coverpkg=./... ./... -args -test.gocoverdir=$(COVERDIR)
+	$(GO) tool covdata textfmt -i=$(COVERDIR) -o cover.out
+	$(GO) tool covdata percent -i=$(COVERDIR) > $(COVERDIR)/percent.txt
+	@fail=0; for f in $(COVER_FLOORS); do \
+		pkg=$${f%=*}; floor=$${f#*=}; \
+		pct=$$(awk -v p=$$pkg '$$1 == p { sub("%", "", $$3); print $$3 }' $(COVERDIR)/percent.txt); \
+		if [ -z "$$pct" ]; then echo "FAIL $$pkg: not in the coverage data"; fail=1; \
+		elif awk -v a=$$pct -v b=$$floor 'BEGIN { exit !(a < b) }'; then \
+			echo "FAIL $$pkg: coverage $$pct% below floor $$floor%"; fail=1; \
+		else echo "ok   $$pkg: $$pct% >= $$floor%"; fi; \
+	done; exit $$fail
 
 # Remove generated artifacts: coverage profiles, CPU/heap profiles,
 # runtime traces and paperbench scratch output.
 clean:
+	rm -rf .coverdata
 	rm -f cover.out trace.out paperbench_output.txt
 	rm -f *.pprof *.cpuprofile *.memprofile

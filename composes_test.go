@@ -43,6 +43,7 @@ type conf struct {
 	radix                 int  // tree radix, 0 for the default
 	mp                    bool // message-passing backend
 	block                 int  // coherence block bytes, 0 for the default
+	single                bool // single-CPU nodes: handlers steal compute cycles
 	noAgg                 bool
 	wire                  config.Faults // drops, duplicates, reordering and jitter; never crashes
 	crashes               []config.CrashSpec
@@ -68,7 +69,7 @@ func (c conf) String() string {
 
 // base is c with everything reset that must leave the data alone.
 func (c conf) base() conf {
-	c.tree, c.radix, c.noAgg, c.wire, c.crashes = false, 0, false, config.Faults{}, nil
+	c.tree, c.radix, c.noAgg, c.single, c.wire, c.crashes = false, 0, false, false, config.Faults{}, nil
 	return c.unobserved()
 }
 
@@ -92,6 +93,9 @@ func (c conf) options() (*ir.Program, runtime.Options, error) {
 	}
 	if c.noAgg {
 		mc = mc.WithoutCoalesce()
+	}
+	if c.single {
+		mc = mc.WithCPUMode(config.SingleCPU)
 	}
 	if c.zeroLatency {
 		mc.WireLatency, mc.MsgHeader = 0, 0
@@ -225,7 +229,7 @@ var relations = []relation{
 	{"R2 observers and engine", func(c conf) bool {
 		return (c.check || c.trace || c.profile || c.ckpt || c.parts > 1) && !c.wire.Active() && len(c.crashes) == 0
 	}, conf.unobserved, []string{"Data", "Timing"}},
-	{"R3 topology and aggregation", func(c conf) bool { return c.tree || c.noAgg }, conf.base, []string{"Data"}},
+	{"R3 topology, aggregation and CPUs", func(c conf) bool { return c.tree || c.noAgg || c.single }, conf.base, []string{"Data"}},
 	{"R4 faults and crashes", func(c conf) bool { return c.wire.Active() || len(c.crashes) > 0 }, conf.base, []string{"Data"}},
 }
 
@@ -476,6 +480,13 @@ var corpus = sync.OnceValue(func() map[string][]entry {
 	add("TestComposes", "tree/lossy/crash/noagg", conf{app: "jacobi", opt: rtelim, nodes: 16, tree: true, radix: 4,
 		check: true, wire: lossy, crashes: interiorLeaf, noAgg: true})
 	add("TestComposes", "pdes/clamped", conf{app: "jacobi", opt: rtelim, nodes: 1, parts: 2, check: true})
+	// Figure 3's single-CPU columns: handlers steal the compute
+	// processor's cycles, which moves time and never data.
+	for _, a := range apps.All() {
+		add("TestComposes", "single/"+a.Name, conf{app: a.Name, opt: rtelim, single: true})
+	}
+	add("TestComposes", "single/tree/lossy/crash", conf{app: "jacobi", opt: rtelim, nodes: 16, tree: true, radix: 4,
+		single: true, check: true, wire: lossy, crashes: interiorLeaf})
 	return g
 })
 
@@ -529,6 +540,7 @@ var features = []struct {
 	{"profile", func(c *conf) { c.profile = true }},
 	{"zero-latency", func(c *conf) { c.zeroLatency = true }},
 	{"block64", func(c *conf) { c.block = 64 }},
+	{"single", func(c *conf) { c.single = true }},
 }
 
 // refused is every pair of features Run refuses, with its error for

@@ -8,7 +8,6 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
-	"hpfdsm/internal/network"
 	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/runtime"
 	"hpfdsm/internal/sim"
@@ -41,7 +40,6 @@ func Fig1() string {
 // -trace-out=...` and by the golden trace tests.
 func Fig1Trace(iters int) *trace.Tracer {
 	tr := trace.New(3)
-	tr.KindName = func(k uint8) string { return protocol.MsgKindName(network.Kind(k)) }
 	fig1Default(iters, tr)
 	return tr
 }

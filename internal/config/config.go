@@ -116,11 +116,9 @@ type Faults struct {
 	Reorder float64  // probability of an additional large delay that reorders across pairs
 	Seed    uint64   // PRNG seed (seed 0 is valid and deterministic too)
 
-	// Reliable-delivery tuning; zero values select the defaults noted.
-	RetransmitTimeout sim.Time // initial per-message retransmit timeout (default 500 µs)
-	MaxBackoff        sim.Time // exponential-backoff clamp (default 4 ms)
-	AckDelay          sim.Time // ACK coalescing window (default 20 µs)
-	MaxRetries        int      // retransmissions before giving up (0 = retry forever)
+	// MaxRetries bounds the retransmissions of one message before the
+	// sender gives up (0 = retry forever).
+	MaxRetries int
 
 	// Crashes lists the crash-stop node failures to inject. Each crash
 	// silently kills one node — its compute process stops, its handlers
@@ -152,23 +150,19 @@ func (f Faults) Active() bool {
 	return f.Drop > 0 || f.Dup > 0 || f.Jitter > 0 || f.Reorder > 0 || len(f.Crashes) > 0
 }
 
-// Reliable-delivery defaults (see Faults).
-const (
-	DefaultRetransmitTimeout = 500 * sim.Microsecond
-	DefaultMaxBackoff        = 4 * sim.Millisecond
-	DefaultAckDelay          = 20 * sim.Microsecond
-	// DefaultCrashMaxRetries caps the retransmit chain when crash
-	// injection is configured but MaxRetries was left zero (retry
-	// forever): with a peer permanently gone, retransmission must
-	// escalate to probing, and the full chain (500 µs, 1, 2, 4, 4, 4 ms
-	// of backoff, then three probes) must finish inside the watchdog
-	// horizon.
-	DefaultCrashMaxRetries = 6
-)
+// DefaultCrashMaxRetries caps the retransmit chain when crash injection
+// is configured but MaxRetries was left zero (retry forever): with a
+// peer permanently gone, retransmission must escalate to probing, and
+// the full chain (500 µs, 1, 2, 4, 4, 4 ms of backoff, then three
+// probes) must finish inside the watchdog horizon.
+const DefaultCrashMaxRetries = 6
 
-// Failure-detection and recovery timings. Constants, not fields of
-// Faults: no caller or experiment varies them.
+// Reliable-delivery, failure-detection and recovery timings.
+// Constants, not fields of Faults: no caller or experiment varies them.
 const (
+	DefaultRetransmitTimeout = 500 * sim.Microsecond // initial per-message retransmit timeout
+	DefaultMaxBackoff        = 4 * sim.Millisecond   // exponential-backoff clamp
+	DefaultAckDelay          = 20 * sim.Microsecond  // ACK coalescing window
 	// DefaultWatchdogHorizon is the virtual-time span without
 	// compute-process progress after which the runtime's stall watchdog
 	// aborts the run with a diagnostic dump; it comfortably exceeds the
@@ -179,30 +173,6 @@ const (
 	DefaultBarrierTimeout  = 20 * sim.Millisecond // incomplete-barrier age that triggers membership probing
 	DefaultRecoveryDelay   = 5 * sim.Millisecond  // simulated cost of rollback + checkpoint restore
 )
-
-// EffectiveRetransmitTimeout returns RetransmitTimeout or its default.
-func (f Faults) EffectiveRetransmitTimeout() sim.Time {
-	if f.RetransmitTimeout > 0 {
-		return f.RetransmitTimeout
-	}
-	return DefaultRetransmitTimeout
-}
-
-// EffectiveMaxBackoff returns MaxBackoff or its default.
-func (f Faults) EffectiveMaxBackoff() sim.Time {
-	if f.MaxBackoff > 0 {
-		return f.MaxBackoff
-	}
-	return DefaultMaxBackoff
-}
-
-// EffectiveAckDelay returns AckDelay or its default.
-func (f Faults) EffectiveAckDelay() sim.Time {
-	if f.AckDelay > 0 {
-		return f.AckDelay
-	}
-	return DefaultAckDelay
-}
 
 // EffectiveMaxRetries returns MaxRetries, defaulting to
 // DefaultCrashMaxRetries when crash injection is configured (an
@@ -226,9 +196,6 @@ func (f Faults) Validate() error {
 	}
 	if f.Jitter < 0 {
 		return fmt.Errorf("config: negative fault jitter %d", f.Jitter)
-	}
-	if f.RetransmitTimeout < 0 || f.MaxBackoff < 0 || f.AckDelay < 0 {
-		return fmt.Errorf("config: negative reliable-delivery timing parameter")
 	}
 	if f.MaxRetries < 0 {
 		return fmt.Errorf("config: negative MaxRetries %d", f.MaxRetries)

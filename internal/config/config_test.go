@@ -149,9 +149,10 @@ func TestFromJSON(t *testing.T) {
 	if _, err := FromJSON(strings.NewReader(`{`)); err == nil {
 		t.Fatal("bad json accepted")
 	}
-	// The failure-detection constants were never set by anything and are
-	// no longer fields; the reliable-delivery knobs tests do set remain.
-	for _, k := range []string{"WatchdogHorizon", "ProbeTimeout", "MaxProbes", "BarrierTimeout", "RecoveryDelay"} {
+	// The reliable-delivery and failure-detection timings were set by
+	// nothing but tests and are no longer fields.
+	for _, k := range []string{"RetransmitTimeout", "MaxBackoff", "AckDelay",
+		"WatchdogHorizon", "ProbeTimeout", "MaxProbes", "BarrierTimeout", "RecoveryDelay"} {
 		if _, err := FromJSON(strings.NewReader(`{"Faults": {"` + k + `": 1}}`)); err == nil {
 			t.Errorf("machine JSON naming Faults.%s accepted", k)
 		}
@@ -160,8 +161,8 @@ func TestFromJSON(t *testing.T) {
 	if _, err := FromJSON(strings.NewReader(`{"AggDelay": 50000}`)); err == nil {
 		t.Error("machine JSON naming AggDelay accepted")
 	}
-	if _, err := FromJSON(strings.NewReader(`{"Faults": {"MaxRetries": 2, "AckDelay": 5}}`)); err != nil {
-		t.Errorf("kept reliable-delivery knobs refused: %v", err)
+	if _, err := FromJSON(strings.NewReader(`{"Faults": {"MaxRetries": 2}}`)); err != nil {
+		t.Errorf("kept reliable-delivery knob refused: %v", err)
 	}
 }
 

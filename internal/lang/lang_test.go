@@ -302,22 +302,25 @@ func TestArrayByteCeiling(t *testing.T) {
 	}
 }
 
+// parseErrors are invalid sources whose errors carry a line (all but
+// "bad char").
+var parseErrors = map[string]string{
+	"no program":           "PARAM n = 4\nEND\n",
+	"unknown statement":    "PROGRAM p\nFROB x\nEND\n",
+	"undeclared array":     "PROGRAM p\nDISTRIBUTE a(BLOCK)\nEND\n",
+	"bad distribute rank":  "PROGRAM p\nPARAM n = 4\nREAL a(n)\nDISTRIBUTE a(*, BLOCK)\nEND\n",
+	"distribute inner dim": "PROGRAM p\nPARAM n = 4\nREAL a(n, n)\nDISTRIBUTE a(BLOCK, *)\nEND\n",
+	"subscript rank":       "PROGRAM p\nPARAM n = 4\nREAL a(n, n)\nFORALL (i = 1:n)\n a(i) = 0\nEND FORALL\nEND\n",
+	"unknown ident":        "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = zz\nEND FORALL\nEND\n",
+	"missing end":          "PROGRAM p\nPARAM n = 4\n",
+	"array in LET":         "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nLET s = a(1)\nEND\n",
+	"shadowed index":       "PROGRAM p\nPARAM n = 4\nREAL a(n)\nDO i = 1, 2\nFORALL (i = 1:n)\n a(i) = 0\nEND FORALL\nEND DO\nEND\n",
+	"nonconst extent":      "PROGRAM p\nREAL a(m)\nEND\n",
+	"bad char":             "PROGRAM p\nPARAM n = 4 @\nEND\n",
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"no program":           "PARAM n = 4\nEND\n",
-		"unknown statement":    "PROGRAM p\nFROB x\nEND\n",
-		"undeclared array":     "PROGRAM p\nDISTRIBUTE a(BLOCK)\nEND\n",
-		"bad distribute rank":  "PROGRAM p\nPARAM n = 4\nREAL a(n)\nDISTRIBUTE a(*, BLOCK)\nEND\n",
-		"distribute inner dim": "PROGRAM p\nPARAM n = 4\nREAL a(n, n)\nDISTRIBUTE a(BLOCK, *)\nEND\n",
-		"subscript rank":       "PROGRAM p\nPARAM n = 4\nREAL a(n, n)\nFORALL (i = 1:n)\n a(i) = 0\nEND FORALL\nEND\n",
-		"unknown ident":        "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = zz\nEND FORALL\nEND\n",
-		"missing end":          "PROGRAM p\nPARAM n = 4\n",
-		"array in LET":         "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nLET s = a(1)\nEND\n",
-		"shadowed index":       "PROGRAM p\nPARAM n = 4\nREAL a(n)\nDO i = 1, 2\nFORALL (i = 1:n)\n a(i) = 0\nEND FORALL\nEND DO\nEND\n",
-		"nonconst extent":      "PROGRAM p\nREAL a(m)\nEND\n",
-		"bad char":             "PROGRAM p\nPARAM n = 4 @\nEND\n",
-	}
-	for name, src := range cases {
+	for name, src := range parseErrors {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Parse(src); err == nil {
 				t.Errorf("accepted invalid program")
@@ -357,24 +360,26 @@ func TestLexerComments(t *testing.T) {
 	}
 }
 
+// moreParseErrors are further invalid sources.
+var moreParseErrors = map[string]string{
+	"bad reduce op":      "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nREDUCE (PROD, s, i = 1:n) a(i)\nEND\n",
+	"reduce no scalar":   "PROGRAM p\nPARAM n = 4\nREAL a(n)\nREDUCE (SUM, s, i = 1:n) a(i)\nEND\n",
+	"reduce no index":    "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nREDUCE (SUM, s) a(1)\nEND\n",
+	"let no scalar":      "PROGRAM p\nLET x = 1\nEND\n",
+	"exitif no cmp":      "PROGRAM p\nSCALAR s\nEXITIF s + 1\nEND\n",
+	"exitif array":       "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nEXITIF a(1) < s\nEND\n",
+	"bad step":           "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n:0)\n a(i) = 0\nEND FORALL\nEND\n",
+	"negative extent":    "PROGRAM p\nPARAM n = -4\nREAL a(n)\nEND\n",
+	"empty forall":       "PROGRAM p\nPARAM n = 4\nFORALL (i = 1:n)\nEND FORALL\nEND\n",
+	"intrinsic arity":    "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = SQRT(1, 2)\nEND FORALL\nEND\n",
+	"redeclared array":   "PROGRAM p\nPARAM n = 4\nREAL a(n)\nREAL a(n)\nEND\n",
+	"inner shadows":      "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = SUM(i = 1:n, a(i))\nEND FORALL\nEND\n",
+	"on home undeclared": "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n) ON b(i)\n a(i) = 0\nEND FORALL\nEND\n",
+	"unexpected eof":     "PROGRAM p\nDO t = 1, 3\n",
+}
+
 func TestMoreParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad reduce op":      "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nREDUCE (PROD, s, i = 1:n) a(i)\nEND\n",
-		"reduce no scalar":   "PROGRAM p\nPARAM n = 4\nREAL a(n)\nREDUCE (SUM, s, i = 1:n) a(i)\nEND\n",
-		"reduce no index":    "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nREDUCE (SUM, s) a(1)\nEND\n",
-		"let no scalar":      "PROGRAM p\nLET x = 1\nEND\n",
-		"exitif no cmp":      "PROGRAM p\nSCALAR s\nEXITIF s + 1\nEND\n",
-		"exitif array":       "PROGRAM p\nPARAM n = 4\nREAL a(n)\nSCALAR s\nEXITIF a(1) < s\nEND\n",
-		"bad step":           "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n:0)\n a(i) = 0\nEND FORALL\nEND\n",
-		"negative extent":    "PROGRAM p\nPARAM n = -4\nREAL a(n)\nEND\n",
-		"empty forall":       "PROGRAM p\nPARAM n = 4\nFORALL (i = 1:n)\nEND FORALL\nEND\n",
-		"intrinsic arity":    "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = SQRT(1, 2)\nEND FORALL\nEND\n",
-		"redeclared array":   "PROGRAM p\nPARAM n = 4\nREAL a(n)\nREAL a(n)\nEND\n",
-		"inner shadows":      "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n)\n a(i) = SUM(i = 1:n, a(i))\nEND FORALL\nEND\n",
-		"on home undeclared": "PROGRAM p\nPARAM n = 4\nREAL a(n)\nFORALL (i = 1:n) ON b(i)\n a(i) = 0\nEND FORALL\nEND\n",
-		"unexpected eof":     "PROGRAM p\nDO t = 1, 3\n",
-	}
-	for name, src := range cases {
+	for name, src := range moreParseErrors {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Parse(src); err == nil {
 				t.Error("invalid program accepted")

@@ -130,14 +130,16 @@ END
 	}
 }
 
+// subErrors are invalid uses of SUB and CALL.
+var subErrors = map[string]string{
+	"call before define": "PROGRAM p\nCALL foo\nEND\n",
+	"redefined":          "PROGRAM p\nSUB f\nEND SUB\nSUB f\nEND SUB\nEND\n",
+	"nested":             "PROGRAM p\nSUB f\nSUB g\nEND SUB\nEND SUB\nEND\n",
+	"unclosed":           "PROGRAM p\nSUB f\n",
+}
+
 func TestSubroutineErrors(t *testing.T) {
-	cases := map[string]string{
-		"call before define": "PROGRAM p\nCALL foo\nEND\n",
-		"redefined":          "PROGRAM p\nSUB f\nEND SUB\nSUB f\nEND SUB\nEND\n",
-		"nested":             "PROGRAM p\nSUB f\nSUB g\nEND SUB\nEND SUB\nEND\n",
-		"unclosed":           "PROGRAM p\nSUB f\n",
-	}
-	for name, src := range cases {
+	for name, src := range subErrors {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Parse(src); err == nil {
 				t.Error("invalid program accepted")

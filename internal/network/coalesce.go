@@ -228,7 +228,7 @@ func (c *Coalescer) Occupancy() (segs, bytes int) {
 // segment and permanently disables the scheduler, so a node that dies
 // inside an open batch window can neither compose a posthumous carrier
 // when the armed drain timer fires nor strand segments in a buffer
-// that looks live. (A graceful quiesce — barrier entry or NICDrain —
+// that looks live. (A graceful quiesce — WaitPending at barrier entry —
 // flushes instead; see FlushAll.)
 func (c *Coalescer) Teardown() {
 	for d := range c.bufs {

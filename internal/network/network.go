@@ -19,6 +19,35 @@ import (
 // layer. The network treats them opaquely.
 type Kind uint8
 
+// kindNames holds each kind's span name, filled at package
+// initialisation by the packages that declare kinds (NameKinds).
+var kindNames [256]string
+
+// NameKinds records the names of the kinds one package declares:
+// names[k] names kind k, and an empty entry leaves k unnamed. Each
+// package calls it once at initialisation, beside its const block; a
+// kind named twice panics.
+func NameKinds(names []string) {
+	for k, name := range names {
+		if name == "" {
+			continue
+		}
+		if kindNames[k] != "" {
+			panic(fmt.Sprintf("network: kind %d named twice: %q and %q", k, kindNames[k], name))
+		}
+		kindNames[k] = name
+	}
+}
+
+// KindName renders a message kind for trace span names: the name its
+// package gave it, or kind<k> when none did.
+func KindName(k Kind) string {
+	if name := kindNames[k]; name != "" {
+		return name
+	}
+	return fmt.Sprintf("kind%d", k)
+}
+
 // Message is one network message. Addr/Arg fields carry protocol
 // metadata; Data carries block payloads. Size is the payload size in
 // bytes used for timing and byte accounting (header accounted
@@ -431,7 +460,7 @@ func (n *Network) Send(m *Message) {
 // with the tracer installed.
 func (n *Network) traceTx(m *Message, start, end sim.Time, retx bool) {
 	t := n.tr
-	name := t.MsgName(uint8(m.Kind))
+	name := KindName(m.Kind)
 	args := []trace.Arg{trace.Int("dst", m.Dst), trace.Int("bytes", n.mc.MsgHeader+m.Size)}
 	if m.Seq != 0 {
 		args = append(args, trace.I64("seq", m.Seq))

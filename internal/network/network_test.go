@@ -136,6 +136,25 @@ func TestBadEndpointPanics(t *testing.T) {
 	net.Send(&Message{Src: 0, Dst: 5})
 }
 
+func TestKindNameFallbackAndTwiceNamed(t *testing.T) {
+	if got := KindName(KindAck); got != "ack" {
+		t.Fatalf("KindName(KindAck) = %q, want ack", got)
+	}
+	// No package names kind 150: the name falls back to its number.
+	if got := KindName(150); got != "kind150" {
+		t.Fatalf("fallback kind name %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("naming an already named kind did not panic")
+		}
+		if got := KindName(KindProbe); got != "probe" {
+			t.Fatalf("the refused name replaced the first: %q", got)
+		}
+	}()
+	NameKinds([]string{KindProbe: "again"})
+}
+
 func TestRoundTripMatchesTable1(t *testing.T) {
 	// A 4-byte request and 4-byte reply, including send/recv software
 	// overheads, should round-trip in ~40 µs (Table 1).

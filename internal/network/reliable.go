@@ -11,9 +11,9 @@
 //   - the receiver delivers in sequence order, buffering out-of-order
 //     arrivals and discarding duplicates (idempotent receive);
 //   - the receiver acknowledges cumulatively, coalescing ACKs that
-//     arrive within an AckDelay window;
+//     arrive within an ACK delay window (config.DefaultAckDelay);
 //   - the sender retransmits unacknowledged messages on a per-message
-//     timer with exponential backoff (clamped at MaxBackoff).
+//     timer with exponential backoff (clamped at config.DefaultMaxBackoff).
 //
 // The layer is modeled as NIC firmware: ACKs and retransmissions
 // occupy the wire (link serialization and latency, counted in the
@@ -67,6 +67,10 @@ const (
 	KindProbe    Kind = 254
 	KindProbeAck Kind = 253
 )
+
+func init() {
+	NameKinds([]string{KindAck: "ack", KindProbe: "probe", KindProbeAck: "probe_ack"})
+}
 
 // ackSize is the payload size of an acknowledgement (the cumulative
 // sequence number); probeSize that of a liveness probe.
@@ -258,7 +262,7 @@ func (r *reliable) send(m *Message) {
 	c := r.channel(m.Src, m.Dst)
 	c.nextSeq++
 	m.Seq = c.nextSeq
-	c.out = append(c.out, outstanding{m: m, rto: r.f.EffectiveRetransmitTimeout()})
+	c.out = append(c.out, outstanding{m: m, rto: config.DefaultRetransmitTimeout})
 	arrive := r.transmit(m, false)
 	r.armTimer(c, m.Seq, arrive)
 }
@@ -399,14 +403,14 @@ func (r *reliable) arrive(m *Message) {
 }
 
 // scheduleAck coalesces acknowledgements: the first arrival in a window
-// schedules one cumulative ACK AckDelay later; arrivals inside the
-// window ride along for free.
+// schedules one cumulative ACK config.DefaultAckDelay later; arrivals
+// inside the window ride along for free.
 func (r *reliable) scheduleAck(c *relChan) {
 	if c.ackPending {
 		return
 	}
 	c.ackPending = true
-	r.env.After(r.f.EffectiveAckDelay(), c.ack)
+	r.env.After(config.DefaultAckDelay, c.ack)
 }
 
 // sendAck closes c's ACK window: one cumulative acknowledgement of
@@ -483,10 +487,7 @@ func (r *reliable) timeout(c *relChan, seq int64) {
 	}
 	o.retries++
 	sst.Retransmits++
-	o.rto *= 2
-	if mb := r.f.EffectiveMaxBackoff(); o.rto > mb {
-		o.rto = mb
-	}
+	o.rto = min(2*o.rto, config.DefaultMaxBackoff)
 	arrive := r.transmit(o.m, true)
 	r.armTimer(c, seq, arrive)
 }
@@ -520,10 +521,7 @@ func (r *reliable) probe(c *relChan, gen int64) {
 	r.n.st.Nodes[c.src].ProbesSent++
 	r.sendCtrl(c.src, c.dst, KindProbe, 0, probeSize)
 	rto := c.probeRTO
-	c.probeRTO *= 2
-	if mb := r.f.EffectiveMaxBackoff(); c.probeRTO > mb {
-		c.probeRTO = mb
-	}
+	c.probeRTO = min(2*c.probeRTO, config.DefaultMaxBackoff)
 	r.env.After(rto, func() { r.probe(c, gen) })
 }
 
@@ -555,7 +553,7 @@ func (r *reliable) handleProbeAck(m *Message) {
 		}
 		o.suspended = false
 		o.retries = 0
-		o.rto = r.f.EffectiveRetransmitTimeout()
+		o.rto = config.DefaultRetransmitTimeout
 		sst.Retransmits++
 		arrive := r.transmit(o.m, true)
 		r.armTimer(c, o.m.Seq, arrive)

@@ -83,8 +83,6 @@ func TestRetransmitTimeoutFiresOncePerWindow(t *testing.T) {
 	// clamp.
 	f := config.Faults{
 		Drop: 0.000001, Seed: 1, // activate the layer; effectively lossless
-		RetransmitTimeout: 100 * sim.Microsecond,
-		MaxBackoff:        800 * sim.Microsecond,
 	}
 	env, n, st, _ := faultNet(t, f)
 	n.Blackhole(0, 1)
@@ -92,13 +90,13 @@ func TestRetransmitTimeoutFiresOncePerWindow(t *testing.T) {
 
 	// Each timer is anchored at its transmission's nominal arrival (one
 	// hop = serialization + wire latency past the moment it got onto the
-	// wire), then fires after the current RTO: 100, 200, 400, then 800us
+	// wire), then fires after the current RTO: 500us, 1, 2, then 4ms
 	// clamped. Probe just before and just after each deadline: the timer
 	// must fire exactly once per backoff window, doubling up to the
 	// clamp.
 	mc := config.Default()
 	hop := sim.Time(mc.MsgHeader+16)*mc.NsPerByte + mc.WireLatency
-	rto := f.RetransmitTimeout
+	rto := config.DefaultRetransmitTimeout
 	deadline := sim.Time(0)
 	for i := 0; i < 5; i++ {
 		deadline += hop + rto
@@ -110,18 +108,14 @@ func TestRetransmitTimeoutFiresOncePerWindow(t *testing.T) {
 		if got := st.TotalRetransmits(); got != int64(i+1) {
 			t.Fatalf("at t=%dns: %d retransmits, want %d (backoff must double and fire once per window)", deadline+1, got, i+1)
 		}
-		rto *= 2
-		if rto > f.MaxBackoff {
-			rto = f.MaxBackoff
-		}
+		rto = min(2*rto, config.DefaultMaxBackoff)
 	}
 }
 
 func TestRetransmitGivesUpAfterMaxRetries(t *testing.T) {
 	f := config.Faults{
 		Drop: 0.000001, Seed: 1,
-		RetransmitTimeout: 50 * sim.Microsecond,
-		MaxRetries:        3,
+		MaxRetries: 3,
 	}
 	env, n, st, _ := faultNet(t, f)
 	n.Blackhole(0, 1)
@@ -141,11 +135,10 @@ func TestRetransmitGivesUpAfterMaxRetries(t *testing.T) {
 }
 
 func TestAckCoalescing(t *testing.T) {
-	// A burst of messages arriving within one AckDelay window must be
+	// A burst of messages arriving within one ACK delay window must be
 	// covered by far fewer cumulative ACKs than messages.
 	f := config.Faults{
 		Jitter: 1, Seed: 2, // activate with negligible perturbation
-		AckDelay: 40 * sim.Microsecond,
 	}
 	env, n, st, got := faultNet(t, f)
 	const N = 50

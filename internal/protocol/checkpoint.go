@@ -40,7 +40,7 @@ func (p *Proto) Quiescent() bool {
 		if np.ccRecv.Value() != np.ccExpected {
 			return false
 		}
-		if np.coal != nil && np.coal.PendingAny() {
+		if co := np.n.Net.CoalescerOf(np.id); co != nil && co.PendingAny() {
 			return false
 		}
 		if len(np.relay) != 0 {

@@ -181,7 +181,7 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 				flushWriter(w, true)
 			}
 		}
-		if tree := np.p.tree; tree != nil {
+		if tree := np.p.C.Tree; tree != nil {
 			need += np.invalSharersTree(e, r.src, r.block, invalSharer)
 		} else {
 			for s := e.sharers().next(0); s >= 0; s = e.sharers().next(s + 1) {

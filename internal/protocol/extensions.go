@@ -188,21 +188,21 @@ func (a *mkwAgg) blockDone(np *nodeProto) {
 		return
 	}
 	bs := mem.Space().BlockSize()
-	if np.coal != nil {
+	if co := np.n.Net.CoalescerOf(np.id); co != nil {
 		// Piggyback the whole response — bulk data for absent blocks
 		// plus the upgrade acknowledgement — on one carrier: the
 		// requester's mk_writable completes on a single handler
 		// dispatch regardless of how many runs the request covered.
 		for _, dr := range a.dataRuns {
 			np.occupy(sim.Time(dr.N) * mc.BulkPerBlock)
-			np.coal.Append(a.src, KMkWritableData, dr.Start*bs, int64(dr.N), 0,
+			co.Append(a.src, KMkWritableData, dr.Start*bs, int64(dr.N), 0,
 				mem.Bytes(dr.Start*bs, dr.N*bs), false)
 		}
 		if a.upgraded > 0 {
 			np.occupy(mc.TagChange)
-			np.coal.Append(a.src, KMkWritableAck, 0, int64(a.upgraded), 0, nil, false)
+			co.Append(a.src, KMkWritableAck, 0, int64(a.upgraded), 0, nil, false)
 		}
-		np.coal.FlushDst(a.src)
+		co.FlushDst(a.src)
 		return
 	}
 	maxBlocks := mc.MaxPayload / bs
@@ -458,7 +458,8 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 	if dst == np.id {
 		panic("protocol: compiler-directed send to self")
 	}
-	if mode == SendAggregate && np.coal == nil {
+	co := n.Net.CoalescerOf(np.id)
+	if mode == SendAggregate && co == nil {
 		mode = SendBulk
 	}
 	maxBlocks := mc.MaxPayload / bs
@@ -487,7 +488,7 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 			// charges the compute thread; send overhead is paid once per
 			// carrier at drain time, overlapping later compute.
 			p.Sleep(sim.Time(r.N) * mc.BulkPerBlock)
-			np.coal.Append(dst, kind, r.Start*bs, int64(r.N), 0, mem.Bytes(r.Start*bs, r.N*bs), false)
+			co.Append(dst, kind, r.Start*bs, int64(r.N), 0, mem.Bytes(r.Start*bs, r.N*bs), false)
 			continue
 		}
 		for off := 0; off < r.N; off += maxBlocks {
@@ -611,8 +612,8 @@ func (x *Ext) ReadyToRecv(p *sim.Proc) {
 	t0 := x.begin(p)
 	defer x.end(p, t0)
 	p.Sleep(np.n.MC.TagChange)
-	if np.coal != nil {
-		np.coal.FlushAll()
+	if co := np.n.Net.CoalescerOf(np.id); co != nil {
+		co.FlushAll()
 	}
 	np.ccRecv.WaitFor(p, np.ccExpected)
 }
@@ -624,11 +625,12 @@ func (x *Ext) ReadyToRecv(p *sim.Proc) {
 // aggregation is off or nothing is pending.
 func (x *Ext) DrainAggregated(p *sim.Proc) {
 	np := x.np
-	if np.coal == nil || !np.coal.PendingAny() {
+	co := np.n.Net.CoalescerOf(np.id)
+	if co == nil || !co.PendingAny() {
 		return
 	}
 	t0 := x.begin(p)
 	defer x.end(p, t0)
 	p.Sleep(np.n.MC.TagChange)
-	np.coal.FlushAll()
+	co.FlushAll()
 }

@@ -101,7 +101,6 @@ func TestPermanentLossTripsWatchdogWithDump(t *testing.T) {
 	// blocked process, the stuck transaction, and the channel state.
 	h := newFaultHarness(t, 2, 2, config.Faults{
 		Drop: 0.000001, Seed: 1,
-		RetransmitTimeout: 50 * sim.Microsecond,
 	})
 	h.c.Env.SetWatchdog(5*sim.Millisecond, h.watchdogDump)
 	h.c.Net.Blackhole(0, 1)
@@ -126,8 +125,7 @@ func TestGiveUpEndsInDeadlockWithDump(t *testing.T) {
 	// detection, which must carry the same diagnostic dump.
 	h := newFaultHarness(t, 2, 2, config.Faults{
 		Drop: 0.000001, Seed: 1,
-		RetransmitTimeout: 50 * sim.Microsecond,
-		MaxRetries:        2,
+		MaxRetries: 2,
 	})
 	h.c.Env.SetWatchdog(time24h, h.watchdogDump) // far horizon: never fires
 	h.c.Net.Blackhole(0, 1)

@@ -60,7 +60,7 @@ type relayState struct {
 // round per multi-sharer cluster. It returns the number of relayed
 // sharers, which the caller adds to the entry's pending count.
 func (np *nodeProto) invalSharersTree(e *dirEntry, src, b int, invalOne func(s int)) int {
-	tr := np.p.tree
+	tr := np.p.C.Tree
 	if np.clusterMask == nil {
 		np.clusterMask = make([]uint64, tr.Clusters())
 	}
@@ -121,7 +121,7 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 		np.deferMsg(m, np.hInvalTree)
 		return
 	}
-	tr := np.p.tree
+	tr := np.p.C.Tree
 	mc := np.n.MC
 	np.occupy(mc.HandlerCost)
 	leaves := uint64(m.Arg)
@@ -189,7 +189,7 @@ func (np *nodeProto) hInvalAckFwd(hc *tempest.HContext, m *network.Message) {
 	rs := &np.relay[i]
 	np.occupy(np.n.MC.HandlerCost)
 	if m.Arg == 0 {
-		rs.clean |= 1 << uint(np.p.tree.LeafOf(m.Src))
+		rs.clean |= 1 << uint(np.p.C.Tree.LeafOf(m.Src))
 	}
 	rs.got++
 	np.maybeCloseRelay(i)
@@ -223,7 +223,8 @@ func (np *nodeProto) hInvalAckTree(hc *tempest.HContext, m *network.Message) {
 	}
 	b := m.Addr
 	e := np.collecting(b)
-	base := np.p.tree.ClusterBase(np.p.tree.ClusterOf(m.Src))
+	tr := np.p.C.Tree
+	base := tr.ClusterBase(tr.ClusterOf(m.Src))
 	for leaves := uint64(m.Arg); leaves != 0; leaves &= leaves - 1 {
 		e.forget(base + mbits.TrailingZeros64(leaves))
 	}

@@ -6,7 +6,6 @@ import (
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
-	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 	"hpfdsm/internal/trace"
@@ -136,8 +135,7 @@ func TestTreeInvalRelayCrashMidRoundDiagnosed(t *testing.T) {
 	// diagnostic naming the stuck transaction — never hang silently.
 	h := newTreeHarness(t, 16, 2, &config.Faults{
 		Drop: 1e-9, Seed: 7,
-		RetransmitTimeout: 50 * sim.Microsecond,
-		MaxRetries:        3,
+		MaxRetries: 3,
 	})
 	h.c.Env.SetWatchdog(50*sim.Millisecond, h.watchdogDump)
 	var detected int
@@ -194,7 +192,6 @@ func TestTreeInvalAllDirtyRelayRound(t *testing.T) {
 	h := newTreeHarness(t, 16, 8, nil)
 	h.c.BarrierCheck = h.p.CheckAtBarrier
 	tr := trace.New(16)
-	tr.KindName = func(k uint8) string { return MsgKindName(network.Kind(k)) }
 	h.c.SetTracer(tr)
 	addr := h.addrOnPage(0, 0)
 	const storeAt = 2 * sim.Millisecond

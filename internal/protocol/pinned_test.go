@@ -8,7 +8,6 @@ import (
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
-	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 	"hpfdsm/internal/trace"
@@ -90,7 +89,6 @@ func runPinRound(t *testing.T, row pinRound) string {
 	}
 	h.c.BarrierCheck = h.p.CheckAtBarrier
 	tr := trace.New(row.nodes)
-	tr.KindName = func(k uint8) string { return MsgKindName(network.Kind(k)) }
 	h.c.SetTracer(tr)
 
 	const blocks = 2

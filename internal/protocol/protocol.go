@@ -31,7 +31,6 @@ import (
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
-	"hpfdsm/internal/topo"
 	"hpfdsm/internal/trace"
 )
 
@@ -72,92 +71,38 @@ const (
 	KInvalAckTree
 )
 
-const ctrlSize = 8 // payload bytes of a control message
-
-// MsgKindName renders a message kind as a stable human-readable name
-// for traces and diagnostics. It covers the default protocol, the
-// compiler-directed extensions, the tempest synchronization kinds, and
-// the reliable-delivery acknowledgement.
-func MsgKindName(k network.Kind) string {
-	switch k {
-	case KReadReq:
-		return "read_req"
-	case KReadResp:
-		return "read_resp"
-	case KWriteReq:
-		return "write_req"
-	case KWriteResp:
-		return "write_resp"
-	case KUpgradeReq:
-		return "upgrade_req"
-	case KWriteGrant:
-		return "write_grant"
-	case KPutDataReq:
-		return "put_data_req"
-	case KPutDataResp:
-		return "put_data_resp"
-	case KInval:
-		return "inval"
-	case KInvalAck:
-		return "inval_ack"
-	case KMkWritableReq:
-		return "mk_writable_req"
-	case KMkWritableData:
-		return "mk_writable_data"
-	case KMkWritableAck:
-		return "mk_writable_ack"
-	case KCCData:
-		return "cc_data"
-	case KCCFlush:
-		return "cc_flush"
-	case KCCFlushDir:
-		return "cc_flush_dir"
-	case KCoalesced:
-		return "coalesced"
-	case KInvalTree:
-		return "inval_tree"
-	case KInvalFwd:
-		return "inval_fwd"
-	case KInvalAckFwd:
-		return "inval_ack_fwd"
-	case KInvalAckTree:
-		return "inval_ack_tree"
-	case tempest.KindBarrierArrive:
-		return "barrier_arrive"
-	case tempest.KindBarrierRelease:
-		return "barrier_release"
-	case tempest.KindReduceContrib:
-		return "reduce_contrib"
-	case tempest.KindReduceResult:
-		return "reduce_result"
-	case tempest.KindTreeBarrierUp:
-		return "tree_barrier_up"
-	case tempest.KindTreeBarrierDown:
-		return "tree_barrier_down"
-	case tempest.KindTreeReduceUp:
-		return "tree_reduce_up"
-	case tempest.KindTreeReduceDown:
-		return "tree_reduce_down"
-	case network.KindAck:
-		return "ack"
-	case network.KindProbe:
-		return "probe"
-	case network.KindProbeAck:
-		return "probe_ack"
-	}
-	return fmt.Sprintf("kind%d", k)
+func init() {
+	network.NameKinds([]string{
+		KReadReq:        "read_req",
+		KReadResp:       "read_resp",
+		KWriteReq:       "write_req",
+		KWriteResp:      "write_resp",
+		KUpgradeReq:     "upgrade_req",
+		KWriteGrant:     "write_grant",
+		KPutDataReq:     "put_data_req",
+		KPutDataResp:    "put_data_resp",
+		KInval:          "inval",
+		KInvalAck:       "inval_ack",
+		KMkWritableReq:  "mk_writable_req",
+		KMkWritableData: "mk_writable_data",
+		KMkWritableAck:  "mk_writable_ack",
+		KCCData:         "cc_data",
+		KCCFlush:        "cc_flush",
+		KCCFlushDir:     "cc_flush_dir",
+		KCoalesced:      "coalesced",
+		KInvalTree:      "inval_tree",
+		KInvalFwd:       "inval_fwd",
+		KInvalAckFwd:    "inval_ack_fwd",
+		KInvalAckTree:   "inval_ack_tree",
+	})
 }
+
+const ctrlSize = 8 // payload bytes of a control message
 
 // Proto is the coherence protocol instance for one cluster.
 type Proto struct {
 	C     *tempest.Cluster
 	nodes []*nodeProto
-
-	// tree is the cluster's combining-tree shape under the tree
-	// topology, nil under the paper's flat topology. When set, the
-	// homes route sharer invalidations through per-cluster relays
-	// (multicast.go) instead of unicasting every sharer.
-	tree *topo.Tree
 
 	// BlockInfo, when set, renders schedule provenance for a block
 	// number (which array it belongs to and which compiler-emitted call
@@ -217,14 +162,6 @@ type nodeProto struct {
 	mkwCount   *sim.Counter // blocks confirmed for the current mk_writable
 	iwDone     []BlockRun   // ranges implicit_writable has processed (first-time-only), by (Start, N)
 
-	// coal is this node's NIC-level coalescing scheduler, nil unless
-	// aggregation is enabled (EnableAggregation). When set,
-	// latency-tolerant traffic — tagged data under SendAggregate,
-	// flush-directory updates, mk_writable data+ack responses, and the
-	// eager-release-consistency upgrade/invalidation legs — travels as
-	// segments of per-destination carrier messages.
-	coal *network.Coalescer
-
 	// Scratch classification buffers reused across protocol calls, so
 	// the per-call per-home grouping in MkWritable / FlushBlocks
 	// allocates nothing in steady state.
@@ -275,10 +212,6 @@ func (np *nodeProto) lookup(b int) *dirEntry {
 // shared memory.
 func Attach(c *tempest.Cluster) *Proto {
 	p := &Proto{C: c}
-	if c.MC.Topology == config.TreeTopo {
-		t := topo.MustNew(c.MC.Nodes, c.MC.EffectiveRadix())
-		p.tree = &t
-	}
 	for _, n := range c.Nodes {
 		homed := c.Space.NumHomed(n.ID)
 		np := &nodeProto{
@@ -316,23 +249,24 @@ func Attach(c *tempest.Cluster) *Proto {
 	return p
 }
 
-// EnableAggregation installs the NIC-level coalescing scheduler on
-// every node: same-destination latency-tolerant protocol traffic is
-// gathered into vectored carrier messages that drain on phase
-// boundaries, synchronization entries, ordering chokepoints, and (for
-// protocol-engine traffic) a short timer. Call before the simulation
-// starts, and only under release consistency — the sequentially
-// consistent model's blocking stores gain nothing from buffering and
-// its scHold deferrals assume standalone delivery.
+// EnableAggregation attaches a NIC-level coalescing scheduler to every
+// node's network interface: same-destination latency-tolerant protocol
+// traffic — tagged data under SendAggregate, flush-directory updates,
+// mk_writable data+ack responses, and the eager-release-consistency
+// upgrade/invalidation legs — is gathered into vectored carrier
+// messages that drain on phase boundaries, synchronization entries,
+// ordering chokepoints, and (for protocol-engine traffic) a short
+// timer. The network owns the schedulers; every layer reaches a node's
+// through Network.CoalescerOf. Call before the simulation starts, and
+// only under release consistency — the sequentially consistent model's
+// blocking stores gain nothing from buffering and its scHold deferrals
+// assume standalone delivery.
 func (p *Proto) EnableAggregation(delay sim.Time) {
 	if p.C.MC.Consistency != config.ReleaseConsistent {
 		panic("protocol: message aggregation requires the release-consistent model")
 	}
 	for _, np := range p.nodes {
-		np.coal = p.C.Net.AttachCoalescer(np.id, KCoalesced, ctrlSize, delay, np.n.SendFromProto)
-		np.n.NICDrain = np.coal.FlushAll
-		np.n.NICBurst = np.coal.Burst
-		np.n.NICFlushTo = np.coal.FlushDst
+		p.C.Net.AttachCoalescer(np.id, KCoalesced, ctrlSize, delay, np.n.SendFromProto)
 	}
 }
 
@@ -355,7 +289,7 @@ func (np *nodeProto) hCoalesced(hc *tempest.HContext, m *network.Message) {
 			// terminated at handler invoke; one instant per contained
 			// segment shows every run the transmission carried.
 			now := np.n.Env.Now()
-			t.Instant(np.id, trace.LaneProto, "seg:"+MsgKindName(kind), "seg", now,
+			t.Instant(np.id, trace.LaneProto, "seg:"+network.KindName(kind), "seg", now,
 				trace.Int("src", m.Src), trace.Int("addr", addr), trace.Int("bytes", sm.Size))
 		}
 		np.dispatchSeg(hc, &sm)
@@ -459,14 +393,14 @@ func (np *nodeProto) sendBlock(dst int, kind network.Kind, b int, arg, arg2 int6
 // timer bounds the added delay — a request burst that arrived in one
 // carrier answers in one carrier. Otherwise it is a message of its own.
 func (np *nodeProto) post(dst int, kind network.Kind, b int, withData bool) {
-	switch {
-	case np.coal != nil:
+	switch co := np.n.Net.CoalescerOf(np.id); {
+	case co != nil:
 		var payload []byte
 		if withData {
 			payload = np.n.Mem.BlockData(b)
 		}
 		np.occupy(np.n.MC.TagChange)
-		np.coal.Append(dst, kind, b, 0, 0, payload, true)
+		co.Append(dst, kind, b, 0, 0, payload, true)
 	case withData:
 		np.sendBlock(dst, kind, b, 0, 0)
 	default:
@@ -490,9 +424,9 @@ func (np *nodeProto) request(dst int, kind network.Kind, addr int, arg, arg2 int
 // stream departs mid-epoch and overlaps the loop body; every
 // synchronization entry drains as a backstop either way.
 func (np *nodeProto) postFromCompute(p *sim.Proc, d sim.Time, dst int, kind network.Kind, addr int, arg, arg2 int64, timer bool) {
-	if np.coal != nil {
+	if co := np.n.Net.CoalescerOf(np.id); co != nil {
 		p.Sleep(d + np.n.MC.TagChange)
-		np.coal.Append(dst, kind, addr, arg, arg2, nil, timer)
+		co.Append(dst, kind, addr, arg, arg2, nil, timer)
 		return
 	}
 	p.Sleep(d + np.n.MC.SendOver)

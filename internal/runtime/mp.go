@@ -33,6 +33,8 @@ func (b Backend) String() string {
 // message-passing backend.
 const KMPData network.Kind = 100
 
+func init() { network.NameKinds([]string{KMPData: "mp_data"}) }
+
 // mpState is the per-node message-passing runtime state. Communication
 // proceeds in phases (one per loop's pre- and post-communication, in
 // program order, identically numbered on every node); messages carry

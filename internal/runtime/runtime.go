@@ -18,7 +18,6 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
-	"hpfdsm/internal/network"
 	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
@@ -372,7 +371,6 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 	prov.Report = opt.Verified
 	proto.BlockInfo = prov.Describe
 	if tr := opt.Trace; tr != nil {
-		tr.KindName = func(k uint8) string { return protocol.MsgKindName(network.Kind(k)) }
 		tr.BlockInfo = prov.Describe
 		if attempt == 0 {
 			// Heat-map array ranges registered once; recovery attempts

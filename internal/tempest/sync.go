@@ -103,7 +103,7 @@ func (r *round) mark(slot int) bool {
 // installSync wires the synchronization layer matching the configured
 // topology: the flat master/worker protocol, or the combining tree.
 func (c *Cluster) installSync() {
-	if c.MC.Topology == config.TreeTopo {
+	if c.Tree != nil {
 		c.installTreeSync()
 		return
 	}
@@ -277,7 +277,7 @@ func (c *Cluster) collective(p *sim.Proc, n *Node, op ReduceOp, v float64) {
 	sig := n.parked
 	bits := math.Float64bits(v)
 	switch {
-	case c.MC.Topology == config.TreeTopo:
+	case c.Tree != nil:
 		var own []redPair
 		if op != opBarrier {
 			own = []redPair{{id: int32(n.ID), bits: bits}}

@@ -61,7 +61,7 @@ func decodePairs(data []byte, dst []redPair) []redPair {
 // installTreeSync places every node in the combining tree and wires its
 // handlers.
 func (c *Cluster) installTreeSync() {
-	t := topo.MustNew(c.MC.Nodes, c.MC.EffectiveRadix())
+	t := c.Tree
 	for _, n := range c.Nodes {
 		n := n
 		n.treeParent = t.Parent(n.ID)

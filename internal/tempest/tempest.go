@@ -22,6 +22,7 @@ import (
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/stats"
+	"hpfdsm/internal/topo"
 	"hpfdsm/internal/trace"
 )
 
@@ -37,6 +38,19 @@ const (
 	KindTreeReduceUp
 	KindTreeReduceDown
 )
+
+func init() {
+	network.NameKinds([]string{
+		KindBarrierArrive:   "barrier_arrive",
+		KindBarrierRelease:  "barrier_release",
+		KindReduceContrib:   "reduce_contrib",
+		KindReduceResult:    "reduce_result",
+		KindTreeBarrierUp:   "tree_barrier_up",
+		KindTreeBarrierDown: "tree_barrier_down",
+		KindTreeReduceUp:    "tree_reduce_up",
+		KindTreeReduceDown:  "tree_reduce_down",
+	})
+}
 
 // HContext is passed to active-message handlers. Handlers perform their
 // state transitions immediately and account CPU cost through the
@@ -79,30 +93,6 @@ type Node struct {
 	Trace *trace.Tracer
 
 	Fault FaultFn
-
-	// NICDrain, when non-nil, flushes this node's NIC-level coalescing
-	// scheduler (all open gather buffers). Installed by the protocol
-	// layer when message aggregation is enabled; invoked on every
-	// synchronization entry — the barrier forces a flush, so buffered
-	// traffic never outlives its epoch.
-	NICDrain func()
-
-	// NICBurst, when non-nil, brackets each protocol-handler run
-	// (begin=true before, begin=false after). The coalescing scheduler
-	// uses it to drain, at the end of the handler, exactly the buffers
-	// the handler appended to: engine-composed reply bursts depart as
-	// one carrier without waiting out the drain timer.
-	NICBurst func(begin bool)
-
-	// NICFlushTo, when non-nil, flushes this node's open gather buffer
-	// for one destination. SendFromProto invokes it before reserving a
-	// direct message's departure slot: buffered segments bound for the
-	// same destination must take their engine slots first, or a reply
-	// composed later could overtake them on the wire (a write grant
-	// parked in a gather buffer overtaken by the next transaction's
-	// invalidation leaves the grantee a writer the directory already
-	// retired).
-	NICFlushTo func(dst int)
 
 	// handlers is indexed directly by message kind: a dispatch per
 	// message must not pay for hashing.
@@ -226,8 +216,13 @@ func (hv *hinvoke) run() {
 	}
 	hv.ctx = HContext{Node: n}
 	c := &hv.ctx
-	if n.NICBurst != nil {
-		n.NICBurst(true)
+	// With aggregation on, the node's coalescer brackets the handler
+	// run: at its end it drains exactly the buffers the handler
+	// appended to, so engine-composed reply bursts depart as one
+	// carrier without waiting out the drain timer.
+	co := n.Net.CoalescerOf(n.ID)
+	if co != nil {
+		co.Burst(true)
 	}
 	h(c, m)
 	// The engine stays busy for the receive overhead plus the
@@ -243,18 +238,18 @@ func (hv *hinvoke) run() {
 		n.St.StolenTime += n.MC.RecvOver + c.cost
 	}
 	if t := n.Trace; t != nil {
-		t.Span(n.ID, trace.LaneProto, "h:"+t.MsgName(uint8(kind)), "handler",
+		t.Span(n.ID, trace.LaneProto, "h:"+network.KindName(kind), "handler",
 			hv.start, n.protoFree, trace.Int("src", src), trace.Int("addr", addr))
 		if flow != 0 {
 			t.FlowEnd(n.ID, trace.LaneProto, flow, hv.start)
 		}
 	}
-	if n.NICBurst != nil {
+	if co != nil {
 		// Replies the handler deposited in the coalescing buffers depart
 		// now, after the engine occupancy they conclude — a burst of
 		// same-destination replies leaves as one carrier with no timer
 		// latency.
-		n.NICBurst(false)
+		co.Burst(false)
 	}
 	// The handler is done with the message unless it Retained it.
 	n.Net.Recycle(m)
@@ -280,12 +275,16 @@ func (n *Node) ProtoBusyUntil() sim.Time { return n.protoFree }
 // handler processing they conclude, preserving per-destination order.
 func (n *Node) SendFromProto(m *network.Message) {
 	m.Src = n.ID
-	if n.NICFlushTo != nil && m.Dst != n.ID {
+	if co := n.Net.CoalescerOf(n.ID); co != nil && m.Dst != n.ID {
 		// Departure slots are taken at compose time: drain segments
 		// already buffered for this destination so they keep their
-		// earlier slots. Re-entrancy is safe — the flush empties the
-		// buffer before injecting, so the nested call is a no-op.
-		n.NICFlushTo(m.Dst)
+		// earlier slots, or a reply composed later could overtake them
+		// on the wire (a write grant parked in a gather buffer
+		// overtaken by the next transaction's invalidation leaves the
+		// grantee a writer the directory already retired). Re-entrancy
+		// is safe — the flush empties the buffer before injecting, so
+		// the nested call is a no-op.
+		co.FlushDst(m.Dst)
 	}
 	n.OccupyProto(n.MC.SendOver)
 	depart := n.protoFree
@@ -364,12 +363,13 @@ func (n *Node) Pending() int { return n.pending }
 
 // WaitPending blocks until all in-flight transactions complete. Called
 // at synchronization points per the release-consistency model. Any
-// traffic still buffered in the coalescing scheduler drains first:
-// buffered upgrade requests are themselves pending transactions, and
-// their grants cannot arrive while the requests sit in a gather buffer.
+// traffic still buffered in the node's coalescer drains first, so
+// buffered traffic never outlives its epoch: buffered upgrade requests
+// are themselves pending transactions, and their grants cannot arrive
+// while the requests sit in a gather buffer.
 func (n *Node) WaitPending(p *sim.Proc) {
-	if n.NICDrain != nil {
-		n.NICDrain()
+	if co := n.Net.CoalescerOf(n.ID); co != nil {
+		co.FlushAll()
 	}
 	n.Sync(p)
 	if n.pending == 0 {
@@ -457,6 +457,12 @@ type Cluster struct {
 	Net   *network.Network
 	Nodes []*Node
 	Stats *stats.Cluster
+
+	// Tree is the combining tree under the tree topology, nil under the
+	// paper's flat one. The collectives gather along it, and the
+	// coherence protocol routes sharer invalidations through its
+	// clusters.
+	Tree *topo.Tree
 
 	// TimerStart is the measured region's start (set by the runtime's
 	// StartTimer statement; zero if the whole run is measured).
@@ -557,6 +563,10 @@ func NewPartitionedCluster(envs []*sim.Env, sp *memory.Space, post network.PostF
 	st := stats.New(mc.Nodes)
 	net := network.NewPartitioned(envs, post, mc, st)
 	c := &Cluster{Env: envs[0], MC: mc, Space: sp, Net: net, Stats: st}
+	if mc.Topology == config.TreeTopo {
+		t := topo.MustNew(mc.Nodes, mc.EffectiveRadix())
+		c.Tree = &t
+	}
 	for i, env := range envs {
 		n := &Node{
 			ID:  i,

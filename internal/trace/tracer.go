@@ -79,11 +79,6 @@ type Event struct {
 // Tracer accumulates the causal event record of one simulated run.
 // It is not safe for concurrent use; the simulator is single-threaded.
 type Tracer struct {
-	// KindName renders a message kind for span names; installed by the
-	// runtime (protocol.MsgKindName) so this package needs no knowledge
-	// of protocol kinds.
-	KindName func(kind uint8) string
-
 	// BlockInfo renders schedule provenance for a block number
 	// (analysis.ProvIndex.Describe); used by miss spans and the heat
 	// map's provenance columns. May be nil.
@@ -128,18 +123,6 @@ func New(nodes int) *Tracer {
 	}
 	return t
 }
-
-// kindName renders a message kind, tolerating an uninstalled hook.
-func (t *Tracer) kindName(k uint8) string {
-	if t.KindName != nil {
-		return t.KindName(k)
-	}
-	return fmt.Sprintf("kind%d", k)
-}
-
-// MsgName renders a message kind for span names (exported for the
-// layers that build their own span names around it).
-func (t *Tracer) MsgName(k uint8) string { return t.kindName(k) }
 
 // FlowID allocates a fresh flow identifier (1-based; 0 means "no flow").
 func (t *Tracer) FlowID() uint64 {

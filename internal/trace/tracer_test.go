@@ -145,17 +145,6 @@ func TestFlowEventsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKindNameFallbackAndHook(t *testing.T) {
-	tr := New(1)
-	if got := tr.MsgName(7); got != "kind7" {
-		t.Fatalf("fallback kind name %q", got)
-	}
-	tr.KindName = func(k uint8) string { return "custom" }
-	if got := tr.MsgName(7); got != "custom" {
-		t.Fatalf("hooked kind name %q", got)
-	}
-}
-
 func TestOpenLoopAttributesMisses(t *testing.T) {
 	tr := New(2)
 	tr.MissSpan(0, 4, 512, "read", 2, 8)

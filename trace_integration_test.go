@@ -8,6 +8,7 @@ package hpfdsm_test
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 	"hpfdsm/internal/trace"
 )
 
-func runJacobiTraced(t *testing.T, opt compiler.Level) (*runtime.Result, *trace.Tracer) {
+func runJacobiTraced(t *testing.T, opt compiler.Level, backend runtime.Backend) (*runtime.Result, *trace.Tracer) {
 	t.Helper()
 	a, err := apps.ByName("jacobi")
 	if err != nil {
@@ -30,7 +31,7 @@ func runJacobiTraced(t *testing.T, opt compiler.Level) (*runtime.Result, *trace.
 	}
 	mc := config.Default()
 	tr := trace.New(mc.Nodes)
-	res, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: opt, Trace: tr})
+	res, err := runtime.Run(prog, runtime.Options{Machine: mc, Opt: opt, Backend: backend, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func runJacobiTraced(t *testing.T, opt compiler.Level) (*runtime.Result, *trace.
 // inval, inval_ack, write_grant — the eight causally chained messages
 // of one producer/consumer exchange.
 func TestJacobiTraceEightMessageChain(t *testing.T) {
-	_, tr := runJacobiTraced(t, compiler.OptNone)
+	_, tr := runJacobiTraced(t, compiler.OptNone, runtime.SharedMemory)
 
 	chain := []string{"h:read_req", "h:put_data_req", "h:put_data_resp", "h:read_resp",
 		"h:upgrade_req", "h:inval", "h:inval_ack", "h:write_grant"}
@@ -73,10 +74,30 @@ func TestJacobiTraceEightMessageChain(t *testing.T) {
 	t.Fatalf("no address exhibits the eight-message chain (%d addresses traced)", len(seq))
 }
 
+// TestJacobiTraceNamesEveryKind traces jacobi on both backends and
+// fails on any event named after a bare kind number: every kind a run
+// sends, the message-passing backend's data kind included, must carry
+// the name its package gave it.
+func TestJacobiTraceNamesEveryKind(t *testing.T) {
+	unnamed := regexp.MustCompile(`kind[0-9]`)
+	for _, backend := range []runtime.Backend{runtime.SharedMemory, runtime.MessagePassing} {
+		_, tr := runJacobiTraced(t, compiler.OptRTElim, backend)
+		bad := map[string]int{}
+		for _, e := range tr.Events() {
+			if unnamed.MatchString(e.Name) {
+				bad[e.Name]++
+			}
+		}
+		if len(bad) > 0 {
+			t.Errorf("%v: events named after a kind number: %v", backend, bad)
+		}
+	}
+}
+
 // TestJacobiTraceWellFormed validates the exported Chrome JSON: parse,
 // flow-event pairing, and presence of each lane's span categories.
 func TestJacobiTraceWellFormed(t *testing.T) {
-	_, tr := runJacobiTraced(t, compiler.OptRTElim)
+	_, tr := runJacobiTraced(t, compiler.OptRTElim, runtime.SharedMemory)
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
