@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-go artifact-guard bench-smoke check fmt fmt-check cover clean
+.PHONY: all build test vet race lint lint-go artifact-guard fma-guard bench-smoke check fmt fmt-check cover clean
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
@@ -59,6 +59,21 @@ artifact-guard:
 		echo "run 'git rm --cached <file>' and commit"; exit 1; \
 	fi
 
+# Go may fuse x*y + z into one rounding (a fused multiply-add) on
+# arm64, ppc64 and s390x, never on amd64, so no amd64 test can see it;
+# the simulator's results are pinned bit for bit and must round every
+# operation on its own. This lists the arm64 assembly of every package
+# and fails on any fused multiply-add outside internal/apps, whose Go
+# references are compared only within a tolerance.
+fma-guard:
+	GOARCH=arm64 $(GO) build ./...
+	@GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | awk ' \
+		/^# / { pkg = $$2 } \
+		/STEXT/ { fns++ } \
+		/\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/ { if (pkg == "hpfdsm/internal/apps") apps++; else { print pkg ": " $$0; bad++ } } \
+		END { if (!fns) { print "fma-guard: no assembly listed"; exit 1 } \
+			printf "fma-guard: %d fused multiply-add(s) outside internal/apps, %d in its Go references\n", bad, apps; exit bad > 0 }'
+
 # benchmark/ is its own module (it imports hpfdsm/internal/... through a
 # replace directive), so the root ./... patterns never build it: this
 # is the only gate that notices when a refactor breaks the benchmark.
@@ -73,7 +88,7 @@ bench-smoke:
 		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis ./internal/memory
 
 # Everything the CI gate runs.
-check: build fmt-check vet test race lint lint-go artifact-guard bench-smoke
+check: build fmt-check vet test race lint lint-go artifact-guard fma-guard bench-smoke
 
 fmt:
 	gofmt -w .

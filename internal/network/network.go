@@ -103,8 +103,8 @@ func (m *Message) hold() {
 }
 
 func (m *Message) String() string {
-	return fmt.Sprintf("msg{%d->%d kind=%d addr=%#x arg=%d arg2=%d seq=%d size=%d}",
-		m.Src, m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2, m.Seq, m.Size)
+	return fmt.Sprintf("msg{%d->%d kind=%s addr=%#x arg=%d arg2=%d seq=%d size=%d}",
+		m.Src, m.Dst, KindName(m.Kind), m.Addr, m.Arg, m.Arg2, m.Seq, m.Size)
 }
 
 // Endpoint receives delivered messages; the protocol layer installs one

@@ -87,24 +87,45 @@ import (
 // before the next op starts, which pays for the dispatch once per
 // sixteen elements and leaves the processor independent work to overlap.
 // Every lane computes what its iteration would have: the same ops on the
-// same operands, each rounded on its own. fmach.width says how many lanes
-// a row may use; a loop whose stores and other references into the same
-// array would meet within the lanes runs one lane wide, in the order of
-// the program. Checked mode, inner reductions and scalar statements are
-// one lane wide.
+// same operands. fmach.width says how many lanes a row may use; a loop
+// whose stores and other references into the same array would meet
+// within the lanes runs one lane wide, in the order of the program.
+// Checked mode, inner reductions and scalar statements are one lane wide.
 //
-// There is no fused multiply-add op and there must never be one: Go may
-// fuse x*y + z into one rounding on arm64, ppc64 and s390x, and the
-// goldens were captured on amd64. Every arithmetic op stores its own
-// result to the frame, which rounds it.
+// An op's loop over its lanes is a kernel: a leaf function that takes
+// the op's lanes of the frame and, for a memory op, the node image, an
+// address and a stride, so that the loop's state stays in registers;
+// exec only dispatches and picks the image or the access-checked path.
+// Where one op computes an operand of the next, the emitter fuses the two
+// into a superinstruction (fcomp.fuse): a load into arithmetic or into a
+// store, arithmetic into a store, arithmetic into arithmetic. A fused op
+// does what the pair did, lane by lane, without the round trip of the
+// intermediate through the frame and a second dispatch. Memory accesses
+// keep their places in the list, so the fault order is unchanged. Only a
+// copy interleaves memory accesses of different lanes, a load and a
+// store; width already keeps a store and another reference into its
+// array from touching one word in two different lanes. Checked mode runs
+// the same fused op one lane wide, LoadF64 before the arithmetic,
+// StoreF64 after it. Because checked mode shares the fused ops, the
+// oracle for them is the test seam noFuse, which compiles every
+// statement op by op.
+//
+// Every floating-point operation rounds on its own, in the order of the
+// program: nothing reassociates, and each expression in a kernel does one
+// operation, so there is nothing the Go compiler could fuse. Go may fuse
+// x*y + z into one rounding (a fused multiply-add) on arm64, ppc64 and
+// s390x, never on amd64, where the goldens were captured: there is no
+// fused multiply-add op and there must never be one, and `make fma-guard`
+// fails on any such instruction in the simulator's arm64 assembly.
 //
 // What can only be known while running — a subscript out of range, a
 // scalar read before any assignment, a symbol no enclosing loop binds —
 // is raised as a *fault, which exec.run turns into the run's error.
 
-// holdChecked keeps every loop in checked mode. Only tests set it: it
-// is the oracle the strip path is compared with.
-var holdChecked bool
+// holdChecked keeps every loop in checked mode, and noFuse compiles
+// every statement without superinstructions. Only tests set them: they
+// are the oracles the strips and the fused ops are compared with.
+var holdChecked, noFuse bool
 
 // lanes is how many iterations of a strip an op runs before the next op
 // starts. A slot of the float frame is that many consecutive values, one
@@ -117,36 +138,60 @@ type opKind uint8
 
 const (
 	opIdx     opKind = iota // f[d] = float64(vals[a]), b more per lane
-	opLoad                  // f[d] = *addr[a]; addr[a] += b
-	opStore                 // *addr[a] = f[d]; addr[a] += b
+	opLoad                  // f[d] = *addr[r]; addr[r] += st
+	opStore                 // *addr[r] = f[a]; addr[r] += st
 	opLoadAt                // f[d] = *at[a], its address recomputed from vals
 	opDim                   // vals[d] (+)= the byte offset of indirect subscript f[a] in dimension subs[b]
 	opLoadInd               // f[d] = *vals[a]
 	opWant                  // inspector: note the block of vals[a] unless it is held
-	opAdd                   // f[d] = f[a] + f[b]; likewise the next three
-	opSub
-	opMul
-	opDiv
-	opSqrt // f[d] = SQRT(f[a]); likewise the next four
-	opAbs
-	opExp
-	opSin
-	opCos
-	opMin // f[d] = MIN(f[a], f[b]); likewise the next two
-	opMax
-	opMod
-	opCmp // f[d] = 1 if f[a] <sub> f[b], else 0
-	opRed // run inner reduction reds[a]; its value is its accumulator's slot
-	opAcc // fold f[a] into accumulator f[d] with operator sub; f[b] is 0 until it holds a value
+	opArith                 // f[d] = f[a] <sub> f[b]
+	opCall                  // f[d] = <sub>(f[a]) or <sub>(f[a], f[b])
+	opCmp                   // f[d] = 1 if f[a] <sub> f[b], else 0
+	opRed                   // run inner reduction reds[a]; its value is its accumulator's slot
+	opAcc                   // fold f[a] into accumulator f[d] with operator sub; f[b] is 0 until it holds a value
+
+	// Superinstructions (see fuse): two of the ops above, the first
+	// computing an operand of the second.
+	opLoadArith  // f[d] = f[a] <sub> *addr[r] (flip: *addr[r] <sub> f[a]); addr[r] += st
+	opArithStore // *addr[r] = f[a] <sub> f[b]; addr[r] += st
+	opArith3     // f[d] = (f[a] <sub> f[b]) <sub2> f[c] (flip: f[c] <sub2> (f[a] <sub> f[b]))
+	opCopy       // *addr[b] = *addr[r]; addr[r] += st, addr[b] += c
 )
 
-// fop is one instruction. d, a and b are frame slots or table indexes
-// as the kind says.
+// fop is one instruction. d, a, b and c are frame slots or table indexes
+// as the kind says; r and st are a memory op's reference, whose address
+// register it reads and bumps, and the reference's stride.
 type fop struct {
-	k       opKind
-	sub     uint8 // opAcc: the tempest.ReduceOp; opCmp: the ir.CmpOp
-	d, a, b int32
+	k          opKind
+	sub, sub2  uint8 // the arith or callee; opAcc: the tempest.ReduceOp; opCmp: the ir.CmpOp
+	flip       bool  // a fused op's loaded or inner operand is the left one
+	d, a, b, c int32
+	r, st      int32
 }
+
+// arith is a floating-point operator: opArith's and the fused ops'.
+type arith uint8
+
+const (
+	aAdd arith = iota
+	aSub
+	aMul
+	aDiv
+)
+
+// callee is an intrinsic: opCall's.
+type callee uint8
+
+const (
+	cSqrt callee = iota
+	cAbs
+	cExp
+	cSin
+	cCos
+	cMin
+	cMax
+	cMod
+)
 
 // affC is a compiled affine expression: c + Σ coef*vals[slot].
 type affC struct {
@@ -363,6 +408,59 @@ func (fc *fcomp) temp() int32 {
 
 func (fc *fcomp) emit(o fop) { fc.code = append(fc.code, o) }
 
+// fuse returns the list being emitted with each pair of adjacent ops in
+// which the first computes an operand of the second made one
+// superinstruction: a load into arithmetic or into a store (a copy),
+// arithmetic into a store, arithmetic into arithmetic — unless the second
+// arithmetic feeds a store, which is left to fuse with it. A slot an op
+// leaves is read once, by its parent in the expression, so a fused pair
+// leaves no slot the first op wrote. The memory accesses keep their
+// places in the list, and every operation still rounds on its own (see
+// the header). The inspector's lists are left as they are: its opDim ops
+// jump into them by index.
+func (fc *fcomp) fuse() []fop {
+	code := fc.code
+	if noFuse || fc.inspect {
+		return code
+	}
+	out := make([]fop, 0, len(code))
+	for i := 0; i < len(code); i++ {
+		o := code[i]
+		var x, y fop // the next two ops; past the end, neither arithmetic nor a store
+		if i+1 < len(code) {
+			x = code[i+1]
+		}
+		if i+2 < len(code) {
+			y = code[i+2]
+		}
+		feeds := x.k == opArith && (x.a == o.d || x.b == o.d)
+		switch {
+		case o.k == opLoad && feeds:
+			a, flip := x.a, false
+			if x.a == o.d {
+				a, flip = x.b, true
+			}
+			o = fop{k: opLoadArith, sub: x.sub, flip: flip, d: x.d, a: a, r: o.r, st: o.st}
+			i++
+		case o.k == opLoad && x.k == opStore && x.a == o.d:
+			o = fop{k: opCopy, r: o.r, st: o.st, b: x.r, c: x.st}
+			i++
+		case o.k == opArith && x.k == opStore && x.a == o.d:
+			o = fop{k: opArithStore, sub: o.sub, a: o.a, b: o.b, r: x.r, st: x.st}
+			i++
+		case o.k == opArith && feeds && !(y.k == opStore && y.a == x.d):
+			c, flip := x.b, false
+			if x.b == o.d {
+				c, flip = x.a, true
+			}
+			o = fop{k: opArith3, sub: o.sub, sub2: x.sub, flip: flip, d: x.d, a: o.a, b: o.b, c: c}
+			i++
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
 // slotOf resolves a variable: loop-bound slots win; anything else is an
 // outer symbol resolved from the env at instance setup.
 func (fc *fcomp) slotOf(name string) int {
@@ -432,7 +530,13 @@ func (fc *fcomp) register(k opKind, r ir.ArrayRef, v int32) {
 	if f.store {
 		fc.fl.stores = append(fc.fl.stores, i)
 	}
-	fc.emit(fop{k: k, d: v, a: i, b: int32(f.stride)})
+	o := fop{k: k, r: i, st: int32(f.stride)}
+	if f.store {
+		o.a = v
+	} else {
+		o.d = v
+	}
+	fc.emit(o)
 }
 
 // load compiles an affine read: a register reference, except in the
@@ -499,14 +603,14 @@ func (fc *fcomp) acc(op ir.RedOp, v int32) (acc, seen int32) {
 	return
 }
 
-var binOps = map[ir.BinOp]opKind{ir.Add: opAdd, ir.Sub: opSub, ir.Mul: opMul, ir.Div: opDiv}
+var binOps = map[ir.BinOp]arith{ir.Add: aAdd, ir.Sub: aSub, ir.Mul: aMul, ir.Div: aDiv}
 
 var intrinsics = map[string]struct {
-	k     opKind
+	fn    callee
 	arity int
 }{
-	"SQRT": {opSqrt, 1}, "ABS": {opAbs, 1}, "EXP": {opExp, 1}, "SIN": {opSin, 1}, "COS": {opCos, 1},
-	"MIN": {opMin, 2}, "MAX": {opMax, 2}, "MOD": {opMod, 2},
+	"SQRT": {cSqrt, 1}, "ABS": {cAbs, 1}, "EXP": {cExp, 1}, "SIN": {cSin, 1}, "COS": {cCos, 1},
+	"MIN": {cMin, 2}, "MAX": {cMax, 2}, "MOD": {cMod, 2},
 }
 
 // expr emits x's ops and returns the slot its value is left in.
@@ -539,12 +643,12 @@ func (fc *fcomp) expr(x ir.Expr) int32 {
 		return fc.indirect(t)
 	case ir.Bin:
 		l, r := fc.expr(t.L), fc.expr(t.R)
-		k, ok := binOps[t.Op]
+		op, ok := binOps[t.Op]
 		if !ok {
 			return fc.fail("bad operator %d", t.Op)
 		}
 		d := fc.temp()
-		fc.emit(fop{k: k, d: d, a: l, b: r})
+		fc.emit(fop{k: opArith, sub: uint8(op), d: d, a: l, b: r})
 		return d
 	case ir.Call:
 		var args [2]int32
@@ -558,7 +662,7 @@ func (fc *fcomp) expr(x ir.Expr) int32 {
 			return fc.fail("unknown intrinsic %q with %d argument(s)", t.Fn, len(t.Args))
 		}
 		d := fc.temp()
-		fc.emit(fop{k: in.k, d: d, a: args[0], b: args[1]})
+		fc.emit(fop{k: opCall, sub: uint8(in.fn), d: d, a: args[0], b: args[1]})
 		return d
 	case ir.InnerRed:
 		slot, prev, had := fc.bind(t.Var)
@@ -566,7 +670,7 @@ func (fc *fcomp) expr(x ir.Expr) int32 {
 		code, scope := fc.code, fc.scope
 		fc.code, fc.scope = nil, fscope{slot: slot, step: 1}
 		r.acc, r.seen = fc.acc(t.Op, fc.expr(t.Body))
-		r.code, r.fscope = fc.code, fc.scope
+		r.code, r.fscope = fc.fuse(), fc.scope
 		fc.code, fc.scope = code, scope
 		fc.pop(t.Var, prev, had)
 		fc.emit(fop{k: opRed, a: int32(len(fc.fl.reds))})
@@ -637,7 +741,7 @@ func compileStmt(s ir.Stmt, layouts map[*ir.Array]sections.Layout, mp, inspect b
 	default:
 		return nil, nil // nothing to evaluate
 	}
-	fl.code, fl.row = fc.code, fc.scope
+	fl.code, fl.row = fc.fuse(), fc.scope
 	for _, st := range fl.stores {
 		for r := range fl.refs {
 			// A pair of stores is listed once.
@@ -703,16 +807,16 @@ type fmach struct {
 	vals []int     // slot-indexed integer variables
 	f    []float64 // slot-indexed literals, scalars and intermediate values
 	addr []int     // address register of each of the statement's refs
-	good []int     // probe's count for each: the iterations its probed blocks cover
 	lv   []flevel
 	dist int                 // the nest level the partition's ranges drive, -1 if none
 	data []byte              // the node image
+	win  [8]byte             // checked mode: the one word a memory op's kernel reads or writes
 	want []sections.BlockRun // inspector phase: indirect target blocks not held, as met
 }
 
 func (c *compiled) newMach(e *exec) fmach {
 	return fmach{e: e, vals: make([]int, c.nvals), f: make([]float64, c.nfv), addr: make([]int, c.nrefs),
-		good: make([]int, c.nrefs), lv: make([]flevel, c.nidx), data: e.n.Mem.Bytes(0, e.n.Mem.Space().Size())}
+		lv: make([]flevel, c.nidx), data: e.n.Mem.Bytes(0, e.n.Mem.Space().Size())}
 }
 
 // bind loads a statement instance's outer symbols, scalars and literals
@@ -908,8 +1012,9 @@ func minmax(a, b int) (int, int) { return min(a, b), max(a, b) }
 
 // probe returns the length of the strip that starts the row's n
 // remaining iterations: how many of them run before some reference
-// enters a block that is not held with the tag its access needs, each
-// block probed once. 0 when the loop forms no strips.
+// enters a block that is not held with the tag its access needs. Each
+// reference walks the tag table block by block, no further than the
+// shortest strip found so far. 0 when the loop forms no strips.
 //
 //simlint:hotpath
 func (m *fmach) probe(fl *fastLoop, n int) int {
@@ -920,90 +1025,96 @@ func (m *fmach) probe(fl *fastLoop, n int) int {
 		return 0
 	}
 	mem := m.e.n.Mem
-	sp := mem.Space()
+	sp, tags := mem.Space(), mem.Tags()
 	bs := sp.BlockSize()
-	// good[r] is how many iterations the blocks probed for reference r
-	// cover; the strip can run to the least of them, and whoever sets
-	// that limit has its next block probed.
-	good := m.good[:len(fl.refs)]
-	clear(good)
-	for k := 0; ; {
-		lim := n
-		for r := range good {
-			if good[r] == k {
-				ref := &fl.refs[r]
-				ad := m.addr[r] + k*ref.stride
-				b := sp.Block(ad)
-				if t := mem.Tag(b); t == memory.Invalid || ref.store && t != memory.ReadWrite {
-					return k
-				}
-				switch off, st := ad-b*bs, ref.stride; {
-				case st == 8:
-					good[r] += (bs - off) >> 3
-				case st > 0:
-					good[r] += (bs - off + st - 1) / st
-				case st < 0:
-					good[r] += off/-st + 1
-				default:
-					good[r] = n
-				}
+	for r := range fl.refs {
+		ref := &fl.refs[r]
+		ad, st, store := m.addr[r], ref.stride, ref.store
+		for k := 0; k < n; {
+			b := sp.Block(ad)
+			if t := tags[b]; t == memory.Invalid || store && t != memory.ReadWrite {
+				n = k
+				break
 			}
-			lim = min(lim, good[r])
-		}
-		if k = lim; k == n {
-			return n
+			// The iterations this block covers.
+			var g int
+			switch off := ad - b*bs; {
+			case st == 8:
+				g = (bs - off) >> 3
+			case st > 0:
+				g = (bs - off + st - 1) / st
+			case st < 0:
+				g = off/-st + 1
+			default:
+				g = n
+			}
+			k += g
+			ad += g * st
 		}
 	}
+	return n
 }
 
 // exec runs code for k consecutive values of vals[slot], w of them at a
 // time: each op runs for w iterations, one per lane, before the next op
-// starts (see width). Unchecked, loads and stores go straight to the node
-// image (the caller has probed the tags, or there are none, and marks
-// the stores dirty); checked, one lane wide, they are the node's
-// access-checked ones. Nothing else differs. The ops of loops that form
-// no strips (opLoadAt, opDim, opLoadInd, opWant, opRed) only ever run one
-// lane wide, as does opCmp.
+// starts (see width). An op's lanes are a kernel's loop (below).
+// Unchecked, loads and stores go straight to the node image (the caller
+// has probed the tags, or there are none, and marks the stores dirty);
+// checked, one lane wide, they are the node's access-checked LoadF64 and
+// StoreF64, and the kernel of a fused arithmetic op works on the word in
+// win, which LoadF64 fills before the arithmetic or StoreF64 writes after
+// it. Nothing else differs. The ops of loops that form no strips
+// (opLoadAt, opDim, opLoadInd, opWant, opRed) only ever run one lane
+// wide, as does opCmp.
 //
 //simlint:hotpath
 func (m *fmach) exec(fl *fastLoop, code []fop, k, w, slot, step int, checked bool) {
 	n, p := m.e.n, m.e.p
-	f, vals, addr, data := m.f, m.vals, m.addr, m.data
+	f, vals, addr := m.f, m.vals, m.addr
 	for {
 		c := min(k, w)
 		for pc := 0; pc < len(code); pc++ {
 			o := &code[pc]
 			switch o.k {
 			case opIdx:
-				v := vals[o.a]
-				d := lane(f, o.d, c)
-				for i := range d {
-					d[i] = float64(v)
-					v += int(o.b)
-				}
+				idxLanes(lane(f, o.d, c), vals[o.a], int(o.b))
 			case opLoad:
-				ad := addr[o.a]
-				addr[o.a] = ad + c*int(o.b)
+				ad := bump(addr, o, c)
 				if checked {
 					f[o.d] = n.LoadF64(p, ad)
 					break
 				}
-				d := lane(f, o.d, c)
-				for i := range d {
-					d[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[ad:]))
-					ad += int(o.b)
-				}
-			case opStore:
-				ad := addr[o.a]
-				addr[o.a] = ad + c*int(o.b)
+				loadLanes(lane(f, o.d, c), m.data, ad, int(o.st))
+			case opLoadArith:
+				data, ad := m.data, bump(addr, o, c)
 				if checked {
-					n.StoreF64(p, ad, f[o.d])
+					putWord(m.win[:], 0, n.LoadF64(p, ad))
+					data, ad = m.win[:], 0
+				}
+				arith(o.sub).loadLanes(o.flip, lane(f, o.d, c), lane(f, o.a, c), data, ad, int(o.st))
+			case opStore:
+				ad := bump(addr, o, c)
+				if checked {
+					n.StoreF64(p, ad, f[o.a])
 					break
 				}
-				for _, x := range lane(f, o.d, c) {
-					binary.LittleEndian.PutUint64(data[ad:], math.Float64bits(x))
-					ad += int(o.b)
+				storeLanes(lane(f, o.a, c), m.data, ad, int(o.st))
+			case opArithStore:
+				ad := bump(addr, o, c)
+				if checked {
+					arith(o.sub).storeLanes(lane(f, o.a, c), lane(f, o.b, c), m.win[:], 0, 0)
+					n.StoreF64(p, ad, word(m.win[:], 0))
+					break
 				}
+				arith(o.sub).storeLanes(lane(f, o.a, c), lane(f, o.b, c), m.data, ad, int(o.st))
+			case opCopy:
+				src, dst := bump(addr, o, c), addr[o.b]
+				addr[o.b] = dst + c*int(o.c)
+				if checked {
+					n.StoreF64(p, dst, n.LoadF64(p, src))
+					break
+				}
+				copyLanes(c, m.data, src, int(o.st), dst, int(o.c))
 			case opLoadAt:
 				f[o.d] = n.LoadF64(p, fl.at[o.a].a.eval(vals))
 			case opDim:
@@ -1026,66 +1137,20 @@ func (m *fmach) exec(fl *fastLoop, code []fop, k, w, slot, step int, checked boo
 				if b := vals[o.a] / n.MC.BlockSize; n.Mem.Tag(b) == memory.Invalid {
 					m.want = sections.AppendBlock(m.want, b)
 				}
-			case opAdd:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = a[i] + b[i]
+			case opArith:
+				arith(o.sub).lanes(lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c))
+			case opArith3:
+				// Two passes over d's lanes, each an operation rounded on its
+				// own; measured no slower than one pass.
+				d := lane(f, o.d, c)
+				arith(o.sub).lanes(d, lane(f, o.a, c), lane(f, o.b, c))
+				if o.flip {
+					arith(o.sub2).lanes(d, lane(f, o.c, c), d)
+				} else {
+					arith(o.sub2).lanes(d, d, lane(f, o.c, c))
 				}
-			case opSub:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = a[i] - b[i]
-				}
-			case opMul:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = a[i] * b[i]
-				}
-			case opDiv:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = a[i] / b[i]
-				}
-			case opSqrt:
-				d, a := lane(f, o.d, c), lane(f, o.a, c)
-				for i := range d {
-					d[i] = math.Sqrt(a[i])
-				}
-			case opAbs:
-				d, a := lane(f, o.d, c), lane(f, o.a, c)
-				for i := range d {
-					d[i] = math.Abs(a[i])
-				}
-			case opExp:
-				d, a := lane(f, o.d, c), lane(f, o.a, c)
-				for i := range d {
-					d[i] = math.Exp(a[i])
-				}
-			case opSin:
-				d, a := lane(f, o.d, c), lane(f, o.a, c)
-				for i := range d {
-					d[i] = math.Sin(a[i])
-				}
-			case opCos:
-				d, a := lane(f, o.d, c), lane(f, o.a, c)
-				for i := range d {
-					d[i] = math.Cos(a[i])
-				}
-			case opMin:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = math.Min(a[i], b[i])
-				}
-			case opMax:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = math.Max(a[i], b[i])
-				}
-			case opMod:
-				d, a, b := lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c)
-				for i := range d {
-					d[i] = math.Mod(a[i], b[i])
-				}
+			case opCall:
+				callee(o.sub).lanes(lane(f, o.d, c), lane(f, o.a, c), lane(f, o.b, c))
 			case opCmp:
 				f[o.d] = 0
 				if cmp(ir.CmpOp(o.sub), f[o.a], f[o.b]) {
@@ -1108,6 +1173,195 @@ func (m *fmach) exec(fl *fastLoop, code []fop, k, w, slot, step int, checked boo
 			return
 		}
 		vals[slot] += c * step
+	}
+}
+
+// bump returns a memory op's address and moves its register past the c
+// lanes.
+func bump(addr []int, o *fop, c int) int {
+	ad := addr[o.r]
+	addr[o.r] = ad + c*int(o.st)
+	return ad
+}
+
+// The kernels: one op's loop over its lanes, a leaf function, so that
+// what the loop keeps — lane index, slices, address and stride — stays in
+// registers. d's lanes are the result; a memory operand is the word at ad
+// of data and every st bytes after it. Every expression in them does one
+// floating-point operation, which rounds it: there is nothing the Go
+// compiler may fuse into a multiply-add (`make fma-guard` checks).
+
+func word(data []byte, ad int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(data[ad:]))
+}
+
+func putWord(data []byte, ad int, x float64) {
+	binary.LittleEndian.PutUint64(data[ad:], math.Float64bits(x))
+}
+
+func idxLanes(d []float64, v, step int) {
+	for i := range d {
+		d[i] = float64(v)
+		v += step
+	}
+}
+
+func loadLanes(d []float64, data []byte, ad, st int) {
+	for i := range d {
+		d[i] = word(data, ad)
+		ad += st
+	}
+}
+
+func storeLanes(s []float64, data []byte, ad, st int) {
+	for _, x := range s {
+		putWord(data, ad, x)
+		ad += st
+	}
+}
+
+// copyLanes is opCopy's kernel: c words, from every fst bytes at from to
+// every tst bytes at to.
+func copyLanes(c int, data []byte, from, fst, to, tst int) {
+	for ; c > 0; c-- {
+		putWord(data, to, word(data, from))
+		from += fst
+		to += tst
+	}
+}
+
+func (op arith) lanes(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch op {
+	case aAdd:
+		for i := range d {
+			d[i] = a[i] + b[i]
+		}
+	case aSub:
+		for i := range d {
+			d[i] = a[i] - b[i]
+		}
+	case aMul:
+		for i := range d {
+			d[i] = a[i] * b[i]
+		}
+	case aDiv:
+		for i := range d {
+			d[i] = a[i] / b[i]
+		}
+	}
+}
+
+// loadLanes is opLoadArith's kernel: d = a op *ad, or *ad op a (flip).
+func (op arith) loadLanes(flip bool, d, a []float64, data []byte, ad, st int) {
+	a = a[:len(d)]
+	switch {
+	case op == aAdd && !flip:
+		for i := range d {
+			d[i] = a[i] + word(data, ad)
+			ad += st
+		}
+	case op == aSub && !flip:
+		for i := range d {
+			d[i] = a[i] - word(data, ad)
+			ad += st
+		}
+	case op == aMul && !flip:
+		for i := range d {
+			d[i] = a[i] * word(data, ad)
+			ad += st
+		}
+	case op == aDiv && !flip:
+		for i := range d {
+			d[i] = a[i] / word(data, ad)
+			ad += st
+		}
+	case op == aAdd:
+		for i := range d {
+			d[i] = word(data, ad) + a[i]
+			ad += st
+		}
+	case op == aSub:
+		for i := range d {
+			d[i] = word(data, ad) - a[i]
+			ad += st
+		}
+	case op == aMul:
+		for i := range d {
+			d[i] = word(data, ad) * a[i]
+			ad += st
+		}
+	case op == aDiv:
+		for i := range d {
+			d[i] = word(data, ad) / a[i]
+			ad += st
+		}
+	}
+}
+
+// storeLanes is opArithStore's kernel: *ad = a op b.
+func (op arith) storeLanes(a, b []float64, data []byte, ad, st int) {
+	b = b[:len(a)]
+	switch op {
+	case aAdd:
+		for i := range a {
+			putWord(data, ad, a[i]+b[i])
+			ad += st
+		}
+	case aSub:
+		for i := range a {
+			putWord(data, ad, a[i]-b[i])
+			ad += st
+		}
+	case aMul:
+		for i := range a {
+			putWord(data, ad, a[i]*b[i])
+			ad += st
+		}
+	case aDiv:
+		for i := range a {
+			putWord(data, ad, a[i]/b[i])
+			ad += st
+		}
+	}
+}
+
+// lanes is opCall's kernel; a one-argument callee ignores b.
+func (fn callee) lanes(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch fn {
+	case cSqrt:
+		for i := range d {
+			d[i] = math.Sqrt(a[i])
+		}
+	case cAbs:
+		for i := range d {
+			d[i] = math.Abs(a[i])
+		}
+	case cExp:
+		for i := range d {
+			d[i] = math.Exp(a[i])
+		}
+	case cSin:
+		for i := range d {
+			d[i] = math.Sin(a[i])
+		}
+	case cCos:
+		for i := range d {
+			d[i] = math.Cos(a[i])
+		}
+	case cMin:
+		for i := range d {
+			d[i] = math.Min(a[i], b[i])
+		}
+	case cMax:
+		for i := range d {
+			d[i] = math.Max(a[i], b[i])
+		}
+	case cMod:
+		for i := range d {
+			d[i] = math.Mod(a[i], b[i])
+		}
 	}
 }
 

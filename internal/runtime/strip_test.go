@@ -3,7 +3,9 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"hpfdsm/internal/analysis"
@@ -12,58 +14,73 @@ import (
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/distribute"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/lang"
 	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sim"
 	"hpfdsm/internal/tempest"
 )
 
-// sameAsCheckedMode runs the program build makes twice — as compiled,
-// and with every loop held in checked mode, the per-word path the strips
-// must be indistinguishable from — and requires the same outcome: the
+// sameOutcome runs the program build makes twice — as compiled, and
+// with the test seam oracle set — and requires the same outcome: the
 // same error, or the same simulated time, per-node counters, scalars,
-// reduction journal and array bits. It reports whether the runs
-// succeeded.
-func sameAsCheckedMode(t testing.TB, name string, build func() *ir.Program, opt Options) bool {
+// reduction journal and array bits. what names the second run in
+// failures. It reports whether the runs succeeded.
+func sameOutcome(t testing.TB, name string, build func() *ir.Program, opt Options, oracle *bool, what string) bool {
 	t.Helper()
-	strip, errS := Run(build(), opt)
-	checked, errC := func() (*Result, error) {
-		holdChecked = true
-		defer func() { holdChecked = false }()
+	got, errG := Run(build(), opt)
+	want, errW := func() (*Result, error) {
+		*oracle = true
+		defer func() { *oracle = false }()
 		return Run(build(), opt)
 	}()
-	if errS != nil || errC != nil {
-		if fmt.Sprint(errS) != fmt.Sprint(errC) {
-			t.Fatalf("%s: strips end in %v, checked mode in %v", name, errS, errC)
+	if errG != nil || errW != nil {
+		if fmt.Sprint(errG) != fmt.Sprint(errW) {
+			t.Fatalf("%s: as compiled the run ends in %v, %s in %v", name, errG, what, errW)
 		}
 		return false
 	}
-	if strip.Elapsed != checked.Elapsed {
-		t.Fatalf("%s: elapsed %d in strips, %d in checked mode", name, strip.Elapsed, checked.Elapsed)
+	if got.Elapsed != want.Elapsed {
+		t.Fatalf("%s: elapsed %d as compiled, %d %s", name, got.Elapsed, want.Elapsed, what)
 	}
-	for i := range strip.Stats.Nodes {
-		if strip.Stats.Nodes[i] != checked.Stats.Nodes[i] {
-			t.Fatalf("%s: node %d counters\n strips  %+v\n checked %+v", name, i, strip.Stats.Nodes[i], checked.Stats.Nodes[i])
+	for i := range got.Stats.Nodes {
+		if got.Stats.Nodes[i] != want.Stats.Nodes[i] {
+			t.Fatalf("%s: node %d counters\n as compiled %+v\n %s %+v", name, i, got.Stats.Nodes[i], what, want.Stats.Nodes[i])
 		}
 	}
-	sameBits := func(what string, a, b []float64) {
+	sameBits := func(part string, a, b []float64) {
 		t.Helper()
 		if len(a) != len(b) {
-			t.Fatalf("%s: %s has %d values in strips, %d in checked mode", name, what, len(a), len(b))
+			t.Fatalf("%s: %s has %d values as compiled, %d %s", name, part, len(a), len(b), what)
 		}
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("%s: %s[%d] = %v in strips, %v in checked mode", name, what, i, a[i], b[i])
+				t.Fatalf("%s: %s[%d] = %v as compiled, %v %s", name, part, i, a[i], b[i], what)
 			}
 		}
 	}
-	for _, arr := range strip.Prog.Arrays {
-		sameBits(arr.Name, strip.ArrayData(arr.Name), checked.ArrayData(arr.Name))
+	for _, arr := range got.Prog.Arrays {
+		sameBits(arr.Name, got.ArrayData(arr.Name), want.ArrayData(arr.Name))
 	}
-	sameBits("reduction journal", strip.ReduceJournal(), checked.ReduceJournal())
-	for k, v := range strip.Scalars {
-		sameBits("scalar "+k, []float64{v}, []float64{checked.Scalars[k]})
+	sameBits("reduction journal", got.ReduceJournal(), want.ReduceJournal())
+	for k, v := range got.Scalars {
+		sameBits("scalar "+k, []float64{v}, []float64{want.Scalars[k]})
 	}
 	return true
+}
+
+// sameAsCheckedMode compares a run with every loop held in checked
+// mode: the per-word path the strips must be indistinguishable from.
+func sameAsCheckedMode(t testing.TB, name string, build func() *ir.Program, opt Options) bool {
+	t.Helper()
+	return sameOutcome(t, name, build, opt, &holdChecked, "in checked mode")
+}
+
+// sameAsUnfused compares a run with every statement compiled without
+// superinstructions, op by op. Checked mode runs the same fused ops as
+// the strips, so only this oracle sees a wrong fusion.
+func sameAsUnfused(t testing.TB, name string, build func() *ir.Program, opt Options) bool {
+	t.Helper()
+	return sameOutcome(t, name, build, opt, &noFuse, "unfused")
 }
 
 // TestStripMatchesCheckedMode: the random programs of the differential
@@ -97,6 +114,78 @@ func TestStripMatchesCheckedMode(t *testing.T) {
 			for _, lv := range levels {
 				sameAsCheckedMode(t, fmt.Sprintf("%s/%v/%s", s.name, lv, m.name),
 					func() *ir.Program { return s.program(t) }, Options{Machine: m.mc, Opt: lv, InspectIndirect: true})
+			}
+		}
+	}
+}
+
+// operandOrder is a shape whose statements compile to every
+// superinstruction with each operator, the fused operand on each side:
+// a wrong operand order or a wrong pairing changes c.
+func operandOrder() loopShape {
+	ops := []string{"+", "-", "*", "/"}
+	x, y := "(2 + a(i, j))", "(b(i, j) - 0.25)" // a load right of a literal, and one left of one
+	var body strings.Builder
+	forall := func(rhs string) {
+		fmt.Fprintf(&body, "\n  FORALL (i = 2:n-1, j = 1:n)\n    c(i, j) = %s\n  END FORALL", rhs)
+	}
+	for _, o1 := range ops {
+		for _, o2 := range ops {
+			forall(fmt.Sprintf("c(i, j) + ((%s %s %s) %s 4) + (4 %s (%s %s %s))", x, o1, y, o2, o2, x, o1, y))
+		}
+	}
+	var loads []string
+	for _, o := range ops {
+		loads = append(loads, "(3 "+o+" a(i, j))", "(a(i, j) "+o+" 3)")
+	}
+	forall("c(i, j) + " + strings.Join(loads, " + "))
+	for _, o := range ops {
+		forall(fmt.Sprintf("(c(i, j) - %s) %s %s", x, o, y))
+	}
+	return loopShape{"operand-order", 64, "BLOCK", body.String()}
+}
+
+// TestFusedMatchesUnfused: the superinstructions change no result.
+// Every loop shape, operandOrder, storm.hpf and the six applications at
+// scaled size run the same, on both backends, as with every statement
+// compiled op by op.
+func TestFusedMatchesUnfused(t *testing.T) {
+	type program struct {
+		name  string
+		build func() *ir.Program
+	}
+	var progs []program
+	for _, s := range append(loopShapes[:len(loopShapes):len(loopShapes)], operandOrder()) {
+		progs = append(progs, program{"shape " + s.name, func() *ir.Program { return s.program(t) }})
+	}
+	storm, err := os.ReadFile("../../benchmark/programs/storm.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, program{"storm", func() *ir.Program {
+		prog, err := lang.ParseWithOverrides(string(storm), map[string]int{"N": 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}})
+	for _, a := range apps.All() {
+		progs = append(progs, program{a.Name, func() *ir.Program {
+			prog, err := a.Program(a.ScaledParams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prog
+		}})
+	}
+	for _, p := range progs {
+		for _, backend := range []Backend{SharedMemory, MessagePassing} {
+			if backend == MessagePassing && ir.HasIndirect(p.build()) {
+				continue
+			}
+			name := fmt.Sprintf("%s/%v", p.name, backend)
+			if !sameAsUnfused(t, name, p.build, Options{Machine: config.Default(), Opt: compiler.OptRTElim, Backend: backend}) {
+				t.Fatalf("%s: the run failed", name)
 			}
 		}
 	}
@@ -146,10 +235,11 @@ func (s fuzzShape) program() *ir.Program {
 // FuzzLoopShapes: over extents, block size, node count, distribution,
 // the reads' coefficient and offsets (one of them into the array being
 // written, a few iterations behind or ahead), the loop's bounds and the
-// innermost step, a loop runs the same in strips as in checked mode, and
-// a subscript that leaves its dimension is an error from both — never a
-// panic, never a silent read of a neighbouring column — and a
-// program/subscript error from the static verifier.
+// innermost step, a loop runs the same in strips as in checked mode and
+// as compiled without superinstructions, and a subscript that leaves its
+// dimension is an error from all three — never a panic, never a silent
+// read of a neighbouring column — and a program/subscript error from the
+// static verifier.
 func FuzzLoopShapes(f *testing.F) {
 	f.Add(uint8(40), uint8(24), uint8(4), uint8(8), false, int8(1), int8(-1), int8(1), uint8(2), uint8(1), uint8(0), uint8(1), int8(0))
 	f.Add(uint8(50), uint8(7), uint8(2), uint8(5), true, int8(-1), int8(51), int8(0), uint8(1), uint8(3), uint8(0), uint8(0), int8(-1))
@@ -174,7 +264,9 @@ func FuzzLoopShapes(f *testing.F) {
 			min(first, last) >= 1 && max(first, last) <= s.n1 && s.jlo+s.oj >= 1 && s.jhi+s.oj <= s.n2 &&
 				s.lo+s.ob >= 1 && ihi+s.ob <= s.n1
 		for _, lv := range []compiler.Level{compiler.OptNone, compiler.OptRTElim} {
-			if ok := sameAsCheckedMode(t, fmt.Sprintf("%+v/%v", s, lv), s.program, Options{Machine: mc, Opt: lv}); ok != want {
+			name, opt := fmt.Sprintf("%+v/%v", s, lv), Options{Machine: mc, Opt: lv}
+			sameAsUnfused(t, name, s.program, opt)
+			if ok := sameAsCheckedMode(t, name, s.program, opt); ok != want {
 				t.Fatalf("%+v/%v: run succeeded = %v, want %v: the reads span rows %d..%d and %d..%d of 1..%d, columns %d..%d of 1..%d",
 					s, lv, ok, want, first, last, s.lo+s.ob, ihi+s.ob, s.n1, s.jlo+s.oj, s.jhi+s.oj, s.n2)
 			}
@@ -192,16 +284,22 @@ func FuzzLoopShapes(f *testing.F) {
 	})
 }
 
-// loopBodyFixture is pde's relax statement on a one-node machine: every
-// block is held read-write from the start, so nothing faults and an
-// instance is the loop body alone. pass runs one instance.
+// loopBodyFixture is pde's relax statement on a one-node machine (see
+// statementFixture).
 func loopBodyFixture(tb testing.TB, mp bool) (pass func(), elems int) {
-	a, err := apps.ByName("pde")
+	return statementFixture(tb, "pde", map[string]int{"N": 34, "ITERS": 1}, "V", mp)
+}
+
+// statementFixture is the first statement of app that assigns array
+// from more than one reference, on a one-node machine: every block is
+// held read-write from the start, so nothing faults and an instance is
+// the loop body alone. pass runs one instance of elems elements.
+func statementFixture(tb testing.TB, app string, params map[string]int, array string, mp bool) (pass func(), elems int) {
+	a, err := apps.ByName(app)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const n = 34
-	prog, err := a.Program(map[string]int{"N": n, "ITERS": 1})
+	prog, err := a.Program(params)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -219,37 +317,52 @@ func loopBodyFixture(tb testing.TB, mp bool) (pass func(), elems int) {
 	proto := protocol.Attach(cluster)
 	e := newExec(prog, an, layouts, code.loops, cluster, cluster.Nodes[0], proto.Node(0), compiler.OptRTElim)
 	e.m = code.newMach(e)
-	var relax *ir.ParLoop
+	var loop *ir.ParLoop
 	ir.WalkStmts(prog.Body, func(s ir.Stmt) {
-		if pl, ok := s.(*ir.ParLoop); ok && relax == nil && len(ir.Refs(pl.Body[0].RHS)) > 1 {
-			relax = pl
+		if pl, ok := s.(*ir.ParLoop); ok && loop == nil && pl.Body[0].LHS.Array.Name == array && len(ir.Refs(pl.Body[0].RHS)) > 1 {
+			loop = pl
 		}
 	})
-	if relax == nil {
-		tb.Fatal("pde has no relax loop")
+	if loop == nil {
+		tb.Fatalf("%s assigns %s from no two references", app, array)
 	}
-	pt := an.Partition(relax, an.LoopRuleOf(relax), e.env)
-	return func() { e.runIterations(relax, pt) }, (n - 2) * (n - 2) * (n - 2)
+	elems = 1
+	for _, ix := range loop.Indexes {
+		elems *= (ix.Hi.Eval(e.env)-ix.Lo.Eval(e.env))/ix.StepOr1() + 1
+	}
+	pt := an.Partition(loop, an.LoopRuleOf(loop), e.env)
+	return func() { e.runIterations(loop, pt) }, elems
 }
 
 // BenchmarkLoopBody is the host cost of the compiled loop body alone,
-// per element of pde's relax statement (ten loads, a store, eleven
-// arithmetic ops): in strips, with every access checked, and on the
-// message-passing backend's private memory.
+// per element: in strips, with every access checked, and on the
+// message-passing backend's private memory. strip, checked and mp run
+// pde's relax statement (ten loads, a store, eleven arithmetic ops);
+// the shallow- cases run shallow's unew statement, the widest loop of
+// the stencil_opt workload (eleven loads, a store, thirteen arithmetic
+// ops).
 func BenchmarkLoopBody(b *testing.B) {
-	for _, mode := range []string{"strip", "checked", "mp"} {
-		b.Run(mode, func(b *testing.B) {
-			pass, elems := loopBodyFixture(b, mode == "mp")
-			holdChecked = mode == "checked"
-			defer func() { holdChecked = false }()
-			pass()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	for _, stmt := range []string{"", "shallow-"} {
+		for _, mode := range []string{"strip", "checked", "mp"} {
+			b.Run(stmt+mode, func(b *testing.B) {
+				var pass func()
+				var elems int
+				if stmt == "" {
+					pass, elems = loopBodyFixture(b, mode == "mp")
+				} else {
+					pass, elems = statementFixture(b, "shallow", map[string]int{"N1": 129, "N2": 65, "ITERS": 1}, "UNEW", mode == "mp")
+				}
+				holdChecked = mode == "checked"
+				defer func() { holdChecked = false }()
 				pass()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/element")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/element")
+			})
+		}
 	}
 }
 
