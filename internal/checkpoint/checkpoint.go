@@ -87,109 +87,276 @@ type IWKey struct {
 // statsSize is the fixed encoded size of stats.Node (flat integers).
 var statsSize = binary.Size(stats.Node{})
 
+// Header is a snapshot's cluster-wide part.
+type Header struct {
+	Epoch, SimTime, TimerStart, ReduceGen int64
+	Journal                               []float64
+}
+
+// NodeSource is one node's state as the node encoder reads it. The
+// encoder frames every field, in the codec's order, and asks the source
+// only to fill each field's bytes, so the field order lives in
+// encodeNode alone. A NodeState is read through it (Encode), and so are
+// the protocol's live tables, which a capture encodes without building
+// a NodeState first.
+type NodeSource interface {
+	// Shape returns the lengths that fix the node's encoded size.
+	Shape() Shape
+	// PutTags fills dst, a byte a block, with the blocks' access tags.
+	PutTags(dst []byte)
+	// DirtyMasks returns the blocks' dirty-word masks.
+	DirtyMasks() []uint16
+	// PutMapped fills dst, a byte a page, with 1 for a mapped page and 0
+	// for any other.
+	PutMapped(dst []byte)
+	// PutBlocks fills dst with the kept block images, in ascending block
+	// order, each written by PutBlock, and returns what is left of dst.
+	PutBlocks(dst []byte) []byte
+	// PutDir fills dst with the directory entries, in ascending block
+	// order, each written by PutDirEntry, and returns what is left.
+	PutDir(dst []byte) []byte
+	// PutIWDone fills dst with the done implicit_writable runs, in
+	// order, each written by PutIW, and returns what is left.
+	PutIWDone(dst []byte) []byte
+	// PutFlags fills the three per-block transfer flag tables, a byte a
+	// block each.
+	PutFlags(frames, touched, hold []byte)
+	// Counters returns the compiler-directed transfer counts and the
+	// node's statistics.
+	Counters() (ccRecv, ccExpected int64, st *stats.Node)
+}
+
+// Shape is what fixes a node's encoded size: the length of each table
+// and the number of records (and of their bytes or words) of each kind.
+type Shape struct {
+	Tags, Dirty, Mapped   int
+	Frames, Touched, Hold int
+	Blocks, BlockBytes    int // kept block images, and their data bytes
+	DirEntries, DirWords  int // directory entries, and their set words
+	IWDone                int
+}
+
+// size returns the encoded length of a node of shape s; every count and
+// length prefix is a u32.
+func (s *Shape) size() int {
+	return 4 + s.Tags + 4 + 2*s.Dirty + 4 + s.Mapped +
+		4 + 8*s.Blocks + s.BlockBytes +
+		4 + 16*s.DirEntries + 8*s.DirWords +
+		4 + 8*s.IWDone +
+		3*4 + s.Frames + s.Touched + s.Hold +
+		2*8 + 4 + statsSize
+}
+
 // Encode serializes the snapshot: magic, version, payload, CRC32
 // (IEEE) of everything preceding the checksum. The result is allocated
 // once, at its exact length.
 func Encode(s *Snapshot) []byte { return AppendEncode(nil, s) }
 
 // AppendEncode appends Encode(s) to dst and returns the extended
-// buffer. It writes within dst's capacity and allocates only when the
-// encoding does not fit, so a caller that passes back the buffer of an
-// earlier capture (resliced to length zero) encodes a same-sized
-// snapshot without allocating. Whatever dst's spare capacity held is
-// overwritten, never read.
+// buffer, as Append does.
 func AppendEncode(dst []byte, s *Snapshot) []byte {
+	h := Header{Epoch: s.Epoch, SimTime: s.SimTime, TimerStart: s.TimerStart, ReduceGen: s.ReduceGen, Journal: s.Journal}
+	return Append(dst, &h, len(s.Nodes), func(i int) NodeSource { return (*stateSource)(&s.Nodes[i]) })
+}
+
+// Append appends the encoding of the snapshot whose cluster-wide part
+// is h and whose node i is read from node(i), and returns the extended
+// buffer. It sizes the encoding first and writes within dst's capacity,
+// so a caller that passes back the buffer of an earlier capture
+// (resliced to length zero) encodes a snapshot that fits without
+// allocating. One that does not fit gets a buffer of twice dst's
+// capacity, or of its exact length if that is more: a nil dst gives an
+// exact-size result, and a buffer reused across captures that grow is
+// allocated a logarithmic number of times. Whatever dst's spare
+// capacity held is overwritten, never read.
+func Append(dst []byte, h *Header, nodes int, node func(i int) NodeSource) []byte {
+	// Up to 16 shapes stay on the stack, so a capture of a cluster that
+	// size into a buffer that fits allocates nothing.
+	shapes := make([]Shape, 0, 16)
+	if nodes > cap(shapes) {
+		shapes = make([]Shape, 0, nodes)
+	}
 	start := len(dst)
-	end := start + encodedSize(s)
+	end := start + len(Magic) + 4 + 4*8 + 4 + 8*len(h.Journal) + 4 + 4
+	for i := 0; i < nodes; i++ {
+		shapes = append(shapes, node(i).Shape())
+		end += shapes[i].size()
+	}
 	if cap(dst) < end {
-		grown := make([]byte, start, end+cap(dst)/4)
+		grown := make([]byte, start, max(end, 2*cap(dst)))
 		copy(grown, dst)
 		dst = grown
 	}
 	w := &writer{buf: dst[:end], off: start}
 	w.raw([]byte(Magic))
 	w.u32(Version)
-	w.i64(s.Epoch)
-	w.i64(s.SimTime)
-	w.i64(s.TimerStart)
-	w.i64(s.ReduceGen)
-	w.u32(uint32(len(s.Journal)))
-	for _, v := range s.Journal {
+	w.i64(h.Epoch)
+	w.i64(h.SimTime)
+	w.i64(h.TimerStart)
+	w.i64(h.ReduceGen)
+	w.u32(uint32(len(h.Journal)))
+	for _, v := range h.Journal {
 		w.u64(math.Float64bits(v))
 	}
-	w.u32(uint32(len(s.Nodes)))
-	for i := range s.Nodes {
-		encodeNode(w, &s.Nodes[i])
+	w.u32(uint32(nodes))
+	// The checksum runs behind the writer, a node at a time, over bytes
+	// still in cache.
+	crc := crc32.ChecksumIEEE(w.buf[start:w.off])
+	for i := range shapes {
+		from := w.off
+		encodeNode(w, node(i), &shapes[i])
+		crc = crc32.Update(crc, crc32.IEEETable, w.buf[from:w.off])
 	}
-	w.u32(crc32.ChecksumIEEE(w.buf[start:w.off]))
+	w.u32(crc)
 	if w.off != end {
 		panic(fmt.Sprintf("checkpoint: encoded %d bytes, sized %d", w.off-start, end-start))
 	}
 	return w.buf
 }
 
-// encodedSize returns the length of Encode(s).
-func encodedSize(s *Snapshot) int {
-	n := len(Magic) + 4 + 4*8 + 4 + 8*len(s.Journal) + 4
-	for i := range s.Nodes {
-		n += nodeSize(&s.Nodes[i])
-	}
-	return n + 4
-}
-
-// nodeSize returns the encoded length of one node, field by field in
-// encodeNode's order; every count and blob length is a u32.
-func nodeSize(n *NodeState) int {
-	size := 4 + len(n.Tags) + 4 + 2*len(n.Dirty) + 4 + len(n.Mapped)
-	size += 4
-	for _, b := range n.Blocks {
-		size += 4 + 4 + len(b.Data)
-	}
-	size += 4
-	for _, d := range n.Dir {
-		size += 4 + 3*4 + 8*(len(d.Sharers)+len(d.Writers)+len(d.Stale))
-	}
-	size += 4 + 8*len(n.IWDone)
-	size += 3*4 + len(n.CCFrames) + len(n.CCTouched) + len(n.SCHold)
-	return size + 2*8 + 4 + statsSize
-}
-
-func encodeNode(w *writer, n *NodeState) {
-	w.blob(n.Tags)
-	w.u32(uint32(len(n.Dirty)))
-	out := w.next(2 * len(n.Dirty))
-	for i, m := range n.Dirty {
-		binary.LittleEndian.PutUint16(out[2*i:], m)
-	}
-	w.blob(n.Mapped)
-	w.u32(uint32(len(n.Blocks)))
-	for i := range n.Blocks {
-		b := &n.Blocks[i]
-		w.u32(uint32(b.Block))
-		w.blob(b.Data)
-	}
-	w.u32(uint32(len(n.Dir)))
-	for i := range n.Dir {
-		d := &n.Dir[i]
-		w.u32(uint32(d.Block))
-		w.words(d.Sharers)
-		w.words(d.Writers)
-		w.words(d.Stale)
-	}
-	w.u32(uint32(len(n.IWDone)))
-	for _, k := range n.IWDone {
-		w.u32(uint32(k.A))
-		w.u32(uint32(k.B))
-	}
-	w.blob(n.CCFrames)
-	w.blob(n.CCTouched)
-	w.blob(n.SCHold)
-	w.i64(n.CCRecv)
-	w.i64(n.CCExpected)
+// encodeNode writes one node of shape sh, field by field: this is the
+// codec's field order, which decodeNode reads back.
+func encodeNode(w *writer, src NodeSource, sh *Shape) {
+	w.u32(uint32(sh.Tags))
+	src.PutTags(w.next(sh.Tags))
+	w.u32(uint32(sh.Dirty))
+	putMasks(w.next(2*sh.Dirty), src.DirtyMasks())
+	w.u32(uint32(sh.Mapped))
+	src.PutMapped(w.next(sh.Mapped))
+	w.u32(uint32(sh.Blocks))
+	filled(src.PutBlocks(w.next(8*sh.Blocks+sh.BlockBytes)), "block images")
+	w.u32(uint32(sh.DirEntries))
+	filled(src.PutDir(w.next(16*sh.DirEntries+8*sh.DirWords)), "directory entries")
+	w.u32(uint32(sh.IWDone))
+	filled(src.PutIWDone(w.next(8*sh.IWDone)), "implicit_writable runs")
+	w.u32(uint32(sh.Frames))
+	frames := w.next(sh.Frames)
+	w.u32(uint32(sh.Touched))
+	touched := w.next(sh.Touched)
+	w.u32(uint32(sh.Hold))
+	src.PutFlags(frames, touched, w.next(sh.Hold))
+	recv, expected, st := src.Counters()
+	w.i64(recv)
+	w.i64(expected)
 	w.u32(uint32(statsSize))
-	if _, err := binary.Encode(w.next(statsSize), binary.LittleEndian, &n.Stats); err != nil {
+	if _, err := binary.Encode(w.next(statsSize), binary.LittleEndian, st); err != nil {
 		panic(fmt.Sprintf("checkpoint: stats encode: %v", err))
 	}
+}
+
+// putMasks fills out with the dirty masks, little-endian, four to a
+// word store where it can.
+func putMasks(out []byte, masks []uint16) {
+	if len(out) != 2*len(masks) {
+		panic(fmt.Sprintf("checkpoint: node source has %d dirty masks, its shape %d", len(masks), len(out)/2))
+	}
+	i := 0
+	for ; i+4 <= len(masks); i += 4 {
+		m := masks[i : i+4 : i+4]
+		binary.LittleEndian.PutUint64(out[2*i:], uint64(m[0])|uint64(m[1])<<16|uint64(m[2])<<32|uint64(m[3])<<48)
+	}
+	for ; i < len(masks); i++ {
+		binary.LittleEndian.PutUint16(out[2*i:], masks[i])
+	}
+}
+
+// filled panics when a source left part of a field's bytes unwritten:
+// its Shape and its records disagree, and the blob would carry stale
+// bytes.
+func filled(rest []byte, what string) {
+	if len(rest) != 0 {
+		panic(fmt.Sprintf("checkpoint: node source left %d bytes of its %s unwritten", len(rest), what))
+	}
+}
+
+// PutBlock writes block b's image record at the front of dst and
+// returns the rest of dst.
+func PutBlock(dst []byte, b int, data []byte) []byte {
+	binary.LittleEndian.PutUint32(dst, uint32(b))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(len(data)))
+	return dst[8+copy(dst[8:], data):]
+}
+
+// PutDirEntry writes block b's directory record, its sharer, writer
+// and stale sets, at the front of dst and returns the rest of dst.
+func PutDirEntry(dst []byte, b int, sharers, writers, stale []uint64) []byte {
+	binary.LittleEndian.PutUint32(dst, uint32(b))
+	off := putWords(dst, 4, sharers)
+	off = putWords(dst, off, writers)
+	return dst[putWords(dst, off, stale):]
+}
+
+// PutIW writes the done implicit_writable run of n blocks from start at
+// the front of dst and returns the rest of dst.
+func PutIW(dst []byte, start, n int) []byte {
+	binary.LittleEndian.PutUint32(dst, uint32(start))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(n))
+	return dst[8:]
+}
+
+// putWords writes a length-prefixed uint64 vector (a node-set bitmap)
+// into dst at off and returns the offset after it.
+func putWords(dst []byte, off int, v []uint64) int {
+	binary.LittleEndian.PutUint32(dst[off:], uint32(len(v)))
+	off += 4
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(dst[off:], x)
+		off += 8
+	}
+	return off
+}
+
+// stateSource reads a NodeState as the node encoder's source.
+type stateSource NodeState
+
+func (n *stateSource) Shape() Shape {
+	s := Shape{
+		Tags: len(n.Tags), Dirty: len(n.Dirty), Mapped: len(n.Mapped),
+		Frames: len(n.CCFrames), Touched: len(n.CCTouched), Hold: len(n.SCHold),
+		Blocks: len(n.Blocks), DirEntries: len(n.Dir), IWDone: len(n.IWDone),
+	}
+	for _, b := range n.Blocks {
+		s.BlockBytes += len(b.Data)
+	}
+	for _, d := range n.Dir {
+		s.DirWords += len(d.Sharers) + len(d.Writers) + len(d.Stale)
+	}
+	return s
+}
+
+func (n *stateSource) PutTags(dst []byte)   { copy(dst, n.Tags) }
+func (n *stateSource) DirtyMasks() []uint16 { return n.Dirty }
+func (n *stateSource) PutMapped(dst []byte) { copy(dst, n.Mapped) }
+
+func (n *stateSource) PutBlocks(dst []byte) []byte {
+	for _, b := range n.Blocks {
+		dst = PutBlock(dst, int(b.Block), b.Data)
+	}
+	return dst
+}
+
+func (n *stateSource) PutDir(dst []byte) []byte {
+	for _, d := range n.Dir {
+		dst = PutDirEntry(dst, int(d.Block), d.Sharers, d.Writers, d.Stale)
+	}
+	return dst
+}
+
+func (n *stateSource) PutIWDone(dst []byte) []byte {
+	for _, k := range n.IWDone {
+		dst = PutIW(dst, int(k.A), int(k.B))
+	}
+	return dst
+}
+
+func (n *stateSource) PutFlags(frames, touched, hold []byte) {
+	copy(frames, n.CCFrames)
+	copy(touched, n.CCTouched)
+	copy(hold, n.SCHold)
+}
+
+func (n *stateSource) Counters() (int64, int64, *stats.Node) {
+	return n.CCRecv, n.CCExpected, &n.Stats
 }
 
 // Decode parses and validates an encoded snapshot. It never panics on
@@ -337,7 +504,7 @@ func sized[T any](n int) []T {
 
 // --- primitive codec --------------------------------------------------
 
-// writer fills buf, which AppendEncode sized to the whole encoding,
+// writer fills buf, which Append sized to the whole encoding,
 // from off on. Only the offset moves, so writing stores no pointer.
 type writer struct {
 	buf []byte
@@ -355,21 +522,6 @@ func (w *writer) raw(b []byte) { copy(w.next(len(b)), b) }
 func (w *writer) u32(v uint32) { binary.LittleEndian.PutUint32(w.next(4), v) }
 func (w *writer) u64(v uint64) { binary.LittleEndian.PutUint64(w.next(8), v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-
-// blob writes a length-prefixed byte slice.
-func (w *writer) blob(b []byte) {
-	w.u32(uint32(len(b)))
-	w.raw(b)
-}
-
-// words writes a length-prefixed uint64 vector (a node-set bitmap).
-func (w *writer) words(v []uint64) {
-	w.u32(uint32(len(v)))
-	out := w.next(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], x)
-	}
-}
 
 type reader struct {
 	data []byte

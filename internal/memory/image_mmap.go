@@ -26,12 +26,27 @@ func newImage(owner *NodeMem, n int) []byte {
 		return make([]byte, n)
 	}
 	liveImages.Add(1)
-	runtime.AddCleanup(owner, unmapImage, data)
+	owner.unmap = runtime.AddCleanup(owner, unmapImage, data)
 	return data
 }
 
-// liveImageCount returns the number of mapped images not yet unmapped.
-func liveImageCount() int64 { return liveImages.Load() }
+// imageCleanup is the handle of the cleanup that unmaps a node's image,
+// zero when the image fell back to the Go heap.
+type imageCleanup = runtime.Cleanup
+
+// releaseImage unmaps m's image now, if it is mapped, and stops the
+// cleanup that would have. m stays reachable across Stop, as Stop needs.
+func releaseImage(m *NodeMem) {
+	if m.data == nil || m.unmap == (runtime.Cleanup{}) {
+		return
+	}
+	m.unmap.Stop()
+	unmapImage(m.data)
+	m.data, m.unmap = nil, runtime.Cleanup{}
+}
+
+// LiveImages returns the number of mapped node images not yet unmapped.
+func LiveImages() int64 { return liveImages.Load() }
 
 func unmapImage(data []byte) {
 	if err := syscall.Munmap(data); err != nil {

@@ -94,6 +94,48 @@ func TestImagesReleased(t *testing.T) {
 	drain("dropping 64")
 }
 
+// Release unmaps a node's image at once and stops its cleanup: the
+// count of live images falls without a collection, a second Release
+// and later collections unmap nothing more, and a read of the released
+// image panics in Go rather than faulting.
+func TestReleaseUnmapsAtOnce(t *testing.T) {
+	if !memory.ImagesMapped {
+		t.Skip("images come from the Go heap in this build")
+	}
+	settle := func(what string, want int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for memory.LiveImages() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d images mapped 10 s after %s, want %d", memory.LiveImages(), what, want)
+			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settle("the earlier tests", 0)
+	nm := memory.NewNodeMem(imageSpace(), 0)
+	nm.WriteF64(0, 1)
+	nm.Release()
+	nm.Release()
+	if got := memory.LiveImages(); got != 0 {
+		t.Fatalf("%d images mapped after releasing the only one", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reading a released image did not panic")
+			}
+		}()
+		nm.ReadF64(0)
+	}()
+	nm = nil
+	for range 3 {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	settle("collecting the released NodeMem", 0)
+}
+
 // BenchmarkNewNodeMem builds one tree_scale cluster's images: cg N=360's
 // segment (a 360x360 matrix and four 360-vectors, page aligned as
 // compiler.Place lays them out) on 256 nodes with 128-byte blocks, each

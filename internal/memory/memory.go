@@ -14,9 +14,10 @@
 // anonymous private mapping outside the Go heap: the kernel zero-fills
 // a page the first time the node touches it, so a page the node never
 // touches costs no host memory, and a cleanup unmaps the image once its
-// NodeMem is unreachable. Hence the lifetime rule on NodeMem. Under the
-// race detector, which watches only Go-heap memory, and on other
-// systems an image is an ordinary zeroed slice. Mapped images are
+// NodeMem is unreachable, or Release unmaps it earlier. Hence the
+// lifetime rule on NodeMem. Under the race detector, which watches only
+// Go-heap memory, and on other systems an image is an ordinary zeroed
+// slice. Mapped images are
 // invisible to the GC pacer, so the heap it paces is smaller and
 // collections come more often.
 package memory
@@ -29,6 +30,10 @@ import (
 
 	"hpfdsm/internal/config"
 )
+
+// ImagesMapped reports whether node images come from anonymous mappings
+// (Linux without the race detector) rather than the Go heap.
+const ImagesMapped = imagesMapped
 
 // Tag is a block's fine-grain access tag.
 type Tag uint8
@@ -173,10 +178,10 @@ func (s *Space) NumHomed(home int) int {
 // some node holds rather than the whole segment.
 //
 // Lifetime rule: the image may live outside the Go heap and is released
-// when the NodeMem becomes unreachable, so a slice of it (BlockData,
-// Bytes) may be held only by objects reachable from the cluster that
-// owns this NodeMem, and never past it. Whatever must outlive the
-// cluster copies the bytes out.
+// when the NodeMem becomes unreachable, or earlier by Release, so a
+// slice of it (BlockData, Bytes) may be held only by objects reachable
+// from the cluster that owns this NodeMem, and never past it or past
+// Release. Whatever must outlive the cluster copies the bytes out.
 type NodeMem struct {
 	sp     *Space
 	id     int
@@ -192,6 +197,8 @@ type NodeMem struct {
 	bshift uint // log2(bs), 0 if bs is not a power of two
 	ps     int  // page size in bytes
 	pshift uint // log2(ps), 0 if ps is not a power of two
+
+	unmap imageCleanup // stops the image's unmapping cleanup (Release)
 }
 
 // NewNodeMem creates node id's memory image. Blocks on pages homed at
@@ -225,6 +232,14 @@ func NewNodeMem(sp *Space, id int) *NodeMem {
 	}
 	return nm
 }
+
+// Release unmaps the node image now rather than when the NodeMem
+// becomes unreachable, and stops the cleanup that would. After it the
+// image is gone: any access to the node's data panics (an index out of
+// range, not a fault), while the tags and the other tables stay
+// readable. An image on the Go heap is left to the collector, so there
+// Release does nothing.
+func (m *NodeMem) Release() { releaseImage(m) }
 
 // ID returns the owning node id.
 func (m *NodeMem) ID() int { return m.id }

@@ -17,6 +17,7 @@ import (
 	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/sim"
+	"hpfdsm/internal/stats"
 )
 
 // Quiescent reports whether the cluster is checkpointable right now.
@@ -57,102 +58,191 @@ func (p *Proto) Quiescent() bool {
 
 // Checkpoint appends the encoded snapshot of the cluster's
 // protocol-visible state to dst and returns the extended buffer
-// (checkpoint.AppendEncode): into a buffer that already holds a
-// checkpoint's capacity it allocates nothing. The caller must have
-// established quiescence (Quiescent); a busy directory entry here is a
-// bug, not a race.
+// (checkpoint.Append, which also says how a buffer that does not fit
+// grows): into a buffer that already holds the checkpoint's length it
+// allocates nothing. The caller must have established quiescence
+// (Quiescent); a busy directory entry here is a bug, not a race.
 //
-// The snapshot it encodes lives in scratch the Proto owns, made on the
-// first call, and borrows the live state: block images, dirty masks,
-// directory sets and the reduction journal are the cluster's own
-// slices, not copies. It never escapes this call — only the encoded
-// bytes do — so the borrow ends before anything can move that state.
+// Each node is written in one pass straight from the tables the
+// protocol keeps (liveNode); no snapshot is built on the way.
 func (p *Proto) Checkpoint(dst []byte) []byte {
 	c := p.C
-	if p.ckpt == nil {
-		p.ckpt = &checkpoint.Snapshot{Nodes: make([]checkpoint.NodeState, len(p.nodes))}
+	h := checkpoint.Header{
+		Epoch:      c.Epoch(),
+		SimTime:    int64(c.Env.Now()),
+		TimerStart: int64(c.TimerStart),
+		ReduceGen:  c.ReduceGen(),
+		Journal:    c.ReduceJournal,
 	}
-	s := p.ckpt
-	s.Epoch = c.Epoch()
-	s.SimTime = int64(c.Env.Now())
-	s.TimerStart = int64(c.TimerStart)
-	s.ReduceGen = c.ReduceGen()
-	s.Journal = c.ReduceJournal
-	for k, np := range p.nodes {
-		np.snapshot(&s.Nodes[k])
-	}
-	return checkpoint.AppendEncode(dst, s)
+	return checkpoint.Append(dst, &h, len(p.nodes), func(i int) checkpoint.NodeSource { return (*liveNode)(p.nodes[i]) })
 }
 
-// snapshot points ns at this node's state, in one ordered walk. Tags,
-// mapped pages and the three flags are converted into a byte arena ns
-// keeps from the first call on. The kept block images are the node's
-// memory: the blocks homed here (home memory is the authoritative copy)
-// and any other block with a live tag or dirty words; everything else is
-// reconstructible garbage. Each directory entry's sets are the entry's
-// own.
-func (np *nodeProto) snapshot(ns *checkpoint.NodeState) {
-	mem := np.n.Mem
-	sp := mem.Space()
-	tags, dirty := mem.Tags(), mem.DirtyMasks()
-	nb, npg := len(tags), sp.NumPages()
-	if ns.Tags == nil {
-		arena := make([]byte, 4*nb+npg)
-		ns.Tags, arena = arena[:nb:nb], arena[nb:]
-		ns.CCFrames, arena = arena[:nb:nb], arena[nb:]
-		ns.CCTouched, arena = arena[:nb:nb], arena[nb:]
-		ns.SCHold, ns.Mapped = arena[:nb:nb], arena[nb:]
-	}
-	for b, t := range tags {
-		ns.Tags[b] = byte(t)
-	}
-	for b, f := range np.flags {
-		ns.CCFrames[b] = f / flagCCFrame & 1
-		ns.CCTouched[b] = f / flagCCTouched & 1
-		ns.SCHold[b] = f / flagSCHold & 1
-	}
-	for pg := range ns.Mapped {
-		ns.Mapped[pg] = 0
-		if mem.Mapped(pg) {
-			ns.Mapped[pg] = 1
-		}
-	}
-	ns.Dirty = dirty
-	ns.IWDone = ns.IWDone[:0]
-	for _, r := range np.iwDone {
-		ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
-	}
-	ns.CCRecv = np.ccRecv.Value()
-	ns.CCExpected = np.ccExpected
-	ns.Stats = *np.n.St
+// liveNode is a node's protocol state as the checkpoint encoder reads
+// it. The kept block images are the node's memory: every block on a
+// page homed here (home memory is the authoritative copy) and any other
+// block with a live tag or dirty words; everything else is
+// reconstructible garbage. The three transfer flags are the bits of the
+// one flags byte a block, and each directory entry's sets are the
+// entry's own.
+type liveNode nodeProto
 
-	ns.Blocks = ns.Blocks[:0]
-	bpp := sp.Machine().PageSize / sp.BlockSize()
-	for pg := 0; pg < npg; pg++ {
-		homed := pg%len(np.p.nodes) == np.id
-		for b := pg * bpp; b < (pg+1)*bpp; b++ {
-			if homed || tags[b] != memory.Invalid || dirty[b] != 0 {
-				ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{Block: int32(b), Data: mem.BlockData(b)})
+func (ln *liveNode) Shape() checkpoint.Shape {
+	mem := ln.n.Mem
+	sp := mem.Space()
+	nb, npg := sp.NumBlocks(), sp.NumPages()
+	s := checkpoint.Shape{
+		Tags: nb, Dirty: nb, Mapped: npg, Frames: nb, Touched: nb, Hold: nb,
+		IWDone: len(ln.iwDone),
+	}
+	tags, dirty, bpp := mem.Tags(), mem.DirtyMasks(), ln.blocksPerPage()
+	for pg, lo := 0, 0; pg < npg; pg, lo = pg+1, lo+bpp {
+		if ln.homes(pg) {
+			s.Blocks += bpp
+			continue
+		}
+		pt, pd := tags[lo:lo+bpp], dirty[lo:lo+bpp]
+		if quiet(pt, pd) {
+			continue
+		}
+		for i, t := range pt {
+			if live(t, pd[i]) {
+				s.Blocks++
 			}
 		}
 	}
+	s.BlockBytes = s.Blocks * sp.BlockSize()
+	for i := range ln.dir {
+		if e := &ln.dir[i]; e.made() {
+			s.DirEntries++
+			s.DirWords += len(e.sets)
+		}
+	}
+	return s
+}
 
-	ns.Dir = ns.Dir[:0]
-	for i := range np.dir {
-		e := &np.dir[i]
-		if !e.made() {
+// live reports that a block with tag t and dirty mask d holds a copy
+// the capture keeps wherever its page is homed.
+func live(t memory.Tag, d uint16) bool { return t != memory.Invalid || d != 0 }
+
+// quiet reports that no block of a page is live, so the capture keeps
+// none of them unless the page is homed here. Most pages away from home
+// are quiet; it tests eight tags and four masks at a time.
+func quiet(tags []memory.Tag, dirty []uint16) bool {
+	var or uint64
+	i := 0
+	for ; i+8 <= len(tags); i += 8 {
+		t := tags[i : i+8 : i+8]
+		or |= uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
+	}
+	for ; i < len(tags); i++ {
+		or |= uint64(tags[i])
+	}
+	i = 0
+	for ; i+4 <= len(dirty); i += 4 {
+		d := dirty[i : i+4 : i+4]
+		or |= uint64(d[0]) | uint64(d[1])<<16 | uint64(d[2])<<32 | uint64(d[3])<<48
+	}
+	for ; i < len(dirty); i++ {
+		or |= uint64(dirty[i])
+	}
+	return or == 0
+}
+
+// homes reports whether page pg is homed at this node.
+func (ln *liveNode) homes(pg int) bool { return pg%len(ln.p.nodes) == ln.id }
+
+func (ln *liveNode) blocksPerPage() int {
+	sp := ln.n.Mem.Space()
+	return sp.Machine().PageSize / sp.BlockSize()
+}
+
+func (ln *liveNode) PutTags(dst []byte) {
+	tags := ln.n.Mem.Tags()
+	dst = dst[:len(tags)]
+	for b, t := range tags {
+		dst[b] = byte(t)
+	}
+}
+
+func (ln *liveNode) DirtyMasks() []uint16 { return ln.n.Mem.DirtyMasks() }
+
+func (ln *liveNode) PutMapped(dst []byte) {
+	mem := ln.n.Mem
+	for pg := range dst {
+		dst[pg] = 0
+		if mem.Mapped(pg) {
+			dst[pg] = 1
+		}
+	}
+}
+
+func (ln *liveNode) PutBlocks(dst []byte) []byte {
+	mem := ln.n.Mem
+	tags, dirty, bpp := mem.Tags(), mem.DirtyMasks(), ln.blocksPerPage()
+	bs := mem.Space().BlockSize()
+	for pg, lo := 0, 0; lo < len(tags); pg, lo = pg+1, lo+bpp {
+		data := mem.Bytes(lo*bs, bpp*bs)
+		if ln.homes(pg) {
+			for i := 0; i < bpp; i++ {
+				dst = checkpoint.PutBlock(dst, lo+i, data[i*bs:(i+1)*bs])
+			}
 			continue
 		}
-		if !e.idle() {
-			panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", sp.HomedBlock(np.id, i), np.id))
+		pt, pd := tags[lo:lo+bpp], dirty[lo:lo+bpp]
+		if quiet(pt, pd) {
+			continue
 		}
-		ns.Dir = append(ns.Dir, checkpoint.DirEntry{
-			Block:   int32(sp.HomedBlock(np.id, i)),
-			Sharers: e.sharers(),
-			Writers: e.writers(),
-			Stale:   e.stale(),
-		})
+		for i, t := range pt {
+			if live(t, pd[i]) {
+				dst = checkpoint.PutBlock(dst, lo+i, data[i*bs:(i+1)*bs])
+			}
+		}
 	}
+	return dst
+}
+
+// PutDir walks the entries page by page: the k-th page homed here holds
+// slots k*bpp on, and its first block is (k*nodes + id)*bpp.
+func (ln *liveNode) PutDir(dst []byte) []byte {
+	bpp, nodes := ln.blocksPerPage(), len(ln.p.nodes)
+	for k, lo := 0, 0; lo < len(ln.dir); k, lo = k+1, lo+bpp {
+		first := (k*nodes + ln.id) * bpp
+		entries := ln.dir[lo : lo+bpp]
+		for i := range entries {
+			e := &entries[i]
+			if !e.made() {
+				continue
+			}
+			if !e.idle() {
+				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", first+i, ln.id))
+			}
+			dst = checkpoint.PutDirEntry(dst, first+i, e.sharers(), e.writers(), e.stale())
+		}
+	}
+	return dst
+}
+
+func (ln *liveNode) PutIWDone(dst []byte) []byte {
+	for _, r := range ln.iwDone {
+		dst = checkpoint.PutIW(dst, r.Start, r.N)
+	}
+	return dst
+}
+
+// PutFlags reads each block's flags byte at its three bit positions.
+func (ln *liveNode) PutFlags(frames, touched, hold []byte) {
+	flags := ln.flags
+	frames, touched, hold = frames[:len(flags)], touched[:len(flags)], hold[:len(flags)]
+	for b, f := range flags {
+		frames[b] = f / flagCCFrame & 1
+		touched[b] = f / flagCCTouched & 1
+		hold[b] = f / flagSCHold & 1
+	}
+}
+
+func (ln *liveNode) Counters() (int64, int64, *stats.Node) {
+	return ln.ccRecv.Value(), ln.ccExpected, ln.n.St
 }
 
 // Restore installs a snapshot on a freshly built cluster (same machine

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -151,6 +152,188 @@ func TestRestoreNamesMissizedTable(t *testing.T) {
 	if err := h.fresh().p.Restore(snap); err == nil || err.Error() != want {
 		t.Fatalf("Restore = %v, want %q", err, want)
 	}
+}
+
+// snapshotOf builds the snapshot of p's cluster with snapshotRef, as the
+// capture did before it wrote straight from the tables.
+func snapshotOf(p *Proto) *checkpoint.Snapshot {
+	c := p.C
+	s := &checkpoint.Snapshot{
+		Epoch:      c.Epoch(),
+		SimTime:    int64(c.Env.Now()),
+		TimerStart: int64(c.TimerStart),
+		ReduceGen:  c.ReduceGen(),
+		Journal:    c.ReduceJournal,
+		Nodes:      make([]checkpoint.NodeState, len(p.nodes)),
+	}
+	for k, np := range p.nodes {
+		np.snapshotRef(&s.Nodes[k])
+	}
+	return s
+}
+
+// snapshotRef points ns at this node's state, in one ordered walk: the
+// capture as it was before Checkpoint wrote straight from the tables,
+// kept as the reference FuzzCaptureMatchesSnapshot holds it to. Tags,
+// mapped pages and the three flags are converted into a byte arena ns
+// keeps from the first call on. The kept block images are the node's
+// memory: the blocks homed here (home memory is the authoritative copy)
+// and any other block with a live tag or dirty words; everything else is
+// reconstructible garbage. Each directory entry's sets are the entry's
+// own.
+func (np *nodeProto) snapshotRef(ns *checkpoint.NodeState) {
+	mem := np.n.Mem
+	sp := mem.Space()
+	tags, dirty := mem.Tags(), mem.DirtyMasks()
+	nb, npg := len(tags), sp.NumPages()
+	if ns.Tags == nil {
+		arena := make([]byte, 4*nb+npg)
+		ns.Tags, arena = arena[:nb:nb], arena[nb:]
+		ns.CCFrames, arena = arena[:nb:nb], arena[nb:]
+		ns.CCTouched, arena = arena[:nb:nb], arena[nb:]
+		ns.SCHold, ns.Mapped = arena[:nb:nb], arena[nb:]
+	}
+	for b, t := range tags {
+		ns.Tags[b] = byte(t)
+	}
+	for b, f := range np.flags {
+		ns.CCFrames[b] = f / flagCCFrame & 1
+		ns.CCTouched[b] = f / flagCCTouched & 1
+		ns.SCHold[b] = f / flagSCHold & 1
+	}
+	for pg := range ns.Mapped {
+		ns.Mapped[pg] = 0
+		if mem.Mapped(pg) {
+			ns.Mapped[pg] = 1
+		}
+	}
+	ns.Dirty = dirty
+	ns.IWDone = ns.IWDone[:0]
+	for _, r := range np.iwDone {
+		ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(r.Start), B: int32(r.N)})
+	}
+	ns.CCRecv = np.ccRecv.Value()
+	ns.CCExpected = np.ccExpected
+	ns.Stats = *np.n.St
+
+	ns.Blocks = ns.Blocks[:0]
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	for pg := 0; pg < npg; pg++ {
+		homed := pg%len(np.p.nodes) == np.id
+		for b := pg * bpp; b < (pg+1)*bpp; b++ {
+			if homed || tags[b] != memory.Invalid || dirty[b] != 0 {
+				ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{Block: int32(b), Data: mem.BlockData(b)})
+			}
+		}
+	}
+
+	ns.Dir = ns.Dir[:0]
+	for i := range np.dir {
+		e := &np.dir[i]
+		if !e.made() {
+			continue
+		}
+		if !e.idle() {
+			panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", sp.HomedBlock(np.id, i), np.id))
+		}
+		ns.Dir = append(ns.Dir, checkpoint.DirEntry{
+			Block:   int32(sp.HomedBlock(np.id, i)),
+			Sharers: e.sharers(),
+			Writers: e.writers(),
+			Stale:   e.stale(),
+		})
+	}
+}
+
+// captureDiff returns where p's checkpoint and the encoding of
+// snapshotRef's snapshot first differ, or "" when they are equal. The
+// snapshot borrows slices of the node images, so p, which keeps the
+// images mapped, must stay reachable until it is encoded.
+func captureDiff(p *Proto) string {
+	got, want := p.Checkpoint(nil), checkpoint.Encode(snapshotOf(p))
+	runtime.KeepAlive(p)
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	i := 0
+	for i < min(len(got), len(want)) && got[i] == want[i] {
+		i++
+	}
+	return fmt.Sprintf("the capture is %d bytes and the reference %d; they first differ at byte %d", len(got), len(want), i)
+}
+
+// TestCaptureMatchesSnapshot: on the settled clusters the other
+// checkpoint tests use, the capture writes the bytes snapshotRef's
+// snapshot encodes to.
+func TestCaptureMatchesSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		h    *harness
+	}{
+		{"shared 64", sharedRun(t, 64)},
+		{"shared 128", sharedRun(t, 128)},
+		{"cached 1", cachedRun(t, 1)},
+		{"cached 32", cachedRun(t, 32)},
+	} {
+		if d := captureDiff(c.h.p); d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		}
+	}
+}
+
+// FuzzCaptureMatchesSnapshot plants state on FuzzAuditMatchesReference's
+// settled cluster (a tag, dirty words, a changed word, the three
+// transfer flags, an idle directory entry, a mapped page and a done
+// implicit_writable run) and requires the capture to write the bytes
+// snapshotRef's snapshot encodes to.
+func FuzzCaptureMatchesSnapshot(f *testing.F) {
+	for _, s := range []struct {
+		node, block, tag uint8
+		mask             uint16
+		word             int8
+		flags            uint8
+		entry            bool
+		page             uint8
+		run              uint16
+	}{
+		{0, 0, 3, 0, -1, 0, false, 0, 0},
+		{2, 0, 2, 1, -1, 1, true, 1, 0},
+		{2, 2, 1, 0, -1, 2, false, 3, 0x0203},
+		{1, 1, 0, 0x8000, 15, 4, true, 2, 0},
+		{2, 40, 1, 0, -1, 7, true, 0, 0x1101},
+		{1, 70, 3, 4, -1, 0, false, 3, 0},
+		{0, 100, 2, 1, -1, 5, true, 1, 0x0402},
+	} {
+		f.Add(s.node, s.block, s.tag, s.mask, s.word, s.flags, s.entry, s.page, s.run)
+	}
+	f.Fuzz(func(t *testing.T, node, block, tag uint8, mask uint16, word int8, flags uint8, entry bool, page uint8, run uint16) {
+		h, b0 := plantedCluster(t)
+		words := h.space.BlockSize() / 8
+		pl := plant{
+			node:  int(node) % 3,
+			block: (b0 + int(block)) % h.space.NumBlocks(),
+			tag:   memory.Tag(tag % 4),
+			mask:  mask & (1<<uint(words) - 1),
+			word:  -1,
+		}
+		if word >= 0 {
+			pl.word = int(word) % words
+		}
+		pl.apply(h)
+		np := h.p.nodes[pl.node]
+		np.flags[pl.block] |= flags & (flagCCFrame | flagCCTouched | flagSCHold)
+		if entry {
+			h.p.nodes[h.space.HomeOfBlock(pl.block)].entry(pl.block)
+		}
+		np.n.Mem.SetMapped(int(page) % h.space.NumPages())
+		if run != 0 {
+			start := int(run>>8) % h.space.NumBlocks()
+			np.iwDone = append(np.iwDone, BlockRun{Start: start, N: min(int(run&0xff), h.space.NumBlocks()-start)})
+		}
+		if d := captureDiff(h.p); d != "" {
+			t.Fatal(d)
+		}
+	})
 }
 
 // TestCheckpointOwnsItsBytes: a checkpoint's blob is a copy, not a view

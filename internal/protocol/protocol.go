@@ -25,7 +25,6 @@ package protocol
 import (
 	"fmt"
 
-	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
@@ -111,10 +110,6 @@ type Proto struct {
 	// runtime installs analysis.ProvIndex.Describe here; the hook is a
 	// plain function so the protocol does not import the verifier.
 	BlockInfo func(b int) string
-
-	// ckpt is the snapshot Checkpoint fills and encodes, nil until the
-	// first checkpoint: runs that take none allocate nothing for it.
-	ckpt *checkpoint.Snapshot
 
 	// union is the coherence audit's scratch, nil until the first
 	// audit: the per-block union of every node's dirty masks, zero

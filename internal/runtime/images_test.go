@@ -2,12 +2,14 @@ package runtime
 
 import (
 	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"hpfdsm/internal/apps"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
+	"hpfdsm/internal/memory"
 )
 
 // A Result reads the final arrays out of the node images after the run,
@@ -39,4 +41,41 @@ func TestResultKeepsImagesAlive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An aborted recovery attempt gives its node images back at teardown,
+// not at some later collection: with collection off, a crash-recovery
+// Run leaves only its final attempt's images mapped. The test first
+// waits until every earlier test's images are unmapped, so nothing else
+// moves the count; it must not run in parallel with other tests.
+func TestAbortedAttemptReleasesImages(t *testing.T) {
+	if !memory.ImagesMapped {
+		t.Skip("images come from the Go heap in this build")
+	}
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for memory.LiveImages() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d images of earlier tests still mapped after 10 s", memory.LiveImages())
+		}
+		goruntime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mc := config.Default().WithFaults(config.Faults{Crashes: []config.CrashSpec{{Node: 2, Epoch: 5}}})
+	res, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want the 1 the crash forces", res.Recoveries)
+	}
+	if got := memory.LiveImages(); got != int64(mc.Nodes) {
+		t.Errorf("%d images mapped after a run that recovered once on %d nodes; want only the final attempt's %d", got, mc.Nodes, mc.Nodes)
+	}
+	goruntime.KeepAlive(res)
 }

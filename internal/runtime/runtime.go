@@ -192,8 +192,7 @@ type recovery struct {
 	enabled bool
 	specs   []config.CrashSpec
 	fired   []bool
-	blob    []byte // latest complete checkpoint, encoded
-	spare   []byte // the buffer the next checkpoint is encoded into
+	blob    []byte // latest complete checkpoint, encoded; its buffer serves the whole Run
 	dir     string
 	prog    string
 
@@ -208,18 +207,23 @@ type recovery struct {
 // is installed. It is a test seam (export_test.go); nil otherwise.
 var keepHook func(blob []byte)
 
-// keep captures a checkpoint of proto into the spare buffer, installs
-// it as the recovery point, and persists it to dir when one is set (a
-// diagnostic artifact that recovery never reads back).
+// keep captures a checkpoint of proto over the recovery point, in the
+// same buffer, and persists it to dir when one is set (a diagnostic
+// artifact that recovery never reads back).
+//
+// One buffer serves every capture of the Run, across attempts: a
+// capture runs to its end at one barrier instant, before anything can
+// read the recovery point again, and a restore reads the point through
+// checkpoint.Decode, which copies out of it. The buffer grows only when
+// a blob does not fit, to twice its size (checkpoint.Append). A second
+// buffer would have to grow past the largest blob too, so two would
+// allocate at least the initial state's blob plus twice the largest.
 func (rec *recovery) keep(proto *protocol.Proto) {
-	blob := proto.Checkpoint(rec.spare[:0])
+	blob := proto.Checkpoint(rec.blob[:0])
 	if keepHook != nil {
 		keepHook(blob)
 	}
-	// The old recovery point becomes the next capture's spare. That is
-	// safe only because checkpoint.Decode copies out of its input: no
-	// restored snapshot still reads these bytes when they are reused.
-	rec.blob, rec.spare = blob, rec.blob
+	rec.blob = blob
 	rec.taken++
 	rec.bytes += int64(len(blob))
 	if rec.dir != "" && rec.err == nil {
@@ -511,6 +515,9 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 			if cerr := cluster.CheckErr(); cerr != nil {
 				return nil, nil, fmt.Errorf("runtime: %w (program %s)", cerr, prog.Name)
 			}
+			// Nothing reads the aborted machine's memory again: give its
+			// node images back now rather than at some later collection.
+			cluster.Release()
 			return nil, ce, nil
 		}
 		var fe *fault

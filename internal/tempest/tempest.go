@@ -546,6 +546,16 @@ func (c *Cluster) Crash(id int) {
 	}
 }
 
+// Release gives every node's memory image back at once (NodeMem.Release)
+// instead of when the cluster becomes unreachable. The cluster's memory
+// must not be read again: the recovery layer calls it on an attempt it
+// has aborted and torn down.
+func (c *Cluster) Release() {
+	for _, n := range c.Nodes {
+		n.Mem.Release()
+	}
+}
+
 // NewCluster builds a cluster over an already-laid-out address space,
 // every node on env.
 func NewCluster(env *sim.Env, sp *memory.Space) *Cluster {
