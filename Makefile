@@ -101,7 +101,7 @@ fmt-check:
 	fi
 
 # Statement coverage with per-package floors on the protocol-critical
-# packages. Every test binary writes its counters into COVERDIR, and
+# packages and on those that parse outside input or restore a run. Every test binary writes its counters into COVERDIR, and
 # the toolchain merges them, so a package's figure counts coverage from
 # anyone's tests, not just its own. The floors sit well under current
 # values; they catch a test deletion or a big untested addition, not
@@ -119,7 +119,11 @@ COVER_FLOORS = \
 	hpfdsm/internal/bench=83 \
 	hpfdsm/internal/sim=90 \
 	hpfdsm/internal/tempest=90 \
-	hpfdsm/internal/runtime=90
+	hpfdsm/internal/runtime=90 \
+	hpfdsm/internal/checkpoint=86 \
+	hpfdsm/internal/memory=92 \
+	hpfdsm/internal/config=85 \
+	hpfdsm/internal/lang=81
 
 cover:
 	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"hpfdsm/internal/analysis"
-	"hpfdsm/internal/apps"
 	"hpfdsm/internal/bench"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
@@ -45,24 +44,19 @@ func main() {
 	node := flag.Int("node", 0, "node whose calls to print with -calls")
 	flag.Parse()
 
-	var prog *ir.Program
-	var err error
+	var src string
 	switch {
 	case *app != "":
-		a, err2 := apps.ByName(*app)
-		if err2 != nil {
-			fail(err2)
-		}
-		prog, err = a.Program(bench.ParamsFor(a, bench.Scaled))
 	case *file != "":
-		src, err2 := os.ReadFile(*file)
-		if err2 != nil {
-			fail(err2)
+		b, err := os.ReadFile(*file)
+		if err != nil {
+			fail(err)
 		}
-		prog, err = lang.Parse(string(src))
+		src = string(b)
 	default:
 		fail(fmt.Errorf("one of -app or -file is required"))
 	}
+	prog, err := bench.LoadProgram(*app, src, bench.Scaled, nil)
 	if err != nil {
 		fail(err)
 	}

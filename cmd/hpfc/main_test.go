@@ -15,6 +15,7 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/lang"
 )
 
 // exe is the command, built once for the tests to run.
@@ -41,11 +42,7 @@ func TestMain(m *testing.M) {
 // verifier folds for each node at OptBulk.
 func verifierBarriers(t *testing.T, nodes int) (labels []string, barriers [][]int) {
 	t.Helper()
-	a, err := apps.ByName("lu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := a.Program(bench.ParamsFor(a, bench.Scaled))
+	prog, err := bench.LoadProgram("lu", "", bench.Scaled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +120,24 @@ func TestCallsBarrierParity(t *testing.T) {
 	}
 	if !sawReads {
 		t.Fatal("no loop of lu printed the full four barriers: the comparison never saw a schedule with reads")
+	}
+}
+
+// TestPrintIsTheScaledApp: -print of every application is its program
+// at the scaled sizing, as built straight from the app.
+func TestPrintIsTheScaledApp(t *testing.T) {
+	for _, a := range append(apps.All(), apps.Irregular()) {
+		prog, err := a.Program(a.ScaledParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(exe, "-app", a.Name, "-print").Output()
+		if err != nil {
+			t.Fatalf("-app %s -print: %v", a.Name, err)
+		}
+		if want := lang.Print(prog); string(out) != want {
+			t.Errorf("-app %s -print printed\n%s\nwant\n%s", a.Name, out, want)
+		}
 	}
 }
 

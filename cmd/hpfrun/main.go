@@ -21,12 +21,9 @@ import (
 	"strings"
 
 	"hpfdsm/internal/analysis"
-	"hpfdsm/internal/apps"
 	"hpfdsm/internal/bench"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
-	"hpfdsm/internal/ir"
-	"hpfdsm/internal/lang"
 	"hpfdsm/internal/profiling"
 	"hpfdsm/internal/runtime"
 	"hpfdsm/internal/sim"
@@ -135,36 +132,24 @@ func run() (exitCode int) {
 		}
 	}()
 
-	var prog *ir.Program
-	var err error
+	var src string
+	sizing := bench.Bench
 	switch {
 	case *app != "":
-		a, err2 := apps.ByName(*app)
-		if err2 != nil {
-			return fail(err2)
+		var err error
+		if sizing, err = bench.ParseSizing(*size); err != nil {
+			return fail(err)
 		}
-		sizing, err2 := bench.ParseSizing(*size)
-		if err2 != nil {
-			return fail(err2)
-		}
-		base := bench.ParamsFor(a, sizing)
-		merged := map[string]int{}
-		for k, v := range base {
-			merged[k] = v
-		}
-		for k, v := range params {
-			merged[k] = v
-		}
-		prog, err = a.Program(merged)
 	case *file != "":
-		src, err2 := os.ReadFile(*file)
-		if err2 != nil {
-			return fail(err2)
+		b, err := os.ReadFile(*file)
+		if err != nil {
+			return fail(err)
 		}
-		prog, err = lang.ParseWithOverrides(string(src), params)
+		src = string(b)
 	default:
 		return fail(fmt.Errorf("one of -app or -file is required"))
 	}
+	prog, err := bench.LoadProgram(*app, src, sizing, params)
 	if err != nil {
 		return fail(err)
 	}

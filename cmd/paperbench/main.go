@@ -127,6 +127,14 @@ func run() (exitCode int) {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *pdes < 1 {
+		fmt.Fprintf(os.Stderr, "-pdes must be at least 1, have %d\n", *pdes)
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "-j must be at least 1, have %d\n", *workers)
+		return 2
+	}
 	if c.cfg.Sizing == bench.Paper {
 		fmt.Fprintln(os.Stderr, "note: paper sizes simulate the full Table 2 problems; expect long runs")
 	}

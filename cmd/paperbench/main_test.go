@@ -70,6 +70,17 @@ func TestFailureStillClosesProfile(t *testing.T) {
 	}
 }
 
+// TestCountsBelowOneRefused: -pdes and -j below 1 are usage errors, one
+// line and exit code 2, before anything runs.
+func TestCountsBelowOneRefused(t *testing.T) {
+	for _, c := range [][]string{{"-pdes", "0"}, {"-pdes", "-3"}, {"-j", "0"}, {"-j", "-1"}} {
+		code, stderr := exitCode(t, "-exp", "scale", "-size", "scaled", c[0], c[1])
+		if want := c[0] + " must be at least 1, have " + c[1] + "\n"; code != 2 || stderr != want {
+			t.Errorf("%v: exit code %d, stderr %q; want 2 and %q", c, code, stderr, want)
+		}
+	}
+}
+
 func TestNamedExperimentRuns(t *testing.T) {
 	if code, stderr := exitCode(t, "-exp", "table1"); code != 0 {
 		t.Errorf("-exp table1: exit code %d, stderr %q", code, stderr)

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 
 	"hpfdsm/internal/apps"
@@ -54,6 +55,30 @@ func ParamsFor(a *apps.App, s Sizing) map[string]int {
 	default:
 		return a.BenchParams
 	}
+}
+
+// LoadProgram builds the program a run simulates, for every command and
+// experiment. Named by app, it is that application with its PARAMs at
+// sizing s and params laid over them; a non-empty src then stands in
+// for the application's text under the same PARAMs. With no app, src
+// is parsed with params as its only overrides.
+func LoadProgram(app, src string, s Sizing, params map[string]int) (*ir.Program, error) {
+	if app == "" {
+		return lang.ParseWithOverrides(src, params)
+	}
+	a, err := apps.ByName(app)
+	if err != nil {
+		return nil, err
+	}
+	merged := ParamsFor(a, s)
+	if len(params) > 0 {
+		merged = maps.Clone(merged)
+		maps.Copy(merged, params)
+	}
+	if src != "" {
+		return lang.ParseWithOverrides(src, merged)
+	}
+	return a.Program(merged)
 }
 
 // Variant is one machine/optimization configuration of the sweep.
@@ -113,17 +138,7 @@ type cell struct {
 // in cell order.
 func (c Config) simulate(cells []cell) ([]*runtime.Result, error) {
 	return grid(c.Workers, cells, func(x cell) (*runtime.Result, error) {
-		a, err := apps.ByName(x.app)
-		if err != nil {
-			return nil, err
-		}
-		params := ParamsFor(a, c.Sizing)
-		var prog *ir.Program
-		if x.src == "" {
-			prog, err = a.Program(params)
-		} else {
-			prog, err = lang.ParseWithOverrides(x.src, params)
-		}
+		prog, err := LoadProgram(x.app, x.src, c.Sizing, nil)
 		if err != nil {
 			return nil, err
 		}

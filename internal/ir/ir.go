@@ -199,12 +199,7 @@ func (a *Array) String() string {
 // --- Expressions -------------------------------------------------------
 
 // Expr is a floating-point expression evaluated per loop element.
-type Expr interface {
-	isExpr()
-	// Ops returns the flop count of one evaluation (inner reductions
-	// count their body times their trip count estimate).
-	Ops() int
-}
+type Expr interface{ isExpr() }
 
 // Num is a literal.
 type Num struct{ V float64 }
@@ -279,51 +274,44 @@ func (Call) isExpr()      {}
 func (InnerRed) isExpr()  {}
 func (Indirect) isExpr()  {}
 
-// Ops implementations (static flop estimates for the cost model).
-
-// Ops returns 0: literals are free.
-func (Num) Ops() int { return 0 }
-
-// Ops returns 0: register read.
-func (ScalarRef) Ops() int { return 0 }
-
-// Ops returns 1: an int-to-float conversion.
-func (IdxVal) Ops() int { return 1 }
-
-// Ops returns 1: one load.
-func (r ArrayRef) Ops() int { return 1 }
-
-// Ops returns the operator plus operand cost.
-func (b Bin) Ops() int { return 1 + b.L.Ops() + b.R.Ops() }
-
-// Ops charges intrinsics as several flops.
-func (c Call) Ops() int {
-	n := 8
-	for _, a := range c.Args {
-		n += a.Ops()
-	}
-	return n
-}
-
-// Ops charges the subscript computations plus the load.
-func (ix Indirect) Ops() int {
-	n := 2 // address computation + load
-	for _, s := range ix.Subs {
-		n += s.Ops()
-	}
-	return n
-}
-
-// Ops estimates trip count when bounds are constant, else assumes 16.
-func (ir InnerRed) Ops() int {
-	trip := 16
-	if ir.Lo.IsConst() && ir.Hi.IsConst() {
-		trip = ir.Hi.Const - ir.Lo.Const + 1
-		if trip < 0 {
-			trip = 0
+// Flops is the per-element cost model: the flop count of one
+// evaluation of x. Literals and scalars are free, an index conversion
+// or a load costs one, an operator one plus its operands, an intrinsic
+// eight plus its arguments, and an indirect read two (address and load)
+// plus its subscripts. An inner reduction costs its trip count times
+// one plus its body: the bounds evaluated under env where they resolve,
+// else 16 trips. Beneath an indirect subscript only constant bounds
+// count.
+func Flops(x Expr, env map[string]int) int {
+	switch t := x.(type) {
+	case Num, ScalarRef:
+		return 0
+	case IdxVal, ArrayRef:
+		return 1
+	case Bin:
+		return 1 + Flops(t.L, env) + Flops(t.R, env)
+	case Call:
+		n := 8
+		for _, a := range t.Args {
+			n += Flops(a, env)
 		}
+		return n
+	case Indirect:
+		n := 2
+		for _, s := range t.Subs {
+			n += Flops(s, nil)
+		}
+		return n
+	case InnerRed:
+		trip := 16
+		lo, okL := t.Lo.TryEval(env)
+		hi, okH := t.Hi.TryEval(env)
+		if okL && okH {
+			trip = max(hi-lo+1, 0)
+		}
+		return trip * (1 + Flops(t.Body, env))
 	}
-	return trip * (1 + ir.Body.Ops())
+	panic(fmt.Sprintf("ir: no cost for expression %T", x))
 }
 
 func (r ArrayRef) String() string {

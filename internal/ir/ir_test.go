@@ -102,12 +102,12 @@ func TestOpsCounting(t *testing.T) {
 	a := &Array{Name: "a", Extents: []int{10}}
 	// 0.25*(a(i-1)+a(i+1)) = 2 loads + 2 adds... : Mul(Num, Plus(ref,ref))
 	e := Times(N(0.25), Plus(Ref(a, V("i").AddC(-1)), Ref(a, V("i").AddC(1))))
-	if e.Ops() != 4 { // mul + add + 2 loads
-		t.Fatalf("ops = %d", e.Ops())
+	if n := Flops(e, nil); n != 4 { // mul + add + 2 loads
+		t.Fatalf("ops = %d", n)
 	}
 	red := InnerRed{Op: RedSum, Var: "k", Lo: Aff(1), Hi: Aff(10), Body: Times(Ref(a, V("k")), Ref(a, V("k")))}
-	if red.Ops() != 10*(1+3) {
-		t.Fatalf("inner red ops = %d", red.Ops())
+	if n := Flops(red, nil); n != 10*(1+3) {
+		t.Fatalf("inner red ops = %d", n)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestIndirectExpr(t *testing.T) {
 	a := &Array{Name: "a", Extents: []int{10}}
 	ix := &Array{Name: "ix", Extents: []int{10}}
 	ind := Indirect{Array: a, Subs: []Expr{Ref(ix, V("i"))}}
-	if ind.Ops() < 3 {
-		t.Fatalf("indirect ops = %d", ind.Ops())
+	if n := Flops(ind, nil); n < 3 {
+		t.Fatalf("indirect ops = %d", n)
 	}
 	// Walk reaches the inner reference.
 	refs := Refs(ind)
@@ -218,7 +218,7 @@ func TestTryEval(t *testing.T) {
 }
 
 func TestMoreBuilders(t *testing.T) {
-	if Over(N(1), N(2)).Ops() != 1 {
+	if Flops(Over(N(1), N(2)), nil) != 1 {
 		t.Fatal("Over")
 	}
 	a := &Array{Name: "a", Extents: []int{4, 4}}

@@ -47,13 +47,8 @@ func (p *Proto) Quiescent() bool {
 		if len(np.relay) != 0 {
 			return false
 		}
-		for i := range np.dir {
-			if !np.dir[i].idle() {
-				return false
-			}
-		}
 	}
-	return true
+	return p.dirIdle()
 }
 
 // Checkpoint appends the encoded snapshot of the cluster's
@@ -87,17 +82,28 @@ func (p *Proto) Checkpoint(dst []byte) []byte {
 type liveNode nodeProto
 
 func (ln *liveNode) Shape() checkpoint.Shape {
-	mem := ln.n.Mem
-	sp := mem.Space()
+	sp := ln.n.Mem.Space()
 	nb, npg := sp.NumBlocks(), sp.NumPages()
 	s := checkpoint.Shape{
 		Tags: nb, Dirty: nb, Mapped: npg, Frames: nb, Touched: nb, Hold: nb,
-		IWDone: len(ln.iwDone),
+		IWDone:     len(ln.iwDone),
+		DirEntries: ln.made,
+		DirWords:   ln.made * 3 * nsWords(len(ln.p.nodes)),
 	}
+	ln.kept(func(_, n int) { s.Blocks += n })
+	s.BlockBytes = s.Blocks * sp.BlockSize()
+	return s
+}
+
+// kept calls f, in block order, with each run of n blocks from lo that
+// the capture keeps: every page homed here whole, and any other live
+// block.
+func (ln *liveNode) kept(f func(lo, n int)) {
+	mem := ln.n.Mem
 	tags, dirty, bpp := mem.Tags(), mem.DirtyMasks(), ln.blocksPerPage()
-	for pg, lo := 0, 0; pg < npg; pg, lo = pg+1, lo+bpp {
+	for pg, lo := 0, 0; lo < len(tags); pg, lo = pg+1, lo+bpp {
 		if ln.homes(pg) {
-			s.Blocks += bpp
+			f(lo, bpp)
 			continue
 		}
 		pt, pd := tags[lo:lo+bpp], dirty[lo:lo+bpp]
@@ -106,18 +112,10 @@ func (ln *liveNode) Shape() checkpoint.Shape {
 		}
 		for i, t := range pt {
 			if live(t, pd[i]) {
-				s.Blocks++
+				f(lo+i, 1)
 			}
 		}
 	}
-	s.BlockBytes = s.Blocks * sp.BlockSize()
-	for i := range ln.dir {
-		if e := &ln.dir[i]; e.made() {
-			s.DirEntries++
-			s.DirWords += len(e.sets)
-		}
-	}
-	return s
 }
 
 // live reports that a block with tag t and dirty mask d holds a copy
@@ -179,26 +177,13 @@ func (ln *liveNode) PutMapped(dst []byte) {
 
 func (ln *liveNode) PutBlocks(dst []byte) []byte {
 	mem := ln.n.Mem
-	tags, dirty, bpp := mem.Tags(), mem.DirtyMasks(), ln.blocksPerPage()
 	bs := mem.Space().BlockSize()
-	for pg, lo := 0, 0; lo < len(tags); pg, lo = pg+1, lo+bpp {
-		data := mem.Bytes(lo*bs, bpp*bs)
-		if ln.homes(pg) {
-			for i := 0; i < bpp; i++ {
-				dst = checkpoint.PutBlock(dst, lo+i, data[i*bs:(i+1)*bs])
-			}
-			continue
+	ln.kept(func(lo, n int) {
+		data := mem.Bytes(lo*bs, n*bs)
+		for i := 0; i < n; i++ {
+			dst = checkpoint.PutBlock(dst, lo+i, data[i*bs:(i+1)*bs])
 		}
-		pt, pd := tags[lo:lo+bpp], dirty[lo:lo+bpp]
-		if quiet(pt, pd) {
-			continue
-		}
-		for i, t := range pt {
-			if live(t, pd[i]) {
-				dst = checkpoint.PutBlock(dst, lo+i, data[i*bs:(i+1)*bs])
-			}
-		}
-	}
+	})
 	return dst
 }
 
@@ -300,6 +285,7 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 		}
 		clear(np.dir)
 		clear(np.slab)
+		np.made = 0
 		words := nsWords(len(p.nodes))
 		for _, d := range ns.Dir {
 			b := int(d.Block)

@@ -64,10 +64,14 @@ type dirReq struct {
 	needData bool // mk_writable: requester lacks the data
 }
 
-// makeEntry gives slot i's entry its sets, zeroed, from the node's slab.
+// makeEntry gives slot i's entry its sets, zeroed, from the node's
+// slab. It is the one place an entry is made, so it keeps the count.
 func (np *nodeProto) makeEntry(i int) *dirEntry {
 	w := 3 * nsWords(len(np.p.nodes))
 	e := &np.dir[i]
+	if !e.made() {
+		np.made++
+	}
 	e.sets = np.slab[i*w : (i+1)*w : (i+1)*w]
 	return e
 }

@@ -70,30 +70,52 @@ const (
 	KInvalAckTree
 )
 
+// kindRow is one message kind's row of the dispatch table: its trace
+// name, its handler, and whether it may travel as a carrier segment.
+// Only latency-tolerant kinds — tagged data, flush-directory updates,
+// mk_writable data and acks, and the eager-release upgrade and
+// invalidation legs — ever ride a carrier.
+type kindRow struct {
+	name    string
+	handle  func(*nodeProto, *tempest.HContext, *network.Message)
+	carrier bool
+}
+
+// kinds is the protocol's one dispatch table, indexed by kind: every
+// message a node receives runs its row (dispatch, which Attach binds),
+// and hCoalesced routes a carrier's segments through the same rows. It is filled in init
+// because hCoalesced, one of its handlers, reads it.
+var kinds [KInvalAckTree + 1]kindRow
+
 func init() {
-	network.NameKinds([]string{
-		KReadReq:        "read_req",
-		KReadResp:       "read_resp",
-		KWriteReq:       "write_req",
-		KWriteResp:      "write_resp",
-		KUpgradeReq:     "upgrade_req",
-		KWriteGrant:     "write_grant",
-		KPutDataReq:     "put_data_req",
-		KPutDataResp:    "put_data_resp",
-		KInval:          "inval",
-		KInvalAck:       "inval_ack",
-		KMkWritableReq:  "mk_writable_req",
-		KMkWritableData: "mk_writable_data",
-		KMkWritableAck:  "mk_writable_ack",
-		KCCData:         "cc_data",
-		KCCFlush:        "cc_flush",
-		KCCFlushDir:     "cc_flush_dir",
-		KCoalesced:      "coalesced",
-		KInvalTree:      "inval_tree",
-		KInvalFwd:       "inval_fwd",
-		KInvalAckFwd:    "inval_ack_fwd",
-		KInvalAckTree:   "inval_ack_tree",
-	})
+	kinds = [...]kindRow{
+		KReadReq:        {"read_req", (*nodeProto).hDirReq, false},
+		KReadResp:       {"read_resp", (*nodeProto).hReadResp, false},
+		KWriteReq:       {"write_req", (*nodeProto).hDirReq, true},
+		KWriteResp:      {"write_resp", (*nodeProto).hWriteResp, false},
+		KUpgradeReq:     {"upgrade_req", (*nodeProto).hDirReq, true},
+		KWriteGrant:     {"write_grant", (*nodeProto).hWriteGrant, true},
+		KPutDataReq:     {"put_data_req", (*nodeProto).hPutDataReq, false},
+		KPutDataResp:    {"put_data_resp", (*nodeProto).hPutDataResp, false},
+		KInval:          {"inval", (*nodeProto).hInval, true},
+		KInvalAck:       {"inval_ack", (*nodeProto).hInvalAck, true},
+		KMkWritableReq:  {"mk_writable_req", (*nodeProto).hMkWritableReq, false},
+		KMkWritableData: {"mk_writable_data", (*nodeProto).hMkWritableData, true},
+		KMkWritableAck:  {"mk_writable_ack", (*nodeProto).hMkWritableAck, true},
+		KCCData:         {"cc_data", (*nodeProto).hCC, true},
+		KCCFlush:        {"cc_flush", (*nodeProto).hCC, true},
+		KCCFlushDir:     {"cc_flush_dir", (*nodeProto).hCCFlushDir, true},
+		KCoalesced:      {"coalesced", (*nodeProto).hCoalesced, false},
+		KInvalTree:      {"inval_tree", (*nodeProto).hInvalTree, false},
+		KInvalFwd:       {"inval_fwd", (*nodeProto).hInvalFwd, false},
+		KInvalAckFwd:    {"inval_ack_fwd", (*nodeProto).hInvalAckFwd, false},
+		KInvalAckTree:   {"inval_ack_tree", (*nodeProto).hInvalAckTree, false},
+	}
+	names := make([]string, len(kinds))
+	for k := range kinds {
+		names[k] = kinds[k].name
+	}
+	network.NameKinds(names)
 }
 
 const ctrlSize = 8 // payload bytes of a control message
@@ -136,9 +158,10 @@ type nodeProto struct {
 	// dir is the directory of the blocks homed here, indexed by their
 	// memory.Space.HomeSlot; an entry is made when its block is first
 	// asked for (entry). slab backs every entry's node sets, 3*nsWords(N)
-	// words per slot.
+	// words per slot; made counts the made entries (makeEntry).
 	dir  []dirEntry
 	slab nodeset
+	made int
 
 	// fill completes the compute process's blocking miss on fillBlock,
 	// remote or home-local: nil when none is outstanding, else fillSig,
@@ -219,27 +242,12 @@ func Attach(c *tempest.Cluster) *Proto {
 		}
 		p.nodes = append(p.nodes, np)
 		n.Fault = np.fault
-		n.On(KReadReq, np.hDirReq)
-		n.On(KWriteReq, np.hDirReq)
-		n.On(KUpgradeReq, np.hDirReq)
-		n.On(KReadResp, np.hReadResp)
-		n.On(KWriteResp, np.hWriteResp)
-		n.On(KWriteGrant, np.hWriteGrant)
-		n.On(KPutDataReq, np.hPutDataReq)
-		n.On(KPutDataResp, np.hPutDataResp)
-		n.On(KInval, np.hInval)
-		n.On(KInvalAck, np.hInvalAck)
-		n.On(KMkWritableReq, np.hMkWritableReq)
-		n.On(KMkWritableData, np.hMkWritableData)
-		n.On(KMkWritableAck, np.hMkWritableAck)
-		n.On(KCCData, np.hCC)
-		n.On(KCCFlush, np.hCC)
-		n.On(KCCFlushDir, np.hCCFlushDir)
-		n.On(KCoalesced, np.hCoalesced)
-		n.On(KInvalTree, np.hInvalTree)
-		n.On(KInvalFwd, np.hInvalFwd)
-		n.On(KInvalAckFwd, np.hInvalAckFwd)
-		n.On(KInvalAckTree, np.hInvalAckTree)
+		handle := np.dispatch
+		for k := range kinds {
+			if kinds[k].handle != nil {
+				n.On(network.Kind(k), handle)
+			}
+		}
 	}
 	return p
 }
@@ -291,30 +299,20 @@ func (np *nodeProto) hCoalesced(hc *tempest.HContext, m *network.Message) {
 	})
 }
 
-// dispatchSeg routes one carrier segment to its handler. Only
-// latency-tolerant kinds ever ride a carrier; anything else is a
+// dispatch runs a message's row of the table. Attach binds it once a
+// node, for every kind.
+func (np *nodeProto) dispatch(hc *tempest.HContext, m *network.Message) {
+	kinds[m.Kind].handle(np, hc, m)
+}
+
+// dispatchSeg routes one carrier segment to its row. Only kinds the
+// table marks as carrier kinds ever ride a carrier; anything else is a
 // protocol bug.
 func (np *nodeProto) dispatchSeg(hc *tempest.HContext, sm *network.Message) {
-	switch sm.Kind {
-	case KCCData, KCCFlush:
-		np.hCC(hc, sm)
-	case KCCFlushDir:
-		np.hCCFlushDir(hc, sm)
-	case KMkWritableData:
-		np.hMkWritableData(hc, sm)
-	case KMkWritableAck:
-		np.hMkWritableAck(hc, sm)
-	case KUpgradeReq, KWriteReq:
-		np.hDirReq(hc, sm)
-	case KWriteGrant:
-		np.hWriteGrant(hc, sm)
-	case KInval:
-		np.hInval(hc, sm)
-	case KInvalAck:
-		np.hInvalAck(hc, sm)
-	default:
+	if int(sm.Kind) >= len(kinds) || !kinds[sm.Kind].carrier {
 		panic(fmt.Sprintf("protocol: kind %d cannot travel as a carrier segment", sm.Kind))
 	}
+	np.dispatch(hc, sm)
 }
 
 // Node returns the per-node protocol interface for compiler-directed

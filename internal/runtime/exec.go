@@ -59,7 +59,7 @@ type exec struct {
 	p    *sim.Proc
 
 	// loops is the program's compiled form (see fastloop.go), built once
-	// per attempt and shared read-only by every node's executor; m is the
+	// per Run and shared read-only by every node's executor; m is the
 	// machine this executor runs it on.
 	loops map[ir.Stmt]*fastLoop
 	m     fmach
@@ -435,36 +435,11 @@ func (e *exec) runIterations(pl *ir.ParLoop, pt *compiler.Partition) {
 	// against the current symbol environment.
 	flops := 0
 	for _, as := range pl.Body {
-		flops += 1 + e.dynOps(as.RHS)
+		flops += 1 + ir.Flops(as.RHS, e.env)
 	}
 	elemCost := e.n.MC.LoopOver + sim.Time(flops)*e.n.MC.NsPerFlop
 
 	e.m.run(e.loops[pl], pt, elemCost)
-}
-
-// dynOps is ir.Expr.Ops with inner-reduction trip counts evaluated
-// against the live environment where possible.
-func (e *exec) dynOps(x ir.Expr) int {
-	switch t := x.(type) {
-	case ir.Bin:
-		return 1 + e.dynOps(t.L) + e.dynOps(t.R)
-	case ir.Call:
-		n := 8
-		for _, a := range t.Args {
-			n += e.dynOps(a)
-		}
-		return n
-	case ir.InnerRed:
-		trip := 16
-		lo, okL := t.Lo.TryEval(e.env)
-		hi, okH := t.Hi.TryEval(e.env)
-		if okL && okH {
-			trip = max(hi-lo+1, 0)
-		}
-		return trip * (1 + e.dynOps(t.Body))
-	default:
-		return x.Ops()
-	}
 }
 
 func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
@@ -479,7 +454,7 @@ func (e *exec) reduce(p *sim.Proc, rd *ir.Reduce) {
 		e.preLoopComm(p, rd, sched)
 	}
 
-	flops := 1 + e.dynOps(rd.Expr)
+	flops := 1 + ir.Flops(rd.Expr, e.env)
 	elemCost := e.n.MC.LoopOver + sim.Time(flops)*e.n.MC.NsPerFlop
 
 	if e.ghost {

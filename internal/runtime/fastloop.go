@@ -762,9 +762,9 @@ type compiled struct {
 	nvals, nfv, nrefs, nidx int
 }
 
-// compileProgram runs once per attempt, before the node processes are
-// spawned: the table is read-only from then on and shared by all
-// executors, and a construct the executor has no code for is an error
+// compileProgram runs once per Run, before any attempt builds a machine:
+// the table is read-only from then on and shared by every executor of
+// every attempt, and a construct the executor has no code for is an error
 // here instead of a panic in the middle of the simulation.
 func compileProgram(prog *ir.Program, layouts map[*ir.Array]sections.Layout, mp bool) (*compiled, error) {
 	c := &compiled{loops: map[ir.Stmt]*fastLoop{}}

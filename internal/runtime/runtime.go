@@ -18,6 +18,7 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
+	"hpfdsm/internal/memory"
 	"hpfdsm/internal/protocol"
 	"hpfdsm/internal/sections"
 	"hpfdsm/internal/sim"
@@ -291,9 +292,34 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("runtime: checkpoint directory %s: %w (program %s)", rec.dir, err, prog.Name)
 		}
 	}
+	sp, layouts := compiler.Place(prog, mc)
+	// Compiled before there is a machine: a program the executor cannot
+	// run is refused without simulating anything.
+	code, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
+	}
+	an, err := compiler.Cached(prog, mc.Nodes, layouts, mc.BlockSize)
+	if err != nil {
+		return nil, err
+	}
+	// Block-level provenance for audit diagnostics: schedules are
+	// recorded as execs instantiate them, in every attempt; the hook
+	// stays cheap (a map lookup) and is only consulted when an audit
+	// fails.
+	prov := analysis.NewProvIndex(an)
+	prov.Report = opt.Verified
+	if tr := opt.Trace; tr != nil {
+		tr.BlockInfo = prov.Describe
+		for _, arr := range prog.Arrays {
+			blocks := layouts[arr].Blocks(mc.BlockSize)
+			tr.Heat.AddArray(arr.Name, blocks.Start, blocks.N)
+		}
+	}
+	pr := &prepared{prog: prog, opt: opt, rec: rec, sp: sp, layouts: layouts, code: code, an: an, prov: prov}
 	startAt := sim.Time(0)
 	for attempt := 0; ; attempt++ {
-		res, crash, err := runAttempt(prog, opt, rec, startAt, attempt)
+		res, crash, err := pr.attempt(startAt, attempt)
 		if err == nil {
 			err = rec.err
 		}
@@ -319,21 +345,30 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 	}
 }
 
-// runAttempt builds a fresh cluster and runs the program once. A crash
-// detection aborts the attempt and is returned separately from real
-// errors so the caller can recover.
-func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, attempt int) (*Result, *crashError, error) {
+// prepared is what Run builds once and every attempt reads: the
+// program's placement, its compiled loop bodies, the communication
+// analysis and the provenance index, beside the recovery state.
+type prepared struct {
+	prog    *ir.Program
+	opt     Options
+	rec     *recovery
+	sp      *memory.Space
+	layouts map[*ir.Array]sections.Layout
+	code    *compiled
+	an      *compiler.Analysis
+	prov    *analysis.ProvIndex
+}
+
+// attempt builds what a crash destroys — the cluster, the protocol,
+// the executors and the recovery hooks — and runs the program once. A
+// crash detection aborts the attempt and is returned separately from
+// real errors so the caller can recover.
+func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError, error) {
+	prog, opt, rec, an, prov := pr.prog, pr.opt, pr.rec, pr.an, pr.prov
 	mc := opt.Machine
-	sp, layouts := compiler.Place(prog, mc)
-	// Compiled before there is a machine: a program the executor cannot
-	// run is refused without simulating anything.
-	code, err := compileProgram(prog, layouts, opt.Backend == MessagePassing)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
-	}
 	// Conservative PDES runs one Env per partition under shards; one
 	// partition has no shards and runs env.
-	cluster, shards := tempest.NewShardedCluster(sp, opt.Partitions, startAt)
+	cluster, shards := tempest.NewShardedCluster(pr.sp, opt.Partitions, startAt)
 	env := cluster.Env
 	proto := protocol.Attach(cluster)
 	// The NIC-level coalescing scheduler rides on eager release
@@ -345,10 +380,6 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		!mc.NoCoalesce && mc.Consistency == config.ReleaseConsistent {
 		proto.EnableAggregation(mc.EffectiveAggDelay())
 	}
-	an, err := compiler.Cached(prog, mc.Nodes, layouts, mc.BlockSize)
-	if err != nil {
-		return nil, nil, err
-	}
 
 	res := &Result{
 		Prog:     prog,
@@ -357,7 +388,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		cluster:  cluster,
 		analysis: an,
 		plans:    compiler.NewPlanner(opt.Opt),
-		layouts:  layouts,
+		layouts:  pr.layouts,
 		proto:    proto,
 		mp:       opt.Backend == MessagePassing,
 	}
@@ -368,27 +399,13 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		prof = trace.NewProfile()
 		res.Profile = prof
 	}
-	// Block-level provenance for audit diagnostics: schedules are
-	// recorded as execs instantiate them; the hook stays cheap (a map
-	// lookup) and is only consulted when an audit fails.
-	prov := analysis.NewProvIndex(an)
-	prov.Report = opt.Verified
 	proto.BlockInfo = prov.Describe
 	if tr := opt.Trace; tr != nil {
-		tr.BlockInfo = prov.Describe
-		if attempt == 0 {
-			// Heat-map array ranges registered once; recovery attempts
-			// reuse the same address layout.
-			for _, arr := range prog.Arrays {
-				blocks := layouts[arr].Blocks(mc.BlockSize)
-				tr.Heat.AddArray(arr.Name, blocks.Start, blocks.N)
-			}
-		}
 		cluster.SetTracer(tr)
 	}
 	for i := 0; i < mc.Nodes; i++ {
-		execs[i] = newExec(prog, an, layouts, code.loops, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
-		execs[i].m = code.newMach(execs[i])
+		execs[i] = newExec(prog, an, pr.layouts, pr.code.loops, cluster, cluster.Nodes[i], proto.Node(i), opt.Opt)
+		execs[i].m = pr.code.newMach(execs[i])
 		execs[i].prof = prof
 		execs[i].edgePf = opt.EdgePrefetch
 		execs[i].inspect = opt.InspectIndirect
