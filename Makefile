@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race lint lint-go artifact-guard fma-guard bench-smoke check fmt fmt-check cover clean
+.PHONY: all build test vet race lint lint-go artifact-guard fma-guard bench-smoke check fmt fmt-check cover clean size
 
 # Every shipped application, linted by the static incoherence-safety
 # verifier at every optimization level.
@@ -86,6 +86,18 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls|NewNodeMem' \
 		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis ./internal/memory
+
+# How big the code is, to measure a change against its parent. Lines
+# count every Go file of the module — the root, cmd/, internal/ and
+# examples/ — and none under testdata/ or the separate benchmark/
+# module; panic sites count `panic(` in the non-test files under
+# internal/. Prints, gates nothing.
+SIZE_GO = find . \( -path ./benchmark -o -path ./.git -o -path ./.bench_build -o -name testdata \) -prune -o -name '*.go'
+size:
+	@echo "non-test Go lines: $$($(SIZE_GO) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(SIZE_GO) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "panic( sites:      $$(find internal -name testdata -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -o 'panic(' | wc -l)"
+	@echo "Fuzz targets:      $$($(SIZE_GO) -name '*_test.go' -print | xargs grep -h '^func Fuzz' | wc -l)"
 
 # Everything the CI gate runs.
 check: build fmt-check vet test race lint lint-go artifact-guard fma-guard bench-smoke

@@ -216,7 +216,7 @@ func run() (exitCode int) {
 		mc = mc.WithFaults(f)
 	}
 	opts := runtime.Options{Machine: mc, Opt: opt, Check: *check,
-		Checkpoint: *ckpt || *ckptDir != "", CkptDir: *ckptDir,
+		Checkpoint: *ckpt, CkptDir: *ckptDir,
 		Profile:    *profile || *gantt > 0 || *profileJSON != "",
 		Partitions: *pdes}
 	var tracer *trace.Tracer
@@ -239,7 +239,7 @@ func run() (exitCode int) {
 	}
 	if *backend == "mp" {
 		opts.Backend = runtime.MessagePassing
-		if opts.Check || opts.Checkpoint {
+		if *check || *ckpt || *ckptDir != "" {
 			fmt.Fprintln(os.Stderr, "hpfrun: -check and -ckpt audit and snapshot the shared-memory protocol's state; they do not apply to the message-passing backend and are ignored")
 		}
 	}

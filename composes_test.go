@@ -166,6 +166,15 @@ func simulate(c conf) (*outputs, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each node's measured time splits into compute, communication and
+	// barrier wait; none is counted twice, so they never sum past the
+	// elapsed time.
+	for i, n := range res.Stats.Nodes {
+		if sum := n.ComputeTime + n.CommTime + n.BarrierTime; sum > res.Elapsed {
+			return nil, fmt.Errorf("node %d: compute %d + comm %d + barrier %d = %dns, past the elapsed %dns",
+				i, n.ComputeTime, n.CommTime, n.BarrierTime, sum, res.Elapsed)
+		}
+	}
 	out := &outputs{}
 	out.Data.Arrays = map[string][]float64{}
 	for _, arr := range prog.Arrays {

@@ -82,7 +82,7 @@ func defaultProtocol() (msgsPerIter, usPerIter float64) {
 			c.Barrier(p, n)
 		}
 	})
-	if err := c.Env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		panic(err)
 	}
 	barrier := int64(2*iters) * 4 // 2 arrives + 2 releases per 3-node barrier
@@ -132,7 +132,7 @@ func compilerDirected() (msgsPerIter, usPerIter float64) {
 			c.Barrier(p, n)
 		}
 	})
-	if err := c.Env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		panic(err)
 	}
 	barrier := int64(iters) * 4

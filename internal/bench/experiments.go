@@ -82,7 +82,7 @@ func fig1Default(iters int, tr *trace.Tracer) float64 {
 			c.Barrier(p, n)
 		}
 	})
-	if err := c.Env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		panic(err)
 	}
 	barrierMsgs := int64(2*iters) * 4 // 3-node barrier: 2 arrive + 2 release
@@ -133,7 +133,7 @@ func fig1CC(iters int) float64 {
 			c.Barrier(p, n)
 		}
 	})
-	if err := c.Env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		panic(err)
 	}
 	barrierMsgs := int64(iters) * 4
@@ -172,7 +172,7 @@ func MeasureReadMiss() sim.Time {
 		c.Nodes[1].LoadF64(p, base+int(mc.BlockSize))
 		stall = p.Now() - t0
 	})
-	if err := c.Env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		panic(err)
 	}
 	return stall

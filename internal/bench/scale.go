@@ -51,32 +51,20 @@ type ScaleCell struct {
 
 // scaleCluster assembles a protocol-attached cluster for a sync/inval
 // microbenchmark, partitioned across `parts` PDES shards when parts >
-// 1 (same contiguous node split as the runtime). run drives the
-// simulation to completion on either engine.
+// 1 (same contiguous node split as the runtime).
 type scaleCluster struct {
 	mc   config.Machine
 	c    *tempest.Cluster
 	pr   *protocol.Proto
 	base int
-	run  func() error
 }
 
 func newScaleCluster(n int, topo config.Topology, parts int) *scaleCluster {
 	mc := config.Default().WithNodes(n).WithTopology(topo)
 	sp := memory.NewSpace(mc)
 	base := sp.Alloc("x", mc.PageSize)
-	s := &scaleCluster{mc: mc, base: base}
-	c, shards := tempest.NewShardedCluster(sp, parts, 0)
-	s.c, s.run = c, c.Env.Run
-	if shards != nil {
-		s.run = func() error {
-			err := shards.Run()
-			shards.Shutdown()
-			return err
-		}
-	}
-	s.pr = protocol.Attach(s.c)
-	return s
+	c := tempest.NewShardedCluster(sp, parts, 0)
+	return &scaleCluster{mc: mc, c: c, pr: protocol.Attach(c), base: base}
 }
 
 // measureSync runs the synchronization microbenchmark on one
@@ -117,7 +105,7 @@ func measureSync(n int, topo config.Topology, parts int) (ScaleCell, error) {
 			}
 		})
 	}
-	if err := s.run(); err != nil {
+	if err := s.c.Run(); err != nil {
 		return cell, fmt.Errorf("sync microbench n=%d topo=%s: %w", n, topo, err)
 	}
 	cell.Barrier = (t1 - t0) / iters
@@ -157,7 +145,7 @@ func runInval(n int, topo config.Topology, parts, withWrite int) (msgs, bytes, r
 			s.c.Barrier(p, node)
 		})
 	}
-	if err := s.run(); err != nil {
+	if err := s.c.Run(); err != nil {
 		return 0, 0, 0, 0, 0, fmt.Errorf("inval microbench n=%d topo=%s: %w", n, topo, err)
 	}
 	return s.c.Stats.TotalMessages(), s.c.Stats.TotalBytes(), s.pr.InvalRounds(),

@@ -30,7 +30,7 @@ func TestBarrierAuditUnderFaults(t *testing.T) {
 	// barrier-instant audit must pass, and the reliable layer must leave
 	// the protocol state exactly as coherent as a lossless run would.
 	h := newFaultHarness(t, 4, 8, config.Faults{Drop: 0.05, Dup: 0.02, Seed: 11})
-	h.c.BarrierCheck = h.p.CheckAtBarrier
+	audits := h.auditAtBarrier()
 	for id := 0; id < 4; id++ {
 		id := id
 		h.run(id, "w", func(p *sim.Proc, n *tempest.Node) {
@@ -49,10 +49,10 @@ func TestBarrierAuditUnderFaults(t *testing.T) {
 	if err := h.c.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.CheckErr(); err != nil {
+	if err := audits.err; err != nil {
 		t.Fatal(err)
 	}
-	if h.c.BarrierChecks() == 0 {
+	if audits.ran == 0 {
 		t.Fatal("no barrier audits ran")
 	}
 	if err := h.p.CheckInvariants(); err != nil {

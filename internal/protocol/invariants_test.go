@@ -277,7 +277,7 @@ func TestAuditMatchesReference(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			h := c.build(t)
 			checks, flagged := 0, 0
-			h.c.BarrierCheck = func() error {
+			h.c.AtBarrier = append(h.c.AtBarrier, func(int64) {
 				checks++
 				if errText(h.p.auditRef(true)) != "" {
 					flagged++
@@ -288,12 +288,12 @@ func TestAuditMatchesReference(t *testing.T) {
 				if d := auditDiff(h.p); d != "" {
 					t.Errorf("barrier %d: %s", checks, d)
 				}
-				return h.p.CheckAtBarrier()
-			}
+			})
+			audits := h.auditAtBarrier()
 			if err := h.c.Env.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if err := h.c.CheckErr(); err != nil {
+			if err := audits.err; err != nil {
 				t.Fatal(err)
 			}
 			if d := auditDiff(h.p); d != "" {

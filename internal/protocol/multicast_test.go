@@ -35,7 +35,7 @@ func TestTreeInvalFanOutRound(t *testing.T) {
 	// throughout (the -check auditor with tree invalidation on), and the
 	// quiescent audit must pass at the end.
 	h := newTreeHarness(t, 16, 2, nil)
-	h.c.BarrierCheck = h.p.CheckAtBarrier
+	audits := h.auditAtBarrier()
 	addr := h.addrOnPage(0, 0)
 	got := make([]float64, 16)
 	for id := 0; id < 16; id++ {
@@ -57,10 +57,10 @@ func TestTreeInvalFanOutRound(t *testing.T) {
 	if err := h.c.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.CheckErr(); err != nil {
+	if err := audits.err; err != nil {
 		t.Fatal(err)
 	}
-	if h.c.BarrierChecks() == 0 {
+	if audits.ran == 0 {
 		t.Fatal("no barrier audits ran")
 	}
 	if err := h.p.CheckInvariants(); err != nil {
@@ -190,7 +190,7 @@ func TestTreeInvalAllDirtyRelayRound(t *testing.T) {
 	// message of the exchange to reach the home — after both leaves'
 	// queued upgrades were served too — and finds the entry idle.
 	h := newTreeHarness(t, 16, 8, nil)
-	h.c.BarrierCheck = h.p.CheckAtBarrier
+	audits := h.auditAtBarrier()
 	tr := trace.New(16)
 	h.c.SetTracer(tr)
 	addr := h.addrOnPage(0, 0)
@@ -225,7 +225,7 @@ func TestTreeInvalAllDirtyRelayRound(t *testing.T) {
 	if err := h.c.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.CheckErr(); err != nil {
+	if err := audits.err; err != nil {
 		t.Fatal(err)
 	}
 	if err := h.p.CheckInvariants(); err != nil {

@@ -87,7 +87,7 @@ func runPinRound(t *testing.T, row pinRound) string {
 	if row.coal {
 		h.p.EnableAggregation(config.DefaultAggDelay)
 	}
-	h.c.BarrierCheck = h.p.CheckAtBarrier
+	audits := h.auditAtBarrier()
 	tr := trace.New(row.nodes)
 	h.c.SetTracer(tr)
 
@@ -147,7 +147,7 @@ func runPinRound(t *testing.T, row pinRound) string {
 	if err := h.c.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.CheckErr(); err != nil {
+	if err := audits.err; err != nil {
 		t.Fatal(err)
 	}
 	if err := h.p.CheckInvariants(); err != nil {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -36,6 +37,25 @@ func newHarnessOn(mc config.Machine, pages int) *harness {
 func (h *harness) run(id int, name string, body func(p *sim.Proc, n *tempest.Node)) {
 	n := h.c.Nodes[id]
 	h.c.Env.Spawn(name, func(p *sim.Proc) { body(p, n) })
+}
+
+// audits is what the barrier-instant coherence audit saw over a run.
+type audits struct {
+	ran int   // audits run, one per all-arrived instant
+	err error // the first failure, which does not stop the run
+}
+
+// auditAtBarrier joins the coherence audit to the cluster's barrier
+// instant, after any hook already registered.
+func (h *harness) auditAtBarrier() *audits {
+	a := &audits{}
+	h.c.AtBarrier = append(h.c.AtBarrier, func(epoch int64) {
+		a.ran++
+		if err := h.p.CheckAtBarrier(); err != nil && a.err == nil {
+			a.err = fmt.Errorf("coherence check at epoch %d: %w", epoch, err)
+		}
+	})
+	return a
 }
 
 // addrOnPage returns an 8-byte-aligned address on the page homed at

@@ -3,6 +3,7 @@ package runtime
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/sim"
+	"hpfdsm/internal/trace"
 )
 
 // crashRun executes one app with the given fault config (crash specs
@@ -204,5 +206,66 @@ func TestCrashNodeZeroRejected(t *testing.T) {
 		config.Faults{Crashes: []config.CrashSpec{{Node: 0, Epoch: 2}}})
 	if err := mc.Validate(); err == nil {
 		t.Fatal("crash spec for node 0 passed validation")
+	}
+}
+
+// TestCkptDirAloneCheckpoints: a checkpoint directory is enough to turn
+// capture on; the run used to capture and write nothing unless
+// Checkpoint was set as well. Like Checkpoint, it is refused under
+// partitioned simulation.
+func TestCkptDirAloneCheckpoints(t *testing.T) {
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, err := Run(prog, Options{Machine: config.Default(), Opt: compiler.OptRTElim, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CheckpointsTaken == 0 {
+		t.Error("no checkpoint taken")
+	}
+	if _, err := os.Stat(filepath.Join(dir, prog.Name+".ckpt")); err != nil {
+		t.Error(err)
+	}
+	_, err = Run(prog, Options{Machine: config.Default(), Opt: compiler.OptRTElim, CkptDir: dir, Partitions: 2})
+	if err == nil || !strings.Contains(err.Error(), "incompatible with checkpointing") {
+		t.Errorf("CkptDir under 2 partitions: %v, want the checkpointing refusal", err)
+	}
+}
+
+// TestBarrierChecksCountEveryAttempt: Result.BarrierChecks sums the
+// audits of every attempt. Node 2 is lost at epoch 5, after that
+// epoch's audit, so the first attempt audits epochs 1 to 5; the second
+// resumes from the last checkpoint, at epoch e0 (the trace's
+// recovery:restore instant says which), and audits every epoch after
+// it that the fault-free run has. The last attempt alone would be 5
+// short.
+func TestBarrierChecksCountEveryAttempt(t *testing.T) {
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := crashRun(t, a, config.Faults{}, compiler.OptRTElim)
+	mc := config.Default().WithNodes(4).WithFaults(config.Faults{Crashes: []config.CrashSpec{{Node: 2, Epoch: 5}}})
+	tr := trace.New(mc.Nodes)
+	res, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim, Check: true, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0 := int64(-1)
+	for _, e := range tr.Events() {
+		if e.Name == "recovery:restore" {
+			e0, _ = strconv.ParseInt(e.Args[0].J, 10, 64)
+		}
+	}
+	if res.Recoveries != 1 || e0 < 0 || e0 > 5 {
+		t.Fatalf("%d recoveries, restored at epoch %d; want 1, at most 5", res.Recoveries, e0)
+	}
+	if want := 5 + clean.BarrierChecks - e0; res.BarrierChecks != want {
+		t.Errorf("%d audits across the recovered run's attempts, want 5 + %d - %d = %d", res.BarrierChecks, clean.BarrierChecks, e0, want)
 	}
 }

@@ -200,7 +200,6 @@ type recovery struct {
 	taken, bytes int64
 	detected     int64
 	lostTime     sim.Time
-	checksBefore int64 // BarrierChecks accumulated by aborted attempts
 	err          error // the first failed write to dir
 }
 
@@ -247,12 +246,17 @@ var refusals = []struct {
 		return o.Backend == MessagePassing && len(o.Machine.Faults.Crashes) > 0
 	}, "runtime: crash injection requires the shared-memory backend (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.Faults.Active() }, "runtime: pdes (Partitions=%[2]d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Checkpoint }, "runtime: pdes (Partitions=%[2]d) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.checkpointing() }, "runtime: pdes (Partitions=%[2]d) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Check }, "runtime: pdes (Partitions=%[2]d) is incompatible with barrier-instant coherence checks — the audit reads every node's state from one thread mid-run; rerun without -pdes (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Trace != nil }, "runtime: pdes (Partitions=%[2]d) is incompatible with tracing — the tracer's buffers are single-threaded; rerun without -pdes (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Profile }, "runtime: pdes (Partitions=%[2]d) is incompatible with per-loop profiling — the profile accumulator is single-threaded; rerun without -pdes, or use the observer-only -cpuprofile/-memprofile, which work under -pdes (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.MsgTime(0) <= 0 }, "runtime: pdes needs a positive minimum message latency for its lookahead window; this machine has MsgTime(0)=%[3]d (program %[1]s)"},
 }
+
+// checkpointing reports whether the run captures checkpoints without a
+// crash to recover from: asked for outright, or implied by a directory
+// to persist them in.
+func (o *Options) checkpointing() bool { return o.Checkpoint || o.CkptDir != "" }
 
 // Refusal is Run's error for prog under o (Partitions clamped), or nil.
 func Refusal(prog *ir.Program, o Options) error {
@@ -281,7 +285,7 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 		return nil, err
 	}
 	rec := &recovery{
-		enabled: opt.Backend == SharedMemory && (opt.Checkpoint || len(mc.Faults.Crashes) > 0),
+		enabled: opt.Backend == SharedMemory && (opt.checkpointing() || len(mc.Faults.Crashes) > 0),
 		specs:   mc.Faults.Crashes,
 		fired:   make([]bool, len(mc.Faults.Crashes)),
 		dir:     opt.CkptDir,
@@ -327,6 +331,7 @@ func Run(prog *ir.Program, opt Options) (*Result, error) {
 			return nil, err
 		}
 		if crash == nil {
+			res.BarrierChecks = pr.checks
 			res.Recoveries = rec.detected
 			res.RecoveryTime = rec.lostTime
 			res.CheckpointsTaken = rec.taken
@@ -357,6 +362,11 @@ type prepared struct {
 	code    *compiled
 	an      *compiler.Analysis
 	prov    *analysis.ProvIndex
+
+	// The barrier-instant coherence audit over every attempt: how many
+	// ran and the first failure, which does not stop the attempt.
+	checks   int64
+	checkErr error
 }
 
 // attempt builds what a crash destroys — the cluster, the protocol,
@@ -366,9 +376,7 @@ type prepared struct {
 func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError, error) {
 	prog, opt, rec, an, prov := pr.prog, pr.opt, pr.rec, pr.an, pr.prov
 	mc := opt.Machine
-	// Conservative PDES runs one Env per partition under shards; one
-	// partition has no shards and runs env.
-	cluster, shards := tempest.NewShardedCluster(pr.sp, opt.Partitions, startAt)
+	cluster := tempest.NewShardedCluster(pr.sp, opt.Partitions, startAt)
 	env := cluster.Env
 	proto := protocol.Attach(cluster)
 	// The NIC-level coalescing scheduler rides on eager release
@@ -415,24 +423,24 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 	if opt.Backend == MessagePassing {
 		installMP(execs)
 	}
+	// The barrier instant's hooks run in this order: the audit, then the
+	// capture, then crash injection (a crash at epoch E must not lose
+	// E's checkpoint, which the recovery restores to).
 	if opt.Check && opt.Backend == SharedMemory {
-		cluster.BarrierCheck = proto.CheckAtBarrier
+		cluster.AtBarrier = append(cluster.AtBarrier, func(int64) {
+			pr.checks++
+			if err := proto.CheckAtBarrier(); err != nil && pr.checkErr == nil {
+				pr.checkErr = fmt.Errorf("coherence check at sync point %d (t=%dns): %w", pr.checks, env.Now(), err)
+			}
+		})
 	}
+	horizon := sim.Time(0)
 	if mc.Faults.Active() {
-		env.SetWatchdog(config.DefaultWatchdogHorizon, func() string {
-			return watchdogDump(cluster, proto)
-		})
+		horizon = config.DefaultWatchdogHorizon
 	}
-	if shards != nil {
-		// Horizon 0 leaves the per-partition stall watchdog disarmed
-		// (matching the sequential no-faults default) but installs the
-		// node-state dump: a cross-partition deadlock error carries
-		// every node's blocked state, not just the reporting
-		// partition's.
-		shards.SetWatchdog(0, func() string {
-			return watchdogDump(cluster, proto)
-		})
-	}
+	cluster.SetWatchdog(horizon, func() string {
+		return watchdogDump(cluster, proto)
+	})
 
 	if rec.enabled {
 		if attempt == 0 {
@@ -456,24 +464,30 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 					trace.I64("epoch", snap.Epoch), trace.Int("attempt", attempt))
 			}
 		}
-		// Capture at quiescent epochs, then inject any epoch-triggered
-		// crash due now (in that order: a crash at epoch E must not
-		// lose E's checkpoint, which the recovery restores to).
-		cluster.OnEpoch = func(epoch int64) {
+		cluster.AtBarrier = append(cluster.AtBarrier, func(int64) {
 			if proto.Quiescent() {
 				rec.keep(proto)
 			}
-			for i, cs := range rec.specs {
-				if !rec.fired[i] && cs.Epoch > 0 && cs.Epoch == epoch {
-					rec.fired[i] = true
-					cluster.Crash(cs.Node)
-					if tr := opt.Trace; tr != nil {
-						tr.Instant(cs.Node, trace.LaneCompute, "crash:inject", "crash", env.Now(),
-							trace.I64("epoch", epoch))
-					}
-				}
+		})
+		// fire injects crash spec i, once per run: a spec spent in an
+		// earlier attempt stays spent.
+		fire := func(i int, args ...trace.Arg) {
+			if rec.fired[i] {
+				return
+			}
+			rec.fired[i] = true
+			cluster.Crash(rec.specs[i].Node)
+			if tr := opt.Trace; tr != nil {
+				tr.Instant(rec.specs[i].Node, trace.LaneCompute, "crash:inject", "crash", env.Now(), args...)
 			}
 		}
+		cluster.AtBarrier = append(cluster.AtBarrier, func(epoch int64) {
+			for i, cs := range rec.specs {
+				if cs.Epoch > 0 && cs.Epoch == epoch {
+					fire(i, trace.I64("epoch", epoch))
+				}
+			}
+		})
 		for i, cs := range rec.specs {
 			if cs.Epoch > 0 || rec.fired[i] {
 				continue
@@ -484,16 +498,7 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 				// lost work or the recovery pause; fire immediately.
 				at = startAt
 			}
-			env.Schedule(at, func() {
-				if rec.fired[i] {
-					return
-				}
-				rec.fired[i] = true
-				cluster.Crash(cs.Node)
-				if tr := opt.Trace; tr != nil {
-					tr.Instant(cs.Node, trace.LaneCompute, "crash:inject", "crash", env.Now())
-				}
-			})
+			env.Schedule(at, func() { fire(i) })
 		}
 		if len(rec.specs) > 0 {
 			cluster.Net.OnDeath = func(node int, reason string) {
@@ -510,43 +515,29 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 		// partition Env under PDES, the single Env otherwise.
 		cluster.Nodes[i].Env.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) { e.run(p) })
 	}
-	if shards != nil {
-		err := shards.Run()
-		shards.Shutdown()
-		var fe *fault
-		if errors.As(err, &fe) {
-			// The engine's partition dump explains a stuck machine; this
-			// is a wrong program.
-			err = fe
+	err := cluster.Run()
+	var ce *crashError
+	var fe *fault
+	switch {
+	case errors.As(err, &ce):
+		if pr.checkErr != nil {
+			return nil, nil, fmt.Errorf("runtime: %w (program %s)", pr.checkErr, prog.Name)
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
-		}
-	} else if err := env.Run(); err != nil {
-		var ce *crashError
-		if errors.As(err, &ce) {
-			// Tear down the aborted attempt completely (every parked
-			// coroutine unwinds) before the caller rebuilds.
-			env.Shutdown()
-			rec.checksBefore += cluster.BarrierChecks()
-			if cerr := cluster.CheckErr(); cerr != nil {
-				return nil, nil, fmt.Errorf("runtime: %w (program %s)", cerr, prog.Name)
-			}
-			// Nothing reads the aborted machine's memory again: give its
-			// node images back now rather than at some later collection.
-			cluster.Release()
-			return nil, ce, nil
-		}
-		var fe *fault
-		if errors.As(err, &fe) {
-			env.Shutdown() // the other nodes' parked coroutines unwind
-		}
+		// Nothing reads the aborted machine's memory again: give its
+		// node images back now rather than at some later collection.
+		cluster.Release()
+		return nil, ce, nil
+	case errors.As(err, &fe):
+		// A wrong program, not a stuck machine: the partition dump the
+		// window scheduler adds would not explain it.
+		err = fe
+	}
+	if err == nil {
+		err = pr.checkErr
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
 	}
-	if err := cluster.CheckErr(); err != nil {
-		return nil, nil, fmt.Errorf("runtime: %w (program %s)", err, prog.Name)
-	}
-	res.BarrierChecks = cluster.BarrierChecks() + rec.checksBefore
 	if opt.Backend == SharedMemory {
 		// Every run is self-auditing: the quiescent coherence state must
 		// satisfy the protocol invariants.
@@ -554,13 +545,8 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 			return nil, nil, fmt.Errorf("runtime: post-run invariant violation: %w (program %s)", err, prog.Name)
 		}
 	}
-	if shards != nil {
-		res.Elapsed = shards.Now() - cluster.TimerStart
-		res.PDESWindows = shards.Windows()
-		res.PDESHandoffs = shards.Handoffs()
-	} else {
-		res.Elapsed = env.Now() - cluster.TimerStart
-	}
+	res.Elapsed = cluster.Now() - cluster.TimerStart
+	res.PDESWindows, res.PDESHandoffs = cluster.PDESCensus()
 	if tr := opt.Trace; tr != nil {
 		// Close the record with the simulator's event-dispatch census
 		// (always-on counters in sim.Env), visible in the trace viewer.

@@ -189,13 +189,16 @@ func (c *Cluster) allArrived(op ReduceOp, pairs []redPair, barrier, reduce netwo
 			result = op.Combine(result, math.Float64frombits(pairs[i].bits))
 		}
 		c.reduceGen++
-		// Journal before the epoch hook: a checkpoint captured at this
-		// epoch must carry this generation's result for ghost replay.
+		// Journal before the AtBarrier hooks: a checkpoint captured at
+		// this epoch must carry this generation's result for ghost replay.
 		c.ReduceJournal = append(c.ReduceJournal, result)
 		root.reduceResult = result
 		kind, arg, size = reduce, int64(math.Float64bits(result)), reduceMsgSize
 	}
-	c.runBarrierCheck()
+	c.epoch++
+	for _, h := range c.AtBarrier {
+		h(c.epoch)
+	}
 	c.releaseParked(root)
 	c.fanDown(root, kind, arg, size)
 }
@@ -271,7 +274,6 @@ func (c *Cluster) collective(p *sim.Proc, n *Node, op ReduceOp, v float64) {
 	n.WaitPending(p)
 	n.Compute(c.MC.BarrierEntry)
 	n.Sync(p)
-	start := p.Now()
 	n.parkSig.Reset()
 	n.parked = &n.parkSig
 	sig := n.parked
@@ -295,6 +297,9 @@ func (c *Cluster) collective(p *sim.Proc, n *Node, op ReduceOp, v float64) {
 		n.SendFromCompute(m)
 		n.Sync(p)
 	}
+	// The barrier wait starts here, after the arrival: the send above is
+	// compute time, which its Sync has just charged.
+	start := p.Now()
 	sig.Wait(p)
 	n.St.BarrierTime += p.Now() - start
 	if n.Trace != nil {

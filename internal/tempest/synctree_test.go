@@ -3,6 +3,7 @@ package tempest
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hpfdsm/internal/config"
@@ -276,6 +277,8 @@ func TestCollectiveInstantsPinned(t *testing.T) {
 			sp := memory.NewSpace(row.mc)
 			sp.Alloc("arr", 64*1024)
 			c := NewCluster(sim.NewEnv(), sp)
+			ops := []ReduceOp{opBarrier, OpSum, opBarrier, OpMax, OpMin, opBarrier}
+			hooks := atBarrierOrder(t, c, ops)
 			var got collectivePin
 			for r := range got.release {
 				got.release[r] = make([]sim.Time, row.mc.Nodes)
@@ -284,7 +287,7 @@ func TestCollectiveInstantsPinned(t *testing.T) {
 				n := n
 				c.Env.Spawn("sync", func(p *sim.Proc) {
 					v := math.Sqrt(float64(n.ID+1)) - 2
-					for r, op := range []ReduceOp{opBarrier, OpSum, opBarrier, OpMax, OpMin, opBarrier} {
+					for r, op := range ops {
 						// Staggered arrivals: a different node is last in
 						// each round, and the master is neither always
 						// first nor always last.
@@ -315,6 +318,44 @@ func TestCollectiveInstantsPinned(t *testing.T) {
 			if !reflect.DeepEqual(got, row.want) {
 				t.Fatalf("collective drifted:\n got %#v\nwant %#v", got, row.want)
 			}
+			if want := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}; !slices.Equal(*hooks, want) {
+				t.Errorf("AtBarrier ran hooks %v, want %v: both, in registration order, at each of the six instants", *hooks, want)
+			}
 		})
 	}
+}
+
+// atBarrierOrder registers two AtBarrier hooks on c, which will run the
+// collectives ops in order, and returns the log of which hook ran
+// when. Each hook checks the instant it runs at: the epoch it is handed
+// is the cluster's, advanced once per collective; a reduction's result
+// is already journaled; and no release has departed, so every node's
+// compute process is still parked.
+func atBarrierOrder(t *testing.T, c *Cluster, ops []ReduceOp) *[]int {
+	var log []int
+	for h := range 2 {
+		c.AtBarrier = append(c.AtBarrier, func(epoch int64) {
+			log = append(log, h)
+			r := int(epoch) - 1
+			if r < 0 || r >= len(ops) || epoch != c.Epoch() || len(log) != 2*r+1+h {
+				t.Errorf("hook %d handed epoch %d at cluster epoch %d, call %d", h, epoch, c.Epoch(), len(log))
+				return
+			}
+			reductions := 0
+			for _, op := range ops[:r+1] {
+				if op != opBarrier {
+					reductions++
+				}
+			}
+			if len(c.ReduceJournal) != reductions || c.ReduceGen() != int64(reductions) {
+				t.Errorf("epoch %d: %d journaled results at reduction generation %d, want %d", epoch, len(c.ReduceJournal), c.ReduceGen(), reductions)
+			}
+			for _, n := range c.Nodes {
+				if n.parked == nil {
+					t.Errorf("epoch %d: node %d already released when hook %d ran", epoch, n.ID, h)
+				}
+			}
+		})
+	}
+	return &log
 }

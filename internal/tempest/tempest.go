@@ -468,19 +468,14 @@ type Cluster struct {
 	// StartTimer statement; zero if the whole run is measured).
 	TimerStart sim.Time
 
-	// BarrierCheck, if non-nil, runs at the instant the last node
-	// arrives at each barrier or reduction, before any release is sent —
-	// a globally synchronized point where coherence invariants can be
-	// audited. The first failure is retained (CheckErr) and does not
-	// stop the run.
-	BarrierCheck func() error
-
-	// OnEpoch, if non-nil, runs at every all-arrived instant after the
-	// epoch counter advances and the coherence audit runs, still before
-	// any release departs. The recovery layer hooks it to capture
-	// barrier-consistent checkpoints and to fire epoch-triggered
-	// crash injections.
-	OnEpoch func(epoch int64)
+	// AtBarrier runs, in order, at every all-arrived instant: every live
+	// node has entered the barrier or reduction, the epoch counter has
+	// advanced to the epoch each hook is handed, a reduction's result is
+	// already in ReduceJournal, and no release has departed. It is the
+	// one point where the whole machine's state is consistent, so the
+	// coherence audit, checkpoint capture and epoch-triggered crash
+	// injection all join it here.
+	AtBarrier []func(epoch int64)
 
 	// ReduceJournal accumulates every completed reduction's combined
 	// result in generation order. On recovery the journal from the
@@ -488,10 +483,19 @@ type Cluster struct {
 	// without re-running the arithmetic.
 	ReduceJournal []float64
 
-	checkErr  error
-	checksRun int64
 	epoch     int64
 	reduceGen int64 // completed reductions
+
+	engine runner // Env, or the window scheduler over the partitions
+}
+
+// runner is what drives a cluster's events: a *sim.Env or a
+// *sim.Shards.
+type runner interface {
+	Run() error
+	Shutdown()
+	Now() sim.Time
+	SetWatchdog(horizon sim.Time, dump func() string)
 }
 
 // Epoch returns the number of completed synchronization epochs
@@ -510,25 +514,41 @@ func (c *Cluster) RestoreEpoch(epoch, reduceGen int64, journal []float64) {
 	c.ReduceJournal = append(c.ReduceJournal[:0], journal...)
 }
 
-// CheckErr returns the first barrier-check failure, or nil.
-func (c *Cluster) CheckErr() error { return c.checkErr }
+// Run drives the cluster to completion on the engine it was built with
+// — its one Env, or the window scheduler over its partitions — and
+// shuts that engine down before returning, whatever the outcome: no
+// compute process is left parked. The error is the engine's: an Abort
+// value, a deadlock, or the stall watchdog's diagnostic.
+func (c *Cluster) Run() error {
+	err := c.engine.Run()
+	c.engine.Shutdown()
+	return err
+}
 
-// BarrierChecks returns how many barrier-instant audits ran.
-func (c *Cluster) BarrierChecks() int64 { return c.checksRun }
+// Now returns the cluster's clock: after Run, the instant the last
+// event of the whole machine ran.
+func (c *Cluster) Now() sim.Time { return c.engine.Now() }
 
-// runBarrierCheck advances the epoch and audits the cluster at an
-// all-arrived instant (all live nodes present, no release sent yet).
-func (c *Cluster) runBarrierCheck() {
-	c.epoch++
-	if c.BarrierCheck != nil {
-		c.checksRun++
-		if err := c.BarrierCheck(); err != nil && c.checkErr == nil {
-			c.checkErr = fmt.Errorf("coherence check at sync point %d (t=%dns): %w", c.checksRun, c.Env.Now(), err)
-		}
+// SetWatchdog arms the engine's stall watchdog with horizon (0 leaves
+// it disarmed) and hands it dump, every node's state, for its stall and
+// deadlock errors. On one Env a disarmed watchdog installs nothing: the
+// kernel's deadlock error names the blocked processes itself. The
+// window scheduler always takes the dump, so a cross-partition deadlock
+// carries every node's state, not just the reporting partition's.
+func (c *Cluster) SetWatchdog(horizon sim.Time, dump func() string) {
+	if _, one := c.engine.(*sim.Env); !one || horizon > 0 {
+		c.engine.SetWatchdog(horizon, dump)
 	}
-	if c.OnEpoch != nil {
-		c.OnEpoch(c.epoch)
+}
+
+// PDESCensus returns, after Run, the window scheduler's window
+// executions summed over partitions and the barrier releases it paid;
+// both are zero on one Env.
+func (c *Cluster) PDESCensus() (windows, handoffs uint64) {
+	if s, ok := c.engine.(*sim.Shards); ok {
+		return s.Windows(), s.Handoffs()
 	}
+	return 0, 0
 }
 
 // Crash injects a crash-stop failure of node id at the current instant:
@@ -559,20 +579,20 @@ func (c *Cluster) Release() {
 // NewCluster builds a cluster over an already-laid-out address space,
 // every node on env.
 func NewCluster(env *sim.Env, sp *memory.Space) *Cluster {
-	return NewPartitionedCluster(slices.Repeat([]*sim.Env{env}, sp.Machine().Nodes), sp, nil)
+	return newCluster(slices.Repeat([]*sim.Env{env}, sp.Machine().Nodes), sp, nil, env)
 }
 
-// NewPartitionedCluster builds a cluster whose node i runs on envs[i];
-// post is the network's cross-partition mailbox hook (see
-// network.NewPartitioned). Each node's handlers, timers, and compute
-// process live entirely on its own Env; Cluster.Env is node 0's — the
-// home of the barrier and reduction master state, which only node 0's
-// handlers mutate.
-func NewPartitionedCluster(envs []*sim.Env, sp *memory.Space, post network.PostFn) *Cluster {
+// newCluster builds a cluster whose node i runs on envs[i], all of them
+// driven by engine; post is the network's cross-partition mailbox hook
+// (see network.NewPartitioned). Each node's handlers, timers, and
+// compute process live entirely on its own Env; Cluster.Env is node
+// 0's — the home of the barrier and reduction master state, which only
+// node 0's handlers mutate.
+func newCluster(envs []*sim.Env, sp *memory.Space, post network.PostFn, engine runner) *Cluster {
 	mc := sp.Machine()
 	st := stats.New(mc.Nodes)
 	net := network.NewPartitioned(envs, post, mc, st)
-	c := &Cluster{Env: envs[0], MC: mc, Space: sp, Net: net, Stats: st}
+	c := &Cluster{Env: envs[0], MC: mc, Space: sp, Net: net, Stats: st, engine: engine}
 	if mc.Topology == config.TreeTopo {
 		t := topo.MustNew(mc.Nodes, mc.EffectiveRadix())
 		c.Tree = &t
@@ -594,16 +614,14 @@ func NewPartitionedCluster(envs []*sim.Env, sp *memory.Space, post network.PostF
 	return c
 }
 
-// NewShardedCluster builds a cluster together with the window scheduler
-// that runs it: parts, clamped to [1, N], partition environments with
-// their clocks at startAt, the nodes split among them in contiguous
-// runs (node i in partition i*parts/N), cross-partition sends routed
-// through the scheduler's mailbox. The lookahead is the machine's
-// minimum message latency: header serialization plus the wire latency,
-// the floor of any cross-node delivery delay. One partition needs no
-// scheduler: the returned Shards is nil, and the caller runs
-// Cluster.Env.
-func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster, *sim.Shards) {
+// NewShardedCluster builds a cluster on parts, clamped to [1, N],
+// partition environments with their clocks at startAt. With more than
+// one, the nodes split among them in contiguous runs (node i in
+// partition i*parts/N), cross-partition sends route through the window
+// scheduler's mailbox, and Run drives that scheduler; its lookahead is
+// the machine's minimum message latency: header serialization plus the
+// wire latency, the floor of any cross-node delivery delay.
+func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) *Cluster {
 	mc := sp.Machine()
 	parts = min(max(parts, 1), mc.Nodes)
 	penvs := make([]*sim.Env, parts)
@@ -611,7 +629,7 @@ func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster,
 		penvs[i] = sim.NewEnvAt(startAt)
 	}
 	if parts == 1 {
-		return NewCluster(penvs[0], sp), nil
+		return NewCluster(penvs[0], sp)
 	}
 	part := make([]int, mc.Nodes)
 	nodeEnvs := make([]*sim.Env, mc.Nodes)
@@ -623,7 +641,7 @@ func NewShardedCluster(sp *memory.Space, parts int, startAt sim.Time) (*Cluster,
 	post := func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
 		shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
 	}
-	return NewPartitionedCluster(nodeEnvs, sp, post), shards
+	return newCluster(nodeEnvs, sp, post, shards)
 }
 
 // SetTracer installs the causal event tracer on the cluster: the

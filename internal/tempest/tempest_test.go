@@ -1,6 +1,8 @@
 package tempest
 
 import (
+	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"hpfdsm/internal/config"
@@ -160,25 +162,64 @@ func TestDonePendingUnderflowPanics(t *testing.T) {
 
 func TestBarrierAllNodes(t *testing.T) {
 	c := testCluster(t, 4, config.DualCPU)
-	var release []sim.Time
+	release := make([]sim.Time, len(c.Nodes))
 	for _, n := range c.Nodes {
 		n := n
 		c.Env.Spawn("compute", func(p *sim.Proc) {
 			n.Compute(sim.Time(n.ID) * 100 * sim.Microsecond) // skewed arrivals
 			c.Barrier(p, n)
-			release = append(release, p.Now())
+			release[n.ID] = p.Now()
 		})
 	}
 	if err := c.Env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(release) != 4 {
-		t.Fatalf("released %d nodes", len(release))
-	}
-	// No node may leave before the slowest (300 µs of compute) arrived.
-	for _, r := range release {
+	for id, r := range release {
+		// No node may leave before the slowest (300 µs of compute) arrived.
 		if r < 300*sim.Microsecond {
-			t.Fatalf("node released at %d, before last arrival", r)
+			t.Fatalf("node %d released at %d, before last arrival", id, r)
+		}
+		// Up to its release a node computed (the arrive send included)
+		// and then waited: each instant is counted once, in one of the
+		// two. Counting the send as barrier wait too overran it by
+		// SendOver on every node but the master.
+		st := c.Nodes[id].St
+		if sum := st.ComputeTime + st.CommTime + st.BarrierTime; sum != r {
+			t.Errorf("node %d: compute %d + comm %d + barrier %d = %d, released at %d",
+				id, st.ComputeTime, st.CommTime, st.BarrierTime, sum, r)
+		}
+	}
+}
+
+// TestRunShutsDownAfterError deadlocks a cluster on one Env and on two
+// partitions — one node never enters the barrier the others park at —
+// and holds Cluster.Run to an error that leaves no compute process
+// parked: every coroutine it started has exited when Run returns.
+func TestRunShutsDownAfterError(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		before := goruntime.NumGoroutine()
+		mc := config.Default().WithNodes(4)
+		c := NewShardedCluster(memory.NewSpace(mc), parts, 0)
+		for _, n := range c.Nodes {
+			n := n
+			n.Env.Spawn("compute", func(p *sim.Proc) {
+				if n.ID != 3 {
+					c.Barrier(p, n)
+				}
+			})
+		}
+		if err := c.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%d partition(s): Run gave %v, want a deadlock", parts, err)
+		}
+		// The window scheduler's workers leave on their own after Run
+		// returns; the parked coroutines must already be gone.
+		left := goruntime.NumGoroutine() - before
+		for try := 0; left > 0 && try < 1000; try++ {
+			goruntime.Gosched()
+			left = goruntime.NumGoroutine() - before
+		}
+		if left > 0 {
+			t.Errorf("%d partition(s): %d goroutine(s) still parked after Run", parts, left)
 		}
 	}
 }
