@@ -119,8 +119,8 @@ type Config struct {
 	// compiled-program caches.
 	Workers int
 	// Partitions is the conservative-PDES partition count (-pdes) of the
-	// simulations that take it: the suite's shared-memory variants and
-	// scale's. <= 1 keeps the sequential event loop.
+	// simulations that take it: every variant of the suite, and scale's.
+	// <= 1 keeps the sequential event loop.
 	Partitions int
 }
 
@@ -214,22 +214,15 @@ func (s *SuiteResults) Get(app, key string) *runtime.Result {
 
 // RunSuite runs every app under every variant on cfg.Nodes nodes, then
 // logs one line per run, in grid order, to w (which may be nil).
-// Message-passing variants always run sequentially: the MP backend
-// models send/receive outside the window scheduler's lookahead
-// analysis.
 func RunSuite(cfg Config, w io.Writer) (*SuiteResults, error) {
 	vs := Variants(cfg.Nodes)
 	var cells []cell
 	for _, app := range AppNames() {
 		for _, v := range vs {
-			opts := runtime.Options{
+			cells = append(cells, cell{app: app, opts: runtime.Options{
 				Machine: config.Default().WithNodes(v.Nodes).WithCPUMode(v.CPUMode),
-				Opt:     v.Opt, Backend: v.Backend,
-			}
-			if v.Backend != runtime.MessagePassing {
-				opts.Partitions = cfg.Partitions
-			}
-			cells = append(cells, cell{app: app, opts: opts})
+				Opt:     v.Opt, Backend: v.Backend, Partitions: cfg.Partitions,
+			}})
 		}
 	}
 	res, err := cfg.simulate(cells)

@@ -134,11 +134,8 @@ func (c *Coalescer) Append(dst int, kind Kind, addr int, arg, arg2 int64, payloa
 	}
 	b := &c.bufs[dst]
 	need := SegHeader + len(payload)
-	if b.data == nil {
-		b.data = c.net.AllocVar(c.src, need)[:0]
-	}
 	off := len(b.data)
-	if off+need > cap(b.data) {
+	if off+need > cap(b.data) { // an empty buffer (nil) included
 		grown := c.net.AllocVar(c.src, off+need)[:off]
 		copy(grown, b.data)
 		c.net.recycleVar(c.src, b.data)
@@ -233,9 +230,7 @@ func (c *Coalescer) Occupancy() (segs, bytes int) {
 func (c *Coalescer) Teardown() {
 	for d := range c.bufs {
 		b := &c.bufs[d]
-		if b.data != nil {
-			c.net.recycleVar(c.src, b.data)
-		}
+		c.net.recycleVar(c.src, b.data)
 		b.data, b.segs, b.burst, b.deadline = nil, 0, false, 0
 	}
 	clear(c.open)
@@ -282,20 +277,9 @@ func (c *Coalescer) FlushDst(dst int) {
 	if segs == 1 {
 		var m *Message
 		ForEachSegment(data, 1, func(kind Kind, addr int, arg, arg2 int64, payload []byte) {
-			m = c.net.NewMessage(c.src)
+			m = c.net.NewDataMessage(c.src, payload)
 			m.Src, m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2 = c.src, dst, kind, addr, arg, arg2
-			if m.Size = len(payload); m.Size < c.ctrl {
-				m.Size = c.ctrl
-			}
-			if len(payload) > 0 {
-				if len(payload) == c.net.mc.BlockSize {
-					m.Data = c.net.AllocBlock(c.src)
-				} else {
-					m.Data = c.net.AllocVar(c.src, len(payload))[:len(payload)]
-				}
-				copy(m.Data, payload)
-				m.DataPooled = true
-			}
+			m.Size = max(len(payload), c.ctrl)
 		})
 		c.net.recycleVar(c.src, data)
 		c.st.SegsCoalesced-- // never traveled coalesced

@@ -27,3 +27,20 @@ func quarantineReclaims(n *Network) *int {
 	}
 	return reclaimed
 }
+
+// QuarantineNew quarantines every network made until stop is called —
+// those a whole simulation builds included — and returns the count of
+// messages their quarantines reclaimed. Sequential runs only: one
+// partition's reclaims would race another's on the count.
+func QuarantineNew() (reclaimed func() int, stop func()) {
+	var counts []*int
+	newHook = func(n *Network) { counts = append(counts, quarantineReclaims(n)) }
+	reclaimed = func() int {
+		total := 0
+		for _, c := range counts {
+			total += *c
+		}
+		return total
+	}
+	return reclaimed, func() { newHook = nil }
+}

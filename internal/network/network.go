@@ -72,9 +72,9 @@ type Message struct {
 	Size     int
 	Seq      int64 // reliable-delivery sequence number (0 = unsequenced)
 
-	// DataPooled marks Data as borrowed from the network's block-buffer
-	// pool (AllocBlock); the buffer is reclaimed when the delivered
-	// message is recycled.
+	// DataPooled marks Data as borrowed from the network's payload
+	// list (NewDataMessage, AllocVar, AllocBlock); the buffer is
+	// reclaimed when the delivered message is recycled.
 	DataPooled bool
 
 	net      *Network // owning network, set at creation or first Send
@@ -177,21 +177,20 @@ type Network struct {
 	tr *trace.Tracer
 }
 
-// msgPool is one Env's message and payload-buffer freelists and its
-// share of the in-flight count. Each pool is written only by its Env's
-// worker: allocation and the in-flight increment on the sending node's
-// thread, recycling and the decrement on the destination node's
-// thread, with the epoch barrier ordering the hand-off of the message
-// itself. A pool's count alone may go negative; their sum is the wire's
-// in-flight total. The trailing pad keeps two partitions' list headers
+// msgPool is one Env's message freelist, its one payload-buffer list
+// and its share of the in-flight count. Each pool is written only by
+// its Env's worker: allocation and the in-flight increment on the
+// sending node's thread, recycling and the decrement on the destination
+// node's thread, with the epoch barrier ordering the hand-off of the
+// message itself. A pool's count alone may go negative; their sum is
+// the wire's in-flight total. The trailing pad keeps two partitions' list headers
 // off one cache line. poolSoftCap bounds each list so asymmetric
 // traffic (one partition receiving far more than it sends) cannot grow
 // a receive-heavy pool without bound; beyond the cap, recycled values
 // go back to the GC.
 type msgPool struct {
 	free     []*Message
-	bufFree  [][]byte     // BlockSize-sized payload buffers
-	varFree  [32][][]byte // variable-size gather buffers, power-of-two buckets
+	varFree  [32][][]byte // every payload buffer, filed by capacity in power-of-two buckets
 	inflight int          // scheduled wire actions sent minus delivered here
 	_pad     [64]byte
 }
@@ -259,8 +258,14 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 		}
 		n.rel = newReliable(n, distinct[0], mc.Faults)
 	}
+	if newHook != nil {
+		newHook(n)
+	}
 	return n
 }
+
+// newHook, set only by tests (export_test.go), sees every network made.
+var newHook func(*Network)
 
 // envOf returns the Env that owns node's events.
 //
@@ -292,26 +297,17 @@ func (n *Network) NewMessage(src int) *Message {
 	return &Message{net: n, refs: 1}
 }
 
-// AllocBlock returns a coherence-block-sized payload buffer from src's
-// partition pool, reusing a recycled one when possible. src must be
-// the node on whose Env the caller is executing. Senders attach it to
-// a message with DataPooled set so delivery can reclaim it.
+// AllocBlock returns a coherence-block-sized payload buffer: AllocVar's
+// buffer for BlockSize bytes, sliced to one block.
 //
 //simlint:hotpath
 func (n *Network) AllocBlock(src int) []byte {
-	p := n.poolOf(src)
-	if k := len(p.bufFree); k > 0 {
-		b := p.bufFree[k-1]
-		p.bufFree = p.bufFree[:k-1]
-		return b
-	}
-	return make([]byte, n.mc.BlockSize)
+	return n.AllocVar(src, n.mc.BlockSize)[:n.mc.BlockSize]
 }
 
 // AllocVar returns a payload buffer with len == cap >= size from src's
-// partition pool's power-of-two-bucketed variable-size freelists
-// (gather buffers for coalesced carriers and multi-block bulk
-// payloads). src must be the node on whose Env the caller is
+// partition pool: the one list every wire payload is drawn from, in
+// power-of-two buckets. src must be the node on whose Env the caller is
 // executing. Attach it to a message with DataPooled set so delivery
 // reclaims it.
 //
@@ -327,6 +323,21 @@ func (n *Network) AllocVar(src, size int) []byte {
 	return make([]byte, 1<<idx)
 }
 
+// NewDataMessage returns NewMessage(src) carrying a pooled copy of data
+// as its payload, DataPooled set: the one place a payload is copied
+// into its message. An empty data leaves the message without one.
+//
+//simlint:hotpath
+func (n *Network) NewDataMessage(src int, data []byte) *Message {
+	m := n.NewMessage(src)
+	if len(data) > 0 {
+		m.Data = n.AllocVar(src, len(data))[:len(data)]
+		copy(m.Data, data)
+		m.DataPooled = true
+	}
+	return m
+}
+
 // varBucket maps a size to its power-of-two bucket (min 64 bytes).
 func varBucket(size int) int {
 	idx := 6
@@ -336,8 +347,9 @@ func varBucket(size int) int {
 	return idx
 }
 
-// recycleVar returns a variable-size buffer to node's partition pool.
-// node must be the node on whose Env the caller is executing.
+// recycleVar returns a payload buffer to node's partition pool, filed
+// by its capacity whatever its length (nil is ignored). node must be
+// the node on whose Env the caller is executing.
 func (n *Network) recycleVar(node int, b []byte) {
 	c := cap(b)
 	if c < 64 || c&(c-1) != 0 {
@@ -372,12 +384,7 @@ func (n *Network) Recycle(m *Message) {
 	}
 	p := n.poolOf(m.Dst)
 	if m.DataPooled {
-		if len(m.Data) == n.mc.BlockSize && len(p.bufFree) < poolSoftCap {
-			//simlint:ignore hotalloc -- returning a buffer to the freelist: the slice reuses capacity freed by the matching AllocBlock pop; net growth is bounded by the in-flight high-water mark and the pool soft cap
-			p.bufFree = append(p.bufFree, m.Data)
-		} else if len(m.Data) != n.mc.BlockSize {
-			n.recycleVar(m.Dst, m.Data)
-		}
+		n.recycleVar(m.Dst, m.Data)
 	}
 	*m = Message{net: n}
 	if len(p.free) < poolSoftCap {

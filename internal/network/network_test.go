@@ -257,3 +257,54 @@ func TestInflightDrainsAcrossEnvs(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadRefiledByCapacity: a payload goes back to the one list by
+// its capacity, whatever length it was sliced to, so a two-block buffer
+// carrying one block serves the next two-block request.
+func TestPayloadRefiledByCapacity(t *testing.T) {
+	_, net, _, mc := testNet(2)
+	bs := mc.BlockSize
+	b := net.AllocVar(0, 2*bs)
+	m := net.NewMessage(0)
+	m.Src, m.Dst, m.Data, m.DataPooled = 0, 1, b[:bs], true
+	net.Recycle(m)
+	if got := net.AllocVar(0, 2*bs); &got[0] != &b[0] || len(got) != 2*bs {
+		t.Fatalf("AllocVar(%d) did not reuse the recycled %d-byte buffer", 2*bs, cap(b))
+	}
+}
+
+// TestPayloadStreamAllocatesNothing: once the list holds a buffer of
+// each size, a stream of one-block, three-block, 12-byte and 17-byte
+// payloads, each copied into its message by NewDataMessage and
+// reclaimed at delivery, allocates nothing.
+func TestPayloadStreamAllocatesNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	env, net, _, mc := testNet(2)
+	src := make([]byte, 3*mc.BlockSize)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	sizes := []int{mc.BlockSize, 3 * mc.BlockSize, 12, 17}
+	net.Bind(1, func(m *Message) {
+		if want := src[:len(m.Data)]; len(m.Data) != int(m.Arg) || string(m.Data) != string(want) {
+			t.Fatalf("payload of %d bytes delivered as %d bytes", m.Arg, len(m.Data))
+		}
+		net.Recycle(m)
+	})
+	stream := func() {
+		for _, size := range sizes {
+			m := net.NewDataMessage(0, src[:size])
+			m.Src, m.Dst, m.Kind, m.Arg = 0, 1, 1, int64(size)
+			net.Send(m)
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream()
+	if got := testing.AllocsPerRun(100, stream); got != 0 {
+		t.Fatalf("a payload stream allocates %v times per round", got)
+	}
+}

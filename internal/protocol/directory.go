@@ -143,7 +143,7 @@ func (np *nodeProto) start(e *dirEntry, r dirReq) {
 		if invalidate {
 			arg = 1
 		}
-		np.ctrl(w, KPutDataReq, r.block, arg, 0)
+		np.send(w, KPutDataReq, r.block, arg, 0, nil)
 		need++
 	}
 	invalSharer := func(s int) {
@@ -289,7 +289,7 @@ func (np *nodeProto) finish(e *dirEntry, r dirReq) {
 			return
 		}
 		np.occupy(mc.BlockCopy)
-		np.sendBlock(r.src, KReadResp, r.block, 0, 0)
+		np.send(r.src, KReadResp, r.block, 0, 0, np.n.Mem.BlockData(r.block))
 
 	case KWriteReq:
 		e.ownedBy(r.src)
@@ -303,7 +303,7 @@ func (np *nodeProto) finish(e *dirEntry, r dirReq) {
 			return
 		}
 		np.occupy(mc.BlockCopy)
-		np.sendBlock(r.src, KWriteResp, r.block, 0, 0)
+		np.send(r.src, KWriteResp, r.block, 0, 0, np.n.Mem.BlockData(r.block))
 
 	case KUpgradeReq:
 		hadCopy := e.sharers().has(r.src) || e.writers().has(r.src)

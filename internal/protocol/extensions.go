@@ -210,24 +210,14 @@ func (a *mkwAgg) blockDone(np *nodeProto) {
 		for off := 0; off < dr.N; off += maxBlocks {
 			nb := min(dr.N-off, maxBlocks)
 			start := dr.Start + off
-			var data []byte
-			pooled := false
-			if nb == 1 {
-				data = np.n.Net.AllocBlock(np.id)
-				pooled = true
-			} else {
-				data = make([]byte, nb*bs)
-			}
-			copy(data, mem.Bytes(start*bs, nb*bs))
+			dm := np.n.Net.NewDataMessage(np.id, mem.Bytes(start*bs, nb*bs))
 			np.occupy(sim.Time(nb) * mc.BulkPerBlock)
-			dm := np.n.Net.NewMessage(np.id)
-			dm.Dst, dm.Kind = a.src, KMkWritableData
-			dm.Addr, dm.Arg, dm.Data, dm.DataPooled = start*bs, int64(nb), data, pooled
+			dm.Dst, dm.Kind, dm.Addr, dm.Arg = a.src, KMkWritableData, start*bs, int64(nb)
 			np.n.SendFromProto(dm)
 		}
 	}
 	if a.upgraded > 0 {
-		np.ctrl(a.src, KMkWritableAck, 0, int64(a.upgraded), 0)
+		np.send(a.src, KMkWritableAck, 0, int64(a.upgraded), 0, nil)
 	}
 }
 
@@ -249,20 +239,26 @@ func (np *nodeProto) hMkWritableReq(hc *tempest.HContext, m *network.Message) {
 }
 
 func (np *nodeProto) hMkWritableData(hc *tempest.HContext, m *network.Message) {
-	mem := np.n.Mem
-	bs := mem.Space().BlockSize()
-	nb := int(m.Arg)
-	if h := np.heat(); h != nil {
-		h.AddBytesRange(m.Addr/bs, nb, m.Size)
-	}
-	np.occupy(sim.Time(nb) * np.n.MC.BulkPerBlock)
-	mem.InstallRange(m.Addr, m.Data)
-	b0 := m.Addr / bs
+	b0, nb := np.installRun(m)
 	for b := b0; b < b0+nb; b++ {
-		mem.SetTag(b, memory.ReadWrite)
-		mem.ClearDirty(b)
+		np.n.Mem.SetTag(b, memory.ReadWrite)
+		np.n.Mem.ClearDirty(b)
 	}
 	np.mkwCount.Add(int64(nb))
+}
+
+// installRun copies a bulk payload, m.Arg blocks at m.Addr, into memory
+// while its handler runs, charging the engine per block, and returns
+// the run's first block and length.
+func (np *nodeProto) installRun(m *network.Message) (b0, nb int) {
+	bs := np.n.Mem.Space().BlockSize()
+	b0, nb = m.Addr/bs, int(m.Arg)
+	if h := np.heat(); h != nil {
+		h.AddBytesRange(b0, nb, m.Size)
+	}
+	np.occupy(sim.Time(nb) * np.n.MC.BulkPerBlock)
+	np.n.Mem.InstallRange(m.Addr, m.Data)
+	return b0, nb
 }
 
 func (np *nodeProto) hMkWritableAck(hc *tempest.HContext, m *network.Message) {
@@ -494,17 +490,11 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 		for off := 0; off < r.N; off += maxBlocks {
 			nb := min(r.N-off, maxBlocks)
 			start := r.Start + off
-			var data []byte
-			if nb == 1 {
-				data = n.Net.AllocBlock(np.id)
-			} else {
-				data = n.Net.AllocVar(np.id, nb*bs)[:nb*bs]
-			}
-			copy(data, mem.Bytes(start*bs, nb*bs))
+			// The copy is taken before the sleep, when the send is
+			// issued: handlers running meanwhile may change the blocks.
+			m := n.Net.NewDataMessage(np.id, mem.Bytes(start*bs, nb*bs))
 			p.Sleep(mc.SendOver + sim.Time(nb)*mc.BulkPerBlock)
-			m := n.Net.NewMessage(np.id)
-			m.Src, m.Dst, m.Kind = np.id, dst, kind
-			m.Addr, m.Arg, m.Data, m.DataPooled = start*bs, int64(nb), data, true
+			m.Src, m.Dst, m.Kind, m.Addr, m.Arg = np.id, dst, kind, start*bs, int64(nb)
 			n.Net.Send(m)
 		}
 	}
@@ -516,15 +506,8 @@ func (x *Ext) sendTagged(p *sim.Proc, dst int, runs []BlockRun, mode SendMode, k
 //
 //simlint:hotpath
 func (np *nodeProto) hCC(hc *tempest.HContext, m *network.Message) {
-	markDirty := m.Kind == KCCFlush
 	mem := np.n.Mem
-	bs := mem.Space().BlockSize()
-	nb := int(m.Arg)
-	if h := np.heat(); h != nil {
-		h.AddBytesRange(m.Addr/bs, nb, m.Size)
-	}
-	np.occupy(sim.Time(nb) * np.n.MC.BulkPerBlock)
-	b0 := m.Addr / bs
+	b0, nb := np.installRun(m)
 	for b := b0; b < b0+nb; b++ {
 		np.flags[b] |= flagCCTouched
 		if mem.Tag(b) != memory.ReadWrite {
@@ -541,10 +524,7 @@ func (np *nodeProto) hCC(hc *tempest.HContext, m *network.Message) {
 			np.occupy(np.n.MC.TagChange)
 			mem.SetTag(b, memory.ReadWrite)
 		}
-	}
-	mem.InstallRange(m.Addr, m.Data)
-	for b := b0; b < b0+nb; b++ {
-		if markDirty {
+		if m.Kind == KCCFlush {
 			// Flushed blocks are modifications relative to the home's
 			// memory copy: the owner must present them as dirty so a
 			// later default-protocol collection picks them up.
@@ -588,7 +568,7 @@ func (x *Ext) Prefetch(p *sim.Proc, runs []BlockRun) {
 				p.Sleep(mc.PageMapCost)
 				mem.SetMapped(pg)
 			}
-			np.ctrl(home, KReadReq, b, 0, 0)
+			np.send(home, KReadReq, b, 0, 0, nil)
 		}
 	}
 }

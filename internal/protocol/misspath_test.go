@@ -29,9 +29,7 @@ type missCase struct {
 }
 
 var missCases = []missCase{
-	// The one allocation is resume's completion closure, an event the
-	// kernel's census counts as a plain-func Schedule.
-	{name: "remote-read", nodes: 2, node: 1, drop: []int{1}, share: []int{0}, allocs: 1},
+	{name: "remote-read", nodes: 2, node: 1, drop: []int{1}, share: []int{0}, allocs: 0},
 	{name: "home-read", nodes: 2, node: 0, drop: []int{0}, allocs: 0},
 	{name: "home-upgrade", nodes: 2, node: 0, store: true, share: []int{0}, allocs: 0},
 	{name: "remote-upgrade", nodes: 2, node: 1, store: true, drop: []int{0}, share: []int{1}, allocs: 0},
@@ -131,6 +129,53 @@ func BenchmarkMissPath(b *testing.B) {
 				step()
 			}
 		})
+	}
+}
+
+// TestCarrierScatterAllocs: node 0 sends node 1 two tagged-data runs
+// per period through the coalescer, which drains them as one carrier;
+// node 1 scatters it to the tagged-data handler. Once the pools are
+// warm a period allocates nothing on either node.
+func TestCarrierScatterAllocs(t *testing.T) {
+	h := newHarnessOn(config.Default().WithNodes(2).WithCPUMode(config.DualCPU), 2)
+	defer h.c.Env.Shutdown()
+	h.p.EnableAggregation(config.DefaultAggDelay)
+	b0 := h.space.Block(h.addrOnPage(0, 0))
+	runs := []BlockRun{{Start: b0, N: 1}, {Start: b0 + 2, N: 1}}
+	h.run(0, "sender", func(p *sim.Proc, n *tempest.Node) {
+		x := h.p.Node(0)
+		for {
+			x.SendBlocks(p, 1, runs, SendAggregate)
+			x.DrainAggregated(p)
+			p.Sleep(missPeriod - p.Now()%missPeriod)
+		}
+	})
+	h.run(1, "receiver", func(p *sim.Proc, n *tempest.Node) {
+		x := h.p.Node(1)
+		x.ImplicitWritable(p, runs, true)
+		for {
+			x.ExpectBlocks(2)
+			x.ReadyToRecv(p)
+			p.Sleep(missPeriod - p.Now()%missPeriod)
+		}
+	})
+	env := h.c.Env
+	step := func() {
+		if err := env.RunUntil(env.Now() + missPeriod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	st := &h.c.Stats.Nodes[0]
+	c0 := st.CarriersSent
+	const runsN = 50
+	if got := testing.AllocsPerRun(runsN, step); got != 0 {
+		t.Errorf("a carrier scatter allocates %v times per period", got)
+	}
+	if got := st.CarriersSent - c0; got != runsN+1 {
+		t.Errorf("node 0 sent %d carriers in %d periods", got, runsN+1)
 	}
 }
 

@@ -106,7 +106,7 @@ func (np *nodeProto) invalSharersTree(e *dirEntry, src, b int, invalOne func(s i
 			invalOne(base + mbits.TrailingZeros64(live))
 			continue
 		}
-		np.ctrl(base+mbits.TrailingZeros64(live), KInvalTree, b, int64(live), 0)
+		np.send(base+mbits.TrailingZeros64(live), KInvalTree, b, int64(live), 0, nil)
 		extra += mbits.OnesCount64(live)
 		np.invalRounds++
 	}
@@ -142,7 +142,7 @@ func (np *nodeProto) hInvalTree(hc *tempest.HContext, m *network.Message) {
 		rs.clean |= 1 << myLeaf
 	}
 	for rest := leaves &^ (1 << myLeaf); rest != 0; rest &= rest - 1 {
-		np.ctrl(base+mbits.TrailingZeros64(rest), KInvalFwd, b, 0, int64(rs.home))
+		np.send(base+mbits.TrailingZeros64(rest), KInvalFwd, b, 0, int64(rs.home), nil)
 	}
 	np.maybeCloseRelay(i)
 }
@@ -163,7 +163,7 @@ func (np *nodeProto) hInvalFwd(hc *tempest.HContext, m *network.Message) {
 	if np.surrender(b, int(m.Arg2), false, false, np.n.MC.BlockCopy) {
 		dirty = 0
 	}
-	np.ctrl(m.Src, KInvalAckFwd, b, dirty, 0)
+	np.send(m.Src, KInvalAckFwd, b, dirty, 0, nil)
 }
 
 // markOvertaken runs where a relayed invalidation of block b lands. If
@@ -207,7 +207,7 @@ func (np *nodeProto) maybeCloseRelay(i int) {
 		return
 	}
 	np.relay = slices.Delete(np.relay, i, i+1)
-	np.ctrl(rs.home, KInvalAckTree, rs.block, int64(rs.clean), 0)
+	np.send(rs.home, KInvalAckTree, rs.block, int64(rs.clean), 0, nil)
 }
 
 // hInvalAckTree runs at the home: one cluster's combined clean-ack.

@@ -170,6 +170,15 @@ type nodeProto struct {
 	fillSig   sim.Signal
 	fillBlock int
 
+	// resumes holds the blocks of the scheduled resume events in the
+	// order they run (each at the engine's never-decreasing next-free
+	// time, ties in issue order); resumeFn, bound at Attach, pops one.
+	resumes  []int
+	resumeFn func()
+
+	// scatter is hCoalesced's per-segment message view (see there).
+	scatter network.Message
+
 	// flags holds one byte of bookkeeping per block of the segment (the
 	// flag* bits): it sits on the access-fault and data-install paths.
 	flags []uint8
@@ -240,6 +249,7 @@ func Attach(c *tempest.Cluster) *Proto {
 			ccRecv:   sim.NewCounter(),
 			mkwCount: sim.NewCounter(),
 		}
+		np.resumeFn = np.resumeNext
 		p.nodes = append(p.nodes, np)
 		n.Fault = np.fault
 		handle := np.dispatch
@@ -276,14 +286,17 @@ func (p *Proto) EnableAggregation(delay sim.Time) {
 // hCoalesced scatters a carrier: each contained segment dispatches to
 // its original handler with its original per-message state-transition
 // cost — only the per-message wire header, receive overhead, and
-// dispatch are shared. A synthesized per-segment message view keeps
-// the handler bodies unchanged; it lives on the stack and is never
-// recycled (only the carrier itself is pool-owned).
+// dispatch are shared. A synthesized per-segment message view, the
+// node's one scatter view, keeps the handler bodies unchanged; it is
+// never recycled (only the carrier itself is pool-owned).
+//
+//simlint:hotpath
 func (np *nodeProto) hCoalesced(hc *tempest.HContext, m *network.Message) {
 	t := np.n.Trace
-	var sm network.Message
+	sm := &np.scatter
+	//simlint:ignore hotalloc -- ForEachSegment only calls fn, so the closure does not escape and lives on the stack (go build -gcflags=-m: func literal does not escape)
 	network.ForEachSegment(m.Data, int(m.Arg), func(kind network.Kind, addr int, arg, arg2 int64, payload []byte) {
-		sm = network.Message{
+		*sm = network.Message{
 			Src: m.Src, Dst: m.Dst, Kind: kind, Addr: addr, Arg: arg, Arg2: arg2,
 			Data: payload, Size: network.SegHeader + len(payload),
 		}
@@ -295,7 +308,7 @@ func (np *nodeProto) hCoalesced(hc *tempest.HContext, m *network.Message) {
 			t.Instant(np.id, trace.LaneProto, "seg:"+network.KindName(kind), "seg", now,
 				trace.Int("src", m.Src), trace.Int("addr", addr), trace.Int("bytes", sm.Size))
 		}
-		np.dispatchSeg(hc, &sm)
+		np.dispatchSeg(hc, sm)
 	})
 }
 
@@ -360,20 +373,15 @@ func (np *nodeProto) heatInval(b int) {
 	}
 }
 
-// ctrl sends a payload-free control message from the protocol engine
-// (charging SendOver; it departs when the engine's queued work is done).
-func (np *nodeProto) ctrl(dst int, kind network.Kind, addr int, arg, arg2 int64) {
-	m := np.n.Net.NewMessage(np.id)
-	m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2, m.Size = dst, kind, addr, arg, arg2, ctrlSize
-	np.n.SendFromProto(m)
-}
-
-// sendBlock ships this node's copy of block b in a message of its own.
-func (np *nodeProto) sendBlock(dst int, kind network.Kind, b int, arg, arg2 int64) {
-	m := np.n.Net.NewMessage(np.id)
-	m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2 = dst, kind, b, arg, arg2
-	m.Data, m.DataPooled = np.n.Net.AllocBlock(np.id), true
-	copy(m.Data, np.n.Mem.BlockData(b))
+// send sends a message from the protocol engine (charging SendOver; it
+// departs when the engine's queued work is done): a control message
+// when data is nil, else one carrying a copy of data.
+func (np *nodeProto) send(dst int, kind network.Kind, addr int, arg, arg2 int64, data []byte) {
+	m := np.n.Net.NewDataMessage(np.id, data)
+	m.Dst, m.Kind, m.Addr, m.Arg, m.Arg2 = dst, kind, addr, arg, arg2
+	if data == nil {
+		m.Size = ctrlSize
+	}
 	np.n.SendFromProto(m)
 }
 
@@ -386,19 +394,16 @@ func (np *nodeProto) sendBlock(dst int, kind network.Kind, b int, arg, arg2 int6
 // timer bounds the added delay — a request burst that arrived in one
 // carrier answers in one carrier. Otherwise it is a message of its own.
 func (np *nodeProto) post(dst int, kind network.Kind, b int, withData bool) {
-	switch co := np.n.Net.CoalescerOf(np.id); {
-	case co != nil:
-		var payload []byte
-		if withData {
-			payload = np.n.Mem.BlockData(b)
-		}
+	var payload []byte
+	if withData {
+		payload = np.n.Mem.BlockData(b)
+	}
+	if co := np.n.Net.CoalescerOf(np.id); co != nil {
 		np.occupy(np.n.MC.TagChange)
 		co.Append(dst, kind, b, 0, 0, payload, true)
-	case withData:
-		np.sendBlock(dst, kind, b, 0, 0)
-	default:
-		np.ctrl(dst, kind, b, 0, 0)
+		return
 	}
+	np.send(dst, kind, b, 0, 0, payload)
 }
 
 // request sends a control message from the compute process, which has
@@ -519,8 +524,20 @@ func (np *nodeProto) fillDone(b int) {
 
 // resume lets the processor blocked on block b continue once the
 // engine's queued work — the install this handler charged — is done.
+//
+//simlint:hotpath
 func (np *nodeProto) resume(b int) {
-	np.n.Env.Schedule(np.n.ProtoBusyUntil(), func() { np.fillDone(b) })
+	//simlint:ignore hotalloc -- the queue grows to the node's most resumes in flight once; resumeNext pops in place
+	np.resumes = append(np.resumes, b)
+	np.n.Env.Schedule(np.n.ProtoBusyUntil(), np.resumeFn)
+}
+
+// resumeNext is the resume event: it completes the oldest scheduled
+// resume.
+func (np *nodeProto) resumeNext() {
+	b := np.resumes[0]
+	np.resumes = np.resumes[:copy(np.resumes, np.resumes[1:])]
+	np.fillDone(b)
 }
 
 // grantSC completes a sequentially consistent store's stall: the block
@@ -630,7 +647,7 @@ func (np *nodeProto) surrender(b, home int, keep, always bool, copyCost sim.Time
 		return true
 	}
 	np.occupy(copyCost)
-	np.sendBlock(home, KPutDataResp, b, int64(mask), keeps)
+	np.send(home, KPutDataResp, b, int64(mask), keeps, mem.BlockData(b))
 	mem.ClearDirty(b)
 	return false
 }

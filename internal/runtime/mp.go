@@ -83,13 +83,11 @@ func (e *exec) mpSend(p *sim.Proc, t *compiler.Transfer, to int) {
 		for off := 0; off < run.Bytes; off += mc.MaxPayload {
 			nb := min(run.Bytes-off, mc.MaxPayload)
 			addr := run.Addr + off
-			data := make([]byte, nb)
-			copy(data, e.n.Mem.Bytes(addr, nb))
+			// Packed before the Sync yields, as the send is issued.
+			m := e.n.Net.NewDataMessage(e.n.ID, e.n.Mem.Bytes(addr, nb))
 			e.n.Compute(mc.MPSendOver + sim.Time(nb)*mc.MPPackPerByte)
 			e.n.Sync(p)
-			m := e.n.Net.NewMessage(e.n.ID)
-			m.Src, m.Dst, m.Kind = e.n.ID, to, KMPData
-			m.Addr, m.Arg2, m.Data = addr, e.mp.phase, data
+			m.Src, m.Dst, m.Kind, m.Addr, m.Arg2 = e.n.ID, to, KMPData, addr, e.mp.phase
 			e.n.Net.Send(m)
 		}
 	}

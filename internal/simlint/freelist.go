@@ -7,7 +7,8 @@ import (
 )
 
 // Freelist is an intra-function lifetime check on values drawn from the
-// network's pools (NewMessage, AllocBlock, AllocVar). The pools power
+// network's pools (NewMessage, NewDataMessage, AllocBlock, AllocVar).
+// The pools power
 // the zero-steady-state-allocation messaging layer; their contract is
 // ownership-shaped and easy to violate silently:
 //
@@ -32,7 +33,7 @@ var Freelist = &Analyzer{
 
 // poolAllocNames are the pool entry points whose results are tracked.
 var poolAllocNames = map[string]bool{
-	"NewMessage": true, "AllocBlock": true, "AllocVar": true,
+	"NewMessage": true, "NewDataMessage": true, "AllocBlock": true, "AllocVar": true,
 }
 
 const (
@@ -350,7 +351,7 @@ func (w *flWalker) ident(id *ast.Ident, deferred bool) {
 }
 
 // isPoolAlloc recognizes calls to the pool entry points by method name:
-// x.NewMessage(), x.AllocBlock(), x.AllocVar(n).
+// x.NewMessage(), x.NewDataMessage(b), x.AllocBlock(), x.AllocVar(n).
 func isPoolAlloc(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	return ok && poolAllocNames[sel.Sel.Name]

@@ -1,7 +1,7 @@
 // Package freelist is a simlint fixture: pooled-value lifetime cases
 // for the freelist analyzer. The pool shapes mirror the network layer:
-// NewMessage/AllocBlock/AllocVar allocate, n.Recycle(m) or m.Recycle()
-// returns to the pool, Retain exempts a delivered value.
+// NewMessage/NewDataMessage/AllocBlock/AllocVar allocate, n.Recycle(m)
+// or m.Recycle() returns to the pool, Retain exempts a delivered value.
 package freelist
 
 type Msg struct{ N int }
@@ -11,13 +11,20 @@ func (m *Msg) Retain()  {}
 
 type Pool struct{ free []*Msg }
 
-func (p *Pool) NewMessage() *Msg    { return &Msg{} }
-func (p *Pool) AllocBlock() *Msg    { return &Msg{} }
-func (p *Pool) AllocVar(n int) *Msg { return &Msg{N: n} }
-func (p *Pool) Recycle(m *Msg)      { p.free = append(p.free, m) }
+func (p *Pool) NewMessage() *Msg             { return &Msg{} }
+func (p *Pool) NewDataMessage(b []byte) *Msg { return &Msg{N: len(b)} }
+func (p *Pool) AllocBlock() *Msg             { return &Msg{} }
+func (p *Pool) AllocVar(n int) *Msg          { return &Msg{N: n} }
+func (p *Pool) Recycle(m *Msg)               { p.free = append(p.free, m) }
 
 func useAfterRecycle(p *Pool) int {
 	m := p.NewMessage()
+	p.Recycle(m)
+	return m.N // want `m used after Recycle`
+}
+
+func dataUseAfterRecycle(p *Pool, b []byte) int {
+	m := p.NewDataMessage(b)
 	p.Recycle(m)
 	return m.N // want `m used after Recycle`
 }

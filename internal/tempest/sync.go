@@ -113,6 +113,7 @@ func (c *Cluster) installSync() {
 		master.children[i] = 1 + i
 	}
 	master.round.seen = make([]bool, len(c.Nodes))
+	master.round.pairs = make([]redPair, len(c.Nodes))
 	master.On(KindBarrierArrive, func(hc *HContext, m *network.Message) {
 		hc.AddCost(c.MC.BarrierEntry)
 		c.flatArrive(m.Src, opBarrier, 0, 0)
@@ -252,9 +253,6 @@ func (c *Cluster) flatArrive(src int, op ReduceOp, gen int64, bits uint64) {
 		if gen != c.reduceGen {
 			panic(fmt.Sprintf("tempest: reduction generation mismatch: got %d want %d", gen, c.reduceGen))
 		}
-		if r.pairs == nil {
-			r.pairs = make([]redPair, len(c.Nodes))
-		}
 		r.pairs[src] = redPair{id: int32(src), bits: bits}
 	}
 	if r.got == 0 {
@@ -280,11 +278,10 @@ func (c *Cluster) collective(p *sim.Proc, n *Node, op ReduceOp, v float64) {
 	bits := math.Float64bits(v)
 	switch {
 	case c.Tree != nil:
-		var own []redPair
 		if op != opBarrier {
-			own = []redPair{{id: int32(n.ID), bits: bits}}
+			n.round.pairs = append(n.round.pairs, redPair{id: int32(n.ID), bits: bits})
 		}
-		c.treeArrive(n, n.ID, op, n.round.gen, own)
+		c.treeArrive(n, n.ID, op, n.round.gen)
 	case n.ID == 0:
 		c.flatArrive(0, op, c.reduceGen, bits)
 	default:

@@ -26,9 +26,10 @@
 package tempest
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hpfdsm/internal/network"
 	"hpfdsm/internal/topo"
@@ -36,20 +37,23 @@ import (
 
 const redPairSize = 12 // 4-byte id + 8-byte float bits on the wire
 
-func encodePairs(pairs []redPair) []byte {
-	buf := make([]byte, redPairSize*len(pairs))
+// encodePairs writes pairs into buf, redPairSize bytes each.
+func encodePairs(buf []byte, pairs []redPair) {
 	for i, p := range pairs {
 		binary.LittleEndian.PutUint32(buf[i*redPairSize:], uint32(p.id))
 		binary.LittleEndian.PutUint64(buf[i*redPairSize+4:], p.bits)
 	}
-	return buf
 }
 
+// decodePairs appends the pair vector data carries to dst.
+//
+//simlint:hotpath
 func decodePairs(data []byte, dst []redPair) []redPair {
 	if len(data)%redPairSize != 0 {
 		panic(fmt.Sprintf("tempest: reduce up-message payload of %d bytes is not a pair vector", len(data)))
 	}
 	for off := 0; off < len(data); off += redPairSize {
+		//simlint:ignore hotalloc -- dst is a round's vector, made at install with room for the node's whole subtree: no arrival grows it
 		dst = append(dst, redPair{
 			id:   int32(binary.LittleEndian.Uint32(data[off:])),
 			bits: binary.LittleEndian.Uint64(data[off+4:]),
@@ -58,22 +62,26 @@ func decodePairs(data []byte, dst []redPair) []redPair {
 	return dst
 }
 
+// byID orders reduction pairs by contributing node.
+func byID(a, b redPair) int { return cmp.Compare(a.id, b.id) }
+
 // installTreeSync places every node in the combining tree and wires its
 // handlers.
 func (c *Cluster) installTreeSync() {
 	t := c.Tree
 	for _, n := range c.Nodes {
-		n := n
 		n.treeParent = t.Parent(n.ID)
 		n.children = t.Children(n.ID, nil)
 		n.round.seen = make([]bool, 1+len(n.children))
+		n.round.pairs = make([]redPair, 0, t.SubtreeSize(n.ID))
 		n.On(KindTreeBarrierUp, func(hc *HContext, m *network.Message) {
 			hc.AddCost(c.MC.BarrierEntry)
-			c.treeArrive(n, m.Src, opBarrier, 0, nil)
+			c.treeArrive(n, m.Src, opBarrier, 0)
 		})
 		n.On(KindTreeReduceUp, func(hc *HContext, m *network.Message) {
 			hc.AddCost(c.MC.BarrierEntry)
-			c.treeArrive(n, m.Src, ReduceOp(m.Addr), m.Arg2, decodePairs(m.Data, nil))
+			n.round.pairs = decodePairs(m.Data, n.round.pairs)
+			c.treeArrive(n, m.Src, ReduceOp(m.Addr), m.Arg2)
 		})
 		c.onRelease(n, KindTreeBarrierDown, KindTreeReduceDown)
 	}
@@ -93,11 +101,13 @@ func (n *Node) missingTree() []int {
 
 // treeArrive records one arrival at tree node n: n's own compute process
 // when src == n.ID, a child subtree otherwise. In round gen of n a
-// reduction brings contrib — the node's own pair, or the subtree's
-// gathered vector — which is concatenated, never combined. When the
-// whole subtree has arrived the node forwards one combined up-message;
+// reduction's arrival has appended its pair, or its subtree's vector, to
+// the round's: concatenated, never combined. When the whole subtree has
+// arrived the node forwards one combined up-message (a pooled payload);
 // the root runs the all-arrived instant instead.
-func (c *Cluster) treeArrive(n *Node, src int, op ReduceOp, gen int64, contrib []redPair) {
+//
+//simlint:hotpath
+func (c *Cluster) treeArrive(n *Node, src int, op ReduceOp, gen int64) {
 	r := &n.round
 	if op != opBarrier && gen != r.gen {
 		panic(fmt.Sprintf("tempest: node %d reduction round mismatch: got %d want %d", n.ID, gen, r.gen))
@@ -113,14 +123,13 @@ func (c *Cluster) treeArrive(n *Node, src int, op ReduceOp, gen int64, contrib [
 		}
 		slot = 1 + src - n.children[0]
 	}
-	r.pairs = append(r.pairs, contrib...)
 	if !r.mark(slot) {
 		return
 	}
 	if op != opBarrier {
 		// Sort by contributing node id: the vector (and so every message
 		// payload) becomes independent of child arrival order.
-		sort.Slice(r.pairs, func(i, j int) bool { return r.pairs[i].id < r.pairs[j].id })
+		slices.SortFunc(r.pairs, byID)
 	}
 	if n.ID == topo.Root {
 		c.allArrived(op, r.pairs, KindTreeBarrierDown, KindTreeReduceDown)
@@ -130,7 +139,9 @@ func (c *Cluster) treeArrive(n *Node, src int, op ReduceOp, gen int64, contrib [
 		m.Src, m.Dst, m.Kind, m.Size = n.ID, n.treeParent, KindTreeBarrierUp, barrierMsgSize
 		if op != opBarrier {
 			m.Kind, m.Addr, m.Arg2 = KindTreeReduceUp, int(op), gen
-			m.Data, m.Size = encodePairs(r.pairs), redPairSize*len(r.pairs)
+			m.Size = redPairSize * len(r.pairs)
+			m.Data, m.DataPooled = c.Net.AllocVar(n.ID, m.Size)[:m.Size], true
+			encodePairs(m.Data, r.pairs)
 		}
 		c.Net.Send(m)
 	}

@@ -359,3 +359,39 @@ func atBarrierOrder(t *testing.T, c *Cluster, ops []ReduceOp) *[]int {
 	}
 	return &log
 }
+
+// TestTreeAllReduceAllocs: once warm, one all-reduce round on a 64-node
+// radix-4 tree allocates nothing — up-vectors ride pooled payloads and
+// decode straight into each node's round.
+func TestTreeAllReduceAllocs(t *testing.T) {
+	const nodes, period = 64, sim.Millisecond
+	c := treeTestCluster(t, nodes, 4)
+	defer c.Env.Shutdown()
+	for _, n := range c.Nodes {
+		c.Env.Spawn("reduce", func(p *sim.Proc) {
+			for {
+				c.AllReduce(p, n, OpSum, float64(n.ID))
+				p.Sleep(period - p.Now()%period)
+			}
+		})
+	}
+	step := func() {
+		if err := c.Env.RunUntil(c.Env.Now() + period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	r0 := len(c.ReduceJournal)
+	const runs = 50
+	if got := testing.AllocsPerRun(runs, step); got != 0 {
+		t.Errorf("a tree all-reduce round allocates %v times", got)
+	}
+	if got := len(c.ReduceJournal) - r0; got != runs+1 {
+		t.Fatalf("%d reductions completed in %d periods", got, runs+1)
+	}
+	if want := float64(nodes * (nodes - 1) / 2); c.ReduceJournal[len(c.ReduceJournal)-1] != want {
+		t.Fatalf("reduced %v, want %v", c.ReduceJournal[len(c.ReduceJournal)-1], want)
+	}
+}
