@@ -17,24 +17,16 @@ func main() {
 	iters := flag.Int("iters", 0, "override the iteration count (0 = the app's scaled default)")
 	flag.Parse()
 
-	app, err := hpfdsm.AppByName("shallow")
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Copy before overriding: ScaledParams is shared app state.
 	params := map[string]int{}
-	for k, v := range app.ScaledParams {
-		params[k] = v
-	}
 	if *iters > 0 {
 		params["ITERS"] = *iters
 	}
+	prog, err := hpfdsm.LoadProgram("shallow", "", hpfdsm.Scaled, params)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	run := func(mode hpfdsm.CPUMode, opt hpfdsm.OptLevel) *hpfdsm.Result {
-		prog, err := app.Program(params)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mc := hpfdsm.DefaultMachine().WithCPUMode(mode)
 		res, err := hpfdsm.Run(prog, hpfdsm.Options{Machine: mc, Opt: opt})
 		if err != nil {
@@ -44,7 +36,7 @@ func main() {
 	}
 
 	fmt.Printf("shallow water %dx%d, %d iterations, 8 nodes\n\n",
-		params["N1"], params["N2"], params["ITERS"])
+		prog.Param("N1"), prog.Param("N2"), prog.Param("ITERS"))
 	fmt.Printf("%-12s %-10s %12s %14s %12s\n", "cpu mode", "opt", "elapsed", "misses/node", "comm avg")
 	for _, mode := range []hpfdsm.CPUMode{hpfdsm.SingleCPU, hpfdsm.DualCPU} {
 		for _, opt := range []hpfdsm.OptLevel{hpfdsm.OptNone, hpfdsm.OptBase, hpfdsm.OptBulk, hpfdsm.OptRTElim} {

@@ -24,6 +24,7 @@ package hpfdsm
 
 import (
 	"hpfdsm/internal/apps"
+	"hpfdsm/internal/bench"
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/ir"
@@ -115,6 +116,28 @@ func RunSource(source string, overrides map[string]int, opts Options) (*Result, 
 		return nil, err
 	}
 	return Run(prog, opts)
+}
+
+// Sizing selects an application's problem sizes (see LoadProgram).
+type Sizing = bench.Sizing
+
+// Sizings.
+const (
+	// Bench sizes run the full sweep in minutes.
+	Bench = bench.Bench
+	// Paper sizes match Table 2 (slow: tens of minutes).
+	Paper = bench.Paper
+	// Scaled sizes are the small test configurations.
+	Scaled = bench.Scaled
+)
+
+// LoadProgram builds a program the way every command and experiment
+// does. Named by app, it is that application with its PARAMs at sizing
+// s and params laid over them; a non-empty src then stands in for the
+// application's text under the same PARAMs. With no app, src is parsed
+// with params as its only overrides.
+func LoadProgram(app, src string, s Sizing, params map[string]int) (*Program, error) {
+	return bench.LoadProgram(app, src, s, params)
 }
 
 // Apps returns the paper's application suite (Table 2 order): pde,

@@ -83,6 +83,33 @@ func TestFacadeApps(t *testing.T) {
 	}
 }
 
+// TestFacadeLoadProgram: the facade's loader lays a PARAM over an
+// application's sizing and leaves the rest at that sizing, and parses
+// a source with no application.
+func TestFacadeLoadProgram(t *testing.T) {
+	a, err := hpfdsm.AppByName("shallow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := hpfdsm.LoadProgram("shallow", "", hpfdsm.Scaled, map[string]int{"ITERS": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Param("ITERS") != 2 || prog.Param("N1") != a.ScaledParams["N1"] {
+		t.Fatalf("ITERS %d, N1 %d; want 2 and the scaled %d", prog.Param("ITERS"), prog.Param("N1"), a.ScaledParams["N1"])
+	}
+	if a.ScaledParams["ITERS"] == 2 {
+		t.Fatal("the override should differ from the scaled ITERS")
+	}
+	prog, err = hpfdsm.LoadProgram("", testSource, hpfdsm.Scaled, map[string]int{"N": 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Name != "FACADE" || prog.Param("N") != 8 {
+		t.Fatalf("program %s with N %d; want FACADE with 8", prog.Name, prog.Param("N"))
+	}
+}
+
 func TestFacadeMessagePassing(t *testing.T) {
 	res, err := hpfdsm.RunSource(testSource, nil, hpfdsm.Options{
 		Machine: hpfdsm.DefaultMachine(),

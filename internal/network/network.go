@@ -8,6 +8,7 @@ package network
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/sim"
@@ -54,14 +55,15 @@ func KindName(k Kind) string {
 // separately); Data may be nil for control messages.
 //
 // A message obtained from Network.NewMessage carries a holder count:
-// NewMessage hands the caller one reference, and every Recycle drops
-// one. The message and its pooled payload go back to the pool only when
-// the last reference is dropped. Send takes over the caller's
-// reference; the delivery layer releases the one it hands the handler
-// after the handler returns, so a handler that keeps the message past
-// its own return must call Retain. Under fault injection the reliable
-// layer holds further references (see reliable.go). Messages built
-// directly with a literal are never recycled.
+// NewMessage hands the caller one reference, Retain takes one more, and
+// every Recycle drops one. The message and its pooled payload go back
+// to the pool only when the last reference is dropped. Send takes over
+// the caller's reference; the delivery layer releases the one it hands
+// the handler after the handler returns, so a handler that keeps the
+// message past its own return must Retain it and Recycle it when done.
+// Under fault injection the reliable layer holds further references
+// (see reliable.go). Messages built directly with a literal are never
+// recycled.
 type Message struct {
 	Src, Dst int
 	Kind     Kind
@@ -77,10 +79,9 @@ type Message struct {
 	// reclaimed when the delivered message is recycled.
 	DataPooled bool
 
-	net      *Network // owning network, set at creation or first Send
-	refs     int32    // holders of a pooled message; 0 for a literal (never recycled)
-	retained bool     // handler kept the message; never reclaim it
-	flow     uint64   // trace flow id of the latest transmission (0 = untraced)
+	net  *Network // owning network, set at creation or first Send; nil while free
+	refs int32    // holders of a pooled message; 0 for a literal (never recycled)
+	flow uint64   // trace flow id of the latest transmission (0 = untraced)
 }
 
 // Flow returns the message's trace flow identifier: the id of the
@@ -88,15 +89,12 @@ type Message struct {
 // to the receiving handler. Zero when tracing is off.
 func (m *Message) Flow() uint64 { return m.flow }
 
-// Retain marks a delivered message (and its Data) as kept by the
-// handler beyond its return: neither is ever reclaimed, whatever other
-// references are dropped later. Required whenever a handler queues or
-// defers the message.
-func (m *Message) Retain() { m.retained = true }
-
-// hold takes one more reference to a pooled message (a no-op on a
-// literal, which is never recycled).
-func (m *Message) hold() {
+// Retain takes one more reference to a delivered message (and its
+// Data) for a holder that keeps it beyond the handler's return: a
+// handler that queues or defers the message. That holder drops it with
+// Recycle when it is done. A no-op on a literal, which is never
+// recycled.
+func (m *Message) Retain() {
 	if m.refs > 0 {
 		m.refs++
 	}
@@ -183,11 +181,22 @@ type Network struct {
 // sending node's thread, recycling and the decrement on the destination
 // node's thread, with the epoch barrier ordering the hand-off of the
 // message itself. A pool's count alone may go negative; their sum is
-// the wire's in-flight total. The trailing pad keeps two partitions' list headers
-// off one cache line. poolSoftCap bounds each list so asymmetric
-// traffic (one partition receiving far more than it sends) cannot grow
-// a receive-heavy pool without bound; beyond the cap, recycled values
-// go back to the GC.
+// the wire's in-flight total. The trailing pad keeps two partitions'
+// list headers off one cache line.
+//
+// The lists outlive their network: Cluster.Run hands them to the keep
+// (ReleasePools) once its engine has stopped, and the next network
+// takes them from there, so a process that runs many simulations grows
+// them once. A free message holds no reference into the machine that
+// used it (Recycle clears its pointers), and a pop clears the slot it
+// leaves, so a kept list pins nothing of a finished run.
+//
+// poolSoftCap bounds each list so asymmetric traffic between PDES
+// partitions (one receiving far more than it sends) cannot grow a
+// receive-heavy pool without bound; beyond the cap, recycled values go
+// back to the GC. It sits above every workload's in-flight high-water
+// mark (about 32 000 messages), so a burst's own messages are never
+// dropped only to be allocated again by the next.
 type msgPool struct {
 	free     []*Message
 	varFree  [32][][]byte // every payload buffer, filed by capacity in power-of-two buckets
@@ -195,7 +204,34 @@ type msgPool struct {
 	_pad     [64]byte
 }
 
-const poolSoftCap = 1 << 14
+const poolSoftCap = 1 << 16
+
+// The keep holds the pools of networks whose runs have ended; a new
+// network takes its pools from it before making any. A pool is made
+// only when the keep is empty, so it never holds more pools than were
+// live at one time.
+//
+//simlint:concurrent -- paperbench -j runs simulations on concurrent goroutines, and their networks take and release pools at setup and teardown; this mutex orders every hand-off, and no one touches a pool between its release and the next take
+var takePools, releasePools = func() (take func(k int) []msgPool, release func([]msgPool)) {
+	var mu sync.Mutex
+	var kept []msgPool
+	take = func(k int) []msgPool {
+		pools := make([]msgPool, k)
+		mu.Lock()
+		rest := max(len(kept)-k, 0)
+		copy(pools, kept[rest:])
+		clear(kept[rest:])
+		kept = kept[:rest]
+		mu.Unlock()
+		return pools
+	}
+	release = func(pools []msgPool) {
+		mu.Lock()
+		kept = append(kept, pools...)
+		mu.Unlock()
+	}
+	return take, release
+}()
 
 // SetTracer installs the causal event tracer (nil disables tracing).
 func (n *Network) SetTracer(t *trace.Tracer) { n.tr = t }
@@ -251,7 +287,11 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 		n.partOf[i] = idx
 		n.departs[i].Bind(e)
 	}
-	n.pools = make([]msgPool, len(distinct))
+	n.pools = takePools(len(distinct))
+	for i := range n.pools {
+		// An aborted run leaves its count wherever the abort found it.
+		n.pools[i].inflight = 0
+	}
 	if mc.Faults.Active() {
 		if len(distinct) > 1 {
 			panic("network: fault injection is not supported in partitioned (PDES) mode")
@@ -267,6 +307,15 @@ func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.C
 // newHook, set only by tests (export_test.go), sees every network made.
 var newHook func(*Network)
 
+// ReleasePools hands the network's free lists to the keep for the next
+// network to take. The network must send and recycle nothing after it:
+// Cluster.Run calls it once its engine has shut down, when nothing runs
+// on the network's Envs any more.
+func (n *Network) ReleasePools() {
+	releasePools(n.pools)
+	n.pools = nil
+}
+
 // envOf returns the Env that owns node's events.
 //
 //simlint:hotpath
@@ -281,19 +330,20 @@ func (n *Network) poolOf(node int) *msgPool { return &n.pools[n.partOf[node]] }
 // recycled one from src's partition pool, and hands the caller its one
 // reference. src must be the node on whose Env the caller is executing
 // (the sender). Callers fill the fields and Send it; once the delivery
-// handler has returned and every other holder has let go, the message
-// goes back to the destination's pool unless the handler Retained it.
+// handler has returned and every other holder, a Retain included, has
+// let go, the message goes back to the destination's pool.
 //
 //simlint:hotpath
 func (n *Network) NewMessage(src int) *Message {
 	p := n.poolOf(src)
 	if k := len(p.free); k > 0 {
 		m := p.free[k-1]
+		p.free[k-1] = nil
 		p.free = p.free[:k-1]
-		m.refs = 1
+		*m = Message{net: n, refs: 1}
 		return m
 	}
-	//simlint:ignore hotalloc -- pool miss: the message population grows to its high-water mark once, then every call is a freelist hit (bench gate holds allocs/op)
+	//simlint:ignore hotalloc -- pool miss: the pools outlive a Run (ReleasePools), so the message population grows to the process's in-flight high-water mark once and every later call is a freelist hit
 	return &Message{net: n, refs: 1}
 }
 
@@ -317,6 +367,7 @@ func (n *Network) AllocVar(src, size int) []byte {
 	p := n.poolOf(src)
 	if l := p.varFree[idx]; len(l) > 0 {
 		b := l[len(l)-1]
+		l[len(l)-1] = nil
 		p.varFree[idx] = l[:len(l)-1]
 		return b
 	}
@@ -367,12 +418,14 @@ func (n *Network) recycleVar(node int, b []byte) {
 // destination's partition pool — on the lossless wire the last holder
 // is delivery, which runs on the destination's thread, so that is the
 // only pool this call may touch. Called by the delivery layer after the
-// handler returns and by the reliable layer as its holders let go; a
-// no-op for literal-built or Retained messages.
+// handler returns, by the reliable layer as its holders let go and by
+// whoever Retained it; a no-op for literal-built messages. The message
+// keeps its other fields until NewMessage hands it out again, zeroed;
+// its pointers go now, so a free message pins nothing.
 //
 //simlint:hotpath
 func (n *Network) Recycle(m *Message) {
-	if m.refs == 0 || m.retained {
+	if m.refs == 0 {
 		return
 	}
 	if m.refs--; m.refs > 0 {
@@ -386,9 +439,9 @@ func (n *Network) Recycle(m *Message) {
 	if m.DataPooled {
 		n.recycleVar(m.Dst, m.Data)
 	}
-	*m = Message{net: n}
+	m.Data, m.net = nil, nil
 	if len(p.free) < poolSoftCap {
-		//simlint:ignore hotalloc -- returning a message to the freelist: capacity was freed by the matching NewMessage pop; net growth is bounded by the in-flight high-water mark and the pool soft cap
+		//simlint:ignore hotalloc -- returning a message to the freelist: capacity was freed by the matching NewMessage pop; the list outlives the Run, so it grows to the process's in-flight high-water mark once, under the soft cap
 		p.free = append(p.free, m)
 	}
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"sync"
 	"testing"
 
 	"hpfdsm/internal/config"
@@ -307,4 +308,81 @@ func TestPayloadStreamAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, stream); got != 0 {
 		t.Fatalf("a payload stream allocates %v times per round", got)
 	}
+}
+
+// TestPopClearsSlot: a pop clears the slot it leaves in the free list,
+// so a kept list never reaches a message or buffer in use; one lost in
+// flight when its run was aborted would keep that run's machine alive.
+func TestPopClearsSlot(t *testing.T) {
+	_, net, _, mc := testNet(2)
+	m := net.NewMessage(0)
+	net.Recycle(m)
+	b := net.AllocVar(0, mc.BlockSize)
+	net.recycleVar(0, b)
+	m, b = net.NewMessage(0), net.AllocVar(0, mc.BlockSize)
+	p := net.poolOf(0)
+	for _, f := range p.free[:cap(p.free)] {
+		if f == m {
+			t.Fatal("the message list still reaches the message it handed out")
+		}
+	}
+	for _, bucket := range p.varFree {
+		for _, f := range bucket[:cap(bucket)] {
+			if len(f) > 0 && &f[0] == &b[0] {
+				t.Fatal("the payload list still reaches the buffer it handed out")
+			}
+		}
+	}
+}
+
+// TestReleasedPoolsGoToTheNextNetwork: the pools a network releases are
+// the next network's, their messages rebound to it and zeroed, and a
+// free message holds no network.
+func TestReleasedPoolsGoToTheNextNetwork(t *testing.T) {
+	_, old, _, _ := testNet(2)
+	m := old.NewMessage(0)
+	m.Src, m.Dst, m.Kind, m.Arg = 0, 1, 7, 42
+	old.Recycle(m)
+	if m.net != nil {
+		t.Fatal("a free message keeps its network")
+	}
+	old.ReleasePools()
+	_, net, _, _ := testNet(2)
+	got := net.NewMessage(0)
+	if got != m {
+		t.Fatal("the next network did not take the released pool")
+	}
+	if got.net != net || got.refs != 1 || got.Kind != 0 || got.Arg != 0 || got.Dst != 0 {
+		t.Fatalf("a kept message came back as %v, net %p refs %d; want it zeroed on %p with one reference", got, got.net, got.refs, net)
+	}
+}
+
+// TestKeepHandOffAcrossGoroutines: networks built, used and released
+// on concurrent goroutines, as paperbench -j's cells are, hand pools to
+// one another through the keep; under -race it checks that the keep
+// orders every hand-off.
+func TestKeepHandOffAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				env, net, _, mc := testNet(2)
+				net.Bind(0, func(m *Message) {})
+				net.Bind(1, func(m *Message) { net.Recycle(m) })
+				for k := range 1 + (g+i)%8 {
+					m := net.NewDataMessage(0, make([]byte, mc.BlockSize))
+					m.Src, m.Dst, m.Kind, m.Arg = 0, 1, 1, int64(k)
+					net.Send(m)
+				}
+				if err := env.Run(); err != nil {
+					t.Error(err)
+					return
+				}
+				net.ReleasePools()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -211,7 +211,7 @@ func (r *reliable) newArrival(m *Message) *arrival {
 			r.arrive(m)
 		}
 	}
-	m.hold()
+	m.Retain()
 	a.m = m
 	return a
 }

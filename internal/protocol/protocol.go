@@ -695,10 +695,15 @@ func (np *nodeProto) later(fn func()) {
 
 // deferMsg re-delivers a message to its own handler shortly, used to
 // hold off coherence actions on a block whose granted store has not
-// yet retired.
+// yet retired. The deferral holds its own reference, which it drops
+// once the re-delivered handler returns; a handler that defers again
+// has taken another.
 func (np *nodeProto) deferMsg(m *network.Message, h func(*tempest.HContext, *network.Message)) {
 	m.Retain() // the message outlives this delivery
-	np.later(func() { h(&tempest.HContext{Node: np.n}, m) })
+	np.later(func() {
+		h(&tempest.HContext{Node: np.n}, m)
+		np.n.Net.Recycle(m)
+	})
 }
 
 // --- Home-side handlers ----------------------------------------------

@@ -79,3 +79,35 @@ func TestAbortedAttemptReleasesImages(t *testing.T) {
 	}
 	goruntime.KeepAlive(res)
 }
+
+// The free lists a Run leaves for the next pin nothing of its machine:
+// after two Runs and nothing held, collections unmap every image, those
+// of tests that ran earlier included. Each Run recovers from a crash,
+// so its aborted attempt leaves messages in flight that never return
+// to a list; one still referenced from the slot its pop left, or a
+// free message that kept its network, would keep that network, and so
+// every node image, alive.
+func TestKeptPoolsPinNoImages(t *testing.T) {
+	if !memory.ImagesMapped {
+		t.Skip("images come from the Go heap in this build")
+	}
+	a := apps.Jacobi()
+	prog, err := a.Program(a.ScaledParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := config.Default().WithFaults(config.Faults{Crashes: []config.CrashSpec{{Node: 2, Epoch: 5}}})
+	for range 2 {
+		if _, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for memory.LiveImages() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d images still mapped 10 s after two Runs", memory.LiveImages())
+		}
+		goruntime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -54,7 +54,8 @@ func installMP(execs []*exec) {
 		e.n.On(KMPData, func(hc *tempest.HContext, m *network.Message) {
 			if m.Arg2 != e.mp.phase {
 				// Early arrival from a sender already in a later
-				// phase: hold it until this node catches up.
+				// phase: hold it until this node catches up, and
+				// mpPhase recycles it once installed.
 				m.Retain()
 				e.mp.queued[m.Arg2] = append(e.mp.queued[m.Arg2], m)
 				return
@@ -115,6 +116,7 @@ func (e *exec) mpPhase(p *sim.Proc, expected int64) {
 	e.mp.recv.Reset()
 	for _, m := range e.mp.queued[e.mp.phase] {
 		e.mpInstall(m)
+		e.n.Net.Recycle(m)
 	}
 	delete(e.mp.queued, e.mp.phase)
 }

@@ -16,9 +16,9 @@ import (
 //     next NewMessage hands the same object to an unrelated sender;
 //   - a double Recycle puts the object on the freelist twice, so two
 //     future allocations alias each other;
-//   - Retain exempts a delivered message from recycling and must be
-//     balanced: a Retain after the Recycle already happened retains a
-//     freelist entry.
+//   - Retain takes a reference for a holder that keeps a delivered
+//     message and must precede the Recycle it outlives: a Retain after
+//     the Recycle already happened retains a freelist entry.
 //
 // The check is conservative: a Recycle only kills the value for
 // statements it unconditionally precedes (same or enclosing block, in

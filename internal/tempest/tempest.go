@@ -55,6 +55,8 @@ func init() {
 // HContext is passed to active-message handlers. Handlers perform their
 // state transitions immediately and account CPU cost through the
 // context; the node's protocol engine stays busy for the total cost.
+// The context is the node's, reset for each handler run: a handler must
+// not keep it past its return.
 type HContext struct {
 	Node *Node
 	cost sim.Time
@@ -98,11 +100,11 @@ type Node struct {
 	// message must not pay for hashing.
 	handlers [256]Handler
 
-	// hfree recycles handler-invocation records (receive schedules one
-	// event per message; the record carries the message, the reserved
-	// start time, and the handler context without a per-message closure
-	// or context allocation).
-	hfree []*hinvoke
+	// handleFn is handle bound to this node, made once with the cluster:
+	// receive schedules the message itself with it, so a handler run
+	// allocates nothing. hc is the context of the run in progress.
+	handleFn func(any)
+	hc       HContext
 
 	protoFree sim.Time // protocol engine next-free time
 	stolen    sim.Time // handler time not yet charged to compute (SingleCPU)
@@ -148,41 +150,18 @@ func (n *Node) On(k network.Kind, h Handler) {
 	n.handlers[k] = h
 }
 
-// hinvoke is one queued handler execution. Records are recycled
-// through Node.hfree so the steady-state receive path allocates
-// nothing.
-type hinvoke struct {
-	n     *Node
-	m     *network.Message
-	start sim.Time
-	ctx   HContext
-}
-
-// hinvokeEvent is the shared event function for handler runs.
-var hinvokeEvent = func(a any) { a.(*hinvoke).run() }
-
 // receive is the network endpoint: it queues the message on the
-// protocol engine and runs the registered handler with RecvOver plus
-// the handler's own cost.
+// protocol engine, where handle runs the registered handler with
+// RecvOver plus the handler's own cost.
+//
+//simlint:hotpath
 func (n *Node) receive(m *network.Message) {
-	start := n.Env.Now()
-	if n.protoFree > start {
-		start = n.protoFree
-	}
+	start := max(n.Env.Now(), n.protoFree)
 	// Reserve a minimal slot now; the real cost is known after the
 	// handler body runs at start.
 	n.protoFree = start + n.MC.RecvOver
-	var hv *hinvoke
-	if k := len(n.hfree); k > 0 {
-		hv = n.hfree[k-1]
-		n.hfree = n.hfree[:k-1]
-	} else {
-		hv = &hinvoke{n: n}
-	}
-	hv.m = m
-	hv.start = start
 	n.hq++
-	n.engine.Schedule(start, hinvokeEvent, hv)
+	n.engine.Schedule(start, n.handleFn, m)
 }
 
 // HandlersQueued returns the number of handler invocations accepted by
@@ -190,32 +169,35 @@ func (n *Node) receive(m *network.Message) {
 // of the cluster quiescence predicate checkpoints rely on.
 func (n *Node) HandlersQueued() int { return n.hq }
 
-func (hv *hinvoke) run() {
-	n := hv.n
-	m := hv.m
+// handle runs one message's handler at the engine slot receive
+// reserved for it, which is the current instant.
+//
+//simlint:hotpath
+func (n *Node) handle(a any) {
+	m := a.(*network.Message)
+	start := n.Env.Now()
 	n.hq--
 	if n.Net.Dead(n.ID) {
 		// The node crashed between the endpoint accepting the message
 		// and the engine slot coming free: the handler never runs.
 		n.Net.Recycle(m)
-		hv.m = nil
-		n.hfree = append(n.hfree, hv)
 		return
 	}
 	h := n.handlers[m.Kind]
 	if h == nil {
 		panic(fmt.Sprintf("tempest: node %d has no handler for kind %d", n.ID, m.Kind))
 	}
-	// Capture trace identity before the handler runs: Recycle zeroes
-	// the message, and a Retained message may be mutated for reuse.
+	// Capture trace identity before the handler runs: a recycled
+	// message may be handed out again, and a Retained one mutated for
+	// reuse.
 	var kind network.Kind
 	var flow uint64
 	var src, addr int
 	if n.Trace != nil {
 		kind, flow, src, addr = m.Kind, m.Flow(), m.Src, m.Addr
 	}
-	hv.ctx = HContext{Node: n}
-	c := &hv.ctx
+	n.hc = HContext{Node: n}
+	c := &n.hc
 	// With aggregation on, the node's coalescer brackets the handler
 	// run: at its end it drains exactly the buffers the handler
 	// appended to, so engine-composed reply bursts depart as one
@@ -228,7 +210,7 @@ func (hv *hinvoke) run() {
 	// The engine stays busy for the receive overhead plus the
 	// handler's declared cost (the body may also have extended
 	// protoFree directly via OccupyProto).
-	base := hv.start + n.MC.RecvOver
+	base := start + n.MC.RecvOver
 	if n.protoFree < base {
 		n.protoFree = base
 	}
@@ -239,9 +221,9 @@ func (hv *hinvoke) run() {
 	}
 	if t := n.Trace; t != nil {
 		t.Span(n.ID, trace.LaneProto, "h:"+network.KindName(kind), "handler",
-			hv.start, n.protoFree, trace.Int("src", src), trace.Int("addr", addr))
+			start, n.protoFree, trace.Int("src", src), trace.Int("addr", addr))
 		if flow != 0 {
-			t.FlowEnd(n.ID, trace.LaneProto, flow, hv.start)
+			t.FlowEnd(n.ID, trace.LaneProto, flow, start)
 		}
 	}
 	if co != nil {
@@ -251,10 +233,9 @@ func (hv *hinvoke) run() {
 		// latency.
 		co.Burst(false)
 	}
-	// The handler is done with the message unless it Retained it.
+	// The handler is done with the message; a holder that Retained it
+	// keeps its own reference.
 	n.Net.Recycle(m)
-	hv.m = nil
-	n.hfree = append(n.hfree, hv)
 }
 
 // SendFromCompute transmits a message from the compute processor,
@@ -517,11 +498,14 @@ func (c *Cluster) RestoreEpoch(epoch, reduceGen int64, journal []float64) {
 // Run drives the cluster to completion on the engine it was built with
 // — its one Env, or the window scheduler over its partitions — and
 // shuts that engine down before returning, whatever the outcome: no
-// compute process is left parked. The error is the engine's: an Abort
-// value, a deadlock, or the stall watchdog's diagnostic.
+// compute process is left parked. The network's free lists then go to
+// the next network made (network.ReleasePools), so a cluster runs
+// once. The error is the engine's: an Abort value, a deadlock, or the
+// stall watchdog's diagnostic.
 func (c *Cluster) Run() error {
 	err := c.engine.Run()
 	c.engine.Shutdown()
+	c.Net.ReleasePools()
 	return err
 }
 
@@ -606,6 +590,7 @@ func newCluster(envs []*sim.Env, sp *memory.Space, post network.PostFn, engine r
 			MC:  mc,
 			St:  &st.Nodes[i],
 		}
+		n.handleFn = n.handle
 		n.engine.Bind(env)
 		net.Bind(i, n.receive)
 		c.Nodes = append(c.Nodes, n)
