@@ -35,8 +35,7 @@ type ctx struct {
 // experiments is every -exp name, in the order `-exp all` runs them.
 var experiments = []struct {
 	name      string
-	needSuite bool // reads the (app, variant) sweep of bench.RunSuite, and with it -pdes
-	pdes      bool // reads -pdes without the sweep
+	needSuite bool // reads the (app, variant) sweep of bench.RunSuite
 	extra     bool // runs only when named, not under -exp all
 	run       func(ctx) (string, error)
 }{
@@ -55,8 +54,7 @@ var experiments = []struct {
 	{name: "network", run: onConfig(bench.Network)},
 	{name: "faults", run: onConfig(bench.Faults)},
 	{name: "agg", run: onConfig(bench.Agg)},
-	{name: "scale", extra: true, pdes: true, run: onConfig(bench.Scale)},
-	{name: "pdes", extra: true, run: onConfig(bench.PDES)},
+	{name: "scale", extra: true, run: onConfig(bench.Scale)},
 }
 
 func onSuite(f func(*bench.SuiteResults) string) func(ctx) (string, error) {
@@ -100,8 +98,7 @@ func run() (exitCode int) {
 	size := flag.String("size", "bench", "problem sizes: "+bench.SizingNames)
 	nodes := flag.Int("nodes", 8, "cluster size for suite experiments")
 	verbose := flag.Bool("v", false, "log each run")
-	workers := flag.Int("j", goruntime.GOMAXPROCS(0), "max concurrent simulations in every experiment (-exp pdes still times its runs one at a time)")
-	pdes := flag.Int("pdes", 1, "partition each simulation of fig3, table3, fig4, pre and scale across this many OS threads (conservative PDES; 1 = sequential, statistics bit-identical either way); other experiments ignore it")
+	workers := flag.Int("j", goruntime.GOMAXPROCS(0), "max concurrent simulations in every experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -122,13 +119,9 @@ func run() (exitCode int) {
 		}
 	}()
 
-	c := ctx{cfg: bench.Config{Nodes: *nodes, Workers: *workers, Partitions: *pdes}, traceOut: *traceOut}
+	c := ctx{cfg: bench.Config{Nodes: *nodes, Workers: *workers}, traceOut: *traceOut}
 	if c.cfg.Sizing, err = bench.ParseSizing(*size); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if *pdes < 1 {
-		fmt.Fprintf(os.Stderr, "-pdes must be at least 1, have %d\n", *pdes)
 		return 2
 	}
 	if *workers < 1 {
@@ -139,20 +132,16 @@ func run() (exitCode int) {
 		fmt.Fprintln(os.Stderr, "note: paper sizes simulate the full Table 2 problems; expect long runs")
 	}
 
-	selected, needSuite, readsPDES := experiments[:0:0], false, false
+	selected, needSuite := experiments[:0:0], false
 	for _, e := range experiments {
 		if e.name == *exp || *exp == "all" && !e.extra {
 			selected = append(selected, e)
 			needSuite = needSuite || e.needSuite
-			readsPDES = readsPDES || e.needSuite || e.pdes
 		}
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		return 2
-	}
-	if *pdes > 1 && !readsPDES {
-		fmt.Fprintf(os.Stderr, "note: -exp %s does not read -pdes; only fig3, table3, fig4, pre and scale partition their simulations\n", *exp)
 	}
 	if needSuite {
 		var log io.Writer

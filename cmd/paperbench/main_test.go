@@ -70,10 +70,10 @@ func TestFailureStillClosesProfile(t *testing.T) {
 	}
 }
 
-// TestCountsBelowOneRefused: -pdes and -j below 1 are usage errors, one
-// line and exit code 2, before anything runs.
+// TestCountsBelowOneRefused: -j below 1 is a usage error, one line and
+// exit code 2, before anything runs.
 func TestCountsBelowOneRefused(t *testing.T) {
-	for _, c := range [][]string{{"-pdes", "0"}, {"-pdes", "-3"}, {"-j", "0"}, {"-j", "-1"}} {
+	for _, c := range [][]string{{"-j", "0"}, {"-j", "-1"}} {
 		code, stderr := exitCode(t, "-exp", "scale", "-size", "scaled", c[0], c[1])
 		if want := c[0] + " must be at least 1, have " + c[1] + "\n"; code != 2 || stderr != want {
 			t.Errorf("%v: exit code %d, stderr %q; want 2 and %q", c, code, stderr, want)
@@ -84,23 +84,5 @@ func TestCountsBelowOneRefused(t *testing.T) {
 func TestNamedExperimentRuns(t *testing.T) {
 	if code, stderr := exitCode(t, "-exp", "table1"); code != 0 {
 		t.Errorf("-exp table1: exit code %d, stderr %q", code, stderr)
-	}
-}
-
-// -pdes partitions only the suite experiments' and scale's simulations;
-// naming it for any other experiment says so on stderr and still runs.
-func TestPDESNoteNamesIgnoringExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the suite sweep")
-	}
-	const note = "does not read -pdes"
-	for _, c := range []struct {
-		exp      string
-		wantNote bool
-	}{{"network", true}, {"fig3", false}} {
-		code, stderr := exitCode(t, "-exp", c.exp, "-size", "scaled", "-nodes", "2", "-pdes", "2")
-		if code != 0 || strings.Contains(stderr, note) != c.wantNote {
-			t.Errorf("-exp %s -pdes 2: exit code %d, stderr %q; want 0 and the note %v", c.exp, code, stderr, c.wantNote)
-		}
 	}
 }

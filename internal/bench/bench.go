@@ -118,10 +118,6 @@ type Config struct {
 	// concurrent runs share only the read-only, internally locked
 	// compiled-program caches.
 	Workers int
-	// Partitions is the conservative-PDES partition count (-pdes) of the
-	// simulations that take it: every variant of the suite, and scale's.
-	// <= 1 keeps the sequential event loop.
-	Partitions int
 }
 
 // cell is one simulation of an experiment: the named app at the
@@ -221,7 +217,7 @@ func RunSuite(cfg Config, w io.Writer) (*SuiteResults, error) {
 		for _, v := range vs {
 			cells = append(cells, cell{app: app, opts: runtime.Options{
 				Machine: config.Default().WithNodes(v.Nodes).WithCPUMode(v.CPUMode),
-				Opt:     v.Opt, Backend: v.Backend, Partitions: cfg.Partitions,
+				Opt:     v.Opt, Backend: v.Backend,
 			}})
 		}
 	}

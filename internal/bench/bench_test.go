@@ -88,25 +88,6 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
-// TestSuitePartitionsEveryVariant: -pdes partitions every multi-node
-// variant of the suite, the message-passing baseline included.
-func TestSuitePartitionsEveryVariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite sweep is slow")
-	}
-	suite, err := RunSuite(Config{Sizing: Scaled, Nodes: 2, Workers: 2, Partitions: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range AppNames() {
-		for _, v := range Variants(2) {
-			if got := suite.Get(app, v.Key).PDESWindows; (got > 0) != (v.Nodes > 1) {
-				t.Errorf("%s/%s on %d node(s): %d PDES windows", app, v.Key, v.Nodes, got)
-			}
-		}
-	}
-}
-
 func TestSuiteSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite sweep is slow")

@@ -50,8 +50,7 @@ type ScaleCell struct {
 }
 
 // scaleCluster assembles a protocol-attached cluster for a sync/inval
-// microbenchmark, partitioned across `parts` PDES shards when parts >
-// 1 (same contiguous node split as the runtime).
+// microbenchmark.
 type scaleCluster struct {
 	mc   config.Machine
 	c    *tempest.Cluster
@@ -59,11 +58,11 @@ type scaleCluster struct {
 	base int
 }
 
-func newScaleCluster(n int, topo config.Topology, parts int) *scaleCluster {
+func newScaleCluster(n int, topo config.Topology) *scaleCluster {
 	mc := config.Default().WithNodes(n).WithTopology(topo)
 	sp := memory.NewSpace(mc)
 	base := sp.Alloc("x", mc.PageSize)
-	c := tempest.NewShardedCluster(sp, parts, 0)
+	c := tempest.NewCluster(sim.NewEnv(), sp)
 	return &scaleCluster{mc: mc, c: c, pr: protocol.Attach(c), base: base}
 }
 
@@ -74,9 +73,9 @@ func newScaleCluster(n int, topo config.Topology, parts int) *scaleCluster {
 // result's mantissa). Latencies are read from node 0's clock; the
 // reduction result is identical on every node by construction and
 // captured from node 0.
-func measureSync(n int, topo config.Topology, parts int) (ScaleCell, error) {
+func measureSync(n int, topo config.Topology) (ScaleCell, error) {
 	const warm, iters = 2, 4
-	s := newScaleCluster(n, topo, parts)
+	s := newScaleCluster(n, topo)
 	cell := ScaleCell{Nodes: n, Topo: topo, Radix: s.mc.EffectiveRadix()}
 	var t0, t1, t2 sim.Time
 	for i := 0; i < n; i++ {
@@ -119,11 +118,11 @@ func measureSync(n int, topo config.Topology, parts int) (ScaleCell, error) {
 // the home reads one block (becoming a sharer), then node 1 upgrades
 // it, forcing the home to invalidate the other N-2 copies — unicast
 // under flat, through per-cluster relays with combined acks under
-// tree. With withWrite false the write phase is skipped; the delta
+// tree. Without withWrite the write phase is skipped; the delta
 // between the two runs isolates the invalidation round exactly (the
 // read phase's schedule is deterministic and common to both).
-func runInval(n int, topo config.Topology, parts, withWrite int) (msgs, bytes, rounds, home int64, lat sim.Time, err error) {
-	s := newScaleCluster(n, topo, parts)
+func runInval(n int, topo config.Topology, withWrite bool) (msgs, bytes, rounds, home int64, lat sim.Time, err error) {
+	s := newScaleCluster(n, topo)
 	addr := s.base
 	for i := 0; i < n; i++ {
 		i := i
@@ -134,7 +133,7 @@ func runInval(n int, topo config.Topology, parts, withWrite int) (msgs, bytes, r
 			}
 			node.WaitPending(p)
 			s.c.Barrier(p, node)
-			if i == 1 && withWrite != 0 {
+			if i == 1 && withWrite {
 				t0 := p.Now()
 				node.StoreF64(p, addr, 1.0)
 				node.WaitPending(p) // gates on the grant, which gates on every ack
@@ -154,12 +153,12 @@ func runInval(n int, topo config.Topology, parts, withWrite int) (msgs, bytes, r
 
 // measureInval fills in one cell's invalidation-round columns: the
 // delta between the write-phase and read-only runs isolates the round.
-func measureInval(cell *ScaleCell, parts int) error {
-	m0, b0, _, h0, _, err := runInval(cell.Nodes, cell.Topo, parts, 0)
+func measureInval(cell *ScaleCell) error {
+	m0, b0, _, h0, _, err := runInval(cell.Nodes, cell.Topo, false)
 	if err != nil {
 		return err
 	}
-	m1, b1, rounds, h1, lat, err := runInval(cell.Nodes, cell.Topo, parts, 1)
+	m1, b1, rounds, h1, lat, err := runInval(cell.Nodes, cell.Topo, true)
 	if err != nil {
 		return err
 	}
@@ -169,8 +168,6 @@ func measureInval(cell *ScaleCell, parts int) error {
 }
 
 // ScaleSweep measures the full N x {flat, tree} grid on cfg's pool.
-// cfg.Partitions > 1 runs every simulation under the conservative-PDES
-// window scheduler; every reported number is bit-identical either way.
 // The tree's reduction result is REQUIRED to match the flat protocol's
 // bit-for-bit at every N — that is the tentpole's contract, not a
 // tolerance comparison.
@@ -182,9 +179,9 @@ func ScaleSweep(cfg Config) ([]ScaleCell, error) {
 		}
 	}
 	cells, err := grid(cfg.Workers, points, func(p ScaleCell) (ScaleCell, error) {
-		c, err := measureSync(p.Nodes, p.Topo, cfg.Partitions)
+		c, err := measureSync(p.Nodes, p.Topo)
 		if err == nil {
-			err = measureInval(&c, cfg.Partitions)
+			err = measureInval(&c)
 		}
 		return c, err
 	})
@@ -210,11 +207,7 @@ func Scale(cfg Config) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString("Scale-out: flat vs combining-tree hierarchical coherence\n")
-	if cfg.Partitions > 1 {
-		fmt.Fprintf(&b, "(conservative PDES, %d partitions; statistics bit-identical to sequential)\n", cfg.Partitions)
-	}
-	b.WriteString("\n")
+	b.WriteString("Scale-out: flat vs combining-tree hierarchical coherence\n\n")
 	fmt.Fprintf(&b, "  %5s %-5s %5s | %11s %11s | %11s %7s %6s | %9s %10s\n",
 		"N", "topo", "radix", "barrier", "allreduce", "inval lat", "home tx", "rounds", "sync msgs", "inval msgs")
 	for _, c := range cells {
@@ -247,7 +240,7 @@ func scaleAppPair(cfg Config, a *apps.App, nodes int) (flat, tree *runtime.Resul
 	var cells []cell
 	for _, topo := range []config.Topology{config.Flat, config.TreeTopo} {
 		cells = append(cells, cell{app: a.Name, opts: runtime.Options{
-			Machine: config.Default().WithNodes(nodes).WithTopology(topo), Opt: compiler.OptRTElim, Partitions: cfg.Partitions,
+			Machine: config.Default().WithNodes(nodes).WithTopology(topo), Opt: compiler.OptRTElim,
 		}})
 	}
 	res, err := cfg.simulate(cells)

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,6 +74,68 @@ func TestTreeInvalFanOutRound(t *testing.T) {
 	}
 	if rounds := h.p.InvalRounds(); rounds != 4 {
 		t.Fatalf("relay rounds = %d, want 4 (one per multi-sharer cluster)", rounds)
+	}
+}
+
+// TestCollectivesAndInvalSameOnTwoPartitions runs sixteen nodes
+// through barriers, an all-reduce and one invalidation round (every
+// node but the home reads a block, then node 1 upgrades it), on one Env
+// and on two partitions, under both topologies: the tree's combining
+// collectives and relay rounds must cross the partition boundary
+// without moving a clock, a count or a reduction bit.
+func TestCollectivesAndInvalSameOnTwoPartitions(t *testing.T) {
+	type outcome struct {
+		now                       sim.Time
+		msgs, bytes, home, rounds int64
+		sum                       uint64
+	}
+	for _, topo := range []config.Topology{config.Flat, config.TreeTopo} {
+		var got [2]outcome
+		for i, parts := range []int{1, 2} {
+			mc := config.Default().WithNodes(16).WithTopology(topo)
+			sp := memory.NewSpace(mc)
+			addr := sp.Alloc("x", mc.PageSize)
+			c := tempest.NewShardedCluster(sp, parts, 0)
+			pr := Attach(c)
+			for _, n := range c.Nodes {
+				n := n
+				n.Env.Spawn("n", func(p *sim.Proc) {
+					c.Barrier(p, n)
+					r := c.AllReduce(p, n, tempest.OpSum, math.Sqrt(float64(n.ID+1)))
+					if n.ID != 0 {
+						n.LoadF64(p, addr)
+					}
+					n.WaitPending(p)
+					c.Barrier(p, n)
+					if n.ID == 1 {
+						n.StoreF64(p, addr, 1.0)
+					}
+					n.WaitPending(p)
+					c.Barrier(p, n)
+					if n.ID == 0 {
+						got[i].sum = math.Float64bits(r)
+					}
+				})
+			}
+			if err := c.Run(); err != nil {
+				t.Fatalf("%v, %d partition(s): %v", topo, parts, err)
+			}
+			got[i].now, got[i].rounds = c.Now(), pr.InvalRounds()
+			got[i].msgs, got[i].bytes = c.Stats.TotalMessages(), c.Stats.TotalBytes()
+			got[i].home = c.Stats.Nodes[0].MsgsSent
+		}
+		if got[0] != got[1] {
+			t.Errorf("%v: one Env gave %+v, two partitions %+v", topo, got[0], got[1])
+		}
+		// Flat invalidates by unicast; the tree opens one relay round per
+		// multi-sharer cluster, four at radix 4.
+		want := int64(0)
+		if topo == config.TreeTopo {
+			want = 4
+		}
+		if got[0].rounds != want {
+			t.Errorf("%v: %d relay rounds, want %d", topo, got[0].rounds, want)
+		}
 	}
 }
 

@@ -515,14 +515,9 @@ func (c *Cluster) Now() sim.Time { return c.engine.Now() }
 
 // SetWatchdog arms the engine's stall watchdog with horizon (0 leaves
 // it disarmed) and hands it dump, every node's state, for its stall and
-// deadlock errors. On one Env a disarmed watchdog installs nothing: the
-// kernel's deadlock error names the blocked processes itself. The
-// window scheduler always takes the dump, so a cross-partition deadlock
-// carries every node's state, not just the reporting partition's.
+// deadlock errors: a deadlock carries every node's state on any engine.
 func (c *Cluster) SetWatchdog(horizon sim.Time, dump func() string) {
-	if _, one := c.engine.(*sim.Env); !one || horizon > 0 {
-		c.engine.SetWatchdog(horizon, dump)
-	}
+	c.engine.SetWatchdog(horizon, dump)
 }
 
 // PDESCensus returns, after Run, the window scheduler's window

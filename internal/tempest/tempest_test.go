@@ -1,6 +1,7 @@
 package tempest
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -193,13 +194,21 @@ func TestBarrierAllNodes(t *testing.T) {
 
 // TestRunShutsDownAfterError deadlocks a cluster on one Env and on two
 // partitions — one node never enters the barrier the others park at —
-// and holds Cluster.Run to an error that leaves no compute process
-// parked: every coroutine it started has exited when Run returns.
+// and holds Cluster.Run to an error that carries the watchdog's node
+// dump, disarmed or not, and leaves no compute process parked: every
+// coroutine it started has exited when Run returns.
 func TestRunShutsDownAfterError(t *testing.T) {
 	for _, parts := range []int{1, 2} {
 		before := goruntime.NumGoroutine()
 		mc := config.Default().WithNodes(4)
 		c := NewShardedCluster(memory.NewSpace(mc), parts, 0)
+		c.SetWatchdog(0, func() string {
+			var b strings.Builder
+			for _, n := range c.Nodes {
+				fmt.Fprintf(&b, "  node %d: %d pending transaction(s)\n", n.ID, n.Pending())
+			}
+			return b.String()
+		})
 		for _, n := range c.Nodes {
 			n := n
 			n.Env.Spawn("compute", func(p *sim.Proc) {
@@ -208,8 +217,12 @@ func TestRunShutsDownAfterError(t *testing.T) {
 				}
 			})
 		}
-		if err := c.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		err := c.Run()
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
 			t.Fatalf("%d partition(s): Run gave %v, want a deadlock", parts, err)
+		}
+		if !strings.Contains(err.Error(), "\n  node 3: 0 pending transaction(s)") {
+			t.Errorf("%d partition(s): deadlock error has no node dump:\n%v", parts, err)
 		}
 		// The window scheduler's workers leave on their own after Run
 		// returns; the parked coroutines must already be gone.
