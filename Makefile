@@ -20,7 +20,7 @@ vet:
 # The sim kernel switches between process coroutines (iter.Pull) on one
 # thread of control; the race detector is the proof that no two ever
 # run at once, including under the fault-injection and
-# reliable-delivery layer and when PDES workers drive them.
+# reliable-delivery layer.
 # Instrumentation slows the composition corpus ~10x, so the gate sets
 # its own deadline instead of relying on go test's 10-minute default.
 # The kernel's own tests run again on one and on four Ps.

@@ -98,7 +98,6 @@ func run() (exitCode int) {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	traceOut := flag.String("trace-out", "", "write the causal protocol-event trace (Chrome trace-event JSON, loadable in Perfetto) to this file")
-	pdes := flag.Int("pdes", 1, "parallel simulation: partition the simulated nodes across this many OS threads (1 = sequential; statistics are bit-identical either way)")
 	noAgg := flag.Bool("no-agg", false, "disable the barrier-epoch message aggregation layer")
 	aggThreshold := flag.Int("agg-threshold", 0, "aggregation: per-(loop,destination) byte volume at which epoch aggregation replaces bulk transfer (0 = default of 2 blocks)")
 	heatmap := flag.Bool("heatmap", false, "print the per-block heat map and residual-miss provenance table")
@@ -111,9 +110,6 @@ func run() (exitCode int) {
 	}
 	if *gantt != 0 && *gantt < trace.MinGanttWidth {
 		return fail(fmt.Errorf("-gantt must be 0 or at least %d characters wide, have %d", trace.MinGanttWidth, *gantt))
-	}
-	if *pdes < 1 {
-		return fail(fmt.Errorf("-pdes must be at least 1, have %d", *pdes))
 	}
 	if *backend != "sm" && *backend != "mp" {
 		return fail(fmt.Errorf("unknown -backend %q", *backend))
@@ -217,8 +213,7 @@ func run() (exitCode int) {
 	}
 	opts := runtime.Options{Machine: mc, Opt: opt, Check: *check,
 		Checkpoint: *ckpt, CkptDir: *ckptDir,
-		Profile:    *profile || *gantt > 0 || *profileJSON != "",
-		Partitions: *pdes}
+		Profile: *profile || *gantt > 0 || *profileJSON != ""}
 	var tracer *trace.Tracer
 	if *traceOut != "" || *heatmap || *heatmapJSON != "" {
 		tracer = trace.New(mc.Nodes)

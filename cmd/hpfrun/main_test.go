@@ -362,17 +362,14 @@ func TestMachineFileKeepsValuesNoFlagGives(t *testing.T) {
 }
 
 // Every flag is checked before anything runs: an unknown -backend used
-// to fail only after -verify had printed its verdict, and a -pdes below
-// 1 ran sequentially without a word. Both are one line, exit 1, with
-// nothing on stdout.
+// to fail only after -verify had printed its verdict. It is one line,
+// exit 1, with nothing on stdout.
 func TestBadFlagFailsBeforeWork(t *testing.T) {
 	for _, c := range []struct {
 		flags []string
 		want  string
 	}{
 		{[]string{"-verify", "-backend", "foo"}, "hpfrun: unknown -backend \"foo\"\n"},
-		{[]string{"-pdes", "-3"}, "hpfrun: -pdes must be at least 1, have -3\n"},
-		{[]string{"-pdes", "0"}, "hpfrun: -pdes must be at least 1, have 0\n"},
 	} {
 		code, stdout, stderr := runExe(t, append([]string{"-app", "jacobi", "-size", "scaled"}, c.flags...)...)
 		if code != 1 || stdout != "" || stderr != c.want {

@@ -558,12 +558,12 @@ var features = []struct {
 var refused = map[[2]string]string{
 	{"mp", "indirect"}:       "runtime: program IRREGULAR contains indirect array subscripts and is not amenable to message passing; use the shared-memory backend",
 	{"mp", "crash"}:          "runtime: crash injection requires the shared-memory backend (program JACOBI)",
-	{"crash", "pdes"}:        "runtime: pdes (Partitions=2) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program JACOBI)",
-	{"wire", "pdes"}:         "runtime: pdes (Partitions=2) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program JACOBI)",
-	{"pdes", "ckpt"}:         "runtime: pdes (Partitions=2) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program JACOBI)",
-	{"pdes", "check"}:        "runtime: pdes (Partitions=2) is incompatible with barrier-instant coherence checks — the audit reads every node's state from one thread mid-run; rerun without -pdes (program JACOBI)",
-	{"pdes", "trace"}:        "runtime: pdes (Partitions=2) is incompatible with tracing — the tracer's buffers are single-threaded; rerun without -pdes (program JACOBI)",
-	{"pdes", "profile"}:      "runtime: pdes (Partitions=2) is incompatible with per-loop profiling — the profile accumulator is single-threaded; rerun without -pdes, or use the observer-only -cpuprofile/-memprofile, which work under -pdes (program JACOBI)",
+	{"crash", "pdes"}:        "runtime: pdes (Partitions=2) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun with Partitions=1 (program JACOBI)",
+	{"wire", "pdes"}:         "runtime: pdes (Partitions=2) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun with Partitions=1 (program JACOBI)",
+	{"pdes", "ckpt"}:         "runtime: pdes (Partitions=2) is incompatible with checkpointing — partitions run window by window, so the quiescence predicate at one node's barrier instant sees the other partitions up to a window away; rerun with Partitions=1 (program JACOBI)",
+	{"pdes", "check"}:        "runtime: pdes (Partitions=2) is incompatible with barrier-instant coherence checks — partitions run window by window, so an audit at one node's barrier instant sees the other partitions up to a window away; rerun with Partitions=1 (program JACOBI)",
+	{"pdes", "trace"}:        "runtime: pdes (Partitions=2) is incompatible with tracing — partitions run window by window, so events reach the tracer out of time order; rerun with Partitions=1 (program JACOBI)",
+	{"pdes", "profile"}:      "runtime: pdes (Partitions=2) is incompatible with per-loop profiling — partitions run window by window, so loop regions reach the profile out of time order; rerun with Partitions=1 (program JACOBI)",
 	{"pdes", "zero-latency"}: "runtime: pdes needs a positive minimum message latency for its lookahead window; this machine has MsgTime(0)=0 (program JACOBI)",
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/protocol"
@@ -37,14 +36,6 @@ type ProvIndex struct {
 	// instance, so all but the first record of an instance repeat the one
 	// before: recording is idempotent, and the repeat is skipped.
 	latest int32
-
-	// mu guards last, recs, rows and latest. Under the PDES window
-	// scheduler, compute processes on different partitions instantiate
-	// schedules concurrently; provenance is diagnostic metadata outside
-	// the simulated machine, so a lock (not an Env) is the right tool. The
-	// recorded winner for a block is whichever record ran last — same
-	// best-effort semantics the sequential path has.
-	mu sync.Mutex
 }
 
 type provSpan struct {
@@ -85,8 +76,6 @@ func (px *ProvIndex) RecordSchedule(label string, sched *compiler.Schedule) {
 	if px == nil || sched == nil {
 		return
 	}
-	px.mu.Lock()
-	defer px.mu.Unlock()
 	r := provRec{label, sched}
 	if px.latest > 0 && px.recs[px.latest-1] == r {
 		return
@@ -122,8 +111,6 @@ func (px *ProvIndex) Describe(b int) string {
 	if px == nil {
 		return ""
 	}
-	px.mu.Lock()
-	defer px.mu.Unlock()
 	var parts []string
 	for _, s := range px.spans {
 		if b >= s.blocks.Start && b < s.blocks.End() {

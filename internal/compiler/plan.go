@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Plan is the cluster-wide part of one loop instance's communication:
@@ -34,17 +33,16 @@ func (pl *Plan) LiveReadIndexes() []int32 { return pl.Sched.liveIndex().liveRead
 // instances, so instance k's plan is a function of the loops and
 // schedules of instances 0..k alone: the first node to reach k computes
 // it and the others read it. That holds wherever the nodes are relative
-// to each other — executors of different PDES partitions arrive
-// concurrently (hence the lock), and after a crash each executor
-// ghost-walks the whole sequence from instance 0 on its own (hence
-// every instance's plan is kept for the length of the attempt).
+// to each other — executors of different PDES partitions may be a
+// window apart, and after a crash each executor ghost-walks the whole
+// sequence from instance 0 on its own (hence every instance's plan is
+// kept for the length of the attempt).
 //
 // A redundant read (see markRedundant) is skipped once its section has
 // been delivered, by this or an earlier loop: delivered holds the keys
 // of the sections delivered by the instances planned so far. Write
 // transfers are never redundant and take no part.
 type Planner struct {
-	mu        sync.Mutex
 	pre       bool
 	delivered map[string]bool
 	planned   []Instance
@@ -75,8 +73,6 @@ type Instance struct {
 
 // Instances returns the loop instances planned so far, in order.
 func (pn *Planner) Instances() []Instance {
-	pn.mu.Lock()
-	defer pn.mu.Unlock()
 	return slices.Clone(pn.planned)
 }
 
@@ -84,8 +80,6 @@ func (pn *Planner) Instances() []Instance {
 // identified by key whose schedule the caller instantiated as s. A node
 // asks for instance k only after asking for every earlier one.
 func (pn *Planner) At(k int, key any, s *Schedule) *Plan {
-	pn.mu.Lock()
-	defer pn.mu.Unlock()
 	switch {
 	case k > len(pn.planned):
 		panic(fmt.Sprintf("compiler: plan of loop instance %d requested when only %d are planned", k, len(pn.planned)))

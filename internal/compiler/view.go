@@ -53,9 +53,10 @@ func (s *Schedule) liveIndex() *nodeIndex { return s.index(&s.live, true) }
 // sections.
 func (s *Schedule) SectionView(p int) View { return s.index(&s.all, false).view(p) }
 
-// index returns the index in slot, building it on first use. Executors
-// of different PDES partitions get here concurrently: both may build,
-// one build is published and the other dropped before anyone saw it.
+// index returns the index in slot, building it on first use. Concurrent
+// paperbench -j runs that share a cached Analysis get here at the same
+// time: both may build, one build is published and the other dropped
+// before anyone saw it.
 func (s *Schedule) index(slot *atomic.Pointer[nodeIndex], liveOnly bool) *nodeIndex {
 	if x := slot.Load(); x != nil {
 		return x

@@ -101,14 +101,12 @@ func (n *Network) AttachCoalescer(src int, kind Kind, ctrl int, delay sim.Time, 
 		panic(fmt.Sprintf("network: node %d already has a coalescer", src))
 	}
 	// The open bitmap lets the full drains walk only the buffers that
-	// hold segments. Its one allocation ends in a cache line of padding:
-	// two coalescers' bits, written by different PDES partitions, never
-	// share a line.
+	// hold segments.
 	words := (len(n.eps) + 63) / 64
 	c := &Coalescer{
 		net: n, env: n.envOf(src), src: src, kind: kind, ctrl: ctrl, delay: delay, send: send,
 		bufs:   make([]dstBuf, len(n.eps)),
-		open:   make([]uint64, words, words+8),
+		open:   make([]uint64, words),
 		timers: make([]timerArg, len(n.eps)),
 		st:     &n.st.Nodes[src],
 	}

@@ -126,7 +126,7 @@ type Network struct {
 	rel      *reliable // nil unless fault injection is active
 
 	// envs[i] is the Env node i's events run on: the same Env for every
-	// node in a sequential run, its partition's Env under the parallel
+	// node in a sequential run, its partition's Env under the partitioned
 	// engine. A message between two nodes of one Env is scheduled on it;
 	// any other is handed to post, the cross-partition mailbox hook,
 	// for injection at the next window boundary (nil when every node
@@ -176,13 +176,10 @@ type Network struct {
 }
 
 // msgPool is one Env's message freelist, its one payload-buffer list
-// and its share of the in-flight count. Each pool is written only by
-// its Env's worker: allocation and the in-flight increment on the
-// sending node's thread, recycling and the decrement on the destination
-// node's thread, with the epoch barrier ordering the hand-off of the
-// message itself. A pool's count alone may go negative; their sum is
-// the wire's in-flight total. The trailing pad keeps two partitions'
-// list headers off one cache line.
+// and its share of the in-flight count: allocation and the in-flight
+// increment happen on the sending node's Env, recycling and the
+// decrement on the destination node's. A pool's count alone may go
+// negative; their sum is the wire's in-flight total.
 //
 // The lists outlive their network: Cluster.Run hands them to the keep
 // (ReleasePools) once its engine has stopped, and the next network
@@ -201,7 +198,6 @@ type msgPool struct {
 	free     []*Message
 	varFree  [32][][]byte // every payload buffer, filed by capacity in power-of-two buckets
 	inflight int          // scheduled wire actions sent minus delivered here
-	_pad     [64]byte
 }
 
 const poolSoftCap = 1 << 16
@@ -252,12 +248,9 @@ type PostFn func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any),
 // NewPartitioned creates a network whose node i runs on envs[i]; post
 // carries messages between nodes on different Envs. There is one
 // msgPool per distinct Env: allocation draws from the sending node's
-// pool and Recycle returns to the destination's, so every freelist is
-// touched by exactly one partition worker (delivery runs on the
-// destination's thread; a message that crossed partitions changed
-// owners through the epoch barrier, which orders the hand-off). Fault
-// injection is rejected over more than one Env: the reliable-delivery
-// layer's retransmission timers are per-channel state that the window
+// pool and Recycle returns to the destination's. Fault injection is
+// rejected over more than one Env: the reliable-delivery layer's
+// retransmission timers are per-channel state that the window
 // scheduler does not partition.
 func NewPartitioned(envs []*sim.Env, post PostFn, mc config.Machine, st *stats.Cluster) *Network {
 	if len(envs) != mc.Nodes {
@@ -584,8 +577,8 @@ func (n *Network) accountRecv(m *Message) {
 // wireArrival reserves the sender's link for one transmission and
 // returns its arrival time at the destination: serialization behind any
 // queued transmissions plus the wire latency. linkFree[src] is only
-// touched from src's own Env, so the reservation is single-threaded
-// under the parallel engine too.
+// touched from src's own Env, so the reservation follows src's clock
+// under the partitioned engine too.
 func (n *Network) wireArrival(m *Message) sim.Time {
 	depart := n.envOf(m.Src).Now()
 	if n.linkFree[m.Src] > depart {

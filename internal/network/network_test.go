@@ -215,46 +215,43 @@ func TestRecvChargedAtDelivery(t *testing.T) {
 // Over two distinct Envs a message is counted in flight in its sender's
 // pool and settled in its receiver's, so only the sum means anything:
 // once the window scheduler drains, Inflight is 0 again and every
-// delivery charged its receiver, on both execution paths.
+// delivery charged its receiver.
 func TestInflightDrainsAcrossEnvs(t *testing.T) {
-	for _, inline := range []bool{true, false} {
-		mc := config.Default().WithNodes(4)
-		st := stats.New(mc.Nodes)
-		envs := []*sim.Env{sim.NewEnv(), sim.NewEnv()}
-		shards := sim.NewShards(envs, mc.MsgTime(0))
-		shards.SetInline(inline)
-		part := []int{0, 0, 1, 1}
-		nodeEnvs := []*sim.Env{envs[0], envs[0], envs[1], envs[1]}
-		net := NewPartitioned(nodeEnvs, func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
-			shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
-		}, mc, st)
-		for i := 0; i < mc.Nodes; i++ {
-			net.Bind(i, func(m *Message) {
-				if m.Arg > 0 { // bounce it back once
-					net.Send(&Message{Src: m.Dst, Dst: m.Src, Size: 8})
-				}
-			})
-		}
-		for src := 0; src < mc.Nodes; src++ {
-			nodeEnvs[src].Schedule(0, func() {
-				for dst := 0; dst < mc.Nodes; dst++ {
-					net.Send(&Message{Src: src, Dst: dst, Arg: 1, Size: 32})
-				}
-				net.SendAt(3*sim.Microsecond, &Message{Src: src, Dst: (src + 2) % mc.Nodes, Size: 16})
-			})
-		}
-		if err := shards.Run(); err != nil {
-			t.Fatal(err)
-		}
-		shards.Shutdown()
-		if net.Inflight() != 0 {
-			t.Errorf("inline %v: drained with %d in flight, want 0", inline, net.Inflight())
-		}
-		// Each node receives 4 + 4 bounces + 1 delayed message.
-		for i := range st.Nodes {
-			if st.Nodes[i].MsgsRecv != 9 || st.Nodes[i].MsgsSent != 9 {
-				t.Errorf("inline %v: node %d sent %d, received %d; want 9 and 9", inline, i, st.Nodes[i].MsgsSent, st.Nodes[i].MsgsRecv)
+	mc := config.Default().WithNodes(4)
+	st := stats.New(mc.Nodes)
+	envs := []*sim.Env{sim.NewEnv(), sim.NewEnv()}
+	shards := sim.NewShards(envs, mc.MsgTime(0))
+	part := []int{0, 0, 1, 1}
+	nodeEnvs := []*sim.Env{envs[0], envs[0], envs[1], envs[1]}
+	net := NewPartitioned(nodeEnvs, func(src, dst int, sent, arrival sim.Time, seq uint32, fn func(any), arg any) {
+		shards.Post(part[src], part[dst], arrival, sent, src, seq, fn, arg)
+	}, mc, st)
+	for i := 0; i < mc.Nodes; i++ {
+		net.Bind(i, func(m *Message) {
+			if m.Arg > 0 { // bounce it back once
+				net.Send(&Message{Src: m.Dst, Dst: m.Src, Size: 8})
 			}
+		})
+	}
+	for src := 0; src < mc.Nodes; src++ {
+		nodeEnvs[src].Schedule(0, func() {
+			for dst := 0; dst < mc.Nodes; dst++ {
+				net.Send(&Message{Src: src, Dst: dst, Arg: 1, Size: 32})
+			}
+			net.SendAt(3*sim.Microsecond, &Message{Src: src, Dst: (src + 2) % mc.Nodes, Size: 16})
+		})
+	}
+	if err := shards.Run(); err != nil {
+		t.Fatal(err)
+	}
+	shards.Shutdown()
+	if net.Inflight() != 0 {
+		t.Errorf("drained with %d in flight, want 0", net.Inflight())
+	}
+	// Each node receives 4 + 4 bounces + 1 delayed message.
+	for i := range st.Nodes {
+		if st.Nodes[i].MsgsRecv != 9 || st.Nodes[i].MsgsSent != 9 {
+			t.Errorf("node %d sent %d, received %d; want 9 and 9", i, st.Nodes[i].MsgsSent, st.Nodes[i].MsgsRecv)
 		}
 	}
 }

@@ -151,8 +151,7 @@ type nodeProto struct {
 	// re-delivery timers (scHold deferrals, busy-directory retries).
 	// Nonzero means hidden work is pending even though no message is in
 	// flight, so the quiescence predicate refuses to checkpoint. Kept
-	// per node — the timers fire on the owning node's Env, so the
-	// counter stays single-writer under the PDES window scheduler.
+	// per node, because the timers fire on the owning node's Env.
 	defers int
 
 	// dir is the directory of the blocks homed here, indexed by their

@@ -24,7 +24,7 @@ import (
 // inner-reduction variables and outer symbols. The compiled table holds
 // no node state: frames, address registers and nest state live in each
 // executor's fmach, so one table serves every executor of the run, on
-// every partition thread.
+// every partition.
 //
 // Evaluation order is part of the simulated model, because every array
 // access may fault: RHS before LHS, left operand before right, indirect

@@ -70,13 +70,14 @@ type Options struct {
 	// <dir>/<program>.ckpt after each capture — a diagnostic artifact;
 	// recovery restores from the in-memory copy.
 	CkptDir string
-	// Partitions > 1 runs the simulation itself in parallel:
-	// conservative PDES with the nodes split across that many OS
-	// threads, advancing in lockstep windows derived from the minimum
-	// cross-partition message latency (see sim.Shards). Statistics are
-	// bit-identical to the sequential event loop. 0 or 1 selects the
-	// sequential loop; values above the node count are clamped. The
-	// modes it cannot partition are refused (see refusals).
+	// Partitions > 1 splits the nodes across that many partition Envs
+	// under conservative PDES: one goroutine runs the partitions'
+	// windows in turn, each bounded by a horizon derived from the
+	// minimum cross-partition message latency (see sim.Shards).
+	// Statistics are bit-identical to the sequential event loop. 0 or 1
+	// selects the sequential loop; values above the node count are
+	// clamped. The modes it cannot partition are refused (see
+	// refusals).
 	Partitions int
 }
 
@@ -98,9 +99,10 @@ type Result struct {
 	CheckpointsTaken int64    // quiescent captures (incl. the initial state)
 	CheckpointBytes  int64    // total encoded bytes across captures
 
-	// PDES engine census (zero unless Options.Partitions > 1): window
-	// executions summed over partitions, and barrier releases actually
-	// paid (inline stretches and single-core inline mode cost none).
+	// PDESWindows is the window executions summed over partitions
+	// (zero unless Options.Partitions > 1). PDESHandoffs is always
+	// zero: the engine runs every window on one goroutine and hands
+	// nothing off; the field stays for readers of the old census.
 	PDESWindows  uint64
 	PDESHandoffs uint64
 
@@ -245,11 +247,11 @@ var refusals = []struct {
 	{func(_ *ir.Program, o *Options) bool {
 		return o.Backend == MessagePassing && len(o.Machine.Faults.Crashes) > 0
 	}, "runtime: crash injection requires the shared-memory backend (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.Faults.Active() }, "runtime: pdes (Partitions=%[2]d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun without -pdes (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.checkpointing() }, "runtime: pdes (Partitions=%[2]d) is incompatible with checkpointing — the quiescence predicate needs the single-threaded inflight counter; rerun without -pdes (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Check }, "runtime: pdes (Partitions=%[2]d) is incompatible with barrier-instant coherence checks — the audit reads every node's state from one thread mid-run; rerun without -pdes (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Trace != nil }, "runtime: pdes (Partitions=%[2]d) is incompatible with tracing — the tracer's buffers are single-threaded; rerun without -pdes (program %[1]s)"},
-	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Profile }, "runtime: pdes (Partitions=%[2]d) is incompatible with per-loop profiling — the profile accumulator is single-threaded; rerun without -pdes, or use the observer-only -cpuprofile/-memprofile, which work under -pdes (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.Faults.Active() }, "runtime: pdes (Partitions=%[2]d) is incompatible with fault injection — the reliable-delivery timers and crash recovery are not partitioned; rerun with Partitions=1 (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.checkpointing() }, "runtime: pdes (Partitions=%[2]d) is incompatible with checkpointing — partitions run window by window, so the quiescence predicate at one node's barrier instant sees the other partitions up to a window away; rerun with Partitions=1 (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Check }, "runtime: pdes (Partitions=%[2]d) is incompatible with barrier-instant coherence checks — partitions run window by window, so an audit at one node's barrier instant sees the other partitions up to a window away; rerun with Partitions=1 (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Trace != nil }, "runtime: pdes (Partitions=%[2]d) is incompatible with tracing — partitions run window by window, so events reach the tracer out of time order; rerun with Partitions=1 (program %[1]s)"},
+	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Profile }, "runtime: pdes (Partitions=%[2]d) is incompatible with per-loop profiling — partitions run window by window, so loop regions reach the profile out of time order; rerun with Partitions=1 (program %[1]s)"},
 	{func(_ *ir.Program, o *Options) bool { return o.Partitions > 1 && o.Machine.MsgTime(0) <= 0 }, "runtime: pdes needs a positive minimum message latency for its lookahead window; this machine has MsgTime(0)=%[3]d (program %[1]s)"},
 }
 
@@ -546,7 +548,7 @@ func (pr *prepared) attempt(startAt sim.Time, attempt int) (*Result, *crashError
 		}
 	}
 	res.Elapsed = cluster.Now() - cluster.TimerStart
-	res.PDESWindows, res.PDESHandoffs = cluster.PDESCensus()
+	res.PDESWindows = cluster.PDESWindows()
 	if tr := opt.Trace; tr != nil {
 		// Close the record with the simulator's event-dispatch census
 		// (always-on counters in sim.Env), visible in the trace viewer.

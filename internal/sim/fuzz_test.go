@@ -151,10 +151,9 @@ func runFuzzReference(t *testing.T, fp *fuzzProgram) ([][][2]uint64, Time) {
 }
 
 // runFuzzShards executes the program over fp.p partition Envs under
-// the horizon engine, on the requested execution path. The engine
-// knows only the lookahead; the links' own latencies stay in the
-// harness.
-func runFuzzShards(t *testing.T, fp *fuzzProgram, inline bool) ([][][2]uint64, Time) {
+// the horizon engine. The engine knows only the lookahead; the links'
+// own latencies stay in the harness.
+func runFuzzShards(t *testing.T, fp *fuzzProgram) ([][][2]uint64, Time) {
 	t.Helper()
 	envs := make([]*Env, fp.p)
 	for i := range envs {
@@ -162,7 +161,6 @@ func runFuzzShards(t *testing.T, fp *fuzzProgram, inline bool) ([][][2]uint64, T
 	}
 	s := NewShards(envs, fp.look)
 	defer s.Shutdown()
-	s.SetInline(inline)
 	h := &fuzzHarness{p: fp.p, lat: fp.lat, seq: fp.seedSeq(), logs: newFuzzLogs(fp.p)}
 	h.nowFn = func(part int) Time { return envs[part].Now() }
 	h.sendFn = func(src, dst int, arrival, sent Time, seq uint32, m *fuzzMsg) {
@@ -182,17 +180,24 @@ func runFuzzShards(t *testing.T, fp *fuzzProgram, inline bool) ([][][2]uint64, T
 	return h.logs, s.Now()
 }
 
-func diffFuzzLogs(t *testing.T, mode string, want, got [][][2]uint64) {
+// checkFuzzShards runs the program on the horizon engine and holds its
+// delivery logs and final clock to the sequential reference.
+func checkFuzzShards(t *testing.T, fp *fuzzProgram) {
 	t.Helper()
+	want, wantNow := runFuzzReference(t, fp)
+	got, gotNow := runFuzzShards(t, fp)
+	if gotNow != wantNow {
+		t.Fatalf("final clock t=%d, reference t=%d", gotNow, wantNow)
+	}
 	for dst := range want {
 		if len(got[dst]) != len(want[dst]) {
-			t.Fatalf("%s: partition %d delivered %d message(s), reference %d",
-				mode, dst, len(got[dst]), len(want[dst]))
+			t.Fatalf("partition %d delivered %d message(s), reference %d",
+				dst, len(got[dst]), len(want[dst]))
 		}
 		for i := range want[dst] {
 			if got[dst][i] != want[dst][i] {
-				t.Fatalf("%s: partition %d delivery %d = (t=%d, id=%x), reference (t=%d, id=%x)",
-					mode, dst, i, got[dst][i][0], got[dst][i][1], want[dst][i][0], want[dst][i][1])
+				t.Fatalf("partition %d delivery %d = (t=%d, id=%x), reference (t=%d, id=%x)",
+					dst, i, got[dst][i][0], got[dst][i][1], want[dst][i][0], want[dst][i][1])
 			}
 		}
 	}
@@ -205,43 +210,18 @@ func FuzzShardHorizons(f *testing.F) {
 	f.Add(uint64(0x9e3779b97f4a7c15))
 	f.Add(uint64(1<<63) | 12345)
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		fp := buildFuzzProgram(seed)
-		want, wantNow := runFuzzReference(t, fp)
-		for _, inline := range []bool{true, false} {
-			mode := "workers"
-			if inline {
-				mode = "inline"
-			}
-			got, gotNow := runFuzzShards(t, fp, inline)
-			if gotNow != wantNow {
-				t.Fatalf("%s: final clock t=%d, reference t=%d", mode, gotNow, wantNow)
-			}
-			diffFuzzLogs(t, mode, want, got)
-		}
+		checkFuzzShards(t, buildFuzzProgram(seed))
 	})
 }
 
 // TestShardHorizonsNonUniformLinks pins asymmetric-latency cases as a
 // plain unit test (fuzz seeds only run under the fuzz harness): a fast
 // link one way and a slow link back, both at or above the lookahead,
-// must still produce the reference delivery order on both execution
-// paths.
+// must still produce the reference delivery order.
 func TestShardHorizonsNonUniformLinks(t *testing.T) {
 	for _, seed := range []uint64{7, 99, 0xabcdef} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fp := buildFuzzProgram(seed)
-			want, wantNow := runFuzzReference(t, fp)
-			for _, inline := range []bool{true, false} {
-				mode := "workers"
-				if inline {
-					mode = "inline"
-				}
-				got, gotNow := runFuzzShards(t, fp, inline)
-				if gotNow != wantNow {
-					t.Fatalf("%s: final clock t=%d, reference t=%d", mode, gotNow, wantNow)
-				}
-				diffFuzzLogs(t, mode, want, got)
-			}
+			checkFuzzShards(t, buildFuzzProgram(seed))
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -104,39 +105,57 @@ func TestScheduleDeliveryKeyOrdering(t *testing.T) {
 
 // Cross-partition mail posted through Shards is delivered at its
 // arrival time on the destination partition, and the run drains both
-// heaps to completion — on both window execution paths (coordinator-
-// inline and parked workers; simulated results must not depend on the
-// choice).
+// heaps to completion on the inline window loop, the engine's one
+// execution path.
 func TestShardsCrossPartitionMail(t *testing.T) {
-	for _, inline := range []bool{true, false} {
-		name := "workers"
-		if inline {
-			name = "inline"
-		}
-		t.Run(name, func(t *testing.T) {
-			envs := []*Env{NewEnv(), NewEnv()}
-			s := NewShards(envs, 10)
-			defer s.Shutdown()
-			s.SetInline(inline)
-			var deliveredAt Time
-			envs[0].Schedule(5, func() {
-				// Send from partition 0 at t=5, arriving t=5+10 on partition 1.
-				s.Post(0, 1, 15, 5, 0, 0, func(any) { deliveredAt = envs[1].Now() }, nil)
-			})
-			// Give partition 1 a same-window event so both partitions are
-			// active at once and the multi-active path (not just the
-			// single-active inline shortcut) is exercised.
-			envs[1].Schedule(6, func() {})
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if deliveredAt != 15 {
-				t.Fatalf("mail delivered at t=%d on partition 1, want 15", deliveredAt)
-			}
-			if s.Now() != 15 {
-				t.Fatalf("Shards.Now() = %d, want 15", s.Now())
-			}
+	t.Run("inline", func(t *testing.T) {
+		envs := []*Env{NewEnv(), NewEnv()}
+		s := NewShards(envs, 10)
+		defer s.Shutdown()
+		var deliveredAt Time
+		envs[0].Schedule(5, func() {
+			// Send from partition 0 at t=5, arriving t=5+10 on partition 1.
+			s.Post(0, 1, 15, 5, 0, 0, func(any) { deliveredAt = envs[1].Now() }, nil)
 		})
+		// Give partition 1 a same-window event so both partitions are
+		// active in one round.
+		envs[1].Schedule(6, func() {})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if deliveredAt != 15 {
+			t.Fatalf("mail delivered at t=%d on partition 1, want 15", deliveredAt)
+		}
+		if s.Now() != 15 {
+			t.Fatalf("Shards.Now() = %d, want 15", s.Now())
+		}
+	})
+}
+
+// A partition with nothing before its horizon runs no window, whatever
+// the host's processor count. Partitions 0 and 1 tick once per
+// lookahead at t = 0, 10, 20, 30, 40, so each of those five rounds runs
+// exactly their two windows while partition 2 sits idle until its one
+// event at t = 1000, which takes one round of its own: 5*2 + 1 = 11.
+func TestShardsIdlePartitionRunsNoWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		envs := []*Env{NewEnv(), NewEnv(), NewEnv()}
+		s := NewShards(envs, 10)
+		for _, env := range envs[:2] {
+			for k := Time(0); k < 5; k++ {
+				env.Schedule(10*k, func() {})
+			}
+		}
+		envs[2].Schedule(1000, func() {})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		s.Shutdown()
+		if got := s.Windows(); got != 11 {
+			t.Errorf("GOMAXPROCS %d: %d windows, want 11", procs, got)
+		}
 	}
 }
 

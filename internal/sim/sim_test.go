@@ -977,7 +977,7 @@ func TestDeliveryKeyRange(t *testing.T) {
 // leakedGoroutines reports how many goroutines exist beyond before,
 // polling while any do: a finished coroutine's goroutine is torn down
 // by the runtime just after the switch that ends it. (Fewer than before
-// is fine: an earlier test's PDES workers may still have been exiting.)
+// is fine: an earlier test's coroutines may still have been exiting.)
 func leakedGoroutines(before int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 1000 && n > before; i++ {

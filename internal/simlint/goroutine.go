@@ -10,8 +10,8 @@ import (
 // annotation may spawn goroutines, build channels, use sync primitives
 // or create coroutines (iter.Pull) — file-wide before the package clause
 // (the sim kernel's scheduler file), or on one top-level declaration's
-// doc comment (the PDES epoch barrier's handful of functions, leaving
-// the rest of the engine under the single-threaded rule). The kernel
+// doc comment (the network's pool keep, leaving the rest of its file
+// under the single-threaded rule). The kernel
 // runs each process as a coroutine it switches into and out of, so the
 // scheduler and the processes never run two at once; a second scheduler
 // anywhere else would reintroduce host-scheduler ordering into the

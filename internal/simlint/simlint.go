@@ -35,8 +35,8 @@
 // goroutine analyzer's concurrency carve-out: placed before the
 // package clause it admits the whole file (the sim kernel's scheduler
 // file), placed on a single top-level declaration's doc comment it
-// admits just that function or type — the narrow form the PDES barrier
-// uses, so the rest of its file stays under the single-threaded
+// admits just that declaration — the narrow form the network's pool
+// keep uses, so the rest of its file stays under the single-threaded
 // discipline. Anything else using goroutines, channels, coroutines, or
 // sync primitives in the deterministic set still fails.
 package simlint

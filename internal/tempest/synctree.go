@@ -21,8 +21,8 @@
 //
 // Cluster-level state (epoch, reduce generation, journal, barrier
 // check) advances only at the root, which is node 0 — the same
-// partition that owns it under the flat protocol, so the PDES
-// single-writer discipline is unchanged.
+// partition that owns it under the flat protocol, so no PDES partition
+// touches state another one owns.
 package tempest
 
 import (

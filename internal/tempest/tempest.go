@@ -122,8 +122,9 @@ type Node struct {
 
 	// Whom this node gathers collectives from and the round it is
 	// gathering: every other node at the flat master, its combining-tree
-	// children on the tree (whose up-messages go to treeParent). Per-node
-	// so the PDES single-writer discipline holds at any depth.
+	// children on the tree (whose up-messages go to treeParent). Per
+	// node, so no state is shared between two PDES partitions, which may
+	// be a window apart in virtual time, at any depth.
 	treeParent int
 	children   []int
 	round      round
@@ -520,14 +521,13 @@ func (c *Cluster) SetWatchdog(horizon sim.Time, dump func() string) {
 	c.engine.SetWatchdog(horizon, dump)
 }
 
-// PDESCensus returns, after Run, the window scheduler's window
-// executions summed over partitions and the barrier releases it paid;
-// both are zero on one Env.
-func (c *Cluster) PDESCensus() (windows, handoffs uint64) {
+// PDESWindows returns, after Run, the window scheduler's window
+// executions summed over partitions; zero on one Env.
+func (c *Cluster) PDESWindows() uint64 {
 	if s, ok := c.engine.(*sim.Shards); ok {
-		return s.Windows(), s.Handoffs()
+		return s.Windows()
 	}
-	return 0, 0
+	return 0
 }
 
 // Crash injects a crash-stop failure of node id at the current instant:

@@ -1,9 +1,9 @@
-// Host-level profiling under PDES: -cpuprofile/-memprofile are
+// Host-level profiling under PDES: the CPU and heap profilers are
 // observer-only (they sample the Go process, never the simulated
-// machine), so they must work under -pdes and must not perturb the
-// simulated results — unlike the per-loop simulated-time profiler
-// (-profile), which keeps a single-threaded accumulator and stays
-// rejected in partitioned mode.
+// machine), so they must work on a partitioned run and must not perturb
+// the simulated results — unlike the per-loop simulated-time profiler
+// (-profile), which partitions would feed out of time order and which
+// stays refused in partitioned mode.
 package hpfdsm_test
 
 import (
