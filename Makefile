@@ -80,12 +80,12 @@ fma-guard:
 # The layer benches (loop body, per-node views, coalescer burst,
 # reliable-delivery burst, sim kernel, miss path, coherence audit,
 # checkpoint, its encode and decode, shmem_limits walk, static
-# verifier, node images) run once each so they cannot rot either;
-# `bash benchmark/run.sh` is what measures.
+# verifier, schedule builder, node images) run once each so they
+# cannot rot either; `bash benchmark/run.sh` is what measures.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls|NewNodeMem' \
-		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis ./internal/memory
+	$(GO) test -run '^$$' -bench 'LoopBody|PreLoopComm|CoalescerBurst|ReliableSend|EventHeap|EventLane|ProcessContextSwitch|SignalWake|MissPath|Audit|Checkpoint|Encode|Decode|Cover|CheckLoopCalls|BuildSchedules|NewNodeMem' \
+		-benchtime 1x ./internal/runtime ./internal/network ./internal/sim ./internal/protocol ./internal/checkpoint ./internal/sections ./internal/analysis ./internal/compiler ./internal/memory
 
 # How big the code is, to measure a change against its parent. Lines
 # count every Go file of the module — the root, cmd/, internal/ and

@@ -50,3 +50,30 @@ func BenchmarkCheckLoopCalls(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifyAllocsCeiling holds the verifier's allocations on a warm
+// analysis — pde at 64 nodes, every schedule already built — to the
+// count it reached when one model came to serve all five levels (626,
+// from 2 332), plus a tenth: the model's memory is grown once per call,
+// not once per level, instance or node.
+func TestVerifyAllocsCeiling(t *testing.T) {
+	a, err := apps.ByName("pde")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := a.Program(a.BenchParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := config.Default().WithNodes(64)
+	_, layouts := compiler.Place(prog, mc)
+	an, err := compiler.New(prog, mc.Nodes, layouts, mc.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis.VerifyAnalysis(an, analysis.Levels()...) // builds every schedule
+	const ceiling = 626 * 11 / 10
+	if n := testing.AllocsPerRun(5, func() { analysis.VerifyAnalysis(an, analysis.Levels()...) }); n > ceiling {
+		t.Fatalf("VerifyAnalysis of pde on 64 nodes allocates %v times, ceiling %d", n, ceiling)
+	}
+}

@@ -1,9 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"hpfdsm/internal/compiler"
 	"hpfdsm/internal/protocol"
@@ -38,16 +37,16 @@ type LoopCalls struct {
 }
 
 // sigOf renders a rule's symbol valuation for provenance ("" when the
-// schedule is constant).
+// schedule is constant), as "K=10,L=3".
 func sigOf(rule *compiler.LoopRule, env map[string]int) string {
-	if len(rule.UsedSym) == 0 {
-		return ""
-	}
-	parts := make([]string, len(rule.UsedSym))
+	b := make([]byte, 0, 32)
 	for i, v := range rule.UsedSym {
-		parts[i] = fmt.Sprintf("%s=%d", v, env[v])
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(append(b, v...), '='), int64(env[v]), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // evKind is the call an event is.
@@ -85,7 +84,7 @@ type flushed struct {
 // owns one and resets it for every instance, keeping its memory. A block
 // list the emitter passes is its scratch, so what is kept of one is
 // copied; a transfer is the schedule's and outlives the call. Block sets
-// are gathered as they come and made canonical once, for the checks.
+// are gathered as they come and made canonical in place, for the checks.
 type fold struct {
 	node   int  // the node whose calls arrive
 	side   int  // 0 before the loop body, 1 after it
@@ -103,7 +102,7 @@ type fold struct {
 
 	// frames (implicit_writable, implicit_invalidate) and arrivals (send,
 	// flush) in node-major emission order; blocks holds the frame
-	// events' block lists.
+	// events' block lists, each canonical.
 	frames, arrivals []event
 	blocks           []protocol.BlockRun
 }
@@ -136,13 +135,13 @@ func (f *fold) reset(phase int, repeat bool) {
 	f.frames, f.arrivals, f.blocks = f.frames[:0], f.arrivals[:0], f.blocks[:0]
 }
 
-// canonical makes the fold's block sets canonical.
+// canonical makes the fold's block sets canonical, in their own memory.
 func (f *fold) canonical() {
 	for n := range f.barriers {
-		f.mkw[n] = sections.Normalize(f.mkw[n])
-		f.sentSet[n] = sections.Normalize(f.sentSet[n])
+		f.mkw[n] = sections.NormalizeInPlace(f.mkw[n])
+		f.sentSet[n] = sections.NormalizeInPlace(f.sentSet[n])
 		for i := range f.flushSet[n] {
-			f.flushSet[n][i].blocks = sections.Normalize(f.flushSet[n][i].blocks)
+			f.flushSet[n][i].blocks = sections.NormalizeInPlace(f.flushSet[n][i].blocks)
 		}
 	}
 }
@@ -184,12 +183,15 @@ func (f *fold) Flush(t *compiler.Transfer) {
 			return
 		}
 	}
-	f.flushSet[f.node] = append(out, flushed{t.Receiver, slices.Clone(t.Blocks)})
+	out = slices.Grow(out, 1)[:len(out)+1] // reusing the list the slot held
+	out[len(out)-1] = flushed{t.Receiver, append(out[len(out)-1].blocks[:0], t.Blocks...)}
+	f.flushSet[f.node] = out
 }
 
 func (f *fold) frame(k evKind, b []protocol.BlockRun) {
 	at := len(f.blocks)
 	f.blocks = append(f.blocks, b...)
+	f.blocks = f.blocks[:at+len(sections.NormalizeInPlace(f.blocks[at:]))]
 	f.frames = append(f.frames, event{kind: k, phase: f.phase + f.barriers[f.node], node: f.node, blocks: f.blocks[at:len(f.blocks):len(f.blocks)]})
 }
 

@@ -19,9 +19,6 @@ func missingFrom(runs, have []protocol.BlockRun) string {
 	return fmt.Sprint(sections.Blocks(miss))
 }
 
-// byPhase orders events by barrier phase.
-func byPhase(a, b event) int { return a.phase - b.phase }
-
 // CheckLoopCalls verifies one modeled loop instance against the Section
 // 4.2 contract and advances the model's happens-before state (frame
 // open phases, global barrier phase). Diagnostics go to the model's
@@ -34,7 +31,9 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 
 	// diag reports a finding about the transfer t, or about the loop
 	// instance when t is nil; a transfer's site is built only here.
+	found := 0
 	diag := func(sev Severity, rule string, t *compiler.Transfer, format string, args ...any) {
+		found++
 		s := site
 		if t != nil {
 			s = transferSite(site, t)
@@ -56,44 +55,47 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	}
 
 	// ---- Happens-before: frames must open strictly before arrival. ----
-	// Process frame events and arrivals in barrier-phase order; within a
-	// phase, opens first (an open at the arrival's own phase is still
-	// unordered with it and is flagged).
+	// Process frame events and arrivals in barrier-phase order, each in
+	// the order made; within a phase, opens first (an open at the
+	// arrival's own phase is still unordered with it and is flagged). An
+	// instance spans only the few phases its barriers make, so one pass
+	// over the events per phase does.
 	if lc.Sched != nil {
 		m.report.markChecked(site.Loop, RuleFrameOrder)
 	}
-	slices.SortStableFunc(f.frames, byPhase)
-	slices.SortStableFunc(f.arrivals, byPhase)
-	fi := 0
-	for _, a := range f.arrivals {
-		for ; fi < len(f.frames) && f.frames[fi].phase <= a.phase; fi++ {
-			m.frameCall(f.frames[fi])
-		}
-		if m.onEvent != nil {
-			m.onEvent(a)
-		}
-		// The blocks no frame opened in an earlier phase covers, and of
-		// those the ones no frame covers at all; a clean schedule leaves
-		// none, and then no block is looked at singly.
-		late := m.frames.late(a.dst, a.phase, a.blocks)
-		if len(late) == 0 {
-			continue
-		}
-		unopened := m.frames.unopened(a.dst, late)
-		for _, b := range sections.Blocks(late) {
-			if sections.ContainsBlock(unopened, b) {
-				diag(Error, RuleFrameOrder, nil,
-					"%v from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
-					a.kind, a.node, b, a.dst)
-			} else {
-				diag(Error, RuleFrameOrder, nil,
-					"%v from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
-					a.kind, a.node, b, a.dst)
+	for ph := f.phase; ph <= f.phase+slices.Max(f.barriers); ph++ {
+		for _, e := range f.frames {
+			if e.phase == ph {
+				m.frameCall(e)
 			}
 		}
-	}
-	for ; fi < len(f.frames); fi++ {
-		m.frameCall(f.frames[fi])
+		for _, a := range f.arrivals {
+			if a.phase != ph {
+				continue
+			}
+			if m.onEvent != nil {
+				m.onEvent(a)
+			}
+			// The blocks no frame opened in an earlier phase covers, and of
+			// those the ones no frame covers at all; a clean schedule leaves
+			// none, and then no block is looked at singly.
+			late := m.frames.late(a.dst, a.phase, a.blocks)
+			if len(late) == 0 {
+				continue
+			}
+			unopened := m.frames.unopened(a.dst, late)
+			for _, b := range sections.Blocks(late) {
+				if sections.ContainsBlock(unopened, b) {
+					diag(Error, RuleFrameOrder, nil,
+						"%v from node %d delivers block %d but node %d has no implicit_writable frame open for it — the payload would land on an invalid copy",
+						a.kind, a.node, b, a.dst)
+				} else {
+					diag(Error, RuleFrameOrder, nil,
+						"%v from node %d delivers block %d in the same barrier phase node %d opens its frame — no barrier orders implicit_writable before the transfer",
+						a.kind, a.node, b, a.dst)
+				}
+			}
+		}
 	}
 
 	// ---- Send extents: emitted sends vs the schedule's transfers. ----
@@ -206,10 +208,14 @@ func (m *Model) CheckLoopCalls(lc *LoopCalls) {
 	if lc.Sched != nil && len(lc.Reads)+len(lc.Writes) > 0 {
 		m.report.markChecked(site.Loop, RuleAlignment)
 	}
-	for _, ts := range [...][]compiler.Transfer{lc.Reads, lc.Writes} {
-		for i := range ts {
-			m.checkAlignment(&ts[i], diag)
+	// A schedule whose every transfer passed is not checked again.
+	if before := found; !m.aligned[lc.Sched] {
+		for _, ts := range [...][]compiler.Transfer{lc.Reads, lc.Writes} {
+			for i := range ts {
+				m.checkAlignment(&ts[i], diag)
+			}
 		}
+		m.aligned[lc.Sched] = found == before && len(lc.Skipped) == 0 // every live read passed
 	}
 
 	// ---- PRE elisions: every skip re-validated independently. ----

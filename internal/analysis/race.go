@@ -170,8 +170,8 @@ func (m *Model) CheckRaces(key any, rule *compiler.LoopRule, env map[string]int,
 // reference under an empty inner range never runs.
 func checkSubscripts(r ir.ArrayRef, runs map[string][2]int, env map[string]int, site Site, diag func(Severity, string, Site, string, ...any)) {
 	for _, e := range r.Subs {
-		for _, v := range e.Vars() {
-			if rg, ok := runs[v]; ok && rg[0] > rg[1] {
+		for _, t := range e.Terms {
+			if rg, ok := runs[t.Var]; ok && rg[0] > rg[1] {
 				return
 			}
 		}

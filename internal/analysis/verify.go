@@ -17,7 +17,7 @@ import (
 // exactly as it does at run time: open implicit_writable frames per
 // node, the global barrier phase, and — in the planner, the same one an
 // attempt's executors share — the delivered-section memo PRE consults
-// and each loop's last instantiated schedule.
+// and each loop's last instantiated schedule. One model serves every level.
 type Model struct {
 	an     *compiler.Analysis
 	level  compiler.Level
@@ -44,9 +44,10 @@ type Model struct {
 	Tee func(node int, after bool, c compiler.Calls) compiler.Calls
 
 	env     map[string]int
-	checked map[Site]bool // loop instances already diagnosed
-	seen    map[Diag]bool // diagnostic dedup
-	gen     int           // bumped on any state/diagnostic change (fixpoint detection)
+	checked map[Site]bool               // loop instances already diagnosed
+	aligned map[*compiler.Schedule]bool // schedules whose transfers shmem_limits passed, at any level
+	seen    map[Diag]bool               // diagnostic dedup
+	gen     int                         // bumped on any state/diagnostic change (fixpoint detection)
 
 	// interior and edges are checkAlignment's lists, reused from one
 	// transfer's shmem_limits to the next; schedTo, per receiver, the
@@ -69,12 +70,27 @@ func NewModel(an *compiler.Analysis, level compiler.Level, rep *Report) *Model {
 		schedTo: make([][]sections.BlockRun, an.NP),
 		env:     map[string]int{},
 		checked: map[Site]bool{},
+		aligned: map[*compiler.Schedule]bool{},
 		seen:    map[Diag]bool{},
 	}
 	for k, v := range an.Prog.Params {
 		m.env[k] = v
 	}
 	return m
+}
+
+// reset makes m NewModel's at level, keeping its memory and its alignment
+// memo (a walk restores env).
+func (m *Model) reset(level compiler.Level) {
+	m.level, m.phase, m.inst, m.plans = level, 0, 0, compiler.NewPlanner(level)
+	for n := range m.frames.node {
+		m.frames.node[n] = m.frames.node[n][:0]
+	}
+	for _, arr := range m.live {
+		clear(arr)
+	}
+	clear(m.checked)
+	clear(m.seen)
 }
 
 func (m *Model) bump() { m.gen++ }
@@ -234,10 +250,17 @@ func Levels() []compiler.Level {
 // given levels (race analysis runs once, on the first). It never runs
 // the simulator.
 func VerifyAnalysis(an *compiler.Analysis, levels ...compiler.Level) *Report {
+	return verify(an, nil, levels)
+}
+
+// verify is VerifyAnalysis with the model's Tee set to tee.
+func verify(an *compiler.Analysis, tee func(int, bool, compiler.Calls) compiler.Calls, levels []compiler.Level) *Report {
 	rep := NewReport(an.Prog.Name)
+	m := NewModel(an, compiler.OptNone, rep)
+	m.Tee = tee
 	for i, lv := range levels {
 		rep.Levels = append(rep.Levels, lv)
-		m := NewModel(an, lv, rep)
+		m.reset(lv)
 		m.races = i == 0
 		m.walk(an.Prog.Body)
 	}

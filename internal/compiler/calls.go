@@ -64,11 +64,11 @@ func (em *Emitter) Pre(pl *Plan, node int, level Level, c Calls) {
 	// calls stay. The barrier orders step 1 before step 2 (a reader may
 	// be a block's home).
 	if !rtElim {
-		if b := em.blocks(s.Reads, v.ReadSend, pl); len(b) > 0 {
+		if b := em.blocks(s.Reads, v.ReadSend(), pl); len(b) > 0 {
 			c.MkWritable(b)
 		}
 	}
-	if b := em.blocks(s.Writes, v.WriteSend, nil); len(b) > 0 {
+	if b := em.blocks(s.Writes, v.WriteSend(), nil); len(b) > 0 {
 		c.MkWritable(b)
 	}
 	if !rtElim || pl.LiveWrites > 0 {
@@ -78,15 +78,15 @@ func (em *Emitter) Pre(pl *Plan, node int, level Level, c Calls) {
 	// Step 2: receivers open readwrite frames for the incoming data, and
 	// owners for what is flushed back after the loop.
 	expect := 0
-	for _, i := range v.ReadRecv {
+	for _, i := range v.ReadRecv() {
 		if !pl.Skips(i) {
 			expect += s.Reads[i].NumBlocks
 		}
 	}
 	if expect > 0 {
-		c.ImplicitWritable(em.blocks(s.Reads, v.ReadRecv, pl))
+		c.ImplicitWritable(em.blocks(s.Reads, v.ReadRecv(), pl))
 	}
-	if b := em.blocks(s.Writes, v.WriteRecv, nil); len(b) > 0 {
+	if b := em.blocks(s.Writes, v.WriteRecv(), nil); len(b) > 0 {
 		c.ImplicitWritable(b)
 	}
 	if expect > 0 {
@@ -103,7 +103,7 @@ func (em *Emitter) Pre(pl *Plan, node int, level Level, c Calls) {
 
 	// The transfer: owners push, readers hold a counting semaphore.
 	sent := false
-	for _, i := range v.ReadSend {
+	for _, i := range v.ReadSend() {
 		if !pl.Skips(i) {
 			c.Send(&s.Reads[i])
 			sent = true
@@ -126,17 +126,17 @@ func (em *Emitter) Post(pl *Plan, node int, level Level, reduce bool, c Calls) {
 		s, v = pl.Sched, pl.Sched.View(node)
 	}
 	// Non-owner writes flush back to the owner, who waits for them.
-	for _, i := range v.WriteSend {
+	for _, i := range v.WriteSend() {
 		c.Flush(&s.Writes[i])
 	}
-	if len(v.WriteSend) > 0 {
+	if len(v.WriteSend()) > 0 {
 		c.Drain()
 	}
 	if !reduce {
 		c.Barrier() // the loop's closing barrier
 	}
 	flushed := 0
-	for _, i := range v.WriteRecv {
+	for _, i := range v.WriteRecv() {
 		flushed += s.Writes[i].NumBlocks
 	}
 	if flushed > 0 {
@@ -150,7 +150,7 @@ func (em *Emitter) Post(pl *Plan, node int, level Level, reduce bool, c Calls) {
 	// whether the extra barrier happens.
 	rtElim := level >= OptRTElim
 	if pl != nil && !rtElim && len(s.Reads) > 0 {
-		if b := em.blocks(s.Reads, v.ReadRecv, nil); len(b) > 0 {
+		if b := em.blocks(s.Reads, v.ReadRecv(), nil); len(b) > 0 {
 			c.ImplicitInvalidate(b)
 		}
 		c.Barrier()

@@ -139,19 +139,19 @@ func TestScheduleSenderReceiverViews(t *testing.T) {
 	s := a.Schedule(sweep, a.LoopRuleOf(sweep), map[string]int{"n": n})
 	// Proc 1 is interior: sends 2 (to 0 and 2), receives 2.
 	v := s.View(1)
-	if got := len(v.ReadSend); got != 2 {
+	if got := len(v.ReadSend()); got != 2 {
 		t.Fatalf("proc 1 sends %d", got)
 	}
-	if got := len(v.ReadRecv); got != 2 {
+	if got := len(v.ReadRecv()); got != 2 {
 		t.Fatalf("proc 1 receives %d", got)
 	}
-	for _, i := range v.ReadSend {
+	for _, i := range v.ReadSend() {
 		if s.Reads[i].Sender != 1 {
 			t.Fatalf("proc 1's view lists a send of proc %d", s.Reads[i].Sender)
 		}
 	}
 	// Proc 0 is an edge: 1 each.
-	if v := s.View(0); len(v.ReadSend) != 1 || len(v.ReadRecv) != 1 {
+	if v := s.View(0); len(v.ReadSend()) != 1 || len(v.ReadRecv()) != 1 {
 		t.Fatal("edge proc wrong")
 	}
 }

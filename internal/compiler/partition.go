@@ -100,7 +100,7 @@ func (a *Analysis) buildPartition(rule *LoopRule, env map[string]int) *Partition
 	}
 	lo, hi := ix.Lo.Eval(env), ix.Hi.Eval(env)
 	// Constant part of the anchor subscript: t = j + c.
-	c := last.Sub(ir.V(rule.DistVar)).Eval(env)
+	c := rule.anchorRest.Eval(env)
 
 	pt := &Partition{DistVar: rule.DistVar, Ranges: make([][][2]int, a.NP)}
 	if lo > hi {
@@ -112,19 +112,19 @@ func (a *Analysis) buildPartition(rule *LoopRule, env map[string]int) *Partition
 			rule.DistVar, anchor.Array.Name, tlo, thi, d.Extent)
 		return pt
 	}
+	// One list holds every processor's ranges, one per chunk of the
+	// distribution the loop meets.
+	cs := d.ChunkSize()
+	all, own := make([][2]int, 0, (thi-1)/cs-(tlo-1)/cs+1), [][2]int(nil)
 	for p := 0; p < a.NP; p++ {
-		for _, r := range d.OwnedRanges(p) {
-			l, h := r[0], r[1]
-			if l < tlo {
-				l = tlo
-			}
-			if h > thi {
-				h = thi
-			}
-			if l <= h {
-				pt.Ranges[p] = append(pt.Ranges[p], [2]int{l - c, h - c})
+		at := len(all)
+		own = d.AppendOwnedRanges(own[:0], p)
+		for _, r := range own {
+			if l, h := max(r[0], tlo), min(r[1], thi); l <= h {
+				all = append(all, [2]int{l - c, h - c})
 			}
 		}
+		pt.Ranges[p] = all[at:len(all):len(all)]
 	}
 	return pt
 }

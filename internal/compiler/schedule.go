@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"hpfdsm/internal/ir"
@@ -104,15 +105,50 @@ func (a *Analysis) Schedule(key any, rule *LoopRule, env map[string]int) *Schedu
 	return s
 }
 
+// schedBuild is the scratch a schedule is gathered in, to be copied into
+// one exactly sized slab per kind of list, nil when empty. Until then only
+// the lengths of a transfer's lists count: they point into scratch that moves.
+type schedBuild struct {
+	ts     []Transfer // the reads, then the writes
+	dims   []sections.Dim
+	runs   []protocol.BlockRun // each transfer's interior, then its edges
+	keys   []byte
+	keyEnd []int32 // 0, then per transfer where its key ends in keys
+
+	in, edges []protocol.BlockRun // one section's Cover
+}
+
+// scratch is the one schedBuild, which builds take turns on: a
+// sync.Pool's would be regrown after collections, at the cost in memory
+// of the schedules it builds.
+var scratch struct {
+	sync.Mutex
+	schedBuild
+}
+
 func (a *Analysis) buildSchedule(key any, rule *LoopRule, env map[string]int) *Schedule {
 	pt := a.Partition(key, rule, env)
-	s := &Schedule{np: a.NP}
+	ranges := a.VarRanges(rule, env)
+	scratch.Lock()
+	defer scratch.Unlock()
+	b := &scratch.schedBuild
+	b.ts, b.dims, b.runs, b.keys, b.keyEnd = b.ts[:0], b.dims[:0], b.runs[:0], b.keys[:0], append(b.keyEnd[:0], 0)
 	for _, rr := range rule.Reads {
-		s.Reads = append(s.Reads, a.refTransfers(rule, rr, pt, env)...)
+		a.refTransfers(b, rr, pt, ranges, env)
 	}
+	nr := len(b.ts)
 	for _, rr := range rule.Writes {
-		s.Writes = append(s.Writes, a.refTransfers(rule, rr, pt, env)...)
+		a.refTransfers(b, rr, pt, ranges, env)
 	}
+	ts, dims, runs, keys := append([]Transfer(nil), b.ts...), append([]sections.Dim(nil), b.dims...), append([]protocol.BlockRun(nil), b.runs...), string(b.keys)
+	for i := range ts {
+		t := &ts[i]
+		t.Sec.Dims, dims = dims[:len(t.Sec.Dims):len(t.Sec.Dims)], dims[len(t.Sec.Dims):]
+		t.Blocks, runs = runs[:len(t.Blocks):len(t.Blocks)], runs[len(t.Blocks):]
+		t.EdgeBlocks, runs = runs[:len(t.EdgeBlocks):len(t.EdgeBlocks)], runs[len(t.EdgeBlocks):]
+		t.Key = keys[b.keyEnd[i]:b.keyEnd[i+1]]
+	}
+	s := &Schedule{np: a.NP, Reads: ts[:nr:nr], Writes: ts[nr:]}
 	a.sumPairs(s.Reads)
 	a.sumPairs(s.Writes)
 	return s
@@ -188,15 +224,15 @@ func EvalRange(e ir.AffExpr, ranges map[string][2]int, env map[string]int) (int,
 	return lo, hi
 }
 
-// refTransfers instantiates one reference rule into concrete transfers.
-func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env map[string]int) []Transfer {
+// refTransfers instantiates one reference rule into concrete transfers,
+// gathered into b. ranges are the rule's VarRanges under env.
+func (a *Analysis) refTransfers(b *schedBuild, rr *RefRule, pt *Partition, ranges map[string][2]int, env map[string]int) {
 	arr := rr.Ref.Array
 	d := a.dists[arr]
-	ranges := a.VarRanges(rule, env)
 
 	// Row section: dimensions 0..rank-2 bounded over the iteration
 	// space and clipped to the array extents.
-	rows := make([]sections.Dim, arr.Rank()-1)
+	rows := make([]sections.Dim, arr.Rank()-1, arr.Rank())
 	for dim := 0; dim < arr.Rank()-1; dim++ {
 		lo, hi := EvalRange(rr.Ref.Subs[dim], ranges, env)
 		if lo < 1 {
@@ -206,19 +242,19 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 			hi = arr.Extents[dim]
 		}
 		if lo > hi {
-			return nil
+			return
 		}
 		rows[dim] = sections.Dim{Lo: lo, Hi: hi}
 	}
 
-	emit := func(out []Transfer, from, to, t0, t1 int) []Transfer {
-		sec := sections.Section{Dims: append(append([]sections.Dim{}, rows...), sections.Dim{Lo: t0, Hi: t1})}
-		return append(out, a.makeTransfer(arr, from, to, sec, rr.Redundant))
+	emit := func(from, to, t0, t1 int) {
+		sec := sections.Section{Dims: append(rows, sections.Dim{Lo: t0, Hi: t1})}
+		a.makeTransfer(b, arr, from, to, sec, rr.Redundant)
 	}
 
 	// groupByOwner walks columns [t0,t1], grouping runs with the same
 	// owner, and emits a transfer for each run not owned by p.
-	groupByOwner := func(out []Transfer, p, t0, t1 int, pIsReader bool) []Transfer {
+	groupByOwner := func(p, t0, t1 int, pIsReader bool) {
 		if t0 < 1 {
 			t0 = 1
 		}
@@ -233,17 +269,15 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 			}
 			if o != p {
 				if pIsReader {
-					out = emit(out, o, p, t, end)
+					emit(o, p, t, end)
 				} else {
-					out = emit(out, p, o, t, end)
+					emit(p, o, t, end)
 				}
 			}
 			t = end + 1
 		}
-		return out
 	}
 
-	var out []Transfer
 	switch rr.Kind {
 	case KindShift:
 		// A shift reference implies a distributed loop variable, so the
@@ -251,13 +285,13 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 		c := rr.Rest.Eval(env)
 		for p := 0; p < a.NP; p++ {
 			for _, jr := range pt.Ranges[p] {
-				out = groupByOwner(out, p, jr[0]+c, jr[1]+c, !rr.IsWrite)
+				groupByOwner(p, jr[0]+c, jr[1]+c, !rr.IsWrite)
 			}
 		}
 	case KindFixed:
 		t := rr.Rest.Eval(env)
 		if t < 1 || t > d.Extent {
-			return nil
+			return
 		}
 		owner := d.Owner(t)
 		for p := 0; p < a.NP; p++ {
@@ -265,9 +299,9 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 				continue
 			}
 			if rr.IsWrite {
-				out = emit(out, p, owner, t, t)
+				emit(p, owner, t, t)
 			} else {
-				out = emit(out, owner, p, t, t)
+				emit(owner, p, t, t)
 			}
 		}
 	case KindGather:
@@ -280,39 +314,42 @@ func (a *Analysis) refTransfers(rule *LoopRule, rr *RefRule, pt *Partition, env 
 			if !pt.Executes(p) {
 				continue
 			}
-			out = groupByOwner(out, p, rg[0]+c, rg[1]+c, true)
+			groupByOwner(p, rg[0]+c, rg[1]+c, true)
 		}
 	default:
 		panic("compiler: transfer for local reference")
 	}
-	return out
 }
 
 // makeTransfer linearizes a section and computes its block-aligned
-// interior (the shmem_limits shrink).
-func (a *Analysis) makeTransfer(arr *ir.Array, from, to int, sec sections.Section, redundant bool) Transfer {
-	blocks, edges, total := a.Layouts[arr].Cover(sec, a.BlockSize, nil, nil)
+// interior (the shmem_limits shrink), gathering the transfer into b.
+func (a *Analysis) makeTransfer(b *schedBuild, arr *ir.Array, from, to int, sec sections.Section, redundant bool) {
+	at := len(b.dims)
+	b.dims = append(b.dims, sec.Dims...)
+	blocks, edges, total := a.Layouts[arr].Cover(sec, a.BlockSize, b.in, b.edges)
+	b.in, b.edges = blocks, edges
+	b.runs = append(append(b.runs, blocks...), edges...)
+	b.keys = appendTransferKey(b.keys, arr.Name, sec, to)
+	b.keyEnd = append(b.keyEnd, int32(len(b.keys)))
 	numBlocks := sections.CountBlocks(blocks)
-	return Transfer{
+	b.ts = append(b.ts, Transfer{
 		Array:      arr,
 		Sender:     from,
 		Receiver:   to,
-		Sec:        sec,
+		Sec:        sections.Section{Dims: b.dims[at:]},
 		Blocks:     blocks,
 		NumBlocks:  numBlocks,
 		EdgeBytes:  total - numBlocks*a.BlockSize,
 		EdgeBlocks: edges,
 		Redundant:  redundant,
-		Key:        transferKey(arr.Name, sec, to),
-	}
+	})
 }
 
-// transferKey renders a transfer's data content, array|section|>receiver,
-// as "A|(1:64,3:5)|>2": array names are identifiers, so the text is
-// injective over the three.
-func transferKey(array string, sec sections.Section, to int) string {
-	var buf [64]byte
-	b := append(append(buf[:0], array...), "|("...)
+// appendTransferKey appends a transfer's data content,
+// array|section|>receiver, to b as "A|(1:64,3:5)|>2": array names are
+// identifiers, so the text is injective over the three.
+func appendTransferKey(b []byte, array string, sec sections.Section, to int) []byte {
+	b = append(append(b, array...), "|("...)
 	for i, d := range sec.Dims {
 		if i > 0 {
 			b = append(b, ',')
@@ -320,5 +357,5 @@ func transferKey(array string, sec sections.Section, to int) string {
 		b = append(strconv.AppendInt(b, int64(d.Lo), 10), ':')
 		b = strconv.AppendInt(b, int64(d.Hi), 10)
 	}
-	return string(strconv.AppendInt(append(b, ")|>"...), int64(to), 10))
+	return strconv.AppendInt(append(b, ")|>"...), int64(to), 10)
 }

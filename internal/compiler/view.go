@@ -4,20 +4,33 @@ import "sync/atomic"
 
 // View is one node's share of a schedule, the paper's per-processor
 // emission (Section 4.2): for each role the node plays, the indices into
-// Schedule.Reads or Schedule.Writes of its transfers, ascending. The
-// slices alias the schedule's index and must not be modified.
+// Schedule.Reads or Schedule.Writes of its transfers, ascending. Each
+// list aliases the schedule's index and must not be modified.
 type View struct {
-	ReadSend  []int32 // reads this node sends
-	ReadRecv  []int32 // reads this node receives
-	WriteSend []int32 // writes this node flushes to their owners
-	WriteRecv []int32 // writes flushed back to this node
-	// ReadEdges are the reads this node receives that leave it edge
-	// blocks (whether or not they also have a block-aligned interior).
-	// Empty in a SectionView: message passing ships exact sections.
-	ReadEdges []int32
+	x *nodeIndex
+	p int
 }
 
-// The lists of a nodeIndex, one per View field.
+// The lists of a View: the reads the node sends and those it receives,
+// the writes it flushes to their owners and those flushed back to it,
+// and the reads it receives that leave it edge blocks, whether or not
+// they also have a block-aligned interior (none in a SectionView:
+// message passing ships exact sections).
+func (v View) ReadSend() []int32  { return v.list(roleReadSend) }
+func (v View) ReadRecv() []int32  { return v.list(roleReadRecv) }
+func (v View) WriteSend() []int32 { return v.list(roleWriteSend) }
+func (v View) WriteRecv() []int32 { return v.list(roleWriteRecv) }
+func (v View) ReadEdges() []int32 { return v.list(roleReadEdges) }
+
+func (v View) list(role int) []int32 {
+	if v.x == nil {
+		return nil
+	}
+	k := role*v.x.np + v.p
+	return v.x.idx[v.x.off[k]:v.x.off[k+1]:v.x.off[k+1]]
+}
+
+// The lists of a nodeIndex, one per View method.
 const (
 	roleReadSend = iota
 	roleReadRecv
@@ -44,14 +57,14 @@ type nodeIndex struct {
 // interior (NumBlocks > 0): what the shared-memory executor moves under
 // compiler control. Everything else of a section is the default
 // protocol's, and ReadEdges says where that is.
-func (s *Schedule) View(p int) View { return s.liveIndex().view(p) }
+func (s *Schedule) View(p int) View { return View{s.liveIndex(), p} }
 
 func (s *Schedule) liveIndex() *nodeIndex { return s.index(&s.live, true) }
 
 // SectionView returns all of node p's transfers, with or without a
 // block-aligned interior: the message-passing backend ships exact
 // sections.
-func (s *Schedule) SectionView(p int) View { return s.index(&s.all, false).view(p) }
+func (s *Schedule) SectionView(p int) View { return View{s.index(&s.all, false), p} }
 
 // index returns the index in slot, building it on first use. Concurrent
 // paperbench -j runs that share a cached Analysis get here at the same
@@ -65,28 +78,15 @@ func (s *Schedule) index(slot *atomic.Pointer[nodeIndex], liveOnly bool) *nodeIn
 	return slot.Load()
 }
 
-func (x *nodeIndex) view(p int) View {
-	list := func(role int) []int32 {
-		k := role*x.np + p
-		return x.idx[x.off[k]:x.off[k+1]:x.off[k+1]]
-	}
-	return View{
-		ReadSend:  list(roleReadSend),
-		ReadRecv:  list(roleReadRecv),
-		WriteSend: list(roleWriteSend),
-		WriteRecv: list(roleWriteRecv),
-		ReadEdges: list(roleReadEdges),
-	}
-}
-
 // buildIndex is a counting sort of the schedule's transfers into the
-// (role, node) lists: one pass sizes them, a second fills them, and
-// because both visit the transfers in ascending order so is every list.
+// (role, node) lists: one pass counts them, and a second, visiting the
+// transfers in descending order, fills every list from its end, so that
+// each is ascending.
 func buildIndex(s *Schedule, liveOnly bool) *nodeIndex {
 	np := s.np
 	x := &nodeIndex{np: np}
 	each := func(put func(slot int, i int32)) {
-		for i := range s.Reads {
+		for i := len(s.Reads) - 1; i >= 0; i-- {
 			t := &s.Reads[i]
 			if t.NumBlocks > 0 || !liveOnly {
 				put(roleReadSend*np+t.Sender, int32(i))
@@ -96,7 +96,7 @@ func buildIndex(s *Schedule, liveOnly bool) *nodeIndex {
 				put(roleReadEdges*np+t.Receiver, int32(i))
 			}
 		}
-		for i := range s.Writes {
+		for i := len(s.Writes) - 1; i >= 0; i-- {
 			t := &s.Writes[i]
 			if t.NumBlocks > 0 || !liveOnly {
 				put(roleWriteSend*np+t.Sender, int32(i))
@@ -105,19 +105,19 @@ func buildIndex(s *Schedule, liveOnly bool) *nodeIndex {
 		}
 	}
 	x.off = make([]int32, numRoles*np+1)
-	each(func(slot int, _ int32) { x.off[slot+1]++ })
+	each(func(slot int, _ int32) { x.off[slot]++ })
 	for k := 1; k < len(x.off); k++ {
-		x.off[k] += x.off[k-1]
+		x.off[k] += x.off[k-1] // where list k ends
 	}
 	x.idx = make([]int32, x.off[len(x.off)-1])
-	next := append([]int32(nil), x.off...)
 	each(func(slot int, i int32) {
-		x.idx[next[slot]] = i
-		next[slot]++
+		x.off[slot]-- // down to where the list starts
+		x.idx[x.off[slot]] = i
 	})
 	if !liveOnly {
 		return x
 	}
+	x.liveReads = make([]int32, 0, x.off[roleReadRecv*np]) // every live read has a sender
 	for i := range s.Reads {
 		if s.Reads[i].NumBlocks > 0 {
 			x.liveReads = append(x.liveReads, int32(i))

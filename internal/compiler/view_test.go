@@ -69,11 +69,11 @@ func checkViews(t *testing.T, s *Schedule, np int, view func(p int) View, keep f
 			want []int32
 			seen []int
 		}{
-			{"ReadSend", v.ReadSend, filter(s.Reads, func(x *Transfer) bool { return keep(x) && x.Sender == p }), seenR},
-			{"ReadRecv", v.ReadRecv, filter(s.Reads, func(x *Transfer) bool { return keep(x) && x.Receiver == p }), seenR},
-			{"WriteSend", v.WriteSend, filter(s.Writes, func(x *Transfer) bool { return keep(x) && x.Sender == p }), seenW},
-			{"WriteRecv", v.WriteRecv, filter(s.Writes, func(x *Transfer) bool { return keep(x) && x.Receiver == p }), seenW},
-			{"ReadEdges", v.ReadEdges, filter(s.Reads, func(x *Transfer) bool { return edges && x.Receiver == p && len(x.EdgeBlocks) > 0 }), nil},
+			{"ReadSend", v.ReadSend(), filter(s.Reads, func(x *Transfer) bool { return keep(x) && x.Sender == p }), seenR},
+			{"ReadRecv", v.ReadRecv(), filter(s.Reads, func(x *Transfer) bool { return keep(x) && x.Receiver == p }), seenR},
+			{"WriteSend", v.WriteSend(), filter(s.Writes, func(x *Transfer) bool { return keep(x) && x.Sender == p }), seenW},
+			{"WriteRecv", v.WriteRecv(), filter(s.Writes, func(x *Transfer) bool { return keep(x) && x.Receiver == p }), seenW},
+			{"ReadEdges", v.ReadEdges(), filter(s.Reads, func(x *Transfer) bool { return edges && x.Receiver == p && len(x.EdgeBlocks) > 0 }), nil},
 		}
 		for _, l := range lists {
 			if !slices.Equal(l.got, l.want) {
@@ -294,8 +294,8 @@ func TestPlannerAndIndexFromConcurrentNodes(t *testing.T) {
 			for k, s := range seq {
 				v := s.View(p)
 				want := filter(s.Reads, func(x *Transfer) bool { return x.NumBlocks > 0 && x.Receiver == p })
-				if !slices.Equal(v.ReadRecv, want) {
-					t.Errorf("node %d instance %d: ReadRecv %v, brute force %v", p, k, v.ReadRecv, want)
+				if !slices.Equal(v.ReadRecv(), want) {
+					t.Errorf("node %d instance %d: ReadRecv %v, brute force %v", p, k, v.ReadRecv(), want)
 				}
 				got[p] = append(got[p], pn.At(k, k%2, s))
 			}

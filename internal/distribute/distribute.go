@@ -110,50 +110,34 @@ func (d Dist) Owner(j int) int {
 // OwnedRanges returns processor p's owned index ranges of the last
 // dimension, in ascending order, as inclusive [lo, hi] pairs. For
 // Block this is at most one range; for Cyclic, Extent/NP singletons.
-func (d Dist) OwnedRanges(p int) [][2]int {
+func (d Dist) OwnedRanges(p int) [][2]int { return d.AppendOwnedRanges(nil, p) }
+
+// AppendOwnedRanges appends OwnedRanges(p) to out.
+func (d Dist) AppendOwnedRanges(out [][2]int, p int) [][2]int {
 	if p < 0 || p >= d.NP {
 		panic(fmt.Sprintf("distribute: processor %d out of 0..%d", p, d.NP-1))
 	}
 	switch d.Kind {
 	case Collapsed:
 		if p == 0 {
-			return [][2]int{{1, d.Extent}}
+			out = append(out, [2]int{1, d.Extent})
 		}
-		return nil
+		return out
 	case Block:
 		cs := d.ChunkSize()
-		lo := p*cs + 1
-		hi := (p + 1) * cs
-		if hi > d.Extent {
-			hi = d.Extent
+		if lo := p*cs + 1; lo <= d.Extent {
+			out = append(out, [2]int{lo, min((p+1)*cs, d.Extent)})
 		}
-		if lo > d.Extent {
-			return nil
-		}
-		return [][2]int{{lo, hi}}
+		return out
 	case Cyclic, BlockCyclic:
 		k := d.ChunkSize()
-		var out [][2]int
 		for start := p*k + 1; start <= d.Extent; start += d.NP * k {
-			hi := start + k - 1
-			if hi > d.Extent {
-				hi = d.Extent
-			}
-			out = append(out, [2]int{start, hi})
+			out = append(out, [2]int{start, min(start+k-1, d.Extent)})
 		}
 		return out
 	default:
 		panic("distribute: unknown kind")
 	}
-}
-
-// CountOwned returns how many indices p owns.
-func (d Dist) CountOwned(p int) int {
-	n := 0
-	for _, r := range d.OwnedRanges(p) {
-		n += r[1] - r[0] + 1
-	}
-	return n
 }
 
 func (d Dist) String() string {

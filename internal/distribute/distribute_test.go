@@ -23,16 +23,25 @@ func TestBlockOwnership(t *testing.T) {
 	}
 }
 
+// countOwned sums the indices of p's owned ranges.
+func countOwned(d Dist, p int) int {
+	n := 0
+	for _, r := range d.OwnedRanges(p) {
+		n += r[1] - r[0] + 1
+	}
+	return n
+}
+
 func TestBlockUneven(t *testing.T) {
 	// 10 indices over 4 procs: chunks of 3, last proc gets 1.
 	d := New(Spec{Kind: Block}, 10, 4)
-	if d.CountOwned(0) != 3 || d.CountOwned(3) != 1 {
+	if countOwned(d, 0) != 3 || countOwned(d, 3) != 1 {
 		t.Fatalf("counts: %d %d %d %d",
-			d.CountOwned(0), d.CountOwned(1), d.CountOwned(2), d.CountOwned(3))
+			countOwned(d, 0), countOwned(d, 1), countOwned(d, 2), countOwned(d, 3))
 	}
 	// Degenerate: extent smaller than np; trailing procs own nothing.
 	d2 := New(Spec{Kind: Block}, 2, 4)
-	if d2.CountOwned(0) != 1 || d2.CountOwned(1) != 1 || d2.CountOwned(2) != 0 {
+	if countOwned(d2, 0) != 1 || countOwned(d2, 1) != 1 || countOwned(d2, 2) != 0 {
 		t.Fatal("degenerate block wrong")
 	}
 	// Owner clamps into range.
@@ -79,46 +88,52 @@ func TestCollapsed(t *testing.T) {
 	}
 }
 
-// TestPropertyPartition verifies OwnedRanges partitions 1..Extent and
-// agrees with Owner, across random configurations and all kinds.
+// TestPropertyPartition verifies that OwnedRanges partitions
+// 1..Extent and agrees with Owner, and that AppendOwnedRanges appends
+// exactly OwnedRanges' list behind what its list held, for every kind
+// (BlockCyclic chunks past the extent included), on small machines and
+// on 64 and 256 processors, over random extents.
 func TestPropertyPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		extent := 1 + r.Intn(200)
-		np := 1 + r.Intn(9)
-		var spec Spec
-		switch r.Intn(4) {
-		case 0:
-			spec = Spec{Kind: Collapsed}
-		case 1:
-			spec = Spec{Kind: Block}
-		case 2:
-			spec = Spec{Kind: Cyclic}
-		default:
-			spec = Spec{Kind: BlockCyclic, K: 1 + r.Intn(5)}
-		}
-		d := New(spec, extent, np)
-		owner := make([]int, extent+1)
-		for j := range owner {
-			owner[j] = -1
-		}
-		total := 0
-		for p := 0; p < np; p++ {
-			for _, rg := range d.OwnedRanges(p) {
-				for j := rg[0]; j <= rg[1]; j++ {
-					if owner[j] != -1 {
-						t.Fatalf("%v: index %d owned twice", d, j)
+	specs := func(extent int) []Spec {
+		return []Spec{{Kind: Collapsed}, {Kind: Block}, {Kind: Cyclic},
+			{Kind: BlockCyclic, K: 1 + r.Intn(5)}, {Kind: BlockCyclic, K: extent + r.Intn(3)}}
+	}
+	for _, np := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 256} {
+		for trial := 0; trial < 20; trial++ {
+			extent := 1 + r.Intn(600)
+			for _, spec := range specs(extent) {
+				d := New(spec, extent, np)
+				owner := make([]int, extent+1)
+				for j := range owner {
+					owner[j] = -1
+				}
+				total := 0
+				var all [][2]int // every processor's ranges, appended in turn
+				for p := 0; p < np; p++ {
+					ranges := d.OwnedRanges(p)
+					at := len(all)
+					all = d.AppendOwnedRanges(all, p)
+					if !slices.Equal(all[at:], ranges) {
+						t.Fatalf("%v: AppendOwnedRanges(_, %d) appended %v, OwnedRanges says %v", d, p, all[at:], ranges)
 					}
-					owner[j] = p
-					total++
-					if d.Owner(j) != p {
-						t.Fatalf("%v: Owner(%d)=%d but ranges say %d", d, j, d.Owner(j), p)
+					for _, rg := range ranges {
+						for j := rg[0]; j <= rg[1]; j++ {
+							if owner[j] != -1 {
+								t.Fatalf("%v: index %d owned twice", d, j)
+							}
+							owner[j] = p
+							total++
+							if d.Owner(j) != p {
+								t.Fatalf("%v: Owner(%d)=%d but ranges say %d", d, j, d.Owner(j), p)
+							}
+						}
 					}
 				}
+				if total != extent {
+					t.Fatalf("%v: covered %d of %d indices", d, total, extent)
+				}
 			}
-		}
-		if total != extent {
-			t.Fatalf("%v: covered %d of %d indices", d, total, extent)
 		}
 	}
 }

@@ -391,7 +391,7 @@ func (e *exec) postLoopComm(reduce bool) {
 // omits.
 func (e *exec) invalidateStaleEdges(p *sim.Proc, sched *compiler.Schedule) {
 	var stale []protocol.BlockRun
-	for _, i := range sched.View(e.n.ID).ReadEdges {
+	for _, i := range sched.View(e.n.ID).ReadEdges() {
 		for _, br := range sched.Reads[i].EdgeBlocks {
 			stale = e.staleFrames(stale, br)
 		}
@@ -418,7 +418,7 @@ func (e *exec) prefetchEdges(p *sim.Proc, plan *compiler.Plan) {
 	// Transfer by transfer: an edge block two transfers share is asked
 	// for twice.
 	var edges []protocol.BlockRun
-	for _, i := range sched.View(e.n.ID).ReadRecv {
+	for _, i := range sched.View(e.n.ID).ReadRecv() {
 		if !plan.Skips(i) {
 			edges = append(edges, sections.Minus(sched.Reads[i].EdgeBlocks, cc)...)
 		}

@@ -130,23 +130,23 @@ func (e *exec) mpPhase(p *sim.Proc, expected int64) {
 // writer, just as in the non-owner read case".
 func (e *exec) mpPreLoop(p *sim.Proc, sched *compiler.Schedule) {
 	v := sched.SectionView(e.n.ID)
-	for _, i := range v.ReadSend {
+	for _, i := range v.ReadSend() {
 		t := &sched.Reads[i]
 		e.mpSend(p, t, t.Receiver)
 	}
-	for _, i := range v.WriteRecv {
+	for _, i := range v.WriteRecv() {
 		t := &sched.Writes[i]
 		e.mpSend(p, t, t.Sender)
 	}
-	e.mpPhase(p, mpBytes(sched.Reads, v.ReadRecv)+mpBytes(sched.Writes, v.WriteSend))
+	e.mpPhase(p, mpBytes(sched.Reads, v.ReadRecv())+mpBytes(sched.Writes, v.WriteSend()))
 }
 
 // mpPostLoop flushes non-owner writes to the owners, who wait for them.
 func (e *exec) mpPostLoop(p *sim.Proc, sched *compiler.Schedule) {
 	v := sched.SectionView(e.n.ID)
-	for _, i := range v.WriteSend {
+	for _, i := range v.WriteSend() {
 		t := &sched.Writes[i]
 		e.mpSend(p, t, t.Receiver)
 	}
-	e.mpPhase(p, mpBytes(sched.Writes, v.WriteRecv))
+	e.mpPhase(p, mpBytes(sched.Writes, v.WriteRecv()))
 }

@@ -154,7 +154,7 @@ func commWalkFixture(tb testing.TB, nodes int) (pass func(), loops, own int) {
 		}
 		seq = append(seq, in)
 		v := in.sched.SectionView(nodes / 2)
-		own += len(v.ReadSend) + len(v.ReadRecv) + len(v.WriteSend) + len(v.WriteRecv)
+		own += len(v.ReadSend()) + len(v.ReadRecv()) + len(v.WriteSend()) + len(v.WriteRecv())
 	})
 	if len(seq) == 0 {
 		tb.Fatal("cg has no communicating loop")

@@ -43,15 +43,23 @@ func canonical(runs []BlockRun) bool {
 
 // Normalize returns the canonical form of the set runs lists: sorted,
 // empty runs dropped, overlapping and adjacent runs merged. A list
-// already canonical is returned as it is.
+// already canonical is returned as it is, any other made so in a copy.
 func Normalize(runs []BlockRun) []BlockRun {
 	if canonical(runs) {
 		return runs
 	}
-	sorted := slices.Clone(runs)
-	slices.SortFunc(sorted, func(a, b BlockRun) int { return a.Start - b.Start })
-	out := sorted[:0]
-	for _, r := range sorted {
+	return NormalizeInPlace(slices.Clone(runs))
+}
+
+// NormalizeInPlace is Normalize in the memory of runs, a list the caller
+// owns: the result is runs[:k] for some k, and what runs held is lost.
+func NormalizeInPlace(runs []BlockRun) []BlockRun {
+	if canonical(runs) {
+		return runs
+	}
+	slices.SortFunc(runs, func(a, b BlockRun) int { return a.Start - b.Start })
+	out := runs[:0]
+	for _, r := range runs {
 		if r.N <= 0 {
 			continue
 		}

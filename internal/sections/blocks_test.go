@@ -58,6 +58,7 @@ func TestBlockRunAlgebraAgainstMapOracle(t *testing.T) {
 		sa, sb := oracle(a), oracle(b)
 
 		sameSet("Normalize", a, nil, Normalize(a), sa)
+		sameSet("NormalizeInPlace", a, nil, NormalizeInPlace(slices.Clone(a)), sa)
 		union, minus := map[int]bool{}, map[int]bool{}
 		for blk := range sa {
 			union[blk] = true
